@@ -311,8 +311,13 @@ double RunNetworked(const api::Pipeline& pipeline,
         std::fprintf(stderr, "%s\n", connection.status().ToString().c_str());
         std::exit(1);
       }
-      if (!connection.value().Send(shards[s]).ok()) std::exit(1);
-      auto summary = connection.value().Close();
+      // Connect negotiated the shard on channel 0.
+      if (!connection.value()
+               .Send(/*channel=*/0, shards[s].data(), shards[s].size())
+               .ok()) {
+        std::exit(1);
+      }
+      auto summary = connection.value().CloseShard(/*channel=*/0);
       if (!summary.ok() || !summary.value().status.ok()) std::exit(1);
     });
   }

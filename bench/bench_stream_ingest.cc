@@ -117,6 +117,20 @@ std::vector<std::string> EncodeNumericShards(
   return shards;
 }
 
+// One in-memory stream source per shard for the multi-shard driver.
+// `prototype` and `shards` must outlive the returned sources.
+std::vector<stream::HandleShardSource> BufferSources(
+    const stream::AggregatorHandle& prototype,
+    const std::vector<std::string>& shards,
+    stream::ShardIngester::Options options = stream::ShardIngester::Options()) {
+  std::vector<stream::HandleShardSource> sources;
+  for (size_t s = 0; s < shards.size(); ++s) {
+    sources.push_back(stream::HandleStreamBufferSource(
+        prototype, "shard " + std::to_string(s), &shards[s], options));
+  }
+  return sources;
+}
+
 struct SweepResult {
   const char* kind = "mixed";
   const char* oracle = "";
@@ -167,6 +181,7 @@ int main() {
   std::vector<SweepResult> results;
   for (const auto& oracle : kOracles) {
     const MixedTupleCollector collector = MakeCollector(oracle.kind);
+    const stream::MixedAggregatorHandle prototype(&collector);
     for (const size_t num_shards : shard_counts) {
       const std::vector<std::string> shards =
           EncodeShards(collector, reports, num_shards);
@@ -177,9 +192,11 @@ int main() {
                                         std::max(hardware, 1u));
       std::unique_ptr<ThreadPool> pool;
       if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+      const std::vector<stream::HandleShardSource> sources =
+          BufferSources(prototype, shards);
 
       const auto started = std::chrono::steady_clock::now();
-      auto total = stream::IngestShardBuffers(collector, shards, pool.get());
+      auto total = stream::IngestHandleSources(prototype, sources, pool.get());
       const double seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         started)
@@ -189,12 +206,12 @@ int main() {
                      total.status().ToString().c_str());
         return 1;
       }
-      if (total.value().num_reports() != reports) {
+      if (total.value()->num_reports() != reports) {
         std::fprintf(stderr,
                      "ingest dropped reports: expected %llu, got %llu\n",
                      static_cast<unsigned long long>(reports),
                      static_cast<unsigned long long>(
-                         total.value().num_reports()));
+                         total.value()->num_reports()));
         return 1;
       }
 
@@ -234,12 +251,8 @@ int main() {
                                       std::max(hardware, 1u));
     std::unique_ptr<ThreadPool> pool;
     if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-    std::vector<stream::HandleShardSource> sources;
-    for (size_t s = 0; s < shards.size(); ++s) {
-      sources.push_back(stream::HandleStreamBufferSource(
-          prototype, "shard " + std::to_string(s), &shards[s],
-          stream::ShardIngester::Options()));
-    }
+    const std::vector<stream::HandleShardSource> sources =
+        BufferSources(prototype, shards);
 
     const auto started = std::chrono::steady_clock::now();
     auto total = stream::IngestHandleSources(prototype, sources, pool.get());
@@ -372,6 +385,7 @@ int main() {
   {
     const MixedTupleCollector collector =
         MakeCollector(FrequencyOracleKind::kOue);
+    const stream::MixedAggregatorHandle prototype(&collector);
     const std::vector<std::string> shards = EncodeShards(collector, reports, 1);
     uint64_t total_bytes = 0;
     for (const std::string& shard : shards) total_bytes += shard.size();
@@ -381,14 +395,16 @@ int main() {
                        double* out_seconds) -> bool {
       double best = 0.0;
       for (int r = 0; r < kRepeats; ++r) {
+        const std::vector<stream::HandleShardSource> sources =
+            BufferSources(prototype, shards, options);
         const auto started = std::chrono::steady_clock::now();
-        auto total = stream::IngestShardBuffers(collector, shards,
-                                                /*pool=*/nullptr, options);
+        auto total =
+            stream::IngestHandleSources(prototype, sources, /*pool=*/nullptr);
         const double seconds =
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           started)
                 .count();
-        if (!total.ok() || total.value().num_reports() != reports) {
+        if (!total.ok() || total.value()->num_reports() != reports) {
           std::fprintf(stderr, "overhead sweep ingest failed\n");
           return false;
         }

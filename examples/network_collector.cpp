@@ -108,12 +108,15 @@ int main() {
                      connection.status().ToString().c_str());
         std::exit(1);
       }
-      // The HELLO already negotiated the stream header; ship only frames.
-      if (!connection.value().Send(shards[f]).ok()) {
+      // The HELLO already negotiated the stream header on channel 0; ship
+      // only frames.
+      if (!connection.value()
+               .Send(/*channel=*/0, shards[f].data(), shards[f].size())
+               .ok()) {
         std::fprintf(stderr, "fleet %zu: send failed\n", f);
         std::exit(1);
       }
-      auto summary = connection.value().Close();
+      auto summary = connection.value().CloseShard(/*channel=*/0);
       if (!summary.ok() || !summary.value().status.ok()) {
         std::fprintf(stderr, "fleet %zu: close failed\n", f);
         std::exit(1);

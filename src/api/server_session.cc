@@ -4,6 +4,7 @@
 #include <fstream>
 #include <istream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "core/wire.h"
@@ -55,8 +56,7 @@ Result<SessionSnapshotConfig> ReadSessionPreamble(Reader* reader) {
   }
   uint16_t version = 0;
   LDP_ASSIGN_OR_RETURN(version, reader->U16());
-  if (version != kSessionSnapshotVersion &&
-      version != kSessionSnapshotLegacyVersion) {
+  if (version != kSessionSnapshotVersion) {
     return Status::InvalidArgument("unsupported session snapshot version");
   }
   uint8_t kind = 0, mechanism = 0, oracle = 0;
@@ -74,7 +74,6 @@ Result<SessionSnapshotConfig> ReadSessionPreamble(Reader* reader) {
     return Status::InvalidArgument("unknown oracle kind in session snapshot");
   }
   SessionSnapshotConfig config;
-  config.version = version;
   config.kind = static_cast<stream::ReportStreamKind>(kind);
   config.mechanism = static_cast<MechanismKind>(mechanism);
   config.oracle = static_cast<FrequencyOracleKind>(oracle);
@@ -88,7 +87,7 @@ Result<SessionSnapshotConfig> ReadSessionPreamble(Reader* reader) {
 }
 
 // Sums the num_reports fields of a session snapshot's epoch sections by
-// reading only the fixed-offset preambles (stats display; the actual merge
+// reading only their preambles (stats display; the actual merge
 // re-validates everything).
 uint64_t SessionSnapshotReportCount(const std::string& bytes) {
   Reader reader(bytes.data(), bytes.size());
@@ -100,16 +99,63 @@ uint64_t SessionSnapshotReportCount(const std::string& bytes) {
     if (!size.ok()) return total;
     const char* inner = reader.TakeBytes(size.value());
     if (inner == nullptr) return total;
-    // Inner aggregator snapshot: magic u32, version u16, two kind bytes,
-    // hash u64, ε f64, dimension u32, k u32, then num_reports u64.
-    Reader inner_reader(inner, size.value());
-    if (inner_reader.TakeBytes(4 + 2 + 1 + 1 + 8 + 8 + 4 + 4) == nullptr) {
-      return total;
-    }
-    const Result<uint64_t> reports = inner_reader.U64();
-    if (reports.ok()) total += reports.value();
+    const Result<stream::SnapshotConfig> config =
+        stream::DecodeSnapshotConfig(std::string_view(inner, size.value()));
+    if (config.ok()) total += config.value().num_reports;
   }
   return total;
+}
+
+// One IngestInputs input, dispatched on its magic: a report stream or a
+// single-epoch snapshot loads as an aggregate of `prototype`'s kind; a
+// session snapshot loads its raw bytes into `*session_bytes` and yields no
+// aggregate. An unreadable or unrecognized input loads as its error.
+stream::HandleShardSource InputSource(
+    const stream::AggregatorHandle& prototype, const std::string& path,
+    const stream::ShardIngester::Options& options,
+    std::string* session_bytes) {
+  stream::HandleShardSource source;
+  source.name = path;
+  auto fail = [&source](Status status) {
+    source.load = [status](stream::ShardIngester::Stats* /*stats*/)
+        -> Result<std::unique_ptr<stream::AggregatorHandle>> {
+      return status;
+    };
+    return source;
+  };
+  std::ifstream in(path, std::ios::binary);
+  if (!in.is_open()) return fail(Status::IoError("cannot open input file"));
+  char magic_bytes[4] = {0, 0, 0, 0};
+  in.read(magic_bytes, 4);
+  if (in.gcount() != 4) {
+    return fail(Status::InvalidArgument("input shorter than a magic"));
+  }
+  const uint32_t magic = internal_wire::LoadLittleEndian<uint32_t>(magic_bytes);
+  if (magic == stream::kStreamMagic) {
+    return stream::HandleStreamFileSource(prototype, path, options);
+  }
+  if (magic == stream::kSnapshotMagic ||
+      magic == stream::kNumericSnapshotMagic) {
+    return stream::HandleSnapshotFileSource(prototype, path);
+  }
+  if (magic != kSessionSnapshotMagic) {
+    return fail(Status::InvalidArgument(
+        "input is neither a report stream nor a snapshot"));
+  }
+  source.load = [path, session_bytes](stream::ShardIngester::Stats* stats)
+      -> Result<std::unique_ptr<stream::AggregatorHandle>> {
+    std::ifstream file(path, std::ios::binary);
+    std::ostringstream contents;
+    contents << file.rdbuf();
+    if (!file.is_open() || file.bad()) {
+      return Status::IoError("read error on input file");
+    }
+    *session_bytes = contents.str();
+    stats->bytes = session_bytes->size();
+    stats->accepted = SessionSnapshotReportCount(*session_bytes);
+    return std::unique_ptr<stream::AggregatorHandle>();
+  };
+  return source;
 }
 
 }  // namespace
@@ -522,106 +568,29 @@ Status ServerSession::IngestInputs(const std::vector<std::string>& paths,
   // stable epoch table.
   std::lock_guard<std::mutex> lock(*mutex_);
   if (pool == nullptr) pool = pool_.get();
-  // Phase 1, concurrent: every input is loaded into either a shard-sized
-  // aggregate (report streams, single-epoch snapshots — via the shared
-  // stream/parallel_ingest.h loaders) or its raw bytes (session snapshots,
-  // whose epoch-aligned merge must stay ordered).
-  struct Loaded {
-    Status status = Status::OK();
-    std::unique_ptr<stream::AggregatorHandle> handle;  // stream or snapshot
-    std::string session_bytes;                         // session snapshot
-    stream::ShardIngester::Stats stats;
-    bool is_session = false;
-  };
+  // Phase 1, concurrent (stream/parallel_ingest.h): every input loads into
+  // either a shard-sized aggregate (report streams, single-epoch snapshots)
+  // or its raw bytes (session snapshots, whose epoch-aligned merge must
+  // stay ordered).
   const size_t n = paths.size();
-  std::vector<Loaded> loaded(n);
-  std::vector<stream::HandleShardSource> sources(n);
-  const stream::AggregatorHandle& prototype = *epochs_.back();
+  std::vector<std::string> session_bytes(n);
+  std::vector<stream::HandleShardSource> sources;
+  sources.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    std::ifstream in(paths[i], std::ios::binary);
-    if (!in.is_open()) {
-      loaded[i].status = Status::IoError("cannot open input file");
-      continue;
-    }
-    char magic_bytes[4] = {0, 0, 0, 0};
-    in.read(magic_bytes, 4);
-    if (in.gcount() != 4) {
-      loaded[i].status = Status::InvalidArgument("input shorter than a magic");
-      continue;
-    }
-    const uint32_t magic =
-        internal_wire::LoadLittleEndian<uint32_t>(magic_bytes);
-    if (magic == stream::kStreamMagic) {
-      sources[i] = stream::HandleStreamFileSource(prototype, paths[i],
-                                                  options_.ingest);
-    } else if (magic == stream::kSnapshotMagic ||
-               magic == stream::kNumericSnapshotMagic) {
-      sources[i] = stream::HandleSnapshotFileSource(prototype, paths[i]);
-    } else if (magic == kSessionSnapshotMagic) {
-      loaded[i].is_session = true;
-    } else {
-      loaded[i].status = Status::InvalidArgument(
-          "input is neither a report stream nor a snapshot");
-    }
+    sources.push_back(InputSource(*epochs_.back(), paths[i], options_.ingest,
+                                  &session_bytes[i]));
   }
-  ParallelFor(pool, n, [&](unsigned /*chunk*/, uint64_t begin, uint64_t end) {
-    for (uint64_t i = begin; i < end; ++i) {
-      Loaded& input = loaded[i];
-      if (!input.status.ok()) continue;
-      if (input.is_session) {
-        std::ifstream in(paths[i], std::ios::binary);
-        std::ostringstream contents;
-        contents << in.rdbuf();
-        if (!in.is_open() || in.bad()) {
-          input.status = Status::IoError("read error on input file");
-          continue;
-        }
-        input.session_bytes = contents.str();
-        input.stats.bytes = input.session_bytes.size();
-        input.stats.accepted =
-            SessionSnapshotReportCount(input.session_bytes);
-        continue;
-      }
-      Result<std::unique_ptr<stream::AggregatorHandle>> handle =
-          sources[i].load(&input.stats);
-      if (handle.ok()) {
-        input.handle = std::move(handle).value();
-      } else {
-        input.status = handle.status();
-      }
-    }
-  });
-
-  stream::MultiShardSummary local_summary;
-  for (size_t i = 0; i < n; ++i) {
-    stream::ShardIngestOutcome outcome;
-    outcome.source = paths[i];
-    outcome.status = loaded[i].status;
-    outcome.stats = loaded[i].stats;
-    local_summary.total_reports += outcome.stats.accepted;
-    local_summary.total_rejected += outcome.stats.rejected;
-    local_summary.total_bytes += outcome.stats.bytes;
-    local_summary.shards.push_back(std::move(outcome));
-  }
-  if (summary != nullptr) *summary = local_summary;
-
-  for (size_t i = 0; i < n; ++i) {
-    if (!loaded[i].status.ok()) {
-      return Status(loaded[i].status.code(),
-                    "input '" + paths[i] + "': " + loaded[i].status.message());
-    }
-  }
+  std::vector<std::unique_ptr<stream::AggregatorHandle>> loaded;
+  LDP_ASSIGN_OR_RETURN(loaded, stream::LoadHandleSources(sources, pool,
+                                                         summary));
 
   // Phase 2, ordered: merge in argument order. Plain inputs land in the
   // epoch that was current at the call; session snapshots align by epoch.
   stream::AggregatorHandle* target = epochs_.back().get();
   for (size_t i = 0; i < n; ++i) {
-    Status merged = Status::OK();
-    if (loaded[i].handle != nullptr) {
-      merged = target->Merge(*loaded[i].handle);
-    } else {
-      merged = MergeLocked(loaded[i].session_bytes);
-    }
+    const Status merged = loaded[i] != nullptr
+                              ? target->Merge(*loaded[i])
+                              : MergeLocked(session_bytes[i]);
     if (!merged.ok()) {
       return Status(merged.code(),
                     "input '" + paths[i] + "': " + merged.message());
@@ -690,7 +659,7 @@ Status ServerSession::MergeLocked(const std::string& snapshot_bytes) {
         handle->MergeEncodedSnapshot(std::string(inner, inner_size)));
     staged.push_back(std::move(handle));
   }
-  // Stage the per-reporter ledger section (v2) before anything commits, so
+  // Stage the per-reporter ledger section before anything commits, so
   // a truncated snapshot mutates nothing.
   struct StagedLedger {
     std::string reporter;
@@ -698,39 +667,36 @@ Status ServerSession::MergeLocked(const std::string& snapshot_bytes) {
     std::vector<std::pair<uint32_t, double>> entries;
   };
   std::vector<StagedLedger> staged_ledgers;
-  if (peer.version >= kSessionSnapshotVersion) {
-    uint32_t num_reporters = 0;
-    LDP_ASSIGN_OR_RETURN(num_reporters, reader.U32());
-    staged_ledgers.reserve(
-        std::min<size_t>(num_reporters, 1u << 16));
-    for (uint32_t r = 0; r < num_reporters; ++r) {
-      StagedLedger ledger;
-      uint16_t id_length = 0;
-      LDP_ASSIGN_OR_RETURN(id_length, reader.U16());
-      const char* id = reader.TakeBytes(id_length);
-      if (id == nullptr) {
-        return Status::InvalidArgument(
-            "truncated reporter ledger in session snapshot");
-      }
-      ledger.reporter.assign(id, id_length);
-      LDP_ASSIGN_OR_RETURN(ledger.refusals, reader.U64());
-      uint32_t num_entries = 0;
-      LDP_ASSIGN_OR_RETURN(num_entries, reader.U32());
-      // 12 bytes per entry bounds a hostile count against the payload.
-      if (num_entries > (snapshot_bytes.size() / 12) + 1) {
-        return Status::InvalidArgument(
-            "reporter ledger entry count exceeds snapshot size");
-      }
-      ledger.entries.reserve(num_entries);
-      for (uint32_t i = 0; i < num_entries; ++i) {
-        uint32_t epoch = 0;
-        double spent = 0.0;
-        LDP_ASSIGN_OR_RETURN(epoch, reader.U32());
-        LDP_ASSIGN_OR_RETURN(spent, reader.F64());
-        ledger.entries.emplace_back(epoch, spent);
-      }
-      staged_ledgers.push_back(std::move(ledger));
+  uint32_t num_reporters = 0;
+  LDP_ASSIGN_OR_RETURN(num_reporters, reader.U32());
+  staged_ledgers.reserve(std::min<size_t>(num_reporters, 1u << 16));
+  for (uint32_t r = 0; r < num_reporters; ++r) {
+    StagedLedger ledger;
+    uint16_t id_length = 0;
+    LDP_ASSIGN_OR_RETURN(id_length, reader.U16());
+    const char* id = reader.TakeBytes(id_length);
+    if (id == nullptr) {
+      return Status::InvalidArgument(
+          "truncated reporter ledger in session snapshot");
     }
+    ledger.reporter.assign(id, id_length);
+    LDP_ASSIGN_OR_RETURN(ledger.refusals, reader.U64());
+    uint32_t num_entries = 0;
+    LDP_ASSIGN_OR_RETURN(num_entries, reader.U32());
+    // 12 bytes per entry bounds a hostile count against the payload.
+    if (num_entries > (snapshot_bytes.size() / 12) + 1) {
+      return Status::InvalidArgument(
+          "reporter ledger entry count exceeds snapshot size");
+    }
+    ledger.entries.reserve(num_entries);
+    for (uint32_t i = 0; i < num_entries; ++i) {
+      uint32_t epoch = 0;
+      double spent = 0.0;
+      LDP_ASSIGN_OR_RETURN(epoch, reader.U32());
+      LDP_ASSIGN_OR_RETURN(spent, reader.F64());
+      ledger.entries.emplace_back(epoch, spent);
+    }
+    staged_ledgers.push_back(std::move(ledger));
   }
   if (!reader.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after session snapshot");
@@ -768,7 +734,7 @@ std::string ServerSession::Snapshot() const {
     PutU64(&out, inner.size());
     out.append(inner);
   }
-  // v2 ledger section: every reporter's spend history, in ascending id
+  // Ledger section: every reporter's spend history, in ascending id
   // order (std::map iteration), so two sessions that saw the same charges
   // serialize bit-identically.
   const auto& ledgers = accountant_.ledgers();

@@ -71,17 +71,14 @@ namespace ldp::api {
 ///   u32 magic 'LDPE', u16 version, u8 stream kind, u8 mechanism, u8 oracle,
 ///   u64 schema_hash, f64 epsilon, u32 num_epochs, then per epoch:
 ///     u64 size, size bytes of that epoch's aggregator snapshot
-///     (stream/snapshot.h 'LDPA' or 'LDPN').
-/// Version 2 appends the per-reporter privacy ledger section after the
-/// epochs:
+///     (stream/snapshot.h 'LDPA' or 'LDPN'),
+///   then the per-reporter privacy ledger section:
 ///   u32 num_reporters, then per reporter in ascending id order:
 ///     u16 id_length, id bytes, u64 refusals, u32 num_epoch_entries,
 ///     then per entry: u32 epoch, f64 epsilon spent.
-/// Version 1 snapshots (no ledger section) still merge; their charges are
-/// attributed to nobody beyond the anonymous plan ledger.
+/// Only version 2 is read; version 1 (no ledger section) is refused.
 inline constexpr uint32_t kSessionSnapshotMagic = 0x4550444cu;
 inline constexpr uint16_t kSessionSnapshotVersion = 2;
-inline constexpr uint16_t kSessionSnapshotLegacyVersion = 1;
 
 /// True when `bytes` starts with the session snapshot magic.
 bool LooksLikeSessionSnapshot(const std::string& bytes);
@@ -90,7 +87,6 @@ bool LooksLikeSessionSnapshot(const std::string& bytes);
 /// is enough to rebuild the pipeline configuration (tools/ldp_aggregate
 /// does).
 struct SessionSnapshotConfig {
-  uint16_t version = kSessionSnapshotVersion;
   stream::ReportStreamKind kind = stream::ReportStreamKind::kMixed;
   MechanismKind mechanism = MechanismKind::kHybrid;
   FrequencyOracleKind oracle = FrequencyOracleKind::kOue;

@@ -27,9 +27,7 @@ Result<CollectorClient> CollectorClient::Connect(
     LDP_RETURN_IF_ERROR(client.socket_.SetIdleTimeout(options.idle_timeout_ms));
   }
   client.epoch_ = options.epoch;
-  const uint32_t channel = client.next_channel_++;
-  LDP_RETURN_IF_ERROR(client.Negotiate(header, ordinal, channel));
-  client.primary_ = channel;
+  LDP_RETURN_IF_ERROR(client.OpenShard(header, ordinal).status());
   return client;
 }
 
@@ -65,14 +63,9 @@ Status CollectorClient::Negotiate(const stream::StreamHeader& header,
     return Status::Internal("collector acknowledged the wrong channel");
   }
   ShardChannel state;
-  state.shard = ok.shard;
   state.resume_offset = ok.resume_offset;
   channels_[channel] = std::move(state);
   epoch_ = ok.epoch;
-  if (channel == primary_ || channels_.size() == 1) {
-    shard_ = ok.shard;
-    resume_offset_ = ok.resume_offset;
-  }
   return Status::OK();
 }
 
@@ -81,19 +74,6 @@ Result<uint32_t> CollectorClient::OpenShard(const stream::StreamHeader& header,
   const uint32_t channel = next_channel_++;
   LDP_RETURN_IF_ERROR(Negotiate(header, ordinal, channel));
   return channel;
-}
-
-Status CollectorClient::Reopen(const stream::StreamHeader& header,
-                               uint64_t ordinal) {
-  if (shard_open()) {
-    return Status::FailedPrecondition("close the current shard first");
-  }
-  const uint32_t channel = next_channel_++;
-  LDP_RETURN_IF_ERROR(Negotiate(header, ordinal, channel));
-  primary_ = channel;
-  shard_ = channels_[channel].shard;
-  resume_offset_ = channels_[channel].resume_offset;
-  return Status::OK();
 }
 
 uint64_t CollectorClient::resume_offset(uint32_t channel) const {

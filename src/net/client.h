@@ -8,10 +8,6 @@
 // on other channels — the client matches replies by channel and stashes
 // early arrivals, so callers never see the reordering.
 //
-// The legacy single-shard surface (Connect negotiating one shard, then
-// Send/Close/Reopen) is preserved as wrappers over one "primary" channel;
-// existing reporters compile and behave unchanged.
-//
 // Flow control: with CollectorClientOptions::window_bytes set, the HELLO
 // opts in to batched DATA_ACK watermarks and Send blocks once
 // (sent - acked) bytes across all channels exceed the window — a reporter
@@ -49,11 +45,11 @@ struct CollectorClientOptions {
   /// When nonzero, bound on unacknowledged in-flight bytes across all of
   /// the connection's channels (see the file comment). 0 disables acks.
   uint64_t window_bytes = 0;
-  /// Reporter identity for authenticated (protocol v3) campaigns. When
-  /// `campaign_key` is non-empty every HELLO carries `reporter_id` plus an
-  /// HMAC-SHA256 tag binding (key, id, channel, epoch, stream header); a
-  /// keyed collector refuses anything else. When empty the client speaks
-  /// the legacy v2 HELLO and a keyless collector accepts it unchanged.
+  /// Reporter identity for authenticated campaigns. When `campaign_key` is
+  /// non-empty every HELLO carries `reporter_id` plus an HMAC-SHA256 tag
+  /// binding (key, id, channel, epoch, stream header); a keyed collector
+  /// refuses anything else. When empty the HELLO is anonymous, which only
+  /// a keyless collector accepts.
   std::string reporter_id;
   std::string campaign_key;
   /// The epoch this connection's first HELLO folds into. Authenticated
@@ -75,15 +71,13 @@ struct ShardCloseSummary {
 
 class CollectorClient {
  public:
-  /// Connects to `endpoint` and negotiates shard `ordinal` on the primary
-  /// channel, speaking `header`'s protocol. Fails with the server's
-  /// refusal (schema hash / ε / kind mismatch) before any report is sent.
+  /// Connects to `endpoint` and negotiates shard `ordinal` on channel 0,
+  /// speaking `header`'s protocol. Fails with the server's refusal (schema
+  /// hash / ε / kind mismatch) before any report is sent.
   static Result<CollectorClient> Connect(const Endpoint& endpoint,
                                          const stream::StreamHeader& header,
                                          uint64_t ordinal,
                                          CollectorClientOptions options = {});
-
-  // --- multi-shard surface -------------------------------------------------
 
   /// Negotiates one more shard over this connection and returns its
   /// channel id. Any number of shards may be open concurrently.
@@ -114,44 +108,17 @@ class CollectorClient {
   /// Channels currently open (closing ones included until awaited).
   size_t open_shards() const { return channels_.size(); }
 
-  // --- legacy single-shard surface (primary channel) -----------------------
-
-  /// Stages frame bytes for the primary shard.
-  Status Send(const char* data, size_t size) {
-    return Send(primary_, data, size);
-  }
-  Status Send(const std::string& bytes) {
-    return Send(bytes.data(), bytes.size());
-  }
-
-  /// Flushes, declares end-of-stream, and waits for the server's merge
-  /// verdict. The shard is gone afterwards; Reopen starts the next one.
-  Result<ShardCloseSummary> Close() { return CloseShard(primary_); }
-
-  /// Negotiates another primary shard on the same connection (after
-  /// Close).
-  Status Reopen(const stream::StreamHeader& header, uint64_t ordinal);
-
   /// Asks the server to close the current collection epoch and open the
   /// next (all server-side shards must be closed). Returns the session's
   /// current epoch on success.
   Result<uint32_t> AdvanceEpoch();
 
-  /// Server-side shard id of the primary shard (diagnostic).
-  uint64_t shard() const { return shard_; }
-
   /// The epoch the most recently opened shard folds into.
   uint32_t epoch() const { return epoch_; }
-
-  /// resume_offset of the primary shard.
-  uint64_t resume_offset() const { return resume_offset_; }
-
-  bool shard_open() const { return channels_.count(primary_) != 0; }
 
  private:
   /// One open (or closing) shard multiplexed over the connection.
   struct ShardChannel {
-    uint64_t shard = 0;
     uint64_t resume_offset = 0;
     std::string staged;
     uint64_t sent_bytes = 0;   ///< Post-header bytes shipped in DATA.
@@ -195,10 +162,7 @@ class CollectorClient {
   /// SHARD_CLOSED payloads that arrived while awaiting something else.
   std::map<uint32_t, std::string> closed_payloads_;
   uint32_t next_channel_ = 0;
-  uint32_t primary_ = 0;
-  uint64_t shard_ = 0;
   uint32_t epoch_ = 0;
-  uint64_t resume_offset_ = 0;
 };
 
 }  // namespace ldp::net

@@ -73,20 +73,14 @@ Result<MessageHeader> DecodeMessageHeader(const char* data, size_t size) {
 }
 
 std::string EncodeHello(const HelloMessage& hello) {
-  // An unauthenticated HELLO stays on the v2 layout so a client without a
-  // campaign key is byte-identical to the previous release.
-  const bool authenticated =
-      !hello.reporter_id.empty() || !hello.auth_tag.empty();
   std::string out;
-  PutU16(&out, authenticated ? kProtocolVersion : kLegacyProtocolVersion);
+  PutU16(&out, kProtocolVersion);
   PutU32(&out, hello.channel);
   PutU32(&out, hello.flags);
   PutU64(&out, hello.ordinal);
-  if (authenticated) {
-    PutU16(&out, static_cast<uint16_t>(hello.reporter_id.size()));
-    out.append(hello.reporter_id);
-    out.append(hello.auth_tag);
-  }
+  PutU16(&out, static_cast<uint16_t>(hello.reporter_id.size()));
+  out.append(hello.reporter_id);
+  out.append(hello.auth_tag);
   out.append(hello.header_bytes);
   return out;
 }
@@ -95,25 +89,23 @@ Result<HelloMessage> DecodeHello(const std::string& payload) {
   Reader reader(payload.data(), payload.size());
   HelloMessage hello;
   LDP_ASSIGN_OR_RETURN(hello.version, reader.U16());
-  if (hello.version != kProtocolVersion &&
-      hello.version != kLegacyProtocolVersion) {
+  if (hello.version != kProtocolVersion) {
     return Status::InvalidArgument("unsupported protocol version " +
                                    std::to_string(hello.version));
   }
   LDP_ASSIGN_OR_RETURN(hello.channel, reader.U32());
   LDP_ASSIGN_OR_RETURN(hello.flags, reader.U32());
   LDP_ASSIGN_OR_RETURN(hello.ordinal, reader.U64());
-  if (hello.version == kProtocolVersion) {
-    uint16_t id_length = 0;
-    LDP_ASSIGN_OR_RETURN(id_length, reader.U16());
-    if (id_length == 0) {
-      return Status::InvalidArgument("v3 HELLO carries an empty reporter id");
-    }
-    if (id_length > kMaxReporterIdBytes) {
-      return Status::InvalidArgument(
-          "reporter id length " + std::to_string(id_length) +
-          " exceeds bound " + std::to_string(kMaxReporterIdBytes));
-    }
+  uint16_t id_length = 0;
+  LDP_ASSIGN_OR_RETURN(id_length, reader.U16());
+  if (id_length > kMaxReporterIdBytes) {
+    return Status::InvalidArgument(
+        "reporter id length " + std::to_string(id_length) +
+        " exceeds bound " + std::to_string(kMaxReporterIdBytes));
+  }
+  if (id_length > 0) {
+    // Only an identified HELLO carries a tag; an anonymous one goes
+    // straight on to the stream header.
     const char* id_bytes = reader.TakeBytes(id_length);
     if (id_bytes == nullptr) {
       return Status::InvalidArgument("truncated reporter id in HELLO");
@@ -228,8 +220,7 @@ Result<SnapshotMessage> DecodeSnapshot(const std::string& payload) {
   Reader reader(payload.data(), payload.size());
   SnapshotMessage snapshot;
   LDP_ASSIGN_OR_RETURN(snapshot.version, reader.U16());
-  if (snapshot.version != kProtocolVersion &&
-      snapshot.version != kLegacyProtocolVersion) {
+  if (snapshot.version != kProtocolVersion) {
     return Status::InvalidArgument("unsupported protocol version " +
                                    std::to_string(snapshot.version));
   }

@@ -56,15 +56,10 @@
 
 namespace ldp::net {
 
-/// Current protocol version. v3 added the authenticated HELLO: a reporter
-/// id plus an HMAC-SHA256 tag binding the id to the campaign key, stream
-/// header, channel, and epoch.
+/// The protocol version, the only one spoken. v3 added the reporter
+/// identity to the HELLO: a reporter id plus an HMAC-SHA256 tag binding the
+/// id to the campaign key, stream header, channel, and epoch.
 inline constexpr uint16_t kProtocolVersion = 3;
-
-/// The pre-identity version. Keyless servers still accept it (and
-/// unauthenticated clients still emit it) so a v2 fleet keeps working
-/// unchanged; keyed servers refuse it.
-inline constexpr uint16_t kLegacyProtocolVersion = 2;
 
 /// Upper bound on a reporter id carried in a v3 HELLO. Ids are opaque
 /// client-chosen bytes; the bound keeps a hostile HELLO from smuggling a
@@ -135,12 +130,9 @@ Result<MessageHeader> DecodeMessageHeader(const char* data, size_t size);
 
 /// HELLO: the client introduces one shard-to-be on a fresh channel.
 ///
-/// Two wire layouts share the message type. An unauthenticated HELLO
-/// (empty reporter_id and auth_tag) encodes the v2 layout, byte-identical
-/// to the previous release. An authenticated HELLO encodes v3: the fixed
-/// fields, then u16 id length, the id bytes, the raw 32-byte tag, then the
-/// stream header. DecodeHello dispatches on the leading version and fills
-/// `version` with what was actually on the wire.
+/// Layout: the fixed fields, then u16 id length, the id bytes, the raw
+/// 32-byte tag, then the stream header. An anonymous HELLO (for a keyless
+/// collector) carries id length 0 and no tag.
 struct HelloMessage {
   uint16_t version = kProtocolVersion;
   /// Client-chosen id multiplexing this shard over the connection; must not
@@ -152,10 +144,12 @@ struct HelloMessage {
   /// The shard's merge position (see file comment). Clients streaming a
   /// single ad-hoc shard use 0.
   uint64_t ordinal = 0;
-  /// v3 only: the authenticated reporter identity (1..kMaxReporterIdBytes
-  /// opaque bytes) the server keys this shard's privacy ledger by.
+  /// The authenticated reporter identity (up to kMaxReporterIdBytes opaque
+  /// bytes) the server keys this shard's privacy ledger by; empty when
+  /// anonymous.
   std::string reporter_id;
-  /// v3 only: ComputeHelloTag(campaign key, ...) — raw kHelloAuthTagBytes.
+  /// ComputeHelloTag(campaign key, ...) — raw kHelloAuthTagBytes; present
+  /// exactly when reporter_id is non-empty.
   std::string auth_tag;
   /// The serialized stream::StreamHeader the shard's bytes start with.
   std::string header_bytes;

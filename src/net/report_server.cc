@@ -704,6 +704,32 @@ bool ReportServer::DispatchMessage(Loop& loop,
   }
 }
 
+bool ReportServer::RefuseHello(Loop& loop, const std::shared_ptr<Conn>& conn,
+                               uint64_t ordinal, const Status& verdict,
+                               bool unauthenticated) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.hello_rejected;
+    if (unauthenticated) ++stats_.hello_unauthenticated;
+  }
+  if (metrics_.enabled()) {
+    metrics_.hello_refused->Increment();
+    if (unauthenticated) metrics_.hello_unauthenticated->Increment();
+  }
+  if (options_.journal != nullptr) {
+    options_.journal->Record(unauthenticated ? obs::EventKind::kAuthRefuse
+                                             : obs::EventKind::kHelloRefuse,
+                             ordinal);
+  }
+  // A refused HELLO closes the whole connection, so its other channels
+  // abandon.
+  FlushPendingAcks(conn);
+  QueueMessage(conn, MessageType::kError, EncodeError(verdict));
+  AbandonConnChannels(conn);
+  CloseAfterFlush(loop, conn);
+  return false;
+}
+
 bool ReportServer::HandleHello(Loop& loop,
                                const std::shared_ptr<Conn>& conn) {
   Result<HelloMessage> hello = DecodeHello(conn->payload);
@@ -726,17 +752,19 @@ bool ReportServer::HandleHello(Loop& loop,
   }
   // The authentication gate runs before the stream header is decoded: a
   // forged or unauthenticated HELLO is refused on the cheap fixed fields
-  // alone and never reaches the session.
+  // alone and never reaches the session. DecodeHello guarantees a tag
+  // exactly when an id is present.
+  const uint64_t ordinal = hello.value().ordinal;
   Status auth = Status::OK();
   if (options_.campaign_key.empty()) {
-    if (hello.value().version != kLegacyProtocolVersion) {
+    if (!hello.value().reporter_id.empty()) {
       auth = Status::FailedPrecondition(
           "this collector has no campaign key and refuses authenticated "
           "HELLOs rather than skipping verification");
     }
-  } else if (hello.value().version != kProtocolVersion) {
+  } else if (hello.value().reporter_id.empty()) {
     auth = Status::FailedPrecondition(
-        "this campaign requires an authenticated protocol v3 HELLO");
+        "this campaign requires an authenticated HELLO");
   } else {
     const std::string expected_tag = ComputeHelloTag(
         options_.campaign_key, hello.value().reporter_id,
@@ -749,48 +777,17 @@ bool ReportServer::HandleHello(Loop& loop,
     }
   }
   if (!auth.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.hello_rejected;
-      ++stats_.hello_unauthenticated;
-    }
-    if (metrics_.enabled()) {
-      metrics_.hello_refused->Increment();
-      metrics_.hello_unauthenticated->Increment();
-    }
-    if (options_.journal != nullptr) {
-      options_.journal->Record(obs::EventKind::kAuthRefuse,
-                               hello.value().ordinal);
-    }
-    FlushPendingAcks(conn);
-    QueueMessage(conn, MessageType::kError, EncodeError(auth));
-    AbandonConnChannels(conn);
-    CloseAfterFlush(loop, conn);
-    return false;
+    return RefuseHello(loop, conn, ordinal, auth, /*unauthenticated=*/true);
   }
   Result<stream::StreamHeader> peer =
       stream::DecodeStreamHeader(hello.value().header_bytes);
   Status refusal = peer.ok()
                        ? stream::CheckHeadersCompatible(expected_, peer.value())
                        : peer.status();
-  if (refusal.ok()) refusal = RegisterOrdinal(hello.value().ordinal);
+  if (refusal.ok()) refusal = RegisterOrdinal(ordinal);
   if (!refusal.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.hello_rejected;
-    }
-    if (metrics_.enabled()) metrics_.hello_refused->Increment();
-    if (options_.journal != nullptr) {
-      options_.journal->Record(obs::EventKind::kHelloRefuse,
-                               hello.value().ordinal);
-    }
-    // A refused HELLO closes the whole connection (as in v1, where a
-    // connection carried exactly one shard), so other channels abandon.
-    FlushPendingAcks(conn);
-    QueueMessage(conn, MessageType::kError, EncodeError(refusal));
-    AbandonConnChannels(conn);
-    CloseAfterFlush(loop, conn);
-    return false;
+    return RefuseHello(loop, conn, ordinal, refusal,
+                       /*unauthenticated=*/false);
   }
   // A WAL replay may have left this ordinal's shard open at the crash:
   // re-attach to it instead of opening anew, and tell the reporter how
@@ -799,7 +796,7 @@ bool ReportServer::HandleHello(Loop& loop,
   bool is_resume = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto found = resume_shards_.find(hello.value().ordinal);
+    auto found = resume_shards_.find(ordinal);
     if (found != resume_shards_.end()) {
       resumed = found->second;
       is_resume = true;
@@ -807,7 +804,7 @@ bool ReportServer::HandleHello(Loop& loop,
     }
   }
   ChannelState state;
-  state.ordinal = hello.value().ordinal;
+  state.ordinal = ordinal;
   if (is_resume) {
     state.shard = resumed.shard;
   } else {
@@ -819,27 +816,14 @@ bool ReportServer::HandleHello(Loop& loop,
       // Release the ordinal the way an abandoned shard would: the campaign
       // proceeds with this reporter's shard simply missing.
       FinishOrdinal(state.ordinal);
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.hello_rejected;
-      }
-      if (metrics_.enabled()) metrics_.hello_refused->Increment();
-      if (options_.journal != nullptr) {
-        options_.journal->Record(obs::EventKind::kHelloRefuse,
-                                 hello.value().ordinal);
-      }
-      FlushPendingAcks(conn);
-      QueueMessage(conn, MessageType::kError, EncodeError(opened.status()));
-      AbandonConnChannels(conn);
-      CloseAfterFlush(loop, conn);
-      return false;
+      return RefuseHello(loop, conn, ordinal, opened.status(),
+                         /*unauthenticated=*/false);
     }
     state.shard = opened.value();
   }
   if (metrics_.enabled()) metrics_.hello_accepted->Increment();
   if (options_.journal != nullptr) {
-    options_.journal->Record(obs::EventKind::kHelloAccept,
-                             hello.value().ordinal);
+    options_.journal->Record(obs::EventKind::kHelloAccept, ordinal);
   }
   if ((hello.value().flags & kHelloFlagDataAcks) != 0) {
     conn->wants_acks = true;

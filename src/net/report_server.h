@@ -154,12 +154,12 @@ struct ReportServerOptions {
   /// mid-tier collector). Off by default: an edge collector should not let
   /// arbitrary peers inject whole aggregates.
   bool accept_snapshots = false;
-  /// When non-empty, the campaign's shared HMAC key: every HELLO must be a
-  /// protocol v3 HELLO whose tag verifies (constant-time) against this key
+  /// When non-empty, the campaign's shared HMAC key: every HELLO must carry
+  /// a reporter id whose tag verifies (constant-time) against this key
   /// before the stream header is even decoded — an unauthenticated or
-  /// forged HELLO never reaches the session. When empty, only legacy v2
-  /// HELLOs are accepted; a v3 HELLO to a keyless server is refused loudly
-  /// rather than silently skipping verification.
+  /// forged HELLO never reaches the session. When empty, only anonymous
+  /// HELLOs are accepted; an identified HELLO to a keyless server is
+  /// refused loudly rather than silently skipping verification.
   std::string campaign_key;
   /// Optional write-ahead durability hook (relay::FrameWal). Must outlive
   /// the server.
@@ -331,6 +331,12 @@ class ReportServer {
   /// was poisoned or torn down.
   bool DispatchMessage(Loop& loop, const std::shared_ptr<Conn>& conn);
   bool HandleHello(Loop& loop, const std::shared_ptr<Conn>& conn);
+  /// Counts a refused HELLO (as unauthenticated, with an auth_refuse
+  /// event, when `unauthenticated`), replies ERROR{verdict}, and closes the
+  /// connection, abandoning its other channels. Returns false.
+  bool RefuseHello(Loop& loop, const std::shared_ptr<Conn>& conn,
+                   uint64_t ordinal, const Status& verdict,
+                   bool unauthenticated);
   bool HandleSnapshot(Loop& loop, const std::shared_ptr<Conn>& conn);
   /// End-of-stream / recv-fault / reap handling (see the protocol-error
   /// accounting rules in the .cc).

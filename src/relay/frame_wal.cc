@@ -76,7 +76,7 @@ struct Instance {
   uint64_t ordinal = 0;
   uint32_t generation = 0;
   std::string path;
-  std::string reporter_id;  // empty = anonymous (and all version-1 logs)
+  std::string reporter_id;  // empty = anonymous
   std::string header_bytes;
   std::vector<std::string> chunks;  // DATA payloads, in append order
   uint64_t data_bytes = 0;
@@ -123,12 +123,8 @@ Status ReadInstance(const std::string& path, bool truncate,
     instance->abandoned = true;
     return Status::OK();
   }
-  if (LoadLe32(bytes.data()) != kWalMagic) {
-    instance->corrupt = true;
-    return Status::OK();
-  }
-  const uint16_t version = LoadLe16(bytes.data() + 4);
-  if (version != kWalVersion && version != kWalLegacyVersion) {
+  if (LoadLe32(bytes.data()) != kWalMagic ||
+      LoadLe16(bytes.data() + 4) != kWalVersion) {
     instance->corrupt = true;
     return Status::OK();
   }
@@ -161,30 +157,19 @@ Status ReadInstance(const std::string& path, bool truncate,
       return Status::OK();
     }
     switch (static_cast<WalRecordType>(type)) {
-      case WalRecordType::kHeader:
-        if (!instance->header_bytes.empty()) {
+      case WalRecordType::kHeader: {
+        // u16 reporter-id length, the id, then the stream header.
+        if (!instance->header_bytes.empty() || length < 2 ||
+            static_cast<size_t>(2) + LoadLe16(payload) > length) {
           instance->corrupt = true;
           return Status::OK();
         }
-        if (version == kWalLegacyVersion) {
-          // v1: the payload is the bare stream header (anonymous reporter).
-          instance->header_bytes.assign(payload, length);
-        } else {
-          // v2: u16 reporter-id length, the id, then the stream header.
-          if (length < 2) {
-            instance->corrupt = true;
-            return Status::OK();
-          }
-          const uint16_t id_length = LoadLe16(payload);
-          if (static_cast<size_t>(2) + id_length > length) {
-            instance->corrupt = true;
-            return Status::OK();
-          }
-          instance->reporter_id.assign(payload + 2, id_length);
-          instance->header_bytes.assign(payload + 2 + id_length,
-                                        length - 2 - id_length);
-        }
+        const uint16_t id_length = LoadLe16(payload);
+        instance->reporter_id.assign(payload + 2, id_length);
+        instance->header_bytes.assign(payload + 2 + id_length,
+                                      length - 2 - id_length);
         break;
+      }
       case WalRecordType::kData:
         instance->chunks.emplace_back(payload, length);
         instance->data_bytes += length;

@@ -14,9 +14,7 @@
 //     then records:  u8 type, u32 len, u32 crc32(type||len||payload),
 //                    payload
 //       type 1  shard open: u16 reporter-id length, the reporter id, then
-//               the stream-header bytes (the HELLO header). Version-1 logs
-//               carried the bare header bytes; they replay as the
-//               anonymous reporter.
+//               the stream-header bytes (the HELLO header)
 //       type 2  accepted DATA payload (one record per DATA message)
 //       type 3  close, payload = u64 close_seq (global merge order)
 //       type 4  abandon (the shard contributed nothing)
@@ -78,10 +76,9 @@ uint32_t Crc32(const void* data, size_t size, uint32_t seed = 0);
 
 /// 'LDPW' little-endian.
 inline constexpr uint32_t kWalMagic = 0x5750444cu;
-/// Version 2 prefixes the kHeader record with the reporter id; version-1
-/// logs are still replayed (as the anonymous reporter).
+/// Version 2 prefixes the kHeader record with the reporter id. It is the
+/// only version replayed; any other counts as a corrupt log.
 inline constexpr uint16_t kWalVersion = 2;
-inline constexpr uint16_t kWalLegacyVersion = 1;
 
 /// u8 type + u32 len + u32 crc.
 inline constexpr size_t kWalRecordHeaderBytes = 9;

@@ -2,7 +2,6 @@
 
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -10,106 +9,7 @@
 
 namespace ldp::stream {
 
-Result<MixedAggregator> IngestShardSources(
-    const MixedTupleCollector& collector,
-    const std::vector<ShardSource>& sources, ThreadPool* pool,
-    MultiShardSummary* summary) {
-  if (sources.empty()) {
-    return Status::InvalidArgument("no shards to ingest");
-  }
-  const size_t num_shards = sources.size();
-  std::vector<std::optional<MixedAggregator>> partials(num_shards);
-  std::vector<Status> statuses(num_shards, Status::OK());
-  std::vector<ShardIngester::Stats> stats(num_shards);
-  ParallelFor(pool, num_shards,
-              [&](unsigned /*chunk*/, uint64_t begin, uint64_t end) {
-                for (uint64_t s = begin; s < end; ++s) {
-                  Result<MixedAggregator> loaded = sources[s].load(&stats[s]);
-                  if (loaded.ok()) {
-                    partials[s] = std::move(loaded).value();
-                  } else {
-                    statuses[s] = loaded.status();
-                  }
-                }
-              });
-
-  MultiShardSummary local_summary;
-  for (size_t s = 0; s < num_shards; ++s) {
-    ShardIngestOutcome outcome;
-    outcome.source = sources[s].name;
-    outcome.status = statuses[s];
-    outcome.stats = stats[s];
-    local_summary.total_reports += outcome.stats.accepted;
-    local_summary.total_rejected += outcome.stats.rejected;
-    local_summary.total_bytes += outcome.stats.bytes;
-    local_summary.shards.push_back(std::move(outcome));
-  }
-  if (summary != nullptr) *summary = local_summary;
-
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (!statuses[s].ok()) {
-      return Status(statuses[s].code(), "shard '" + sources[s].name +
-                                            "': " + statuses[s].message());
-    }
-  }
-  MixedAggregator total(&collector);
-  for (size_t s = 0; s < num_shards; ++s) {
-    LDP_RETURN_IF_ERROR(total.Merge(*partials[s]));
-  }
-  return total;
-}
-
-ShardSource StreamFileSource(const MixedTupleCollector& collector,
-                             std::string path,
-                             ShardIngester::Options options) {
-  ShardSource source;
-  source.name = path;
-  source.load = [&collector, path = std::move(path),
-                 options](ShardIngester::Stats* stats)
-      -> Result<MixedAggregator> {
-    std::ifstream in(path, std::ios::binary);
-    if (!in.is_open()) {
-      return Status::IoError("cannot open shard file");
-    }
-    ShardIngester ingester(&collector, options);
-    const Status status = ingester.IngestStream(in);
-    *stats = ingester.stats();
-    if (!status.ok()) return status;
-    return ingester.aggregator();
-  };
-  return source;
-}
-
-ShardSource SnapshotFileSource(const MixedTupleCollector& collector,
-                               std::string path) {
-  ShardSource source;
-  source.name = path;
-  source.load = [&collector,
-                 path = std::move(path)](ShardIngester::Stats* stats)
-      -> Result<MixedAggregator> {
-    std::ifstream in(path, std::ios::binary);
-    if (!in.is_open()) {
-      return Status::IoError("cannot open snapshot file");
-    }
-    std::ostringstream contents;
-    contents << in.rdbuf();
-    if (in.bad()) {
-      return Status::IoError("read error on snapshot file");
-    }
-    const std::string bytes = contents.str();
-    Result<MixedAggregator> decoded =
-        DecodeAggregatorSnapshot(bytes, &collector);
-    if (decoded.ok()) {
-      stats->bytes = bytes.size();
-      stats->accepted = decoded.value().num_reports();
-    }
-    return decoded;
-  };
-  return source;
-}
-
-Result<std::unique_ptr<AggregatorHandle>> IngestHandleSources(
-    const AggregatorHandle& prototype,
+Result<std::vector<std::unique_ptr<AggregatorHandle>>> LoadHandleSources(
     const std::vector<HandleShardSource>& sources, ThreadPool* pool,
     MultiShardSummary* summary) {
   if (sources.empty()) {
@@ -143,17 +43,26 @@ Result<std::unique_ptr<AggregatorHandle>> IngestHandleSources(
     local_summary.total_bytes += outcome.stats.bytes;
     local_summary.shards.push_back(std::move(outcome));
   }
-  if (summary != nullptr) *summary = local_summary;
+  if (summary != nullptr) *summary = std::move(local_summary);
 
   for (size_t s = 0; s < num_shards; ++s) {
     if (!statuses[s].ok()) {
-      return Status(statuses[s].code(), "shard '" + sources[s].name +
+      return Status(statuses[s].code(), "input '" + sources[s].name +
                                             "': " + statuses[s].message());
     }
   }
+  return partials;
+}
+
+Result<std::unique_ptr<AggregatorHandle>> IngestHandleSources(
+    const AggregatorHandle& prototype,
+    const std::vector<HandleShardSource>& sources, ThreadPool* pool,
+    MultiShardSummary* summary) {
+  std::vector<std::unique_ptr<AggregatorHandle>> partials;
+  LDP_ASSIGN_OR_RETURN(partials, LoadHandleSources(sources, pool, summary));
   std::unique_ptr<AggregatorHandle> total = prototype.CloneEmpty();
-  for (size_t s = 0; s < num_shards; ++s) {
-    LDP_RETURN_IF_ERROR(total->Merge(*partials[s]));
+  for (const std::unique_ptr<AggregatorHandle>& partial : partials) {
+    LDP_RETURN_IF_ERROR(total->Merge(*partial));
   }
   return total;
 }
@@ -222,43 +131,6 @@ HandleShardSource HandleSnapshotFileSource(const AggregatorHandle& prototype,
     return handle;
   };
   return source;
-}
-
-Result<MixedAggregator> IngestShardFiles(
-    const MixedTupleCollector& collector,
-    const std::vector<std::string>& paths, ThreadPool* pool,
-    ShardIngester::Options options, MultiShardSummary* summary) {
-  std::vector<ShardSource> sources;
-  sources.reserve(paths.size());
-  for (const std::string& path : paths) {
-    sources.push_back(StreamFileSource(collector, path, options));
-  }
-  return IngestShardSources(collector, sources, pool, summary);
-}
-
-Result<MixedAggregator> IngestShardBuffers(
-    const MixedTupleCollector& collector,
-    const std::vector<std::string>& buffers, ThreadPool* pool,
-    ShardIngester::Options options, MultiShardSummary* summary) {
-  std::vector<ShardSource> sources;
-  sources.reserve(buffers.size());
-  for (size_t s = 0; s < buffers.size(); ++s) {
-    ShardSource source;
-    source.name = "shard " + std::to_string(s);
-    const std::string& buffer = buffers[s];
-    source.load = [&collector, &buffer,
-                   options](ShardIngester::Stats* stats)
-        -> Result<MixedAggregator> {
-      ShardIngester ingester(&collector, options);
-      Status status = ingester.Feed(buffer);
-      if (status.ok()) status = ingester.Finish();
-      *stats = ingester.stats();
-      if (!status.ok()) return status;
-      return ingester.aggregator();
-    };
-    sources.push_back(std::move(source));
-  }
-  return IngestShardSources(collector, sources, pool, summary);
 }
 
 }  // namespace ldp::stream

@@ -1,9 +1,11 @@
-// Multi-shard ingestion driver: fans a set of report-stream shards (files or
-// in-memory buffers) across a ThreadPool, one ShardIngester per shard, and
-// reduces the per-shard aggregators IN SHARD ORDER. The ordered reduction is
-// what makes the result independent of thread scheduling: a run over shards
-// whose boundaries match util/threadpool.h SplitRange reproduces the pooled
-// single-process CollectProposed bit for bit.
+// Multi-shard ingestion driver: fans a set of shard sources (report-stream
+// files or buffers, snapshot files) of either stream kind across a
+// ThreadPool, one ShardIngester per stream, and reduces the per-shard
+// aggregates IN SOURCE ORDER. The ordered reduction is what makes the result
+// independent of thread scheduling: a run over shards whose boundaries match
+// util/threadpool.h SplitRange reproduces the pooled single-process
+// CollectProposed bit for bit. ServerSession::IngestInputs runs the load
+// phase alone and keeps its own epoch-aligned merge.
 
 #ifndef LDP_STREAM_PARALLEL_INGEST_H_
 #define LDP_STREAM_PARALLEL_INGEST_H_
@@ -13,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "core/mixed_collector.h"
 #include "stream/aggregator_handle.h"
 #include "stream/shard_ingester.h"
 #include "util/result.h"
@@ -23,7 +24,7 @@ namespace ldp::stream {
 
 /// Per-shard outcome of a multi-shard ingestion run.
 struct ShardIngestOutcome {
-  std::string source;  ///< File path, or "shard <i>" for buffers.
+  std::string source;  ///< The HandleShardSource name.
   Status status;       ///< Why this shard failed, if it did.
   ShardIngester::Stats stats;
 };
@@ -37,59 +38,8 @@ struct MultiShardSummary {
 };
 
 /// One input of a multi-shard run: a display name plus a loader producing
-/// the shard's aggregator (and filling `stats` as it goes). Loaders run
-/// concurrently, so they must not share mutable state.
-struct ShardSource {
-  std::string name;
-  std::function<Result<MixedAggregator>(ShardIngester::Stats* stats)> load;
-};
-
-/// Loads every source concurrently on `pool` (inline when null) and merges
-/// the shard aggregates IN SOURCE ORDER. Fails on the first source (in
-/// order) that errors; `summary`, when non-null, is filled either way.
-/// This is the generic reducer under IngestShardFiles / IngestShardBuffers;
-/// ldp_aggregate uses it directly to mix stream and snapshot inputs.
-Result<MixedAggregator> IngestShardSources(
-    const MixedTupleCollector& collector,
-    const std::vector<ShardSource>& sources, ThreadPool* pool,
-    MultiShardSummary* summary = nullptr);
-
-/// A source that opens `path` and ingests it as a framed report stream.
-ShardSource StreamFileSource(const MixedTupleCollector& collector,
-                             std::string path,
-                             ShardIngester::Options options);
-
-/// A source that reads `path` and decodes it as an aggregator snapshot.
-ShardSource SnapshotFileSource(const MixedTupleCollector& collector,
-                               std::string path);
-
-/// Ingests every file in `paths` concurrently on `pool` (inline when null)
-/// and merges the shard aggregates in path order. Fails on the first shard
-/// (in path order) whose stream is invalid; `summary`, when non-null, is
-/// filled either way.
-Result<MixedAggregator> IngestShardFiles(
-    const MixedTupleCollector& collector,
-    const std::vector<std::string>& paths, ThreadPool* pool,
-    ShardIngester::Options options = ShardIngester::Options(),
-    MultiShardSummary* summary = nullptr);
-
-/// As IngestShardFiles, over in-memory stream buffers (tests, benchmarks).
-Result<MixedAggregator> IngestShardBuffers(
-    const MixedTupleCollector& collector,
-    const std::vector<std::string>& buffers, ThreadPool* pool,
-    ShardIngester::Options options = ShardIngester::Options(),
-    MultiShardSummary* summary = nullptr);
-
-// ---------------------------------------------------------------------------
-// Kind-agnostic driver: the same ordered-reduction contract over
-// AggregatorHandles, serving every stream kind (the Pipeline's ServerSession
-// and the numeric benchmarks run on these; the Mixed* entry points above
-// remain for callers that want the concrete aggregator back).
-// ---------------------------------------------------------------------------
-
-/// One input of a kind-agnostic multi-shard run: a display name plus a
-/// loader producing the shard's aggregate. Loaders run concurrently, so
-/// they must not share mutable state.
+/// the shard's aggregate. Loaders run concurrently, so they must not share
+/// mutable state.
 struct HandleShardSource {
   std::string name;
   std::function<Result<std::unique_ptr<AggregatorHandle>>(
@@ -97,10 +47,16 @@ struct HandleShardSource {
       load;
 };
 
-/// Loads every source concurrently on `pool` (inline when null) and merges
-/// the shard aggregates IN SOURCE ORDER into a fresh clone of `prototype`.
-/// Fails on the first source (in order) that errors; `summary`, when
+/// Loads every source concurrently on `pool` (inline when null) and returns
+/// the loaded aggregates in source order (null where a loader yielded
+/// none). Fails on the first source (in order) that errors; `summary`, when
 /// non-null, is filled either way.
+Result<std::vector<std::unique_ptr<AggregatorHandle>>> LoadHandleSources(
+    const std::vector<HandleShardSource>& sources, ThreadPool* pool,
+    MultiShardSummary* summary = nullptr);
+
+/// LoadHandleSources, then merges the shard aggregates IN SOURCE ORDER into
+/// a fresh clone of `prototype`.
 Result<std::unique_ptr<AggregatorHandle>> IngestHandleSources(
     const AggregatorHandle& prototype,
     const std::vector<HandleShardSource>& sources, ThreadPool* pool,

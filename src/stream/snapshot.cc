@@ -18,7 +18,7 @@ using internal_wire::PutU8;
 using internal_wire::Reader;
 
 // Parses and validates the fixed-size preamble of either snapshot kind,
-// leaving `reader` positioned at num_reports.
+// leaving `reader` positioned at the first attribute section.
 Result<SnapshotConfig> ReadConfig(Reader* reader) {
   uint32_t magic = 0;
   LDP_ASSIGN_OR_RETURN(magic, reader->U32());
@@ -49,6 +49,7 @@ Result<SnapshotConfig> ReadConfig(Reader* reader) {
   LDP_ASSIGN_OR_RETURN(config.epsilon, reader->F64());
   LDP_ASSIGN_OR_RETURN(config.dimension, reader->U32());
   LDP_ASSIGN_OR_RETURN(config.k, reader->U32());
+  LDP_ASSIGN_OR_RETURN(config.num_reports, reader->U64());
   return config;
 }
 
@@ -101,8 +102,6 @@ Result<MixedAggregator> DecodeAggregatorSnapshot(
         "snapshot configuration does not match the reducer's collector");
   }
   const uint32_t dimension = config.dimension;
-  uint64_t num_reports = 0;
-  LDP_ASSIGN_OR_RETURN(num_reports, reader.U64());
   std::vector<uint64_t> attribute_reports(dimension, 0);
   std::vector<double> numeric_sums(dimension, 0.0);
   std::vector<std::vector<double>> supports(dimension);
@@ -126,7 +125,7 @@ Result<MixedAggregator> DecodeAggregatorSnapshot(
   if (!reader.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after snapshot");
   }
-  return MixedAggregator::FromParts(collector, num_reports,
+  return MixedAggregator::FromParts(collector, config.num_reports,
                                     std::move(attribute_reports),
                                     std::move(numeric_sums),
                                     std::move(supports));
@@ -176,8 +175,6 @@ Result<NumericAggregator> DecodeNumericAggregatorSnapshot(
         "snapshot configuration does not match the reducer's mechanism");
   }
   const uint32_t dimension = config.dimension;
-  uint64_t num_reports = 0;
-  LDP_ASSIGN_OR_RETURN(num_reports, reader.U64());
   std::vector<uint64_t> attribute_reports(dimension, 0);
   std::vector<double> sums(dimension, 0.0);
   for (uint32_t j = 0; j < dimension; ++j) {
@@ -187,7 +184,7 @@ Result<NumericAggregator> DecodeNumericAggregatorSnapshot(
   if (!reader.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after snapshot");
   }
-  return NumericAggregator::FromParts(mechanism, num_reports,
+  return NumericAggregator::FromParts(mechanism, config.num_reports,
                                       std::move(attribute_reports),
                                       std::move(sums));
 }
@@ -206,8 +203,8 @@ bool LooksLikeNumericSnapshot(const std::string& bytes) {
   return magic.ok() && magic.value() == kNumericSnapshotMagic;
 }
 
-Result<SnapshotConfig> DecodeSnapshotConfig(const std::string& bytes) {
-  Reader reader(bytes);
+Result<SnapshotConfig> DecodeSnapshotConfig(std::string_view bytes) {
+  Reader reader(bytes.data(), bytes.size());
   return ReadConfig(&reader);
 }
 

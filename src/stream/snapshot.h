@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "core/mixed_collector.h"
 #include "core/numeric_aggregator.h"
@@ -86,11 +87,12 @@ struct SnapshotConfig {
   uint32_t dimension = 0;
   uint32_t k = 0;
   uint64_t schema_hash = 0;
+  uint64_t num_reports = 0;
 };
 
-/// Parses just the snapshot preamble (magic through k) of either snapshot
-/// kind without decoding the accumulated state.
-Result<SnapshotConfig> DecodeSnapshotConfig(const std::string& bytes);
+/// Parses just the snapshot preamble (magic through num_reports) of either
+/// snapshot kind without decoding the accumulated state.
+Result<SnapshotConfig> DecodeSnapshotConfig(std::string_view bytes);
 
 }  // namespace ldp::stream
 

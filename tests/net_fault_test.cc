@@ -22,6 +22,7 @@
 #include "net/protocol.h"
 #include "net/report_server.h"
 #include "net/socket.h"
+#include "obs/metrics.h"
 #include "stream/report_stream.h"
 #include "stream_corpus_util.h"
 
@@ -435,12 +436,12 @@ TEST(NetFaultTest, KeyedServerRefusesForgedAndReplayedHellos) {
                                         valid.channel, /*epoch=*/0,
                                         header_bytes);
 
-  // A legacy v2 (unauthenticated) HELLO against the keyed server.
+  // An anonymous HELLO (no reporter id, no tag) against the keyed server.
   {
-    net::HelloMessage v2;
-    v2.ordinal = 0;
-    v2.header_bytes = header_bytes;
-    ExpectAuthRefusal(SendLoneHello(endpoint, v2));
+    net::HelloMessage anonymous;
+    anonymous.ordinal = 0;
+    anonymous.header_bytes = header_bytes;
+    ExpectAuthRefusal(SendLoneHello(endpoint, anonymous));
   }
   // One flipped bit anywhere in the tag.
   {
@@ -485,10 +486,11 @@ TEST(NetFaultTest, KeyedServerRefusesForgedAndReplayedHellos) {
                                               /*ordinal=*/0, client_options);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   ASSERT_TRUE(client.value()
-                  .Send(honest.data() + stream::kStreamHeaderBytes,
+                  .Send(/*channel=*/0,
+                        honest.data() + stream::kStreamHeaderBytes,
                         honest.size() - stream::kStreamHeaderBytes)
                   .ok());
-  auto closed = client.value().Close();
+  auto closed = client.value().CloseShard(/*channel=*/0);
   ASSERT_TRUE(closed.ok());
   EXPECT_TRUE(closed.value().status.ok()) << closed.value().status.ToString();
   EXPECT_EQ(closed.value().stats.accepted, kCorpusReports);
@@ -532,12 +534,13 @@ TEST(NetFaultTest, KeylessServerRefusesAuthenticatedHello) {
   hello.header_bytes = honest.substr(0, stream::kStreamHeaderBytes);
   ExpectAuthRefusal(SendLoneHello(server.value()->endpoint(), hello));
 
-  // The same client with no identity options connects fine (v2 path).
+  // The same client with no identity options connects fine (anonymous
+  // HELLO).
   auto client = net::CollectorClient::Connect(server.value()->endpoint(),
                                               pipeline.header(),
                                               /*ordinal=*/0);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
-  ASSERT_TRUE(client.value().Close().ok());
+  ASSERT_TRUE(client.value().CloseShard(/*channel=*/0).ok());
 
   server.value()->Stop(/*drain=*/true);
   const net::ReportServerStats stats = server.value()->stats();
@@ -546,6 +549,65 @@ TEST(NetFaultTest, KeylessServerRefusesAuthenticatedHello) {
   auto reports = session.value().num_reports(0);
   ASSERT_TRUE(reports.ok());
   EXPECT_EQ(reports.value(), 0u);
+}
+
+TEST(NetFaultTest, KeylessServerRefusesRetiredV2HelloLayout) {
+  const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
+  const std::string honest = MakeHonestStream(pipeline, /*seed=*/975);
+
+  obs::MetricsRegistry registry;
+  api::ServerSessionOptions session_options;
+  session_options.metrics = &registry;
+  auto session = pipeline.NewServer(session_options);
+  ASSERT_TRUE(session.ok());
+  auto server = net::ReportServer::Start(&session.value(), pipeline.header(),
+                                         FaultUdsEndpoint("v2hello"),
+                                         net::ReportServerOptions());
+  ASSERT_TRUE(server.ok());
+  const net::Endpoint endpoint = server.value()->endpoint();
+
+  // The retired v2 layout, byte by byte: u16 version 2, u32 channel 0,
+  // u32 flags 0, u64 ordinal 0, then straight into the stream header with
+  // no reporter-id length field.
+  std::string v2("\x02\x00", 2);
+  v2.append(4 + 4 + 8, '\0');
+  v2.append(honest.substr(0, stream::kStreamHeaderBytes));
+  {
+    Result<net::Socket> socket = net::ConnectSocket(endpoint);
+    ASSERT_TRUE(socket.ok());
+    ASSERT_TRUE(
+        SendRawMessage(&socket.value(), net::MessageType::kHello, v2).ok());
+    auto reply = ReadRawReply(&socket.value());
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_FALSE(reply.value().eof);
+    EXPECT_EQ(reply.value().type, net::MessageType::kError);
+  }
+  EXPECT_EQ(registry.GetCounter("ldp_session_shards_opened_total")->Value(),
+            0u);
+
+  // The next honest reporter takes the same ordinal and still merges.
+  auto client = net::CollectorClient::Connect(endpoint, pipeline.header(),
+                                              /*ordinal=*/0);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE(client.value()
+                  .Send(/*channel=*/0,
+                        honest.data() + stream::kStreamHeaderBytes,
+                        honest.size() - stream::kStreamHeaderBytes)
+                  .ok());
+  auto closed = client.value().CloseShard(/*channel=*/0);
+  ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+  EXPECT_TRUE(closed.value().status.ok()) << closed.value().status.ToString();
+
+  server.value()->Stop(/*drain=*/true);
+  const net::ReportServerStats stats = server.value()->stats();
+  EXPECT_EQ(stats.protocol_errors, 1u);
+  EXPECT_EQ(stats.shards_merged, 1u);
+  EXPECT_EQ(stats.shards_abandoned, 0u);
+  EXPECT_EQ(registry.GetCounter("ldp_session_shards_opened_total")->Value(),
+            1u);
+  auto reports = session.value().num_reports(0);
+  ASSERT_TRUE(reports.ok());
+  EXPECT_EQ(reports.value(), kCorpusReports);
 }
 
 TEST(NetFaultTest, MalformedIdentitySectionPoisonsOnlyThatConnection) {
@@ -610,7 +672,7 @@ TEST(NetFaultTest, MalformedIdentitySectionPoisonsOnlyThatConnection) {
   auto client = net::CollectorClient::Connect(endpoint, pipeline.header(),
                                               /*ordinal=*/0, client_options);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
-  ASSERT_TRUE(client.value().Close().ok());
+  ASSERT_TRUE(client.value().CloseShard(/*channel=*/0).ok());
 
   server.value()->Stop(/*drain=*/true);
   auto reports = session.value().num_reports(0);

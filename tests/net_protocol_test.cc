@@ -138,23 +138,29 @@ TEST(NetProtocolTest, HelloRoundTripsAndChecksVersion) {
   header.k = 1;
   header.schema_hash = 0xDEADBEEFCAFEF00DULL;
 
-  // An unauthenticated HELLO stays on the legacy v2 layout — byte-identical
-  // to the pre-identity release, so keyless fleets interoperate unchanged.
+  // An anonymous HELLO is a v3 HELLO with reporter-id length 0 and no tag.
   net::HelloMessage hello;
   hello.ordinal = 17;
   hello.header_bytes = stream::EncodeStreamHeader(header);
-  auto decoded = net::DecodeHello(net::EncodeHello(hello));
+  const std::string wire = net::EncodeHello(hello);
+  constexpr size_t kFixed = 2 + 4 + 4 + 8;  // version, channel, flags, ordinal
+  ASSERT_EQ(wire.size(), kFixed + 2 + hello.header_bytes.size());
+  auto decoded = net::DecodeHello(wire);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value().version, net::kLegacyProtocolVersion);
+  EXPECT_EQ(decoded.value().version, net::kProtocolVersion);
   EXPECT_EQ(decoded.value().ordinal, 17u);
   EXPECT_EQ(decoded.value().header_bytes, hello.header_bytes);
   EXPECT_TRUE(decoded.value().reporter_id.empty());
   EXPECT_TRUE(decoded.value().auth_tag.empty());
 
-  // A future protocol version is refused, not guessed at.
-  std::string wire = net::EncodeHello(hello);
-  wire[0] = '\x63';
-  EXPECT_FALSE(net::DecodeHello(wire).ok());
+  // The retired v2 layout (no id-length field) and a future version are
+  // both refused, not guessed at.
+  std::string v2 = wire.substr(0, kFixed) + hello.header_bytes;
+  v2[0] = '\x02';
+  EXPECT_FALSE(net::DecodeHello(v2).ok());
+  std::string future = wire;
+  future[0] = '\x63';
+  EXPECT_FALSE(net::DecodeHello(future).ok());
 
   // Truncated fixed fields.
   EXPECT_FALSE(net::DecodeHello(wire.substr(0, 5)).ok());
@@ -205,12 +211,17 @@ TEST(NetProtocolTest, HelloRefusesHostileIdentityForms) {
           wire.substr(0, kFixed + 2 + hello.reporter_id.size() + 10))
           .ok());
 
-  // A v3 HELLO with a zero-length reporter id is malformed — anonymous
-  // clients must speak v2 instead.
+  // A zero-length reporter id means an anonymous HELLO: no tag follows, so
+  // the id and tag bytes decode as the start of the stream header (which
+  // the server's header check then refuses).
   std::string empty_id = wire;
   empty_id[kFixed] = 0;
   empty_id[kFixed + 1] = 0;
-  EXPECT_FALSE(net::DecodeHello(empty_id).ok());
+  auto anonymous = net::DecodeHello(empty_id);
+  ASSERT_TRUE(anonymous.ok());
+  EXPECT_TRUE(anonymous.value().reporter_id.empty());
+  EXPECT_TRUE(anonymous.value().auth_tag.empty());
+  EXPECT_EQ(anonymous.value().header_bytes, empty_id.substr(kFixed + 2));
 
   // An id length above the protocol bound is refused before any allocation
   // could happen, even when the payload is long enough to back it.
@@ -374,7 +385,11 @@ TEST(NetProtocolTest, SnapshotRoundTripsAndRefusesHostileForms) {
   EXPECT_EQ(decoded.value().epoch, 2u);
   EXPECT_EQ(decoded.value().snapshot_bytes, snap.snapshot_bytes);
 
-  // A future protocol version is refused, not guessed at.
+  // The retired v2 version and a future version are refused, not guessed
+  // at.
+  std::string v2 = wire;
+  v2[0] = '\x02';
+  EXPECT_FALSE(net::DecodeSnapshot(v2).ok());
   std::string future = wire;
   future[0] = '\x63';
   EXPECT_FALSE(net::DecodeSnapshot(future).ok());

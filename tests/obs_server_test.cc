@@ -166,10 +166,11 @@ TEST(ObsServer, ScrapedCountersMatchCampaignExactly) {
                                                 /*ordinal=*/s);
     ASSERT_TRUE(client.ok()) << client.status().ToString();
     ASSERT_TRUE(client.value()
-                    .Send(streams[s].data() + stream::kStreamHeaderBytes,
+                    .Send(/*channel=*/0,
+                          streams[s].data() + stream::kStreamHeaderBytes,
                           streams[s].size() - stream::kStreamHeaderBytes)
                     .ok());
-    auto summary = client.value().Close();
+    auto summary = client.value().CloseShard(/*channel=*/0);
     ASSERT_TRUE(summary.ok()) << summary.status().ToString();
     EXPECT_TRUE(summary.value().status.ok());
     EXPECT_EQ(summary.value().stats.accepted, kCorpusReports);

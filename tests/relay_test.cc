@@ -60,10 +60,11 @@ void ReportStream(const net::Endpoint& endpoint,
   auto client = net::CollectorClient::Connect(endpoint, header, ordinal);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   ASSERT_TRUE(client.value()
-                  .Send(stream.data() + stream::kStreamHeaderBytes,
+                  .Send(/*channel=*/0,
+                        stream.data() + stream::kStreamHeaderBytes,
                         stream.size() - stream::kStreamHeaderBytes)
                   .ok());
-  auto summary = client.value().Close();
+  auto summary = client.value().CloseShard(/*channel=*/0);
   ASSERT_TRUE(summary.ok()) << summary.status().ToString();
   EXPECT_TRUE(summary.value().status.ok());
 }

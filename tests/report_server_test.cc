@@ -104,14 +104,15 @@ std::string RunCampaign(const api::Pipeline& pipeline,
       ASSERT_TRUE(client.ok()) << client.status().ToString();
       // The stream bytes start with the header the HELLO already carried.
       ASSERT_TRUE(client.value()
-                      .Send(streams[s].data() + stream::kStreamHeaderBytes,
+                      .Send(/*channel=*/0,
+                            streams[s].data() + stream::kStreamHeaderBytes,
                             streams[s].size() - stream::kStreamHeaderBytes)
                       .ok());
       if (stagger_ms[s] > 0) {
         std::this_thread::sleep_for(
             std::chrono::milliseconds(stagger_ms[s]));
       }
-      auto summary = client.value().Close();
+      auto summary = client.value().CloseShard(/*channel=*/0);
       ASSERT_TRUE(summary.ok()) << summary.status().ToString();
       EXPECT_TRUE(summary.value().status.ok())
           << summary.value().status.ToString();
@@ -193,10 +194,12 @@ TEST(ReportServerTest, ExpectedShardsBarrierHoldsForLateConnectors) {
                                                 /*ordinal=*/1);
     ASSERT_TRUE(client.ok());
     ASSERT_TRUE(client.value()
-                    .Send(streams[1].data() + stream::kStreamHeaderBytes,
+                    .Send(/*channel=*/0,
+                          streams[1].data() + stream::kStreamHeaderBytes,
                           streams[1].size() - stream::kStreamHeaderBytes)
                     .ok());
-    auto summary = client.value().Close();  // blocks on the barrier
+    // Blocks on the barrier.
+    auto summary = client.value().CloseShard(/*channel=*/0);
     ASSERT_TRUE(summary.ok()) << summary.status().ToString();
     EXPECT_TRUE(summary.value().status.ok());
   });
@@ -206,10 +209,11 @@ TEST(ReportServerTest, ExpectedShardsBarrierHoldsForLateConnectors) {
                                             /*ordinal=*/0);
   ASSERT_TRUE(late.ok());
   ASSERT_TRUE(late.value()
-                  .Send(streams[0].data() + stream::kStreamHeaderBytes,
+                  .Send(/*channel=*/0,
+                        streams[0].data() + stream::kStreamHeaderBytes,
                         streams[0].size() - stream::kStreamHeaderBytes)
                   .ok());
-  auto summary = late.value().Close();
+  auto summary = late.value().CloseShard(/*channel=*/0);
   ASSERT_TRUE(summary.ok());
   EXPECT_TRUE(summary.value().status.ok());
   early.join();
@@ -259,10 +263,12 @@ TEST(ReportServerTest, BarrierWaitIsExemptFromTheIdleReap) {
                                                 /*ordinal=*/1);
     ASSERT_TRUE(client.ok());
     ASSERT_TRUE(client.value()
-                    .Send(streams[1].data() + stream::kStreamHeaderBytes,
+                    .Send(/*channel=*/0,
+                          streams[1].data() + stream::kStreamHeaderBytes,
                           streams[1].size() - stream::kStreamHeaderBytes)
                     .ok());
-    auto summary = client.value().Close();  // barrier wait >> idle timeout
+    // The barrier wait far outlasts the idle timeout.
+    auto summary = client.value().CloseShard(/*channel=*/0);
     ASSERT_TRUE(summary.ok()) << summary.status().ToString();
     EXPECT_TRUE(summary.value().status.ok())
         << summary.value().status.ToString();
@@ -273,10 +279,11 @@ TEST(ReportServerTest, BarrierWaitIsExemptFromTheIdleReap) {
                                             /*ordinal=*/0);
   ASSERT_TRUE(late.ok());
   ASSERT_TRUE(late.value()
-                  .Send(streams[0].data() + stream::kStreamHeaderBytes,
+                  .Send(/*channel=*/0,
+                        streams[0].data() + stream::kStreamHeaderBytes,
                         streams[0].size() - stream::kStreamHeaderBytes)
                   .ok());
-  auto summary = late.value().Close();
+  auto summary = late.value().CloseShard(/*channel=*/0);
   ASSERT_TRUE(summary.ok());
   EXPECT_TRUE(summary.value().status.ok());
   early.join();
@@ -320,7 +327,8 @@ TEST(ReportServerTest, ReporterDyingAfterCloseNeverWedgesTheBarrier) {
                                                 /*ordinal=*/0, ack_options);
     ASSERT_TRUE(doomed.ok());
     ASSERT_TRUE(doomed.value()
-                    .Send(streams[0].data() + stream::kStreamHeaderBytes,
+                    .Send(/*channel=*/0,
+                          streams[0].data() + stream::kStreamHeaderBytes,
                           streams[0].size() - stream::kStreamHeaderBytes)
                     .ok());
     ASSERT_TRUE(doomed.value().CloseShardBegin(/*channel=*/0).ok());
@@ -331,10 +339,11 @@ TEST(ReportServerTest, ReporterDyingAfterCloseNeverWedgesTheBarrier) {
                                                 /*ordinal=*/1);
   ASSERT_TRUE(survivor.ok());
   ASSERT_TRUE(survivor.value()
-                  .Send(streams[1].data() + stream::kStreamHeaderBytes,
+                  .Send(/*channel=*/0,
+                        streams[1].data() + stream::kStreamHeaderBytes,
                         streams[1].size() - stream::kStreamHeaderBytes)
                   .ok());
-  auto summary = survivor.value().Close();
+  auto summary = survivor.value().CloseShard(/*channel=*/0);
   ASSERT_TRUE(summary.ok()) << summary.status().ToString();
   EXPECT_TRUE(summary.value().status.ok())
       << summary.value().status.ToString();
@@ -445,10 +454,11 @@ TEST(ReportServerTest, PollBackendCampaignIsBitIdentical) {
                                                   pipeline.header(), s);
       ASSERT_TRUE(client.ok()) << client.status().ToString();
       ASSERT_TRUE(client.value()
-                      .Send(streams[s].data() + stream::kStreamHeaderBytes,
+                      .Send(/*channel=*/0,
+                            streams[s].data() + stream::kStreamHeaderBytes,
                             streams[s].size() - stream::kStreamHeaderBytes)
                       .ok());
-      auto summary = client.value().Close();
+      auto summary = client.value().CloseShard(/*channel=*/0);
       ASSERT_TRUE(summary.ok());
       EXPECT_TRUE(summary.value().status.ok());
     });
@@ -482,10 +492,11 @@ TEST(ReportServerTest, ZeroFlushBytesIsClampedNotAnInfiniteLoop) {
   // Send a slice spanning several "buffers" (every byte flushes) plus the
   // remainder; the call must return, and the shard must merge intact.
   ASSERT_TRUE(client.value()
-                  .Send(stream.data() + stream::kStreamHeaderBytes,
+                  .Send(/*channel=*/0,
+                        stream.data() + stream::kStreamHeaderBytes,
                         stream.size() - stream::kStreamHeaderBytes)
                   .ok());
-  auto summary = client.value().Close();
+  auto summary = client.value().CloseShard(/*channel=*/0);
   ASSERT_TRUE(summary.ok()) << summary.status().ToString();
   EXPECT_TRUE(summary.value().status.ok());
   EXPECT_EQ(summary.value().stats.accepted, kCorpusReports);
@@ -525,8 +536,8 @@ TEST(ReportServerTest, MultiEpochCampaignOverOneConnection) {
   auto session = pipeline.value().NewServer();
   ASSERT_TRUE(session.ok());
   net::ReportServerOptions options;
-  // Expected-shards mode: the Reopen below also proves the barrier resets
-  // when the epoch advances (ordinal 0 streams again in epoch 1).
+  // Expected-shards mode: the shard reopened below also proves the barrier
+  // resets when the epoch advances (ordinal 0 streams again in epoch 1).
   options.expected_shards = 1;
   auto server =
       net::ReportServer::Start(&session.value(), pipeline.value().header(),
@@ -538,10 +549,11 @@ TEST(ReportServerTest, MultiEpochCampaignOverOneConnection) {
   ASSERT_TRUE(client.ok());
   EXPECT_EQ(client.value().epoch(), 0u);
   ASSERT_TRUE(client.value()
-                  .Send(epoch0.data() + stream::kStreamHeaderBytes,
+                  .Send(/*channel=*/0,
+                        epoch0.data() + stream::kStreamHeaderBytes,
                         epoch0.size() - stream::kStreamHeaderBytes)
                   .ok());
-  auto closed = client.value().Close();
+  auto closed = client.value().CloseShard(/*channel=*/0);
   ASSERT_TRUE(closed.ok());
   EXPECT_TRUE(closed.value().status.ok());
 
@@ -549,14 +561,16 @@ TEST(ReportServerTest, MultiEpochCampaignOverOneConnection) {
   ASSERT_TRUE(advanced.ok()) << advanced.status().ToString();
   EXPECT_EQ(advanced.value(), 1u);
 
-  ASSERT_TRUE(
-      client.value().Reopen(pipeline.value().header(), /*ordinal=*/0).ok());
+  auto reopened =
+      client.value().OpenShard(pipeline.value().header(), /*ordinal=*/0);
+  ASSERT_TRUE(reopened.ok());
   EXPECT_EQ(client.value().epoch(), 1u);
   ASSERT_TRUE(client.value()
-                  .Send(epoch1.data() + stream::kStreamHeaderBytes,
+                  .Send(reopened.value(),
+                        epoch1.data() + stream::kStreamHeaderBytes,
                         epoch1.size() - stream::kStreamHeaderBytes)
                   .ok());
-  closed = client.value().Close();
+  closed = client.value().CloseShard(reopened.value());
   ASSERT_TRUE(closed.ok());
   EXPECT_TRUE(closed.value().status.ok());
 
@@ -631,10 +645,11 @@ TEST(ReportServerTest, KeyedCampaignChargesReporterOncePerEpoch) {
                                       client_options);
     ASSERT_TRUE(client.ok()) << client.status().ToString();
     ASSERT_TRUE(client.value()
-                    .Send(streams[s].data() + stream::kStreamHeaderBytes,
+                    .Send(/*channel=*/0,
+                          streams[s].data() + stream::kStreamHeaderBytes,
                           streams[s].size() - stream::kStreamHeaderBytes)
                     .ok());
-    auto summary = client.value().Close();
+    auto summary = client.value().CloseShard(/*channel=*/0);
     ASSERT_TRUE(summary.ok());
     EXPECT_TRUE(summary.value().status.ok());
     EXPECT_EQ(summary.value().stats.accepted, kCorpusReports);
@@ -757,10 +772,11 @@ TEST(ReportServerTest, ImportedLedgerSpendRefusesReporterAtHello) {
       server.value()->endpoint(), pipeline.header(), /*ordinal=*/0, solvent);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   ASSERT_TRUE(client.value()
-                  .Send(stream.data() + stream::kStreamHeaderBytes,
+                  .Send(/*channel=*/0,
+                        stream.data() + stream::kStreamHeaderBytes,
                         stream.size() - stream::kStreamHeaderBytes)
                   .ok());
-  auto summary = client.value().Close();
+  auto summary = client.value().CloseShard(/*channel=*/0);
   ASSERT_TRUE(summary.ok());
   EXPECT_TRUE(summary.value().status.ok());
   server.value()->Stop(/*drain=*/true);
@@ -794,7 +810,8 @@ TEST(ReportServerTest, HardStopAbandonsInFlightShards) {
   ASSERT_TRUE(client.ok());
   // Ship some frames but never CLOSE; the hard stop must reap the shard.
   ASSERT_TRUE(client.value()
-                  .Send(stream.data() + stream::kStreamHeaderBytes,
+                  .Send(/*channel=*/0,
+                        stream.data() + stream::kStreamHeaderBytes,
                         stream.size() - stream::kStreamHeaderBytes)
                   .ok());
   server.value()->Stop(/*drain=*/false);
@@ -808,7 +825,7 @@ TEST(ReportServerTest, HardStopAbandonsInFlightShards) {
   EXPECT_EQ(stats.shards_abandoned, 1u);
 
   // And the client's next conversation step fails rather than hanging.
-  auto summary = client.value().Close();
+  auto summary = client.value().CloseShard(/*channel=*/0);
   EXPECT_FALSE(summary.ok() && summary.value().status.ok());
 }
 
@@ -834,7 +851,7 @@ TEST(ReportServerTest, DuplicateActiveOrdinalIsRefused) {
   EXPECT_EQ(second.status().code(), StatusCode::kAlreadyExists);
 
   // The ordinal frees up once the first shard closes.
-  auto closed = first.value().Close();
+  auto closed = first.value().CloseShard(/*channel=*/0);
   ASSERT_TRUE(closed.ok());
   auto third = net::CollectorClient::Connect(server.value()->endpoint(),
                                              pipeline.header(),

@@ -328,7 +328,7 @@ TEST(ServerSessionTest, MergedEdgesChargeAReporterOncePerEpoch) {
   EXPECT_EQ(reports.value(), kRows);
 }
 
-TEST(ServerSessionTest, LegacyV1SnapshotStillMerges) {
+TEST(ServerSessionTest, LegacyV1SnapshotIsRefused) {
   const data::Dataset dataset = MakeData();
   const api::Pipeline pipeline = MakePipeline(dataset, 1);
   auto client = pipeline.NewClient();
@@ -347,22 +347,19 @@ TEST(ServerSessionTest, LegacyV1SnapshotStillMerges) {
   constexpr size_t kAnonymousLedgerBytes = 4 + 2 + 8 + 4 + (4 + 8);
   ASSERT_GT(v1.size(), kAnonymousLedgerBytes);
   v1.resize(v1.size() - kAnonymousLedgerBytes);
-  v1[4] = static_cast<char>(api::kSessionSnapshotLegacyVersion);
+  v1[4] = 1;
   v1[5] = 0;
 
+  // Only the current version is read: the v1 snapshot is refused and the
+  // receiver is left untouched.
   auto receiver = pipeline.NewServer();
   ASSERT_TRUE(receiver.ok());
-  ASSERT_TRUE(receiver.value().Merge(v1).ok());
-  auto merged = receiver.value().num_reports(0);
-  auto expected = donor.value().num_reports(0);
-  ASSERT_TRUE(merged.ok() && expected.ok());
-  EXPECT_EQ(merged.value(), expected.value());
-  // Only the anonymous plan ledger exists: v1 edges never carried ids.
-  EXPECT_EQ(receiver.value().accountant().num_charged_reporters(), 1u);
-  auto estimates = receiver.value().Estimate(0);
-  auto reference = donor.value().Estimate(0);
-  ASSERT_TRUE(estimates.ok() && reference.ok());
-  EXPECT_EQ(estimates.value().means, reference.value().means);
+  const Status merged = receiver.value().Merge(v1);
+  EXPECT_EQ(merged.code(), StatusCode::kInvalidArgument) << merged.ToString();
+  auto reports = receiver.value().num_reports(0);
+  ASSERT_TRUE(reports.ok());
+  EXPECT_EQ(reports.value(), 0u);
+  EXPECT_EQ(receiver.value().num_epochs(), 1u);
 }
 
 TEST(ServerSessionTest, EstimateChecksEpochBounds) {

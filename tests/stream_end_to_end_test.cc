@@ -9,11 +9,13 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "api/pipeline.h"
 #include "data/census.h"
 #include "data/encode.h"
+#include "stream/aggregator_handle.h"
 #include "stream/parallel_ingest.h"
 #include "stream/report_stream.h"
 #include "stream/shard_ingester.h"
@@ -100,6 +102,25 @@ std::vector<std::string> WriteShards(const data::Dataset& dataset,
   return shards;
 }
 
+// The server half: ingests the shard buffers concurrently on `pool` and
+// reduces them in shard order, as tools/ldp_aggregate does.
+Result<MixedAggregator> IngestShards(const MixedTupleCollector& collector,
+                                     const std::vector<std::string>& shards,
+                                     ThreadPool* pool,
+                                     stream::MultiShardSummary* summary) {
+  const stream::MixedAggregatorHandle prototype(&collector);
+  std::vector<stream::HandleShardSource> sources;
+  for (size_t s = 0; s < shards.size(); ++s) {
+    sources.push_back(stream::HandleStreamBufferSource(
+        prototype, "shard " + std::to_string(s), &shards[s],
+        stream::ShardIngester::Options()));
+  }
+  std::unique_ptr<stream::AggregatorHandle> total;
+  LDP_ASSIGN_OR_RETURN(
+      total, stream::IngestHandleSources(prototype, sources, pool, summary));
+  return total->AsMixed()->aggregator();
+}
+
 void ExpectBitIdentical(const MixedAggregator& total,
                         const api::CollectionOutput& expected) {
   for (size_t j = 0; j < expected.numeric_columns.size(); ++j) {
@@ -141,10 +162,7 @@ TEST(StreamEndToEndTest, ShardedIngestReproducesCollectProposedBitForBit) {
       server_pool = std::make_unique<ThreadPool>(server_threads);
     }
     stream::MultiShardSummary summary;
-    auto total = stream::IngestShardBuffers(collector, shards,
-                                            server_pool.get(),
-                                            stream::ShardIngester::Options(),
-                                            &summary);
+    auto total = IngestShards(collector, shards, server_pool.get(), &summary);
     ASSERT_TRUE(total.ok());
     EXPECT_EQ(total.value().num_reports(), kRows);
     EXPECT_EQ(summary.total_reports, kRows);
@@ -208,9 +226,7 @@ TEST(StreamEndToEndTest, CorruptShardDoesNotPoisonTheRun) {
   ASSERT_TRUE(stream::AppendFrame("garbage payload", &garbage).ok());
   shards.back() += garbage;
   stream::MultiShardSummary summary;
-  auto total = stream::IngestShardBuffers(collector, shards, nullptr,
-                                          stream::ShardIngester::Options(),
-                                          &summary);
+  auto total = IngestShards(collector, shards, nullptr, &summary);
   ASSERT_TRUE(total.ok());
   EXPECT_EQ(total.value().num_reports(), kRows);
   EXPECT_EQ(summary.total_rejected, 1u);

@@ -478,10 +478,11 @@ TEST(WalTest, ServerResumeHandshakeContinuesACrashedCampaign) {
                                               pipeline.header(),
                                               /*ordinal=*/1);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
-  EXPECT_EQ(client.value().resume_offset(), partial);
+  EXPECT_EQ(client.value().resume_offset(/*channel=*/0), partial);
   // Ship only the remainder, as ldp_report's sink does with the offset.
-  ASSERT_TRUE(client.value().Send(data + partial, total - partial).ok());
-  auto closed = client.value().Close();
+  ASSERT_TRUE(
+      client.value().Send(/*channel=*/0, data + partial, total - partial).ok());
+  auto closed = client.value().CloseShard(/*channel=*/0);
   ASSERT_TRUE(closed.ok()) << closed.status().ToString();
   EXPECT_TRUE(closed.value().status.ok());
   server.value()->Stop(/*drain=*/true);
@@ -590,10 +591,11 @@ TEST(WalTest, ReplayRestoresTheReporterLedgerExactly) {
             pipeline.header().epsilon);
 }
 
-TEST(WalTest, LegacyV1LogReplaysAsTheAnonymousReporter) {
+TEST(WalTest, LegacyV1LogCountsAsCorruptAndReplaysNothing) {
   // A log written before reporter ids existed: version 1 in the file
   // header, kHeader payload = bare stream-header bytes. Craft one byte by
-  // byte (framing documented in relay/frame_wal.h) and replay it.
+  // byte (framing documented in relay/frame_wal.h): replay only reads the
+  // current version, so the whole log counts as corrupt.
   const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
   const std::string stream = MakeHonestStream(pipeline, 930);
   const std::string dir = TestWalDir("legacy_v1");
@@ -626,7 +628,7 @@ TEST(WalTest, LegacyV1LogReplaysAsTheAnonymousReporter) {
 
   std::string file;
   put32(&file, relay::kWalMagic);
-  put16(&file, relay::kWalLegacyVersion);
+  put16(&file, 1);  // version
   put32(&file, 0);  // epoch
   put64(&file, 0);  // ordinal
   append_record(&file, /*kHeader=*/1,
@@ -649,13 +651,14 @@ TEST(WalTest, LegacyV1LogReplaysAsTheAnonymousReporter) {
   ASSERT_TRUE(relay::ReplayWalDir(dir, &replayed.value(), nullptr, nullptr,
                                   &summary)
                   .ok());
-  EXPECT_EQ(summary.shards_replayed, 1u);
-  EXPECT_EQ(summary.shards_corrupt, 0u);
+  EXPECT_EQ(summary.shards_corrupt, 1u);
+  EXPECT_EQ(summary.shards_replayed, 0u);
+  EXPECT_EQ(summary.shards_resumed, 0u);
+  EXPECT_EQ(summary.frames_replayed, 0u);
+  EXPECT_EQ(summary.bytes_replayed, 0u);
   auto reports = replayed.value().num_reports(0);
   ASSERT_TRUE(reports.ok());
-  EXPECT_EQ(reports.value(), kCorpusReports);
-  // No identity in the log: only the anonymous plan ledger exists.
-  EXPECT_EQ(replayed.value().accountant().num_charged_reporters(), 1u);
+  EXPECT_EQ(reports.value(), 0u);
 }
 
 }  // namespace

@@ -114,9 +114,12 @@ struct FileShardSink : ShardSink {
 };
 
 struct NetShardSink : ShardSink {
+  // CollectorClient::Connect negotiates the shard on channel 0.
+  static constexpr uint32_t kChannel = 0;
+
   NetShardSink(net::CollectorClient client, uint64_t reports)
       : client_(std::move(client)),
-        skip_(client_.resume_offset()),
+        skip_(client_.resume_offset(kChannel)),
         reports_(reports) {}
 
   Status Write(const std::string& bytes) override {
@@ -129,16 +132,16 @@ struct NetShardSink : ShardSink {
         skip_ -= bytes.size();
         return Status::OK();
       }
-      const Status sent = client_.Send(bytes.data() + skip_,
+      const Status sent = client_.Send(kChannel, bytes.data() + skip_,
                                        bytes.size() - skip_);
       skip_ = 0;
       return sent;
     }
-    return client_.Send(bytes);
+    return client_.Send(kChannel, bytes.data(), bytes.size());
   }
 
   Result<uint64_t> Finish() override {
-    Result<net::ShardCloseSummary> summary = client_.Close();
+    Result<net::ShardCloseSummary> summary = client_.CloseShard(kChannel);
     if (!summary.ok()) return summary.status();
     if (!summary.value().status.ok()) {
       return Status(summary.value().status.code(),
