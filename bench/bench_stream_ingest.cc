@@ -3,11 +3,12 @@
 // deployment story at scale — millions of users send one wire report each;
 // the aggregator must keep up at line rate.
 //
-// Sweeps both stream kinds the server speaks: mixed streams across oracle
-// kinds (GRR / SUE / OUE / OLH / HE — the payload encodings differ by
-// orders of magnitude in bytes/report) and the Algorithm-4 numeric stream
-// kind, × shard counts (1 shard = the single-core hot loop; more shards
-// exercise the parallel ordered reduction). Measures the full server path
+// Sweeps schemas × shard counts (1 shard = the single-core hot loop; more
+// shards exercise the parallel ordered reduction): a census-like mixed
+// schema across oracle kinds (GRR / SUE / OUE / OLH / HE — the payload
+// encodings differ by orders of magnitude in bytes/report) and an
+// all-numeric schema (the paper's Algorithm 4, kind "all_numeric" in the
+// JSON), all sent as the one mixed report stream. Measures the full server path
 // (frame scan → zero-copy wire decode → validation → aggregator
 // accumulation → ordered shard merge) over pre-encoded in-memory shards, so
 // client-side perturbation cost is excluded.
@@ -30,9 +31,7 @@
 #include "api/pipeline.h"
 #include "api/server_session.h"
 #include "bench_util.h"
-#include "core/sampled_numeric.h"
 #include "obs/metrics.h"
-#include "stream/aggregator_handle.h"
 #include "stream/parallel_ingest.h"
 #include "stream/report_stream.h"
 #include "util/build_info.h"
@@ -43,20 +42,26 @@ namespace {
 
 using namespace ldp;  // NOLINT: benchmark binary
 
-// A census-like 8-attribute mixed schema; `oracle` picks the categorical
-// frequency oracle under sweep.
-MixedTupleCollector MakeCollector(FrequencyOracleKind oracle) {
-  auto collector = MixedTupleCollector::Create(
-      {MixedAttribute::Numeric(), MixedAttribute::Categorical(8),
-       MixedAttribute::Numeric(), MixedAttribute::Categorical(16),
-       MixedAttribute::Numeric(), MixedAttribute::Categorical(4),
-       MixedAttribute::Numeric(), MixedAttribute::Categorical(32)},
-      4.0, MechanismKind::kHybrid, oracle);
+MixedTupleCollector MakeCollector(std::vector<MixedAttribute> schema,
+                                  FrequencyOracleKind oracle) {
+  auto collector = MixedTupleCollector::Create(std::move(schema), 4.0,
+                                               MechanismKind::kHybrid, oracle);
   if (!collector.ok()) {
     std::fprintf(stderr, "%s\n", collector.status().ToString().c_str());
     std::exit(1);
   }
   return std::move(collector).value();
+}
+
+// A census-like 8-attribute mixed schema; `oracle` picks the categorical
+// frequency oracle under sweep.
+MixedTupleCollector MakeCollector(FrequencyOracleKind oracle) {
+  return MakeCollector(
+      {MixedAttribute::Numeric(), MixedAttribute::Categorical(8),
+       MixedAttribute::Numeric(), MixedAttribute::Categorical(16),
+       MixedAttribute::Numeric(), MixedAttribute::Categorical(4),
+       MixedAttribute::Numeric(), MixedAttribute::Categorical(32)},
+      oracle);
 }
 
 std::vector<std::string> EncodeShards(const MixedTupleCollector& collector,
@@ -89,46 +94,18 @@ std::vector<std::string> EncodeShards(const MixedTupleCollector& collector,
   return shards;
 }
 
-// An 8-attribute all-numeric schema at the same ε, exercising the
-// Algorithm-4 numeric stream kind end to end.
-std::vector<std::string> EncodeNumericShards(
-    const SampledNumericMechanism& mechanism, uint64_t reports,
-    size_t num_shards) {
-  std::vector<double> tuple(mechanism.dimension());
-  for (uint32_t j = 0; j < mechanism.dimension(); ++j) {
-    tuple[j] = (j % 2 == 0) ? 0.25 : -0.5;
-  }
-  std::vector<std::string> shards;
-  const std::vector<IndexRange> ranges = SplitRange(reports, num_shards);
-  for (size_t s = 0; s < ranges.size(); ++s) {
-    std::ostringstream out;
-    stream::ReportStreamWriter writer(
-        &out,
-        stream::MakeNumericStreamHeader(mechanism, MechanismKind::kHybrid));
-    Rng rng(1000 + s);
-    for (uint64_t i = ranges[s].begin; i < ranges[s].end; ++i) {
-      if (!writer.WriteNumericReport(mechanism.Perturb(tuple, &rng)).ok()) {
-        std::fprintf(stderr, "encode failed\n");
-        std::exit(1);
-      }
-    }
-    shards.push_back(out.str());
-  }
-  return shards;
-}
-
-// One in-memory stream source per shard for the multi-shard driver.
-// `prototype` and `shards` must outlive the returned sources.
-std::vector<stream::HandleShardSource> BufferSources(
-    const stream::AggregatorHandle& prototype,
+// One in-memory stream input per shard for the multi-shard driver.
+// `collector` and `shards` must outlive the returned inputs.
+std::vector<stream::ShardInput> BufferInputs(
+    const MixedTupleCollector& collector,
     const std::vector<std::string>& shards,
     stream::ShardIngester::Options options = stream::ShardIngester::Options()) {
-  std::vector<stream::HandleShardSource> sources;
+  std::vector<stream::ShardInput> inputs;
   for (size_t s = 0; s < shards.size(); ++s) {
-    sources.push_back(stream::HandleStreamBufferSource(
-        prototype, "shard " + std::to_string(s), &shards[s], options));
+    inputs.push_back(stream::StreamBufferInput(
+        &collector, "shard " + std::to_string(s), &shards[s], options));
   }
-  return sources;
+  return inputs;
 }
 
 struct SweepResult {
@@ -172,16 +149,33 @@ int main() {
       {FrequencyOracleKind::kHe, "HE"},
   };
 
-  std::printf("=== Streaming shard ingestion: oracle x shard sweep ===\n");
-  std::printf("(reports: %llu, schema: 8 attributes, eps = 4)\n\n",
+  std::printf("=== Streaming shard ingestion: schema x shard sweep ===\n");
+  std::printf("(reports: %llu, schemas: 8 attributes, eps = 4)\n\n",
               static_cast<unsigned long long>(reports));
   std::printf("%-8s %8s %8s %10s %10s %14s %10s\n", "oracle", "shards",
               "threads", "B/report", "seconds", "reports/s", "MiB/s");
 
-  std::vector<SweepResult> results;
+  // The mixed schema under each oracle, then the 8-attribute all-numeric
+  // schema at the same ε (no oracle: every entry is a numeric one).
+  struct SweepSchema {
+    const char* kind;
+    const char* oracle;
+    const char* label;
+    MixedTupleCollector collector;
+  };
+  std::vector<SweepSchema> schemas;
   for (const auto& oracle : kOracles) {
-    const MixedTupleCollector collector = MakeCollector(oracle.kind);
-    const stream::MixedAggregatorHandle prototype(&collector);
+    schemas.push_back(
+        {"mixed", oracle.name, oracle.name, MakeCollector(oracle.kind)});
+  }
+  schemas.push_back(
+      {"all_numeric", "-", "NUMERIC",
+       MakeCollector(std::vector<MixedAttribute>(8, MixedAttribute::Numeric()),
+                     FrequencyOracleKind::kOue)});
+
+  std::vector<SweepResult> results;
+  for (const SweepSchema& schema : schemas) {
+    const MixedTupleCollector& collector = schema.collector;
     for (const size_t num_shards : shard_counts) {
       const std::vector<std::string> shards =
           EncodeShards(collector, reports, num_shards);
@@ -192,11 +186,11 @@ int main() {
                                         std::max(hardware, 1u));
       std::unique_ptr<ThreadPool> pool;
       if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-      const std::vector<stream::HandleShardSource> sources =
-          BufferSources(prototype, shards);
+      const std::vector<stream::ShardInput> inputs =
+          BufferInputs(collector, shards);
 
       const auto started = std::chrono::steady_clock::now();
-      auto total = stream::IngestHandleSources(prototype, sources, pool.get());
+      auto total = stream::IngestShardInputs(&collector, inputs, pool.get());
       const double seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         started)
@@ -206,17 +200,18 @@ int main() {
                      total.status().ToString().c_str());
         return 1;
       }
-      if (total.value()->num_reports() != reports) {
+      if (total.value().num_reports() != reports) {
         std::fprintf(stderr,
                      "ingest dropped reports: expected %llu, got %llu\n",
                      static_cast<unsigned long long>(reports),
                      static_cast<unsigned long long>(
-                         total.value()->num_reports()));
+                         total.value().num_reports()));
         return 1;
       }
 
       SweepResult result;
-      result.oracle = oracle.name;
+      result.kind = schema.kind;
+      result.oracle = schema.oracle;
       result.shards = num_shards;
       result.threads = threads;
       result.bytes_per_report =
@@ -226,65 +221,10 @@ int main() {
       result.mib_per_sec =
           static_cast<double>(total_bytes) / seconds / (1024.0 * 1024.0);
       results.push_back(result);
-      std::printf("%-8s %8zu %8u %10.1f %10.3f %14.0f %10.1f\n", result.oracle,
+      std::printf("%-8s %8zu %8u %10.1f %10.3f %14.0f %10.1f\n", schema.label,
                   result.shards, result.threads, result.bytes_per_report,
                   result.seconds, result.reports_per_sec, result.mib_per_sec);
     }
-  }
-
-  // Algorithm-4 numeric stream kind over the same shard sweep.
-  auto mechanism = SampledNumericMechanism::Create(MechanismKind::kHybrid,
-                                                   4.0, 8);
-  if (!mechanism.ok()) {
-    std::fprintf(stderr, "%s\n", mechanism.status().ToString().c_str());
-    return 1;
-  }
-  const stream::NumericAggregatorHandle prototype(&mechanism.value(),
-                                                  MechanismKind::kHybrid);
-  for (const size_t num_shards : shard_counts) {
-    const std::vector<std::string> shards =
-        EncodeNumericShards(mechanism.value(), reports, num_shards);
-    uint64_t total_bytes = 0;
-    for (const std::string& shard : shards) total_bytes += shard.size();
-
-    const unsigned threads = std::min(static_cast<unsigned>(num_shards),
-                                      std::max(hardware, 1u));
-    std::unique_ptr<ThreadPool> pool;
-    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-    const std::vector<stream::HandleShardSource> sources =
-        BufferSources(prototype, shards);
-
-    const auto started = std::chrono::steady_clock::now();
-    auto total = stream::IngestHandleSources(prototype, sources, pool.get());
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      started)
-            .count();
-    if (!total.ok()) {
-      std::fprintf(stderr, "numeric ingest failed: %s\n",
-                   total.status().ToString().c_str());
-      return 1;
-    }
-    if (total.value()->num_reports() != reports) {
-      std::fprintf(stderr, "numeric ingest dropped reports\n");
-      return 1;
-    }
-
-    SweepResult result;
-    result.kind = "numeric";
-    result.oracle = "-";
-    result.shards = num_shards;
-    result.threads = threads;
-    result.bytes_per_report =
-        static_cast<double>(total_bytes) / static_cast<double>(reports);
-    result.seconds = seconds;
-    result.reports_per_sec = static_cast<double>(reports) / seconds;
-    result.mib_per_sec =
-        static_cast<double>(total_bytes) / seconds / (1024.0 * 1024.0);
-    results.push_back(result);
-    std::printf("%-8s %8zu %8u %10.1f %10.3f %14.0f %10.1f\n", "NUMERIC",
-                result.shards, result.threads, result.bytes_per_report,
-                result.seconds, result.reports_per_sec, result.mib_per_sec);
   }
 
   // Concurrent ServerSession sweep: the same mixed shards pushed through
@@ -385,7 +325,6 @@ int main() {
   {
     const MixedTupleCollector collector =
         MakeCollector(FrequencyOracleKind::kOue);
-    const stream::MixedAggregatorHandle prototype(&collector);
     const std::vector<std::string> shards = EncodeShards(collector, reports, 1);
     uint64_t total_bytes = 0;
     for (const std::string& shard : shards) total_bytes += shard.size();
@@ -395,16 +334,16 @@ int main() {
                        double* out_seconds) -> bool {
       double best = 0.0;
       for (int r = 0; r < kRepeats; ++r) {
-        const std::vector<stream::HandleShardSource> sources =
-            BufferSources(prototype, shards, options);
+        const std::vector<stream::ShardInput> inputs =
+            BufferInputs(collector, shards, options);
         const auto started = std::chrono::steady_clock::now();
         auto total =
-            stream::IngestHandleSources(prototype, sources, /*pool=*/nullptr);
+            stream::IngestShardInputs(&collector, inputs, /*pool=*/nullptr);
         const double seconds =
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           started)
                 .count();
-        if (!total.ok() || total.value()->num_reports() != reports) {
+        if (!total.ok() || total.value().num_reports() != reports) {
           std::fprintf(stderr, "overhead sweep ingest failed\n");
           return false;
         }

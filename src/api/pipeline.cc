@@ -300,36 +300,12 @@ Result<Pipeline> Pipeline::Create(PipelineConfig config) {
         "default)");
   }
 
-  bool has_categorical = false;
-  for (const MixedAttribute& attribute : config.attributes) {
-    has_categorical |= attribute.type == AttributeType::kCategorical;
-  }
-  if (config.wire == WirePreference::kNumeric && has_categorical) {
-    return Status::InvalidArgument(
-        "numeric streams require an all-numeric schema");
-  }
-
   auto state = std::make_shared<PipelineState>();
-  state->kind = config.wire == WirePreference::kMixed || has_categorical
-                    ? stream::ReportStreamKind::kMixed
-                    : stream::ReportStreamKind::kSampledNumeric;
-
   Result<MixedTupleCollector> collector = MixedTupleCollector::Create(
       config.attributes, config.epsilon, config.mechanism, config.oracle);
   if (!collector.ok()) return collector.status();
   state->collector.emplace(std::move(collector).value());
-
-  if (state->kind == stream::ReportStreamKind::kSampledNumeric) {
-    Result<SampledNumericMechanism> numeric = SampledNumericMechanism::Create(
-        config.mechanism, config.epsilon,
-        static_cast<uint32_t>(config.attributes.size()));
-    if (!numeric.ok()) return numeric.status();
-    state->numeric.emplace(std::move(numeric).value());
-    state->header =
-        stream::MakeNumericStreamHeader(*state->numeric, config.mechanism);
-  } else {
-    state->header = stream::MakeMixedStreamHeader(*state->collector);
-  }
+  state->header = stream::MakeMixedStreamHeader(*state->collector);
 
   state->lifetime_budget =
       config.plan.lifetime_budget != 0.0
@@ -365,8 +341,6 @@ Result<ClientSession> Pipeline::NewClient() const {
 
 const PipelineConfig& Pipeline::config() const { return state_->config; }
 
-stream::ReportStreamKind Pipeline::stream_kind() const { return state_->kind; }
-
 const stream::StreamHeader& Pipeline::header() const { return state_->header; }
 
 double Pipeline::epsilon() const { return state_->config.epsilon; }
@@ -381,18 +355,10 @@ const MixedTupleCollector& Pipeline::mixed_collector() const {
   return *state_->collector;
 }
 
-const SampledNumericMechanism* Pipeline::numeric_mechanism() const {
-  return state_->numeric.has_value() ? &*state_->numeric : nullptr;
-}
-
 stream::StreamHeader ClientSession::header() const { return state_->header; }
 
 std::string ClientSession::EncodeHeader() const {
   return stream::EncodeStreamHeader(state_->header);
-}
-
-stream::ReportStreamKind ClientSession::stream_kind() const {
-  return state_->kind;
 }
 
 uint32_t ClientSession::k() const { return state_->collector->k(); }
@@ -407,48 +373,12 @@ Result<std::string> ClientSession::EncodeReport(const MixedTuple& row,
     return Status::InvalidArgument(
         "row must carry one value per schema attribute");
   }
-  if (state_->kind == stream::ReportStreamKind::kMixed) {
-    return EncodeMixedReport(state_->collector->Perturb(row, rng),
-                             *state_->collector);
-  }
-  std::vector<double> numeric_row(row.size(), 0.0);
-  for (size_t j = 0; j < row.size(); ++j) {
-    numeric_row[j] = row[j].numeric;
-  }
-  return EncodeSampledNumericReport(state_->numeric->Perturb(numeric_row, rng));
-}
-
-Result<std::string> ClientSession::EncodeReport(const std::vector<double>& row,
-                                                Rng* rng) const {
-  if (row.size() != state_->collector->dimension()) {
-    return Status::InvalidArgument(
-        "row must carry one value per schema attribute");
-  }
-  if (state_->kind == stream::ReportStreamKind::kSampledNumeric) {
-    return EncodeSampledNumericReport(state_->numeric->Perturb(row, rng));
-  }
-  MixedTuple tuple(row.size());
-  for (size_t j = 0; j < row.size(); ++j) {
-    if (state_->config.attributes[j].type != AttributeType::kNumeric) {
-      return Status::InvalidArgument(
-          "pure-numeric rows require an all-numeric schema");
-    }
-    tuple[j].numeric = row[j];
-  }
-  return EncodeMixedReport(state_->collector->Perturb(tuple, rng),
+  return EncodeMixedReport(state_->collector->Perturb(row, rng),
                            *state_->collector);
 }
 
 Status ClientSession::WriteReport(stream::ReportStreamWriter* writer,
                                   const MixedTuple& row, Rng* rng) const {
-  std::string payload;
-  LDP_ASSIGN_OR_RETURN(payload, EncodeReport(row, rng));
-  return writer->WriteFrame(payload);
-}
-
-Status ClientSession::WriteReport(stream::ReportStreamWriter* writer,
-                                  const std::vector<double>& row,
-                                  Rng* rng) const {
   std::string payload;
   LDP_ASSIGN_OR_RETURN(payload, EncodeReport(row, rng));
   return writer->WriteFrame(payload);

@@ -2,26 +2,24 @@
 // collection path in the paper and every deployment shape in the repo.
 //
 // A PipelineConfig names the full protocol — attribute schema, per-epoch
-// budget ε, scalar mechanism and frequency oracle kinds, wire stream kind,
-// an optional split-budget baseline strategy, and the epoch plan — and a
-// Pipeline built from it hands out the three ways to run that protocol:
+// budget ε, scalar mechanism and frequency oracle kinds, an optional
+// split-budget baseline strategy, and the epoch plan — and a Pipeline built
+// from it hands out the three ways to run that protocol:
 //
 //   - Pipeline::Collect     in-process simulation over a Dataset (the old
 //                           CollectProposed / CollectBaseline free functions
 //                           are thin wrappers over this, bit for bit);
-//   - Pipeline::NewClient   a ClientSession that perturbs rows — mixed or
-//                           pure-numeric — and encodes them as wire frames
-//                           for the framed report-stream format;
+//   - Pipeline::NewClient   a ClientSession that perturbs rows and encodes
+//                           them as wire frames for the framed report-stream
+//                           format;
 //   - Pipeline::NewServer   a ServerSession that owns shards, epochs and a
 //                           PrivacyAccountant, and exposes Feed / Merge /
 //                           Snapshot / Estimate (api/server_session.h).
 //
-// The pipeline resolves which stream kind its sessions speak: Section IV-C
-// mixed streams whenever the schema has a categorical attribute, and the
-// Algorithm-4 numeric stream kind for all-numeric schemas (overridable via
-// PipelineConfig::wire). On an all-numeric schema the two paths draw the
-// same randomness and accumulate the same doubles in the same order, so the
-// choice never changes the estimates — only the bytes on the wire.
+// Every schema travels as Section IV-C mixed reports. On an all-numeric
+// schema the mixed collector is the paper's Algorithm 4 — same k, same
+// sampling, same PM/HM at ε/k, same d/k scaling — so one report format
+// serves both (tests/mixed_collector_test.cc pins the equivalence).
 
 #ifndef LDP_API_PIPELINE_H_
 #define LDP_API_PIPELINE_H_
@@ -34,7 +32,6 @@
 
 #include "core/mechanism.h"
 #include "core/mixed_collector.h"
-#include "core/sampled_numeric.h"
 #include "data/dataset.h"
 #include "data/schema.h"
 #include "frequency/frequency_oracle.h"
@@ -97,13 +94,6 @@ void RowToTuple(const data::Schema& schema,
                 const std::vector<double>& numeric_row,
                 const std::vector<uint32_t>& category_row, MixedTuple* tuple);
 
-/// Which wire stream kind the pipeline's sessions speak.
-enum class WirePreference {
-  kAuto,     ///< Numeric streams iff the schema is all-numeric.
-  kMixed,    ///< Section IV-C mixed streams (any schema).
-  kNumeric,  ///< Algorithm-4 numeric streams (all-numeric schemas only).
-};
-
 /// The multi-round collection plan a ServerSession enforces.
 struct EpochPlan {
   /// Planned collection rounds; each epoch spends the config's ε per user.
@@ -123,8 +113,6 @@ struct PipelineConfig {
   MechanismKind mechanism = MechanismKind::kHybrid;
   /// Frequency oracle for categorical attributes (OUE in the paper).
   FrequencyOracleKind oracle = FrequencyOracleKind::kOue;
-  /// Wire stream kind for the client/server sessions.
-  WirePreference wire = WirePreference::kAuto;
   /// When set, Collect runs the split-budget baseline of Section VI-A
   /// instead of the paper's sampled collector. Baseline configs are
   /// simulation-only: they have no wire protocol, so NewClient / NewServer
@@ -168,19 +156,9 @@ class ClientSession {
   /// coordinates must be in [-1, 1], categorical ones within their domains.
   Result<std::string> EncodeReport(const MixedTuple& row, Rng* rng) const;
 
-  /// Pure-numeric overload: one value per attribute. Fails on schemas with
-  /// categorical attributes.
-  Result<std::string> EncodeReport(const std::vector<double>& row,
-                                   Rng* rng) const;
-
   /// Perturbs `row` and appends it to `writer` as one frame.
   Status WriteReport(stream::ReportStreamWriter* writer, const MixedTuple& row,
                      Rng* rng) const;
-  Status WriteReport(stream::ReportStreamWriter* writer,
-                     const std::vector<double>& row, Rng* rng) const;
-
-  /// The stream kind reports are encoded as.
-  stream::ReportStreamKind stream_kind() const;
 
   /// The number of attributes each report carries (Eq. 12).
   uint32_t k() const;
@@ -205,8 +183,7 @@ class Pipeline {
  public:
   /// Validates `config` and builds the protocol objects. Fails on an empty
   /// schema, a bad budget, a categorical attribute with fewer than 2 values,
-  /// an all-categorical schema asked for numeric streams, or a zero-epoch
-  /// plan.
+  /// or a zero-epoch plan.
   static Result<Pipeline> Create(PipelineConfig config);
 
   /// Runs the configured collection in process over `dataset`, whose numeric
@@ -231,9 +208,6 @@ class Pipeline {
   /// The validated configuration.
   const PipelineConfig& config() const;
 
-  /// The resolved wire stream kind.
-  stream::ReportStreamKind stream_kind() const;
-
   /// The stream header sessions of this pipeline exchange.
   const stream::StreamHeader& header() const;
 
@@ -243,14 +217,8 @@ class Pipeline {
   /// The number of attributes each user reports (Eq. 12).
   uint32_t k() const;
 
-  /// The Section IV-C collector behind mixed sessions (always present; on
-  /// numeric pipelines it backs Collect, whose estimates are bit-identical
-  /// to the numeric stream path).
+  /// The Section IV-C collector behind Collect and every session.
   const MixedTupleCollector& mixed_collector() const;
-
-  /// The Algorithm-4 mechanism behind numeric sessions; null on mixed
-  /// pipelines.
-  const SampledNumericMechanism* numeric_mechanism() const;
 
  private:
   explicit Pipeline(std::shared_ptr<const internal_api::PipelineState> state)
@@ -265,11 +233,8 @@ namespace internal_api {
 /// Internal: reach the contents through the Pipeline accessors.
 struct PipelineState {
   PipelineConfig config;
-  stream::ReportStreamKind kind = stream::ReportStreamKind::kMixed;
-  /// Always engaged (backs mixed sessions and Collect).
+  /// Always engaged once Create succeeds.
   std::optional<MixedTupleCollector> collector;
-  /// Engaged when kind == kSampledNumeric.
-  std::optional<SampledNumericMechanism> numeric;
   stream::StreamHeader header;
   /// The resolved per-user lifetime budget (plan.lifetime_budget, or
   /// epochs × ε when unset).

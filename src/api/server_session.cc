@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <istream>
+#include <optional>
 #include <sstream>
 #include <string_view>
 #include <utility>
@@ -63,8 +64,9 @@ Result<SessionSnapshotConfig> ReadSessionPreamble(Reader* reader) {
   LDP_ASSIGN_OR_RETURN(kind, reader->U8());
   LDP_ASSIGN_OR_RETURN(mechanism, reader->U8());
   LDP_ASSIGN_OR_RETURN(oracle, reader->U8());
-  if (kind > static_cast<uint8_t>(stream::ReportStreamKind::kSampledNumeric)) {
-    return Status::InvalidArgument("unknown stream kind in session snapshot");
+  if (kind != 0) {
+    return Status::InvalidArgument(
+        "unsupported stream kind in session snapshot");
   }
   if (mechanism > static_cast<uint8_t>(MechanismKind::kHybrid)) {
     return Status::InvalidArgument(
@@ -74,7 +76,6 @@ Result<SessionSnapshotConfig> ReadSessionPreamble(Reader* reader) {
     return Status::InvalidArgument("unknown oracle kind in session snapshot");
   }
   SessionSnapshotConfig config;
-  config.kind = static_cast<stream::ReportStreamKind>(kind);
   config.mechanism = static_cast<MechanismKind>(mechanism);
   config.oracle = static_cast<FrequencyOracleKind>(oracle);
   LDP_ASSIGN_OR_RETURN(config.schema_hash, reader->U64());
@@ -107,21 +108,19 @@ uint64_t SessionSnapshotReportCount(const std::string& bytes) {
 }
 
 // One IngestInputs input, dispatched on its magic: a report stream or a
-// single-epoch snapshot loads as an aggregate of `prototype`'s kind; a
-// session snapshot loads its raw bytes into `*session_bytes` and yields no
+// single-epoch snapshot loads as an aggregate over `collector`; a session
+// snapshot loads its raw bytes into `*session_bytes` and yields no
 // aggregate. An unreadable or unrecognized input loads as its error.
-stream::HandleShardSource InputSource(
-    const stream::AggregatorHandle& prototype, const std::string& path,
-    const stream::ShardIngester::Options& options,
-    std::string* session_bytes) {
-  stream::HandleShardSource source;
-  source.name = path;
-  auto fail = [&source](Status status) {
-    source.load = [status](stream::ShardIngester::Stats* /*stats*/)
-        -> Result<std::unique_ptr<stream::AggregatorHandle>> {
-      return status;
-    };
-    return source;
+stream::ShardInput SessionInput(const MixedTupleCollector* collector,
+                                const std::string& path,
+                                const stream::ShardIngester::Options& options,
+                                std::string* session_bytes) {
+  stream::ShardInput input;
+  input.name = path;
+  auto fail = [&input](Status status) {
+    input.load = [status](stream::ShardIngester::Stats* /*stats*/)
+        -> Result<std::optional<MixedAggregator>> { return status; };
+    return input;
   };
   std::ifstream in(path, std::ios::binary);
   if (!in.is_open()) return fail(Status::IoError("cannot open input file"));
@@ -132,18 +131,17 @@ stream::HandleShardSource InputSource(
   }
   const uint32_t magic = internal_wire::LoadLittleEndian<uint32_t>(magic_bytes);
   if (magic == stream::kStreamMagic) {
-    return stream::HandleStreamFileSource(prototype, path, options);
+    return stream::StreamFileInput(collector, path, options);
   }
-  if (magic == stream::kSnapshotMagic ||
-      magic == stream::kNumericSnapshotMagic) {
-    return stream::HandleSnapshotFileSource(prototype, path);
+  if (magic == stream::kSnapshotMagic) {
+    return stream::SnapshotFileInput(collector, path);
   }
   if (magic != kSessionSnapshotMagic) {
     return fail(Status::InvalidArgument(
         "input is neither a report stream nor a snapshot"));
   }
-  source.load = [path, session_bytes](stream::ShardIngester::Stats* stats)
-      -> Result<std::unique_ptr<stream::AggregatorHandle>> {
+  input.load = [path, session_bytes](stream::ShardIngester::Stats* stats)
+      -> Result<std::optional<MixedAggregator>> {
     std::ifstream file(path, std::ios::binary);
     std::ostringstream contents;
     contents << file.rdbuf();
@@ -153,9 +151,9 @@ stream::HandleShardSource InputSource(
     *session_bytes = contents.str();
     stats->bytes = session_bytes->size();
     stats->accepted = SessionSnapshotReportCount(*session_bytes);
-    return std::unique_ptr<stream::AggregatorHandle>();
+    return std::optional<MixedAggregator>();
   };
-  return source;
+  return input;
 }
 
 }  // namespace
@@ -164,6 +162,24 @@ Result<SessionSnapshotConfig> DecodeSessionSnapshotConfig(
     const std::string& bytes) {
   Reader reader(bytes.data(), bytes.size());
   return ReadSessionPreamble(&reader);
+}
+
+Status CheckSessionSnapshotCompatible(const SessionSnapshotConfig& config,
+                                      const stream::StreamHeader& expected) {
+  if (config.mechanism != expected.mechanism ||
+      config.oracle != expected.oracle) {
+    return Status::FailedPrecondition(
+        "session snapshot mechanism/oracle kinds do not match the protocol");
+  }
+  if (config.schema_hash != expected.schema_hash) {
+    return Status::FailedPrecondition(
+        "session snapshot schema hash does not match the protocol");
+  }
+  if (config.epsilon != expected.epsilon) {
+    return Status::FailedPrecondition(
+        "session snapshot epsilon does not match the protocol");
+  }
+  return Status::OK();
 }
 
 bool LooksLikeSessionSnapshot(const std::string& bytes) {
@@ -205,7 +221,7 @@ ServerSession::ServerSession(
       accountant_(std::move(accountant)),
       options_(std::move(options)),
       mutex_(std::make_unique<std::mutex>()) {
-  epochs_.push_back(NewEpochAggregate());
+  epochs_.emplace_back(&*state_->collector);
   // A zero bound would make the backpressure wait unsatisfiable (nothing
   // would ever be queued for workers to consume).
   options_.max_pending_feed_bytes =
@@ -223,15 +239,6 @@ ServerSession::ServerSession(
         options_.ingest_threads,
         obs::PoolMetrics::ForRegistry(options_.metrics));
   }
-}
-
-std::unique_ptr<stream::AggregatorHandle> ServerSession::NewEpochAggregate()
-    const {
-  if (state_->kind == stream::ReportStreamKind::kSampledNumeric) {
-    return std::make_unique<stream::NumericAggregatorHandle>(
-        &*state_->numeric, state_->config.mechanism);
-  }
-  return std::make_unique<stream::MixedAggregatorHandle>(&*state_->collector);
 }
 
 Status ServerSession::AdvanceEpoch() {
@@ -258,7 +265,7 @@ Status ServerSession::AdvanceEpochLocked() {
     return Status::FailedPrecondition(
         "charge would exceed the user's lifetime budget");
   }
-  epochs_.push_back(NewEpochAggregate());
+  epochs_.emplace_back(&*state_->collector);
   if (metrics_.enabled()) {
     metrics_.epochs_opened->Increment();
     metrics_.epsilon_spent->Set(accountant_.Spent(kAnonymousReporter));
@@ -330,7 +337,7 @@ Result<size_t> ServerSession::OpenShard(const std::string& reporter_id) {
 size_t ServerSession::OpenShardLocked() {
   ShardState shard;
   shard.ingester = std::make_unique<stream::ShardIngester>(
-      NewEpochAggregate(), options_.ingest);
+      &*state_->collector, options_.ingest);
   if (pool_ != nullptr) {
     shard.async = std::make_shared<AsyncShardState>();
   }
@@ -471,7 +478,7 @@ Status ServerSession::CloseShard(size_t shard) {
   // poisoned stream cannot corrupt the epoch.
   Status merged = Status::OK();
   if (finished.ok()) {
-    merged = epochs_.back()->Merge(ingester->handle());
+    merged = epochs_.back().Merge(ingester->aggregator());
   }
   --open_shards_;
   if (metrics_.enabled()) {
@@ -574,22 +581,22 @@ Status ServerSession::IngestInputs(const std::vector<std::string>& paths,
   // stay ordered).
   const size_t n = paths.size();
   std::vector<std::string> session_bytes(n);
-  std::vector<stream::HandleShardSource> sources;
-  sources.reserve(n);
+  std::vector<stream::ShardInput> inputs;
+  inputs.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    sources.push_back(InputSource(*epochs_.back(), paths[i], options_.ingest,
-                                  &session_bytes[i]));
+    inputs.push_back(SessionInput(&*state_->collector, paths[i],
+                                  options_.ingest, &session_bytes[i]));
   }
-  std::vector<std::unique_ptr<stream::AggregatorHandle>> loaded;
-  LDP_ASSIGN_OR_RETURN(loaded, stream::LoadHandleSources(sources, pool,
-                                                         summary));
+  std::vector<std::optional<MixedAggregator>> loaded;
+  LDP_ASSIGN_OR_RETURN(loaded, stream::LoadShardInputs(inputs, pool, summary));
 
   // Phase 2, ordered: merge in argument order. Plain inputs land in the
-  // epoch that was current at the call; session snapshots align by epoch.
-  stream::AggregatorHandle* target = epochs_.back().get();
+  // epoch that was current at the call (an index: a session snapshot may
+  // grow epochs_); session snapshots align by epoch.
+  const size_t target = epochs_.size() - 1;
   for (size_t i = 0; i < n; ++i) {
-    const Status merged = loaded[i] != nullptr
-                              ? target->Merge(*loaded[i])
+    const Status merged = loaded[i].has_value()
+                              ? epochs_[target].Merge(*loaded[i])
                               : MergeLocked(session_bytes[i]);
     if (!merged.ok()) {
       return Status(merged.code(),
@@ -606,28 +613,15 @@ Status ServerSession::Merge(const std::string& snapshot_bytes) {
 
 Status ServerSession::MergeLocked(const std::string& snapshot_bytes) {
   if (!LooksLikeSessionSnapshot(snapshot_bytes)) {
-    return epochs_.back()->MergeEncodedSnapshot(snapshot_bytes);
+    Result<MixedAggregator> decoded =
+        stream::DecodeAggregatorSnapshot(snapshot_bytes, &*state_->collector);
+    if (!decoded.ok()) return decoded.status();
+    return epochs_.back().Merge(decoded.value());
   }
   Reader reader(snapshot_bytes.data(), snapshot_bytes.size());
   SessionSnapshotConfig peer;
   LDP_ASSIGN_OR_RETURN(peer, ReadSessionPreamble(&reader));
-  if (peer.kind != state_->kind) {
-    return Status::FailedPrecondition(
-        "session snapshot stream kind does not match the pipeline");
-  }
-  if (peer.mechanism != state_->header.mechanism ||
-      peer.oracle != state_->header.oracle) {
-    return Status::FailedPrecondition(
-        "session snapshot mechanism/oracle kinds do not match the pipeline");
-  }
-  if (peer.schema_hash != state_->header.schema_hash) {
-    return Status::FailedPrecondition(
-        "session snapshot schema hash does not match the pipeline");
-  }
-  if (peer.epsilon != state_->config.epsilon) {
-    return Status::FailedPrecondition(
-        "session snapshot epsilon does not match the pipeline");
-  }
+  LDP_RETURN_IF_ERROR(CheckSessionSnapshotCompatible(peer, state_->header));
   const uint32_t peer_epochs = peer.epochs;
 
   // Cheap refusals first (nothing decoded yet), then stage every epoch
@@ -645,7 +639,7 @@ Status ServerSession::MergeLocked(const std::string& snapshot_bytes) {
           "merging the session would exceed the lifetime budget");
     }
   }
-  std::vector<std::unique_ptr<stream::AggregatorHandle>> staged;
+  std::vector<MixedAggregator> staged;
   staged.reserve(peer_epochs);
   for (uint32_t e = 0; e < peer_epochs; ++e) {
     uint64_t inner_size = 0;
@@ -654,10 +648,10 @@ Status ServerSession::MergeLocked(const std::string& snapshot_bytes) {
     if (inner == nullptr) {
       return Status::InvalidArgument("truncated session snapshot epoch");
     }
-    std::unique_ptr<stream::AggregatorHandle> handle = NewEpochAggregate();
-    LDP_RETURN_IF_ERROR(
-        handle->MergeEncodedSnapshot(std::string(inner, inner_size)));
-    staged.push_back(std::move(handle));
+    Result<MixedAggregator> decoded = stream::DecodeAggregatorSnapshot(
+        std::string_view(inner, inner_size), &*state_->collector);
+    if (!decoded.ok()) return decoded.status();
+    staged.push_back(std::move(decoded).value());
   }
   // Stage the per-reporter ledger section before anything commits, so
   // a truncated snapshot mutates nothing.
@@ -703,7 +697,7 @@ Status ServerSession::MergeLocked(const std::string& snapshot_bytes) {
   }
   for (uint32_t e = 0; e < peer_epochs; ++e) {
     if (e >= epochs_.size()) LDP_RETURN_IF_ERROR(AdvanceEpochLocked());
-    LDP_RETURN_IF_ERROR(epochs_[e]->Merge(*staged[e]));
+    LDP_RETURN_IF_ERROR(epochs_[e].Merge(staged[e]));
   }
   // Union the peer's ledgers by (reporter, epoch): a reporter both edges
   // saw in an epoch is restored once, not summed — the exactly-once
@@ -723,14 +717,14 @@ std::string ServerSession::Snapshot() const {
   std::string out;
   PutU32(&out, kSessionSnapshotMagic);
   PutU16(&out, kSessionSnapshotVersion);
-  PutU8(&out, static_cast<uint8_t>(state_->kind));
+  PutU8(&out, 0);  // kind: mixed reports, the only kind
   PutU8(&out, static_cast<uint8_t>(state_->header.mechanism));
   PutU8(&out, static_cast<uint8_t>(state_->header.oracle));
   PutU64(&out, state_->header.schema_hash);
   PutF64(&out, state_->config.epsilon);
   PutU32(&out, static_cast<uint32_t>(epochs_.size()));
-  for (const std::unique_ptr<stream::AggregatorHandle>& epoch : epochs_) {
-    const std::string inner = epoch->EncodeSnapshot();
+  for (const MixedAggregator& epoch : epochs_) {
+    const std::string inner = stream::EncodeAggregatorSnapshot(epoch);
     PutU64(&out, inner.size());
     out.append(inner);
   }
@@ -772,38 +766,38 @@ Status ServerSession::CheckEpoch(uint32_t epoch) const {
 Result<uint64_t> ServerSession::num_reports(uint32_t epoch) const {
   std::lock_guard<std::mutex> lock(*mutex_);
   LDP_RETURN_IF_ERROR(CheckEpoch(epoch));
-  return epochs_[epoch]->num_reports();
+  return epochs_[epoch].num_reports();
 }
 
 Result<double> ServerSession::EstimateMean(uint32_t attribute,
                                            uint32_t epoch) const {
   std::lock_guard<std::mutex> lock(*mutex_);
   LDP_RETURN_IF_ERROR(CheckEpoch(epoch));
-  return epochs_[epoch]->EstimateMean(attribute);
+  return epochs_[epoch].EstimateMean(attribute);
 }
 
 Result<std::vector<double>> ServerSession::EstimateFrequencies(
     uint32_t attribute, uint32_t epoch) const {
   std::lock_guard<std::mutex> lock(*mutex_);
   LDP_RETURN_IF_ERROR(CheckEpoch(epoch));
-  return epochs_[epoch]->EstimateFrequencies(attribute);
+  return epochs_[epoch].EstimateFrequencies(attribute);
 }
 
 Result<PipelineEstimates> ServerSession::Estimate(uint32_t epoch) const {
   std::lock_guard<std::mutex> lock(*mutex_);
   LDP_RETURN_IF_ERROR(CheckEpoch(epoch));
   PipelineEstimates estimates;
-  estimates.num_reports = epochs_[epoch]->num_reports();
+  estimates.num_reports = epochs_[epoch].num_reports();
   const std::vector<MixedAttribute>& attributes = state_->config.attributes;
   for (uint32_t j = 0; j < attributes.size(); ++j) {
     if (attributes[j].type == AttributeType::kNumeric) {
       double mean = 0.0;
-      LDP_ASSIGN_OR_RETURN(mean, epochs_[epoch]->EstimateMean(j));
+      LDP_ASSIGN_OR_RETURN(mean, epochs_[epoch].EstimateMean(j));
       estimates.numeric_attributes.push_back(j);
       estimates.means.push_back(mean);
     } else {
       std::vector<double> freqs;
-      LDP_ASSIGN_OR_RETURN(freqs, epochs_[epoch]->EstimateFrequencies(j));
+      LDP_ASSIGN_OR_RETURN(freqs, epochs_[epoch].EstimateFrequencies(j));
       estimates.categorical_attributes.push_back(j);
       estimates.frequencies.push_back(std::move(freqs));
     }

@@ -54,7 +54,6 @@
 #include "api/pipeline.h"
 #include "core/accountant.h"
 #include "obs/metrics.h"
-#include "stream/aggregator_handle.h"
 #include "stream/parallel_ingest.h"
 #include "stream/shard_ingester.h"
 #include "util/result.h"
@@ -68,15 +67,17 @@ namespace ldp::api {
 
 /// 'LDPE' little-endian — multi-epoch session snapshots. Layout (integers
 /// little-endian):
-///   u32 magic 'LDPE', u16 version, u8 stream kind, u8 mechanism, u8 oracle,
-///   u64 schema_hash, f64 epsilon, u32 num_epochs, then per epoch:
+///   u32 magic 'LDPE', u16 version, u8 kind (always 0), u8 mechanism,
+///   u8 oracle, u64 schema_hash, f64 epsilon, u32 num_epochs, then per epoch:
 ///     u64 size, size bytes of that epoch's aggregator snapshot
-///     (stream/snapshot.h 'LDPA' or 'LDPN'),
+///     (stream/snapshot.h 'LDPA'),
 ///   then the per-reporter privacy ledger section:
 ///   u32 num_reporters, then per reporter in ascending id order:
 ///     u16 id_length, id bytes, u64 refusals, u32 num_epoch_entries,
 ///     then per entry: u32 epoch, f64 epsilon spent.
-/// Only version 2 is read; version 1 (no ledger section) is refused.
+/// Only version 2 is read; version 1 (no ledger section) is refused. The
+/// kind byte is a leftover of the retired numeric-only stream kind: it is
+/// always written as 0, and a nonzero byte is refused with InvalidArgument.
 inline constexpr uint32_t kSessionSnapshotMagic = 0x4550444cu;
 inline constexpr uint16_t kSessionSnapshotVersion = 2;
 
@@ -87,7 +88,6 @@ bool LooksLikeSessionSnapshot(const std::string& bytes);
 /// is enough to rebuild the pipeline configuration (tools/ldp_aggregate
 /// does).
 struct SessionSnapshotConfig {
-  stream::ReportStreamKind kind = stream::ReportStreamKind::kMixed;
   MechanismKind mechanism = MechanismKind::kHybrid;
   FrequencyOracleKind oracle = FrequencyOracleKind::kOue;
   double epsilon = 0.0;
@@ -99,6 +99,13 @@ struct SessionSnapshotConfig {
 /// decoding any epoch state.
 Result<SessionSnapshotConfig> DecodeSessionSnapshotConfig(
     const std::string& bytes);
+
+/// Checks a session snapshot's preamble against the protocol `expected`
+/// names (mechanism, oracle, schema hash, ε) — the gate both a session merge
+/// and a relay root apply before decoding any epoch state. Returns
+/// FailedPrecondition naming the first mismatch.
+Status CheckSessionSnapshotCompatible(const SessionSnapshotConfig& config,
+                                      const stream::StreamHeader& expected);
 
 struct ServerSessionOptions {
   /// Per-shard framing/rejection policy (stream/shard_ingester.h).
@@ -212,7 +219,7 @@ class ServerSession {
   // --- merging -----------------------------------------------------------
 
   /// Folds a serialized snapshot into the session: an aggregator snapshot
-  /// (stream/snapshot.h, mixed or numeric) merges into the current epoch; a
+  /// (stream/snapshot.h) merges into the current epoch; a
   /// session snapshot merges epoch by epoch, advancing (and charging) this
   /// session as needed to materialize the peer's later epochs.
   Status Merge(const std::string& snapshot_bytes);
@@ -261,9 +268,6 @@ class ServerSession {
   ServerSession(std::shared_ptr<const internal_api::PipelineState> state,
                 PrivacyAccountant accountant, ServerSessionOptions options);
 
-  /// A fresh, empty aggregate of the pipeline's stream kind.
-  std::unique_ptr<stream::AggregatorHandle> NewEpochAggregate() const;
-
   Status CheckEpoch(uint32_t epoch) const;
 
   // The public methods lock mutex_ and delegate to these; Merge recurses
@@ -302,7 +306,7 @@ class ServerSession {
   /// movable (Result<ServerSession> moves it); moving a session with feeds
   /// in flight is safe — tasks reference only heap state.
   std::unique_ptr<std::mutex> mutex_;
-  std::vector<std::unique_ptr<stream::AggregatorHandle>> epochs_;
+  std::vector<MixedAggregator> epochs_;
   std::vector<ShardState> shards_;  // every shard ever opened (ids stable)
   size_t open_shards_ = 0;
   /// Decodes open shards when options_.ingest_threads >= 2; null otherwise.

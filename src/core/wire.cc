@@ -23,110 +23,12 @@ constexpr uint8_t kCategoricalEntry = 1;
 // keeps worst-case decoder scratch bounded even for huge schemas.
 constexpr size_t kMaxStagedPayloadElements = (1u << 20) / 4;
 
-// d/k-scaled output bound shared by both report codecs.
+// d/k-scaled output bound of a sampled numeric entry.
 double ScaledValueBound(uint32_t dimension, uint32_t k, double output_bound) {
   return static_cast<double>(dimension) / k * output_bound;
 }
 
 }  // namespace
-
-std::string EncodeSampledNumericReport(const SampledNumericReport& report) {
-  std::string out;
-  out.reserve(2 + report.size() * 12);
-  PutU16(&out, static_cast<uint16_t>(report.size()));
-  for (const SampledValue& entry : report) {
-    PutU32(&out, entry.attribute);
-    PutF64(&out, entry.value);
-  }
-  return out;
-}
-
-NumericFrameDecoder::NumericFrameDecoder(
-    const SampledNumericMechanism* mechanism)
-    : mechanism_(mechanism),
-      value_bound_(
-          ScaledValueBound(mechanism->dimension(), mechanism->k(),
-                           mechanism->scalar_mechanism().OutputBound())) {
-  entries_.reserve(mechanism_->k());
-}
-
-Status NumericFrameDecoder::DecodeInto(const char* data, size_t size,
-                                       NumericReportSink* sink) {
-  // Pass 1: parse and validate the whole frame into reused scratch; nothing
-  // reaches the sink until every entry has been vetted.
-  static const auto truncated = [] {
-    return Status::InvalidArgument("truncated report");
-  };
-  entries_.clear();
-  Reader reader(data, size);
-  uint16_t count = 0;
-  if (!reader.TryU16(&count)) return truncated();
-  if (count != mechanism_->k()) {
-    return Status::InvalidArgument("report must carry exactly k entries");
-  }
-  for (uint16_t i = 0; i < count; ++i) {
-    SampledValue entry;
-    if (!reader.TryU32(&entry.attribute)) return truncated();
-    if (!reader.TryF64(&entry.value)) return truncated();
-    if (entry.attribute >= mechanism_->dimension()) {
-      return Status::InvalidArgument("attribute index out of range");
-    }
-    if (!std::isfinite(entry.value) ||
-        std::abs(entry.value) > value_bound_ * (1.0 + 1e-9)) {
-      return Status::InvalidArgument("value outside the mechanism's range");
-    }
-    for (const SampledValue& previous : entries_) {
-      if (previous.attribute == entry.attribute) {
-        return Status::InvalidArgument("duplicate attribute in report");
-      }
-    }
-    entries_.push_back(entry);
-  }
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after report");
-  }
-
-  // Pass 2: the frame is valid; replay it into the sink.
-  sink->OnReportBegin(count);
-  for (const SampledValue& entry : entries_) {
-    sink->OnEntry(entry.attribute, entry.value);
-  }
-  return Status::OK();
-}
-
-namespace {
-
-// Sink that rebuilds the heap-allocated SampledNumericReport representation;
-// the backing store of the classic DecodeSampledNumericReport API.
-class MaterializingNumericSink final : public NumericReportSink {
- public:
-  void OnReportBegin(uint32_t entry_count) override {
-    report_.reserve(entry_count);
-  }
-  void OnEntry(uint32_t attribute, double value) override {
-    report_.push_back(SampledValue{attribute, value});
-  }
-
-  SampledNumericReport Take() { return std::move(report_); }
-
- private:
-  SampledNumericReport report_;
-};
-
-}  // namespace
-
-Result<SampledNumericReport> DecodeSampledNumericReport(
-    const std::string& bytes, const SampledNumericMechanism& mechanism) {
-  return DecodeSampledNumericReport(bytes.data(), bytes.size(), mechanism);
-}
-
-Result<SampledNumericReport> DecodeSampledNumericReport(
-    const char* data, size_t size, const SampledNumericMechanism& mechanism) {
-  NumericFrameDecoder decoder(&mechanism);
-  MaterializingNumericSink sink;
-  LDP_RETURN_IF_ERROR(decoder.DecodeInto(data, size, &sink));
-  return sink.Take();
-}
 
 std::string EncodeMixedReport(const MixedReport& report,
                               const MixedTupleCollector& collector) {

@@ -6,14 +6,15 @@
 // truncated input (never trusting the payload).
 //
 // Layout (all integers little-endian):
-//   SampledNumericReport: u16 entry_count, then per entry
-//     u32 attribute, f64 value.
 //   MixedReport: u16 entry_count, then per entry
 //     u32 attribute, u8 kind (0 numeric / 1 categorical),
 //     numeric:     f64 value
 //     categorical: u16 payload_count, u32 payload[...]
+// This is the only report format. An all-numeric schema is the paper's
+// Algorithm 4 and travels in it too: every entry is numeric, at 13 bytes
+// (one kind byte more than a bare attribute/value pair).
 //
-// Two decode surfaces exist for mixed reports: the materializing
+// Two decode surfaces exist: the materializing
 // DecodeMixedReport (returns a heap-allocated MixedReport; tools and tests)
 // and the streaming MixedFrameDecoder (validates a frame, then replays its
 // entries into a MixedReportSink with zero per-frame allocations; the server
@@ -29,8 +30,6 @@
 #include <vector>
 
 #include "core/mixed_collector.h"
-#include "core/numeric_aggregator.h"
-#include "core/sampled_numeric.h"
 #include "util/result.h"
 
 namespace ldp {
@@ -185,43 +184,6 @@ class Reader {
 };
 
 }  // namespace internal_wire
-
-/// Serialises an Algorithm-4 numeric report.
-std::string EncodeSampledNumericReport(const SampledNumericReport& report);
-
-/// Streaming numeric-report decoder, the Algorithm-4 counterpart of
-/// MixedFrameDecoder: validates one wire frame end to end (entry count == k,
-/// attribute indices, scaled value bounds, duplicate attributes) and only
-/// then replays the entries into a NumericReportSink — a sink never observes
-/// a partially valid report. Scratch is pre-reserved for k entries, so
-/// steady-state decoding performs zero heap allocations. One decoder per
-/// stream/thread; not thread-safe.
-class NumericFrameDecoder {
- public:
-  /// `mechanism` must outlive the decoder.
-  explicit NumericFrameDecoder(const SampledNumericMechanism* mechanism);
-
-  /// Validates `data` as one encoded numeric report and streams its entries
-  /// into `sink` (OnReportBegin, then one OnEntry per entry). On error the
-  /// sink receives no callbacks.
-  Status DecodeInto(const char* data, size_t size, NumericReportSink* sink);
-
- private:
-  const SampledNumericMechanism* mechanism_;
-  double value_bound_;                 // d/k-scaled mechanism bound
-  std::vector<SampledValue> entries_;  // staged entries, <= k
-};
-
-/// Parses a serialised numeric report, validating attribute indices against
-/// `mechanism`'s dimension, the entry count against its k, and every value
-/// against the mechanism's scaled output bound (a thin materializing wrapper
-/// over NumericFrameDecoder, so the two can never diverge on what they
-/// accept). The (data, size) overload parses in place — the streaming
-/// ingester uses it to decode frames without copying them out of its buffer.
-Result<SampledNumericReport> DecodeSampledNumericReport(
-    const char* data, size_t size, const SampledNumericMechanism& mechanism);
-Result<SampledNumericReport> DecodeSampledNumericReport(
-    const std::string& bytes, const SampledNumericMechanism& mechanism);
 
 /// Serialises a Section IV-C mixed report; `collector` supplies the schema
 /// that tags each entry as numeric or categorical (an empty categorical

@@ -3,11 +3,12 @@
 //   #include "ldp.h"
 //
 // Pulls in the session facade (api::Pipeline — the recommended entry point
-// for collection: one config covers mixed + numeric tuples, in-process
+// for collection: one config covers mixed and all-numeric tuples, in-process
 // simulation, wire sessions, streaming shards, and multi-epoch privacy
 // accounting), the scalar mechanisms (PM, HM and the baselines), the
 // multidimensional collectors (Algorithm 4 and the Section IV-C mixed
-// collector), the frequency oracles, the dataset/encoding substrate, the
+// collector, whose one report format carries both on the wire), the
+// frequency oracles, the dataset/encoding substrate, the
 // network transport (net::ReportServer / net::CollectorClient — the
 // TCP/UDS collector edge), the telemetry subsystem (obs::MetricsRegistry,
 // obs::EventJournal and the obs::MetricsServer scrape endpoint), and the
@@ -31,7 +32,6 @@
 #include "core/hybrid.h"
 #include "core/mechanism.h"
 #include "core/mixed_collector.h"
-#include "core/numeric_aggregator.h"
 #include "core/piecewise.h"
 #include "core/sampled_numeric.h"
 #include "core/scaler.h"
@@ -63,7 +63,6 @@
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/metrics_server.h"
-#include "stream/aggregator_handle.h"
 #include "stream/parallel_ingest.h"
 #include "stream/report_stream.h"
 #include "stream/shard_ingester.h"

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <utility>
 
+#include "core/wire.h"
 #include "obs/journal.h"
 #include "util/hmac.h"
 
@@ -48,37 +49,7 @@ Status MakePipeNonBlocking(int fd) {
 }
 
 uint32_t DecodeDataChannel(const std::string& payload) {
-  const auto* p = reinterpret_cast<const unsigned char*>(payload.data());
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-}
-
-// Refuses a relay snapshot whose preamble disagrees with this campaign's
-// protocol — the same gate HELLO applies to stream headers, before any
-// epoch state is decoded. Structural validation happens at fold time,
-// where the session stages the whole snapshot before committing.
-Status CheckSnapshotCompatible(const stream::StreamHeader& expected,
-                               const std::string& bytes) {
-  Result<api::SessionSnapshotConfig> config =
-      api::DecodeSessionSnapshotConfig(bytes);
-  if (!config.ok()) return config.status();
-  if (config.value().kind != expected.kind) {
-    return Status::FailedPrecondition("relay snapshot stream kind mismatch");
-  }
-  if (config.value().mechanism != expected.mechanism) {
-    return Status::FailedPrecondition("relay snapshot mechanism mismatch");
-  }
-  if (config.value().oracle != expected.oracle) {
-    return Status::FailedPrecondition("relay snapshot oracle mismatch");
-  }
-  if (config.value().schema_hash != expected.schema_hash) {
-    return Status::FailedPrecondition("relay snapshot schema hash mismatch");
-  }
-  if (config.value().epsilon != expected.epsilon) {
-    return Status::FailedPrecondition("relay snapshot epsilon mismatch");
-  }
-  return Status::OK();
+  return internal_wire::LoadLittleEndian<uint32_t>(payload.data());
 }
 
 }  // namespace
@@ -881,7 +852,13 @@ bool ReportServer::HandleSnapshot(Loop& loop,
     refusal = Status::FailedPrecondition(
         "this collector does not accept relay snapshots");
   } else {
-    refusal = CheckSnapshotCompatible(expected_, snap.value().snapshot_bytes);
+    // The same preamble gate a session merge applies, run before any epoch
+    // state is decoded; structural validation happens at fold time.
+    Result<api::SessionSnapshotConfig> config =
+        api::DecodeSessionSnapshotConfig(snap.value().snapshot_bytes);
+    refusal = config.ok()
+                  ? api::CheckSessionSnapshotCompatible(config.value(), expected_)
+                  : config.status();
   }
   if (!refusal.ok()) {
     {

@@ -1,7 +1,6 @@
 #include "stream/parallel_ingest.h"
 
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -9,21 +8,21 @@
 
 namespace ldp::stream {
 
-Result<std::vector<std::unique_ptr<AggregatorHandle>>> LoadHandleSources(
-    const std::vector<HandleShardSource>& sources, ThreadPool* pool,
+Result<std::vector<std::optional<MixedAggregator>>> LoadShardInputs(
+    const std::vector<ShardInput>& inputs, ThreadPool* pool,
     MultiShardSummary* summary) {
-  if (sources.empty()) {
+  if (inputs.empty()) {
     return Status::InvalidArgument("no shards to ingest");
   }
-  const size_t num_shards = sources.size();
-  std::vector<std::unique_ptr<AggregatorHandle>> partials(num_shards);
+  const size_t num_shards = inputs.size();
+  std::vector<std::optional<MixedAggregator>> partials(num_shards);
   std::vector<Status> statuses(num_shards, Status::OK());
   std::vector<ShardIngester::Stats> stats(num_shards);
   ParallelFor(pool, num_shards,
               [&](unsigned /*chunk*/, uint64_t begin, uint64_t end) {
                 for (uint64_t s = begin; s < end; ++s) {
-                  Result<std::unique_ptr<AggregatorHandle>> loaded =
-                      sources[s].load(&stats[s]);
+                  Result<std::optional<MixedAggregator>> loaded =
+                      inputs[s].load(&stats[s]);
                   if (loaded.ok()) {
                     partials[s] = std::move(loaded).value();
                   } else {
@@ -35,7 +34,7 @@ Result<std::vector<std::unique_ptr<AggregatorHandle>>> LoadHandleSources(
   MultiShardSummary local_summary;
   for (size_t s = 0; s < num_shards; ++s) {
     ShardIngestOutcome outcome;
-    outcome.source = sources[s].name;
+    outcome.source = inputs[s].name;
     outcome.status = statuses[s];
     outcome.stats = stats[s];
     local_summary.total_reports += outcome.stats.accepted;
@@ -47,73 +46,70 @@ Result<std::vector<std::unique_ptr<AggregatorHandle>>> LoadHandleSources(
 
   for (size_t s = 0; s < num_shards; ++s) {
     if (!statuses[s].ok()) {
-      return Status(statuses[s].code(), "input '" + sources[s].name +
+      return Status(statuses[s].code(), "input '" + inputs[s].name +
                                             "': " + statuses[s].message());
     }
   }
   return partials;
 }
 
-Result<std::unique_ptr<AggregatorHandle>> IngestHandleSources(
-    const AggregatorHandle& prototype,
-    const std::vector<HandleShardSource>& sources, ThreadPool* pool,
+Result<MixedAggregator> IngestShardInputs(
+    const MixedTupleCollector* collector,
+    const std::vector<ShardInput>& inputs, ThreadPool* pool,
     MultiShardSummary* summary) {
-  std::vector<std::unique_ptr<AggregatorHandle>> partials;
-  LDP_ASSIGN_OR_RETURN(partials, LoadHandleSources(sources, pool, summary));
-  std::unique_ptr<AggregatorHandle> total = prototype.CloneEmpty();
-  for (const std::unique_ptr<AggregatorHandle>& partial : partials) {
-    LDP_RETURN_IF_ERROR(total->Merge(*partial));
+  std::vector<std::optional<MixedAggregator>> partials;
+  LDP_ASSIGN_OR_RETURN(partials, LoadShardInputs(inputs, pool, summary));
+  MixedAggregator total(collector);
+  for (const std::optional<MixedAggregator>& partial : partials) {
+    if (partial.has_value()) LDP_RETURN_IF_ERROR(total.Merge(*partial));
   }
   return total;
 }
 
-HandleShardSource HandleStreamFileSource(const AggregatorHandle& prototype,
-                                         std::string path,
-                                         ShardIngester::Options options) {
-  HandleShardSource source;
-  source.name = path;
-  source.load = [&prototype, path = std::move(path),
-                 options](ShardIngester::Stats* stats)
-      -> Result<std::unique_ptr<AggregatorHandle>> {
+ShardInput StreamFileInput(const MixedTupleCollector* collector,
+                           std::string path, ShardIngester::Options options) {
+  ShardInput input;
+  input.name = path;
+  input.load = [collector, path = std::move(path),
+                options](ShardIngester::Stats* stats)
+      -> Result<std::optional<MixedAggregator>> {
     std::ifstream in(path, std::ios::binary);
     if (!in.is_open()) {
       return Status::IoError("cannot open shard file");
     }
-    ShardIngester ingester(prototype.CloneEmpty(), options);
+    ShardIngester ingester(collector, options);
     const Status status = ingester.IngestStream(in);
     *stats = ingester.stats();
     if (!status.ok()) return status;
-    return ingester.ReleaseHandle();
+    return std::make_optional(ingester.ReleaseAggregator());
   };
-  return source;
+  return input;
 }
 
-HandleShardSource HandleStreamBufferSource(const AggregatorHandle& prototype,
-                                           std::string name,
-                                           const std::string* buffer,
-                                           ShardIngester::Options options) {
-  HandleShardSource source;
-  source.name = std::move(name);
-  source.load = [&prototype, buffer,
-                 options](ShardIngester::Stats* stats)
-      -> Result<std::unique_ptr<AggregatorHandle>> {
-    ShardIngester ingester(prototype.CloneEmpty(), options);
+ShardInput StreamBufferInput(const MixedTupleCollector* collector,
+                             std::string name, const std::string* buffer,
+                             ShardIngester::Options options) {
+  ShardInput input;
+  input.name = std::move(name);
+  input.load = [collector, buffer,
+                options](ShardIngester::Stats* stats)
+      -> Result<std::optional<MixedAggregator>> {
+    ShardIngester ingester(collector, options);
     Status status = ingester.Feed(*buffer);
     if (status.ok()) status = ingester.Finish();
     *stats = ingester.stats();
     if (!status.ok()) return status;
-    return ingester.ReleaseHandle();
+    return std::make_optional(ingester.ReleaseAggregator());
   };
-  return source;
+  return input;
 }
 
-HandleShardSource HandleSnapshotFileSource(const AggregatorHandle& prototype,
-                                           std::string path) {
-  HandleShardSource source;
-  source.name = path;
-  source.load = [&prototype,
-                 path = std::move(path)](ShardIngester::Stats* stats)
-      -> Result<std::unique_ptr<AggregatorHandle>> {
+ShardInput SnapshotFileInput(const MixedTupleCollector* collector,
+                             std::string path) {
+  ShardInput input;
+  input.name = path;
+  input.load = [collector, path = std::move(path)](ShardIngester::Stats* stats)
+      -> Result<std::optional<MixedAggregator>> {
     std::ifstream in(path, std::ios::binary);
     if (!in.is_open()) {
       return Status::IoError("cannot open snapshot file");
@@ -124,13 +120,14 @@ HandleShardSource HandleSnapshotFileSource(const AggregatorHandle& prototype,
       return Status::IoError("read error on snapshot file");
     }
     const std::string bytes = contents.str();
-    std::unique_ptr<AggregatorHandle> handle = prototype.CloneEmpty();
-    LDP_RETURN_IF_ERROR(handle->MergeEncodedSnapshot(bytes));
+    Result<MixedAggregator> aggregator =
+        DecodeAggregatorSnapshot(bytes, collector);
+    if (!aggregator.ok()) return aggregator.status();
     stats->bytes = bytes.size();
-    stats->accepted = handle->num_reports();
-    return handle;
+    stats->accepted = aggregator.value().num_reports();
+    return std::make_optional(std::move(aggregator).value());
   };
-  return source;
+  return input;
 }
 
 }  // namespace ldp::stream

@@ -44,29 +44,6 @@ class Fnv1a {
   uint64_t hash_ = kFnvOffset;
 };
 
-uint64_t ConfigHash(double epsilon, uint32_t dimension, uint32_t k,
-                    uint8_t mechanism, uint8_t oracle,
-                    const std::vector<MixedAttribute>* schema) {
-  Fnv1a fnv;
-  fnv.MixU8('L');
-  fnv.MixU8('D');
-  fnv.MixU8('P');
-  fnv.MixU8(kStreamVersion);
-  fnv.MixF64(epsilon);
-  fnv.MixU32(dimension);
-  fnv.MixU32(k);
-  fnv.MixU8(mechanism);
-  fnv.MixU8(oracle);
-  for (uint32_t j = 0; j < dimension; ++j) {
-    const bool categorical =
-        schema != nullptr &&
-        (*schema)[j].type == AttributeType::kCategorical;
-    fnv.MixU8(categorical ? 1 : 0);
-    fnv.MixU32(categorical ? (*schema)[j].domain_size : 0);
-  }
-  return fnv.hash();
-}
-
 bool KnownMechanism(uint8_t value) {
   return value <= static_cast<uint8_t>(MechanismKind::kHybrid);
 }
@@ -77,33 +54,27 @@ bool KnownOracle(uint8_t value) {
 
 }  // namespace
 
-const char* ReportStreamKindToString(ReportStreamKind kind) {
-  switch (kind) {
-    case ReportStreamKind::kMixed:
-      return "mixed";
-    case ReportStreamKind::kSampledNumeric:
-      return "numeric";
-  }
-  return "unknown";
-}
-
 uint64_t CollectorSchemaHash(const MixedTupleCollector& collector) {
-  return ConfigHash(collector.epsilon(), collector.dimension(), collector.k(),
-                    static_cast<uint8_t>(collector.numeric_kind()),
-                    static_cast<uint8_t>(collector.categorical_kind()),
-                    &collector.schema());
-}
-
-uint64_t NumericSchemaHash(const SampledNumericMechanism& mechanism,
-                           MechanismKind kind) {
-  return ConfigHash(mechanism.epsilon(), mechanism.dimension(), mechanism.k(),
-                    static_cast<uint8_t>(kind),
-                    static_cast<uint8_t>(FrequencyOracleKind::kOue), nullptr);
+  Fnv1a fnv;
+  fnv.MixU8('L');
+  fnv.MixU8('D');
+  fnv.MixU8('P');
+  fnv.MixU8(kStreamVersion);
+  fnv.MixF64(collector.epsilon());
+  fnv.MixU32(collector.dimension());
+  fnv.MixU32(collector.k());
+  fnv.MixU8(static_cast<uint8_t>(collector.numeric_kind()));
+  fnv.MixU8(static_cast<uint8_t>(collector.categorical_kind()));
+  for (const MixedAttribute& attribute : collector.schema()) {
+    const bool categorical = attribute.type == AttributeType::kCategorical;
+    fnv.MixU8(categorical ? 1 : 0);
+    fnv.MixU32(categorical ? attribute.domain_size : 0);
+  }
+  return fnv.hash();
 }
 
 StreamHeader MakeMixedStreamHeader(const MixedTupleCollector& collector) {
   StreamHeader header;
-  header.kind = ReportStreamKind::kMixed;
   header.mechanism = collector.numeric_kind();
   header.oracle = collector.categorical_kind();
   header.epsilon = collector.epsilon();
@@ -113,25 +84,12 @@ StreamHeader MakeMixedStreamHeader(const MixedTupleCollector& collector) {
   return header;
 }
 
-StreamHeader MakeNumericStreamHeader(const SampledNumericMechanism& mechanism,
-                                     MechanismKind kind) {
-  StreamHeader header;
-  header.kind = ReportStreamKind::kSampledNumeric;
-  header.mechanism = kind;
-  header.oracle = FrequencyOracleKind::kOue;
-  header.epsilon = mechanism.epsilon();
-  header.dimension = mechanism.dimension();
-  header.k = mechanism.k();
-  header.schema_hash = NumericSchemaHash(mechanism, kind);
-  return header;
-}
-
 std::string EncodeStreamHeader(const StreamHeader& header) {
   std::string out;
   out.reserve(kStreamHeaderBytes);
   PutU32(&out, kStreamMagic);
   PutU16(&out, kStreamVersion);
-  PutU8(&out, static_cast<uint8_t>(header.kind));
+  PutU8(&out, 0);  // kind: mixed reports, the only kind
   PutU8(&out, static_cast<uint8_t>(header.mechanism));
   PutU8(&out, static_cast<uint8_t>(header.oracle));
   PutF64(&out, header.epsilon);
@@ -160,8 +118,8 @@ Result<StreamHeader> DecodeStreamHeader(const char* data, size_t size) {
   LDP_ASSIGN_OR_RETURN(kind, reader.U8());
   LDP_ASSIGN_OR_RETURN(mechanism, reader.U8());
   LDP_ASSIGN_OR_RETURN(oracle, reader.U8());
-  if (kind > static_cast<uint8_t>(ReportStreamKind::kSampledNumeric)) {
-    return Status::InvalidArgument("unknown report stream kind");
+  if (kind != 0) {
+    return Status::InvalidArgument("unsupported report stream kind");
   }
   if (!KnownMechanism(mechanism)) {
     return Status::InvalidArgument("unknown mechanism kind in stream header");
@@ -170,7 +128,6 @@ Result<StreamHeader> DecodeStreamHeader(const char* data, size_t size) {
     return Status::InvalidArgument("unknown oracle kind in stream header");
   }
   StreamHeader header;
-  header.kind = static_cast<ReportStreamKind>(kind);
   header.mechanism = static_cast<MechanismKind>(mechanism);
   header.oracle = static_cast<FrequencyOracleKind>(oracle);
   LDP_ASSIGN_OR_RETURN(header.epsilon, reader.F64());
@@ -194,9 +151,6 @@ Result<StreamHeader> DecodeStreamHeader(const std::string& bytes) {
 
 Status ValidateMixedStreamHeader(const StreamHeader& header,
                                  const MixedTupleCollector& collector) {
-  if (header.kind != ReportStreamKind::kMixed) {
-    return Status::FailedPrecondition("stream does not carry mixed reports");
-  }
   if (header.epsilon != collector.epsilon()) {
     return Status::FailedPrecondition(
         "stream epsilon does not match the server's collector");
@@ -218,39 +172,8 @@ Status ValidateMixedStreamHeader(const StreamHeader& header,
   return Status::OK();
 }
 
-Status ValidateNumericStreamHeader(const StreamHeader& header,
-                                   const SampledNumericMechanism& mechanism,
-                                   MechanismKind kind) {
-  if (header.kind != ReportStreamKind::kSampledNumeric) {
-    return Status::FailedPrecondition(
-        "stream does not carry Algorithm-4 numeric reports");
-  }
-  if (header.epsilon != mechanism.epsilon()) {
-    return Status::FailedPrecondition(
-        "stream epsilon does not match the server's mechanism");
-  }
-  if (header.dimension != mechanism.dimension() ||
-      header.k != mechanism.k()) {
-    return Status::FailedPrecondition(
-        "stream dimension/k do not match the server's mechanism");
-  }
-  if (header.mechanism != kind) {
-    return Status::FailedPrecondition(
-        "stream mechanism kind does not match the server's mechanism");
-  }
-  if (header.schema_hash != NumericSchemaHash(mechanism, kind)) {
-    return Status::FailedPrecondition(
-        "stream schema hash does not match the server's mechanism");
-  }
-  return Status::OK();
-}
-
 Status CheckHeadersCompatible(const StreamHeader& expected,
                               const StreamHeader& actual) {
-  if (actual.kind != expected.kind) {
-    return Status::FailedPrecondition(
-        "stream kind does not match the collector's protocol");
-  }
   if (actual.epsilon != expected.epsilon) {
     return Status::FailedPrecondition(
         "stream epsilon does not match the collector's protocol");
@@ -291,11 +214,6 @@ ReportStreamWriter::ReportStreamWriter(std::ostream* out,
 Status ReportStreamWriter::WriteMixedReport(
     const MixedReport& report, const MixedTupleCollector& collector) {
   return WriteFrame(EncodeMixedReport(report, collector));
-}
-
-Status ReportStreamWriter::WriteNumericReport(
-    const SampledNumericReport& report) {
-  return WriteFrame(EncodeSampledNumericReport(report));
 }
 
 Status ReportStreamWriter::WriteFrame(const std::string& payload) {

@@ -4,17 +4,20 @@
 // tools/ldp_aggregate).
 //
 // A stream is a fixed-size validated header followed by length-prefixed
-// frames, each carrying one wire-encoded report (core/wire.h). The header
-// pins down the protocol configuration — report kind, mechanism and oracle
-// kinds, ε, dimension, sample count k, and a hash of the full collection
-// schema — so a server can reject a mismatched client before decoding a
-// single report.
+// frames, each carrying one wire-encoded mixed report (core/wire.h). The
+// header pins down the protocol configuration — mechanism and oracle kinds,
+// ε, dimension, sample count k, and a hash of the full collection schema —
+// so a server can reject a mismatched client before decoding a single
+// report.
 //
 // Layout (all integers little-endian):
-//   header: u32 magic 'LDPS', u16 version, u8 kind, u8 mechanism, u8 oracle,
-//           f64 epsilon, u32 dimension, u32 k, u64 schema_hash
+//   header: u32 magic 'LDPS', u16 version, u8 kind (always 0), u8 mechanism,
+//           u8 oracle, f64 epsilon, u32 dimension, u32 k, u64 schema_hash
 //   frame:  u32 payload_length (<= kMaxFrameBytes), payload bytes
-// The stream ends at EOF on a frame boundary; a partial trailing frame is a
+// The kind byte once distinguished a second, numeric-only report format;
+// it is kept (always written as 0, and a nonzero byte refused) so every
+// stream written before keeps its bytes and the version stays 1. The
+// stream ends at EOF on a frame boundary; a partial trailing frame is a
 // framing error.
 
 #ifndef LDP_STREAM_REPORT_STREAM_H_
@@ -25,19 +28,9 @@
 #include <string>
 
 #include "core/mixed_collector.h"
-#include "core/sampled_numeric.h"
 #include "util/result.h"
 
 namespace ldp::stream {
-
-/// What kind of reports a stream carries.
-enum class ReportStreamKind : uint8_t {
-  kMixed = 0,           ///< Section IV-C MixedReports.
-  kSampledNumeric = 1,  ///< Algorithm-4 SampledNumericReports.
-};
-
-/// Human-readable stream kind ("mixed", "numeric").
-const char* ReportStreamKindToString(ReportStreamKind kind);
 
 /// 'LDPS' little-endian.
 inline constexpr uint32_t kStreamMagic = 0x5350444cu;
@@ -52,9 +45,7 @@ inline constexpr uint32_t kMaxFrameBytes = 1u << 20;
 
 /// The validated preamble of a report stream.
 struct StreamHeader {
-  ReportStreamKind kind = ReportStreamKind::kMixed;
   MechanismKind mechanism = MechanismKind::kHybrid;
-  /// Meaningful for mixed streams only; kOue on numeric streams.
   FrequencyOracleKind oracle = FrequencyOracleKind::kOue;
   double epsilon = 0.0;
   uint32_t dimension = 0;
@@ -67,42 +58,26 @@ struct StreamHeader {
 /// collectors hash equal iff they are CompatibleWith each other.
 uint64_t CollectorSchemaHash(const MixedTupleCollector& collector);
 
-/// FNV-1a hash of an Algorithm-4 configuration (all-numeric schema).
-uint64_t NumericSchemaHash(const SampledNumericMechanism& mechanism,
-                           MechanismKind kind);
-
 /// Builds the header describing streams produced by `collector`.
 StreamHeader MakeMixedStreamHeader(const MixedTupleCollector& collector);
-
-/// Builds the header describing Algorithm-4 streams from `mechanism`;
-/// `kind` names the scalar mechanism it was created with.
-StreamHeader MakeNumericStreamHeader(const SampledNumericMechanism& mechanism,
-                                     MechanismKind kind);
 
 /// Serialises a header to its kStreamHeaderBytes wire form.
 std::string EncodeStreamHeader(const StreamHeader& header);
 
-/// Parses and validates a serialised header (magic, version, finite ε,
-/// non-zero dimension, k in [1, dimension], known enum values). Requires
-/// exactly kStreamHeaderBytes.
+/// Parses and validates a serialised header (magic, version, kind byte 0,
+/// finite ε, non-zero dimension, k in [1, dimension], known enum values).
+/// Requires exactly kStreamHeaderBytes.
 Result<StreamHeader> DecodeStreamHeader(const char* data, size_t size);
 Result<StreamHeader> DecodeStreamHeader(const std::string& bytes);
 
-/// Checks that a decoded header matches the server's collector: mixed kind,
-/// equal ε / dimension / k / mechanism / oracle, and equal schema hash.
+/// Checks that a decoded header matches the server's collector: equal ε /
+/// dimension / k / mechanism / oracle, and equal schema hash.
 /// Returns FailedPrecondition naming the first mismatch.
 Status ValidateMixedStreamHeader(const StreamHeader& header,
                                  const MixedTupleCollector& collector);
 
-/// Checks that a decoded header matches the server's Algorithm-4 mechanism:
-/// numeric kind, equal ε / dimension / k / mechanism kind, and equal schema
-/// hash. Returns FailedPrecondition naming the first mismatch.
-Status ValidateNumericStreamHeader(const StreamHeader& header,
-                                   const SampledNumericMechanism& mechanism,
-                                   MechanismKind kind);
-
 /// Checks that a peer's header names exactly the protocol `expected` does
-/// (kind, mechanism, oracle, ε, dimension, k, schema hash), returning
+/// (mechanism, oracle, ε, dimension, k, schema hash), returning
 /// FailedPrecondition naming the first mismatch. The transport edge uses
 /// this to refuse a mismatched reporter at HELLO time, before any report
 /// bytes are decoded.
@@ -123,9 +98,6 @@ class ReportStreamWriter {
   /// Encodes and frames one mixed report; `collector` supplies the schema.
   Status WriteMixedReport(const MixedReport& report,
                           const MixedTupleCollector& collector);
-
-  /// Encodes and frames one Algorithm-4 numeric report.
-  Status WriteNumericReport(const SampledNumericReport& report);
 
   /// Frames an already-encoded payload.
   Status WriteFrame(const std::string& payload);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <istream>
-#include <memory>
 #include <utility>
 
 #include "core/wire.h"
@@ -18,32 +17,7 @@ constexpr size_t kIngestChunkBytes = 64 * 1024;
 
 ShardIngester::ShardIngester(const MixedTupleCollector* collector,
                              Options options)
-    : ShardIngester(std::make_unique<MixedAggregatorHandle>(collector),
-                    options) {}
-
-ShardIngester::ShardIngester(const SampledNumericMechanism* mechanism,
-                             MechanismKind kind, Options options)
-    : ShardIngester(std::make_unique<NumericAggregatorHandle>(mechanism, kind),
-                    options) {}
-
-ShardIngester::ShardIngester(std::unique_ptr<AggregatorHandle> handle,
-                             Options options)
-    : options_(options), handle_(std::move(handle)) {
-  LDP_CHECK(handle_ != nullptr);
-}
-
-const MixedAggregator& ShardIngester::aggregator() const {
-  const MixedAggregatorHandle* mixed = handle_->AsMixed();
-  LDP_CHECK_MSG(mixed != nullptr, "ingester does not aggregate mixed reports");
-  return mixed->aggregator();
-}
-
-const NumericAggregator& ShardIngester::numeric_aggregator() const {
-  const NumericAggregatorHandle* numeric = handle_->AsNumeric();
-  LDP_CHECK_MSG(numeric != nullptr,
-                "ingester does not aggregate numeric reports");
-  return numeric->aggregator();
-}
+    : options_(options), aggregator_(collector), decoder_(collector) {}
 
 Status ShardIngester::Poison(Status status) {
   LDP_CHECK(!status.ok());
@@ -66,9 +40,9 @@ size_t ShardIngester::NeedBytes() const {
 
 Status ShardIngester::AcceptFrame(const char* data, size_t size) {
   ++stats_.frames;
-  // The handle streams entries straight from the wire bytes into its
-  // accumulation arrays, with no report materialized.
-  const Status decoded = handle_->AcceptFrame(data, size);
+  // The aggregator is its own sink: entries stream straight from the wire
+  // bytes into its accumulation arrays, with no report materialized.
+  const Status decoded = decoder_.DecodeInto(data, size, &aggregator_);
   if (decoded.ok()) {
     ++stats_.accepted;
     return Status::OK();
@@ -89,7 +63,8 @@ Status ShardIngester::ConsumeItem(const char* data, size_t size) {
   if (state_ == State::kHeader) {
     Result<StreamHeader> header = DecodeStreamHeader(data, size);
     if (!header.ok()) return Poison(header.status());
-    const Status match = handle_->ValidateHeader(header.value());
+    const Status match =
+        ValidateMixedStreamHeader(header.value(), *aggregator_.collector());
     if (!match.ok()) return Poison(match);
     header_ = header.value();
     state_ = State::kFrameLength;

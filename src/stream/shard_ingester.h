@@ -1,19 +1,17 @@
 // ShardIngester: the server-side consumer of one framed report stream
 // (stream/report_stream.h). Bytes are fed incrementally — network-buffer
-// style — and reports are folded into an AggregatorHandle as soon as their
+// style — and reports are folded into a MixedAggregator as soon as their
 // frame completes, so memory stays O(schema + one frame) no matter how many
-// reports the shard carries. The handle abstracts the stream kind: the same
-// framing state machine serves Section IV-C mixed streams (MixedAggregator)
-// and Algorithm-4 numeric streams (NumericAggregator).
+// reports the shard carries. All-numeric schemas (the paper's Algorithm 4)
+// use the same mixed streams and the same state machine.
 //
 // Hot-path design: complete items (header, frame length, frame payload) are
 // decoded IN PLACE from the caller's buffer — their bytes are never copied
 // anywhere. Only the partial item straddling a Feed boundary is staged, in a
 // power-of-two ring buffer (util/ringbuf.h) whose read head advances without
-// memmoving retained bytes. Frame payloads stream through the kind's frame
-// decoder straight into the aggregator (which implements the kind's report
-// sink), so the steady-state accept path performs zero per-frame heap
-// allocations.
+// memmoving retained bytes. Frame payloads stream through MixedFrameDecoder
+// straight into the aggregator (which implements MixedReportSink), so the
+// steady-state accept path performs zero per-frame heap allocations.
 //
 // Failure policy: violations of the *framing* layer (bad magic or version,
 // header/collector mismatch, oversized frame length, bytes missing at
@@ -30,22 +28,19 @@
 #include <cstdint>
 #include <iosfwd>
 #include <limits>
-#include <memory>
 #include <string>
 #include <utility>
 
 #include "core/mixed_collector.h"
-#include "core/sampled_numeric.h"
 #include "core/wire.h"
 #include "obs/metrics.h"
-#include "stream/aggregator_handle.h"
 #include "stream/report_stream.h"
 #include "util/ringbuf.h"
 #include "util/status.h"
 
 namespace ldp::stream {
 
-/// Decodes one report stream into an AggregatorHandle, incrementally.
+/// Decodes one report stream into a MixedAggregator, incrementally.
 class ShardIngester {
  public:
   struct Options {
@@ -69,24 +64,11 @@ class ShardIngester {
     uint64_t rejected = 0;  ///< Frames whose payload failed validation.
   };
 
-  /// Mixed-stream ingester. `collector` must outlive the ingester; the
-  /// stream header is validated against it before any report is accepted.
+  /// `collector` must outlive the ingester; the stream header is validated
+  /// against it before any report is accepted.
   explicit ShardIngester(const MixedTupleCollector* collector)
       : ShardIngester(collector, Options()) {}
   ShardIngester(const MixedTupleCollector* collector, Options options);
-
-  /// Algorithm-4 numeric-stream ingester. `mechanism` must outlive the
-  /// ingester; `kind` names the scalar mechanism it was created with.
-  ShardIngester(const SampledNumericMechanism* mechanism, MechanismKind kind)
-      : ShardIngester(mechanism, kind, Options()) {}
-  ShardIngester(const SampledNumericMechanism* mechanism, MechanismKind kind,
-                Options options);
-
-  /// Generic form over any aggregation handle (the Pipeline sessions use
-  /// this to hand every shard its own accumulator).
-  explicit ShardIngester(std::unique_ptr<AggregatorHandle> handle)
-      : ShardIngester(std::move(handle), Options()) {}
-  ShardIngester(std::unique_ptr<AggregatorHandle> handle, Options options);
 
   /// Consumes `size` bytes of the stream. May be called with arbitrarily
   /// small or large chunks; returns the sticky stream status. Complete
@@ -110,22 +92,13 @@ class ShardIngester {
   /// The stream header; only meaningful once header_seen().
   const StreamHeader& header() const { return header_; }
 
-  /// The accumulated aggregate of a mixed-stream ingester (checked). Valid
-  /// at any point during ingestion (it reflects every report accepted so
-  /// far). Numeric-stream callers use handle() / numeric_aggregator().
-  const MixedAggregator& aggregator() const;
-
-  /// The accumulated aggregate of a numeric-stream ingester (checked).
-  const NumericAggregator& numeric_aggregator() const;
-
-  /// The kind-agnostic aggregate.
-  const AggregatorHandle& handle() const { return *handle_; }
+  /// The accumulated aggregate. Valid at any point during ingestion (it
+  /// reflects every report accepted so far).
+  const MixedAggregator& aggregator() const { return aggregator_; }
 
   /// Transfers the aggregate out of the ingester (for shard drivers that
-  /// reduce handles in order). The ingester must not be fed afterwards.
-  std::unique_ptr<AggregatorHandle> ReleaseHandle() {
-    return std::move(handle_);
-  }
+  /// reduce shards in order). The ingester must not be fed afterwards.
+  MixedAggregator ReleaseAggregator() { return std::move(aggregator_); }
 
   const Stats& stats() const { return stats_; }
 
@@ -150,7 +123,8 @@ class ShardIngester {
   Status Poison(Status status);
 
   Options options_;
-  std::unique_ptr<AggregatorHandle> handle_;
+  MixedAggregator aggregator_;
+  MixedFrameDecoder decoder_;
   StreamHeader header_;
   Stats stats_;
   Stats published_;  // the prefix of stats_ already flushed to metrics

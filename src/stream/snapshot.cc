@@ -17,12 +17,11 @@ using internal_wire::PutU64;
 using internal_wire::PutU8;
 using internal_wire::Reader;
 
-// Parses and validates the fixed-size preamble of either snapshot kind,
-// leaving `reader` positioned at the first attribute section.
+// Parses and validates the fixed-size preamble, leaving `reader` positioned at the first attribute section.
 Result<SnapshotConfig> ReadConfig(Reader* reader) {
   uint32_t magic = 0;
   LDP_ASSIGN_OR_RETURN(magic, reader->U32());
-  if (magic != kSnapshotMagic && magic != kNumericSnapshotMagic) {
+  if (magic != kSnapshotMagic) {
     return Status::InvalidArgument("not an aggregator snapshot (bad magic)");
   }
   uint16_t version = 0;
@@ -40,9 +39,6 @@ Result<SnapshotConfig> ReadConfig(Reader* reader) {
     return Status::InvalidArgument("unknown oracle kind in snapshot");
   }
   SnapshotConfig config;
-  config.kind = magic == kNumericSnapshotMagic
-                    ? ReportStreamKind::kSampledNumeric
-                    : ReportStreamKind::kMixed;
   config.mechanism = static_cast<MechanismKind>(mechanism);
   config.oracle = static_cast<FrequencyOracleKind>(oracle);
   LDP_ASSIGN_OR_RETURN(config.schema_hash, reader->U64());
@@ -80,15 +76,11 @@ std::string EncodeAggregatorSnapshot(const MixedAggregator& aggregator) {
 }
 
 Result<MixedAggregator> DecodeAggregatorSnapshot(
-    const std::string& bytes, const MixedTupleCollector* collector) {
+    std::string_view bytes, const MixedTupleCollector* collector) {
   LDP_CHECK(collector != nullptr);
-  Reader reader(bytes);
+  Reader reader(bytes.data(), bytes.size());
   SnapshotConfig config;
   LDP_ASSIGN_OR_RETURN(config, ReadConfig(&reader));
-  if (config.kind != ReportStreamKind::kMixed) {
-    return Status::FailedPrecondition(
-        "snapshot does not carry mixed-collector state");
-  }
   if (config.schema_hash != CollectorSchemaHash(*collector)) {
     return Status::FailedPrecondition(
         "snapshot schema hash does not match the reducer's collector");
@@ -131,76 +123,11 @@ Result<MixedAggregator> DecodeAggregatorSnapshot(
                                     std::move(supports));
 }
 
-std::string EncodeNumericAggregatorSnapshot(const NumericAggregator& aggregator,
-                                            MechanismKind kind) {
-  const SampledNumericMechanism* mechanism = aggregator.mechanism();
-  LDP_CHECK(mechanism != nullptr);
-  const uint32_t d = mechanism->dimension();
-  std::string out;
-  PutU32(&out, kNumericSnapshotMagic);
-  PutU16(&out, kSnapshotVersion);
-  PutU8(&out, static_cast<uint8_t>(kind));
-  PutU8(&out, static_cast<uint8_t>(FrequencyOracleKind::kOue));
-  PutU64(&out, NumericSchemaHash(*mechanism, kind));
-  PutF64(&out, mechanism->epsilon());
-  PutU32(&out, d);
-  PutU32(&out, mechanism->k());
-  PutU64(&out, aggregator.num_reports());
-  for (uint32_t j = 0; j < d; ++j) {
-    PutU64(&out, aggregator.attribute_report_counts()[j]);
-    PutF64(&out, aggregator.sums()[j]);
-  }
-  return out;
-}
-
-Result<NumericAggregator> DecodeNumericAggregatorSnapshot(
-    const std::string& bytes, const SampledNumericMechanism* mechanism,
-    MechanismKind kind) {
-  LDP_CHECK(mechanism != nullptr);
-  Reader reader(bytes);
-  SnapshotConfig config;
-  LDP_ASSIGN_OR_RETURN(config, ReadConfig(&reader));
-  if (config.kind != ReportStreamKind::kSampledNumeric) {
-    return Status::FailedPrecondition(
-        "snapshot does not carry Algorithm-4 numeric state");
-  }
-  if (config.schema_hash != NumericSchemaHash(*mechanism, kind)) {
-    return Status::FailedPrecondition(
-        "snapshot schema hash does not match the reducer's mechanism");
-  }
-  if (config.epsilon != mechanism->epsilon() ||
-      config.dimension != mechanism->dimension() ||
-      config.k != mechanism->k() || config.mechanism != kind) {
-    return Status::FailedPrecondition(
-        "snapshot configuration does not match the reducer's mechanism");
-  }
-  const uint32_t dimension = config.dimension;
-  std::vector<uint64_t> attribute_reports(dimension, 0);
-  std::vector<double> sums(dimension, 0.0);
-  for (uint32_t j = 0; j < dimension; ++j) {
-    LDP_ASSIGN_OR_RETURN(attribute_reports[j], reader.U64());
-    LDP_ASSIGN_OR_RETURN(sums[j], reader.F64());
-  }
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after snapshot");
-  }
-  return NumericAggregator::FromParts(mechanism, config.num_reports,
-                                      std::move(attribute_reports),
-                                      std::move(sums));
-}
-
 bool LooksLikeSnapshot(const std::string& bytes) {
   if (bytes.size() < 4) return false;
   Reader reader(bytes);
   const Result<uint32_t> magic = reader.U32();
   return magic.ok() && magic.value() == kSnapshotMagic;
-}
-
-bool LooksLikeNumericSnapshot(const std::string& bytes) {
-  if (bytes.size() < 4) return false;
-  Reader reader(bytes);
-  const Result<uint32_t> magic = reader.U32();
-  return magic.ok() && magic.value() == kNumericSnapshotMagic;
 }
 
 Result<SnapshotConfig> DecodeSnapshotConfig(std::string_view bytes) {

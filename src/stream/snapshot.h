@@ -24,18 +24,13 @@
 #include <string_view>
 
 #include "core/mixed_collector.h"
-#include "core/numeric_aggregator.h"
-#include "stream/report_stream.h"
 #include "util/result.h"
 
 namespace ldp::stream {
 
-/// 'LDPA' little-endian.
+/// 'LDPA' little-endian. The retired numeric-only 'LDPN' snapshot is
+/// refused like any other unknown magic.
 inline constexpr uint32_t kSnapshotMagic = 0x4150444cu;
-/// 'LDPN' little-endian — Algorithm-4 numeric aggregator snapshots. A
-/// separate magic (rather than a version bump) keeps every byte of the mixed
-/// format, and every file already written in it, exactly as before.
-inline constexpr uint32_t kNumericSnapshotMagic = 0x4e50444cu;
 inline constexpr uint16_t kSnapshotVersion = 1;
 
 /// Serialises `aggregator`'s full state (including the schema hash of the
@@ -47,41 +42,16 @@ std::string EncodeAggregatorSnapshot(const MixedAggregator& aggregator);
 /// k against the collector, every vector length against the schema, and
 /// rejects truncated or trailing bytes and non-finite sums.
 Result<MixedAggregator> DecodeAggregatorSnapshot(
-    const std::string& bytes, const MixedTupleCollector* collector);
+    std::string_view bytes, const MixedTupleCollector* collector);
 
-/// Serialises a numeric aggregator's full state. Layout mirrors the mixed
-/// snapshot with the 'LDPN' magic and no support sections:
-///   u32 magic 'LDPN', u16 version, u8 mechanism, u8 oracle (kOue, unused),
-///   u64 schema_hash,
-///   f64 epsilon, u32 dimension, u32 k, u64 num_reports, then per attribute:
-///     u64 report_count, f64 sum.
-/// `kind` names the scalar mechanism the aggregator's SampledNumericMechanism
-/// was created with (it is not recorded inside the mechanism itself).
-std::string EncodeNumericAggregatorSnapshot(const NumericAggregator& aggregator,
-                                            MechanismKind kind);
-
-/// Parses a numeric snapshot and rebuilds the aggregator against the
-/// reducer's `mechanism`/`kind`, with the same validation discipline as the
-/// mixed decoder (schema hash, ε, dimension, k, finiteness, exact length).
-Result<NumericAggregator> DecodeNumericAggregatorSnapshot(
-    const std::string& bytes, const SampledNumericMechanism* mechanism,
-    MechanismKind kind);
-
-/// True when `bytes` starts with the mixed snapshot magic — used by
+/// True when `bytes` starts with the snapshot magic — used by
 /// ldp_aggregate to tell snapshot files from report-stream files.
 bool LooksLikeSnapshot(const std::string& bytes);
-
-/// True when `bytes` starts with the numeric snapshot magic.
-bool LooksLikeNumericSnapshot(const std::string& bytes);
 
 /// The collector configuration a snapshot was produced under; enough,
 /// together with the attribute schema, to rebuild the collector.
 struct SnapshotConfig {
-  /// Which aggregation path produced the snapshot (mixed 'LDPA' or numeric
-  /// 'LDPN').
-  ReportStreamKind kind = ReportStreamKind::kMixed;
   MechanismKind mechanism = MechanismKind::kHybrid;
-  /// Meaningful for mixed snapshots only; kOue on numeric snapshots.
   FrequencyOracleKind oracle = FrequencyOracleKind::kOue;
   double epsilon = 0.0;
   uint32_t dimension = 0;
@@ -90,8 +60,8 @@ struct SnapshotConfig {
   uint64_t num_reports = 0;
 };
 
-/// Parses just the snapshot preamble (magic through num_reports) of either
-/// snapshot kind without decoding the accumulated state.
+/// Parses just the snapshot preamble (magic through num_reports) without
+/// decoding the accumulated state.
 Result<SnapshotConfig> DecodeSnapshotConfig(std::string_view bytes);
 
 }  // namespace ldp::stream

@@ -188,11 +188,6 @@ TEST(ApiParityTest, ConfigValidation) {
                        MixedAttribute::Categorical(4)};
   config.epsilon = 1.0;
 
-  // Numeric wire on a schema with a categorical attribute.
-  config.wire = api::WirePreference::kNumeric;
-  EXPECT_FALSE(api::Pipeline::Create(config).ok());
-  config.wire = api::WirePreference::kAuto;
-
   // Bad budgets and plans.
   config.epsilon = 0.0;
   EXPECT_FALSE(api::Pipeline::Create(config).ok());
@@ -206,7 +201,6 @@ TEST(ApiParityTest, ConfigValidation) {
 
   auto pipeline = api::Pipeline::Create(config);
   ASSERT_TRUE(pipeline.ok());
-  EXPECT_EQ(pipeline.value().stream_kind(), stream::ReportStreamKind::kMixed);
 
   // Baseline pipelines have no wire sessions.
   config.baseline = api::NumericStrategy::kDuchiMulti;
@@ -215,15 +209,15 @@ TEST(ApiParityTest, ConfigValidation) {
   EXPECT_FALSE(baseline.value().NewClient().ok());
   EXPECT_FALSE(baseline.value().NewServer().ok());
 
-  // All-numeric schemas resolve to the numeric stream kind.
+  // All-numeric schemas speak the same mixed stream header as any other.
   api::PipelineConfig numeric;
   numeric.attributes = {MixedAttribute::Numeric(), MixedAttribute::Numeric()};
   numeric.epsilon = 1.0;
   auto numeric_pipeline = api::Pipeline::Create(numeric);
   ASSERT_TRUE(numeric_pipeline.ok());
-  EXPECT_EQ(numeric_pipeline.value().stream_kind(),
-            stream::ReportStreamKind::kSampledNumeric);
-  EXPECT_NE(numeric_pipeline.value().numeric_mechanism(), nullptr);
+  EXPECT_EQ(numeric_pipeline.value().header().schema_hash,
+            stream::CollectorSchemaHash(
+                numeric_pipeline.value().mixed_collector()));
 }
 
 TEST(ApiParityTest, CollectRejectsMismatchedDataset) {

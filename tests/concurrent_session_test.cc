@@ -246,8 +246,8 @@ TEST(ConcurrentSessionTest, RepeatedRunsAreSchedulingIndependent) {
 }
 
 TEST(ConcurrentSessionTest, NumericStreamsAreBitIdenticalToSerial) {
-  // The Algorithm-4 numeric stream kind goes through its own frame decoder
-  // and aggregator; the concurrency contract must hold there too.
+  // An all-numeric schema (the paper's Algorithm 4) sends only numeric
+  // entries; the concurrency contract must hold there too.
   auto schema = data::Schema::Create({data::ColumnSpec::Numeric("x", -1, 1),
                                       data::ColumnSpec::Numeric("y", -1, 1),
                                       data::ColumnSpec::Numeric("z", -1, 1)});
@@ -256,8 +256,6 @@ TEST(ConcurrentSessionTest, NumericStreamsAreBitIdenticalToSerial) {
   ASSERT_TRUE(config.ok());
   auto pipeline = api::Pipeline::Create(std::move(config).value());
   ASSERT_TRUE(pipeline.ok());
-  ASSERT_EQ(pipeline.value().stream_kind(),
-            stream::ReportStreamKind::kSampledNumeric);
   auto client = pipeline.value().NewClient();
   ASSERT_TRUE(client.ok());
 
@@ -267,7 +265,10 @@ TEST(ConcurrentSessionTest, NumericStreamsAreBitIdenticalToSerial) {
     for (uint64_t row = range.begin; row < range.end; ++row) {
       Rng rng = api::UserRng(kSeed, row);
       auto payload = client.value().EncodeReport(
-          std::vector<double>{0.5, -0.25, 0.125}, &rng);
+          MixedTuple{AttributeValue::Numeric(0.5),
+                     AttributeValue::Numeric(-0.25),
+                     AttributeValue::Numeric(0.125)},
+          &rng);
       ASSERT_TRUE(payload.ok());
       ASSERT_TRUE(stream::AppendFrame(payload.value(), &shard).ok());
     }

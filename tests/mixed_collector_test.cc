@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "core/sampled_numeric.h"
 #include "core/variance.h"
 #include "test_util.h"
 
@@ -265,6 +266,53 @@ TEST(MixedTupleCollectorTest, AllNumericSchemaBehavesLikeAlgorithm4) {
   }
   EXPECT_NEAR(aggregator.EstimateMean(0).value(), 0.4, 0.1);
   EXPECT_NEAR(aggregator.EstimateMean(1).value(), -0.6, 0.1);
+}
+
+TEST(MixedTupleCollectorTest, AllNumericPerturbIsAlgorithm4BitForBit) {
+  // Section IV-C restricted to numeric attributes is Algorithm 4: from an
+  // equal Rng, both draw the same k attributes in the same order and the
+  // same d/k-scaled PM/HM values, for every k from 1 to d. This is what lets
+  // one report format carry all-numeric schemas.
+  constexpr uint32_t kD = 5;
+  // ε values whose Eq. 12 sample count k = ⌊ε/2.5⌋ (clamped to [1, d]) is
+  // 1, 2, 3, 4, 5 in turn.
+  const double kEpsilons[] = {1.0, 5.5, 8.0, 10.5, 13.0};
+  const MixedTuple tuple = {
+      AttributeValue::Numeric(0.9), AttributeValue::Numeric(-0.3),
+      AttributeValue::Numeric(0.0), AttributeValue::Numeric(-1.0),
+      AttributeValue::Numeric(0.55)};
+  const std::vector<double> values = {0.9, -0.3, 0.0, -1.0, 0.55};
+  for (const MechanismKind kind :
+       {MechanismKind::kPiecewise, MechanismKind::kHybrid}) {
+    for (uint32_t i = 0; i < kD; ++i) {
+      const double epsilon = kEpsilons[i];
+      auto collector = MixedTupleCollector::Create(
+          std::vector<MixedAttribute>(kD, MixedAttribute::Numeric()), epsilon,
+          kind);
+      ASSERT_TRUE(collector.ok());
+      auto mechanism = SampledNumericMechanism::Create(kind, epsilon, kD);
+      ASSERT_TRUE(mechanism.ok());
+      ASSERT_EQ(collector.value().k(), i + 1);
+      ASSERT_EQ(mechanism.value().k(), i + 1);
+
+      Rng mixed_rng(100 + i);
+      Rng numeric_rng(100 + i);
+      for (int trial = 0; trial < 200; ++trial) {
+        const MixedReport mixed = collector.value().Perturb(tuple, &mixed_rng);
+        const SampledNumericReport numeric =
+            mechanism.value().Perturb(values, &numeric_rng);
+        ASSERT_EQ(mixed.size(), numeric.size());
+        for (size_t e = 0; e < mixed.size(); ++e) {
+          EXPECT_EQ(mixed[e].attribute, numeric[e].attribute)
+              << MechanismKindToString(kind) << " k=" << i + 1;
+          EXPECT_EQ(mixed[e].numeric_value, numeric[e].value)
+              << MechanismKindToString(kind) << " k=" << i + 1;
+        }
+      }
+      // Both consumed exactly the same randomness.
+      EXPECT_EQ(mixed_rng.Next(), numeric_rng.Next());
+    }
+  }
 }
 
 TEST(MixedTupleCollectorTest, AllCategoricalSchemaEstimatesFrequencies) {

@@ -132,7 +132,6 @@ TEST(NetProtocolTest, MessageHeaderRoundTripsAndBounds) {
 
 TEST(NetProtocolTest, HelloRoundTripsAndChecksVersion) {
   stream::StreamHeader header;
-  header.kind = stream::ReportStreamKind::kMixed;
   header.epsilon = 4.0;
   header.dimension = 3;
   header.k = 1;
@@ -168,7 +167,6 @@ TEST(NetProtocolTest, HelloRoundTripsAndChecksVersion) {
 
 TEST(NetProtocolTest, AuthenticatedHelloRoundTripsV3) {
   stream::StreamHeader header;
-  header.kind = stream::ReportStreamKind::kMixed;
   header.epsilon = 4.0;
   header.dimension = 3;
   header.k = 1;
@@ -436,7 +434,6 @@ TEST(NetProtocolTest, ErrorsCarryStatusAcrossTheWire) {
 
 TEST(NetProtocolTest, HeaderCompatibilityNamesTheFirstMismatch) {
   stream::StreamHeader expected;
-  expected.kind = stream::ReportStreamKind::kMixed;
   expected.mechanism = MechanismKind::kHybrid;
   expected.oracle = FrequencyOracleKind::kOue;
   expected.epsilon = 4.0;
@@ -458,10 +455,6 @@ TEST(NetProtocolTest, HeaderCompatibilityNamesTheFirstMismatch) {
                 .message()
                 .find("epsilon"),
             std::string::npos);
-
-  wrong = expected;
-  wrong.kind = stream::ReportStreamKind::kSampledNumeric;
-  EXPECT_FALSE(stream::CheckHeadersCompatible(expected, wrong).ok());
 
   wrong = expected;
   wrong.oracle = FrequencyOracleKind::kGrr;

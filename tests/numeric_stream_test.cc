@@ -1,23 +1,28 @@
-// The Algorithm-4 numeric stream path: the zero-copy frame decoder, the
-// NumericAggregator and its snapshot codec, numeric ShardIngester streams,
-// and the headline parity contract — a sharded numeric run through
-// api::ServerSession reproduces the in-process Pipeline::Collect simulation
-// BIT FOR BIT on an all-numeric schema (the mixed collector and Algorithm 4
-// draw the same randomness there), while adversarial frames are rejected
-// without aborting the stream.
+// All-numeric schemas — the paper's Algorithm 4 — over the one report
+// stream format: an all-numeric pipeline writes kind byte 0 and mixed
+// frames whose entries are all numeric, and the headline parity contract
+// holds on it — a sharded run through api::ServerSession reproduces the
+// in-process Pipeline::Collect simulation BIT FOR BIT, while adversarial
+// frames are rejected without aborting the stream. The retired numeric-only
+// artifacts (stream kind byte 1, 'LDPN' snapshots, 'LDPE' kind byte 1) are
+// refused.
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "api/pipeline.h"
 #include "api/server_session.h"
-#include "core/numeric_aggregator.h"
 #include "core/wire.h"
 #include "data/dataset.h"
-#include "stream/aggregator_handle.h"
+#include "stream/parallel_ingest.h"
 #include "stream/report_stream.h"
 #include "stream/shard_ingester.h"
 #include "stream/snapshot.h"
@@ -69,160 +74,93 @@ data::Dataset MakeNumericData() {
   return dataset;
 }
 
-SampledNumericMechanism MakeMechanism() {
-  auto mechanism = SampledNumericMechanism::Create(MechanismKind::kHybrid,
-                                                   kEpsilon, kDimension);
-  EXPECT_TRUE(mechanism.ok());
-  return std::move(mechanism).value();
-}
-
-TEST(NumericFrameDecoderTest, MatchesMaterializingDecoder) {
-  const SampledNumericMechanism mechanism = MakeMechanism();
-  Rng rng(1);
-  for (int i = 0; i < 50; ++i) {
-    const SampledNumericReport report =
-        mechanism.Perturb({0.5, -0.25, 0.0, 1.0}, &rng);
-    const std::string bytes = EncodeSampledNumericReport(report);
-    auto decoded = DecodeSampledNumericReport(bytes, mechanism);
-    ASSERT_TRUE(decoded.ok());
-    ASSERT_EQ(decoded.value().size(), report.size());
-    for (size_t e = 0; e < report.size(); ++e) {
-      EXPECT_EQ(decoded.value()[e].attribute, report[e].attribute);
-      EXPECT_EQ(decoded.value()[e].value, report[e].value);
-    }
+// Row `row` of an all-numeric dataset as a collection tuple.
+MixedTuple NumericRow(const data::Dataset& dataset, uint64_t row) {
+  MixedTuple tuple(dataset.schema().num_columns());
+  for (uint32_t j = 0; j < tuple.size(); ++j) {
+    tuple[j] = AttributeValue::Numeric(dataset.numeric(row, j));
   }
+  return tuple;
 }
 
-TEST(NumericFrameDecoderTest, SinkSeesNothingOnInvalidFrames) {
-  const SampledNumericMechanism mechanism = MakeMechanism();
-  NumericAggregator aggregator(&mechanism);
-  NumericFrameDecoder decoder(&mechanism);
-  Rng rng(2);
-  const std::string good = EncodeSampledNumericReport(
-      mechanism.Perturb({0.5, -0.25, 0.0, 1.0}, &rng));
-
-  // Truncations at every cut never reach the sink.
-  for (size_t cut = 0; cut < good.size(); ++cut) {
-    EXPECT_FALSE(
-        decoder.DecodeInto(good.data(), cut, &aggregator).ok());
-  }
-  // Trailing bytes, wrong entry count, out-of-range pieces.
-  std::string trailing = good;
-  trailing.push_back('\0');
-  EXPECT_FALSE(
-      decoder.DecodeInto(trailing.data(), trailing.size(), &aggregator).ok());
-  const std::string too_few =
-      EncodeSampledNumericReport({{0, 0.5}});
-  EXPECT_FALSE(
-      decoder.DecodeInto(too_few.data(), too_few.size(), &aggregator).ok());
-  const std::string bad_attribute =
-      EncodeSampledNumericReport({{0, 0.5}, {99, 0.5}, {1, 0.5}});
-  EXPECT_FALSE(decoder
-                   .DecodeInto(bad_attribute.data(), bad_attribute.size(),
-                               &aggregator)
-                   .ok());
-  const std::string bad_value =
-      EncodeSampledNumericReport({{0, 0.5}, {1, 1e9}, {2, 0.5}});
-  EXPECT_FALSE(
-      decoder.DecodeInto(bad_value.data(), bad_value.size(), &aggregator)
-          .ok());
-  const std::string duplicate =
-      EncodeSampledNumericReport({{0, 0.5}, {0, 0.5}, {1, 0.5}});
-  EXPECT_FALSE(
-      decoder.DecodeInto(duplicate.data(), duplicate.size(), &aggregator)
-          .ok());
-  EXPECT_EQ(aggregator.num_reports(), 0u);
-
-  // And the good frame still decodes afterwards.
-  EXPECT_TRUE(decoder.DecodeInto(good.data(), good.size(), &aggregator).ok());
-  EXPECT_EQ(aggregator.num_reports(), 1u);
+api::Pipeline MakeNumericPipeline(const data::Dataset& dataset) {
+  auto config = api::PipelineConfig::FromSchema(dataset.schema(), kEpsilon);
+  EXPECT_TRUE(config.ok());
+  auto pipeline = api::Pipeline::Create(std::move(config).value());
+  EXPECT_TRUE(pipeline.ok());
+  return std::move(pipeline).value();
 }
 
-TEST(NumericAggregatorTest, SnapshotRoundTripsAndValidates) {
-  const SampledNumericMechanism mechanism = MakeMechanism();
-  NumericAggregator aggregator(&mechanism);
-  Rng rng(3);
-  for (int i = 0; i < 100; ++i) {
-    aggregator.Add(mechanism.Perturb({0.25, 0.5, -0.75, 0.0}, &rng));
-  }
-  const std::string bytes =
-      stream::EncodeNumericAggregatorSnapshot(aggregator, MechanismKind::kHybrid);
-  EXPECT_TRUE(stream::LooksLikeNumericSnapshot(bytes));
-  EXPECT_FALSE(stream::LooksLikeSnapshot(bytes));
-
-  auto decoded = stream::DecodeNumericAggregatorSnapshot(
-      bytes, &mechanism, MechanismKind::kHybrid);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value().num_reports(), aggregator.num_reports());
-  EXPECT_EQ(decoded.value().sums(), aggregator.sums());
-  EXPECT_EQ(decoded.value().attribute_report_counts(),
-            aggregator.attribute_report_counts());
-
-  // The generic config peek tags the kind.
-  auto config = stream::DecodeSnapshotConfig(bytes);
-  ASSERT_TRUE(config.ok());
-  EXPECT_EQ(config.value().kind, stream::ReportStreamKind::kSampledNumeric);
-
-  // Mismatched mechanism kind, truncation, and cross-kind decodes fail.
-  EXPECT_FALSE(stream::DecodeNumericAggregatorSnapshot(
-                   bytes, &mechanism, MechanismKind::kPiecewise)
-                   .ok());
-  EXPECT_FALSE(stream::DecodeNumericAggregatorSnapshot(
-                   bytes.substr(0, bytes.size() - 1), &mechanism,
-                   MechanismKind::kHybrid)
-                   .ok());
-  auto other = SampledNumericMechanism::Create(MechanismKind::kHybrid,
-                                               kEpsilon, kDimension + 1);
-  ASSERT_TRUE(other.ok());
-  EXPECT_FALSE(stream::DecodeNumericAggregatorSnapshot(
-                   bytes, &other.value(), MechanismKind::kHybrid)
-                   .ok());
-}
-
-// Writes rows [range.begin, range.end) as one framed numeric stream via the
-// client session.
+// Writes rows [range.begin, range.end) as one framed stream via the client
+// session, user `r` drawing from UserRng(seed, r).
 std::string WriteNumericShard(const data::Dataset& dataset,
                               const api::ClientSession& client,
-                              IndexRange range) {
+                              IndexRange range, uint64_t seed = kSeed) {
   std::string shard = client.EncodeHeader();
-  std::vector<double> row(dataset.schema().num_columns(), 0.0);
   for (uint64_t r = range.begin; r < range.end; ++r) {
-    for (uint32_t j = 0; j < row.size(); ++j) {
-      row[j] = dataset.numeric(r, j);
-    }
-    Rng rng = api::UserRng(kSeed, r);
-    auto payload = client.EncodeReport(row, &rng);
+    Rng rng = api::UserRng(seed, r);
+    auto payload = client.EncodeReport(NumericRow(dataset, r), &rng);
     EXPECT_TRUE(payload.ok());
     EXPECT_TRUE(stream::AppendFrame(payload.value(), &shard).ok());
   }
   return shard;
 }
 
+// A unique scratch path for one test's input files.
+std::string TempPath(const std::string& name) {
+  return ::testing::TempDir() + "/ldp_numeric_stream_" +
+         std::to_string(::getpid()) + "_" + name;
+}
+
+TEST(NumericStreamTest, AllNumericPipelineEncodesKindZeroAndMixedFrames) {
+  const data::Dataset dataset = MakeNumericData();
+  const api::Pipeline pipeline = MakeNumericPipeline(dataset);
+  const MixedTupleCollector& collector = pipeline.mixed_collector();
+  auto client = pipeline.NewClient();
+  ASSERT_TRUE(client.ok());
+
+  const std::string header = client.value().EncodeHeader();
+  ASSERT_EQ(header.size(), stream::kStreamHeaderBytes);
+  EXPECT_EQ(header[6], 0);  // the stream kind byte
+
+  for (uint64_t r = 0; r < 50; ++r) {
+    Rng rng = api::UserRng(kSeed, r);
+    auto payload = client.value().EncodeReport(NumericRow(dataset, r), &rng);
+    ASSERT_TRUE(payload.ok());
+    // u16 count, then per entry u32 attribute, u8 kind (0 = numeric), f64.
+    const std::string& bytes = payload.value();
+    ASSERT_EQ(bytes.size(), 2u + 13u * collector.k());
+    for (uint32_t e = 0; e < collector.k(); ++e) {
+      EXPECT_EQ(bytes[2 + 13 * e + 4], 0) << "entry " << e;
+    }
+    auto decoded = DecodeMixedReport(bytes, collector);
+    ASSERT_TRUE(decoded.ok());
+    ASSERT_EQ(decoded.value().size(), collector.k());
+    for (const MixedReportEntry& entry : decoded.value()) {
+      EXPECT_TRUE(entry.categorical_report.empty());
+    }
+  }
+}
+
 TEST(NumericStreamTest, ShardedServerSessionReproducesCollectProposed) {
   const data::Dataset dataset = MakeNumericData();
   // Shard boundaries mirror the pooled run's ParallelFor chunks (threads×4),
-  // and shards merge in order — the same bit-reproduction contract the mixed
-  // stream path has had since PR 1.
+  // and shards merge in order — the same bit-reproduction contract every
+  // schema has.
   constexpr unsigned kPoolThreads = 2;
   ThreadPool pool(kPoolThreads);
   auto expected = CollectProposed(dataset, kEpsilon, kSeed,
-                                             MechanismKind::kHybrid,
-                                             FrequencyOracleKind::kOue, &pool);
+                                  MechanismKind::kHybrid,
+                                  FrequencyOracleKind::kOue, &pool);
   ASSERT_TRUE(expected.ok());
 
-  auto config = api::PipelineConfig::FromSchema(dataset.schema(), kEpsilon);
-  ASSERT_TRUE(config.ok());
-  auto pipeline = api::Pipeline::Create(std::move(config).value());
-  ASSERT_TRUE(pipeline.ok());
-  ASSERT_EQ(pipeline.value().stream_kind(),
-            stream::ReportStreamKind::kSampledNumeric);
-  auto client = pipeline.value().NewClient();
+  const api::Pipeline pipeline = MakeNumericPipeline(dataset);
+  auto client = pipeline.NewClient();
   ASSERT_TRUE(client.ok());
-  auto server = pipeline.value().NewServer();
+  auto server = pipeline.NewServer();
   ASSERT_TRUE(server.ok());
 
-  // >= 2 shards, fed byte-at-a-time boundaries via 1000-byte chunks, closed
-  // in order.
+  // >= 2 shards, fed across 1000-byte chunk boundaries, closed in order.
   const std::vector<IndexRange> ranges =
       SplitRange(kRows, kPoolThreads * 4);
   ASSERT_GE(ranges.size(), 2u);
@@ -273,17 +211,8 @@ TEST(NumericStreamTest, TwoEpochNumericSessionMatchesCollectAndSumsEpsilon) {
       ASSERT_TRUE(session.AdvanceEpoch().ok());
     }
     for (const IndexRange& range : ranges) {
-      std::string shard_bytes = client.value().EncodeHeader();
-      std::vector<double> row(kDimension, 0.0);
-      for (uint64_t r = range.begin; r < range.end; ++r) {
-        for (uint32_t j = 0; j < kDimension; ++j) {
-          row[j] = dataset.numeric(r, j);
-        }
-        Rng rng = api::UserRng(kEpochSeeds[epoch], r);
-        auto payload = client.value().EncodeReport(row, &rng);
-        ASSERT_TRUE(payload.ok());
-        ASSERT_TRUE(stream::AppendFrame(payload.value(), &shard_bytes).ok());
-      }
+      const std::string shard_bytes = WriteNumericShard(
+          dataset, client.value(), range, kEpochSeeds[epoch]);
       const size_t shard = session.OpenShard();
       ASSERT_TRUE(session.Feed(shard, shard_bytes).ok());
       ASSERT_TRUE(session.CloseShard(shard).ok());
@@ -316,65 +245,131 @@ TEST(NumericStreamTest, TwoEpochNumericSessionMatchesCollectAndSumsEpsilon) {
 
 TEST(NumericStreamTest, AdversarialFramesRejectedWithoutAbortingTheStream) {
   const data::Dataset dataset = MakeNumericData();
-  auto config = api::PipelineConfig::FromSchema(dataset.schema(), kEpsilon);
-  ASSERT_TRUE(config.ok());
-  auto pipeline = api::Pipeline::Create(std::move(config).value());
-  ASSERT_TRUE(pipeline.ok());
-  auto client = pipeline.value().NewClient();
+  const api::Pipeline pipeline = MakeNumericPipeline(dataset);
+  auto client = pipeline.NewClient();
   ASSERT_TRUE(client.ok());
 
   std::string shard =
       WriteNumericShard(dataset, client.value(), IndexRange{0, 100});
-  // A truncated numeric payload (half a report) framed as a whole frame, and
-  // a frame that is a mixed-report payload rather than a numeric one: both
-  // must bump `rejected` and leave the stream alive.
+  // A truncated payload (half a report) framed as a whole frame, and a
+  // frame that is no report at all: both must bump `rejected` and leave
+  // the stream alive.
   Rng rng(5);
-  const std::string good = EncodeSampledNumericReport(
-      pipeline.value().numeric_mechanism()->Perturb({0.1, 0.2, 0.3, 0.4},
-                                                    &rng));
-  ASSERT_TRUE(
-      stream::AppendFrame(good.substr(0, good.size() / 2), &shard).ok());
+  auto good = client.value().EncodeReport(NumericRow(dataset, 0), &rng);
+  ASSERT_TRUE(good.ok());
+  ASSERT_TRUE(stream::AppendFrame(
+                  good.value().substr(0, good.value().size() / 2), &shard)
+                  .ok());
   ASSERT_TRUE(stream::AppendFrame("not a numeric report", &shard).ok());
-  ASSERT_TRUE(stream::AppendFrame(good, &shard).ok());
+  ASSERT_TRUE(stream::AppendFrame(good.value(), &shard).ok());
 
-  stream::ShardIngester ingester(pipeline.value().numeric_mechanism(),
-                                 MechanismKind::kHybrid);
+  stream::ShardIngester ingester(&pipeline.mixed_collector());
   ASSERT_TRUE(ingester.Feed(shard).ok());
   ASSERT_TRUE(ingester.Finish().ok());
   EXPECT_EQ(ingester.stats().accepted, 101u);
   EXPECT_EQ(ingester.stats().rejected, 2u);
-  EXPECT_EQ(ingester.numeric_aggregator().num_reports(), 101u);
+  EXPECT_EQ(ingester.aggregator().num_reports(), 101u);
 }
 
 TEST(NumericStreamTest, WrongStreamKindHeaderIsRejectedUpFront) {
+  // A stream still carrying the retired numeric kind byte (1) fails header
+  // decoding before any frame is decoded.
   const data::Dataset dataset = MakeNumericData();
-  auto schema = api::AttributesFromSchema(dataset.schema());
-  ASSERT_TRUE(schema.ok());
-  auto collector =
-      MixedTupleCollector::Create(std::move(schema).value(), kEpsilon);
-  ASSERT_TRUE(collector.ok());
-  const SampledNumericMechanism mechanism = MakeMechanism();
+  const api::Pipeline pipeline = MakeNumericPipeline(dataset);
+  auto client = pipeline.NewClient();
+  ASSERT_TRUE(client.ok());
+  std::string shard =
+      WriteNumericShard(dataset, client.value(), IndexRange{0, 10});
+  shard[6] = 1;
 
-  // A mixed-kind stream fed to a numeric ingester (and vice versa) fails
-  // header validation before any frame is decoded.
-  const std::string mixed_header = stream::EncodeStreamHeader(
-      stream::MakeMixedStreamHeader(collector.value()));
-  stream::ShardIngester numeric_ingester(&mechanism, MechanismKind::kHybrid);
-  EXPECT_FALSE(numeric_ingester.Feed(mixed_header).ok());
+  stream::ShardIngester ingester(&pipeline.mixed_collector());
+  EXPECT_EQ(ingester.Feed(shard).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ingester.stats().frames, 0u);
+  EXPECT_EQ(ingester.aggregator().num_reports(), 0u);
+}
 
-  const std::string numeric_header = stream::EncodeStreamHeader(
-      stream::MakeNumericStreamHeader(mechanism, MechanismKind::kHybrid));
-  stream::ShardIngester mixed_ingester(&collector.value());
-  EXPECT_FALSE(mixed_ingester.Feed(numeric_header).ok());
+TEST(NumericStreamTest, RetiredNumericSnapshotIsRefused) {
+  const data::Dataset dataset = MakeNumericData();
+  const api::Pipeline pipeline = MakeNumericPipeline(dataset);
+  const MixedTupleCollector& collector = pipeline.mixed_collector();
+
+  // A hand-built 'LDPN' snapshot in the retired numeric layout: the
+  // 'LDPA'-style preamble, then per attribute u64 report count, f64 sum.
+  std::string ldpn;
+  internal_wire::PutU32(&ldpn, 0x4e50444cu);  // 'LDPN'
+  internal_wire::PutU16(&ldpn, 1);
+  internal_wire::PutU8(&ldpn, static_cast<uint8_t>(MechanismKind::kHybrid));
+  internal_wire::PutU8(&ldpn, static_cast<uint8_t>(FrequencyOracleKind::kOue));
+  internal_wire::PutU64(&ldpn, pipeline.header().schema_hash);
+  internal_wire::PutF64(&ldpn, kEpsilon);
+  internal_wire::PutU32(&ldpn, kDimension);
+  internal_wire::PutU32(&ldpn, collector.k());
+  internal_wire::PutU64(&ldpn, 1);
+  for (uint32_t j = 0; j < kDimension; ++j) {
+    internal_wire::PutU64(&ldpn, j < collector.k() ? 1 : 0);
+    internal_wire::PutF64(&ldpn, j < collector.k() ? 0.5 : 0.0);
+  }
+
+  auto server = pipeline.NewServer();
+  ASSERT_TRUE(server.ok());
+  EXPECT_EQ(server.value().Merge(ldpn).code(), StatusCode::kInvalidArgument);
+
+  const std::string path = TempPath("retired.ldpn");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(ldpn.data(), static_cast<std::streamsize>(ldpn.size()));
+  }
+  EXPECT_EQ(server.value().IngestInputs({path}, nullptr).code(),
+            StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+
+  auto reports = server.value().num_reports(0);
+  ASSERT_TRUE(reports.ok());
+  EXPECT_EQ(reports.value(), 0u);
+}
+
+TEST(NumericStreamTest, SessionSnapshotWithNonzeroKindByteIsRefused) {
+  const data::Dataset dataset = MakeNumericData();
+  const api::Pipeline pipeline = MakeNumericPipeline(dataset);
+  auto client = pipeline.NewClient();
+  ASSERT_TRUE(client.ok());
+  auto source = pipeline.NewServer();
+  ASSERT_TRUE(source.ok());
+  std::istringstream shard(
+      WriteNumericShard(dataset, client.value(), IndexRange{0, 100}));
+  ASSERT_TRUE(source.value().IngestStream(shard).ok());
+  const std::string snapshot = source.value().Snapshot();
+  ASSERT_EQ(snapshot[6], 0);  // the 'LDPE' kind byte
+
+  // The honest snapshot merges; the same bytes with kind byte 1 do not.
+  auto server = pipeline.NewServer();
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE(server.value().Merge(snapshot).ok());
+  std::string retired = snapshot;
+  retired[6] = 1;
+  EXPECT_EQ(api::DecodeSessionSnapshotConfig(retired).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(server.value().Merge(retired).code(),
+            StatusCode::kInvalidArgument);
+
+  const std::string path = TempPath("retired.ldpe");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(retired.data(), static_cast<std::streamsize>(retired.size()));
+  }
+  EXPECT_EQ(server.value().IngestInputs({path}, nullptr).code(),
+            StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+
+  auto reports = server.value().num_reports(0);
+  ASSERT_TRUE(reports.ok());
+  EXPECT_EQ(reports.value(), 100u);
 }
 
 TEST(NumericStreamTest, HandleDriverIngestsNumericShardsInParallel) {
   const data::Dataset dataset = MakeNumericData();
-  auto config = api::PipelineConfig::FromSchema(dataset.schema(), kEpsilon);
-  ASSERT_TRUE(config.ok());
-  auto pipeline = api::Pipeline::Create(std::move(config).value());
-  ASSERT_TRUE(pipeline.ok());
-  auto client = pipeline.value().NewClient();
+  const api::Pipeline pipeline = MakeNumericPipeline(dataset);
+  auto client = pipeline.NewClient();
   ASSERT_TRUE(client.ok());
 
   constexpr unsigned kPoolThreads = 2;
@@ -382,32 +377,29 @@ TEST(NumericStreamTest, HandleDriverIngestsNumericShardsInParallel) {
   for (const IndexRange& range : SplitRange(kRows, kPoolThreads * 4)) {
     shards.push_back(WriteNumericShard(dataset, client.value(), range));
   }
-  const stream::NumericAggregatorHandle prototype(
-      pipeline.value().numeric_mechanism(), MechanismKind::kHybrid);
-  std::vector<stream::HandleShardSource> sources;
+  const MixedTupleCollector* collector = &pipeline.mixed_collector();
+  std::vector<stream::ShardInput> inputs;
   for (size_t s = 0; s < shards.size(); ++s) {
-    sources.push_back(stream::HandleStreamBufferSource(
-        prototype, "shard " + std::to_string(s), &shards[s],
+    inputs.push_back(stream::StreamBufferInput(
+        collector, "shard " + std::to_string(s), &shards[s],
         stream::ShardIngester::Options()));
   }
   ThreadPool pool(3);
   stream::MultiShardSummary summary;
-  auto total =
-      stream::IngestHandleSources(prototype, sources, &pool, &summary);
+  auto total = stream::IngestShardInputs(collector, inputs, &pool, &summary);
   ASSERT_TRUE(total.ok());
-  EXPECT_EQ(total.value()->num_reports(), kRows);
+  EXPECT_EQ(total.value().num_reports(), kRows);
   EXPECT_EQ(summary.total_reports, kRows);
   EXPECT_EQ(summary.total_rejected, 0u);
 
   ThreadPool collect_pool(kPoolThreads);
   auto expected = CollectProposed(dataset, kEpsilon, kSeed,
-                                             MechanismKind::kHybrid,
-                                             FrequencyOracleKind::kOue,
-                                             &collect_pool);
+                                  MechanismKind::kHybrid,
+                                  FrequencyOracleKind::kOue, &collect_pool);
   ASSERT_TRUE(expected.ok());
   for (size_t j = 0; j < expected.value().numeric_columns.size(); ++j) {
     auto mean =
-        total.value()->EstimateMean(expected.value().numeric_columns[j]);
+        total.value().EstimateMean(expected.value().numeric_columns[j]);
     ASSERT_TRUE(mean.ok());
     EXPECT_EQ(mean.value(), expected.value().estimated_means[j]);
   }

@@ -505,8 +505,6 @@ TEST(ReportServerTest, ZeroFlushBytesIsClampedNotAnInfiniteLoop) {
 
 TEST(ReportServerTest, NumericStreamCampaignMatchesDirectSession) {
   const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/true);
-  ASSERT_EQ(pipeline.stream_kind(),
-            stream::ReportStreamKind::kSampledNumeric);
   const std::vector<std::string> streams = MakeShardStreams(pipeline, 2);
   const std::string reference = DirectSessionSnapshot(pipeline, streams);
   const std::string snapshot =

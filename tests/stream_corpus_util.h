@@ -210,18 +210,16 @@ inline std::string MakeHonestStream(const api::Pipeline& pipeline,
   std::string bytes = client.value().EncodeHeader();
   for (uint64_t row = 0; row < kCorpusReports; ++row) {
     Rng rng = api::UserRng(seed, row);
-    Result<std::string> payload = [&]() -> Result<std::string> {
-      if (pipeline.stream_kind() ==
-          stream::ReportStreamKind::kSampledNumeric) {
-        return client.value().EncodeReport(std::vector<double>{0.5, -0.5},
-                                           &rng);
-      }
-      MixedTuple tuple(3);
-      tuple[0] = AttributeValue::Numeric(0.25);
-      tuple[1] = AttributeValue::Categorical(row % 4);
-      tuple[2] = AttributeValue::Numeric(-0.75);
-      return client.value().EncodeReport(tuple, &rng);
-    }();
+    // The 2-attribute corpus schema is the all-numeric one.
+    const MixedTuple tuple =
+        pipeline.dimension() == 2
+            ? MixedTuple{AttributeValue::Numeric(0.5),
+                         AttributeValue::Numeric(-0.5)}
+            : MixedTuple{AttributeValue::Numeric(0.25),
+                         AttributeValue::Categorical(row % 4),
+                         AttributeValue::Numeric(-0.75)};
+    const Result<std::string> payload =
+        client.value().EncodeReport(tuple, &rng);
     EXPECT_TRUE(payload.ok());
     EXPECT_TRUE(stream::AppendFrame(payload.value(), &bytes).ok());
   }

@@ -15,7 +15,6 @@
 #include "api/pipeline.h"
 #include "data/census.h"
 #include "data/encode.h"
-#include "stream/aggregator_handle.h"
 #include "stream/parallel_ingest.h"
 #include "stream/report_stream.h"
 #include "stream/shard_ingester.h"
@@ -108,17 +107,13 @@ Result<MixedAggregator> IngestShards(const MixedTupleCollector& collector,
                                      const std::vector<std::string>& shards,
                                      ThreadPool* pool,
                                      stream::MultiShardSummary* summary) {
-  const stream::MixedAggregatorHandle prototype(&collector);
-  std::vector<stream::HandleShardSource> sources;
+  std::vector<stream::ShardInput> inputs;
   for (size_t s = 0; s < shards.size(); ++s) {
-    sources.push_back(stream::HandleStreamBufferSource(
-        prototype, "shard " + std::to_string(s), &shards[s],
+    inputs.push_back(stream::StreamBufferInput(
+        &collector, "shard " + std::to_string(s), &shards[s],
         stream::ShardIngester::Options()));
   }
-  std::unique_ptr<stream::AggregatorHandle> total;
-  LDP_ASSIGN_OR_RETURN(
-      total, stream::IngestHandleSources(prototype, sources, pool, summary));
-  return total->AsMixed()->aggregator();
+  return stream::IngestShardInputs(&collector, inputs, pool, summary);
 }
 
 void ExpectBitIdentical(const MixedAggregator& total,

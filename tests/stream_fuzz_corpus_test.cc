@@ -2,8 +2,8 @@
 // api::ServerSession::Feed serially AND concurrently (the corpus table
 // itself lives in stream_corpus_util.h, shared with the socket-transport
 // replay in net_fault_test.cc): truncated, oversized, bit-flipped, and
-// protocol-mismatched mutations of valid mixed and numeric streams. The
-// contract under attack: payload-level corruption only advances the
+// protocol-mismatched mutations of valid mixed-schema and all-numeric
+// streams. The contract under attack: payload-level corruption only advances the
 // `rejected` counter (honest frames in the same shard still count),
 // framing/header-level corruption poisons exactly its own shard (which
 // then contributes nothing), and a concurrent session produces
@@ -200,11 +200,13 @@ TEST(StreamFuzzCorpusTest, StrictModePoisonsOnFirstRejectedPayload) {
 
 TEST(StreamFuzzCorpusTest, NumericStreamCorpusBehavesLikeMixed) {
   const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/true);
-  ASSERT_EQ(pipeline.stream_kind(), stream::ReportStreamKind::kSampledNumeric);
   const std::string honest = MakeHonestStream(pipeline, kSeed);
+  // A header still carrying the retired numeric stream kind byte (1).
+  std::string retired_kind = honest;
+  retired_kind[6] = 1;
 
-  // The numeric frame decoder has its own validation path; replay the
-  // header/framing/payload corpus classes against it.
+  // All-numeric reports (every entry numeric) replay the header/framing/
+  // payload corpus classes through the same mixed decoder.
   const struct {
     const char* name;
     Outcome outcome;
@@ -221,6 +223,7 @@ TEST(StreamFuzzCorpusTest, NumericStreamCorpusBehavesLikeMixed) {
        ldp::testing::CorpusBitFlippedAttribute(honest)},
       {"zero-length-frame", Outcome::kRejects, 1,
        ldp::testing::CorpusZeroLengthFrameInserted(honest)},
+      {"retired-numeric-kind", Outcome::kPoisoned, 0, retired_kind},
   };
 
   for (const unsigned threads : {0u, 4u}) {

@@ -51,7 +51,7 @@ TEST(StreamHeaderTest, RoundTrips) {
   EXPECT_EQ(bytes.size(), kStreamHeaderBytes);
   auto decoded = DecodeStreamHeader(bytes);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value().kind, ReportStreamKind::kMixed);
+  EXPECT_EQ(bytes[6], 0);  // kind byte
   EXPECT_EQ(decoded.value().mechanism, collector.numeric_kind());
   EXPECT_EQ(decoded.value().oracle, collector.categorical_kind());
   EXPECT_EQ(decoded.value().epsilon, collector.epsilon());
@@ -62,18 +62,23 @@ TEST(StreamHeaderTest, RoundTrips) {
 }
 
 TEST(StreamHeaderTest, NumericHeaderRoundTrips) {
-  auto mechanism =
-      SampledNumericMechanism::Create(MechanismKind::kPiecewise, 2.0, 8);
-  ASSERT_TRUE(mechanism.ok());
-  const StreamHeader header =
-      MakeNumericStreamHeader(mechanism.value(), MechanismKind::kPiecewise);
-  auto decoded = DecodeStreamHeader(EncodeStreamHeader(header));
+  // An all-numeric schema (the paper's Algorithm 4) writes the same header
+  // layout, kind byte 0 included.
+  auto collector = MixedTupleCollector::Create(
+      std::vector<MixedAttribute>(8, MixedAttribute::Numeric()), 2.0,
+      MechanismKind::kPiecewise);
+  ASSERT_TRUE(collector.ok());
+  const std::string bytes =
+      EncodeStreamHeader(MakeMixedStreamHeader(collector.value()));
+  EXPECT_EQ(bytes[6], 0);
+  auto decoded = DecodeStreamHeader(bytes);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value().kind, ReportStreamKind::kSampledNumeric);
   EXPECT_EQ(decoded.value().mechanism, MechanismKind::kPiecewise);
   EXPECT_EQ(decoded.value().dimension, 8u);
   EXPECT_EQ(decoded.value().schema_hash,
-            NumericSchemaHash(mechanism.value(), MechanismKind::kPiecewise));
+            CollectorSchemaHash(collector.value()));
+  EXPECT_TRUE(
+      ValidateMixedStreamHeader(decoded.value(), collector.value()).ok());
 }
 
 TEST(StreamHeaderTest, RejectsTruncation) {
@@ -97,9 +102,13 @@ TEST(StreamHeaderTest, RejectsBadMagicVersionAndEnums) {
   bad_version[4] = 99;
   EXPECT_FALSE(DecodeStreamHeader(bad_version).ok());
 
-  std::string bad_kind = good;
-  bad_kind[6] = 42;
-  EXPECT_FALSE(DecodeStreamHeader(bad_kind).ok());
+  // Kind byte 1 named the retired numeric-only stream kind; only 0 is read.
+  for (const char kind : {1, 42}) {
+    std::string bad_kind = good;
+    bad_kind[6] = kind;
+    EXPECT_EQ(DecodeStreamHeader(bad_kind).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 
   std::string bad_mechanism = good;
   bad_mechanism[7] = 42;
@@ -126,10 +135,6 @@ TEST(StreamHeaderTest, ValidationCatchesEveryMismatch) {
   StreamHeader header = MakeMixedStreamHeader(collector);
 
   StreamHeader wrong = header;
-  wrong.kind = ReportStreamKind::kSampledNumeric;
-  EXPECT_FALSE(ValidateMixedStreamHeader(wrong, collector).ok());
-
-  wrong = header;
   wrong.epsilon = 5.0;
   EXPECT_FALSE(ValidateMixedStreamHeader(wrong, collector).ok());
 

@@ -1,5 +1,5 @@
 // Table-driven coverage of the shared CLI flag parsers (tools/tool_flags.h).
-// The tools all parse `--oracle`/`--mechanism`/`--stream` and the campaign
+// The tools all parse `--oracle`/`--mechanism` and the campaign
 // identity flags through these helpers; the tables here pin the exact
 // vocabulary and validation rules so a drift in any one binary would have to
 // change a shared parser and fail this test.
@@ -131,22 +131,13 @@ TEST(VocabularyFlagTest, OracleTable) {
   }
 }
 
-TEST(VocabularyFlagTest, MechanismAndWireTables) {
+TEST(VocabularyFlagTest, MechanismTable) {
   MechanismKind mechanism = MechanismKind::kHybrid;
   EXPECT_TRUE(ParseMechanismFlag("hm", &mechanism));
   EXPECT_EQ(mechanism, MechanismKind::kHybrid);
   EXPECT_TRUE(ParseMechanismFlag("pm", &mechanism));
   EXPECT_EQ(mechanism, MechanismKind::kPiecewise);
   EXPECT_FALSE(ParseMechanismFlag("laplace", &mechanism));
-
-  api::WirePreference wire = api::WirePreference::kAuto;
-  EXPECT_TRUE(ParseWireFlag("auto", &wire));
-  EXPECT_EQ(wire, api::WirePreference::kAuto);
-  EXPECT_TRUE(ParseWireFlag("mixed", &wire));
-  EXPECT_EQ(wire, api::WirePreference::kMixed);
-  EXPECT_TRUE(ParseWireFlag("numeric", &wire));
-  EXPECT_EQ(wire, api::WirePreference::kNumeric);
-  EXPECT_FALSE(ParseWireFlag("binary", &wire));
 }
 
 }  // namespace

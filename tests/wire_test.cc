@@ -3,18 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "util/random.h"
 
 namespace ldp {
 namespace {
-
-SampledNumericMechanism MakeNumericMechanism() {
-  auto mech = SampledNumericMechanism::CreateWithSampleCount(
-      MechanismKind::kHybrid, 4.0, 6, 2);
-  EXPECT_TRUE(mech.ok());
-  return std::move(mech).value();
-}
 
 MixedTupleCollector MakeMixedCollector() {
   auto collector = MixedTupleCollector::Create(
@@ -25,74 +20,105 @@ MixedTupleCollector MakeMixedCollector() {
   return std::move(collector).value();
 }
 
+// Algorithm 4 on the wire: an all-numeric schema's reports are mixed
+// reports whose entries are all numeric (d = 6, k = 2).
+MixedTupleCollector MakeNumericCollector() {
+  auto collector = MixedTupleCollector::Create(
+      std::vector<MixedAttribute>(6, MixedAttribute::Numeric()), 6.0);
+  EXPECT_TRUE(collector.ok());
+  EXPECT_EQ(collector.value().k(), 2u);
+  return std::move(collector).value();
+}
+
+MixedTuple NumericTuple(const std::vector<double>& values) {
+  MixedTuple tuple;
+  for (const double value : values) {
+    tuple.push_back(AttributeValue::Numeric(value));
+  }
+  return tuple;
+}
+
+// A hand-built all-numeric report, one entry per (attribute, value) pair.
+MixedReport NumericReport(
+    const std::vector<std::pair<uint32_t, double>>& entries) {
+  MixedReport report;
+  for (const auto& [attribute, value] : entries) {
+    MixedReportEntry entry;
+    entry.attribute = attribute;
+    entry.numeric_value = value;
+    report.push_back(entry);
+  }
+  return report;
+}
+
 TEST(SampledNumericWireTest, RoundTripsRealReports) {
-  const SampledNumericMechanism mech = MakeNumericMechanism();
+  const MixedTupleCollector collector = MakeNumericCollector();
   Rng rng(1);
-  const std::vector<double> tuple = {0.1, -0.5, 0.9, 0.0, -1.0, 1.0};
+  const MixedTuple tuple = NumericTuple({0.1, -0.5, 0.9, 0.0, -1.0, 1.0});
   for (int i = 0; i < 200; ++i) {
-    const SampledNumericReport report = mech.Perturb(tuple, &rng);
-    auto decoded =
-        DecodeSampledNumericReport(EncodeSampledNumericReport(report), mech);
+    const MixedReport report = collector.Perturb(tuple, &rng);
+    const std::string bytes = EncodeMixedReport(report, collector);
+    // u16 count, then u32 attribute + u8 kind + f64 value per entry.
+    EXPECT_EQ(bytes.size(), 2u + 13u * collector.k());
+    auto decoded = DecodeMixedReport(bytes, collector);
     ASSERT_TRUE(decoded.ok());
     ASSERT_EQ(decoded.value().size(), report.size());
     for (size_t j = 0; j < report.size(); ++j) {
       EXPECT_EQ(decoded.value()[j].attribute, report[j].attribute);
-      EXPECT_DOUBLE_EQ(decoded.value()[j].value, report[j].value);
+      EXPECT_EQ(decoded.value()[j].numeric_value, report[j].numeric_value);
+      EXPECT_TRUE(decoded.value()[j].categorical_report.empty());
     }
   }
 }
 
 TEST(SampledNumericWireTest, RejectsTruncation) {
-  const SampledNumericMechanism mech = MakeNumericMechanism();
+  const MixedTupleCollector collector = MakeNumericCollector();
   Rng rng(2);
-  const std::string bytes = EncodeSampledNumericReport(
-      mech.Perturb({0.0, 0.0, 0.0, 0.0, 0.0, 0.0}, &rng));
+  const std::string bytes = EncodeMixedReport(
+      collector.Perturb(NumericTuple({0.0, 0.0, 0.0, 0.0, 0.0, 0.0}), &rng),
+      collector);
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
-    EXPECT_FALSE(
-        DecodeSampledNumericReport(bytes.substr(0, cut), mech).ok())
+    EXPECT_FALSE(DecodeMixedReport(bytes.substr(0, cut), collector).ok())
         << "cut=" << cut;
   }
 }
 
 TEST(SampledNumericWireTest, RejectsTrailingBytes) {
-  const SampledNumericMechanism mech = MakeNumericMechanism();
+  const MixedTupleCollector collector = MakeNumericCollector();
   Rng rng(3);
-  std::string bytes = EncodeSampledNumericReport(
-      mech.Perturb({0.0, 0.0, 0.0, 0.0, 0.0, 0.0}, &rng));
+  std::string bytes = EncodeMixedReport(
+      collector.Perturb(NumericTuple({0.0, 0.0, 0.0, 0.0, 0.0, 0.0}), &rng),
+      collector);
   bytes.push_back('x');
-  EXPECT_FALSE(DecodeSampledNumericReport(bytes, mech).ok());
+  EXPECT_FALSE(DecodeMixedReport(bytes, collector).ok());
 }
 
 TEST(SampledNumericWireTest, RejectsWrongEntryCount) {
-  const SampledNumericMechanism mech = MakeNumericMechanism();
-  const SampledNumericReport too_few = {{0, 0.5}};
-  EXPECT_FALSE(
-      DecodeSampledNumericReport(EncodeSampledNumericReport(too_few), mech)
-          .ok());
+  const MixedTupleCollector collector = MakeNumericCollector();
+  EXPECT_FALSE(DecodeMixedReport(
+                   EncodeMixedReport(NumericReport({{0, 0.5}}), collector),
+                   collector)
+                   .ok());
 }
 
 TEST(SampledNumericWireTest, RejectsOutOfRangeAttributeAndValue) {
-  const SampledNumericMechanism mech = MakeNumericMechanism();
-  const SampledNumericReport bad_attribute = {{0, 0.5}, {99, 0.5}};
-  EXPECT_FALSE(DecodeSampledNumericReport(
-                   EncodeSampledNumericReport(bad_attribute), mech)
-                   .ok());
-  const SampledNumericReport bad_value = {{0, 0.5}, {1, 1e9}};
-  EXPECT_FALSE(
-      DecodeSampledNumericReport(EncodeSampledNumericReport(bad_value), mech)
-          .ok());
-  const SampledNumericReport nan_value = {{0, 0.5}, {1, std::nan("")}};
-  EXPECT_FALSE(
-      DecodeSampledNumericReport(EncodeSampledNumericReport(nan_value), mech)
-          .ok());
+  const MixedTupleCollector collector = MakeNumericCollector();
+  for (const MixedReport& bad :
+       {NumericReport({{0, 0.5}, {99, 0.5}}),
+        NumericReport({{0, 0.5}, {1, 1e9}}),
+        NumericReport({{0, 0.5}, {1, std::nan("")}})}) {
+    EXPECT_FALSE(
+        DecodeMixedReport(EncodeMixedReport(bad, collector), collector).ok());
+  }
 }
 
 TEST(SampledNumericWireTest, RejectsDuplicateAttributes) {
-  const SampledNumericMechanism mech = MakeNumericMechanism();
-  const SampledNumericReport duplicated = {{3, 0.5}, {3, -0.5}};
-  EXPECT_FALSE(
-      DecodeSampledNumericReport(EncodeSampledNumericReport(duplicated), mech)
-          .ok());
+  const MixedTupleCollector collector = MakeNumericCollector();
+  EXPECT_FALSE(DecodeMixedReport(
+                   EncodeMixedReport(NumericReport({{3, 0.5}, {3, -0.5}}),
+                                     collector),
+                   collector)
+                   .ok());
 }
 
 TEST(MixedWireTest, RoundTripsRealReports) {
@@ -211,9 +237,6 @@ TEST(MixedWireTest, RejectsOversizedEntryCount) {
   crafted.push_back(static_cast<char>(0xff));
   crafted.push_back(static_cast<char>(0xff));
   EXPECT_FALSE(DecodeMixedReport(crafted, collector).ok());
-
-  const SampledNumericMechanism mech = MakeNumericMechanism();
-  EXPECT_FALSE(DecodeSampledNumericReport(crafted, mech).ok());
 }
 
 TEST(MixedWireTest, RejectsOversizedCategoricalPayload) {

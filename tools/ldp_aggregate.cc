@@ -1,13 +1,12 @@
 // ldp_aggregate: the server half of the deployment split, an api::Pipeline
 // ServerSession at the CLI. Ingests any mix of shard inputs in one
-// invocation — framed report streams written by ldp_report (mixed or
-// Algorithm-4 numeric), single-epoch aggregator snapshots, and multi-epoch
-// session snapshots written by a previous ldp_aggregate --snapshot-out —
-// merges them in argument order, and prints ε-LDP estimates with confidence
-// intervals for every attribute, per epoch. The pipeline configuration
-// (stream kind, ε, mechanism, oracle) is taken from the first input's
-// validated preamble, so a mismatched client population is rejected up
-// front.
+// invocation — framed report streams written by ldp_report, single-epoch
+// aggregator snapshots, and multi-epoch session snapshots written by a
+// previous ldp_aggregate --snapshot-out — merges them in argument order, and
+// prints ε-LDP estimates with confidence intervals for every attribute, per
+// epoch. The pipeline configuration (ε, mechanism, oracle) is taken from the
+// first input's validated preamble, so a mismatched client population is
+// rejected up front.
 //
 //   ldp_aggregate --schema FILE [--threads T] [--confidence C]
 //                 [--strict] [--max-rejected N] [--epoch E]
@@ -98,7 +97,6 @@ Result<std::string> ReadFilePrefix(const std::string& path, size_t limit) {
 // The pipeline configuration as recorded in a shard file's preamble, plus
 // the epoch count a session snapshot carries.
 struct InputConfig {
-  stream::ReportStreamKind kind = stream::ReportStreamKind::kMixed;
   double epsilon = 0.0;
   MechanismKind mechanism = MechanismKind::kHybrid;
   FrequencyOracleKind oracle = FrequencyOracleKind::kOue;
@@ -113,7 +111,6 @@ Result<InputConfig> PeekConfig(const std::string& path) {
     stream::StreamHeader header;
     LDP_ASSIGN_OR_RETURN(header,
                          stream::DecodeStreamHeader(peek.header_bytes));
-    config.kind = header.kind;
     config.epsilon = header.epsilon;
     config.mechanism = header.mechanism;
     config.oracle = header.oracle;
@@ -135,7 +132,6 @@ Result<InputConfig> PeekConfig(const std::string& path) {
     stream::ReportStreamReader reader(&in);
     stream::StreamHeader header;
     LDP_ASSIGN_OR_RETURN(header, reader.ReadHeader());
-    config.kind = header.kind;
     config.epsilon = header.epsilon;
     config.mechanism = header.mechanism;
     config.oracle = header.oracle;
@@ -146,7 +142,6 @@ Result<InputConfig> PeekConfig(const std::string& path) {
   if (magic == api::kSessionSnapshotMagic) {
     api::SessionSnapshotConfig session;
     LDP_ASSIGN_OR_RETURN(session, api::DecodeSessionSnapshotConfig(bytes));
-    config.kind = session.kind;
     config.epsilon = session.epsilon;
     config.mechanism = session.mechanism;
     config.oracle = session.oracle;
@@ -155,7 +150,6 @@ Result<InputConfig> PeekConfig(const std::string& path) {
   }
   stream::SnapshotConfig snapshot;
   LDP_ASSIGN_OR_RETURN(snapshot, stream::DecodeSnapshotConfig(bytes));
-  config.kind = snapshot.kind;
   config.epsilon = snapshot.epsilon;
   config.mechanism = snapshot.mechanism;
   config.oracle = snapshot.oracle;
@@ -244,10 +238,6 @@ int main(int argc, char** argv) {
   }
   config.value().mechanism = first.value().mechanism;
   config.value().oracle = first.value().oracle;
-  config.value().wire =
-      first.value().kind == stream::ReportStreamKind::kSampledNumeric
-          ? api::WirePreference::kNumeric
-          : api::WirePreference::kMixed;
   config.value().plan.epochs = max_epochs;
   auto pipeline = api::Pipeline::Create(std::move(config).value());
   if (!pipeline.ok()) {
@@ -329,9 +319,8 @@ int main(int argc, char** argv) {
       elapsed > 0.0 ? static_cast<double>(summary.total_reports) / elapsed
                     : 0.0);
   std::printf(
-      "%s stream, eps = %g/epoch (mechanism %s, oracle %s; %u of %u "
-      "attributes per user); %u epoch(s), eps spent %g\n\n",
-      stream::ReportStreamKindToString(pipeline.value().stream_kind()),
+      "eps = %g/epoch (mechanism %s, oracle %s; %u of %u attributes per "
+      "user); %u epoch(s), eps spent %g\n\n",
       pipeline.value().epsilon(),
       MechanismKindToString(first.value().mechanism),
       FrequencyOracleKindToString(first.value().oracle),

@@ -13,12 +13,10 @@
 //              (--out PREFIX | --connect tcp:HOST:PORT|unix:PATH)
 //              [--shards N] [--shard-index I] [--mechanism hm|pm]
 //              [--oracle oue|grr|sue|olh|he|the]
-//              [--stream auto|mixed|numeric] [--seed S]
-//              [--reporter-id ID --campaign-key KEY]
+//              [--seed S] [--reporter-id ID --campaign-key KEY]
 //
-// The stream kind follows the schema by default: mixed (Section IV-C) when
-// any column is categorical, the Algorithm-4 numeric kind when all columns
-// are numeric; --stream mixed forces the mixed wire format either way.
+// Every schema travels as Section IV-C mixed reports; an all-numeric schema
+// is the paper's Algorithm 4 in that same format.
 //
 // File mode produces PREFIX.shard-000.ldps ... PREFIX.shard-<N-1>.ldps.
 // Connect mode opens one collector connection per shard and HELLOs the
@@ -58,8 +56,7 @@ void Usage() {
       "                  (--out PREFIX | --connect ENDPOINT)\n"
       "                  [--shards N] [--shard-index I] [--mechanism hm|pm]\n"
       "                  [--oracle oue|grr|sue|olh|he|the]\n"
-      "                  [--stream auto|mixed|numeric] [--seed S]\n"
-      "                  [--reporter-id ID --campaign-key KEY]\n"
+      "                  [--seed S] [--reporter-id ID --campaign-key KEY]\n"
       "                  [--metrics-out FILE] [--version]\n"
       "ENDPOINT is tcp:HOST:PORT or unix:PATH (an ldp_serve collector).\n"
       "--reporter-id/--campaign-key authenticate --connect HELLOs (protocol\n"
@@ -174,7 +171,6 @@ int main(int argc, char** argv) {
   long shard_index = -1;
   MechanismKind mechanism = MechanismKind::kHybrid;
   FrequencyOracleKind oracle = FrequencyOracleKind::kOue;
-  api::WirePreference wire = api::WirePreference::kAuto;
   tools::IdentityFlags identity;
   std::string identity_error;
   for (int i = 1; i < argc; ++i) {
@@ -225,11 +221,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--oracle") {
       if (!tools::ParseOracleFlag(next(), &oracle)) {
-        Usage();
-        return 2;
-      }
-    } else if (arg == "--stream") {
-      if (!tools::ParseWireFlag(next(), &wire)) {
         Usage();
         return 2;
       }
@@ -291,7 +282,6 @@ int main(int argc, char** argv) {
   }
   config.value().mechanism = mechanism;
   config.value().oracle = oracle;
-  config.value().wire = wire;
   auto pipeline = api::Pipeline::Create(std::move(config).value());
   if (!pipeline.ok()) {
     std::fprintf(stderr, "%s\n", pipeline.status().ToString().c_str());
@@ -420,10 +410,9 @@ int main(int argc, char** argv) {
           : ranges[static_cast<size_t>(shard_index)].end -
                 ranges[static_cast<size_t>(shard_index)].begin;
   std::printf(
-      "privatized %llu users under eps = %g (%s stream, mechanism %s, oracle "
-      "%s; %u of %u attributes sampled per user)\n",
+      "privatized %llu users under eps = %g (mechanism %s, oracle %s; %u of "
+      "%u attributes sampled per user)\n",
       static_cast<unsigned long long>(reported), epsilon,
-      stream::ReportStreamKindToString(pipeline.value().stream_kind()),
       MechanismKindToString(mechanism), FrequencyOracleKindToString(oracle),
       pipeline.value().k(), d);
   if (connect_mode) {

@@ -13,7 +13,7 @@
 //   ldp_serve --schema FILE --epsilon E --listen tcp:HOST:PORT|unix:PATH
 //             [--expect-shards N] [--mechanism hm|pm]
 //             [--oracle oue|grr|sue|olh|he|the]
-//             [--stream auto|mixed|numeric] [--epochs N]
+//             [--epochs N]
 //             [--acceptors N] [--poller epoll|poll] [--threads T]
 //             [--strict] [--max-rejected N]
 //             [--idle-timeout-ms N] [--confidence C]
@@ -87,7 +87,7 @@ void Usage() {
       "usage: ldp_serve --schema FILE --epsilon E --listen ENDPOINT\n"
       "                 [--expect-shards N] [--mechanism hm|pm]\n"
       "                 [--oracle oue|grr|sue|olh|he|the]\n"
-      "                 [--stream auto|mixed|numeric] [--epochs N]\n"
+      "                 [--epochs N]\n"
       "                 [--acceptors N] [--poller epoll|poll] [--threads T]\n"
       "                 [--strict] [--max-rejected N] [--idle-timeout-ms N]\n"
       "                 [--confidence C] [--snapshot-out FILE]\n"
@@ -127,7 +127,6 @@ int main(int argc, char** argv) {
   unsigned threads = 0;
   MechanismKind mechanism = MechanismKind::kHybrid;
   FrequencyOracleKind oracle = FrequencyOracleKind::kOue;
-  api::WirePreference wire = api::WirePreference::kAuto;
   stream::ShardIngester::Options ingest_options;
   net::ReportServerOptions server_options;
   for (int i = 1; i < argc; ++i) {
@@ -213,11 +212,6 @@ int main(int argc, char** argv) {
         Usage();
         return 2;
       }
-    } else if (arg == "--stream") {
-      if (!tools::ParseWireFlag(next(), &wire)) {
-        Usage();
-        return 2;
-      }
     } else {
       Usage();
       return 2;
@@ -248,7 +242,6 @@ int main(int argc, char** argv) {
   }
   config.value().mechanism = mechanism;
   config.value().oracle = oracle;
-  config.value().wire = wire;
   config.value().plan.epochs = epochs;
   auto pipeline = api::Pipeline::Create(std::move(config).value());
   if (!pipeline.ok()) {
@@ -357,11 +350,9 @@ int main(int argc, char** argv) {
 
   std::signal(SIGTERM, HandleSignal);
   std::signal(SIGINT, HandleSignal);
-  std::printf("listening on %s (%s stream, eps = %g/epoch, %u epoch plan, "
+  std::printf("listening on %s (eps = %g/epoch, %u epoch plan, "
               "%u event loop(s), %u session thread(s))\n",
-              server.value()->endpoint().ToString().c_str(),
-              stream::ReportStreamKindToString(pipeline.value().stream_kind()),
-              epsilon, epochs, server_options.acceptors, threads);
+              server.value()->endpoint().ToString().c_str(), epsilon, epochs, server_options.acceptors, threads);
   if (metrics_server != nullptr) {
     std::printf("metrics on %s\n",
                 metrics_server->endpoint().ToString().c_str());

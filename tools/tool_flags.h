@@ -1,8 +1,7 @@
-// Shared CLI flag parsers for the tools. `--oracle`, `--mechanism`,
-// `--stream`, and the campaign-identity flags (`--reporter-id`,
-// `--campaign-key`, `--node-id`) must accept exactly the same vocabulary in
-// every binary (ldp_collect, ldp_report, ldp_serve); one parser per flag
-// keeps a new oracle kind — or an identity validation rule — from being
+// Shared CLI flag parsers for the tools. `--oracle`, `--mechanism`, and the
+// campaign-identity flags (`--reporter-id`, `--campaign-key`, `--node-id`)
+// must accept exactly the same vocabulary in every binary (ldp_collect,
+// ldp_report, ldp_serve); one parser per flag keeps a new oracle kind — or an identity validation rule — from being
 // silently unreachable or different in one tool.
 
 #ifndef LDP_TOOLS_TOOL_FLAGS_H_
@@ -14,7 +13,6 @@
 #include <fstream>
 #include <string>
 
-#include "api/pipeline.h"
 #include "core/mechanism.h"
 #include "frequency/frequency_oracle.h"
 #include "net/protocol.h"
@@ -143,15 +141,6 @@ inline bool CheckReporterIdentity(const IdentityFlags& flags,
                ? "--reporter-id requires --campaign-key"
                : "--campaign-key requires --reporter-id";
   return false;
-}
-
-/// "auto" | "mixed" | "numeric".
-inline bool ParseWireFlag(const std::string& name, api::WirePreference* wire) {
-  if (name == "auto") *wire = api::WirePreference::kAuto;
-  else if (name == "mixed") *wire = api::WirePreference::kMixed;
-  else if (name == "numeric") *wire = api::WirePreference::kNumeric;
-  else return false;
-  return true;
 }
 
 }  // namespace ldp::tools
