@@ -16,13 +16,6 @@ Result<CollectorClient> CollectorClient::Connect(
   Result<Socket> socket = ConnectSocket(endpoint);
   if (!socket.ok()) return socket.status();
   CollectorClient client(std::move(socket).value(), options);
-  if (options.window_bytes > 0) {
-    // The server batches acks up to kDataAckFlushBytes: a window smaller
-    // than one batch plus one flush could block for an ack that is still
-    // accumulating server-side.
-    client.effective_window_ = std::max<uint64_t>(
-        options.window_bytes, kDataAckFlushBytes + options.flush_bytes);
-  }
   if (options.idle_timeout_ms > 0) {
     LDP_RETURN_IF_ERROR(client.socket_.SetIdleTimeout(options.idle_timeout_ms));
   }
@@ -36,7 +29,6 @@ Status CollectorClient::Negotiate(const stream::StreamHeader& header,
   HelloMessage hello;
   hello.channel = channel;
   hello.ordinal = ordinal;
-  if (effective_window_ > 0) hello.flags |= kHelloFlagDataAcks;
   hello.header_bytes = stream::EncodeStreamHeader(header);
   if (!options_.campaign_key.empty()) {
     if (options_.reporter_id.empty()) {
@@ -51,10 +43,8 @@ Status CollectorClient::Negotiate(const stream::StreamHeader& header,
         ComputeHelloTag(options_.campaign_key, options_.reporter_id, channel,
                         epoch_, hello.header_bytes);
   }
-  std::string wire;
   LDP_RETURN_IF_ERROR(
-      AppendMessage(MessageType::kHello, EncodeHello(hello), &wire));
-  LDP_RETURN_IF_ERROR(socket_.SendAll(wire));
+      SendMessage(&socket_, MessageType::kHello, EncodeHello(hello)));
   std::string payload;
   LDP_ASSIGN_OR_RETURN(payload, AwaitReply(MessageType::kHelloOk, channel));
   HelloOkMessage ok;
@@ -81,132 +71,52 @@ uint64_t CollectorClient::resume_offset(uint32_t channel) const {
   return found == channels_.end() ? 0 : found->second.resume_offset;
 }
 
-Result<std::pair<MessageType, std::string>> CollectorClient::ReadMessage() {
-  char prefix[kMessageHeaderBytes];
-  Result<bool> got = socket_.RecvAll(prefix, sizeof(prefix));
-  if (!got.ok()) return got.status();
-  if (!got.value()) {
-    return Status::IoError("collector closed the connection");
-  }
-  Result<MessageHeader> header = DecodeMessageHeader(prefix, sizeof(prefix));
-  if (!header.ok()) return header.status();
-  std::string payload(header.value().payload_length, '\0');
-  if (!payload.empty()) {
-    Result<bool> body = socket_.RecvAll(payload.data(), payload.size());
-    if (!body.ok()) return body.status();
-    if (!body.value()) {
-      return Status::IoError("collector closed the connection mid-reply");
-    }
-  }
-  return std::make_pair(header.value().type, std::move(payload));
-}
-
-Status CollectorClient::ProcessAck(const std::string& payload) {
-  DataAckMessage ack;
-  LDP_ASSIGN_OR_RETURN(ack, DecodeDataAck(payload));
-  for (const DataAckMessage::Entry& entry : ack.entries) {
-    auto found = channels_.find(entry.channel);
-    if (found == channels_.end()) continue;  // already awaited and erased
-    found->second.acked_bytes =
-        std::max(found->second.acked_bytes, entry.bytes);
-  }
-  return Status::OK();
-}
-
-Status CollectorClient::PumpMessage() {
-  std::pair<MessageType, std::string> message;
-  LDP_ASSIGN_OR_RETURN(message, ReadMessage());
-  switch (message.first) {
-    case MessageType::kDataAck:
-      return ProcessAck(message.second);
-    case MessageType::kShardClosed: {
-      // Merge-barrier reordering: a verdict landed while this thread was
-      // waiting for window room. Stash it for AwaitShardClosed.
-      ShardClosedMessage closed;
-      LDP_ASSIGN_OR_RETURN(closed, DecodeShardClosed(message.second));
-      closed_payloads_[closed.channel] = std::move(message.second);
-      return Status::OK();
-    }
-    case MessageType::kError: {
-      ErrorMessage error;
-      LDP_ASSIGN_OR_RETURN(error, DecodeErrorMessage(message.second));
-      return StatusFromWire(error.code, error.message);
-    }
-    default:
-      return Status::InvalidArgument("unexpected reply type from collector");
-  }
-}
-
 Result<std::string> CollectorClient::AwaitReply(MessageType expected,
                                                 uint32_t want_channel) {
   while (true) {
-    std::pair<MessageType, std::string> message;
-    LDP_ASSIGN_OR_RETURN(message, ReadMessage());
-    if (message.first == MessageType::kDataAck) {
-      LDP_RETURN_IF_ERROR(ProcessAck(message.second));
-      continue;
-    }
-    if (message.first == MessageType::kError) {
+    MessageType type = MessageType::kError;
+    std::string payload;
+    Result<bool> got = RecvMessage(&socket_, &type, &payload);
+    if (!got.ok()) return got.status();
+    if (!got.value()) return Status::IoError("collector closed the connection");
+    if (type == MessageType::kError) {
       ErrorMessage error;
-      LDP_ASSIGN_OR_RETURN(error, DecodeErrorMessage(message.second));
+      LDP_ASSIGN_OR_RETURN(error, DecodeErrorMessage(payload));
       return StatusFromWire(error.code, error.message);
     }
-    if (message.first == MessageType::kShardClosed) {
+    if (type == MessageType::kShardClosed) {
+      // Merge-barrier reordering: another channel's verdict may land first.
+      // Stash it for AwaitShardClosed.
       ShardClosedMessage closed;
-      LDP_ASSIGN_OR_RETURN(closed, DecodeShardClosed(message.second));
+      LDP_ASSIGN_OR_RETURN(closed, DecodeShardClosed(payload));
       if (expected == MessageType::kShardClosed &&
           closed.channel == want_channel) {
-        return std::move(message.second);
+        return payload;
       }
-      closed_payloads_[closed.channel] = std::move(message.second);
+      closed_payloads_[closed.channel] = std::move(payload);
       continue;
     }
-    if (message.first != expected) {
+    if (type != expected) {
       return Status::InvalidArgument("unexpected reply type from collector");
     }
-    return std::move(message.second);
+    return payload;
   }
-}
-
-uint64_t CollectorClient::TotalInFlight() const {
-  uint64_t in_flight = 0;
-  for (const auto& [channel, state] : channels_) {
-    in_flight += state.sent_bytes - state.acked_bytes;
-  }
-  return in_flight;
 }
 
 Status CollectorClient::Flush(uint32_t channel, ShardChannel& state) {
   if (state.staged.empty()) return Status::OK();
-  if (effective_window_ > 0) {
-    // Window full: the next DATA would overrun the bound, so block on the
-    // reply stream until acks release room (early verdicts are stashed).
-    while (TotalInFlight() + state.staged.size() > effective_window_) {
-      LDP_RETURN_IF_ERROR(PumpMessage());
-    }
-  }
   std::string payload;
   internal_wire::PutU32(&payload, channel);
   payload.append(state.staged);
-  std::string wire;
-  LDP_RETURN_IF_ERROR(AppendMessage(MessageType::kData, payload, &wire));
-  const size_t flushed = state.staged.size();
   state.staged.clear();
-  const Status sent = socket_.SendAll(wire);
-  if (!sent.ok()) {
-    // A send failure usually means the server poisoned the shard and
-    // closed the connection; its pending ERROR names the real cause. With
-    // acks enabled a DATA_ACK (or an early verdict) may sit ahead of the
-    // ERROR in the reply stream, so pump until a verdict surfaces or the
-    // read side dies too.
-    while (true) {
-      Status pending = PumpMessage();
-      if (pending.ok()) continue;
-      return pending.code() == StatusCode::kIoError ? sent : pending;
-    }
-  }
-  state.sent_bytes += flushed;
-  return Status::OK();
+  const Status sent = SendMessage(&socket_, MessageType::kData, payload);
+  if (sent.ok()) return sent;
+  // A send failure usually means the server poisoned the shard and closed
+  // the connection; its pending ERROR, which AwaitReply returns as a
+  // failure, names the real cause. When the read side is dead too, the
+  // send failure is the best verdict.
+  const Status verdict = AwaitReply(MessageType::kError, channel).status();
+  return verdict.code() == StatusCode::kIoError ? sent : verdict;
 }
 
 Status CollectorClient::Send(uint32_t channel, const char* data, size_t size) {
@@ -242,10 +152,8 @@ Status CollectorClient::CloseShardBegin(uint32_t channel) {
   LDP_RETURN_IF_ERROR(Flush(channel, found->second));
   CloseShardMessage close;
   close.channel = channel;
-  std::string wire;
   LDP_RETURN_IF_ERROR(
-      AppendMessage(MessageType::kCloseShard, EncodeCloseShard(close), &wire));
-  LDP_RETURN_IF_ERROR(socket_.SendAll(wire));
+      SendMessage(&socket_, MessageType::kCloseShard, EncodeCloseShard(close)));
   found->second.closing = true;
   return Status::OK();
 }
@@ -297,9 +205,7 @@ Result<uint32_t> CollectorClient::AdvanceEpoch() {
     return Status::FailedPrecondition(
         "close the current shard before advancing the epoch");
   }
-  std::string wire;
-  LDP_RETURN_IF_ERROR(AppendMessage(MessageType::kAdvanceEpoch, "", &wire));
-  LDP_RETURN_IF_ERROR(socket_.SendAll(wire));
+  LDP_RETURN_IF_ERROR(SendMessage(&socket_, MessageType::kAdvanceEpoch, ""));
   std::string payload;
   LDP_ASSIGN_OR_RETURN(payload,
                        AwaitReply(MessageType::kEpochAdvanced, 0));

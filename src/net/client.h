@@ -8,13 +8,11 @@
 // on other channels — the client matches replies by channel and stashes
 // early arrivals, so callers never see the reordering.
 //
-// Flow control: with CollectorClientOptions::window_bytes set, the HELLO
-// opts in to batched DATA_ACK watermarks and Send blocks once
-// (sent - acked) bytes across all channels exceed the window — a reporter
-// on a fast link cannot buffer the collector into the ground. The window
-// is clamped to at least kDataAckFlushBytes + flush_bytes, because the
-// server batches acks and a smaller window could wait for an ack the
-// server is still accumulating.
+// Flow control is the socket's: Send blocks once the kernel send buffer is
+// full, and the collector drains it no faster than ServerSession::Feed
+// accepts bytes — a reporter on a fast link cannot buffer the collector
+// into the ground. DATA gets no reply; every reply is read through one
+// loop (AwaitReply).
 //
 // Blocking I/O with an optional idle timeout; thread-compatible (one
 // client per thread, like ClientSession's Rng discipline).
@@ -42,9 +40,6 @@ struct CollectorClientOptions {
   /// staged bytes reach this size (and CloseShard flushes the remainder).
   /// Clamped to at least 1 at Connect.
   size_t flush_bytes = 256 * 1024;
-  /// When nonzero, bound on unacknowledged in-flight bytes across all of
-  /// the connection's channels (see the file comment). 0 disables acks.
-  uint64_t window_bytes = 0;
   /// Reporter identity for authenticated campaigns. When `campaign_key` is
   /// non-empty every HELLO carries `reporter_id` plus an HMAC-SHA256 tag
   /// binding (key, id, channel, epoch, stream header); a keyed collector
@@ -121,9 +116,7 @@ class CollectorClient {
   struct ShardChannel {
     uint64_t resume_offset = 0;
     std::string staged;
-    uint64_t sent_bytes = 0;   ///< Post-header bytes shipped in DATA.
-    uint64_t acked_bytes = 0;  ///< Server's cumulative DATA_ACK watermark.
-    bool closing = false;      ///< CLOSE_SHARD sent, verdict not yet read.
+    bool closing = false;  ///< CLOSE_SHARD sent, verdict not yet read.
   };
 
   explicit CollectorClient(Socket socket, CollectorClientOptions options)
@@ -134,30 +127,17 @@ class CollectorClient {
   Status Negotiate(const stream::StreamHeader& header, uint64_t ordinal,
                    uint32_t channel);
 
-  /// Ships `channel`'s staged buffer as one DATA message, blocking for
-  /// acks first when the window is full.
+  /// Ships `channel`'s staged buffer as one DATA message.
   Status Flush(uint32_t channel, ShardChannel& state);
 
-  /// Reads one message off the socket (prefix + payload).
-  Result<std::pair<MessageType, std::string>> ReadMessage();
-
-  /// Applies one DATA_ACK's cumulative watermarks to the channel windows.
-  Status ProcessAck(const std::string& payload);
-
-  /// Reads and processes exactly one message: DATA_ACKs update windows,
-  /// early SHARD_CLOSEDs are stashed, ERROR becomes the returned status.
-  Status PumpMessage();
-
-  /// Pumps until a message of `expected` type arrives (for kShardClosed,
-  /// one whose channel is `want_channel`); returns its payload.
+  /// The one reply loop: reads until a message of `expected` type arrives
+  /// (for kShardClosed, one whose channel is `want_channel`) and returns
+  /// its payload. Other channels' SHARD_CLOSEDs are stashed; ERROR becomes
+  /// the returned status.
   Result<std::string> AwaitReply(MessageType expected, uint32_t want_channel);
-
-  uint64_t TotalInFlight() const;
 
   Socket socket_;
   CollectorClientOptions options_;
-  /// 0 when acks are off; otherwise the clamped in-flight bound.
-  uint64_t effective_window_ = 0;
   std::map<uint32_t, ShardChannel> channels_;
   /// SHARD_CLOSED payloads that arrived while awaiting something else.
   std::map<uint32_t, std::string> closed_payloads_;

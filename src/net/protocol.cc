@@ -33,7 +33,6 @@ bool IsKnownMessageType(uint8_t type) {
     case MessageType::kEpochAdvanced:
     case MessageType::kError:
     case MessageType::kSnapshotOk:
-    case MessageType::kDataAck:
       return true;
   }
   return false;
@@ -72,11 +71,38 @@ Result<MessageHeader> DecodeMessageHeader(const char* data, size_t size) {
   return header;
 }
 
+Status SendMessage(Socket* socket, MessageType type,
+                   const std::string& payload) {
+  std::string wire;
+  LDP_RETURN_IF_ERROR(AppendMessage(type, payload, &wire));
+  return socket->SendAll(wire);
+}
+
+Result<bool> RecvMessage(Socket* socket, MessageType* type,
+                         std::string* payload, int deadline_ms) {
+  char prefix[kMessageHeaderBytes];
+  Result<bool> got = socket->RecvAll(prefix, sizeof(prefix), deadline_ms);
+  if (!got.ok() || !got.value()) return got;
+  MessageHeader header;
+  LDP_ASSIGN_OR_RETURN(header, DecodeMessageHeader(prefix, sizeof(prefix)));
+  payload->assign(header.payload_length, '\0');
+  if (!payload->empty()) {
+    Result<bool> body =
+        socket->RecvAll(payload->data(), payload->size(), deadline_ms);
+    if (!body.ok()) return body.status();
+    if (!body.value()) {
+      return Status::IoError("peer closed the connection mid-message");
+    }
+  }
+  *type = header.type;
+  return true;
+}
+
 std::string EncodeHello(const HelloMessage& hello) {
   std::string out;
   PutU16(&out, kProtocolVersion);
   PutU32(&out, hello.channel);
-  PutU32(&out, hello.flags);
+  PutU32(&out, 0);  // flags
   PutU64(&out, hello.ordinal);
   PutU16(&out, static_cast<uint16_t>(hello.reporter_id.size()));
   out.append(hello.reporter_id);
@@ -94,7 +120,12 @@ Result<HelloMessage> DecodeHello(const std::string& payload) {
                                    std::to_string(hello.version));
   }
   LDP_ASSIGN_OR_RETURN(hello.channel, reader.U32());
-  LDP_ASSIGN_OR_RETURN(hello.flags, reader.U32());
+  uint32_t flags = 0;
+  LDP_ASSIGN_OR_RETURN(flags, reader.U32());
+  if (flags != 0) {
+    return Status::InvalidArgument("unsupported HELLO flags " +
+                                   std::to_string(flags));
+  }
   LDP_ASSIGN_OR_RETURN(hello.ordinal, reader.U64());
   uint16_t id_length = 0;
   LDP_ASSIGN_OR_RETURN(id_length, reader.U16());
@@ -173,36 +204,6 @@ Result<CloseShardMessage> DecodeCloseShard(const std::string& payload) {
     return Status::InvalidArgument("trailing bytes after CLOSE_SHARD");
   }
   return close;
-}
-
-std::string EncodeDataAck(const DataAckMessage& ack) {
-  std::string out;
-  PutU32(&out, static_cast<uint32_t>(ack.entries.size()));
-  for (const DataAckMessage::Entry& entry : ack.entries) {
-    PutU32(&out, entry.channel);
-    PutU64(&out, entry.bytes);
-  }
-  return out;
-}
-
-Result<DataAckMessage> DecodeDataAck(const std::string& payload) {
-  Reader reader(payload.data(), payload.size());
-  DataAckMessage ack;
-  uint32_t count = 0;
-  LDP_ASSIGN_OR_RETURN(count, reader.U32());
-  // 12 bytes per entry keeps a hostile count from reserving gigabytes.
-  if (count > (payload.size() / 12) + 1) {
-    return Status::InvalidArgument("DATA_ACK count exceeds payload");
-  }
-  ack.entries.resize(count);
-  for (DataAckMessage::Entry& entry : ack.entries) {
-    LDP_ASSIGN_OR_RETURN(entry.channel, reader.U32());
-    LDP_ASSIGN_OR_RETURN(entry.bytes, reader.U64());
-  }
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after DATA_ACK");
-  }
-  return ack;
 }
 
 std::string EncodeSnapshot(const SnapshotMessage& snapshot) {
@@ -311,6 +312,10 @@ Result<ErrorMessage> DecodeErrorMessage(const std::string& payload) {
   Reader reader(payload.data(), payload.size());
   ErrorMessage error;
   LDP_ASSIGN_OR_RETURN(error.code, reader.U8());
+  if (error.code == 0) {
+    // StatusFromWire(0) is OK: an ERROR must never read as success.
+    return Status::InvalidArgument("ERROR message carries status code 0");
+  }
   error.message = TakeRest(payload, reader);
   return error;
 }

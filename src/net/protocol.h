@@ -16,9 +16,6 @@
 //   DATA {channel, raw frame bytes}  (any chunking; fed straight into
 //                            ServerSession::Feed — the report-stream
 //                            framing below is untouched)      [repeated]
-//                                    <- DATA_ACK {channel -> bytes}*
-//                                       (batched; only if the HELLO set
-//                                        kHelloFlagDataAcks)
 //   CLOSE_SHARD {channel}            -> drain, merge in ordinal order
 //                                    <- SHARD_CLOSED {channel, status,
 //                                                     stats}
@@ -30,6 +27,12 @@
 // SHARD_CLOSED may arrive *after* replies to later requests on the same
 // connection — clients must match replies by channel, not by order.
 //
+// The HELLO's flags word is always 0. DATA gets no reply: flow control is
+// the socket's own. A reporter's send blocks once the kernel buffer fills,
+// and the collector reads a connection's next message only after
+// ServerSession::Feed returns, which blocks at the per-shard pending-byte
+// bound.
+//
 // The HELLO payload carries the exact report-stream header
 // (stream/report_stream.h) the subsequent DATA bytes would have started
 // with on disk, so the server rejects a mismatched client (schema hash, ε,
@@ -40,16 +43,16 @@
 // `ldp_aggregate shard-0 shard-1 ...` run no matter which connection
 // finishes first.
 //
-// This header is transport-agnostic (pure encode/decode over strings) so
-// the framing is unit-testable without sockets.
+// The codecs are pure encode/decode over strings, so the framing is
+// unit-testable without sockets; only SendMessage/RecvMessage touch one.
 
 #ifndef LDP_NET_PROTOCOL_H_
 #define LDP_NET_PROTOCOL_H_
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
+#include "net/socket.h"
 #include "stream/shard_ingester.h"
 #include "util/result.h"
 #include "util/status.h"
@@ -69,20 +72,9 @@ inline constexpr size_t kMaxReporterIdBytes = 128;
 /// Size of the raw HMAC-SHA256 tag in a v3 HELLO.
 inline constexpr size_t kHelloAuthTagBytes = 32;
 
-/// HELLO flag bit: the client wants batched DATA_ACK messages (cumulative
-/// per-channel byte watermarks) so it can bound its in-flight window.
-inline constexpr uint32_t kHelloFlagDataAcks = 1u << 0;
-
 /// Every DATA payload starts with the u32 channel id of the shard the
 /// frame bytes belong to.
 inline constexpr size_t kDataChannelPrefixBytes = 4;
-
-/// The server batches DATA_ACK watermarks until this many unacked bytes
-/// have accumulated across an opted-in connection's channels (a close or
-/// poison flushes early). Clients sizing a send window must leave at least
-/// this much headroom or the window can deadlock waiting for an ack the
-/// server is still batching.
-inline constexpr uint64_t kDataAckFlushBytes = 256u << 10;
 
 /// u8 type + u32 payload length.
 inline constexpr size_t kMessageHeaderBytes = 5;
@@ -105,7 +97,6 @@ enum class MessageType : uint8_t {
   kEpochAdvanced = 0x12,
   kError = 0x13,
   kSnapshotOk = 0x14,
-  kDataAck = 0x15,
 };
 
 /// True for the message types defined above.
@@ -126,11 +117,22 @@ Status AppendMessage(MessageType type, const std::string& payload,
 /// Requires exactly kMessageHeaderBytes.
 Result<MessageHeader> DecodeMessageHeader(const char* data, size_t size);
 
+/// Blocking whole-message I/O over a connected socket. SendMessage frames
+/// `payload` as one `type` message. RecvMessage reads one message into
+/// `*type`/`*payload` and returns false on a clean peer close at a message
+/// boundary, like Socket::RecvAll; `deadline_ms` bounds the prefix read and
+/// the payload read each (0 = only the socket's idle timeout).
+Status SendMessage(Socket* socket, MessageType type,
+                   const std::string& payload);
+Result<bool> RecvMessage(Socket* socket, MessageType* type,
+                         std::string* payload, int deadline_ms = 0);
+
 // --- payloads --------------------------------------------------------------
 
 /// HELLO: the client introduces one shard-to-be on a fresh channel.
 ///
-/// Layout: the fixed fields, then u16 id length, the id bytes, the raw
+/// Layout: u16 version, u32 channel, u32 flags (always 0; a nonzero word
+/// is refused), u64 ordinal, then u16 id length, the id bytes, the raw
 /// 32-byte tag, then the stream header. An anonymous HELLO (for a keyless
 /// collector) carries id length 0 and no tag.
 struct HelloMessage {
@@ -139,8 +141,6 @@ struct HelloMessage {
   /// collide with a channel still open on the same connection. Single-shard
   /// clients use 0.
   uint32_t channel = 0;
-  /// kHelloFlag* bits. Zero keeps the server reply-only (no DATA_ACKs).
-  uint32_t flags = 0;
   /// The shard's merge position (see file comment). Clients streaming a
   /// single ad-hoc shard use 0.
   uint64_t ordinal = 0;
@@ -189,21 +189,6 @@ struct CloseShardMessage {
 
 std::string EncodeCloseShard(const CloseShardMessage& close);
 Result<CloseShardMessage> DecodeCloseShard(const std::string& payload);
-
-/// DATA_ACK: batched cumulative receipt watermarks, one entry per channel
-/// with new progress since the last ack. `bytes` counts post-header stream
-/// bytes the server has fed for that channel, so a client windowing its
-/// sends can release (bytes - previously acked) from its in-flight budget.
-struct DataAckMessage {
-  struct Entry {
-    uint32_t channel = 0;
-    uint64_t bytes = 0;
-  };
-  std::vector<Entry> entries;
-};
-
-std::string EncodeDataAck(const DataAckMessage& ack);
-Result<DataAckMessage> DecodeDataAck(const std::string& payload);
 
 /// SNAPSHOT: a relay node ships its whole session snapshot upstream. The
 /// snapshot is cumulative (every epoch, all reports so far), so a node may
@@ -256,7 +241,7 @@ Result<EpochAdvancedMessage> DecodeEpochAdvanced(const std::string& payload);
 
 /// ERROR: the server refuses the connection or poisons the shard.
 struct ErrorMessage {
-  uint8_t code = 0;  ///< StatusCode (never kOk).
+  uint8_t code = 0;  ///< StatusCode (never kOk; DecodeErrorMessage refuses 0).
   std::string message;
 };
 

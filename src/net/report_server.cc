@@ -567,24 +567,7 @@ bool ReportServer::DispatchMessage(Loop& loop,
         PoisonConn(loop, conn, fed, /*count_always=*/false);
         return false;
       }
-      uint64_t watermark = 0;
-      {
-        std::lock_guard<std::mutex> conn_lock(conn->mutex);
-        auto found = conn->channels.find(channel);
-        if (found != conn->channels.end()) {
-          found->second.fed_bytes += size;
-          watermark = found->second.fed_bytes;
-        }
-      }
-      if (conn->wants_acks) {
-        conn->pending_acks[channel] = watermark;
-        conn->unacked_bytes += size;
-        if (conn->unacked_bytes >= kDataAckFlushBytes) {
-          FlushPendingAcks(conn);
-          FlushConn(loop, conn);
-        }
-      }
-      return !conn->dead;
+      return true;
     }
     case MessageType::kCloseShard: {
       Result<CloseShardMessage> close = DecodeCloseShard(conn->payload);
@@ -609,10 +592,6 @@ bool ReportServer::DispatchMessage(Loop& loop,
                    /*count_always=*/false);
         return false;
       }
-      // Queue the channel's final watermark ahead of the eventual
-      // SHARD_CLOSED reply so a windowing client's in-flight budget fully
-      // drains. Queue only — no socket I/O yet.
-      FlushPendingAcks(conn);
       if (options_.journal != nullptr) {
         options_.journal->Record(obs::EventKind::kMergeEnter, state.ordinal);
       }
@@ -694,7 +673,6 @@ bool ReportServer::RefuseHello(Loop& loop, const std::shared_ptr<Conn>& conn,
   }
   // A refused HELLO closes the whole connection, so its other channels
   // abandon.
-  FlushPendingAcks(conn);
   QueueMessage(conn, MessageType::kError, EncodeError(verdict));
   AbandonConnChannels(conn);
   CloseAfterFlush(loop, conn);
@@ -795,9 +773,6 @@ bool ReportServer::HandleHello(Loop& loop,
   if (metrics_.enabled()) metrics_.hello_accepted->Increment();
   if (options_.journal != nullptr) {
     options_.journal->Record(obs::EventKind::kHelloAccept, ordinal);
-  }
-  if ((hello.value().flags & kHelloFlagDataAcks) != 0) {
-    conn->wants_acks = true;
   }
   {
     std::lock_guard<std::mutex> conn_lock(conn->mutex);
@@ -936,7 +911,6 @@ void ReportServer::HandleConnFailure(Loop& loop,
 
 void ReportServer::PoisonConn(Loop& loop, const std::shared_ptr<Conn>& conn,
                               const Status& verdict, bool count_always) {
-  FlushPendingAcks(conn);
   QueueMessage(conn, MessageType::kError, EncodeError(verdict));
   const size_t had_channels = AbandonConnChannels(conn);
   if (count_always || had_channels == 0) CountProtocolError();
@@ -1055,18 +1029,6 @@ void ReportServer::QueueMessage(const std::shared_ptr<Conn>& conn,
   std::lock_guard<std::mutex> conn_lock(conn->mutex);
   if (conn->dead) return;
   conn->outbuf.append(wire);
-}
-
-void ReportServer::FlushPendingAcks(const std::shared_ptr<Conn>& conn) {
-  if (!conn->wants_acks || conn->pending_acks.empty()) return;
-  DataAckMessage ack;
-  ack.entries.reserve(conn->pending_acks.size());
-  for (const auto& [channel, bytes] : conn->pending_acks) {
-    ack.entries.push_back({channel, bytes});
-  }
-  conn->pending_acks.clear();
-  conn->unacked_bytes = 0;
-  QueueMessage(conn, MessageType::kDataAck, EncodeDataAck(ack));
 }
 
 // --- merge scheduler -------------------------------------------------------

@@ -12,9 +12,10 @@
 //
 // Multiplexing: the protocol lets one connection carry many logical shards
 // concurrently, each on a client-chosen *channel* (HELLO opens one,
-// DATA/CLOSE_SHARD name one, SHARD_CLOSED echoes one). A HELLO may opt in
-// to batched DATA_ACK watermarks so a windowing client can bound its
-// in-flight bytes without one round trip per send.
+// DATA/CLOSE_SHARD name one, SHARD_CLOSED echoes one). DATA gets no
+// reply: a connection's next message is read only after Feed returns, so
+// the socket's own flow control carries the per-shard backpressure back to
+// the reporter.
 //
 // Identity: with Options::campaign_key set, every HELLO must be protocol
 // v3 — reporter id plus an HMAC-SHA256 tag over (id, channel, epoch,
@@ -243,10 +244,6 @@ class ReportServer {
     /// channels — a close in flight completes (the reply just goes
     /// nowhere), exactly as a blocking close used to survive its peer.
     bool closing = false;
-    /// Cumulative post-header bytes fed on this channel instance (the
-    /// DATA_ACK watermark). Starts at 0 even for resumed shards: the
-    /// client windows what *it* sent since the resume.
-    uint64_t fed_bytes = 0;
   };
 
   enum class ReadPhase : uint8_t { kPrefix, kPayload };
@@ -273,11 +270,6 @@ class ReportServer {
     /// grace, so Stop(drain) cannot hang on a peer that never reads).
     SteadyTime deadline = SteadyTime::max();
     bool reads_closed = false;  ///< Poisoned: flush the outbuf, then die.
-    bool wants_acks = false;    ///< Some HELLO set kHelloFlagDataAcks.
-    uint64_t unacked_bytes = 0;
-    /// Channels with progress since the last DATA_ACK (ordered for a
-    /// deterministic wire layout).
-    std::map<uint32_t, uint64_t> pending_acks;
     bool want_write = false;  ///< Poller currently watching writability.
 
     // --- shared with scheduler / Stop (guarded by mutex) ----------------
@@ -360,7 +352,6 @@ class ReportServer {
   void CloseAfterFlush(Loop& loop, const std::shared_ptr<Conn>& conn);
   void QueueMessage(const std::shared_ptr<Conn>& conn, MessageType type,
                     const std::string& payload);
-  void FlushPendingAcks(const std::shared_ptr<Conn>& conn);
   void ArmDeadline(const std::shared_ptr<Conn>& conn);
 
   // --- merge scheduler -------------------------------------------------

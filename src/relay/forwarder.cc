@@ -10,6 +10,9 @@ namespace ldp::relay {
 
 namespace {
 
+// Attempts per background cycle (see Run).
+constexpr int kAttemptsPerCycle = 5;
+
 // Bounds one backoff step: first -> doubling -> max.
 int NextBackoff(int current_ms, const RelayForwarderOptions& options) {
   if (current_ms <= 0) return options.retry_backoff_ms;
@@ -54,7 +57,7 @@ void RelayForwarder::Run() {
     lock.unlock();
     // A background cycle gives up after a few attempts: the snapshot is
     // cumulative, so whatever this cycle missed the next one covers.
-    (void)ForwardCycle(/*force=*/false, options_.attempts_per_cycle,
+    (void)ForwardCycle(/*force=*/false, kAttemptsPerCycle,
                        /*deadline_ms=*/0);
     lock.lock();
   }
@@ -80,32 +83,20 @@ Status RelayForwarder::SendOnce(const std::string& snapshot_bytes,
   message.seq = seq;
   message.epoch = session_->current_epoch();
   message.snapshot_bytes = snapshot_bytes;
-  std::string wire;
-  LDP_RETURN_IF_ERROR(net::AppendMessage(net::MessageType::kSnapshot,
-                                         net::EncodeSnapshot(message),
-                                         &wire));
-  LDP_RETURN_IF_ERROR(socket_.SendAll(wire));
-  char prefix[net::kMessageHeaderBytes];
-  Result<bool> got = socket_.RecvAll(prefix, sizeof(prefix),
-                                     options_.idle_timeout_ms);
+  LDP_RETURN_IF_ERROR(net::SendMessage(&socket_, net::MessageType::kSnapshot,
+                                       net::EncodeSnapshot(message)));
+  net::MessageType type = net::MessageType::kError;
+  std::string payload;
+  Result<bool> got =
+      net::RecvMessage(&socket_, &type, &payload, options_.idle_timeout_ms);
   if (!got.ok()) return got.status();
   if (!got.value()) return Status::IoError("upstream closed mid-handshake");
-  Result<net::MessageHeader> header =
-      net::DecodeMessageHeader(prefix, sizeof(prefix));
-  if (!header.ok()) return header.status();
-  std::string payload(header.value().payload_length, '\0');
-  if (!payload.empty()) {
-    Result<bool> body = socket_.RecvAll(payload.data(), payload.size(),
-                                        options_.idle_timeout_ms);
-    if (!body.ok()) return body.status();
-    if (!body.value()) return Status::IoError("upstream closed mid-reply");
-  }
-  if (header.value().type == net::MessageType::kError) {
+  if (type == net::MessageType::kError) {
     Result<net::ErrorMessage> error = net::DecodeErrorMessage(payload);
     if (!error.ok()) return error.status();
     return net::StatusFromWire(error.value().code, error.value().message);
   }
-  if (header.value().type != net::MessageType::kSnapshotOk) {
+  if (type != net::MessageType::kSnapshotOk) {
     return Status::Internal("upstream sent an unexpected reply type");
   }
   Result<net::SnapshotOkMessage> ok = net::DecodeSnapshotOk(payload);

@@ -54,9 +54,6 @@ struct RelayForwarderOptions {
   int max_backoff_ms = 5000;
   /// Per-attempt bound on upstream socket I/O (0 = wait forever).
   int idle_timeout_ms = 30000;
-  /// Attempts per background cycle before giving up until the next cycle
-  /// (the snapshot is cumulative, so a skipped cycle loses nothing).
-  int attempts_per_cycle = 5;
   /// Bound on the synchronous final Flush — how long a draining edge keeps
   /// retrying a dead upstream before giving up.
   int flush_timeout_ms = 60000;

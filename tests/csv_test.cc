@@ -1,9 +1,11 @@
 #include "data/csv.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 namespace ldp::data {
 namespace {
@@ -11,7 +13,10 @@ namespace {
 class CsvTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/ldp_csv_test.csv";
+    // ctest runs each case as its own process, concurrently under -j: a
+    // shared path would let one case's TearDown delete another's input.
+    path_ = ::testing::TempDir() + "/ldp_csv_test_" +
+            std::to_string(::getpid()) + ".csv";
   }
   void TearDown() override { std::remove(path_.c_str()); }
 

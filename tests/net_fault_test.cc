@@ -5,7 +5,9 @@
 // length prefixes, and HELLO schema mismatches. The contract: every fault
 // rejects, poisons, or abandons exactly the offending connection's shard,
 // while an honest connection served concurrently completes with exact
-// counts — and the epoch holds precisely the honest contributions.
+// counts — and the epoch holds precisely the honest contributions. A fake
+// collector whose ERROR carries status code 0 must fail the reporter and
+// the relay forwarder, never pass for success.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -23,6 +25,7 @@
 #include "net/report_server.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
+#include "relay/forwarder.h"
 #include "stream/report_stream.h"
 #include "stream_corpus_util.h"
 
@@ -45,13 +48,6 @@ net::Endpoint FaultUdsEndpoint(const std::string& name) {
 
 // --- a raw protocol speaker (no CollectorClient conveniences) --------------
 
-Status SendRawMessage(net::Socket* socket, net::MessageType type,
-                      const std::string& payload) {
-  std::string wire;
-  LDP_RETURN_IF_ERROR(net::AppendMessage(type, payload, &wire));
-  return socket->SendAll(wire);
-}
-
 // DATA payloads carry a u32 channel prefix since protocol v2; these raw
 // speakers always use the connection's first channel (id 0).
 std::string OnChannelZero(const std::string& frames) {
@@ -64,35 +60,6 @@ std::string CloseChannelZero() {
   net::CloseShardMessage close;
   close.channel = 0;
   return net::EncodeCloseShard(close);
-}
-
-struct RawReply {
-  net::MessageType type = net::MessageType::kError;
-  std::string payload;
-  bool eof = false;
-};
-
-Result<RawReply> ReadRawReply(net::Socket* socket) {
-  RawReply reply;
-  char prefix[net::kMessageHeaderBytes];
-  Result<bool> got = socket->RecvAll(prefix, sizeof(prefix));
-  if (!got.ok()) return got.status();
-  if (!got.value()) {
-    reply.eof = true;
-    return reply;
-  }
-  Result<net::MessageHeader> header =
-      net::DecodeMessageHeader(prefix, sizeof(prefix));
-  if (!header.ok()) return header.status();
-  reply.type = header.value().type;
-  reply.payload.resize(header.value().payload_length);
-  if (!reply.payload.empty()) {
-    Result<bool> body =
-        socket->RecvAll(reply.payload.data(), reply.payload.size());
-    if (!body.ok()) return body.status();
-    if (!body.value()) return Status::IoError("eof mid-reply");
-  }
-  return reply;
 }
 
 // The verdict one hostile (or honest) stream earns over the wire.
@@ -118,16 +85,18 @@ Result<WireVerdict> PlayStream(const net::Endpoint& endpoint,
       bytes.substr(0, std::min(bytes.size(),
                                static_cast<size_t>(
                                    stream::kStreamHeaderBytes)));
-  LDP_RETURN_IF_ERROR(SendRawMessage(&socket.value(), net::MessageType::kHello,
-                                     net::EncodeHello(hello)));
-  RawReply reply;
-  LDP_ASSIGN_OR_RETURN(reply, ReadRawReply(&socket.value()));
-  if (reply.eof) return Status::IoError("collector hung up at HELLO");
-  if (reply.type == net::MessageType::kError) {
+  LDP_RETURN_IF_ERROR(net::SendMessage(
+      &socket.value(), net::MessageType::kHello, net::EncodeHello(hello)));
+  net::MessageType type = net::MessageType::kError;
+  std::string reply;
+  bool got = false;
+  LDP_ASSIGN_OR_RETURN(got, net::RecvMessage(&socket.value(), &type, &reply));
+  if (!got) return Status::IoError("collector hung up at HELLO");
+  if (type == net::MessageType::kError) {
     verdict.refused_at_hello = true;
     return verdict;
   }
-  if (reply.type != net::MessageType::kHelloOk) {
+  if (type != net::MessageType::kHelloOk) {
     return Status::InvalidArgument("unexpected HELLO reply");
   }
 
@@ -137,33 +106,33 @@ Result<WireVerdict> PlayStream(const net::Endpoint& endpoint,
        offset += 4096) {
     const size_t take = std::min<size_t>(4096, bytes.size() - offset);
     const Status sent =
-        SendRawMessage(&socket.value(), net::MessageType::kData,
-                       OnChannelZero(bytes.substr(offset, take)));
+        net::SendMessage(&socket.value(), net::MessageType::kData,
+                         OnChannelZero(bytes.substr(offset, take)));
     if (!sent.ok()) {
       verdict.poisoned = true;
       return verdict;
     }
   }
-  const Status closing = SendRawMessage(
+  const Status closing = net::SendMessage(
       &socket.value(), net::MessageType::kCloseShard, CloseChannelZero());
   if (!closing.ok()) {
     verdict.poisoned = true;
     return verdict;
   }
-  LDP_ASSIGN_OR_RETURN(reply, ReadRawReply(&socket.value()));
-  if (reply.eof) {
+  LDP_ASSIGN_OR_RETURN(got, net::RecvMessage(&socket.value(), &type, &reply));
+  if (!got) {
     verdict.poisoned = true;
     return verdict;
   }
-  if (reply.type == net::MessageType::kError) {
+  if (type == net::MessageType::kError) {
     verdict.poisoned = true;
     return verdict;
   }
-  if (reply.type != net::MessageType::kShardClosed) {
+  if (type != net::MessageType::kShardClosed) {
     return Status::InvalidArgument("unexpected CLOSE reply");
   }
   net::ShardClosedMessage closed;
-  LDP_ASSIGN_OR_RETURN(closed, net::DecodeShardClosed(reply.payload));
+  LDP_ASSIGN_OR_RETURN(closed, net::DecodeShardClosed(reply));
   verdict.poisoned = closed.code != 0;
   verdict.accepted = closed.stats.accepted;
   verdict.rejected = closed.stats.rejected;
@@ -252,18 +221,20 @@ TEST(NetFaultTest, MidFrameDisconnectAbandonsOnlyThatShard) {
     net::HelloMessage hello;
     hello.ordinal = 0;
     hello.header_bytes = honest.substr(0, stream::kStreamHeaderBytes);
-    ASSERT_TRUE(SendRawMessage(&socket.value(), net::MessageType::kHello,
-                               net::EncodeHello(hello))
+    ASSERT_TRUE(net::SendMessage(&socket.value(), net::MessageType::kHello,
+                                 net::EncodeHello(hello))
                     .ok());
-    auto reply = ReadRawReply(&socket.value());
-    ASSERT_TRUE(reply.ok());
-    ASSERT_EQ(reply.value().type, net::MessageType::kHelloOk);
+    net::MessageType type = net::MessageType::kError;
+    std::string reply;
+    ASSERT_TRUE(
+        net::RecvMessage(&socket.value(), &type, &reply).value_or(false));
+    ASSERT_EQ(type, net::MessageType::kHelloOk);
     const size_t half = honest.size() / 2;
     ASSERT_TRUE(
-        SendRawMessage(&socket.value(), net::MessageType::kData,
-                       OnChannelZero(honest.substr(
-                           stream::kStreamHeaderBytes,
-                           half - stream::kStreamHeaderBytes)))
+        net::SendMessage(&socket.value(), net::MessageType::kData,
+                         OnChannelZero(honest.substr(
+                             stream::kStreamHeaderBytes,
+                             half - stream::kStreamHeaderBytes)))
             .ok());
     // Socket destructor: abrupt disconnect, no CLOSE_SHARD.
   }
@@ -362,18 +333,20 @@ TEST(NetFaultTest, OversizedControlLengthPrefixKillsOnlyThatConnection) {
     net::HelloMessage hello;
     hello.ordinal = 0;
     hello.header_bytes = honest.substr(0, stream::kStreamHeaderBytes);
-    ASSERT_TRUE(SendRawMessage(&socket.value(), net::MessageType::kHello,
-                               net::EncodeHello(hello))
+    ASSERT_TRUE(net::SendMessage(&socket.value(), net::MessageType::kHello,
+                                 net::EncodeHello(hello))
                     .ok());
-    auto ok = ReadRawReply(&socket.value());
-    ASSERT_TRUE(ok.ok());
-    ASSERT_EQ(ok.value().type, net::MessageType::kHelloOk);
+    net::MessageType type = net::MessageType::kError;
+    std::string reply;
+    ASSERT_TRUE(
+        net::RecvMessage(&socket.value(), &type, &reply).value_or(false));
+    ASSERT_EQ(type, net::MessageType::kHelloOk);
     const char hostile[net::kMessageHeaderBytes] = {
         0x02, '\xFF', '\xFF', '\xFF', '\xFF'};  // DATA, length 0xFFFFFFFF
     ASSERT_TRUE(socket.value().SendAll(hostile, sizeof(hostile)).ok());
-    auto reply = ReadRawReply(&socket.value());
-    ASSERT_TRUE(reply.ok());
-    EXPECT_EQ(reply.value().type, net::MessageType::kError);
+    ASSERT_TRUE(
+        net::RecvMessage(&socket.value(), &type, &reply).value_or(false));
+    EXPECT_EQ(type, net::MessageType::kError);
   }
 
   auto verdict = PlayStream(endpoint, honest, /*ordinal=*/1);
@@ -389,22 +362,22 @@ TEST(NetFaultTest, OversizedControlLengthPrefixKillsOnlyThatConnection) {
   EXPECT_EQ(reports.value(), kCorpusReports);
 }
 
-// Sends one HELLO on a fresh connection and returns the server's reply.
-Result<RawReply> SendLoneHello(const net::Endpoint& endpoint,
-                               const net::HelloMessage& hello) {
+// Sends one HELLO on a fresh connection and expects the reply to be the
+// auth gate's FailedPrecondition refusal.
+void ExpectAuthRefusal(const net::Endpoint& endpoint,
+                       const net::HelloMessage& hello) {
   Result<net::Socket> socket = net::ConnectSocket(endpoint);
-  if (!socket.ok()) return socket.status();
-  LDP_RETURN_IF_ERROR(SendRawMessage(&socket.value(), net::MessageType::kHello,
-                                     net::EncodeHello(hello)));
-  return ReadRawReply(&socket.value());
-}
-
-// Expects `reply` to be the auth gate's FailedPrecondition refusal.
-void ExpectAuthRefusal(const Result<RawReply>& reply) {
-  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  ASSERT_FALSE(reply.value().eof);
-  ASSERT_EQ(reply.value().type, net::MessageType::kError);
-  auto error = net::DecodeErrorMessage(reply.value().payload);
+  ASSERT_TRUE(socket.ok()) << socket.status().ToString();
+  ASSERT_TRUE(net::SendMessage(&socket.value(), net::MessageType::kHello,
+                               net::EncodeHello(hello))
+                  .ok());
+  net::MessageType type = net::MessageType::kError;
+  std::string reply;
+  Result<bool> got = net::RecvMessage(&socket.value(), &type, &reply);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_TRUE(got.value());
+  ASSERT_EQ(type, net::MessageType::kError);
+  auto error = net::DecodeErrorMessage(reply);
   ASSERT_TRUE(error.ok());
   EXPECT_EQ(net::StatusFromWire(error.value().code, error.value().message)
                 .code(),
@@ -441,26 +414,26 @@ TEST(NetFaultTest, KeyedServerRefusesForgedAndReplayedHellos) {
     net::HelloMessage anonymous;
     anonymous.ordinal = 0;
     anonymous.header_bytes = header_bytes;
-    ExpectAuthRefusal(SendLoneHello(endpoint, anonymous));
+    ExpectAuthRefusal(endpoint, anonymous);
   }
   // One flipped bit anywhere in the tag.
   {
     net::HelloMessage flipped = valid;
     flipped.auth_tag[7] ^= 0x01;
-    ExpectAuthRefusal(SendLoneHello(endpoint, flipped));
+    ExpectAuthRefusal(endpoint, flipped);
   }
   // A valid tag replayed onto a different channel.
   {
     net::HelloMessage cross_channel = valid;
     cross_channel.channel = 1;
-    ExpectAuthRefusal(SendLoneHello(endpoint, cross_channel));
+    ExpectAuthRefusal(endpoint, cross_channel);
   }
   // A tag minted for a different epoch (the server is at epoch 0).
   {
     net::HelloMessage cross_epoch = valid;
     cross_epoch.auth_tag = net::ComputeHelloTag(
         key, valid.reporter_id, valid.channel, /*epoch=*/1, header_bytes);
-    ExpectAuthRefusal(SendLoneHello(endpoint, cross_epoch));
+    ExpectAuthRefusal(endpoint, cross_epoch);
   }
   // A tag minted under a different key.
   {
@@ -468,13 +441,13 @@ TEST(NetFaultTest, KeyedServerRefusesForgedAndReplayedHellos) {
     wrong_key.auth_tag = net::ComputeHelloTag(
         "not-the-key", valid.reporter_id, valid.channel, /*epoch=*/0,
         header_bytes);
-    ExpectAuthRefusal(SendLoneHello(endpoint, wrong_key));
+    ExpectAuthRefusal(endpoint, wrong_key);
   }
   // A tag vouching for a different identity than the HELLO claims.
   {
     net::HelloMessage stolen = valid;
     stolen.reporter_id = "user-1";
-    ExpectAuthRefusal(SendLoneHello(endpoint, stolen));
+    ExpectAuthRefusal(endpoint, stolen);
   }
 
   // The honest authenticated reporter is served through the wreckage —
@@ -532,7 +505,7 @@ TEST(NetFaultTest, KeylessServerRefusesAuthenticatedHello) {
                                         honest.substr(
                                             0, stream::kStreamHeaderBytes));
   hello.header_bytes = honest.substr(0, stream::kStreamHeaderBytes);
-  ExpectAuthRefusal(SendLoneHello(server.value()->endpoint(), hello));
+  ExpectAuthRefusal(server.value()->endpoint(), hello);
 
   // The same client with no identity options connects fine (anonymous
   // HELLO).
@@ -551,7 +524,11 @@ TEST(NetFaultTest, KeylessServerRefusesAuthenticatedHello) {
   EXPECT_EQ(reports.value(), 0u);
 }
 
-TEST(NetFaultTest, KeylessServerRefusesRetiredV2HelloLayout) {
+// Sends `hello_payload` as a raw HELLO to a keyless collector and expects
+// ERROR, no shard opened, and one protocol error; the next honest reporter
+// takes the same ordinal and still merges.
+void ExpectRawHelloIsAProtocolError(const std::string& name,
+                                    const std::string& hello_payload) {
   const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
   const std::string honest = MakeHonestStream(pipeline, /*seed=*/975);
 
@@ -561,31 +538,27 @@ TEST(NetFaultTest, KeylessServerRefusesRetiredV2HelloLayout) {
   auto session = pipeline.NewServer(session_options);
   ASSERT_TRUE(session.ok());
   auto server = net::ReportServer::Start(&session.value(), pipeline.header(),
-                                         FaultUdsEndpoint("v2hello"),
+                                         FaultUdsEndpoint(name),
                                          net::ReportServerOptions());
   ASSERT_TRUE(server.ok());
   const net::Endpoint endpoint = server.value()->endpoint();
 
-  // The retired v2 layout, byte by byte: u16 version 2, u32 channel 0,
-  // u32 flags 0, u64 ordinal 0, then straight into the stream header with
-  // no reporter-id length field.
-  std::string v2("\x02\x00", 2);
-  v2.append(4 + 4 + 8, '\0');
-  v2.append(honest.substr(0, stream::kStreamHeaderBytes));
   {
     Result<net::Socket> socket = net::ConnectSocket(endpoint);
     ASSERT_TRUE(socket.ok());
-    ASSERT_TRUE(
-        SendRawMessage(&socket.value(), net::MessageType::kHello, v2).ok());
-    auto reply = ReadRawReply(&socket.value());
-    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-    ASSERT_FALSE(reply.value().eof);
-    EXPECT_EQ(reply.value().type, net::MessageType::kError);
+    ASSERT_TRUE(net::SendMessage(&socket.value(), net::MessageType::kHello,
+                                 hello_payload)
+                    .ok());
+    net::MessageType type = net::MessageType::kError;
+    std::string reply;
+    Result<bool> got = net::RecvMessage(&socket.value(), &type, &reply);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(got.value());
+    EXPECT_EQ(type, net::MessageType::kError);
   }
   EXPECT_EQ(registry.GetCounter("ldp_session_shards_opened_total")->Value(),
             0u);
 
-  // The next honest reporter takes the same ordinal and still merges.
   auto client = net::CollectorClient::Connect(endpoint, pipeline.header(),
                                               /*ordinal=*/0);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
@@ -608,6 +581,88 @@ TEST(NetFaultTest, KeylessServerRefusesRetiredV2HelloLayout) {
   auto reports = session.value().num_reports(0);
   ASSERT_TRUE(reports.ok());
   EXPECT_EQ(reports.value(), kCorpusReports);
+}
+
+std::string CorpusHeaderBytes() {
+  return stream::EncodeStreamHeader(
+      MakeCorpusPipeline(/*numeric=*/false).header());
+}
+
+TEST(NetFaultTest, KeylessServerRefusesRetiredV2HelloLayout) {
+  // The retired v2 layout, byte by byte: u16 version 2, u32 channel 0,
+  // u32 flags 0, u64 ordinal 0, then straight into the stream header with
+  // no reporter-id length field.
+  std::string v2("\x02\x00", 2);
+  v2.append(4 + 4 + 8, '\0');
+  v2.append(CorpusHeaderBytes());
+  ExpectRawHelloIsAProtocolError("v2hello", v2);
+}
+
+TEST(NetFaultTest, HelloWithAFlagBitSetIsAProtocolError) {
+  // Bit 0 of the flags word once opted in to DATA_ACK replies; a client
+  // still setting it would wait forever for them, so it is refused.
+  net::HelloMessage hello;
+  hello.header_bytes = CorpusHeaderBytes();
+  std::string flagged = net::EncodeHello(hello);
+  flagged[2 + 4] = '\x01';  // after u16 version and u32 channel
+  ExpectRawHelloIsAProtocolError("flagged", flagged);
+}
+
+// A fake collector answering every connection's first message with an
+// ERROR carrying status code 0, which no real server sends.
+class ZeroCodeErrorPeer {
+ public:
+  explicit ZeroCodeErrorPeer(const std::string& name)
+      : listener_(net::Listener::Bind(FaultUdsEndpoint(name)).value()) {
+    thread_ = std::thread([this] {
+      while (true) {
+        Result<net::Socket> conn = listener_.Accept();
+        if (!conn.ok() || !conn.value().valid()) return;
+        net::MessageType type = net::MessageType::kError;
+        std::string payload;
+        if (net::RecvMessage(&conn.value(), &type, &payload).value_or(false)) {
+          (void)net::SendMessage(&conn.value(), net::MessageType::kError,
+                                 std::string("\0looks fine", 11));
+        }
+      }
+    });
+  }
+  ~ZeroCodeErrorPeer() {
+    listener_.Wake();
+    thread_.join();
+  }
+
+  const net::Endpoint& endpoint() const { return listener_.endpoint(); }
+
+ private:
+  net::Listener listener_;
+  std::thread thread_;
+};
+
+TEST(NetFaultTest, ZeroCodeErrorFailsTheReporterInsteadOfAborting) {
+  ZeroCodeErrorPeer peer("zerocode_client");
+  auto client = net::CollectorClient::Connect(
+      peer.endpoint(), MakeCorpusPipeline(/*numeric=*/false).header(),
+      /*ordinal=*/0);
+  ASSERT_FALSE(client.ok());
+  EXPECT_EQ(client.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(NetFaultTest, ZeroCodeErrorIsNotASnapshotAck) {
+  ZeroCodeErrorPeer peer("zerocode_relay");
+  auto session = MakeCorpusPipeline(/*numeric=*/false).NewServer();
+  ASSERT_TRUE(session.ok());
+  relay::RelayForwarderOptions options;
+  options.interval_ms = 60000;  // only the explicit Flush forwards
+  options.retry_backoff_ms = 10;
+  options.max_backoff_ms = 50;
+  options.flush_timeout_ms = 300;
+  auto forwarder =
+      relay::RelayForwarder::Start(&session.value(), peer.endpoint(), options);
+  ASSERT_TRUE(forwarder.ok());
+  EXPECT_FALSE(forwarder.value()->Flush().ok());
+  EXPECT_EQ(forwarder.value()->stats().snapshots_forwarded, 0u);
+  EXPECT_TRUE(forwarder.value()->Stop(/*final_flush=*/false).ok());
 }
 
 TEST(NetFaultTest, MalformedIdentitySectionPoisonsOnlyThatConnection) {
@@ -641,12 +696,13 @@ TEST(NetFaultTest, MalformedIdentitySectionPoisonsOnlyThatConnection) {
   {
     Result<net::Socket> socket = net::ConnectSocket(endpoint);
     ASSERT_TRUE(socket.ok());
-    ASSERT_TRUE(SendRawMessage(&socket.value(), net::MessageType::kHello,
-                               wire.substr(0, kFixed + 2 + 3))
+    ASSERT_TRUE(net::SendMessage(&socket.value(), net::MessageType::kHello,
+                                 wire.substr(0, kFixed + 2 + 3))
                     .ok());
-    auto reply = ReadRawReply(&socket.value());
-    ASSERT_TRUE(reply.ok());
-    EXPECT_EQ(reply.value().type, net::MessageType::kError);
+    net::MessageType type = net::MessageType::kError;
+    std::string reply;
+    ASSERT_TRUE(net::RecvMessage(&socket.value(), &type, &reply).ok());
+    EXPECT_EQ(type, net::MessageType::kError);
   }
   // Oversized id length field backed by a huge payload.
   {
@@ -657,12 +713,13 @@ TEST(NetFaultTest, MalformedIdentitySectionPoisonsOnlyThatConnection) {
     oversized.append(1024, 'x');
     Result<net::Socket> socket = net::ConnectSocket(endpoint);
     ASSERT_TRUE(socket.ok());
-    ASSERT_TRUE(SendRawMessage(&socket.value(), net::MessageType::kHello,
-                               oversized)
+    ASSERT_TRUE(net::SendMessage(&socket.value(), net::MessageType::kHello,
+                                 oversized)
                     .ok());
-    auto reply = ReadRawReply(&socket.value());
-    ASSERT_TRUE(reply.ok());
-    EXPECT_EQ(reply.value().type, net::MessageType::kError);
+    net::MessageType type = net::MessageType::kError;
+    std::string reply;
+    ASSERT_TRUE(net::RecvMessage(&socket.value(), &type, &reply).ok());
+    EXPECT_EQ(type, net::MessageType::kError);
   }
 
   // The wreckage took nothing else down.

@@ -108,11 +108,13 @@ TEST(NetProtocolTest, MessageHeaderRoundTripsAndBounds) {
   EXPECT_EQ(header.value().type, net::MessageType::kData);
   EXPECT_EQ(header.value().payload_length, 3u);
 
-  // Unknown type byte.
-  std::string bogus = wire.substr(0, net::kMessageHeaderBytes);
-  bogus[0] = '\x7F';
-  EXPECT_FALSE(
-      net::DecodeMessageHeader(bogus.data(), bogus.size()).ok());
+  // Unknown type bytes, the retired DATA_ACK (0x15) among them.
+  for (const char type : {'\x7F', '\x15'}) {
+    std::string bogus = wire.substr(0, net::kMessageHeaderBytes);
+    bogus[0] = type;
+    EXPECT_FALSE(
+        net::DecodeMessageHeader(bogus.data(), bogus.size()).ok());
+  }
 
   // A hostile length prefix above the bound must be rejected before any
   // buffering happens.
@@ -302,17 +304,15 @@ TEST(NetProtocolTest, RepliesRoundTrip) {
 }
 
 TEST(NetProtocolTest, MultiplexingFieldsRoundTrip) {
-  // HELLO carries the channel id and flag bits that multiplex many shards
-  // over one connection.
+  // HELLO carries the channel id that multiplexes many shards over one
+  // connection.
   net::HelloMessage hello;
   hello.channel = 0xC0FFEE;
-  hello.flags = net::kHelloFlagDataAcks;
   hello.ordinal = 9;
   hello.header_bytes = "hdr";
   auto hello_decoded = net::DecodeHello(net::EncodeHello(hello));
   ASSERT_TRUE(hello_decoded.ok());
   EXPECT_EQ(hello_decoded.value().channel, 0xC0FFEEu);
-  EXPECT_EQ(hello_decoded.value().flags, net::kHelloFlagDataAcks);
   EXPECT_EQ(hello_decoded.value().ordinal, 9u);
 
   // HELLO_OK and SHARD_CLOSED echo the channel so replies can be matched
@@ -341,31 +341,19 @@ TEST(NetProtocolTest, MultiplexingFieldsRoundTrip) {
       net::DecodeCloseShard(net::EncodeCloseShard(close) + "x").ok());
 }
 
-TEST(NetProtocolTest, DataAckRoundTripsAndRefusesHostileForms) {
-  net::DataAckMessage ack;
-  ack.entries.push_back({0, 1024});
-  ack.entries.push_back({17, 0xDEADBEEFULL});
-  const std::string wire = net::EncodeDataAck(ack);
-  auto decoded = net::DecodeDataAck(wire);
-  ASSERT_TRUE(decoded.ok());
-  ASSERT_EQ(decoded.value().entries.size(), 2u);
-  EXPECT_EQ(decoded.value().entries[0].channel, 0u);
-  EXPECT_EQ(decoded.value().entries[0].bytes, 1024u);
-  EXPECT_EQ(decoded.value().entries[1].channel, 17u);
-  EXPECT_EQ(decoded.value().entries[1].bytes, 0xDEADBEEFULL);
-
-  // Truncated entry list, trailing garbage, and an entry count that
-  // promises more entries than the payload holds.
-  EXPECT_FALSE(net::DecodeDataAck(wire.substr(0, wire.size() - 1)).ok());
-  EXPECT_FALSE(net::DecodeDataAck(wire + "x").ok());
-  std::string lying = wire;
-  lying[0] = '\x7F';  // count 2 -> 127
-  EXPECT_FALSE(net::DecodeDataAck(lying).ok());
-
-  net::DataAckMessage empty;
-  auto empty_decoded = net::DecodeDataAck(net::EncodeDataAck(empty));
-  ASSERT_TRUE(empty_decoded.ok());
-  EXPECT_TRUE(empty_decoded.value().entries.empty());
+TEST(NetProtocolTest, HelloRefusesEveryNonzeroFlagsWord) {
+  net::HelloMessage hello;
+  hello.header_bytes = "hdr";
+  const std::string wire = net::EncodeHello(hello);
+  constexpr size_t kFlags = 2 + 4;  // after u16 version, u32 channel
+  EXPECT_EQ(wire.substr(kFlags, 4), std::string(4, '\0'));
+  for (size_t bit = 0; bit < 32; ++bit) {
+    std::string flagged = wire;
+    flagged[kFlags + bit / 8] = static_cast<char>(1u << (bit % 8));
+    auto decoded = net::DecodeHello(flagged);
+    ASSERT_FALSE(decoded.ok()) << "bit " << bit;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(NetProtocolTest, SnapshotRoundTripsAndRefusesHostileForms) {
@@ -430,6 +418,13 @@ TEST(NetProtocolTest, ErrorsCarryStatusAcrossTheWire) {
   // Unknown status codes from a hostile peer collapse to kInternal.
   EXPECT_EQ(net::StatusFromWire(250, "x").code(), StatusCode::kInternal);
   EXPECT_TRUE(net::StatusFromWire(0, "").ok());
+
+  // Code 0 is OK, so an ERROR carrying it would read as success: the
+  // decoder refuses it.
+  auto zero = net::DecodeErrorMessage(std::string("\0all good", 9));
+  ASSERT_FALSE(zero.ok());
+  EXPECT_EQ(zero.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(net::DecodeErrorMessage(std::string(1, '\0')).ok());
 }
 
 TEST(NetProtocolTest, HeaderCompatibilityNamesTheFirstMismatch) {

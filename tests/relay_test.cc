@@ -69,41 +69,10 @@ void ReportStream(const net::Endpoint& endpoint,
   EXPECT_TRUE(summary.value().status.ok());
 }
 
-Status SendRawMessage(net::Socket* socket, net::MessageType type,
-                      const std::string& payload) {
-  std::string wire;
-  LDP_RETURN_IF_ERROR(net::AppendMessage(type, payload, &wire));
-  return socket->SendAll(wire);
-}
-
 struct RawReply {
   net::MessageType type = net::MessageType::kError;
   std::string payload;
-  bool eof = false;
 };
-
-Result<RawReply> ReadRawReply(net::Socket* socket) {
-  RawReply reply;
-  char prefix[net::kMessageHeaderBytes];
-  Result<bool> got = socket->RecvAll(prefix, sizeof(prefix));
-  if (!got.ok()) return got.status();
-  if (!got.value()) {
-    reply.eof = true;
-    return reply;
-  }
-  Result<net::MessageHeader> header =
-      net::DecodeMessageHeader(prefix, sizeof(prefix));
-  if (!header.ok()) return header.status();
-  reply.type = header.value().type;
-  reply.payload.resize(header.value().payload_length);
-  if (!reply.payload.empty()) {
-    Result<bool> body =
-        socket->RecvAll(reply.payload.data(), reply.payload.size());
-    if (!body.ok()) return body.status();
-    if (!body.value()) return Status::IoError("eof mid-reply");
-  }
-  return reply;
-}
 
 // Sends one raw SNAPSHOT payload on a fresh connection and returns the
 // reply (kSnapshotOk or kError — a refusal also hangs up).
@@ -111,12 +80,14 @@ RawReply SendSnapshotPayload(const net::Endpoint& endpoint,
                              const std::string& payload) {
   auto socket = net::ConnectSocket(endpoint);
   EXPECT_TRUE(socket.ok()) << socket.status().ToString();
-  EXPECT_TRUE(SendRawMessage(&socket.value(), net::MessageType::kSnapshot,
-                             payload)
+  EXPECT_TRUE(net::SendMessage(&socket.value(), net::MessageType::kSnapshot,
+                               payload)
                   .ok());
-  auto reply = ReadRawReply(&socket.value());
-  EXPECT_TRUE(reply.ok()) << reply.status().ToString();
-  return reply.value();
+  RawReply reply;
+  Result<bool> got =
+      net::RecvMessage(&socket.value(), &reply.type, &reply.payload);
+  EXPECT_TRUE(got.ok()) << got.status().ToString();
+  return reply;
 }
 
 TEST(RelayTest, OneEdgeRelayIsBitIdenticalToTheFlatRun) {
@@ -435,18 +406,19 @@ TEST(RelayTest, HostileSnapshotFramesAreRefusedWithoutTouchingTheSession) {
     hello.ordinal = 0;
     hello.header_bytes =
         stream::EncodeStreamHeader(pipeline.header());
-    ASSERT_TRUE(SendRawMessage(&socket.value(), net::MessageType::kHello,
-                               net::EncodeHello(hello))
+    ASSERT_TRUE(net::SendMessage(&socket.value(), net::MessageType::kHello,
+                                 net::EncodeHello(hello))
                     .ok());
-    auto ok = ReadRawReply(&socket.value());
-    ASSERT_TRUE(ok.ok());
-    ASSERT_EQ(ok.value().type, net::MessageType::kHelloOk);
-    ASSERT_TRUE(SendRawMessage(&socket.value(), net::MessageType::kSnapshot,
-                               honest_wire)
+    net::MessageType type = net::MessageType::kError;
+    std::string reply;
+    ASSERT_TRUE(net::RecvMessage(&socket.value(), &type, &reply).ok());
+    ASSERT_EQ(type, net::MessageType::kHelloOk);
+    ASSERT_TRUE(net::SendMessage(&socket.value(), net::MessageType::kSnapshot,
+                                 honest_wire)
                     .ok());
-    auto breach = ReadRawReply(&socket.value());
-    ASSERT_TRUE(breach.ok());
-    EXPECT_EQ(breach.value().type, net::MessageType::kError);
+    type = net::MessageType::kError;
+    ASSERT_TRUE(net::RecvMessage(&socket.value(), &type, &reply).ok());
+    EXPECT_EQ(type, net::MessageType::kError);
   }
 
   root.value()->Stop(/*drain=*/true);

@@ -320,11 +320,8 @@ TEST(ReportServerTest, ReporterDyingAfterCloseNeverWedgesTheBarrier) {
   const net::Endpoint endpoint = server.value()->endpoint();
 
   {
-    // Acks enabled, so the server has watermarks to flush at close time.
-    net::CollectorClientOptions ack_options;
-    ack_options.window_bytes = 1;  // clamped up; enables DATA_ACK batches
     auto doomed = net::CollectorClient::Connect(endpoint, pipeline.header(),
-                                                /*ordinal=*/0, ack_options);
+                                                /*ordinal=*/0);
     ASSERT_TRUE(doomed.ok());
     ASSERT_TRUE(doomed.value()
                     .Send(/*channel=*/0,
