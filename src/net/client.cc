@@ -200,20 +200,4 @@ Result<ShardCloseSummary> CollectorClient::CloseShard(uint32_t channel) {
   return AwaitShardClosed(channel);
 }
 
-Result<uint32_t> CollectorClient::AdvanceEpoch() {
-  if (!channels_.empty()) {
-    return Status::FailedPrecondition(
-        "close the current shard before advancing the epoch");
-  }
-  LDP_RETURN_IF_ERROR(SendMessage(&socket_, MessageType::kAdvanceEpoch, ""));
-  std::string payload;
-  LDP_ASSIGN_OR_RETURN(payload,
-                       AwaitReply(MessageType::kEpochAdvanced, 0));
-  EpochAdvancedMessage advanced;
-  LDP_ASSIGN_OR_RETURN(advanced, DecodeEpochAdvanced(payload));
-  LDP_RETURN_IF_ERROR(StatusFromWire(advanced.code, advanced.message));
-  epoch_ = advanced.epoch;
-  return advanced.epoch;
-}
-
 }  // namespace ldp::net

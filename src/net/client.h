@@ -47,11 +47,13 @@ struct CollectorClientOptions {
   /// a keyless collector accepts.
   std::string reporter_id;
   std::string campaign_key;
-  /// The epoch this connection's first HELLO folds into. Authenticated
+  /// The epoch this connection's first HELLO signs for. Authenticated
   /// tags are epoch-bound, so a reporter joining (or reconnecting) after
-  /// the campaign advanced past epoch 0 must pass the current epoch here;
-  /// later HELLOs on the same connection track HELLO_OK / EPOCH_ADVANCED
-  /// replies automatically. Ignored for unauthenticated campaigns.
+  /// the operator advanced the campaign past epoch 0 must pass the current
+  /// epoch here; later HELLOs on the same connection sign for the epoch
+  /// the last HELLO_OK named. A stale epoch is refused with an ERROR that
+  /// names the collector's current one. Ignored for unauthenticated
+  /// campaigns.
   uint32_t epoch = 0;
 };
 
@@ -102,11 +104,6 @@ class CollectorClient {
 
   /// Channels currently open (closing ones included until awaited).
   size_t open_shards() const { return channels_.size(); }
-
-  /// Asks the server to close the current collection epoch and open the
-  /// next (all server-side shards must be closed). Returns the session's
-  /// current epoch on success.
-  Result<uint32_t> AdvanceEpoch();
 
   /// The epoch the most recently opened shard folds into.
   uint32_t epoch() const { return epoch_; }

@@ -26,11 +26,9 @@ bool IsKnownMessageType(uint8_t type) {
     case MessageType::kHello:
     case MessageType::kData:
     case MessageType::kCloseShard:
-    case MessageType::kAdvanceEpoch:
     case MessageType::kSnapshot:
     case MessageType::kHelloOk:
     case MessageType::kShardClosed:
-    case MessageType::kEpochAdvanced:
     case MessageType::kError:
     case MessageType::kSnapshotOk:
       return true;
@@ -282,23 +280,6 @@ Result<ShardClosedMessage> DecodeShardClosed(const std::string& payload) {
   LDP_ASSIGN_OR_RETURN(closed.stats.rejected, reader.U64());
   closed.message = TakeRest(payload, reader);
   return closed;
-}
-
-std::string EncodeEpochAdvanced(const EpochAdvancedMessage& advanced) {
-  std::string out;
-  PutU8(&out, advanced.code);
-  PutU32(&out, advanced.epoch);
-  out.append(advanced.message);
-  return out;
-}
-
-Result<EpochAdvancedMessage> DecodeEpochAdvanced(const std::string& payload) {
-  Reader reader(payload.data(), payload.size());
-  EpochAdvancedMessage advanced;
-  LDP_ASSIGN_OR_RETURN(advanced.code, reader.U8());
-  LDP_ASSIGN_OR_RETURN(advanced.epoch, reader.U32());
-  advanced.message = TakeRest(payload, reader);
-  return advanced;
 }
 
 std::string EncodeError(const Status& status) {

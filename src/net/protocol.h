@@ -19,13 +19,17 @@
 //   CLOSE_SHARD {channel}            -> drain, merge in ordinal order
 //                                    <- SHARD_CLOSED {channel, status,
 //                                                     stats}
-//   ... another HELLO (a new channel/shard), or ADVANCE_EPOCH, or EOF.
+//   ... another HELLO (a new channel/shard), or EOF.
 //
 // A `channel` is the client-chosen id multiplexing several concurrently
 // open shards over one connection; ids are free for reuse once their
 // SHARD_CLOSED arrives. Because merges wait for the ordinal barrier, a
 // SHARD_CLOSED may arrive *after* replies to later requests on the same
 // connection — clients must match replies by channel, not by order.
+//
+// No peer can advance the collection epoch: that is the operator's call
+// (ReportServer::AdvanceEpoch), and the retired ADVANCE_EPOCH (0x04) and
+// EPOCH_ADVANCED (0x12) types are unknown types like any other.
 //
 // The HELLO's flags word is always 0. DATA gets no reply: flow control is
 // the socket's own. A reporter's send blocks once the kernel buffer fills,
@@ -89,12 +93,10 @@ enum class MessageType : uint8_t {
   kHello = 0x01,
   kData = 0x02,
   kCloseShard = 0x03,
-  kAdvanceEpoch = 0x04,
   kSnapshot = 0x05,
   // server -> client
   kHelloOk = 0x10,
   kShardClosed = 0x11,
-  kEpochAdvanced = 0x12,
   kError = 0x13,
   kSnapshotOk = 0x14,
 };
@@ -199,7 +201,9 @@ struct SnapshotMessage {
   uint16_t version = kProtocolVersion;
   uint64_t node = 0;   ///< The sender's node id (its merge position).
   uint64_t seq = 0;    ///< Monotone per node; highest wins upstream.
-  uint32_t epoch = 0;  ///< Sender's current epoch at snapshot time.
+  /// Sender's current epoch at snapshot time. Informational: the
+  /// collector ignores it (the snapshot carries its own epochs).
+  uint32_t epoch = 0;
   /// api::ServerSession::Snapshot() bytes ('LDPE'), length-prefixed on the
   /// wire so trailing garbage is detected.
   std::string snapshot_bytes;
@@ -228,16 +232,6 @@ struct ShardClosedMessage {
 
 std::string EncodeShardClosed(const ShardClosedMessage& closed);
 Result<ShardClosedMessage> DecodeShardClosed(const std::string& payload);
-
-/// EPOCH_ADVANCED: outcome of an ADVANCE_EPOCH request.
-struct EpochAdvancedMessage {
-  uint8_t code = 0;       ///< StatusCode of the AdvanceEpoch call.
-  uint32_t epoch = 0;     ///< The session's current epoch after the call.
-  std::string message;    ///< Error detail when code != 0.
-};
-
-std::string EncodeEpochAdvanced(const EpochAdvancedMessage& advanced);
-Result<EpochAdvancedMessage> DecodeEpochAdvanced(const std::string& payload);
 
 /// ERROR: the server refuses the connection or poisons the shard.
 struct ErrorMessage {

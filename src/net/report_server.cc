@@ -621,28 +621,6 @@ bool ReportServer::DispatchMessage(Loop& loop,
       FlushConn(loop, conn);
       return !conn->dead;
     }
-    case MessageType::kAdvanceEpoch: {
-      // The session refuses while any shard (this connection's included)
-      // is open, so no extra gating is needed here.
-      const Status advanced = session_->AdvanceEpoch();
-      if (advanced.ok()) {
-        // A new epoch restarts the campaign: ordinals 0..N-1 stream
-        // again, so the expected-shards barrier resets — and a new epoch
-        // has no pre-crash shards, so unclaimed resume entries expire.
-        std::lock_guard<std::mutex> lock(mutex_);
-        done_ordinals_.clear();
-        merge_frontier_ = 0;
-        resume_shards_.clear();
-      }
-      EpochAdvancedMessage reply;
-      reply.code = static_cast<uint8_t>(advanced.code());
-      reply.epoch = session_->current_epoch();
-      reply.message = advanced.message();
-      QueueMessage(conn, MessageType::kEpochAdvanced,
-                   EncodeEpochAdvanced(reply));
-      FlushConn(loop, conn);
-      return !conn->dead;
-    }
     case MessageType::kSnapshot:
       return HandleSnapshot(loop, conn);
     default:
@@ -704,6 +682,11 @@ bool ReportServer::HandleHello(Loop& loop,
   // alone and never reaches the session. DecodeHello guarantees a tag
   // exactly when an id is present.
   const uint64_t ordinal = hello.value().ordinal;
+  // One read of the epoch serves the tag check, the WAL open record and
+  // HELLO_OK; RegisterOrdinal refuses the HELLO if the operator advanced
+  // the epoch since, so a HELLO verified for epoch e never opens a shard
+  // in e+1.
+  const uint32_t epoch = session_->current_epoch();
   Status auth = Status::OK();
   if (options_.campaign_key.empty()) {
     if (!hello.value().reporter_id.empty()) {
@@ -717,12 +700,14 @@ bool ReportServer::HandleHello(Loop& loop,
   } else {
     const std::string expected_tag = ComputeHelloTag(
         options_.campaign_key, hello.value().reporter_id,
-        hello.value().channel, session_->current_epoch(),
-        hello.value().header_bytes);
+        hello.value().channel, epoch, hello.value().header_bytes);
     if (!util::ConstantTimeEqual(expected_tag, hello.value().auth_tag)) {
+      // Naming the epoch lets a reporter that signed for an old one
+      // re-sign once.
       auth = Status::FailedPrecondition(
           "HELLO authentication tag does not verify for this campaign, "
-          "channel, and epoch");
+          "channel, and epoch (the collector is at epoch " +
+          std::to_string(epoch) + ")");
     }
   }
   if (!auth.ok()) {
@@ -733,7 +718,7 @@ bool ReportServer::HandleHello(Loop& loop,
   Status refusal = peer.ok()
                        ? stream::CheckHeadersCompatible(expected_, peer.value())
                        : peer.status();
-  if (refusal.ok()) refusal = RegisterOrdinal(ordinal);
+  if (refusal.ok()) refusal = RegisterOrdinal(ordinal, epoch);
   if (!refusal.ok()) {
     return RefuseHello(loop, conn, ordinal, refusal,
                        /*unauthenticated=*/false);
@@ -780,8 +765,7 @@ bool ReportServer::HandleHello(Loop& loop,
   }
   if (!is_resume) {
     if (options_.wal != nullptr) {
-      options_.wal->OnShardOpen(state.shard, state.ordinal,
-                                session_->current_epoch(),
+      options_.wal->OnShardOpen(state.shard, state.ordinal, epoch,
                                 hello.value().reporter_id,
                                 hello.value().header_bytes);
     }
@@ -798,7 +782,7 @@ bool ReportServer::HandleHello(Loop& loop,
   HelloOkMessage ok;
   ok.channel = channel;
   ok.shard = state.shard;
-  ok.epoch = session_->current_epoch();
+  ok.epoch = epoch;
   ok.resume_offset = is_resume ? resumed.durable_bytes : 0;
   QueueMessage(conn, MessageType::kHelloOk, EncodeHelloOk(ok));
   FlushConn(loop, conn);
@@ -861,7 +845,6 @@ bool ReportServer::HandleSnapshot(Loop& loop,
     fresh = entry.bytes.empty() || seq > entry.seq;
     if (fresh) {
       entry.seq = seq;
-      entry.epoch = snap.value().epoch;
       entry.bytes = std::move(snap.value().snapshot_bytes);
       ++stats_.snapshots_accepted;
     } else {
@@ -1181,8 +1164,41 @@ void ReportServer::CompleteClose(PendingClose close, bool got_turn,
 
 // --- shared ordinal bookkeeping --------------------------------------------
 
-Status ReportServer::RegisterOrdinal(uint64_t ordinal) {
+Status ReportServer::AdvanceEpoch() {
   std::lock_guard<std::mutex> lock(mutex_);
+  if (!active_ordinals_.empty()) {
+    return Status::FailedPrecondition(
+        std::to_string(active_ordinals_.size()) +
+        " shard(s) still open; advance the epoch once they close");
+  }
+  // A new epoch has no pre-crash shards. A replayed shard whose reporter
+  // never came back is abandoned, or its open session shard would refuse
+  // every advance.
+  for (const auto& [ordinal, resumed] : resume_shards_) {
+    if (options_.wal != nullptr) options_.wal->OnShardAbandon(resumed.shard);
+    (void)session_->AbandonShard(resumed.shard);
+    ++stats_.shards_abandoned;
+    if (metrics_.enabled()) metrics_.shards_abandoned->Increment();
+  }
+  resume_shards_.clear();
+  LDP_RETURN_IF_ERROR(session_->AdvanceEpoch());
+  // A new epoch restarts the campaign: ordinals 0..N-1 stream again, so
+  // the expected-shards barrier resets.
+  done_ordinals_.clear();
+  merge_frontier_ = 0;
+  return Status::OK();
+}
+
+Status ReportServer::RegisterOrdinal(uint64_t ordinal, uint32_t epoch) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  // AdvanceEpoch runs under mutex_ and only while no ordinal is active, so
+  // once this check passes the epoch stays put until the ordinal finishes.
+  const uint32_t current = session_->current_epoch();
+  if (current != epoch) {
+    return Status::FailedPrecondition(
+        "the collection epoch advanced to " + std::to_string(current) +
+        " while this HELLO was being verified");
+  }
   if (options_.expected_shards > 0) {
     if (ordinal >= options_.expected_shards) {
       return Status::OutOfRange(

@@ -23,7 +23,8 @@
 // a refused HELLO never opens a shard or touches the session. The id keys
 // the session's per-reporter privacy ledger, so a reporter reconnecting or
 // sharding across connections is charged ε once per epoch. Tag
-// verification is HELLO-only: the DATA hot path is untouched.
+// verification is HELLO-only: the DATA hot path is untouched. Only the
+// operator moves the epoch (AdvanceEpoch); no message on the wire can.
 //
 // Determinism: closed shards merge in ascending HELLO *ordinal* order, not
 // connection-completion order (floating-point accumulation makes merge
@@ -168,8 +169,8 @@ struct ReportServerOptions {
   /// Shards a WAL replay left open, keyed by ordinal: a HELLO for one of
   /// these re-attaches instead of opening a new shard, and HELLO_OK carries
   /// its durable byte count. Entries are claimed by the first matching
-  /// HELLO and the whole map is dropped on epoch advance (a new epoch has
-  /// no pre-crash shards).
+  /// HELLO; ReportServer::AdvanceEpoch abandons the unclaimed ones (a new
+  /// epoch has no pre-crash shards).
   std::unordered_map<uint64_t, ResumedShard> resume_shards;
   /// Ordinals a WAL replay already closed into the current epoch: they seed
   /// the expected-shards barrier as done, so the frontier starts past them
@@ -182,7 +183,9 @@ struct ReportServerStats {
   uint64_t connections = 0;       ///< Accepted connections.
   uint64_t shards_merged = 0;     ///< Shards closed cleanly and folded in.
   uint64_t shards_discarded = 0;  ///< Shards closed poisoned (contributed 0).
-  uint64_t shards_abandoned = 0;  ///< Shards dropped by disconnect/timeouts.
+  uint64_t shards_abandoned = 0;
+  ///< Shards dropped by disconnect/timeouts, or unclaimed WAL resume shards
+  ///< an epoch advance gave up on.
   uint64_t hello_rejected = 0;    ///< Connections refused at HELLO.
   uint64_t hello_unauthenticated = 0;
   ///< HELLOs refused by the auth gate (bad tag, wrong version for the
@@ -222,6 +225,13 @@ class ReportServer {
   const Endpoint& endpoint() const { return listener_.endpoint(); }
 
   ReportServerStats stats() const;
+
+  /// The operator's one way to open the next collection epoch; no peer can.
+  /// Refused while any shard is open. Otherwise abandons the WAL resume
+  /// entries no reporter claimed, advances the session (the accountant
+  /// refuses once the plan is spent), and resets the expected-shards
+  /// barrier so ordinals 0..N-1 stream again.
+  Status AdvanceEpoch();
 
   /// Merges the retained relay snapshots (highest seq per node) into the
   /// session in ascending node-id order — the deterministic fold that makes
@@ -361,8 +371,9 @@ class ReportServer {
   void CompleteClose(PendingClose close, bool got_turn, bool stopping);
 
   /// Validates and claims `ordinal` for a new shard (bounds and duplicate
-  /// checks; see Options::expected_shards).
-  Status RegisterOrdinal(uint64_t ordinal);
+  /// checks; see Options::expected_shards). Refused when the session is no
+  /// longer at `epoch`, the epoch the HELLO was verified for.
+  Status RegisterOrdinal(uint64_t ordinal, uint32_t epoch);
   /// Marks `ordinal` finished (merged or abandoned): removes it from the
   /// active set, advances the expected-shards frontier, wakes the
   /// scheduler.
@@ -400,7 +411,6 @@ class ReportServer {
   /// FoldRelaySnapshots walks nodes in ascending id order.
   struct PendingSnapshot {
     uint64_t seq = 0;
-    uint32_t epoch = 0;
     std::string bytes;
   };
   std::map<uint64_t, PendingSnapshot> relay_snapshots_;

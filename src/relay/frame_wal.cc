@@ -254,8 +254,9 @@ Status ScanWalDir(const std::string& dir, bool truncate,
 // so continued appends keep the counter monotone.
 //
 // One deliberate gap: epoch advances are implied by shard files, so an
-// ADVANCE_EPOCH the crash interrupted before any shard opened in the new
-// epoch is not yet durable — the restarted campaign re-requests it.
+// operator advance (ReportServer::AdvanceEpoch) that no shard in the new
+// epoch followed before the crash is not durable — the operator advances
+// the restarted collector again.
 Status ReplayInstances(std::vector<Instance>* instances,
                        api::ServerSession* session,
                        const stream::StreamHeader* expected,

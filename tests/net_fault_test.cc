@@ -2,7 +2,8 @@
 // stream corpus (stream_corpus_util.h) replayed over real loopback
 // connections, plus the failure modes only a socket can produce —
 // mid-frame disconnects, slow-loris partial messages, hostile control
-// length prefixes, and HELLO schema mismatches. The contract: every fault
+// length prefixes, HELLO schema mismatches, and a peer trying to advance
+// the epoch, which only the operator may do. The contract: every fault
 // rejects, poisons, or abandons exactly the offending connection's shard,
 // while an honest connection served concurrently completes with exact
 // counts — and the epoch holds precisely the honest contributions. A fake
@@ -482,6 +483,122 @@ TEST(NetFaultTest, KeyedServerRefusesForgedAndReplayedHellos) {
       << "anonymous plan ledger + user-0, nobody else";
   EXPECT_EQ(session.value().accountant().Spent("user-0"),
             pipeline.header().epsilon);
+}
+
+// Connects a keyed reporter that signs its first HELLO for `epoch`.
+Result<net::CollectorClient> ConnectKeyed(const net::Endpoint& endpoint,
+                                          const api::Pipeline& pipeline,
+                                          const std::string& key,
+                                          uint32_t epoch) {
+  net::CollectorClientOptions options;
+  options.reporter_id = "user-0";
+  options.campaign_key = key;
+  options.epoch = epoch;
+  return net::CollectorClient::Connect(endpoint, pipeline.header(),
+                                       /*ordinal=*/0, options);
+}
+
+TEST(NetFaultTest, PeerCannotAdvanceTheEpoch) {
+  // Regression: ADVANCE_EPOCH (type 0x04) used to be served to any peer,
+  // HELLO or not. One such message moved a keyed campaign to epoch 1, so
+  // the next honest reporter's epoch-0 tag stopped verifying; seven would
+  // have spent this 7-epoch plan. 0x04 is now an unknown type.
+  const api::Pipeline pipeline =
+      MakeCorpusPipeline(/*numeric=*/false, /*epochs=*/7);
+  const std::string honest = MakeHonestStream(pipeline, /*seed=*/965);
+  const std::string key = "fault-test-campaign-key";
+
+  auto session = pipeline.NewServer();
+  ASSERT_TRUE(session.ok());
+  net::ReportServerOptions options;
+  options.campaign_key = key;
+  auto server = net::ReportServer::Start(&session.value(), pipeline.header(),
+                                         FaultUdsEndpoint("peer_advance"),
+                                         options);
+  ASSERT_TRUE(server.ok());
+  const net::Endpoint endpoint = server.value()->endpoint();
+
+  {
+    Result<net::Socket> socket = net::ConnectSocket(endpoint);
+    ASSERT_TRUE(socket.ok());
+    const char advance[net::kMessageHeaderBytes] = {0x04, 0, 0, 0, 0};
+    ASSERT_TRUE(socket.value().SendAll(advance, sizeof(advance)).ok());
+    net::MessageType type = net::MessageType::kHelloOk;
+    std::string reply;
+    ASSERT_TRUE(
+        net::RecvMessage(&socket.value(), &type, &reply).value_or(false));
+    EXPECT_EQ(type, net::MessageType::kError);
+    // ...and then the collector hangs up.
+    const Result<bool> after = net::RecvMessage(&socket.value(), &type, &reply);
+    EXPECT_FALSE(after.ok() && after.value());
+  }
+  EXPECT_EQ(server.value()->stats().protocol_errors, 1u);
+  EXPECT_EQ(session.value().current_epoch(), 0u);
+
+  // The honest reporter signing epoch 0 is served.
+  auto client = ConnectKeyed(endpoint, pipeline, key, /*epoch=*/0);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE(client.value()
+                  .Send(/*channel=*/0,
+                        honest.data() + stream::kStreamHeaderBytes,
+                        honest.size() - stream::kStreamHeaderBytes)
+                  .ok());
+  auto closed = client.value().CloseShard(/*channel=*/0);
+  ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+  EXPECT_TRUE(closed.value().status.ok()) << closed.value().status.ToString();
+
+  server.value()->Stop(/*drain=*/true);
+  const net::ReportServerStats stats = server.value()->stats();
+  EXPECT_EQ(stats.protocol_errors, 1u);
+  EXPECT_EQ(stats.shards_merged, 1u);
+  EXPECT_EQ(session.value().current_epoch(), 0u);
+  auto reports = session.value().num_reports(0);
+  ASSERT_TRUE(reports.ok());
+  EXPECT_EQ(reports.value(), kCorpusReports);
+}
+
+TEST(NetFaultTest, StaleEpochHelloIsRefusedNamingTheCurrentEpoch) {
+  // After the operator's advance, a keyed reporter still signing epoch 0
+  // is refused with a message that tells it which epoch to sign for.
+  const api::Pipeline pipeline =
+      MakeCorpusPipeline(/*numeric=*/false, /*epochs=*/7);
+  const std::string honest = MakeHonestStream(pipeline, /*seed=*/966);
+  const std::string key = "fault-test-campaign-key";
+
+  auto session = pipeline.NewServer();
+  ASSERT_TRUE(session.ok());
+  net::ReportServerOptions options;
+  options.campaign_key = key;
+  auto server = net::ReportServer::Start(&session.value(), pipeline.header(),
+                                         FaultUdsEndpoint("stale_epoch"),
+                                         options);
+  ASSERT_TRUE(server.ok());
+  const net::Endpoint endpoint = server.value()->endpoint();
+  ASSERT_TRUE(server.value()->AdvanceEpoch().ok());
+
+  auto stale = ConnectKeyed(endpoint, pipeline, key, /*epoch=*/0);
+  ASSERT_FALSE(stale.ok());
+  EXPECT_EQ(stale.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(stale.status().message().find("epoch 1"), std::string::npos)
+      << stale.status().ToString();
+
+  // Re-signed for epoch 1, the same reporter merges into epoch 1.
+  auto client = ConnectKeyed(endpoint, pipeline, key, /*epoch=*/1);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE(client.value()
+                  .Send(/*channel=*/0,
+                        honest.data() + stream::kStreamHeaderBytes,
+                        honest.size() - stream::kStreamHeaderBytes)
+                  .ok());
+  auto closed = client.value().CloseShard(/*channel=*/0);
+  ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+  EXPECT_TRUE(closed.value().status.ok()) << closed.value().status.ToString();
+
+  server.value()->Stop(/*drain=*/true);
+  EXPECT_EQ(server.value()->stats().hello_unauthenticated, 1u);
+  auto reports = session.value().num_reports(1);
+  ASSERT_TRUE(reports.ok());
+  EXPECT_EQ(reports.value(), kCorpusReports);
 }
 
 TEST(NetFaultTest, KeylessServerRefusesAuthenticatedHello) {

@@ -3,9 +3,9 @@
 // reproduce a directly-fed ServerSession byte for byte — snapshots included
 // — at every session thread count and regardless of which connection
 // finishes first (shards merge in HELLO ordinal order, not completion
-// order). Also covers the multi-epoch conversation (CLOSE → ADVANCE_EPOCH
-// → re-HELLO on one connection, down to the accountant's refusal) and
-// hard-stop abandonment.
+// order). Also covers a multi-epoch campaign over one connection (CLOSE,
+// the operator's ReportServer::AdvanceEpoch, re-HELLO, down to the
+// accountant's refusal) and hard-stop abandonment.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -512,37 +512,33 @@ TEST(ReportServerTest, NumericStreamCampaignMatchesDirectSession) {
 
 TEST(ReportServerTest, MultiEpochCampaignOverOneConnection) {
   // A 2-epoch plan: the same reporter ships a shard per epoch over one
-  // connection, advancing the epoch in between; the third advance must be
-  // refused by the accountant, over the wire.
-  auto schema = data::Schema::Create(
-      {data::ColumnSpec::Numeric("income", -1, 1),
-       data::ColumnSpec::Categorical("sector", 4),
-       data::ColumnSpec::Numeric("age", -1, 1)});
-  ASSERT_TRUE(schema.ok());
-  auto config = api::PipelineConfig::FromSchema(schema.value(), 4.0);
-  ASSERT_TRUE(config.ok());
-  config.value().plan.epochs = 2;
-  auto pipeline = api::Pipeline::Create(std::move(config).value());
-  ASSERT_TRUE(pipeline.ok());
+  // connection while the operator advances the epoch in between; an
+  // advance is refused while a shard is open, and the accountant refuses
+  // the one past the plan.
+  const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false,
+                                                    /*epochs=*/2);
+  const std::string epoch0 = MakeHonestStream(pipeline, 810);
+  const std::string epoch1 = MakeHonestStream(pipeline, 811);
 
-  const std::string epoch0 = MakeHonestStream(pipeline.value(), 810);
-  const std::string epoch1 = MakeHonestStream(pipeline.value(), 811);
-
-  auto session = pipeline.value().NewServer();
+  auto session = pipeline.NewServer();
   ASSERT_TRUE(session.ok());
   net::ReportServerOptions options;
   // Expected-shards mode: the shard reopened below also proves the barrier
   // resets when the epoch advances (ordinal 0 streams again in epoch 1).
   options.expected_shards = 1;
   auto server =
-      net::ReportServer::Start(&session.value(), pipeline.value().header(),
+      net::ReportServer::Start(&session.value(), pipeline.header(),
                                TestUdsEndpoint("epochs"), options);
   ASSERT_TRUE(server.ok());
 
   auto client = net::CollectorClient::Connect(
-      server.value()->endpoint(), pipeline.value().header(), /*ordinal=*/0);
+      server.value()->endpoint(), pipeline.header(), /*ordinal=*/0);
   ASSERT_TRUE(client.ok());
   EXPECT_EQ(client.value().epoch(), 0u);
+  // The HELLO-admitted channel is open: the operator's advance must wait.
+  const Status early = server.value()->AdvanceEpoch();
+  EXPECT_EQ(early.code(), StatusCode::kFailedPrecondition) << early.ToString();
+  EXPECT_EQ(session.value().current_epoch(), 0u);
   ASSERT_TRUE(client.value()
                   .Send(/*channel=*/0,
                         epoch0.data() + stream::kStreamHeaderBytes,
@@ -552,12 +548,12 @@ TEST(ReportServerTest, MultiEpochCampaignOverOneConnection) {
   ASSERT_TRUE(closed.ok());
   EXPECT_TRUE(closed.value().status.ok());
 
-  auto advanced = client.value().AdvanceEpoch();
-  ASSERT_TRUE(advanced.ok()) << advanced.status().ToString();
-  EXPECT_EQ(advanced.value(), 1u);
+  const Status advanced = server.value()->AdvanceEpoch();
+  ASSERT_TRUE(advanced.ok()) << advanced.ToString();
+  EXPECT_EQ(session.value().current_epoch(), 1u);
 
   auto reopened =
-      client.value().OpenShard(pipeline.value().header(), /*ordinal=*/0);
+      client.value().OpenShard(pipeline.header(), /*ordinal=*/0);
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ(client.value().epoch(), 1u);
   ASSERT_TRUE(client.value()
@@ -569,11 +565,10 @@ TEST(ReportServerTest, MultiEpochCampaignOverOneConnection) {
   ASSERT_TRUE(closed.ok());
   EXPECT_TRUE(closed.value().status.ok());
 
-  // The plan is exhausted: the wire surfaces the accountant's exact
-  // refusal.
-  auto refused = client.value().AdvanceEpoch();
-  EXPECT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+  // The plan is exhausted: the accountant refuses the next advance.
+  const Status refused = server.value()->AdvanceEpoch();
+  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(session.value().current_epoch(), 1u);
 
   server.value()->Stop(/*drain=*/true);
   EXPECT_EQ(session.value().num_epochs(), 2u);
@@ -585,7 +580,7 @@ TEST(ReportServerTest, MultiEpochCampaignOverOneConnection) {
   EXPECT_EQ(reports1.value(), kCorpusReports);
 
   // Byte-identical to the same two-epoch campaign run directly.
-  auto direct = pipeline.value().NewServer();
+  auto direct = pipeline.NewServer();
   ASSERT_TRUE(direct.ok());
   size_t shard = direct.value().OpenShard();
   ASSERT_TRUE(direct.value().Feed(shard, epoch0).ok());
@@ -594,7 +589,8 @@ TEST(ReportServerTest, MultiEpochCampaignOverOneConnection) {
   shard = direct.value().OpenShard();
   ASSERT_TRUE(direct.value().Feed(shard, epoch1).ok());
   ASSERT_TRUE(direct.value().CloseShard(shard).ok());
-  // The refused advance left a refusal count in the wire session's ledger;
+  // The plan-exhausted refusal left a refusal count in the served
+  // session's ledger (the open-shard refusal never reached the session);
   // the v2 snapshot serializes it, so the reference run must refuse too.
   EXPECT_FALSE(direct.value().AdvanceEpoch().ok());
   EXPECT_EQ(session.value().Snapshot(), direct.value().Snapshot());

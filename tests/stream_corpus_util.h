@@ -182,8 +182,8 @@ inline constexpr CorpusCase kStreamCorpus[] = {
 // --- fixtures --------------------------------------------------------------
 
 /// The corpus pipeline: a 3-attribute mixed schema (or 2-attribute numeric)
-/// at kCorpusEpsilon.
-inline api::Pipeline MakeCorpusPipeline(bool numeric) {
+/// at kCorpusEpsilon per epoch, over an `epochs`-epoch plan.
+inline api::Pipeline MakeCorpusPipeline(bool numeric, uint32_t epochs = 1) {
   auto schema =
       numeric
           ? data::Schema::Create({data::ColumnSpec::Numeric("a", -1, 1),
@@ -196,6 +196,7 @@ inline api::Pipeline MakeCorpusPipeline(bool numeric) {
   auto config =
       api::PipelineConfig::FromSchema(schema.value(), kCorpusEpsilon);
   EXPECT_TRUE(config.ok());
+  config.value().plan.epochs = epochs;
   auto pipeline = api::Pipeline::Create(std::move(config).value());
   EXPECT_TRUE(pipeline.ok());
   return std::move(pipeline).value();

@@ -89,6 +89,32 @@ void PlayShard(relay::FrameWal* wal, api::ServerSession* session,
   if (shard_out != nullptr) *shard_out = shard;
 }
 
+// The crashed run the resume tests restart from: ordinal 0 closed, and
+// ordinal 1 cut after `partial` post-header bytes of `cut_stream`.
+void CrashWithOrdinalOneOpen(const api::Pipeline& pipeline,
+                             const std::string& dir,
+                             const std::string& done_stream,
+                             const std::string& cut_stream, size_t partial) {
+  auto logged = pipeline.NewServer();
+  ASSERT_TRUE(logged.ok());
+  relay::WalReplaySummary empty;
+  auto wal = relay::FrameWal::Open(dir, &logged.value(),
+                                   relay::FrameWal::Options(), &empty);
+  ASSERT_TRUE(wal.ok());
+  size_t shard = 0;
+  PlayShard(wal.value().get(), &logged.value(), done_stream, 0, &shard);
+  wal.value()->OnShardClose(shard);
+  ASSERT_TRUE(logged.value().CloseShard(shard).ok());
+  const std::string header = cut_stream.substr(0, stream::kStreamHeaderBytes);
+  const char* data = cut_stream.data() + stream::kStreamHeaderBytes;
+  const size_t cut = logged.value().OpenShard();
+  wal.value()->OnShardOpen(cut, /*ordinal=*/1, logged.value().current_epoch(),
+                           /*reporter_id=*/"", header);
+  ASSERT_TRUE(logged.value().Feed(cut, header).ok());
+  wal.value()->OnShardData(cut, data, partial);
+  ASSERT_TRUE(logged.value().Feed(cut, data, partial).ok());
+}
+
 TEST(WalTest, Crc32MatchesTheIeeeCheckValue) {
   EXPECT_EQ(relay::Crc32("123456789", 9), 0xCBF43926u);
   EXPECT_EQ(relay::Crc32("", 0), 0u);
@@ -422,31 +448,10 @@ TEST(WalTest, ServerResumeHandshakeContinuesACrashedCampaign) {
   const std::string done_stream = MakeHonestStream(pipeline, 970);
   const std::string cut_stream = MakeHonestStream(pipeline, 971);
   const std::string dir = TestWalDir("net_resume");
-  const std::string header =
-      cut_stream.substr(0, stream::kStreamHeaderBytes);
   const char* data = cut_stream.data() + stream::kStreamHeaderBytes;
   const size_t total = cut_stream.size() - stream::kStreamHeaderBytes;
   const size_t partial = total / 2 + 7;
-
-  {  // The crashed run: ordinal 0 closed, ordinal 1 cut mid-stream.
-    auto logged = pipeline.NewServer();
-    ASSERT_TRUE(logged.ok());
-    relay::WalReplaySummary empty;
-    auto wal = relay::FrameWal::Open(dir, &logged.value(),
-                                     relay::FrameWal::Options(), &empty);
-    ASSERT_TRUE(wal.ok());
-    size_t shard = 0;
-    PlayShard(wal.value().get(), &logged.value(), done_stream, 0, &shard);
-    wal.value()->OnShardClose(shard);
-    ASSERT_TRUE(logged.value().CloseShard(shard).ok());
-    const size_t cut = logged.value().OpenShard();
-    wal.value()->OnShardOpen(cut, /*ordinal=*/1,
-                             logged.value().current_epoch(),
-                             /*reporter_id=*/"", header);
-    ASSERT_TRUE(logged.value().Feed(cut, header).ok());
-    wal.value()->OnShardData(cut, data, partial);
-    ASSERT_TRUE(logged.value().Feed(cut, data, partial).ok());
-  }
+  CrashWithOrdinalOneOpen(pipeline, dir, done_stream, cut_stream, partial);
 
   // The restarted collector, WAL wired into the server options the way
   // ldp_serve --wal-dir does it.
@@ -495,6 +500,69 @@ TEST(WalTest, ServerResumeHandshakeContinuesACrashedCampaign) {
     ASSERT_TRUE(direct.value().CloseShard(shard).ok());
   }
   EXPECT_EQ(session.value().Snapshot(), direct.value().Snapshot());
+}
+
+TEST(WalTest, EpochAdvanceAbandonsAnUnclaimedResumeShard) {
+  // Regression: replay leaves a crashed shard open for its reporter, and
+  // the session refuses to advance while any shard is open. A reporter
+  // that never came back used to pin the campaign to its epoch. The
+  // operator's advance now abandons the unclaimed shard first.
+  const api::Pipeline pipeline =
+      MakeCorpusPipeline(/*numeric=*/false, /*epochs=*/2);
+  const std::string done_stream = MakeHonestStream(pipeline, 972);
+  const std::string cut_stream = MakeHonestStream(pipeline, 973);
+  const std::string dir = TestWalDir("advance_abandons");
+  CrashWithOrdinalOneOpen(pipeline, dir, done_stream, cut_stream,
+                          /*partial=*/100);
+
+  // Restart, and ordinal 1's reporter never reconnects.
+  auto session = pipeline.NewServer();
+  ASSERT_TRUE(session.ok());
+  relay::WalReplaySummary summary;
+  auto wal = relay::FrameWal::Open(dir, &session.value(),
+                                   relay::FrameWal::Options(), &summary);
+  ASSERT_TRUE(wal.ok());
+  ASSERT_EQ(summary.shards_resumed, 1u);
+  net::ReportServerOptions options;
+  options.expected_shards = 2;
+  options.wal = wal.value().get();
+  options.resume_shards = summary.resume_shards;
+  options.completed_ordinals = summary.completed_ordinals;
+  net::Endpoint endpoint;
+  endpoint.kind = net::Endpoint::Kind::kUnix;
+  endpoint.path = dir + ".sock";
+  auto server = net::ReportServer::Start(&session.value(), pipeline.header(),
+                                         endpoint, options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  const Status advanced = server.value()->AdvanceEpoch();
+  ASSERT_TRUE(advanced.ok()) << advanced.ToString();
+  EXPECT_EQ(session.value().current_epoch(), 1u);
+  server.value()->Stop(/*drain=*/true);
+  EXPECT_EQ(server.value()->stats().shards_abandoned, 1u);
+
+  // Epoch 0 holds exactly the shard that closed before the crash.
+  auto direct = pipeline.NewServer();
+  ASSERT_TRUE(direct.ok());
+  const size_t shard = direct.value().OpenShard();
+  ASSERT_TRUE(direct.value().Feed(shard, done_stream).ok());
+  ASSERT_TRUE(direct.value().CloseShard(shard).ok());
+  ASSERT_TRUE(direct.value().AdvanceEpoch().ok());
+  EXPECT_EQ(session.value().Snapshot(), direct.value().Snapshot());
+
+  // The abandon record is durable: a second replay resumes nothing.
+  auto again = pipeline.NewServer();
+  ASSERT_TRUE(again.ok());
+  relay::WalReplaySummary second;
+  ASSERT_TRUE(relay::ReplayWalDir(dir, &again.value(), nullptr, nullptr,
+                                  &second)
+                  .ok());
+  EXPECT_EQ(second.shards_resumed, 0u);
+  EXPECT_TRUE(second.resume_shards.empty());
+  EXPECT_EQ(second.shards_replayed, 1u);
+  auto reports = again.value().num_reports(0);
+  ASSERT_TRUE(reports.ok());
+  EXPECT_EQ(reports.value(), kCorpusReports);
 }
 
 TEST(WalTest, HeaderMismatchAgainstExpectedPoisonsTheShard) {

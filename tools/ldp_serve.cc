@@ -14,7 +14,7 @@
 //             [--expect-shards N] [--mechanism hm|pm]
 //             [--oracle oue|grr|sue|olh|he|the]
 //             [--epochs N]
-//             [--acceptors N] [--poller epoll|poll] [--threads T]
+//             [--acceptors N] [--threads T]
 //             [--strict] [--max-rejected N]
 //             [--idle-timeout-ms N] [--confidence C]
 //             [--snapshot-out FILE] [--metrics ENDPOINT]
@@ -26,6 +26,9 @@
 // SIGTERM/SIGINT drain gracefully: stop accepting, let in-flight reporters
 // finish (bounded by the idle timeout), then write the session snapshot
 // (--snapshot-out) and print per-epoch estimates in ldp_aggregate's format.
+// SIGUSR1 is the operator's epoch advance (ReportServer::AdvanceEpoch): it
+// prints "epoch advanced to N", or the refusal while shards are open or
+// once the --epochs plan is spent. No reporter can advance the epoch.
 //
 // Distributed tier (src/relay/): --wal-dir journals every accepted frame to
 // a per-shard write-ahead log before it reaches the session, so restarting
@@ -49,6 +52,7 @@
 // so the two can never drift. Telemetry is write-only observation: the
 // estimates are bit-identical with every flag above on or off.
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -77,9 +81,13 @@ namespace {
 
 using namespace ldp;  // NOLINT: CLI binary
 
-volatile std::sig_atomic_t g_stop = 0;
+// A process-directed signal may run its handler on any thread; lock-free
+// atomics are async-signal-safe and visible to the main loop.
+std::atomic<bool> g_stop{false};
+std::atomic<bool> g_advance{false};
 
-void HandleSignal(int /*signum*/) { g_stop = 1; }
+void HandleSignal(int /*signum*/) { g_stop = true; }
+void HandleAdvanceSignal(int /*signum*/) { g_advance = true; }
 
 void Usage() {
   std::fprintf(
@@ -88,7 +96,7 @@ void Usage() {
       "                 [--expect-shards N] [--mechanism hm|pm]\n"
       "                 [--oracle oue|grr|sue|olh|he|the]\n"
       "                 [--epochs N]\n"
-      "                 [--acceptors N] [--poller epoll|poll] [--threads T]\n"
+      "                 [--acceptors N] [--threads T]\n"
       "                 [--strict] [--max-rejected N] [--idle-timeout-ms N]\n"
       "                 [--confidence C] [--snapshot-out FILE]\n"
       "                 [--metrics ENDPOINT] [--stats-interval-s N]\n"
@@ -98,7 +106,9 @@ void Usage() {
       "                 [--relay-interval-s N] [--campaign-key KEY]\n"
       "                 [--version]\n"
       "ENDPOINT is tcp:HOST:PORT (port 0 = ephemeral, printed on stdout)\n"
-      "or unix:PATH. SIGTERM drains and writes the snapshot/estimates.\n"
+      "or unix:PATH. SIGTERM drains and writes the snapshot/estimates;\n"
+      "SIGUSR1 advances the collection epoch (refused while shards are\n"
+      "open or once the --epochs plan is spent).\n"
       "--campaign-key requires protocol v3 HELLOs carrying a reporter id\n"
       "authenticated with the shared key; spend is then accounted per\n"
       "reporter and unauthenticated connections are refused.\n"
@@ -151,16 +161,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--acceptors") {
       server_options.acceptors =
           static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
-    } else if (arg == "--poller") {
-      const std::string backend = next();
-      if (backend == "epoll") {
-        server_options.poller = net::PollerBackend::kEpoll;
-      } else if (backend == "poll") {
-        server_options.poller = net::PollerBackend::kPoll;
-      } else {
-        Usage();
-        return 2;
-      }
     } else if (arg == "--threads") {
       threads = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
     } else if (arg == "--idle-timeout-ms") {
@@ -350,6 +350,7 @@ int main(int argc, char** argv) {
 
   std::signal(SIGTERM, HandleSignal);
   std::signal(SIGINT, HandleSignal);
+  std::signal(SIGUSR1, HandleAdvanceSignal);
   std::printf("listening on %s (eps = %g/epoch, %u epoch plan, "
               "%u event loop(s), %u session thread(s))\n",
               server.value()->endpoint().ToString().c_str(), epsilon, epochs, server_options.acceptors, threads);
@@ -366,13 +367,23 @@ int main(int argc, char** argv) {
   const obs::NetServerMetrics net_view =
       obs::NetServerMetrics::ForRegistry(&registry);
 
-  // The event loops own all the work; this thread just waits for the
-  // signal.
+  // The event loops own all the work; this thread just waits for signals:
+  // SIGUSR1 advances the epoch, SIGTERM/SIGINT drain.
   const auto stats_interval = std::chrono::seconds(
       stats_interval_s == 0 ? 0 : stats_interval_s);
   auto next_stats = std::chrono::steady_clock::now() + stats_interval;
-  while (g_stop == 0) {
+  while (!g_stop) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    if (g_advance.exchange(false)) {
+      const Status advanced = server.value()->AdvanceEpoch();
+      if (advanced.ok()) {
+        std::printf("epoch advanced to %u\n", session.current_epoch());
+      } else {
+        std::printf("epoch advance refused: %s\n",
+                    advanced.ToString().c_str());
+      }
+      std::fflush(stdout);
+    }
     if (stats_interval_s != 0 &&
         std::chrono::steady_clock::now() >= next_stats) {
       next_stats += stats_interval;
