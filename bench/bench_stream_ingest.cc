@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -32,8 +33,8 @@
 #include "api/server_session.h"
 #include "bench_util.h"
 #include "obs/metrics.h"
-#include "stream/parallel_ingest.h"
 #include "stream/report_stream.h"
+#include "stream/shard_ingester.h"
 #include "util/build_info.h"
 #include "util/random.h"
 #include "util/threadpool.h"
@@ -94,18 +95,33 @@ std::vector<std::string> EncodeShards(const MixedTupleCollector& collector,
   return shards;
 }
 
-// One in-memory stream input per shard for the multi-shard driver.
-// `collector` and `shards` must outlive the returned inputs.
-std::vector<stream::ShardInput> BufferInputs(
+// Decodes every shard on its own ShardIngester across `pool` (inline when
+// null), then merges the shard aggregates in shard order: the work
+// ServerSession::IngestInputs does per stream file, minus the file I/O.
+Result<MixedAggregator> IngestShards(
     const MixedTupleCollector& collector,
-    const std::vector<std::string>& shards,
-    stream::ShardIngester::Options options = stream::ShardIngester::Options()) {
-  std::vector<stream::ShardInput> inputs;
+    const std::vector<std::string>& shards, ThreadPool* pool,
+    const stream::ShardIngester::Options& options =
+        stream::ShardIngester::Options()) {
+  std::vector<std::optional<MixedAggregator>> partials(shards.size());
+  std::vector<Status> statuses(shards.size(), Status::OK());
+  ParallelFor(pool, shards.size(),
+              [&](unsigned /*chunk*/, uint64_t begin, uint64_t end) {
+                for (uint64_t s = begin; s < end; ++s) {
+                  stream::ShardIngester ingester(&collector, options);
+                  statuses[s] = ingester.Feed(shards[s]);
+                  if (statuses[s].ok()) statuses[s] = ingester.Finish();
+                  if (statuses[s].ok()) {
+                    partials[s] = ingester.ReleaseAggregator();
+                  }
+                }
+              });
+  MixedAggregator total(&collector);
   for (size_t s = 0; s < shards.size(); ++s) {
-    inputs.push_back(stream::StreamBufferInput(
-        &collector, "shard " + std::to_string(s), &shards[s], options));
+    LDP_RETURN_IF_ERROR(statuses[s]);
+    LDP_RETURN_IF_ERROR(total.Merge(*partials[s]));
   }
-  return inputs;
+  return total;
 }
 
 struct SweepResult {
@@ -186,11 +202,8 @@ int main() {
                                         std::max(hardware, 1u));
       std::unique_ptr<ThreadPool> pool;
       if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-      const std::vector<stream::ShardInput> inputs =
-          BufferInputs(collector, shards);
-
       const auto started = std::chrono::steady_clock::now();
-      auto total = stream::IngestShardInputs(&collector, inputs, pool.get());
+      auto total = IngestShards(collector, shards, pool.get());
       const double seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         started)
@@ -334,11 +347,8 @@ int main() {
                        double* out_seconds) -> bool {
       double best = 0.0;
       for (int r = 0; r < kRepeats; ++r) {
-        const std::vector<stream::ShardInput> inputs =
-            BufferInputs(collector, shards, options);
         const auto started = std::chrono::steady_clock::now();
-        auto total =
-            stream::IngestShardInputs(&collector, inputs, /*pool=*/nullptr);
+        auto total = IngestShards(collector, shards, /*pool=*/nullptr, options);
         const double seconds =
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           started)

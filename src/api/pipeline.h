@@ -6,9 +6,9 @@
 // split-budget baseline strategy, and the epoch plan — and a Pipeline built
 // from it hands out the three ways to run that protocol:
 //
-//   - Pipeline::Collect     in-process simulation over a Dataset (the old
-//                           CollectProposed / CollectBaseline free functions
-//                           are thin wrappers over this, bit for bit);
+//   - Pipeline::Collect     in-process simulation over a Dataset, the
+//                           golden run every sharded deployment reproduces
+//                           bit for bit;
 //   - Pipeline::NewClient   a ClientSession that perturbs rows and encodes
 //                           them as wire frames for the framed report-stream
 //                           format;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <istream>
 #include <optional>
 #include <sstream>
 #include <string_view>
@@ -107,52 +106,55 @@ uint64_t SessionSnapshotReportCount(const std::string& bytes) {
   return total;
 }
 
-// One IngestInputs input, dispatched on its magic: a report stream or a
-// single-epoch snapshot loads as an aggregate over `collector`; a session
-// snapshot loads its raw bytes into `*session_bytes` and yields no
-// aggregate. An unreadable or unrecognized input loads as its error.
-stream::ShardInput SessionInput(const MixedTupleCollector* collector,
-                                const std::string& path,
-                                const stream::ShardIngester::Options& options,
-                                std::string* session_bytes) {
-  stream::ShardInput input;
-  input.name = path;
-  auto fail = [&input](Status status) {
-    input.load = [status](stream::ShardIngester::Stats* /*stats*/)
-        -> Result<std::optional<MixedAggregator>> { return status; };
-    return input;
-  };
+// One IngestInputs input after its load: a report stream's aggregate, or a
+// session snapshot's bytes (whose epoch-aligned merge stays ordered), or
+// the reason it failed.
+struct LoadedInput {
+  Status status = Status::OK();
+  stream::ShardIngester::Stats stats;
+  std::optional<MixedAggregator> aggregate;
+  std::string session_bytes;
+};
+
+// Opens `path` once and loads it by its magic. Runs on a pool worker, so it
+// touches no session state.
+LoadedInput LoadInput(const MixedTupleCollector* collector,
+                      const std::string& path,
+                      const stream::ShardIngester::Options& options) {
+  LoadedInput input;
   std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return fail(Status::IoError("cannot open input file"));
+  if (!in.is_open()) {
+    input.status = Status::IoError("cannot open input file");
+    return input;
+  }
   char magic_bytes[4] = {0, 0, 0, 0};
   in.read(magic_bytes, 4);
   if (in.gcount() != 4) {
-    return fail(Status::InvalidArgument("input shorter than a magic"));
+    input.status = Status::InvalidArgument("input shorter than a magic");
+    return input;
   }
   const uint32_t magic = internal_wire::LoadLittleEndian<uint32_t>(magic_bytes);
   if (magic == stream::kStreamMagic) {
-    return stream::StreamFileInput(collector, path, options);
-  }
-  if (magic == stream::kSnapshotMagic) {
-    return stream::SnapshotFileInput(collector, path);
-  }
-  if (magic != kSessionSnapshotMagic) {
-    return fail(Status::InvalidArgument(
-        "input is neither a report stream nor a snapshot"));
-  }
-  input.load = [path, session_bytes](stream::ShardIngester::Stats* stats)
-      -> Result<std::optional<MixedAggregator>> {
-    std::ifstream file(path, std::ios::binary);
+    stream::ShardIngester ingester(collector, options);
+    input.status = ingester.Feed(magic_bytes, 4);
+    if (input.status.ok()) input.status = ingester.IngestStream(in);
+    input.stats = ingester.stats();
+    if (input.status.ok()) input.aggregate = ingester.ReleaseAggregator();
+  } else if (magic == kSessionSnapshotMagic) {
     std::ostringstream contents;
-    contents << file.rdbuf();
-    if (!file.is_open() || file.bad()) {
-      return Status::IoError("read error on input file");
+    contents.write(magic_bytes, 4);
+    contents << in.rdbuf();
+    if (in.bad()) {
+      input.status = Status::IoError("read error on input file");
+      return input;
     }
-    *session_bytes = contents.str();
-    stats->bytes = session_bytes->size();
-    stats->accepted = SessionSnapshotReportCount(*session_bytes);
-    return std::optional<MixedAggregator>();
-  };
+    input.session_bytes = contents.str();
+    input.stats.bytes = input.session_bytes.size();
+    input.stats.accepted = SessionSnapshotReportCount(input.session_bytes);
+  } else {
+    input.status = Status::InvalidArgument(
+        "input is neither a report stream nor a session snapshot");
+  }
   return input;
 }
 
@@ -180,13 +182,6 @@ Status CheckSessionSnapshotCompatible(const SessionSnapshotConfig& config,
         "session snapshot epsilon does not match the protocol");
   }
   return Status::OK();
-}
-
-bool LooksLikeSessionSnapshot(const std::string& bytes) {
-  if (bytes.size() < 4) return false;
-  Reader reader(bytes.data(), bytes.size());
-  const Result<uint32_t> magic = reader.U32();
-  return magic.ok() && magic.value() == kSessionSnapshotMagic;
 }
 
 Result<ServerSession> Pipeline::NewServer() const {
@@ -544,26 +539,6 @@ Result<stream::ShardIngester::Stats> ServerSession::ShardStats(
   return shards_[shard].ingester->stats();
 }
 
-Status ServerSession::IngestStream(std::istream& in) {
-  const size_t shard = OpenShard();
-  // Routed through the public Feed so a concurrent session decodes file
-  // chunks on its pool; each call takes the session mutex independently.
-  std::string chunk(64 * 1024, '\0');
-  Status fed = Status::OK();
-  while (in.good() && fed.ok()) {
-    in.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
-    const auto got = static_cast<size_t>(in.gcount());
-    if (got == 0) break;
-    fed = Feed(shard, chunk.data(), got);
-  }
-  if (in.bad()) fed = Status::IoError("read error on report stream");
-  if (!fed.ok()) {
-    (void)AbandonShard(shard);
-    return fed;
-  }
-  return CloseShard(shard);
-}
-
 Status ServerSession::IngestInputs(const std::vector<std::string>& paths,
                                    ThreadPool* pool,
                                    stream::MultiShardSummary* summary) {
@@ -575,33 +550,42 @@ Status ServerSession::IngestInputs(const std::vector<std::string>& paths,
   // stable epoch table.
   std::lock_guard<std::mutex> lock(*mutex_);
   if (pool == nullptr) pool = pool_.get();
-  // Phase 1, concurrent (stream/parallel_ingest.h): every input loads into
-  // either a shard-sized aggregate (report streams, single-epoch snapshots)
-  // or its raw bytes (session snapshots, whose epoch-aligned merge must
-  // stay ordered).
+  // Phase 1, concurrent: each worker opens its inputs and loads them.
   const size_t n = paths.size();
-  std::vector<std::string> session_bytes(n);
-  std::vector<stream::ShardInput> inputs;
-  inputs.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    inputs.push_back(SessionInput(&*state_->collector, paths[i],
-                                  options_.ingest, &session_bytes[i]));
-  }
-  std::vector<std::optional<MixedAggregator>> loaded;
-  LDP_ASSIGN_OR_RETURN(loaded, stream::LoadShardInputs(inputs, pool, summary));
+  std::vector<LoadedInput> loaded(n);
+  ParallelFor(pool, n, [&](unsigned /*chunk*/, uint64_t begin, uint64_t end) {
+    for (uint64_t i = begin; i < end; ++i) {
+      loaded[i] = LoadInput(&*state_->collector, paths[i], options_.ingest);
+    }
+  });
 
-  // Phase 2, ordered: merge in argument order. Plain inputs land in the
-  // epoch that was current at the call (an index: a session snapshot may
-  // grow epochs_); session snapshots align by epoch.
+  stream::MultiShardSummary local_summary;
+  for (size_t i = 0; i < n; ++i) {
+    local_summary.total_reports += loaded[i].stats.accepted;
+    local_summary.total_rejected += loaded[i].stats.rejected;
+    local_summary.total_bytes += loaded[i].stats.bytes;
+    local_summary.shards.push_back({paths[i], loaded[i].status,
+                                    loaded[i].stats});
+  }
+  if (summary != nullptr) *summary = std::move(local_summary);
+
+  // Phase 2, ordered: merge in argument order, and only once every input
+  // has loaded. Report streams land in the epoch that was current at the
+  // call (an index: a session snapshot may grow epochs_); session
+  // snapshots align by epoch.
+  auto named = [&paths](size_t i, const Status& status) {
+    return Status(status.code(),
+                  "input '" + paths[i] + "': " + status.message());
+  };
+  for (size_t i = 0; i < n; ++i) {
+    if (!loaded[i].status.ok()) return named(i, loaded[i].status);
+  }
   const size_t target = epochs_.size() - 1;
   for (size_t i = 0; i < n; ++i) {
-    const Status merged = loaded[i].has_value()
-                              ? epochs_[target].Merge(*loaded[i])
-                              : MergeLocked(session_bytes[i]);
-    if (!merged.ok()) {
-      return Status(merged.code(),
-                    "input '" + paths[i] + "': " + merged.message());
-    }
+    const Status merged = loaded[i].aggregate.has_value()
+                              ? epochs_[target].Merge(*loaded[i].aggregate)
+                              : MergeLocked(loaded[i].session_bytes);
+    if (!merged.ok()) return named(i, merged);
   }
   return Status::OK();
 }
@@ -612,12 +596,6 @@ Status ServerSession::Merge(const std::string& snapshot_bytes) {
 }
 
 Status ServerSession::MergeLocked(const std::string& snapshot_bytes) {
-  if (!LooksLikeSessionSnapshot(snapshot_bytes)) {
-    Result<MixedAggregator> decoded =
-        stream::DecodeAggregatorSnapshot(snapshot_bytes, &*state_->collector);
-    if (!decoded.ok()) return decoded.status();
-    return epochs_.back().Merge(decoded.value());
-  }
   Reader reader(snapshot_bytes.data(), snapshot_bytes.size());
   SessionSnapshotConfig peer;
   LDP_ASSIGN_OR_RETURN(peer, ReadSessionPreamble(&reader));

@@ -4,9 +4,10 @@
 // deployment loop of a real LDP service, where the same population is
 // collected from round after round against one lifetime budget.
 //
-// Surface: Feed (incremental shard bytes), Merge (fold in a peer server's
-// snapshot — single-epoch or whole-session), Snapshot (serialise every
-// epoch's state for a reducer), Estimate (per-epoch means/frequencies).
+// Surface: Feed (incremental shard bytes), IngestInputs (bulk-load stream
+// and session snapshot files), Merge (fold in a peer server's session
+// snapshot), Snapshot (serialise every epoch's state for a reducer),
+// Estimate (per-epoch means/frequencies).
 //
 // Determinism contract: shard aggregates merge into the epoch total in
 // CloseShard order (and IngestInputs reduces in argument order), so a
@@ -44,7 +45,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -54,7 +54,6 @@
 #include "api/pipeline.h"
 #include "core/accountant.h"
 #include "obs/metrics.h"
-#include "stream/parallel_ingest.h"
 #include "stream/shard_ingester.h"
 #include "util/result.h"
 #include "util/threadpool.h"
@@ -80,9 +79,6 @@ namespace ldp::api {
 /// always written as 0, and a nonzero byte is refused with InvalidArgument.
 inline constexpr uint32_t kSessionSnapshotMagic = 0x4550444cu;
 inline constexpr uint16_t kSessionSnapshotVersion = 2;
-
-/// True when `bytes` starts with the session snapshot magic.
-bool LooksLikeSessionSnapshot(const std::string& bytes);
 
 /// The preamble of a session snapshot; together with the attribute schema it
 /// is enough to rebuild the pipeline configuration (tools/ldp_aggregate
@@ -204,24 +200,27 @@ class ServerSession {
   /// CloseShard, so the stats cover every chunk fed before the call.
   Result<stream::ShardIngester::Stats> ShardStats(size_t shard) const;
 
-  /// Convenience one-shot shard: ingests `in` to completion and folds it in.
-  Status IngestStream(std::istream& in);
-
-  /// Ingests a set of shard inputs concurrently on `pool` (falling back to
-  /// the session's own ingest pool, then to inline, when null) and merges
-  /// them IN ARGUMENT ORDER — report streams and single-epoch snapshots
-  /// into the current epoch, session snapshots epoch-aligned. Fails on the
-  /// first input (in order) that errors; `summary`, when non-null, is
-  /// filled either way.
+  /// Bulk-loads input files; the session's only batch loader. Each path is
+  /// opened once, on a worker of `pool` (falling back to the session's own
+  /// ingest pool, then to inline, when null), and recognised by its magic: a
+  /// report stream ('LDPS') decodes through a ShardIngester with the
+  /// session's ingest options, a session snapshot ('LDPE') is read whole.
+  /// Anything else is refused with InvalidArgument. The loaded inputs then
+  /// merge IN ARGUMENT ORDER — report streams into the epoch current at the
+  /// call, session snapshots epoch-aligned (see Merge). If any input fails
+  /// to load, nothing merges and the first failure (in order) is returned,
+  /// naming its path; a merge that fails stops the batch at that input,
+  /// likewise named. `summary`, when non-null, is filled either way.
   Status IngestInputs(const std::vector<std::string>& paths, ThreadPool* pool,
                       stream::MultiShardSummary* summary = nullptr);
 
   // --- merging -----------------------------------------------------------
 
-  /// Folds a serialized snapshot into the session: an aggregator snapshot
-  /// (stream/snapshot.h) merges into the current epoch; a
-  /// session snapshot merges epoch by epoch, advancing (and charging) this
-  /// session as needed to materialize the peer's later epochs.
+  /// Folds a peer's session snapshot ('LDPE', see Snapshot) into the
+  /// session epoch by epoch, advancing (and charging) this session as
+  /// needed to materialize the peer's later epochs, and unions the peer's
+  /// reporter ledgers. Any other bytes are refused with InvalidArgument; a
+  /// malformed snapshot mutates nothing.
   Status Merge(const std::string& snapshot_bytes);
 
   // --- snapshots ----------------------------------------------------------

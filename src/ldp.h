@@ -63,7 +63,6 @@
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/metrics_server.h"
-#include "stream/parallel_ingest.h"
 #include "stream/report_stream.h"
 #include "stream/shard_ingester.h"
 #include "stream/snapshot.h"

@@ -48,13 +48,9 @@ Status ShardIngester::AcceptFrame(const char* data, size_t size) {
     return Status::OK();
   }
   ++stats_.rejected;
-  if (options_.strict) {
-    return Poison(Status::InvalidArgument(
-        "undecodable report in strict mode: " + decoded.message()));
-  }
   if (stats_.rejected > options_.max_rejected) {
     return Poison(Status::InvalidArgument(
-        "rejected report budget exhausted"));
+        "rejected report budget exhausted: " + decoded.message()));
   }
   return Status::OK();
 }

@@ -18,9 +18,10 @@
 // Finish) are unrecoverable — the frame boundaries themselves can no longer
 // be trusted — and poison the ingester. A frame whose *payload* fails report
 // validation (core/wire.h rejects it) only increments the rejected counter
-// and is skipped, unless Options::strict is set or the rejection budget
-// Options::max_rejected is exhausted; a malicious client can therefore not
-// abort a shard shared with honest reports.
+// and is skipped until the rejection budget Options::max_rejected is
+// exhausted (0 fails the stream on its first undecodable payload); a
+// malicious client can therefore not abort a shard shared with honest
+// reports.
 
 #ifndef LDP_STREAM_SHARD_INGESTER_H_
 #define LDP_STREAM_SHARD_INGESTER_H_
@@ -30,6 +31,7 @@
 #include <limits>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/mixed_collector.h"
 #include "core/wire.h"
@@ -44,11 +46,9 @@ namespace ldp::stream {
 class ShardIngester {
  public:
   struct Options {
-    /// Fail the stream on the first undecodable report payload instead of
-    /// skipping it.
-    bool strict = false;
     /// Maximum number of undecodable payloads tolerated before the stream
-    /// fails anyway (guards against shards that are mostly garbage).
+    /// fails (guards against shards that are mostly garbage); 0 fails it on
+    /// the first one.
     uint64_t max_rejected = std::numeric_limits<uint64_t>::max();
     /// Optional registry-backed telemetry (obs/metrics.h), typically shared
     /// by every shard of a session. Stats *deltas* are flushed once per
@@ -133,6 +133,21 @@ class ShardIngester {
   RingBuffer staged_;         // the partial item straddling Feed boundaries
   std::string wrap_scratch_;  // reused backing for wrapped ring reads
   uint32_t frame_length_ = 0;
+};
+
+/// Per-shard outcome of a multi-shard ingestion run.
+struct ShardIngestOutcome {
+  std::string source;  ///< The input's name (its path).
+  Status status;       ///< Why this shard failed, if it did.
+  ShardIngester::Stats stats;
+};
+
+/// Aggregate statistics of a multi-shard ingestion run.
+struct MultiShardSummary {
+  std::vector<ShardIngestOutcome> shards;
+  uint64_t total_reports = 0;  ///< Accepted reports across all shards.
+  uint64_t total_rejected = 0;
+  uint64_t total_bytes = 0;
 };
 
 }  // namespace ldp::stream

@@ -1,10 +1,11 @@
 // Serializable MixedAggregator snapshots: the complete server-side state of
-// one shard — report counts, numeric sums, categorical supports — as a
-// validated byte string. Shards aggregated on separate machines ship their
-// snapshots to a reducer, which decodes them against its own collector and
-// folds them together with MixedAggregator::Merge; because the accumulated
-// state is a plain sum, snapshot merging is associative, and reducing shards
-// in a fixed order reproduces the single-process aggregate exactly.
+// one aggregate — report counts, numeric sums, categorical supports — as a
+// validated byte string. Each travels as one epoch section of an 'LDPE'
+// session snapshot (api/server_session.h), never as an input of its own; a
+// reducer decodes it against its own collector and folds it in with
+// MixedAggregator::Merge. Because the accumulated state is a plain sum,
+// snapshot merging is associative, and reducing in a fixed order reproduces
+// the single-process aggregate exactly.
 //
 // Layout (all integers little-endian):
 //   u32 magic 'LDPA', u16 version, u8 mechanism, u8 oracle, u64 schema_hash,
@@ -12,9 +13,9 @@
 //     u64 report_count, f64 numeric_sum,
 //     u32 support_count, f64 support[support_count]
 //   (support_count is the categorical domain size; 0 at numeric positions).
-// Mechanism and oracle kinds are carried redundantly with the schema hash so
-// a reducer can reconstruct the collector configuration from a snapshot file
-// alone (tools/ldp_aggregate does; see DecodeSnapshotConfig).
+// Mechanism and oracle kinds are carried redundantly with the schema hash;
+// DecodeSnapshotConfig reads them, and num_reports, without decoding the
+// state.
 
 #ifndef LDP_STREAM_SNAPSHOT_H_
 #define LDP_STREAM_SNAPSHOT_H_

@@ -14,7 +14,6 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,7 +21,6 @@
 #include "api/server_session.h"
 #include "core/wire.h"
 #include "data/dataset.h"
-#include "stream/parallel_ingest.h"
 #include "stream/report_stream.h"
 #include "stream/shard_ingester.h"
 #include "stream/snapshot.h"
@@ -335,9 +333,12 @@ TEST(NumericStreamTest, SessionSnapshotWithNonzeroKindByteIsRefused) {
   ASSERT_TRUE(client.ok());
   auto source = pipeline.NewServer();
   ASSERT_TRUE(source.ok());
-  std::istringstream shard(
-      WriteNumericShard(dataset, client.value(), IndexRange{0, 100}));
-  ASSERT_TRUE(source.value().IngestStream(shard).ok());
+  const size_t shard = source.value().OpenShard();
+  ASSERT_TRUE(source.value()
+                  .Feed(shard, WriteNumericShard(dataset, client.value(),
+                                                 IndexRange{0, 100}))
+                  .ok());
+  ASSERT_TRUE(source.value().CloseShard(shard).ok());
   const std::string snapshot = source.value().Snapshot();
   ASSERT_EQ(snapshot[6], 0);  // the 'LDPE' kind byte
 
@@ -377,18 +378,21 @@ TEST(NumericStreamTest, HandleDriverIngestsNumericShardsInParallel) {
   for (const IndexRange& range : SplitRange(kRows, kPoolThreads * 4)) {
     shards.push_back(WriteNumericShard(dataset, client.value(), range));
   }
-  const MixedTupleCollector* collector = &pipeline.mixed_collector();
-  std::vector<stream::ShardInput> inputs;
+  std::vector<std::string> paths;
   for (size_t s = 0; s < shards.size(); ++s) {
-    inputs.push_back(stream::StreamBufferInput(
-        collector, "shard " + std::to_string(s), &shards[s],
-        stream::ShardIngester::Options()));
+    paths.push_back(TempPath("parallel_" + std::to_string(s) + ".ldps"));
+    std::ofstream out(paths.back(), std::ios::binary);
+    out.write(shards[s].data(), static_cast<std::streamsize>(shards[s].size()));
   }
+  auto server = pipeline.NewServer();
+  ASSERT_TRUE(server.ok());
   ThreadPool pool(3);
   stream::MultiShardSummary summary;
-  auto total = stream::IngestShardInputs(collector, inputs, &pool, &summary);
-  ASSERT_TRUE(total.ok());
-  EXPECT_EQ(total.value().num_reports(), kRows);
+  ASSERT_TRUE(server.value().IngestInputs(paths, &pool, &summary).ok());
+  for (const std::string& path : paths) std::remove(path.c_str());
+  auto reports = server.value().num_reports(0);
+  ASSERT_TRUE(reports.ok());
+  EXPECT_EQ(reports.value(), kRows);
   EXPECT_EQ(summary.total_reports, kRows);
   EXPECT_EQ(summary.total_rejected, 0u);
 
@@ -399,7 +403,7 @@ TEST(NumericStreamTest, HandleDriverIngestsNumericShardsInParallel) {
   ASSERT_TRUE(expected.ok());
   for (size_t j = 0; j < expected.value().numeric_columns.size(); ++j) {
     auto mean =
-        total.value().EstimateMean(expected.value().numeric_columns[j]);
+        server.value().EstimateMean(expected.value().numeric_columns[j], 0);
     ASSERT_TRUE(mean.ok());
     EXPECT_EQ(mean.value(), expected.value().estimated_means[j]);
   }

@@ -1,10 +1,15 @@
 // Multi-epoch ServerSession behavior: per-epoch aggregates that reproduce
 // the in-process pipeline bit for bit across >= 2 shards, privacy accounting
-// that sums ε across epochs and refuses over-plan collection, and session
-// snapshots that round-trip and merge epoch-aligned.
+// that sums ε across epochs and refuses over-plan collection, session
+// snapshots that round-trip and merge epoch-aligned, and the IngestInputs
+// bulk loader.
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -13,6 +18,8 @@
 #include "data/census.h"
 #include "data/encode.h"
 #include "stream/report_stream.h"
+#include "stream/shard_ingester.h"
+#include "stream/snapshot.h"
 #include "util/threadpool.h"
 
 namespace ldp {
@@ -78,6 +85,15 @@ void FeedEpoch(api::ServerSession* session,
     ASSERT_TRUE(session->Feed(shard, bytes).ok());
     ASSERT_TRUE(session->CloseShard(shard).ok());
   }
+}
+
+// Writes `bytes` to a scratch file unique to this process; returns its path.
+std::string WriteTempFile(const std::string& name, const std::string& bytes) {
+  const std::string path = ::testing::TempDir() + "/ldp_server_session_" +
+                           std::to_string(::getpid()) + "_" + name;
+  std::ofstream out(path, std::ios::binary);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return path;
 }
 
 void ExpectEpochMatchesCollect(const api::ServerSession& session,
@@ -360,6 +376,116 @@ TEST(ServerSessionTest, LegacyV1SnapshotIsRefused) {
   ASSERT_TRUE(reports.ok());
   EXPECT_EQ(reports.value(), 0u);
   EXPECT_EQ(receiver.value().num_epochs(), 1u);
+}
+
+TEST(ServerSessionTest, IngestInputsMatchesTheSameInputsAppliedInOrder) {
+  const data::Dataset dataset = MakeData();
+  const api::Pipeline pipeline = MakePipeline(dataset, 1);
+  auto client = pipeline.NewClient();
+  ASSERT_TRUE(client.ok());
+  const std::vector<std::string> shards =
+      WriteEpochShards(dataset, client.value(), kEpochSeeds[0], 3);
+  const std::vector<IndexRange> ranges = SplitRange(kRows, 3);
+
+  // The middle input is a peer's session snapshot over the second shard.
+  auto peer = pipeline.NewServer();
+  ASSERT_TRUE(peer.ok());
+  FeedEpoch(&peer.value(), {shards[1]});
+  const std::vector<std::string> inputs = {shards[0], peer.value().Snapshot(),
+                                           shards[2]};
+
+  // Reference: the same inputs applied in order, one call at a time.
+  auto reference = pipeline.NewServer();
+  ASSERT_TRUE(reference.ok());
+  FeedEpoch(&reference.value(), {inputs[0]});
+  ASSERT_TRUE(reference.value().Merge(inputs[1]).ok());
+  FeedEpoch(&reference.value(), {inputs[2]});
+
+  const std::vector<std::string> paths = {WriteTempFile("a.ldps", inputs[0]),
+                                          WriteTempFile("b.ldpe", inputs[1]),
+                                          WriteTempFile("c.ldps", inputs[2])};
+  auto server = pipeline.NewServer();
+  ASSERT_TRUE(server.ok());
+  ThreadPool pool(3);
+  stream::MultiShardSummary summary;
+  const Status ingested = server.value().IngestInputs(paths, &pool, &summary);
+  for (const std::string& path : paths) std::remove(path.c_str());
+  ASSERT_TRUE(ingested.ok()) << ingested.ToString();
+  EXPECT_EQ(server.value().Snapshot(), reference.value().Snapshot());
+
+  ASSERT_EQ(summary.shards.size(), 3u);
+  uint64_t total_bytes = 0;
+  for (size_t i = 0; i < 3; ++i) {
+    const stream::ShardIngestOutcome& outcome = summary.shards[i];
+    EXPECT_EQ(outcome.source, paths[i]);
+    EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+    EXPECT_EQ(outcome.stats.bytes, inputs[i].size()) << i;
+    EXPECT_EQ(outcome.stats.accepted, ranges[i].end - ranges[i].begin) << i;
+    // A session snapshot carries aggregates, not frames.
+    EXPECT_EQ(outcome.stats.frames, i == 1 ? 0 : outcome.stats.accepted) << i;
+    EXPECT_EQ(outcome.stats.rejected, 0u) << i;
+    total_bytes += inputs[i].size();
+  }
+  EXPECT_EQ(summary.total_reports, kRows);
+  EXPECT_EQ(summary.total_rejected, 0u);
+  EXPECT_EQ(summary.total_bytes, total_bytes);
+}
+
+TEST(ServerSessionTest, IngestInputsRefusesUnknownInputsAndMergesNothing) {
+  const data::Dataset dataset = MakeData();
+  const api::Pipeline pipeline = MakePipeline(dataset, 1);
+  auto client = pipeline.NewClient();
+  ASSERT_TRUE(client.ok());
+  const std::vector<std::string> shards =
+      WriteEpochShards(dataset, client.value(), kEpochSeeds[0], 2);
+  const std::vector<IndexRange> ranges = SplitRange(kRows, 2);
+  const uint64_t good_reports = ranges[1].end - ranges[1].begin;
+
+  auto server = pipeline.NewServer();
+  ASSERT_TRUE(server.ok());
+  FeedEpoch(&server.value(), {shards[0]});
+  const std::string before = server.value().Snapshot();
+
+  // A bare aggregator snapshot: 'LDPA' is only an epoch section of 'LDPE'.
+  stream::ShardIngester ingester(&pipeline.mixed_collector());
+  ASSERT_TRUE(ingester.Feed(shards[1]).ok());
+  ASSERT_TRUE(ingester.Finish().ok());
+  const std::string ldpa =
+      stream::EncodeAggregatorSnapshot(ingester.aggregator());
+  EXPECT_EQ(server.value().Merge(ldpa).code(), StatusCode::kInvalidArgument);
+
+  const std::string good = WriteTempFile("good.ldps", shards[1]);
+  const struct {
+    const char* name;
+    std::string path;
+    StatusCode code;
+  } kCases[] = {
+      {"ldpa", WriteTempFile("bare.ldpa", ldpa), StatusCode::kInvalidArgument},
+      {"unknown magic", WriteTempFile("unknown.bin", "XXXX not an input"),
+       StatusCode::kInvalidArgument},
+      {"missing", ::testing::TempDir() + "/ldp_server_session_missing_" +
+                      std::to_string(::getpid()),
+       StatusCode::kIoError},
+  };
+  ThreadPool pool(3);
+  for (const auto& bad : kCases) {
+    stream::MultiShardSummary summary;
+    const Status status =
+        server.value().IngestInputs({good, bad.path}, &pool, &summary);
+    EXPECT_EQ(status.code(), bad.code) << bad.name << ": " << status.ToString();
+    EXPECT_NE(status.message().find(bad.path), std::string::npos)
+        << bad.name << ": " << status.ToString();
+    // The good input loaded, but nothing merged.
+    EXPECT_EQ(server.value().Snapshot(), before) << bad.name;
+    ASSERT_EQ(summary.shards.size(), 2u) << bad.name;
+    EXPECT_TRUE(summary.shards[0].status.ok()) << bad.name;
+    EXPECT_EQ(summary.shards[0].stats.accepted, good_reports) << bad.name;
+    EXPECT_EQ(summary.shards[1].source, bad.path) << bad.name;
+    EXPECT_EQ(summary.shards[1].status.code(), bad.code) << bad.name;
+    EXPECT_EQ(summary.total_reports, good_reports) << bad.name;
+    std::remove(bad.path.c_str());
+  }
+  std::remove(good.c_str());
 }
 
 TEST(ServerSessionTest, EstimateChecksEpochBounds) {

@@ -7,15 +7,19 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "api/pipeline.h"
+#include "api/server_session.h"
 #include "data/census.h"
 #include "data/encode.h"
-#include "stream/parallel_ingest.h"
 #include "stream/report_stream.h"
 #include "stream/shard_ingester.h"
 #include "stream/snapshot.h"
@@ -101,19 +105,31 @@ std::vector<std::string> WriteShards(const data::Dataset& dataset,
   return shards;
 }
 
-// The server half: ingests the shard buffers concurrently on `pool` and
-// reduces them in shard order, as tools/ldp_aggregate does.
-Result<MixedAggregator> IngestShards(const MixedTupleCollector& collector,
-                                     const std::vector<std::string>& shards,
-                                     ThreadPool* pool,
-                                     stream::MultiShardSummary* summary) {
-  std::vector<stream::ShardInput> inputs;
+// The server half: writes the shard buffers to files and bulk-loads them
+// into a fresh ServerSession on `pool`, reduced in shard order, as
+// tools/ldp_aggregate does.
+Result<api::ServerSession> IngestShards(const data::Dataset& dataset,
+                                        const std::vector<std::string>& shards,
+                                        ThreadPool* pool,
+                                        stream::MultiShardSummary* summary) {
+  auto config = api::PipelineConfig::FromSchema(dataset.schema(), kEpsilon);
+  if (!config.ok()) return config.status();
+  auto pipeline = api::Pipeline::Create(std::move(config).value());
+  if (!pipeline.ok()) return pipeline.status();
+  auto session = pipeline.value().NewServer();
+  if (!session.ok()) return session.status();
+  std::vector<std::string> paths;
   for (size_t s = 0; s < shards.size(); ++s) {
-    inputs.push_back(stream::StreamBufferInput(
-        &collector, "shard " + std::to_string(s), &shards[s],
-        stream::ShardIngester::Options()));
+    paths.push_back(::testing::TempDir() + "/ldp_stream_e2e_" +
+                    std::to_string(::getpid()) + "_" + std::to_string(s) +
+                    ".ldps");
+    std::ofstream out(paths.back(), std::ios::binary);
+    out.write(shards[s].data(), static_cast<std::streamsize>(shards[s].size()));
   }
-  return stream::IngestShardInputs(&collector, inputs, pool, summary);
+  const Status ingested = session.value().IngestInputs(paths, pool, summary);
+  for (const std::string& path : paths) std::remove(path.c_str());
+  if (!ingested.ok()) return ingested;
+  return session;
 }
 
 void ExpectBitIdentical(const MixedAggregator& total,
@@ -132,6 +148,18 @@ void ExpectBitIdentical(const MixedAggregator& total,
           << "attribute " << c << " value " << v;
     }
   }
+}
+
+// The same check against epoch 0 of a session.
+void ExpectBitIdentical(const api::ServerSession& session,
+                        const api::CollectionOutput& expected) {
+  auto estimates = session.Estimate(0);
+  ASSERT_TRUE(estimates.ok());
+  EXPECT_EQ(estimates.value().numeric_attributes, expected.numeric_columns);
+  EXPECT_EQ(estimates.value().means, expected.estimated_means);
+  EXPECT_EQ(estimates.value().categorical_attributes,
+            expected.categorical_columns);
+  EXPECT_EQ(estimates.value().frequencies, expected.estimated_frequencies);
 }
 
 TEST(StreamEndToEndTest, ShardedIngestReproducesCollectProposedBitForBit) {
@@ -157,12 +185,12 @@ TEST(StreamEndToEndTest, ShardedIngestReproducesCollectProposedBitForBit) {
       server_pool = std::make_unique<ThreadPool>(server_threads);
     }
     stream::MultiShardSummary summary;
-    auto total = IngestShards(collector, shards, server_pool.get(), &summary);
-    ASSERT_TRUE(total.ok());
-    EXPECT_EQ(total.value().num_reports(), kRows);
+    auto session = IngestShards(dataset, shards, server_pool.get(), &summary);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    EXPECT_EQ(session.value().num_reports(0).value(), kRows);
     EXPECT_EQ(summary.total_reports, kRows);
     EXPECT_EQ(summary.total_rejected, 0u);
-    ExpectBitIdentical(total.value(), expected.value());
+    ExpectBitIdentical(session.value(), expected.value());
   }
 }
 
@@ -221,9 +249,9 @@ TEST(StreamEndToEndTest, CorruptShardDoesNotPoisonTheRun) {
   ASSERT_TRUE(stream::AppendFrame("garbage payload", &garbage).ok());
   shards.back() += garbage;
   stream::MultiShardSummary summary;
-  auto total = IngestShards(collector, shards, nullptr, &summary);
-  ASSERT_TRUE(total.ok());
-  EXPECT_EQ(total.value().num_reports(), kRows);
+  auto session = IngestShards(dataset, shards, nullptr, &summary);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  EXPECT_EQ(session.value().num_reports(0).value(), kRows);
   EXPECT_EQ(summary.total_rejected, 1u);
 }
 

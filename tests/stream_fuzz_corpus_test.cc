@@ -186,7 +186,7 @@ TEST(StreamFuzzCorpusTest, StrictModePoisonsOnFirstRejectedPayload) {
   const std::string honest = MakeHonestStream(pipeline, kSeed);
   api::ServerSessionOptions options;
   options.ingest_threads = 2;
-  options.ingest.strict = true;
+  options.ingest.max_rejected = 0;
   auto server = pipeline.NewServer(options);
   ASSERT_TRUE(server.ok());
   const size_t shard = server.value().OpenShard();

@@ -393,7 +393,7 @@ TEST(ShardIngesterTest, StrictModeFailsOnMalformedFrame) {
   bytes += garbage_frame;
 
   ShardIngester::Options options;
-  options.strict = true;
+  options.max_rejected = 0;
   ShardIngester ingester(&collector, options);
   Status status = ingester.Feed(bytes);
   if (status.ok()) status = ingester.Finish();

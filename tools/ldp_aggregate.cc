@@ -1,15 +1,15 @@
 // ldp_aggregate: the server half of the deployment split, an api::Pipeline
 // ServerSession at the CLI. Ingests any mix of shard inputs in one
-// invocation — framed report streams written by ldp_report, single-epoch
-// aggregator snapshots, and multi-epoch session snapshots written by a
-// previous ldp_aggregate --snapshot-out — merges them in argument order, and
+// invocation — framed report streams written by ldp_report and multi-epoch
+// session snapshots written by a previous ldp_aggregate --snapshot-out or
+// ldp_serve --snapshot-out — merges them in argument order, and
 // prints ε-LDP estimates with confidence intervals for every attribute, per
 // epoch. The pipeline configuration (ε, mechanism, oracle) is taken from the
 // first input's validated preamble, so a mismatched client population is
 // rejected up front.
 //
 //   ldp_aggregate --schema FILE [--threads T] [--confidence C]
-//                 [--strict] [--max-rejected N] [--epoch E]
+//                 [--max-rejected N] [--epoch E]
 //                 [--snapshot-out FILE] SHARD...
 //
 // A SHARD argument that is a *directory* is a write-ahead frame log left
@@ -18,7 +18,8 @@
 // directory reproduces that collector's session bit for bit — the offline
 // escape hatch when a crashed edge is never restarted.
 //
-// Report streams and single-epoch snapshots fold into epoch 0; session
+// Report streams fold into the epoch current when their batch of files
+// starts (epoch 0 unless a WAL directory before them advanced it); session
 // snapshots merge epoch by epoch. --epoch E prints only epoch E's
 // estimates (default: every epoch). --threads T gives the ServerSession a
 // T-worker ingest pool: inputs decode concurrently within the epoch but are
@@ -34,10 +35,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -48,11 +46,8 @@
 #include "obs/metrics.h"
 #include "relay/frame_wal.h"
 #include "tool_flags.h"
-#include "stream/parallel_ingest.h"
 #include "stream/report_stream.h"
 #include "stream/shard_ingester.h"
-#include "stream/snapshot.h"
-#include "util/threadpool.h"
 
 namespace {
 
@@ -62,15 +57,14 @@ void Usage() {
   std::fprintf(
       stderr,
       "usage: ldp_aggregate --schema FILE [--threads T] [--confidence C]\n"
-      "                     [--strict] [--max-rejected N] [--epoch E]\n"
+      "                     [--max-rejected N] [--epoch E]\n"
       "                     [--snapshot-out FILE] [--metrics-out FILE]\n"
       "                     [--version] SHARD...\n"
-      "SHARD files are report streams (ldp_report), aggregator snapshots,\n"
-      "or session snapshots (ldp_aggregate --snapshot-out), merged in\n"
-      "argument order; a SHARD directory is an ldp_serve --wal-dir frame\n"
-      "log, replayed in its logged merge order. --epoch E prints only\n"
-      "epoch E. --metrics-out dumps the run's telemetry registry as JSON\n"
-      "at exit.\n");
+      "SHARD files are report streams (ldp_report) or session snapshots\n"
+      "(ldp_aggregate or ldp_serve --snapshot-out), merged in argument\n"
+      "order; a SHARD directory is an ldp_serve --wal-dir frame log,\n"
+      "replayed in its logged merge order. --epoch E prints only epoch E.\n"
+      "--metrics-out dumps the run's telemetry registry as JSON at exit.\n");
 }
 
 bool IsDirectory(const std::string& path) {
@@ -105,55 +99,52 @@ struct InputConfig {
 
 Result<InputConfig> PeekConfig(const std::string& path) {
   InputConfig config;
+  stream::StreamHeader header;
   if (IsDirectory(path)) {
     relay::WalDirPeek peek;
     LDP_ASSIGN_OR_RETURN(peek, relay::PeekWalDir(path));
-    stream::StreamHeader header;
     LDP_ASSIGN_OR_RETURN(header,
                          stream::DecodeStreamHeader(peek.header_bytes));
-    config.epsilon = header.epsilon;
-    config.mechanism = header.mechanism;
-    config.oracle = header.oracle;
     config.epochs = peek.epochs;
-    return config;
+  } else {
+    std::string prefix;
+    LDP_ASSIGN_OR_RETURN(prefix, ReadFilePrefix(path, 64));
+    if (prefix.size() < 4) {
+      return Status::InvalidArgument("input shorter than a magic");
+    }
+    const uint32_t magic =
+        internal_wire::LoadLittleEndian<uint32_t>(prefix.data());
+    if (magic == api::kSessionSnapshotMagic) {
+      api::SessionSnapshotConfig session;
+      LDP_ASSIGN_OR_RETURN(session, api::DecodeSessionSnapshotConfig(prefix));
+      config.epsilon = session.epsilon;
+      config.mechanism = session.mechanism;
+      config.oracle = session.oracle;
+      config.epochs = session.epochs;
+      return config;
+    }
+    if (magic != stream::kStreamMagic) {
+      return Status::InvalidArgument(
+          "input is neither a report stream nor a session snapshot");
+    }
+    LDP_ASSIGN_OR_RETURN(
+        header, stream::DecodeStreamHeader(
+                    prefix.data(),
+                    std::min(prefix.size(), stream::kStreamHeaderBytes)));
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    return Status::IoError("cannot open '" + path + "'");
-  }
-  char magic_bytes[4] = {0, 0, 0, 0};
-  in.read(magic_bytes, 4);
-  if (in.gcount() != 4) {
-    return Status::InvalidArgument("input shorter than a magic");
-  }
-  const uint32_t magic = internal_wire::LoadLittleEndian<uint32_t>(magic_bytes);
-  if (magic == stream::kStreamMagic) {
-    in.seekg(0);
-    stream::ReportStreamReader reader(&in);
-    stream::StreamHeader header;
-    LDP_ASSIGN_OR_RETURN(header, reader.ReadHeader());
-    config.epsilon = header.epsilon;
-    config.mechanism = header.mechanism;
-    config.oracle = header.oracle;
-    return config;
-  }
-  std::string bytes;
-  LDP_ASSIGN_OR_RETURN(bytes, ReadFilePrefix(path, 64));
-  if (magic == api::kSessionSnapshotMagic) {
-    api::SessionSnapshotConfig session;
-    LDP_ASSIGN_OR_RETURN(session, api::DecodeSessionSnapshotConfig(bytes));
-    config.epsilon = session.epsilon;
-    config.mechanism = session.mechanism;
-    config.oracle = session.oracle;
-    config.epochs = session.epochs;
-    return config;
-  }
-  stream::SnapshotConfig snapshot;
-  LDP_ASSIGN_OR_RETURN(snapshot, stream::DecodeSnapshotConfig(bytes));
-  config.epsilon = snapshot.epsilon;
-  config.mechanism = snapshot.mechanism;
-  config.oracle = snapshot.oracle;
+  config.epsilon = header.epsilon;
+  config.mechanism = header.mechanism;
+  config.oracle = header.oracle;
   return config;
+}
+
+// Reports accumulated across every epoch of `session`.
+uint64_t SessionReports(const api::ServerSession& session) {
+  uint64_t total = 0;
+  for (uint32_t epoch = 0; epoch < session.num_epochs(); ++epoch) {
+    total += session.num_reports(epoch).value();
+  }
+  return total;
 }
 
 }  // namespace
@@ -181,8 +172,6 @@ int main(int argc, char** argv) {
       confidence = std::strtod(next(), nullptr);
     } else if (arg == "--threads") {
       threads = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
-    } else if (arg == "--strict") {
-      ingest_options.strict = true;
     } else if (arg == "--max-rejected") {
       ingest_options.max_rejected = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--epoch") {
@@ -284,18 +273,21 @@ int main(int argc, char** argv) {
     if (!ingested.ok()) break;
     batch_start = i + 1;
     relay::WalReplaySummary walsum;
+    const uint64_t reports_before = SessionReports(session);
     ingested = relay::ReplayWalDir(shard_paths[i], &session, nullptr, nullptr,
                                    &walsum);
+    summary.total_reports += SessionReports(session) - reports_before;
     if (walsum.shards_corrupt > 0) {
       std::fprintf(stderr, "%s: %llu corrupt shard(s) skipped\n",
                    shard_paths[i].c_str(),
                    static_cast<unsigned long long>(walsum.shards_corrupt));
     }
-    std::printf("replayed WAL %s: %llu shard(s), %llu frame(s), %llu bytes\n",
-                shard_paths[i].c_str(),
-                static_cast<unsigned long long>(walsum.shards_replayed),
-                static_cast<unsigned long long>(walsum.frames_replayed),
-                static_cast<unsigned long long>(walsum.bytes_replayed));
+    std::printf(
+        "replayed WAL %s: %llu shard(s), %llu DATA record(s), %llu bytes\n",
+        shard_paths[i].c_str(),
+        static_cast<unsigned long long>(walsum.shards_replayed),
+        static_cast<unsigned long long>(walsum.frames_replayed),
+        static_cast<unsigned long long>(walsum.bytes_replayed));
     summary.total_bytes += walsum.bytes_replayed;
   }
   if (ingested.ok()) ingested = ingest_batch(shard_paths.size());

@@ -14,7 +14,7 @@
 // carries (a cheap first pass counts rows to fix the chunk boundaries).
 // Rows are fed as one server shard per SplitRange chunk of the requested
 // --threads, closed in order, so the printed estimates are bit-identical to
-// the materializing CollectProposed simulation with the same seed and
+// the materializing Pipeline::Collect simulation with the same seed and
 // thread count (and to an ldp_report | ldp_aggregate split with matching
 // shards).
 //

@@ -15,8 +15,7 @@
 //             [--oracle oue|grr|sue|olh|he|the]
 //             [--epochs N]
 //             [--acceptors N] [--threads T]
-//             [--strict] [--max-rejected N]
-//             [--idle-timeout-ms N] [--confidence C]
+//             [--max-rejected N] [--idle-timeout-ms N] [--confidence C]
 //             [--snapshot-out FILE] [--metrics ENDPOINT]
 //             [--stats-interval-s N] [--journal-out FILE]
 //             [--trace-out FILE] [--wal-dir DIR] [--wal-fsync]
@@ -97,7 +96,7 @@ void Usage() {
       "                 [--oracle oue|grr|sue|olh|he|the]\n"
       "                 [--epochs N]\n"
       "                 [--acceptors N] [--threads T]\n"
-      "                 [--strict] [--max-rejected N] [--idle-timeout-ms N]\n"
+      "                 [--max-rejected N] [--idle-timeout-ms N]\n"
       "                 [--confidence C] [--snapshot-out FILE]\n"
       "                 [--metrics ENDPOINT] [--stats-interval-s N]\n"
       "                 [--journal-out FILE] [--trace-out FILE]\n"
@@ -166,8 +165,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--idle-timeout-ms") {
       server_options.idle_timeout_ms =
           static_cast<int>(std::strtol(next(), nullptr, 10));
-    } else if (arg == "--strict") {
-      ingest_options.strict = true;
     } else if (arg == "--max-rejected") {
       ingest_options.max_rejected = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--confidence") {
