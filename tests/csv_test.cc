@@ -3,9 +3,17 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <string>
+#include <vector>
 
 namespace ldp::data {
 namespace {
@@ -149,6 +157,380 @@ TEST_F(CsvTest, RowReaderValidatesHeaderAndCells) {
   EXPECT_FALSE(bad_numeric.value().NextRow(&numeric, &category).ok());
 
   EXPECT_FALSE(CsvRowReader::Open(schema, "/nonexistent_xyz.csv").ok());
+}
+
+uint64_t Bits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+// Reads every row of `path` through ReadCsv and through a CsvRowReader and
+// checks both against `expected` (x, c) pairs, bit for bit.
+void ExpectRows(const Schema& schema, const std::string& path,
+                const std::vector<std::pair<double, uint32_t>>& expected) {
+  auto table = ReadCsv(schema, path);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ASSERT_EQ(table.value().num_rows(), expected.size());
+  auto reader = CsvRowReader::Open(schema, path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  std::vector<double> numeric;
+  std::vector<uint32_t> category;
+  for (uint64_t row = 0; row < expected.size(); ++row) {
+    auto more = reader.value().NextRow(&numeric, &category);
+    ASSERT_TRUE(more.ok()) << more.status().ToString();
+    ASSERT_TRUE(more.value()) << "row " << row;
+    EXPECT_EQ(Bits(numeric[0]), Bits(expected[row].first))
+        << "row " << row << ": " << numeric[0];
+    EXPECT_EQ(Bits(table.value().numeric(row, 0)), Bits(expected[row].first))
+        << "row " << row;
+    EXPECT_EQ(category[1], expected[row].second) << "row " << row;
+    EXPECT_EQ(table.value().category(row, 1), expected[row].second);
+  }
+  auto end = reader.value().NextRow(&numeric, &category);
+  ASSERT_TRUE(end.ok());
+  EXPECT_FALSE(end.value());
+  auto counted = CountCsvDataRows(path);
+  ASSERT_TRUE(counted.ok());
+  EXPECT_EQ(counted.value(), expected.size());
+}
+
+// One cell's verdict under the reader this one replaced: std::getline lines,
+// a std::stringstream split on ',', then strtod/strtol on each cell's c_str()
+// with the end, ERANGE, finiteness and domain checks. Every entry is written
+// down from those semantics, not taken from the reader under test.
+struct AcceptCase {
+  std::string row;  // the data line after the "x,c" header
+  bool accepted;
+  double x;         // when accepted; compared bit for bit (-0 != 0)
+  uint32_t c;       // when accepted
+  std::string error;  // the refusal's message when not accepted
+};
+
+TEST_F(CsvTest, AcceptSetMatchesStrtodReader) {
+  const std::string kNumeric = "row 0, column 'x': bad numeric cell '";
+  const std::string kCategorical = "row 0, column 'c': bad categorical cell '";
+  const double kMin = std::numeric_limits<double>::min();
+  const double kMax = std::numeric_limits<double>::max();
+  const std::vector<AcceptCase> cases = {
+      // Numeric cells (c = 1).
+      {"0,1", true, 0.0, 1, ""},
+      {"-0,1", true, -0.0, 1, ""},
+      {".5,1", true, 0.5, 1, ""},
+      {"5.,1", true, 5.0, 1, ""},
+      {"1e,1", false, 0, 0, kNumeric + "1e'"},
+      {"1E5,1", true, 1e5, 1, ""},
+      {"+1.5,1", true, 1.5, 1, ""},
+      {" 1.5,1", true, 1.5, 1, ""},
+      {"1.5 ,1", false, 0, 0, kNumeric + "1.5 '"},
+      {"0x1p3,1", true, 8.0, 1, ""},
+      {"4.9e-324,1", false, 0, 0, kNumeric + "4.9e-324'"},
+      {"1e-310,1", false, 0, 0, kNumeric + "1e-310'"},
+      {"2.2250738585072014e-308,1", true, kMin, 1, ""},
+      // Rounds up to DBL_MIN, but strtod flags the tiny input ERANGE.
+      {"2.2250738585072012e-308,1", false, 0, 0,
+       kNumeric + "2.2250738585072012e-308'"},
+      {"1.7976931348623157e308,1", true, kMax, 1, ""},
+      {"1e-400,1", false, 0, 0, kNumeric + "1e-400'"},
+      {"1e400,1", false, 0, 0, kNumeric + "1e400'"},
+      {"inf,1", false, 0, 0, kNumeric + "inf'"},
+      {"nan,1", false, 0, 0, kNumeric + "nan'"},
+      {",1", false, 0, 0, kNumeric + "'"},
+      // strtod stops at the NUL that ends the cell's c_str().
+      {std::string("0.5\0x,1", 7), true, 0.5, 1, ""},
+      // Categorical cells (x = 0.5, domain {0, 1, 2}).
+      {"0.5,+1", true, 0.5, 1, ""},
+      {"0.5, 1", true, 0.5, 1, ""},
+      {"0.5,-0", true, 0.5, 0, ""},
+      {"0.5,01", true, 0.5, 1, ""},
+      {"0.5,2", true, 0.5, 2, ""},
+      {"0.5,3", false, 0, 0, kCategorical + "3'"},
+      {"0.5,1.0", false, 0, 0, kCategorical + "1.0'"},
+      {"0.5,4294967296", false, 0, 0, kCategorical + "4294967296'"},
+      {"0.5,18446744073709551616", false, 0, 0,
+       kCategorical + "18446744073709551616'"},
+      // Line shape: '\r' stays in the last cell; a trailing comma is a cell.
+      {"0.5,1\r", false, 0, 0, kCategorical + "1\r'"},
+      {"0.5,1,", false, 0, 0, "row 0 has 3 cells, expected 2"},
+  };
+  const Schema schema = TestSchema();
+  for (const AcceptCase& entry : cases) {
+    SCOPED_TRACE("row '" + entry.row + "'");
+    WriteFile("x,c\n" + entry.row + "\n");
+    if (entry.accepted) {
+      ExpectRows(schema, path_, {{entry.x, entry.c}});
+      continue;
+    }
+    auto table = ReadCsv(schema, path_);
+    ASSERT_FALSE(table.ok());
+    EXPECT_EQ(table.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(table.status().message(), entry.error);
+    auto reader = CsvRowReader::Open(schema, path_);
+    ASSERT_TRUE(reader.ok());
+    std::vector<double> numeric;
+    std::vector<uint32_t> category;
+    auto row = reader.value().NextRow(&numeric, &category);
+    ASSERT_FALSE(row.ok());
+    EXPECT_EQ(row.status().message(), entry.error);
+  }
+}
+
+TEST_F(CsvTest, RowCountAgreesWithRowReaderOnLineShapes) {
+  const Schema schema = TestSchema();
+  // Blank lines are skipped; a final line without a newline is a row.
+  WriteFile("x,c\n0.5,1\n\n\n0.25,2\n");
+  ExpectRows(schema, path_, {{0.5, 1}, {0.25, 2}});
+  WriteFile("x,c\n0.5,1\n0.25,2");
+  ExpectRows(schema, path_, {{0.5, 1}, {0.25, 2}});
+  // A header alone, with or without its newline, has no rows.
+  WriteFile("x,c\n");
+  ExpectRows(schema, path_, {});
+  WriteFile("x,c");
+  ExpectRows(schema, path_, {});
+
+  // A lone "\r" line is not blank: it counts, and the reader refuses it.
+  WriteFile("x,c\n\r\n0.5,1\n");
+  auto counted = CountCsvDataRows(path_);
+  ASSERT_TRUE(counted.ok());
+  EXPECT_EQ(counted.value(), 2u);
+  auto table = ReadCsv(schema, path_);
+  ASSERT_FALSE(table.ok());
+  EXPECT_EQ(table.status().message(), "row 0 has 1 cells, expected 2");
+
+  // An empty file is refused by both passes; a blank header has no columns.
+  WriteFile("");
+  EXPECT_EQ(CountCsvDataRows(path_).status().message(), "empty file: " + path_);
+  EXPECT_EQ(CsvRowReader::Open(schema, path_).status().message(),
+            "empty file: " + path_);
+  WriteFile("\n");
+  counted = CountCsvDataRows(path_);
+  ASSERT_TRUE(counted.ok());
+  EXPECT_EQ(counted.value(), 0u);
+  EXPECT_EQ(CsvRowReader::Open(schema, path_).status().message(),
+            "header has 0 columns, schema expects 2");
+  EXPECT_EQ(CountCsvDataRows(path_ + ".missing").status().message(),
+            "cannot open for reading: " + path_ + ".missing");
+}
+
+TEST_F(CsvTest, RowsStraddleTheReadBufferAtEveryOffset) {
+  // Fixed 20-byte rows ("0.xxxxxxxxxxxxxxx,c\n") of exact binary fractions;
+  // shifting the rows by 0..19 leading blank lines moves the first block
+  // boundary through every byte offset of a row.
+  constexpr size_t kBlock = internal_csv::LineScanner::kBlockBytes;
+  constexpr size_t kRowBytes = 20;
+  const Schema schema = TestSchema();
+  std::vector<std::pair<double, uint32_t>> expected;
+  std::vector<std::string> rows;
+  for (uint32_t i = 0; rows.size() * kRowBytes < 2 * kBlock + kRowBytes; ++i) {
+    expected.emplace_back(i / 4096.0, i % 3);
+    char row[32];
+    std::snprintf(row, sizeof(row), "%.15f,%u\n", expected.back().first,
+                  expected.back().second);
+    ASSERT_EQ(std::strlen(row), kRowBytes);
+    rows.push_back(row);
+  }
+  for (size_t pad = 0; pad < kRowBytes; ++pad) {
+    SCOPED_TRACE("pad " + std::to_string(pad));
+    std::string content = "x,c\n" + std::string(pad, '\n');
+    for (const std::string& row : rows) content += row;
+    WriteFile(content);
+    ExpectRows(schema, path_, expected);
+    content.pop_back();  // the last line loses its newline
+    WriteFile(content);
+    ExpectRows(schema, path_, expected);
+
+    // A bad cell in the row holding the boundary byte keeps its exact text.
+    const size_t straddling = (kBlock - 4 - pad) / kRowBytes;
+    content.replace(4 + pad + straddling * kRowBytes, 17, "0.12345678901234z");
+    WriteFile(content);
+    auto table = ReadCsv(schema, path_);
+    ASSERT_FALSE(table.ok());
+    EXPECT_EQ(table.status().message(),
+              "row " + std::to_string(straddling) +
+                  ", column 'x': bad numeric cell '0.12345678901234z'");
+  }
+}
+
+TEST_F(CsvTest, LineLongerThanTheReadBufferGrowsIt) {
+  const Schema schema = TestSchema();
+  const std::string long_cell =
+      "0.5" + std::string(3 * internal_csv::LineScanner::kBlockBytes, '0');
+  WriteFile("x,c\n0.25,1\n" + long_cell + ",2\n-0.75,0\n" + long_cell + ",1");
+  ExpectRows(schema, path_, {{0.25, 1}, {0.5, 2}, {-0.75, 0}, {0.5, 1}});
+
+  WriteFile("x,c\n0.25,1\n" + long_cell + "x,2\n");
+  auto table = ReadCsv(schema, path_);
+  ASSERT_FALSE(table.ok());
+  EXPECT_EQ(table.status().message(),
+            "row 1, column 'x': bad numeric cell '" + long_cell + "x'");
+}
+
+// strtod's verdict on one cell, exactly as the reader before from_chars
+// applied it: the whole cell parsed, no ERANGE, finite.
+bool StrtodVerdict(const std::string& cell, double* value) {
+  char* end = nullptr;
+  errno = 0;
+  *value = std::strtod(cell.c_str(), &end);
+  return end != cell.c_str() && *end == '\0' && errno != ERANGE &&
+         std::isfinite(*value);
+}
+
+double RandomBitsDouble(std::mt19937_64* rng) {
+  const uint64_t bits = (*rng)();
+  double value;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
+}
+
+std::string RandomDigits(std::mt19937_64* rng, int count) {
+  std::string digits;
+  for (int i = 0; i < count; ++i) {
+    digits += static_cast<char>('0' + (*rng)() % 10);
+  }
+  return digits;
+}
+
+// The decimal spellings the corpus draws from, by family.
+std::vector<std::string> ParseCorpus() {
+  constexpr int kPerFamily = 180000;
+  std::mt19937_64 rng(20190408);
+  std::vector<std::string> corpus;
+  char text[1024];
+  auto sign = [&rng] { return rng() % 2 ? std::string("-") : std::string(); };
+  for (int i = 0; i < kPerFamily; ++i) {
+    // %.17g of a random bit pattern (nan, inf and subnormals included).
+    std::snprintf(text, sizeof(text), "%.17g", RandomBitsDouble(&rng));
+    corpus.emplace_back(text);
+    // Shortest round-trip spelling of a random bit pattern.
+    const std::to_chars_result shortest =
+        std::to_chars(text, text + sizeof(text), RandomBitsDouble(&rng));
+    corpus.emplace_back(text, shortest.ptr);
+    // 20-40 digit mantissas with the point anywhere and any exponent.
+    std::string mantissa =
+        RandomDigits(&rng, 20 + static_cast<int>(rng() % 21));
+    mantissa.insert(rng() % (mantissa.size() + 1), ".");
+    corpus.push_back(sign() + mantissa + "e" +
+                     std::to_string(static_cast<int>(rng() % 661) - 340));
+    // Exponents near +-308, and mantissas sharing DBL_MIN's / DBL_MAX's
+    // leading digits.
+    const int near = static_cast<int>(rng() % 4);
+    const std::string digits =
+        RandomDigits(&rng, 1 + static_cast<int>(rng() % 24));
+    if (near == 0) {
+      corpus.push_back(sign() + "2.225073858507201" + digits + "e-308");
+    } else if (near == 1) {
+      corpus.push_back(sign() + "1.797693134862315" + digits + "e308");
+    } else {
+      corpus.push_back(sign() + digits.substr(0, 1) + "." + digits.substr(1) +
+                       "e" + (near == 2 ? "-" : "") +
+                       std::to_string(300 + rng() % 31));
+    }
+    // Halfway between a double and its successor, spelled exactly, and cut
+    // to 40 significant digits. The long double sum is exact.
+    double low = RandomBitsDouble(&rng);
+    int exponent = 0;
+    std::frexp(low, &exponent);
+    if (!std::isfinite(low) || exponent < -100 || exponent > 100) {
+      low = std::ldexp(1.0 + (rng() % 1000000) / 1e6,
+                       static_cast<int>(rng() % 201) - 100);
+    }
+    const long double halfway =
+        (static_cast<long double>(low) +
+         static_cast<long double>(std::nextafter(low, HUGE_VAL))) /
+        2;
+    std::snprintf(text, sizeof(text), "%.180Le", halfway);
+    corpus.emplace_back(text);
+    std::snprintf(text, sizeof(text), "%.39Le", halfway);
+    corpus.emplace_back(text);
+    // Census-style fixed-point cells, integers and zeros.
+    std::snprintf(text, sizeof(text), "%.*f", static_cast<int>(rng() % 18),
+                  (static_cast<double>(rng() % 2000000) - 1e6) /
+                      static_cast<double>(1 + rng() % 1000));
+    corpus.emplace_back(text);
+  }
+  for (const char* edge :
+       {"0", "-0", "0.0", "000.000", "0e999999", "-0.000e-99999", "0e-400",
+        "1e-400", "0.0001e-320", "4.9e-324", "2.4703282292062328e-324",
+        "2.2250738585072009e-308", "2.2250738585072011e-308",
+        "2.2250738585072013e-308", "2.2250738585072014e-308",
+        "1.7976931348623157e308", "1.7976931348623158e308",
+        "1.7976931348623159e308", "9007199254740993", "1e23"}) {
+    corpus.emplace_back(edge);
+  }
+  // Exact halfway points at the subnormal/normal and normal/overflow edges.
+  const double kMin = std::numeric_limits<double>::min();
+  const double kMax = std::numeric_limits<double>::max();
+  for (const long double halfway :
+       {(static_cast<long double>(kMin) + std::nextafter(kMin, 0.0)) / 2,
+        (static_cast<long double>(kMin) + std::nextafter(kMin, 1.0)) / 2,
+        static_cast<long double>(kMax) +
+            (static_cast<long double>(kMax) - std::nextafter(kMax, 0.0)) / 2}) {
+    std::snprintf(text, sizeof(text), "%.800Le", halfway);
+    corpus.emplace_back(text);
+  }
+  return corpus;
+}
+
+TEST(CsvParseCorpusTest, FastNumericPathIsStrtodBitForBit) {
+  const std::vector<std::string> corpus = ParseCorpus();
+  ASSERT_GE(corpus.size(), 1000000u);
+  const double kMin = std::numeric_limits<double>::min();
+  const double kMax = std::numeric_limits<double>::max();
+  uint64_t fast_accepted = 0;
+  int reported = 0;
+  for (const std::string& cell : corpus) {
+    double reference = 0;
+    const bool strtod_accepts = StrtodVerdict(cell, &reference);
+    double fast = 0;
+    const bool fast_accepts = internal_csv::FastNumericCell(cell, &fast);
+    if (fast_accepts) ++fast_accepted;
+    // The fast path declines only what the header names: results at or
+    // past DBL_MIN/DBL_MAX. Every other cell strtod accepts, it takes.
+    const bool must_take =
+        strtod_accepts && (reference == 0 || (std::fabs(reference) > kMin &&
+                                              std::fabs(reference) < kMax));
+    const bool ok = fast_accepts
+                        ? strtod_accepts && Bits(fast) == Bits(reference)
+                        : !must_take;
+    if (!ok && reported++ < 10) {
+      ADD_FAILURE() << "cell '" << cell << "': strtod "
+                    << (strtod_accepts ? "accepts " : "refuses ") << reference
+                    << ", fast path "
+                    << (fast_accepts ? "accepts " : "declines ") << fast;
+    }
+  }
+  EXPECT_EQ(reported, 0);
+  EXPECT_GT(fast_accepted, corpus.size() / 2);
+}
+
+TEST(CsvParseCorpusTest, FastCategoricalPathIsStrtolExactly) {
+  std::mt19937_64 rng(7);
+  int reported = 0;
+  for (int i = 0; i < 200000; ++i) {
+    // Codes with leading zeros, signs, spaces and overflowing lengths.
+    static const char* kPrefixes[] = {"", "", "", "0", "00", "-", "+", " "};
+    const std::string cell =
+        kPrefixes[rng() % 8] +
+        RandomDigits(&rng, 1 + static_cast<int>(rng() % 21));
+    const uint32_t domain = 1 + static_cast<uint32_t>(rng() % 4096);
+    char* end = nullptr;
+    errno = 0;
+    const long code = std::strtol(cell.c_str(), &end, 10);
+    const bool strtol_accepts = end != cell.c_str() && *end == '\0' &&
+                                errno != ERANGE && code >= 0 &&
+                                static_cast<uint64_t>(code) < domain;
+    uint32_t fast = 0;
+    const bool fast_accepts =
+        internal_csv::FastCategoricalCell(cell, domain, &fast);
+    const bool ok = fast_accepts
+                        ? strtol_accepts && static_cast<long>(fast) == code
+                        : cell[0] == '-' || cell[0] == '+' || cell[0] == ' ' ||
+                              !strtol_accepts;
+    if (!ok && reported++ < 10) {
+      ADD_FAILURE() << "cell '" << cell << "' domain " << domain;
+    }
+  }
+  EXPECT_EQ(reported, 0);
 }
 
 }  // namespace

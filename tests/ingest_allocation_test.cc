@@ -1,19 +1,26 @@
 // Proof of the zero-copy ingest contract: once an ingester is warmed up,
 // feeding further frames must perform ZERO heap allocations on the accept
 // path — no MixedReport materialization, no payload vectors, no staging
-// growth. Verified with replaced global operator new/delete that count every
-// allocation in the process (each gtest case runs in its own process under
-// ctest, so the counter observes only this test).
+// growth. The same holds for the CSV reader on the reporter side: a
+// steady-state NextRow over plain decimal rows allocates nothing. Verified
+// with replaced global operator new/delete that count every allocation in
+// the process (each gtest case runs in its own process under ctest, so the
+// counter observes only this test).
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <new>
 #include <sstream>
 #include <string>
 
 #include "core/mixed_collector.h"
+#include "data/csv.h"
 #include "stream/report_stream.h"
 #include "stream/shard_ingester.h"
 #include "util/random.h"
@@ -151,6 +158,47 @@ TEST(IngestAllocationTest, ByteAtATimeSteadyStateIsAllocationFree) {
   ASSERT_TRUE(ingester.Finish().ok());
   EXPECT_EQ(ingester.stats().accepted, 600u);
   EXPECT_EQ(allocations_after - allocations_before, 0u);
+}
+
+TEST(IngestAllocationTest, CsvRowReaderSteadyStateIsAllocationFree) {
+  auto schema = data::Schema::Create(
+      {data::ColumnSpec::Numeric("x", -1.0, 1.0),
+       data::ColumnSpec::Categorical("c", 16),
+       data::ColumnSpec::Numeric("y", -1e6, 1e6)});
+  ASSERT_TRUE(schema.ok());
+  const std::string path = ::testing::TempDir() + "/ldp_csv_alloc_" +
+                           std::to_string(::getpid()) + ".csv";
+  {
+    // Plain decimal cells, long ones (past the small-string size) and exact
+    // zeros included, over several read-buffer refills.
+    std::ofstream out(path, std::ios::trunc);
+    out << "x,c,y\n";
+    out.precision(17);
+    Rng rng(5);
+    for (int row = 0; row < 4000; ++row) {
+      out << (row % 7 == 0 ? 0.0 : rng.Uniform(-1.0, 1.0)) << ',' << row % 16
+          << ',' << (row % 5 == 0 ? -0.0 : rng.Uniform(-5e5, 5e5))
+          << '\n';
+    }
+  }
+  auto reader = data::CsvRowReader::Open(schema.value(), path);
+  ASSERT_TRUE(reader.ok());
+  std::vector<double> numeric;
+  std::vector<uint32_t> category;
+  ASSERT_TRUE(reader.value().NextRow(&numeric, &category).value());
+
+  const uint64_t allocations_before =
+      g_allocation_count.load(std::memory_order_relaxed);
+  uint64_t rows = 0;
+  while (reader.value().NextRow(&numeric, &category).value()) ++rows;
+  const uint64_t allocations_after =
+      g_allocation_count.load(std::memory_order_relaxed);
+  std::remove(path.c_str());
+
+  EXPECT_EQ(rows, 3999u);
+  EXPECT_EQ(allocations_after - allocations_before, 0u)
+      << "NextRow allocated " << (allocations_after - allocations_before)
+      << " times for " << rows << " rows";
 }
 
 }  // namespace
