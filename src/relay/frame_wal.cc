@@ -3,9 +3,11 @@
 #include <dirent.h>
 #include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
@@ -39,6 +41,10 @@ void PutLe64(std::string* out, uint64_t v) {
   }
 }
 
+void StoreLe32(char* out, uint32_t v) {
+  for (int i = 0; i < 4; ++i) out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
 uint16_t LoadLe16(const char* p) {
   const unsigned char* u = reinterpret_cast<const unsigned char*>(p);
   return static_cast<uint16_t>(u[0] | (u[1] << 8));
@@ -61,6 +67,38 @@ uint64_t LoadLe64(const char* p) {
 // and every other record type is tiny.
 constexpr uint32_t kMaxWalRecordPayload = 8u << 20;
 
+// A record's u8 type, u32 len and u32 crc32(type || len || payload).
+using RecordHead = std::array<char, kWalRecordHeaderBytes>;
+
+RecordHead EncodeRecordHead(WalRecordType type, const void* payload,
+                            size_t size) {
+  RecordHead head;
+  head[0] = static_cast<char>(type);
+  StoreLe32(head.data() + 1, static_cast<uint32_t>(size));
+  StoreLe32(head.data() + 5, Crc32(payload, size, Crc32(head.data(), 5)));
+  return head;
+}
+
+// Writes `iov[0..count)` to `fd` in one writev, advancing past a short
+// write and retrying (disk-full aside, a regular-file write only shortens
+// on signals).
+void WriteFully(int fd, iovec* iov, int count, const char* failure) {
+  while (count > 0) {
+    const ssize_t wrote = ::writev(fd, iov, count);
+    LDP_CHECK_MSG(wrote > 0, failure);
+    size_t left = static_cast<size_t>(wrote);
+    while (count > 0 && left >= iov->iov_len) {
+      left -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+    if (count > 0) {
+      iov->iov_base = static_cast<char*>(iov->iov_base) + left;
+      iov->iov_len -= left;
+    }
+  }
+}
+
 std::string WalFileName(uint32_t epoch, uint64_t ordinal,
                         uint32_t generation) {
   char name[96];
@@ -78,7 +116,10 @@ struct Instance {
   std::string path;
   std::string reporter_id;  // empty = anonymous
   std::string header_bytes;
-  std::vector<std::string> chunks;  // DATA payloads, in append order
+  // The whole log file as read; DATA payloads are (offset, length) slices
+  // of it, in append order.
+  std::string bytes;
+  std::vector<std::pair<size_t, size_t>> chunks;
   uint64_t data_bytes = 0;
   bool closed = false;
   uint64_t close_seq = 0;
@@ -95,6 +136,38 @@ struct Instance {
   }
 };
 
+// Reads all of `path` into `bytes`: one read(2) for the body, sized by
+// fstat, then one that returns 0 at EOF (the spare byte lets it see a file
+// that grew since). A failed read is an IoError, never a short file:
+// replay would take that for a torn tail and truncate acknowledged records.
+Status ReadWholeFile(const std::string& path, std::string* bytes) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::IoError("cannot open WAL file " + path);
+  struct stat info;
+  if (::fstat(fd, &info) != 0) {
+    ::close(fd);
+    return Status::IoError("cannot stat WAL file " + path);
+  }
+  bytes->resize(static_cast<size_t>(info.st_size) + 1);
+  size_t got = 0;
+  for (;;) {
+    if (got == bytes->size()) bytes->resize(2 * bytes->size());
+    const ssize_t n = ::read(fd, &(*bytes)[got], bytes->size() - got);
+    if (n == 0) break;
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      const std::string reason = std::strerror(errno);
+      ::close(fd);
+      return Status::IoError("read error on WAL file " + path + ": " +
+                             reason);
+    }
+    got += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  bytes->resize(got);
+  return Status::OK();
+}
+
 // Parses one WAL file into an Instance. A torn tail (incomplete record at
 // EOF — the normal crash artifact) stops the parse and, with `truncate`,
 // is cut off in place so the file can be appended to again; a *complete*
@@ -103,19 +176,8 @@ struct Instance {
 Status ReadInstance(const std::string& path, bool truncate,
                     Instance* instance, uint64_t* truncated_tails,
                     uint64_t* records, WalReplaySummary* summary) {
-  std::string bytes;
-  {
-    FILE* file = std::fopen(path.c_str(), "rb");
-    if (file == nullptr) {
-      return Status::IoError("cannot open WAL file " + path);
-    }
-    char buffer[1 << 16];
-    size_t got = 0;
-    while ((got = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-      bytes.append(buffer, got);
-    }
-    std::fclose(file);
-  }
+  LDP_RETURN_IF_ERROR(ReadWholeFile(path, &instance->bytes));
+  const std::string& bytes = instance->bytes;
   if (bytes.size() < kWalFileHeaderBytes) {
     // The file header itself was torn: an attempt that never got its first
     // record. Nothing to replay.
@@ -171,7 +233,7 @@ Status ReadInstance(const std::string& path, bool truncate,
         break;
       }
       case WalRecordType::kData:
-        instance->chunks.emplace_back(payload, length);
+        instance->chunks.emplace_back(cursor + kWalRecordHeaderBytes, length);
         instance->data_bytes += length;
         break;
       case WalRecordType::kClose:
@@ -333,11 +395,11 @@ Status ReplayInstances(std::vector<Instance>* instances,
       }
       const size_t shard = opened.value();
       Status fed = session->Feed(shard, instance.header_bytes);
-      for (const std::string& chunk : instance.chunks) {
+      for (const auto& [offset, length] : instance.chunks) {
         if (!fed.ok()) break;
-        fed = session->Feed(shard, chunk.data(), chunk.size());
+        fed = session->Feed(shard, instance.bytes.data() + offset, length);
         ++summary->frames_replayed;
-        summary->bytes_replayed += chunk.size();
+        summary->bytes_replayed += length;
       }
       if (!fed.ok() && !instance.closed) {
         // The crash interrupted a stream that was already poisoning its
@@ -388,22 +450,38 @@ Status ReplayInstances(std::vector<Instance>* instances,
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
-  // IEEE 802.3 reflected polynomial, byte-at-a-time table.
-  static const uint32_t* table = [] {
-    static uint32_t entries[256];
+  // IEEE 802.3 reflected polynomial, slicing-by-8: tables[k][b] is the CRC
+  // register after byte b and then k zero bytes, so one 8-byte step is
+  // eight independent lookups instead of a chain of eight.
+  static const auto tables = [] {
+    std::array<std::array<uint32_t, 256>, 8> t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t crc = i;
       for (int bit = 0; bit < 8; ++bit) {
         crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
       }
-      entries[i] = crc;
+      t[0][i] = crc;
     }
-    return entries;
+    for (size_t k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+      }
+    }
+    return t;
   }();
   uint32_t crc = ~seed;
-  const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    crc = (crc >> 8) ^ table[(crc ^ bytes[i]) & 0xffu];
+  const char* bytes = static_cast<const char*>(data);
+  for (; size >= 8; bytes += 8, size -= 8) {
+    const uint32_t low = crc ^ LoadLe32(bytes);
+    const uint32_t high = LoadLe32(bytes + 4);
+    crc = tables[7][low & 0xffu] ^ tables[6][(low >> 8) & 0xffu] ^
+          tables[5][(low >> 16) & 0xffu] ^ tables[4][low >> 24] ^
+          tables[3][high & 0xffu] ^ tables[2][(high >> 8) & 0xffu] ^
+          tables[1][(high >> 16) & 0xffu] ^ tables[0][high >> 24];
+  }
+  for (; size > 0; ++bytes, --size) {
+    crc = (crc >> 8) ^
+          tables[0][(crc ^ static_cast<unsigned char>(*bytes)) & 0xffu];
   }
   return ~crc;
 }
@@ -495,32 +573,20 @@ Result<std::unique_ptr<FrameWal>> FrameWal::Open(const std::string& dir,
   return wal;
 }
 
-void FrameWal::AppendRecord(int fd, WalRecordType type, const void* payload,
-                            size_t size) {
-  const uint64_t started_ns = metrics_.enabled() ? obs::SteadyNowNs() : 0;
-  std::string record;
-  record.reserve(kWalRecordHeaderBytes + size);
-  record.push_back(static_cast<char>(type));
-  PutLe32(&record, static_cast<uint32_t>(size));
-  uint32_t crc = Crc32(record.data(), 5);
-  crc = Crc32(payload, size, crc);
-  PutLe32(&record, crc);
-  if (size > 0) record.append(static_cast<const char*>(payload), size);
-  // One write per record: a SIGKILL can tear only the final record, which
-  // replay truncates away. Short writes are retried (disk-full aside, a
-  // regular-file write only shortens on signals).
-  size_t sent = 0;
-  while (sent < record.size()) {
-    const ssize_t wrote =
-        ::write(fd, record.data() + sent, record.size() - sent);
-    LDP_CHECK_MSG(wrote > 0, "WAL append failed — refusing to ack frames "
-                             "that are not durable");
-    sent += static_cast<size_t>(wrote);
-  }
+void FrameWal::AppendRecord(int fd, const RecordHead& head,
+                            const void* payload, size_t size,
+                            uint64_t started_ns) {
+  // One writev per record: a SIGKILL can tear only the final record, which
+  // replay truncates away.
+  iovec iov[2] = {{const_cast<char*>(head.data()), head.size()},
+                  {const_cast<void*>(payload), size}};
+  WriteFully(fd, iov, size > 0 ? 2 : 1,
+             "WAL append failed — refusing to ack frames that are not "
+             "durable");
   if (options_.fsync) ::fsync(fd);
   if (metrics_.enabled()) {
     metrics_.records->Increment();
-    metrics_.bytes->Add(record.size());
+    metrics_.bytes->Add(kWalRecordHeaderBytes + size);
     metrics_.append_us->Observe((obs::SteadyNowNs() - started_ns) / 1000);
   }
 }
@@ -543,45 +609,56 @@ void FrameWal::OnShardOpen(size_t shard, uint64_t ordinal, uint32_t epoch,
   PutLe16(&head, kWalVersion);
   PutLe32(&head, epoch);
   PutLe64(&head, ordinal);
-  size_t sent = 0;
-  while (sent < head.size()) {
-    const ssize_t wrote = ::write(fd, head.data() + sent, head.size() - sent);
-    LDP_CHECK_MSG(wrote > 0, "WAL file header write failed");
-    sent += static_cast<size_t>(wrote);
-  }
+  iovec file_head = {head.data(), head.size()};
+  WriteFully(fd, &file_head, 1, "WAL file header write failed");
+  const uint64_t started_ns = metrics_.enabled() ? obs::SteadyNowNs() : 0;
   std::string open_payload;
   PutLe16(&open_payload, static_cast<uint16_t>(reporter_id.size()));
   open_payload.append(reporter_id);
   open_payload.append(header_bytes);
-  AppendRecord(fd, WalRecordType::kHeader, open_payload.data(),
-               open_payload.size());
+  AppendRecord(fd,
+               EncodeRecordHead(WalRecordType::kHeader, open_payload.data(),
+                                open_payload.size()),
+               open_payload.data(), open_payload.size(), started_ns);
   fds_[shard] = fd;
 }
 
 void FrameWal::OnShardData(size_t shard, const char* data, size_t size) {
+  // The CRC is nearly all of an append's cost and depends on nothing the
+  // mutex guards, so it runs before the lock: shards CRC concurrently and
+  // serialize only on the fd lookup and the write.
+  const uint64_t started_ns = metrics_.enabled() ? obs::SteadyNowNs() : 0;
+  const RecordHead head = EncodeRecordHead(WalRecordType::kData, data, size);
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = fds_.find(shard);
   if (it == fds_.end()) return;
-  AppendRecord(it->second, WalRecordType::kData, data, size);
+  AppendRecord(it->second, head, data, size, started_ns);
 }
 
 void FrameWal::OnShardClose(size_t shard) {
+  const uint64_t started_ns = metrics_.enabled() ? obs::SteadyNowNs() : 0;
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = fds_.find(shard);
   if (it == fds_.end()) return;
+  // close_seq is assigned under the lock, so this 8-byte CRC is too.
   std::string payload;
   PutLe64(&payload, next_close_seq_++);
-  AppendRecord(it->second, WalRecordType::kClose, payload.data(),
-               payload.size());
+  AppendRecord(it->second,
+               EncodeRecordHead(WalRecordType::kClose, payload.data(),
+                                payload.size()),
+               payload.data(), payload.size(), started_ns);
   ::close(it->second);
   fds_.erase(it);
 }
 
 void FrameWal::OnShardAbandon(size_t shard) {
+  const uint64_t started_ns = metrics_.enabled() ? obs::SteadyNowNs() : 0;
+  const RecordHead head = EncodeRecordHead(WalRecordType::kAbandon, nullptr,
+                                           0);
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = fds_.find(shard);
   if (it == fds_.end()) return;
-  AppendRecord(it->second, WalRecordType::kAbandon, nullptr, 0);
+  AppendRecord(it->second, head, nullptr, 0, started_ns);
   ::close(it->second);
   fds_.erase(it);
 }

@@ -42,13 +42,21 @@
 // re-attaches a reporter's HELLO to the replayed shard and tells it how
 // many post-header bytes are already durable (net/protocol.h HELLO_OK).
 //
-// Durability scope: each record is one ::write, so a process crash
-// (SIGKILL) loses at most the torn tail. Machine-crash durability needs
-// Options::fsync, at a large per-record cost.
+// Durability scope: each record is one ::writev (its 9-byte head and the
+// caller's payload, uncopied), so a process crash (SIGKILL) loses at most
+// the torn tail. Machine-crash durability needs Options::fsync, at a large
+// per-record cost.
+//
+// Concurrency: a DATA record's CRC is computed before the WAL mutex, so
+// shards CRC their payloads in parallel and serialize only on the fd
+// lookup and the write. `ldp_wal_append_us` therefore times a DATA record
+// from CRC start to write end, lock wait included. The close record's CRC
+// covers close_seq, which is assigned under the mutex, so it stays there.
 
 #ifndef LDP_RELAY_FRAME_WAL_H_
 #define LDP_RELAY_FRAME_WAL_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -71,7 +79,9 @@ class EventJournal;
 
 namespace ldp::relay {
 
-/// CRC-32 (IEEE 802.3, reflected). Crc32("123456789") == 0xCBF43926.
+/// CRC-32 (IEEE 802.3, reflected), slicing-by-8. Crc32("123456789") ==
+/// 0xCBF43926; chaining through `seed` equals one pass over the
+/// concatenation.
 uint32_t Crc32(const void* data, size_t size, uint32_t seed = 0);
 
 /// 'LDPW' little-endian.
@@ -172,9 +182,11 @@ class FrameWal : public net::ShardDurabilityHook {
  private:
   FrameWal(std::string dir, Options options);
 
-  /// Appends one CRC-framed record to `fd` as a single write.
-  void AppendRecord(int fd, WalRecordType type, const void* payload,
-                    size_t size);
+  /// Appends one record — `head` (type, len, CRC) then `payload` — to `fd`
+  /// with a single writev. `started_ns` is when the caller began the
+  /// record (0 with metrics off), for the append_us histogram.
+  void AppendRecord(int fd, const std::array<char, kWalRecordHeaderBytes>& head,
+                    const void* payload, size_t size, uint64_t started_ns);
 
   const std::string dir_;
   const Options options_;

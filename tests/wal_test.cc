@@ -12,10 +12,15 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <random>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/pipeline.h"
@@ -43,7 +48,7 @@ std::string TestWalDir(const std::string& name) {
     while (dirent* entry = ::readdir(handle)) {
       const std::string file = entry->d_name;
       if (file == "." || file == "..") continue;
-      ::unlink((dir + "/" + file).c_str());
+      std::remove((dir + "/" + file).c_str());  // a file or an empty dir
     }
     ::closedir(handle);
   }
@@ -67,6 +72,54 @@ size_t FileSize(const std::string& path) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   EXPECT_TRUE(in.is_open()) << path;
   return static_cast<size_t>(in.tellg());
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.is_open()) << path;
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+// The byte-at-a-time table CRC the WAL shipped with before slicing-by-8:
+// the reference relay::Crc32 must match bit for bit.
+uint32_t BytewiseCrc32(const void* data, size_t size, uint32_t seed = 0) {
+  static const std::array<uint32_t, 256> table = [] {
+    std::array<uint32_t, 256> entries{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t crc = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+      }
+      entries[i] = crc;
+    }
+    return entries;
+  }();
+  uint32_t crc = ~seed;
+  const unsigned char* bytes = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < size; ++i) {
+    crc = (crc >> 8) ^ table[(crc ^ bytes[i]) & 0xffu];
+  }
+  return ~crc;
+}
+
+// Appends the low `width` bytes of `v`, little-endian.
+void PutLe(std::string* out, uint64_t v, int width) {
+  for (int i = 0; i < width; ++i) {
+    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+}
+
+// One record as relay/frame_wal.h lays it out: u8 type, u32 len,
+// u32 crc32(type || len || payload), payload.
+std::string LayoutRecord(uint8_t type, const std::string& payload) {
+  std::string record(1, static_cast<char>(type));
+  PutLe(&record, payload.size(), 4);
+  const uint32_t crc = BytewiseCrc32(payload.data(), payload.size(),
+                                     BytewiseCrc32(record.data(), 5));
+  PutLe(&record, crc, 4);
+  return record + payload;
 }
 
 // One logged shard conversation, hook-before-session like ReportServer.
@@ -121,6 +174,180 @@ TEST(WalTest, Crc32MatchesTheIeeeCheckValue) {
   // Chaining via the seed equals one pass over the concatenation.
   const uint32_t first = relay::Crc32("12345", 5);
   EXPECT_EQ(relay::Crc32("6789", 4, first), 0xCBF43926u);
+}
+
+TEST(WalTest, Crc32MatchesBytewiseReference) {
+  std::mt19937_64 rng(19);
+  std::string buffer(1 << 20, '\0');
+  for (char& byte : buffer) byte = static_cast<char>(rng());
+  // Every short length at every start offset: the 8-byte body, the byte
+  // tail and the seam between them, plain and seeded.
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 64; ++length) {
+      const char* start = buffer.data() + offset;
+      ASSERT_EQ(relay::Crc32(start, length), BytewiseCrc32(start, length))
+          << "offset " << offset << " length " << length;
+      ASSERT_EQ(relay::Crc32(start, length, 0x9E3779B9u),
+                BytewiseCrc32(start, length, 0x9E3779B9u))
+          << "offset " << offset << " length " << length;
+    }
+  }
+  // 1 MiB whole, and chained through `seed` across random split points.
+  const uint32_t whole = BytewiseCrc32(buffer.data(), buffer.size());
+  EXPECT_EQ(relay::Crc32(buffer.data(), buffer.size()), whole);
+  std::vector<size_t> cuts = {0, buffer.size()};
+  for (int i = 0; i < 15; ++i) cuts.push_back(rng() % buffer.size());
+  std::sort(cuts.begin(), cuts.end());
+  uint32_t chained = 0;
+  for (size_t i = 1; i < cuts.size(); ++i) {
+    chained = relay::Crc32(buffer.data() + cuts[i - 1], cuts[i] - cuts[i - 1],
+                           chained);
+  }
+  EXPECT_EQ(chained, whole);
+}
+
+TEST(WalTest, AppendedFileIsByteExactToTheLayout) {
+  const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
+  const std::string stream = MakeHonestStream(pipeline, 950);
+  const std::string header = stream.substr(0, stream::kStreamHeaderBytes);
+  const std::string body = stream.substr(stream::kStreamHeaderBytes);
+  const size_t half = body.size() / 2;
+  const std::string reporter = "device-42";
+  const std::string dir = TestWalDir("byte_exact");
+
+  auto session = pipeline.NewServer();
+  ASSERT_TRUE(session.ok());
+  relay::WalReplaySummary empty;
+  auto wal = relay::FrameWal::Open(dir, &session.value(),
+                                   relay::FrameWal::Options(), &empty);
+  ASSERT_TRUE(wal.ok());
+  wal.value()->OnShardOpen(/*shard=*/5, /*ordinal=*/3, /*epoch=*/0, reporter,
+                           header);
+  wal.value()->OnShardData(5, body.data(), half);
+  wal.value()->OnShardData(5, body.data() + half, body.size() - half);
+  wal.value()->OnShardClose(5);
+  wal.value().reset();
+
+  // The file header: 'LDPW', version 2, epoch 0, ordinal 3.
+  std::string expected = "LDPW";
+  PutLe(&expected, 2, 2);
+  PutLe(&expected, 0, 4);
+  PutLe(&expected, 3, 8);
+  std::string open_payload;
+  PutLe(&open_payload, reporter.size(), 2);
+  open_payload += reporter + header;
+  expected += LayoutRecord(/*kHeader=*/1, open_payload);
+  expected += LayoutRecord(/*kData=*/2, body.substr(0, half));
+  expected += LayoutRecord(/*kData=*/2, body.substr(half));
+  std::string close_payload;
+  PutLe(&close_payload, 0, 8);  // a fresh log's first close_seq
+  expected += LayoutRecord(/*kClose=*/3, close_payload);
+
+  const std::vector<std::string> files = ListWalFiles(dir);
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_EQ(files[0], dir + "/wal-e00000-o00003-g00000.ldpw");
+  EXPECT_EQ(ReadFile(files[0]), expected);
+}
+
+TEST(WalTest, ConcurrentAppendsToDistinctShardsReplayLikeASerialFeed) {
+  const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
+  constexpr size_t kShards = 4;
+  constexpr size_t kPieces = 7;
+  std::vector<std::string> streams;
+  for (uint64_t s = 0; s < kShards; ++s) {
+    streams.push_back(MakeHonestStream(pipeline, 960 + s));
+  }
+  const std::string dir = TestWalDir("concurrent");
+
+  auto logged = pipeline.NewServer();
+  ASSERT_TRUE(logged.ok());
+  relay::WalReplaySummary empty;
+  auto wal = relay::FrameWal::Open(dir, &logged.value(),
+                                   relay::FrameWal::Options(), &empty);
+  ASSERT_TRUE(wal.ok());
+  relay::FrameWal* hook = wal.value().get();
+
+  // Every thread opens its shard, waits for the others, then appends its
+  // stream in kPieces DATA records (most split a frame) while they do too.
+  std::atomic<size_t> opened{0};
+  std::vector<std::thread> threads;
+  for (size_t s = 0; s < kShards; ++s) {
+    threads.emplace_back([&, s] {
+      const std::string& stream = streams[s];
+      hook->OnShardOpen(s, /*ordinal=*/s, /*epoch=*/0, /*reporter_id=*/"",
+                        stream.substr(0, stream::kStreamHeaderBytes));
+      opened.fetch_add(1);
+      while (opened.load() < kShards) std::this_thread::yield();
+      const size_t body = stream.size() - stream::kStreamHeaderBytes;
+      const size_t piece = (body + kPieces - 1) / kPieces;
+      for (size_t at = stream::kStreamHeaderBytes; at < stream.size();
+           at += piece) {
+        hook->OnShardData(s, stream.data() + at,
+                          std::min(piece, stream.size() - at));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const size_t close_order[kShards] = {2, 0, 3, 1};
+  for (const size_t s : close_order) hook->OnShardClose(s);
+  wal.value().reset();
+
+  auto replayed = pipeline.NewServer();
+  ASSERT_TRUE(replayed.ok());
+  relay::WalReplaySummary summary;
+  ASSERT_TRUE(relay::ReplayWalDir(dir, &replayed.value(), nullptr, nullptr,
+                                  &summary)
+                  .ok());
+  EXPECT_EQ(summary.shards_replayed, kShards);
+  EXPECT_EQ(summary.shards_corrupt, 0u);
+  EXPECT_EQ(summary.truncated_tails, 0u);
+  EXPECT_EQ(summary.frames_replayed, kShards * kPieces);
+
+  auto serial = pipeline.NewServer();
+  ASSERT_TRUE(serial.ok());
+  std::vector<size_t> shards;
+  for (const std::string& stream : streams) {
+    shards.push_back(serial.value().OpenShard());
+    ASSERT_TRUE(serial.value().Feed(shards.back(), stream).ok());
+  }
+  for (const size_t s : close_order) {
+    ASSERT_TRUE(serial.value().CloseShard(shards[s]).ok());
+  }
+  EXPECT_EQ(replayed.value().Snapshot(), serial.value().Snapshot());
+}
+
+TEST(WalTest, ReadErrorIsAnIoErrorAndTruncatesNothing) {
+  // A WAL name that read(2) cannot read (a directory: EISDIR). Taking the
+  // failed read for EOF would replay it as a torn tail and truncate.
+  const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
+  const std::string dir = TestWalDir("read_error");
+  ::mkdir(dir.c_str(), 0755);
+  const std::string path = dir + "/wal-e00000-o00000-g00000.ldpw";
+  ASSERT_EQ(::mkdir(path.c_str(), 0755), 0);
+
+  auto session = pipeline.NewServer();
+  ASSERT_TRUE(session.ok());
+  const std::string fresh = session.value().Snapshot();
+  relay::WalReplaySummary summary;
+  const Status replayed = relay::ReplayWalDir(dir, &session.value(), nullptr,
+                                              nullptr, &summary);
+  EXPECT_EQ(replayed.code(), StatusCode::kIoError) << replayed.ToString();
+  EXPECT_NE(replayed.ToString().find("read error on WAL file " + path),
+            std::string::npos)
+      << replayed.ToString();
+  EXPECT_EQ(summary.truncated_tails, 0u);
+  EXPECT_EQ(summary.records, 0u);
+
+  // FrameWal::Open refuses the same directory.
+  auto wal = relay::FrameWal::Open(dir, &session.value(),
+                                   relay::FrameWal::Options(), nullptr);
+  ASSERT_FALSE(wal.ok());
+  EXPECT_EQ(wal.status().code(), StatusCode::kIoError);
+
+  // Neither call touched the session.
+  EXPECT_EQ(session.value().current_epoch(), 0u);
+  EXPECT_EQ(session.value().Snapshot(), fresh);
+  ::rmdir(path.c_str());
 }
 
 TEST(WalTest, ReplayReproducesTheSessionExactly) {
