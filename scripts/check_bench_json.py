@@ -3,11 +3,10 @@
 every BENCH_*.json passed must parse, carry a build stamp attributing the
 numbers to an exact revision/compiler, hold at least one run, and report
 nonzero reports/s per row. Telemetry fields, where present, must be sane:
-overhead_pct bounded (metrics off the hot path stay cheap), the DATA
-latency quantiles ordered (p50 <= p99, networked paths nonzero), and WAL
-rows carrying a nonzero wal_bytes (a durable run that logged nothing is a
-wiring bug, not a fast run).
-Used by the build-test and bench-release CI jobs."""
+overhead_pct bounded (metrics off the hot path stay cheap) and the DATA
+latency quantiles ordered (p50 <= p99, networked paths nonzero). A
+net_ingest artifact must hold exactly its four transport rows.
+Used by the build-test CI job."""
 import json
 import sys
 
@@ -15,9 +14,10 @@ import sys
 # means the delta-flush instrumentation landed on the hot path.
 OVERHEAD_GATE_PCT = 25.0
 
-# bench_net_ingest rows that ran a real ReportServer (so the DATA latency
-# histogram must be populated).
-NETWORKED_PATHS = ("uds", "tcp", "uds_wal", "uds_relay", "uds_relay_wal")
+# The rows bench_net_ingest writes; all but inproc ran a real ReportServer
+# (so the DATA latency histogram must be populated).
+NET_INGEST_PATHS = ("inproc", "uds", "uds_auth", "tcp")
+NETWORKED_PATHS = ("uds", "uds_auth", "tcp")
 
 failed = False
 
@@ -54,23 +54,15 @@ for name in sys.argv[1:]:
             p99 = row.get("data_p99_us", 0.0)
             if p50 < 0 or p99 < 0 or p50 > p99:
                 complain(name, f"inconsistent DATA latency quantiles: {row}")
-            # Networked paths must have observed real DATA messages.
-            if row.get("path") in NETWORKED_PATHS and not p99 > 0:
-                complain(name, f"empty DATA latency histogram: {row}")
-        if "wal_bytes" in row and not row["wal_bytes"] > 0:
-            complain(name, f"WAL row logged zero bytes: {row}")
-        if "reporters" in row:
-            # Reporter-sweep rows: a real fan-in with a measured admission
-            # latency; a zero p99 means no HELLO round trip was timed.
-            if not row["reporters"] > 0:
-                complain(name, f"sweep row with no reporters: {row}")
-            if not row.get("accept_p99_us", 0) > 0:
-                complain(name, f"sweep row missing admission latency: {row}")
+        # Networked paths must have observed real DATA messages.
+        if row.get("path") in NETWORKED_PATHS and not row.get("data_p99_us", 0) > 0:
+            complain(name, f"empty DATA latency histogram: {row}")
 
     if data.get("benchmark") == "net_ingest":
-        swept = {row.get("reporters") for row in rows if "reporters" in row}
-        if not {100, 1000, 10000} <= swept:
-            complain(name, f"reporter sweep incomplete: got {sorted(swept)}")
+        paths = sorted(row.get("path", "") for row in rows)
+        if paths != sorted(NET_INGEST_PATHS):
+            complain(name, f"net_ingest rows {paths}, "
+                           f"expected {sorted(NET_INGEST_PATHS)}")
     print(f"{name}: {len(rows)} rows checked")
 
 if not sys.argv[1:]:

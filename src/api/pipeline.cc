@@ -377,11 +377,4 @@ Result<std::string> ClientSession::EncodeReport(const MixedTuple& row,
                            *state_->collector);
 }
 
-Status ClientSession::WriteReport(stream::ReportStreamWriter* writer,
-                                  const MixedTuple& row, Rng* rng) const {
-  std::string payload;
-  LDP_ASSIGN_OR_RETURN(payload, EncodeReport(row, rng));
-  return writer->WriteFrame(payload);
-}
-
 }  // namespace ldp::api

@@ -152,13 +152,10 @@ class ClientSession {
   std::string EncodeHeader() const;
 
   /// Perturbs one full row and encodes it as a frame payload (no length
-  /// prefix; pair with stream::AppendFrame or ReportStreamWriter). Numeric
-  /// coordinates must be in [-1, 1], categorical ones within their domains.
+  /// prefix; pair with stream::AppendFrame or ReportStreamWriter::WriteFrame).
+  /// Numeric coordinates must be in [-1, 1], categorical ones within their
+  /// domains.
   Result<std::string> EncodeReport(const MixedTuple& row, Rng* rng) const;
-
-  /// Perturbs `row` and appends it to `writer` as one frame.
-  Status WriteReport(stream::ReportStreamWriter* writer, const MixedTuple& row,
-                     Rng* rng) const;
 
   /// The number of attributes each report carries (Eq. 12).
   uint32_t k() const;

@@ -1,7 +1,10 @@
 #include "obs/metrics_server.h"
 
+#include <poll.h>
 #include <sys/socket.h>
 
+#include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -13,15 +16,30 @@ namespace ldp::obs {
 
 namespace {
 
+/// The whole request head must arrive within this budget (RecvAll's
+/// slow-loris rule): the accept loop is serial, and a per-recv timeout alone
+/// lets a client trickling a byte at a time hold every other scrape.
+constexpr int kRequestDeadlineMs = 5000;
+
 /// Reads until the request-head terminator (or 4 KiB — a scrape request
 /// line fits in far less) and returns the request path, or "" on anything
-/// that is not a well-formed GET.
+/// that is not a well-formed GET or misses kRequestDeadlineMs.
 std::string ReadRequestPath(net::Socket& socket) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(kRequestDeadlineMs);
   std::string request;
   char buffer[1024];
   while (request.size() < 4096 &&
          request.find("\r\n\r\n") == std::string::npos &&
          request.find("\n\n") == std::string::npos) {
+    const int left_ms = static_cast<int>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            deadline - std::chrono::steady_clock::now())
+            .count());
+    pollfd ready{socket.fd(), POLLIN, 0};
+    const int polled = left_ms > 0 ? ::poll(&ready, 1, left_ms) : 0;
+    if (polled < 0 && errno == EINTR) continue;
+    if (polled <= 0) return "";
     const ssize_t got = ::recv(socket.fd(), buffer, sizeof(buffer), 0);
     if (got <= 0) break;
     request.append(buffer, static_cast<size_t>(got));
@@ -88,8 +106,8 @@ void MetricsServer::AcceptLoop() {
 }
 
 void MetricsServer::ServeConnection(net::Socket socket) {
-  // A stuck scraper must not wedge the accept loop.
-  (void)socket.SetIdleTimeout(5000);
+  // Bounds the response send; the request read has its own deadline.
+  (void)socket.SetIdleTimeout(kRequestDeadlineMs);
   const std::string path = ReadRequestPath(socket);
   if (path == "/metrics") {
     WriteResponse(socket, "200 OK", "text/plain; version=0.0.4",

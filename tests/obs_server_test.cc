@@ -8,9 +8,12 @@
 //     without a registry/journal produce bit-identical snapshots.
 
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -129,6 +132,64 @@ TEST(ObsServer, ServesOverUnixDomainSocket) {
   // Journal routes 404 when no journal is wired.
   EXPECT_NE(HttpGet(server.value()->endpoint(), "/journal").find("404"),
             std::string::npos);
+  server.value()->Stop();
+}
+
+// The accept loop is serial, so the request-head read has one deadline
+// for the whole head: a client trickling a byte at a time is cut off after
+// it, and a concurrent /healthz waits for at most that long.
+TEST(ObsServer, TricklingClientCannotHoldTheEndpointPastTheDeadline) {
+  obs::MetricsRegistry registry;
+  auto server = obs::MetricsServer::Start(TcpEphemeral(), &registry,
+                                          /*journal=*/nullptr);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const net::Endpoint endpoint = server.value()->endpoint();
+
+  auto slow = net::ConnectSocket(endpoint);
+  ASSERT_TRUE(slow.ok()) << slow.status().ToString();
+  ASSERT_TRUE(slow.value().SetIdleTimeout(10000).ok());
+  const auto started = std::chrono::steady_clock::now();
+  auto seconds_since_start = [&] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         started)
+        .count();
+  };
+  // A request head that never ends: one byte every 250 ms until the server
+  // hangs up. The trickle gives up after 12 s, so a server without a
+  // whole-head deadline fails the checks below instead of hanging the test.
+  std::atomic<double> closed_after_s{0.0};  // 0: never hung up
+  std::thread trickler([&] {
+    const std::string head = "GET /metrics HTTP/1.0\r\nX-Pad: ";
+    const int fd = slow.value().fd();
+    for (size_t i = 0; seconds_since_start() < 12.0; ++i) {
+      pollfd ready{};
+      ready.fd = fd;
+      ready.events = POLLIN;
+      if (::poll(&ready, 1, 250) > 0) {
+        char buffer[256];
+        while (::recv(fd, buffer, sizeof(buffer), 0) > 0) {
+        }
+        break;
+      }
+      const char byte = i < head.size() ? head[i] : 'a';
+      if (!slow.value().SendAll(&byte, 1).ok()) break;
+    }
+    if (seconds_since_start() < 12.0) closed_after_s = seconds_since_start();
+  });
+
+  // Let the server start reading the trickled head before asking.
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const auto asked = std::chrono::steady_clock::now();
+  const std::string health = HttpGet(endpoint, "/healthz");
+  const double health_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - asked)
+                              .count();
+  trickler.join();
+
+  EXPECT_EQ(HttpBody(health), "ok\n");
+  EXPECT_LT(health_s, 7.0);
+  EXPECT_GT(closed_after_s.load(), 0.0) << "the server never hung up";
+  EXPECT_LT(closed_after_s.load(), 7.0);
   server.value()->Stop();
 }
 

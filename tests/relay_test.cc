@@ -7,6 +7,7 @@
 // the root's session.
 
 #include <gtest/gtest.h>
+#include <dirent.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -22,6 +23,7 @@
 #include "net/report_server.h"
 #include "net/socket.h"
 #include "relay/forwarder.h"
+#include "relay/frame_wal.h"
 #include "stream/report_stream.h"
 #include "stream_corpus_util.h"
 
@@ -38,6 +40,19 @@ net::Endpoint RelayUdsEndpoint(const std::string& name) {
   endpoint.path = "/tmp/ldp_relay_" + std::to_string(::getpid()) + "_" +
                   name + ".sock";
   return endpoint;
+}
+
+// A WAL directory with no files left from an earlier run.
+std::string EmptyWalDir(const std::string& name) {
+  const std::string dir =
+      "/tmp/ldp_relay_wal_" + std::to_string(::getpid()) + "_" + name;
+  if (DIR* handle = ::opendir(dir.c_str())) {
+    while (dirent* entry = ::readdir(handle)) {
+      ::unlink((dir + "/" + entry->d_name).c_str());
+    }
+    ::closedir(handle);
+  }
+  return dir;
 }
 
 // Forwarder options for tests: an idle background cadence so the only
@@ -90,6 +105,8 @@ RawReply SendSnapshotPayload(const net::Endpoint& endpoint,
   return reply;
 }
 
+// Run once plain and once with a FrameWal on the edge (the full
+// distributed deployment: relay and write-ahead log both on).
 TEST(RelayTest, OneEdgeRelayIsBitIdenticalToTheFlatRun) {
   const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
   std::vector<std::string> streams;
@@ -106,54 +123,79 @@ TEST(RelayTest, OneEdgeRelayIsBitIdenticalToTheFlatRun) {
   }
   const std::string reference = flat.value().Snapshot();
 
-  // Root tier: accepts relay snapshots, serves no reporters here.
-  auto root_session = pipeline.NewServer();
-  ASSERT_TRUE(root_session.ok());
-  net::ReportServerOptions root_options;
-  root_options.accept_snapshots = true;
-  auto root = net::ReportServer::Start(&root_session.value(),
-                                       pipeline.header(),
-                                       RelayUdsEndpoint("root1"),
-                                       root_options);
-  ASSERT_TRUE(root.ok());
+  for (const bool with_wal : {false, true}) {
+    SCOPED_TRACE(with_wal ? "edge WAL on" : "edge WAL off");
+    const std::string tag = with_wal ? "wal" : "";
 
-  // Edge tier: a normal collector plus a forwarder pointed at the root.
-  auto edge_session = pipeline.NewServer();
-  ASSERT_TRUE(edge_session.ok());
-  net::ReportServerOptions edge_options;
-  edge_options.expected_shards = streams.size();
-  auto edge = net::ReportServer::Start(&edge_session.value(),
-                                       pipeline.header(),
-                                       RelayUdsEndpoint("edge1"),
-                                       edge_options);
-  ASSERT_TRUE(edge.ok());
-  auto forwarder = relay::RelayForwarder::Start(
-      &edge_session.value(), root.value()->endpoint(), QuietForwarder(0));
-  ASSERT_TRUE(forwarder.ok()) << forwarder.status().ToString();
+    // Root tier: accepts relay snapshots, serves no reporters here.
+    auto root_session = pipeline.NewServer();
+    ASSERT_TRUE(root_session.ok());
+    net::ReportServerOptions root_options;
+    root_options.accept_snapshots = true;
+    auto root = net::ReportServer::Start(&root_session.value(),
+                                         pipeline.header(),
+                                         RelayUdsEndpoint("root1" + tag),
+                                         root_options);
+    ASSERT_TRUE(root.ok());
 
-  for (uint64_t s = 0; s < streams.size(); ++s) {
-    ReportStream(edge.value()->endpoint(), pipeline.header(), streams[s], s);
+    // Edge tier: a normal collector plus a forwarder pointed at the root.
+    auto edge_session = pipeline.NewServer();
+    ASSERT_TRUE(edge_session.ok());
+    const std::string wal_dir = EmptyWalDir("edge1");
+    std::unique_ptr<relay::FrameWal> wal;
+    if (with_wal) {
+      auto opened = relay::FrameWal::Open(wal_dir, &edge_session.value(), {},
+                                          nullptr);
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      wal = std::move(opened).value();
+    }
+    net::ReportServerOptions edge_options;
+    edge_options.expected_shards = streams.size();
+    edge_options.wal = wal.get();
+    auto edge = net::ReportServer::Start(&edge_session.value(),
+                                         pipeline.header(),
+                                         RelayUdsEndpoint("edge1" + tag),
+                                         edge_options);
+    ASSERT_TRUE(edge.ok());
+    auto forwarder = relay::RelayForwarder::Start(
+        &edge_session.value(), root.value()->endpoint(), QuietForwarder(0));
+    ASSERT_TRUE(forwarder.ok()) << forwarder.status().ToString();
+
+    for (uint64_t s = 0; s < streams.size(); ++s) {
+      ReportStream(edge.value()->endpoint(), pipeline.header(), streams[s], s);
+    }
+
+    // The ldp_serve drain order: local ingest first, then the final flush
+    // (the root must still be accepting), then the root drains and folds.
+    edge.value()->Stop(/*drain=*/true);
+    ASSERT_TRUE(forwarder.value()->Stop(/*final_flush=*/true).ok());
+    root.value()->Stop(/*drain=*/true);
+    ASSERT_TRUE(root.value()->FoldRelaySnapshots().ok());
+
+    const net::ReportServerStats stats = root.value()->stats();
+    EXPECT_GE(stats.snapshots_accepted, 1u);
+    EXPECT_EQ(stats.snapshots_refused, 0u);
+    EXPECT_EQ(stats.nodes_folded, 1u);
+    const relay::RelayForwarderStats fstats = forwarder.value()->stats();
+    EXPECT_GE(fstats.snapshots_forwarded, 1u);
+    EXPECT_GT(fstats.bytes_forwarded, 0u);
+
+    EXPECT_EQ(root_session.value().Snapshot(), reference);
+    auto reports = root_session.value().num_reports(0);
+    ASSERT_TRUE(reports.ok());
+    EXPECT_EQ(reports.value(), streams.size() * kCorpusReports);
+
+    if (with_wal) {
+      // The edge's log alone rebuilds the edge session byte for byte.
+      wal.reset();
+      auto replayed = pipeline.NewServer();
+      ASSERT_TRUE(replayed.ok());
+      ASSERT_TRUE(relay::ReplayWalDir(wal_dir, &replayed.value(), nullptr,
+                                      nullptr, nullptr)
+                      .ok());
+      EXPECT_EQ(replayed.value().Snapshot(), edge_session.value().Snapshot());
+    }
   }
-
-  // The ldp_serve drain order: local ingest first, then the final flush
-  // (the root must still be accepting), then the root drains and folds.
-  edge.value()->Stop(/*drain=*/true);
-  ASSERT_TRUE(forwarder.value()->Stop(/*final_flush=*/true).ok());
-  root.value()->Stop(/*drain=*/true);
-  ASSERT_TRUE(root.value()->FoldRelaySnapshots().ok());
-
-  const net::ReportServerStats stats = root.value()->stats();
-  EXPECT_GE(stats.snapshots_accepted, 1u);
-  EXPECT_EQ(stats.snapshots_refused, 0u);
-  EXPECT_EQ(stats.nodes_folded, 1u);
-  const relay::RelayForwarderStats fstats = forwarder.value()->stats();
-  EXPECT_GE(fstats.snapshots_forwarded, 1u);
-  EXPECT_GT(fstats.bytes_forwarded, 0u);
-
-  EXPECT_EQ(root_session.value().Snapshot(), reference);
-  auto reports = root_session.value().num_reports(0);
-  ASSERT_TRUE(reports.ok());
-  EXPECT_EQ(reports.value(), streams.size() * kCorpusReports);
 }
 
 TEST(RelayTest, TwoEdgesFoldInNodeIdOrderMatchingTheTreeReference) {
