@@ -5,7 +5,7 @@
 //
 // Sweeps schemas × shard counts (1 shard = the single-core hot loop; more
 // shards exercise the parallel ordered reduction): a census-like mixed
-// schema across oracle kinds (GRR / SUE / OUE / OLH / HE — the payload
+// schema across oracle kinds (GRR / SUE / OUE / OLH / HE / THE — the payload
 // encodings differ by orders of magnitude in bytes/report) and an
 // all-numeric schema (the paper's Algorithm 4, kind "all_numeric" in the
 // JSON), all sent as the one mixed report stream. Measures the full server path
@@ -162,7 +162,7 @@ int main() {
   } kOracles[] = {
       {FrequencyOracleKind::kOue, "OUE"}, {FrequencyOracleKind::kGrr, "GRR"},
       {FrequencyOracleKind::kSue, "SUE"}, {FrequencyOracleKind::kOlh, "OLH"},
-      {FrequencyOracleKind::kHe, "HE"},
+      {FrequencyOracleKind::kHe, "HE"},   {FrequencyOracleKind::kThe, "THE"},
   };
 
   std::printf("=== Streaming shard ingestion: schema x shard sweep ===\n");

@@ -5,7 +5,9 @@ numbers to an exact revision/compiler, hold at least one run, and report
 nonzero reports/s per row. Telemetry fields, where present, must be sane:
 overhead_pct bounded (metrics off the hot path stay cheap) and the DATA
 latency quantiles ordered (p50 <= p99, networked paths nonzero). A
-net_ingest artifact must hold exactly its four transport rows.
+net_ingest artifact must hold exactly its four transport rows, and a
+stream_ingest artifact the single-shard decode+fold row of every oracle
+and of the all-numeric schema.
 Used by the build-test CI job."""
 import json
 import sys
@@ -18,6 +20,12 @@ OVERHEAD_GATE_PCT = 25.0
 # (so the DATA latency histogram must be populated).
 NET_INGEST_PATHS = ("inproc", "uds", "uds_auth", "tcp")
 NETWORKED_PATHS = ("uds", "uds_auth", "tcp")
+
+# The single-shard (kind, oracle) rows bench_stream_ingest must write: the
+# decode+fold hot loop of each frequency oracle, and of Algorithm 4.
+STREAM_INGEST_ROWS = [("mixed", oracle)
+                      for oracle in ("GRR", "SUE", "OUE", "OLH", "HE", "THE")]
+STREAM_INGEST_ROWS.append(("all_numeric", "-"))
 
 failed = False
 
@@ -63,6 +71,13 @@ for name in sys.argv[1:]:
         if paths != sorted(NET_INGEST_PATHS):
             complain(name, f"net_ingest rows {paths}, "
                            f"expected {sorted(NET_INGEST_PATHS)}")
+    if data.get("benchmark") == "stream_ingest":
+        single = {(row.get("kind"), row.get("oracle"))
+                  for row in rows if row.get("shards") == 1}
+        for kind, oracle in STREAM_INGEST_ROWS:
+            if (kind, oracle) not in single:
+                complain(name, f"stream_ingest lacks the single-shard "
+                               f"{kind} {oracle} row")
     print(f"{name}: {len(rows)} rows checked")
 
 if not sys.argv[1:]:

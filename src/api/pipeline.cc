@@ -336,6 +336,7 @@ Result<ClientSession> Pipeline::NewClient() const {
     return Status::FailedPrecondition(
         "baseline pipelines are simulation-only and have no wire sessions");
   }
+  LDP_RETURN_IF_ERROR(CheckWireEncodable(*state_->collector));
   return ClientSession(state_);
 }
 

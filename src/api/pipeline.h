@@ -192,13 +192,17 @@ class Pipeline {
   Result<CollectionOutput> Collect(const data::Dataset& dataset, uint64_t seed,
                                    ThreadPool* pool = nullptr) const;
 
-  /// Builds a client session. Fails for baseline configs (no wire protocol).
+  /// Builds a client session. Fails for baseline configs (no wire protocol),
+  /// and with InvalidArgument when an attribute's oracle can emit more
+  /// payload values than a mixed frame carries (core/wire.h
+  /// CheckWireEncodable).
   Result<ClientSession> NewClient() const;
 
   /// Builds a server session owning its own epoch state and accountant.
-  /// Fails for baseline configs, or when the lifetime budget cannot afford
-  /// the first epoch. Callers must include api/server_session.h (it
-  /// completes the ServerSession type these signatures name).
+  /// Fails for baseline configs, for a schema NewClient refuses, or when the
+  /// lifetime budget cannot afford the first epoch. Callers must include
+  /// api/server_session.h (it completes the ServerSession type these
+  /// signatures name).
   Result<ServerSession> NewServer() const;
   Result<ServerSession> NewServer(ServerSessionOptions options) const;
 

@@ -193,6 +193,7 @@ Result<ServerSession> Pipeline::NewServer(ServerSessionOptions options) const {
     return Status::FailedPrecondition(
         "baseline pipelines are simulation-only and have no wire sessions");
   }
+  LDP_RETURN_IF_ERROR(CheckWireEncodable(*state_->collector));
   Result<PrivacyAccountant> accountant =
       PrivacyAccountant::Create(state_->lifetime_budget);
   if (!accountant.ok()) return accountant.status();

@@ -106,33 +106,32 @@ MixedAggregator::MixedAggregator(const MixedTupleCollector* collector)
 }
 
 void MixedAggregator::Add(const MixedReport& report) {
-  OnReportBegin(static_cast<uint32_t>(report.size()));
+  ++num_reports_;
   for (const MixedReportEntry& entry : report) {
     LDP_DCHECK(entry.attribute < collector_->dimension());
-    if (collector_->schema()[entry.attribute].type == AttributeType::kNumeric) {
-      OnNumericEntry(entry.attribute, entry.numeric_value);
+    ++attribute_reports_[entry.attribute];
+    const FrequencyOracle* oracle = collector_->oracle_for(entry.attribute);
+    if (oracle == nullptr) {
+      numeric_sums_[entry.attribute] += entry.numeric_value;
     } else {
-      OnCategoricalEntry(entry.attribute, entry.categorical_report);
+      oracle->Accumulate(entry.categorical_report,
+                         &supports_[entry.attribute]);
     }
   }
 }
 
-void MixedAggregator::OnReportBegin(uint32_t /*entry_count*/) {
+void MixedAggregator::FoldValidated(const MixedEntryView* entries,
+                                    size_t count) {
   ++num_reports_;
-}
-
-void MixedAggregator::OnNumericEntry(uint32_t attribute, double value) {
-  LDP_DCHECK(attribute < collector_->dimension());
-  ++attribute_reports_[attribute];
-  numeric_sums_[attribute] += value;
-}
-
-void MixedAggregator::OnCategoricalEntry(
-    uint32_t attribute, const FrequencyOracle::Report& payload) {
-  LDP_DCHECK(attribute < collector_->dimension());
-  ++attribute_reports_[attribute];
-  collector_->oracle_for(attribute)->Accumulate(payload,
-                                                &supports_[attribute]);
+  for (size_t i = 0; i < count; ++i) {
+    const MixedEntryView& entry = entries[i];
+    ++attribute_reports_[entry.attribute];
+    if (entry.oracle == nullptr) {
+      numeric_sums_[entry.attribute] += entry.numeric_value;
+    } else {
+      entry.oracle->Fold(entry.payload, supports_[entry.attribute].data());
+    }
+  }
 }
 
 Result<MixedAggregator> MixedAggregator::FromParts(

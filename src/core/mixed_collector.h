@@ -15,6 +15,7 @@
 #ifndef LDP_CORE_MIXED_COLLECTOR_H_
 #define LDP_CORE_MIXED_COLLECTOR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -70,26 +71,19 @@ struct MixedReportEntry {
 /// A user's privatized report: exactly k sampled attributes.
 using MixedReport = std::vector<MixedReportEntry>;
 
-/// Streaming consumer of one validated mixed report, entry by entry. This is
-/// the allocation-free counterpart of materializing a MixedReport: the wire
-/// decoder (core/wire.h MixedFrameDecoder) validates a whole frame first and
-/// then replays its entries into a sink, so implementations never see a
-/// partially valid report. MixedAggregator implements this interface —
-/// streaming a report into it is exactly equivalent to Add().
-class MixedReportSink {
- public:
-  virtual ~MixedReportSink() = default;
-
-  /// Called once per report, before any entry, with the entry count.
-  virtual void OnReportBegin(uint32_t entry_count) = 0;
-
-  /// One sampled numeric attribute: the d/k-scaled noisy value.
-  virtual void OnNumericEntry(uint32_t attribute, double value) = 0;
-
-  /// One sampled categorical attribute. `payload` is only valid for the
-  /// duration of the call (it aliases decoder scratch).
-  virtual void OnCategoricalEntry(uint32_t attribute,
-                                  const FrequencyOracle::Report& payload) = 0;
+/// One entry of a validated wire frame, viewed where it lies in the frame's
+/// bytes: the wire decoder (core/wire.h MixedFrameDecoder) records one per
+/// entry while it validates, and MixedAggregator::FoldValidated folds a
+/// report from them. Only valid while the frame's bytes are.
+struct MixedEntryView {
+  uint32_t attribute = 0;
+  /// The attribute's oracle; null for a numeric entry.
+  const FrequencyOracle* oracle = nullptr;
+  /// d/k-scaled noisy value; read only for a numeric entry.
+  double numeric_value = 0.0;
+  /// Oracle payload words inside the frame; read only for a categorical
+  /// entry.
+  FrequencyOracle::ReportView payload;
 };
 
 /// The client half of the Section IV-C protocol.
@@ -174,11 +168,7 @@ class MixedTupleCollector {
 };
 
 /// The server half: accumulates MixedReports and produces estimates.
-///
-/// Implements MixedReportSink so the streaming wire decoder can fold a
-/// report in without materializing it: OnReportBegin + one On*Entry call per
-/// entry is bit-identical to Add() on the equivalent MixedReport.
-class MixedAggregator : public MixedReportSink {
+class MixedAggregator {
  public:
   /// `collector` must outlive the aggregator (it borrows the schema and the
   /// oracles to decode reports).
@@ -197,13 +187,10 @@ class MixedAggregator : public MixedReportSink {
   /// Folds in one user's report.
   void Add(const MixedReport& report);
 
-  /// MixedReportSink: streaming equivalent of Add, used by the zero-copy
-  /// ingest path. Callers must issue OnReportBegin exactly once per report
-  /// followed by its entries (the wire decoder guarantees this).
-  void OnReportBegin(uint32_t entry_count) override;
-  void OnNumericEntry(uint32_t attribute, double value) override;
-  void OnCategoricalEntry(uint32_t attribute,
-                          const FrequencyOracle::Report& payload) override;
+  /// Folds in one user's report from the `count` entry views of a wire
+  /// frame that MixedFrameDecoder validated as a whole: bit-identical to
+  /// Add() on the equivalent MixedReport, with nothing materialized.
+  void FoldValidated(const MixedEntryView* entries, size_t count);
 
   /// Merges another aggregator. The two aggregators must be built from the
   /// same collector or from CompatibleWith collectors (equal schema, budget,

@@ -12,14 +12,14 @@
 //     categorical: u16 payload_count, u32 payload[...]
 // This is the only report format. An all-numeric schema is the paper's
 // Algorithm 4 and travels in it too: every entry is numeric, at 13 bytes
-// (one kind byte more than a bare attribute/value pair).
+// (one kind byte more than a bare attribute/value pair). The u16 payload
+// count caps an oracle payload at 65,535 words; CheckWireEncodable refuses
+// a schema whose oracle could exceed it.
 //
-// Two decode surfaces exist: the materializing
-// DecodeMixedReport (returns a heap-allocated MixedReport; tools and tests)
-// and the streaming MixedFrameDecoder (validates a frame, then replays its
-// entries into a MixedReportSink with zero per-frame allocations; the server
-// ingest hot path). The materializing decoder is a thin wrapper over the
-// streaming one, so the two can never diverge on what they accept.
+// One validator decides what is accepted: MixedFrameDecoder checks a frame
+// in one pass over its bytes and records its entries as views into them.
+// The ingest path folds those views straight into a MixedAggregator;
+// DecodeMixedReport (tools and tests) copies them into a MixedReport.
 
 #ifndef LDP_CORE_WIRE_H_
 #define LDP_CORE_WIRE_H_
@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "core/mixed_collector.h"
+#include "util/little_endian.h"
 #include "util/result.h"
 
 namespace ldp {
@@ -37,27 +38,10 @@ namespace ldp {
 namespace internal_wire {
 
 // Little-endian primitive writers/readers over a std::string buffer, shared
-// by the report codecs here and the stream framing layer (stream/). Loads
-// and stores go through std::memcpy (single mov on x86/ARM) rather than
-// byte-at-a-time shift loops; big-endian hosts byte-swap after the copy.
-// The reader tracks a cursor and fails closed on truncation.
-
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-inline uint16_t ToLittleEndian(uint16_t v) { return __builtin_bswap16(v); }
-inline uint32_t ToLittleEndian(uint32_t v) { return __builtin_bswap32(v); }
-inline uint64_t ToLittleEndian(uint64_t v) { return __builtin_bswap64(v); }
-#else
-inline uint16_t ToLittleEndian(uint16_t v) { return v; }
-inline uint32_t ToLittleEndian(uint32_t v) { return v; }
-inline uint64_t ToLittleEndian(uint64_t v) { return v; }
-#endif
-
-template <typename T>
-inline T LoadLittleEndian(const char* data) {
-  T value;
-  std::memcpy(&value, data, sizeof(T));
-  return ToLittleEndian(value);
-}
+// by the report codecs here and the stream framing layer (stream/). Stores
+// mirror the loads of util/little_endian.h (one std::memcpy, byte-swapped
+// on big-endian hosts). The reader tracks a cursor and fails closed on
+// truncation.
 
 template <typename T>
 inline void PutLittleEndian(std::string* out, T value) {
@@ -192,51 +176,63 @@ class Reader {
 std::string EncodeMixedReport(const MixedReport& report,
                               const MixedTupleCollector& collector);
 
-/// Streaming mixed-report decoder: validates one wire frame end to end
-/// (entry kinds, attribute indices, numeric bounds, oracle payload shapes,
-/// duplicate attributes, entry count == k) and only then replays the entries
-/// into a MixedReportSink — a sink never observes a partially valid report.
-/// All scratch is owned by the decoder and pre-reserved for the collector's
-/// worst-case report, so steady-state decoding performs zero heap
-/// allocations. One decoder per stream/thread; not thread-safe.
+/// The wire's limit on an oracle payload: its count is a u16.
+inline constexpr size_t kMaxWirePayloadWords = 0xffff;
+
+/// Fails with InvalidArgument, naming the first attribute, when an oracle
+/// of `collector` can emit a payload longer than kMaxWirePayloadWords: its
+/// reports could not travel as mixed frames.
+Status CheckWireEncodable(const MixedTupleCollector& collector);
+
+/// The mixed-report decoder of the server's ingest path. It validates one
+/// wire frame in a single pass over its bytes (entry count == k, attribute
+/// indices, entry kinds, numeric bounds, payload lengths and each oracle's
+/// Validate, duplicate attributes, trailing bytes), recording each entry as
+/// a MixedEntryView into the frame. Only a frame that passes as a whole is
+/// folded, so an aggregate never sees a partially valid report. No payload
+/// is copied, nothing is allocated per frame, and accepting a frame builds
+/// no Status. One decoder per stream/thread; not thread-safe.
 class MixedFrameDecoder {
  public:
   /// `collector` must outlive the decoder.
   explicit MixedFrameDecoder(const MixedTupleCollector* collector);
 
-  /// Validates `data` as one encoded mixed report and streams its entries
-  /// into `sink` (OnReportBegin, then one On*Entry per entry). On error the
-  /// sink receives no callbacks.
-  Status DecodeInto(const char* data, size_t size, MixedReportSink* sink);
+  /// Validates `data` as one encoded mixed report. Returns nullptr when it
+  /// is valid — entries() then views its k entries — and the rejection
+  /// reason (a static string) otherwise.
+  const char* Validate(const char* data, size_t size);
+
+  /// Validates `data` and, when valid, folds it into `aggregator` (built
+  /// from this decoder's collector). Returns what Validate returned.
+  const char* DecodeInto(const char* data, size_t size,
+                         MixedAggregator* aggregator) {
+    const char* rejected = Validate(data, size);
+    if (rejected == nullptr) {
+      aggregator->FoldValidated(entries_.data(), entries_.size());
+    }
+    return rejected;
+  }
+
+  /// The entries of the frame Validate last accepted.
+  const std::vector<MixedEntryView>& entries() const { return entries_; }
 
  private:
-  // One parsed entry staged between the validation pass and sink delivery.
-  // A categorical entry's payload lives in payload_slots_[its index].
-  struct PendingEntry {
-    uint32_t attribute = 0;
-    bool numeric = false;
-    double numeric_value = 0.0;
+  // Per attribute: its oracle (null when numeric) and the longest payload
+  // that oracle can emit.
+  struct AttributeSlot {
+    const FrequencyOracle* oracle = nullptr;
+    size_t max_payload = 0;
   };
-
-  const MixedTupleCollector* collector_;
-  double value_bound_;                 // d/k-scaled mechanism bound
-  std::vector<PendingEntry> entries_;  // staged entries, <= k
-  // One reusable payload buffer per entry slot; capacity is retained across
-  // frames, so staging a payload copies its elements exactly once.
-  std::vector<FrequencyOracle::Report> payload_slots_;
+  std::vector<AttributeSlot> slots_;
+  double max_abs_value_;                // d/k-scaled bound, with slack
+  std::vector<MixedEntryView> entries_;  // k views into the current frame
 };
-
-/// Convenience one-shot wrapper over MixedFrameDecoder for callers without a
-/// persistent decoder (constructs scratch per call; hot paths should hold a
-/// MixedFrameDecoder instead).
-Status DecodeMixedReportInto(const char* data, size_t size,
-                             const MixedTupleCollector& collector,
-                             MixedReportSink* sink);
 
 /// Parses a serialised mixed report, validating entry kinds, attribute
 /// indices and oracle payloads against `collector`'s schema and the entry
-/// count against its k (a thin materializing wrapper over MixedFrameDecoder).
-/// The (data, size) overload parses in place.
+/// count against its k. It copies out the entries MixedFrameDecoder
+/// validated, so it accepts exactly what the ingest path folds and rejects
+/// with the same message. The (data, size) overload parses in place.
 Result<MixedReport> DecodeMixedReport(const char* data, size_t size,
                                       const MixedTupleCollector& collector);
 Result<MixedReport> DecodeMixedReport(const std::string& bytes,

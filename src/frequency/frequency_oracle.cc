@@ -1,6 +1,8 @@
 #include "frequency/frequency_oracle.h"
 
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <utility>
 
 #include "frequency/grr.h"
@@ -8,8 +10,47 @@
 #include "frequency/olh.h"
 #include "frequency/oue.h"
 #include "frequency/sue.h"
+#include "util/check.h"
 
 namespace ldp {
+
+namespace {
+
+// Runs `fn` on a view of `report`. A Report holds host-order words and a
+// view reads little-endian ones: the same bytes on little-endian hosts, a
+// byte-swapped copy elsewhere.
+template <typename Fn>
+auto WithView(const FrequencyOracle::Report& report, Fn fn) {
+  if constexpr (internal_wire::kHostIsLittleEndian) {
+    return fn(FrequencyOracle::ReportView(
+        reinterpret_cast<const char*>(report.data()), report.size()));
+  } else {
+    std::string words(4 * report.size(), '\0');
+    for (size_t i = 0; i < report.size(); ++i) {
+      const uint32_t word = internal_wire::ToLittleEndian(report[i]);
+      std::memcpy(&words[4 * i], &word, sizeof(word));
+    }
+    return fn(FrequencyOracle::ReportView(words.data(), report.size()));
+  }
+}
+
+}  // namespace
+
+void FrequencyOracle::Accumulate(const Report& report,
+                                 std::vector<double>* support) const {
+  LDP_DCHECK(support->size() == domain_size_);
+  WithView(report, [&](ReportView view) {
+    LDP_DCHECK(Validate(view) == nullptr);
+    Fold(view, support->data());
+  });
+}
+
+Status FrequencyOracle::ValidateReport(const Report& report) const {
+  const char* error =
+      WithView(report, [&](ReportView view) { return Validate(view); });
+  if (error == nullptr) return Status::OK();
+  return Status::InvalidArgument(error);
+}
 
 const char* FrequencyOracleKindToString(FrequencyOracleKind kind) {
   switch (kind) {

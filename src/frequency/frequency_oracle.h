@@ -8,7 +8,7 @@
 // routes each sampled categorical attribute through an oracle at budget ε/k.
 //
 // The protocol is split into the client half (Perturb) and the server half
-// (Accumulate + Estimate) so that simulation harnesses can route reports
+// (Validate + Fold + Estimate) so that simulation harnesses can route reports
 // through arbitrary collection topologies. All four oracles from the
 // literature are provided: GRR (generalized randomized response), SUE (basic
 // RAPPOR), OUE (optimized unary encoding — the paper's choice), and OLH
@@ -21,6 +21,7 @@
 #include <memory>
 #include <vector>
 
+#include "util/little_endian.h"
 #include "util/random.h"
 #include "util/result.h"
 #include "util/status.h"
@@ -58,21 +59,44 @@ class FrequencyOracle {
   /// Produces the privatized report for true value `value` (< domain_size).
   virtual Report Perturb(uint32_t value, Rng* rng) const = 0;
 
-  /// Folds one report into per-value support counts. `support` must have
-  /// domain_size() entries; entry v counts reports consistent with value v.
-  /// The report must be well-formed for this oracle (callers ingesting
-  /// untrusted bytes run ValidateReport first; reports produced by Perturb
-  /// are always well-formed).
-  virtual void Accumulate(const Report& report,
-                          std::vector<double>* support) const = 0;
+  /// A read-only view of one report's payload where it lies: `size` 32-bit
+  /// words at `words`, little-endian and possibly unaligned — exactly how a
+  /// payload sits inside a wire frame (core/wire.h), so the server validates
+  /// and folds a report straight from the bytes it received.
+  class ReportView {
+   public:
+    ReportView() = default;
+    ReportView(const char* words, size_t size) : words_(words), size_(size) {}
+
+    size_t size() const { return size_; }
+    uint32_t operator[](size_t i) const {
+      return internal_wire::LoadLittleEndian<uint32_t>(words_ + 4 * i);
+    }
+
+   private:
+    const char* words_ = nullptr;
+    size_t size_ = 0;
+  };
 
   /// Checks that `report` is structurally valid for this oracle — the shape
-  /// and value ranges Perturb can actually emit — so that Accumulate cannot
-  /// index out of bounds or double-count. This is the server-side guard for
-  /// reports arriving over the wire (core/wire.h runs it during decode);
-  /// it does not (and cannot) detect a lying client whose report is merely
-  /// improbable.
-  virtual Status ValidateReport(const Report& report) const = 0;
+  /// and value ranges Perturb can actually emit — so that Fold cannot index
+  /// out of bounds or double-count. Returns nullptr for a valid report and
+  /// the reason (a static string) otherwise, so accepting a report builds
+  /// no Status. This is the server-side guard for reports arriving over the
+  /// wire (core/wire.h runs it during decode); it does not (and cannot)
+  /// detect a lying client whose report is merely improbable.
+  virtual const char* Validate(ReportView report) const = 0;
+
+  /// Folds one report that passed Validate into per-value support counts:
+  /// `support` has domain_size() entries, and entry v counts reports
+  /// consistent with value v.
+  virtual void Fold(ReportView report, double* support) const = 0;
+
+  /// Fold over a materialized report (Perturb's output is always valid).
+  void Accumulate(const Report& report, std::vector<double>* support) const;
+
+  /// Validate over a materialized report, as an InvalidArgument Status.
+  Status ValidateReport(const Report& report) const;
 
   /// Turns support counts over `num_reports` reports into unbiased frequency
   /// estimates, one per domain value. Estimates may fall outside [0, 1];
@@ -84,11 +108,10 @@ class FrequencyOracle {
   /// is `f` and `num_reports` reports were collected.
   virtual double EstimateVariance(double f, uint64_t num_reports) const = 0;
 
-  /// Upper bound on the payload length ValidateReport can accept (and Perturb
-  /// can emit). The wire decoder rejects longer payloads before buffering a
-  /// single element, which both caps decoder scratch memory and lets the
-  /// zero-copy ingest path pre-reserve for the worst case. Defaults to the
-  /// domain size (unary and histogram encodings); constant-size oracles
+  /// Upper bound on the payload length Validate can accept (and Perturb can
+  /// emit). The wire decoder rejects a longer payload count before reading a
+  /// single element, so a hostile length costs no parse work. Defaults to
+  /// the domain size (unary and histogram encodings); constant-size oracles
   /// override it.
   virtual size_t MaxReportSize() const { return domain_size_; }
 
@@ -116,6 +139,32 @@ Result<std::unique_ptr<FrequencyOracle>> MakeFrequencyOracle(
     FrequencyOracleKind kind, double epsilon, uint32_t domain_size);
 
 namespace internal_frequency {
+
+/// The rejection reasons of ValidateSortedIndices, worded per oracle.
+struct SortedIndexErrors {
+  const char* too_long;    ///< more indices than the domain has values
+  const char* outside;     ///< an index at or past the domain size
+  const char* unsorted;    ///< indices not strictly increasing
+};
+
+/// The validator shared by the oracles whose report is the strictly
+/// increasing indices of its set bits (SUE/OUE, THE): nullptr when valid.
+inline const char* ValidateSortedIndices(FrequencyOracle::ReportView report,
+                                         uint32_t domain_size,
+                                         const SortedIndexErrors& errors) {
+  if (report.size() > domain_size) return errors.too_long;
+  for (size_t i = 0; i < report.size(); ++i) {
+    const uint32_t index = report[i];
+    if (index >= domain_size) return errors.outside;
+    if (i > 0 && index <= report[i - 1]) return errors.unsorted;
+  }
+  return nullptr;
+}
+
+/// Their fold: one support count per reported index.
+inline void FoldIndices(FrequencyOracle::ReportView report, double* support) {
+  for (size_t i = 0; i < report.size(); ++i) support[report[i]] += 1.0;
+}
 
 /// Debiases per-value support counts for an oracle where a report supports
 /// the user's true value with probability p and any other fixed value with

@@ -27,22 +27,14 @@ FrequencyOracle::Report GrrOracle::Perturb(uint32_t value, Rng* rng) const {
   return {other};
 }
 
-void GrrOracle::Accumulate(const Report& report,
-                           std::vector<double>* support) const {
-  LDP_DCHECK(report.size() == 1);
-  LDP_DCHECK(support->size() == domain_size());
-  LDP_DCHECK(report[0] < domain_size());
-  (*support)[report[0]] += 1.0;
+const char* GrrOracle::Validate(ReportView report) const {
+  if (report.size() != 1) return "GRR report must carry exactly one value";
+  if (report[0] >= domain_size()) return "GRR report value outside the domain";
+  return nullptr;
 }
 
-Status GrrOracle::ValidateReport(const Report& report) const {
-  if (report.size() != 1) {
-    return Status::InvalidArgument("GRR report must carry exactly one value");
-  }
-  if (report[0] >= domain_size()) {
-    return Status::InvalidArgument("GRR report value outside the domain");
-  }
-  return Status::OK();
+void GrrOracle::Fold(ReportView report, double* support) const {
+  support[report[0]] += 1.0;
 }
 
 std::vector<double> GrrOracle::Estimate(const std::vector<double>& support,

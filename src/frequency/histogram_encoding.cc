@@ -42,22 +42,17 @@ FrequencyOracle::Report HeOracle::Perturb(uint32_t value, Rng* rng) const {
   return packed;
 }
 
-void HeOracle::Accumulate(const Report& report,
-                          std::vector<double>* support) const {
-  LDP_DCHECK(report.size() == domain_size());
-  LDP_DCHECK(support->size() == domain_size());
-  for (uint32_t v = 0; v < domain_size(); ++v) {
-    (*support)[v] +=
-        static_cast<double>(report[v]) / kFixedPointScale - kOffset;
+const char* HeOracle::Validate(ReportView report) const {
+  if (report.size() != domain_size()) {
+    return "HE report must carry one component per domain value";
   }
+  return nullptr;
 }
 
-Status HeOracle::ValidateReport(const Report& report) const {
-  if (report.size() != domain_size()) {
-    return Status::InvalidArgument(
-        "HE report must carry one component per domain value");
+void HeOracle::Fold(ReportView report, double* support) const {
+  for (uint32_t v = 0; v < domain_size(); ++v) {
+    support[v] += static_cast<double>(report[v]) / kFixedPointScale - kOffset;
   }
-  return Status::OK();
 }
 
 std::vector<double> HeOracle::Estimate(const std::vector<double>& support,
@@ -131,29 +126,17 @@ FrequencyOracle::Report TheOracle::Perturb(uint32_t value, Rng* rng) const {
   return set_bits;
 }
 
-void TheOracle::Accumulate(const Report& report,
-                           std::vector<double>* support) const {
-  LDP_DCHECK(support->size() == domain_size());
-  for (const uint32_t bit : report) {
-    LDP_DCHECK(bit < domain_size());
-    (*support)[bit] += 1.0;
-  }
+const char* TheOracle::Validate(ReportView report) const {
+  static constexpr internal_frequency::SortedIndexErrors kErrors = {
+      "THE report has more bits than the domain",
+      "THE report bit outside the domain",
+      "THE report bits must be strictly increasing"};
+  return internal_frequency::ValidateSortedIndices(report, domain_size(),
+                                                   kErrors);
 }
 
-Status TheOracle::ValidateReport(const Report& report) const {
-  if (report.size() > domain_size()) {
-    return Status::InvalidArgument("THE report has more bits than the domain");
-  }
-  for (size_t i = 0; i < report.size(); ++i) {
-    if (report[i] >= domain_size()) {
-      return Status::InvalidArgument("THE report bit outside the domain");
-    }
-    if (i > 0 && report[i] <= report[i - 1]) {
-      return Status::InvalidArgument(
-          "THE report bits must be strictly increasing");
-    }
-  }
-  return Status::OK();
+void TheOracle::Fold(ReportView report, double* support) const {
+  internal_frequency::FoldIndices(report, support);
 }
 
 std::vector<double> TheOracle::Estimate(const std::vector<double>& support,

@@ -34,9 +34,8 @@ class HeOracle final : public FrequencyOracle {
   HeOracle(double epsilon, uint32_t domain_size);
 
   Report Perturb(uint32_t value, Rng* rng) const override;
-  void Accumulate(const Report& report,
-                  std::vector<double>* support) const override;
-  Status ValidateReport(const Report& report) const override;
+  const char* Validate(ReportView report) const override;
+  void Fold(ReportView report, double* support) const override;
   std::vector<double> Estimate(const std::vector<double>& support,
                                uint64_t num_reports) const override;
   double EstimateVariance(double f, uint64_t num_reports) const override;
@@ -59,9 +58,8 @@ class TheOracle final : public FrequencyOracle {
   TheOracle(double epsilon, uint32_t domain_size, double theta);
 
   Report Perturb(uint32_t value, Rng* rng) const override;
-  void Accumulate(const Report& report,
-                  std::vector<double>* support) const override;
-  Status ValidateReport(const Report& report) const override;
+  const char* Validate(ReportView report) const override;
+  void Fold(ReportView report, double* support) const override;
   std::vector<double> Estimate(const std::vector<double>& support,
                                uint64_t num_reports) const override;
   double EstimateVariance(double f, uint64_t num_reports) const override;

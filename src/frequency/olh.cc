@@ -42,29 +42,25 @@ FrequencyOracle::Report OlhOracle::Perturb(uint32_t value, Rng* rng) const {
           static_cast<uint32_t>(seed >> 32), bucket};
 }
 
-void OlhOracle::Accumulate(const Report& report,
-                           std::vector<double>* support) const {
-  LDP_DCHECK(report.size() == 3);
-  LDP_DCHECK(support->size() == domain_size());
+const char* OlhOracle::Validate(ReportView report) const {
+  if (report.size() != 3) {
+    return "OLH report must carry {seed_lo, seed_hi, bucket}";
+  }
+  if (report[2] >= hash_range_) {
+    return "OLH report bucket outside the hash range";
+  }
+  return nullptr;
+}
+
+void OlhOracle::Fold(ReportView report, double* support) const {
   const uint64_t seed = static_cast<uint64_t>(report[0]) |
                         (static_cast<uint64_t>(report[1]) << 32);
   const uint32_t bucket = report[2];
   for (uint32_t v = 0; v < domain_size(); ++v) {
     if (HashToBucket(seed, v, hash_range_) == bucket) {
-      (*support)[v] += 1.0;
+      support[v] += 1.0;
     }
   }
-}
-
-Status OlhOracle::ValidateReport(const Report& report) const {
-  if (report.size() != 3) {
-    return Status::InvalidArgument(
-        "OLH report must carry {seed_lo, seed_hi, bucket}");
-  }
-  if (report[2] >= hash_range_) {
-    return Status::InvalidArgument("OLH report bucket outside the hash range");
-  }
-  return Status::OK();
 }
 
 std::vector<double> OlhOracle::Estimate(const std::vector<double>& support,

@@ -60,29 +60,17 @@ FrequencyOracle::Report UnaryEncodingOracle::PerturbSkip(uint32_t value,
   return set_bits;
 }
 
-void UnaryEncodingOracle::Accumulate(const Report& report,
-                                     std::vector<double>* support) const {
-  LDP_DCHECK(support->size() == domain_size());
-  for (const uint32_t bit : report) {
-    LDP_DCHECK(bit < domain_size());
-    (*support)[bit] += 1.0;
-  }
+const char* UnaryEncodingOracle::Validate(ReportView report) const {
+  static constexpr internal_frequency::SortedIndexErrors kErrors = {
+      "unary report has more bits than the domain",
+      "unary report bit outside the domain",
+      "unary report bits must be strictly increasing"};
+  return internal_frequency::ValidateSortedIndices(report, domain_size(),
+                                                   kErrors);
 }
 
-Status UnaryEncodingOracle::ValidateReport(const Report& report) const {
-  if (report.size() > domain_size()) {
-    return Status::InvalidArgument("unary report has more bits than the domain");
-  }
-  for (size_t i = 0; i < report.size(); ++i) {
-    if (report[i] >= domain_size()) {
-      return Status::InvalidArgument("unary report bit outside the domain");
-    }
-    if (i > 0 && report[i] <= report[i - 1]) {
-      return Status::InvalidArgument(
-          "unary report bits must be strictly increasing");
-    }
-  }
-  return Status::OK();
+void UnaryEncodingOracle::Fold(ReportView report, double* support) const {
+  internal_frequency::FoldIndices(report, support);
 }
 
 std::vector<double> UnaryEncodingOracle::Estimate(

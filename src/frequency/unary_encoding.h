@@ -44,9 +44,8 @@ class UnaryEncodingOracle : public FrequencyOracle {
   /// consumption).
   Report PerturbSkip(uint32_t value, Rng* rng) const;
 
-  void Accumulate(const Report& report,
-                  std::vector<double>* support) const override;
-  Status ValidateReport(const Report& report) const override;
+  const char* Validate(ReportView report) const override;
+  void Fold(ReportView report, double* support) const override;
   std::vector<double> Estimate(const std::vector<double>& support,
                                uint64_t num_reports) const override;
   double EstimateVariance(double f, uint64_t num_reports) const override;

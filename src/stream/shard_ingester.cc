@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <istream>
+#include <string>
 #include <utility>
 
 #include "core/wire.h"
@@ -38,21 +39,26 @@ size_t ShardIngester::NeedBytes() const {
   return 0;  // unreachable
 }
 
-Status ShardIngester::AcceptFrame(const char* data, size_t size) {
+bool ShardIngester::AcceptFrame(const char* data, size_t size) {
   ++stats_.frames;
-  // The aggregator is its own sink: entries stream straight from the wire
-  // bytes into its accumulation arrays, with no report materialized.
-  const Status decoded = decoder_.DecodeInto(data, size, &aggregator_);
-  if (decoded.ok()) {
+  // The frame's entries fold straight from its wire bytes into the
+  // aggregate's arrays, with no report materialized and no Status built.
+  const char* rejected = decoder_.DecodeInto(data, size, &aggregator_);
+  if (rejected == nullptr) {
     ++stats_.accepted;
-    return Status::OK();
+    return true;
   }
+  return RejectFrame(rejected);
+}
+
+bool ShardIngester::RejectFrame(const char* reason) {
   ++stats_.rejected;
   if (stats_.rejected > options_.max_rejected) {
-    return Poison(Status::InvalidArgument(
-        "rejected report budget exhausted: " + decoded.message()));
+    Poison(Status::InvalidArgument(
+        std::string("rejected report budget exhausted: ") + reason));
+    return false;
   }
-  return Status::OK();
+  return true;
 }
 
 Status ShardIngester::ConsumeItem(const char* data, size_t size) {
@@ -74,7 +80,7 @@ Status ShardIngester::ConsumeItem(const char* data, size_t size) {
     state_ = State::kFramePayload;
   } else {  // kFramePayload
     state_ = State::kFrameLength;
-    LDP_RETURN_IF_ERROR(AcceptFrame(data, size));
+    if (!AcceptFrame(data, size)) return failed_;
   }
   return Status::OK();
 }
@@ -135,7 +141,7 @@ Status ShardIngester::FeedChunk(const char* data, size_t size) {
         }
         if (available - 4 < length) break;
         cursor += 4;
-        LDP_RETURN_IF_ERROR(AcceptFrame(cursor, length));
+        if (!AcceptFrame(cursor, length)) return failed_;
         cursor += length;
       }
     }

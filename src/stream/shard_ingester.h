@@ -9,9 +9,10 @@
 // decoded IN PLACE from the caller's buffer — their bytes are never copied
 // anywhere. Only the partial item straddling a Feed boundary is staged, in a
 // power-of-two ring buffer (util/ringbuf.h) whose read head advances without
-// memmoving retained bytes. Frame payloads stream through MixedFrameDecoder
-// straight into the aggregator (which implements MixedReportSink), so the
-// steady-state accept path performs zero per-frame heap allocations.
+// memmoving retained bytes. MixedFrameDecoder validates each frame in one
+// pass and folds it into the aggregator from those same bytes, so the
+// steady-state accept path copies no payload, makes zero heap allocations
+// and builds no Status.
 //
 // Failure policy: violations of the *framing* layer (bad magic or version,
 // header/collector mismatch, oversized frame length, bytes missing at
@@ -112,7 +113,13 @@ class ShardIngester {
   Status ConsumeItem(const char* data, size_t size);
 
   /// Decodes one complete frame payload, applying the rejection policy.
-  Status AcceptFrame(const char* data, size_t size);
+  /// Returns false when a rejection poisoned the stream (see failed_); an
+  /// accepted frame builds no Status.
+  bool AcceptFrame(const char* data, size_t size);
+
+  /// The rejection policy, kept out of AcceptFrame so the accept path stays
+  /// small enough to inline into the frame loop.
+  bool RejectFrame(const char* reason);
 
   /// The pre-telemetry Feed body; Feed wraps it with a metrics flush.
   Status FeedChunk(const char* data, size_t size);

@@ -1,11 +1,12 @@
 // Proof of the zero-copy ingest contract: once an ingester is warmed up,
 // feeding further frames must perform ZERO heap allocations on the accept
 // path — no MixedReport materialization, no payload vectors, no staging
-// growth. The same holds for the CSV reader on the reporter side: a
-// steady-state NextRow over plain decimal rows allocates nothing. Verified
-// with replaced global operator new/delete that count every allocation in
-// the process (each gtest case runs in its own process under ctest, so the
-// counter observes only this test).
+// growth — whichever of the six frequency oracles the schema uses. The same
+// holds for the CSV reader on the reporter side: a steady-state NextRow over
+// plain decimal rows allocates nothing. Verified with replaced global
+// operator new/delete that count every allocation in the process (each
+// gtest case runs in its own process under ctest, so the counter observes
+// only this test).
 
 #include <gtest/gtest.h>
 
@@ -54,12 +55,13 @@ void operator delete(void* p, const std::nothrow_t&) noexcept {
 namespace ldp::stream {
 namespace {
 
-MixedTupleCollector MakeCollector() {
+MixedTupleCollector MakeCollector(
+    FrequencyOracleKind oracle = FrequencyOracleKind::kOue) {
   auto collector = MixedTupleCollector::Create(
       {MixedAttribute::Numeric(), MixedAttribute::Categorical(8),
        MixedAttribute::Numeric(), MixedAttribute::Categorical(16),
        MixedAttribute::Numeric(), MixedAttribute::Categorical(32)},
-      4.0);
+      4.0, MechanismKind::kHybrid, oracle);
   EXPECT_TRUE(collector.ok());
   return std::move(collector).value();
 }
@@ -76,13 +78,16 @@ std::string MakeStream(const MixedTupleCollector& collector, int reports) {
           j % collector.schema()[j].domain_size);
     }
   }
-  // Lead with the worst-case frame (a full unary payload on the widest
-  // categorical attribute), so the warm-up phase provably sees the largest
-  // staging/scratch demand any later frame can pose.
+  // Lead with the worst-case frame (the longest payload the oracle can emit,
+  // on the widest categorical attribute), so the warm-up phase provably
+  // sees the largest staging demand any later frame can pose. Words 0, 1,
+  // 2, ... are valid for every oracle: increasing indices for the unary
+  // ones, an in-range value or bucket for GRR and OLH, any value for HE.
   MixedReport max_report(1);
   max_report[0].attribute = 5;  // Categorical(32)
-  for (uint32_t bit = 0; bit < 32; ++bit) {
-    max_report[0].categorical_report.push_back(bit);
+  const FrequencyOracle* widest = collector.oracle_for(5);
+  for (uint32_t word = 0; word < widest->MaxReportSize(); ++word) {
+    max_report[0].categorical_report.push_back(word);
   }
   EXPECT_TRUE(writer.WriteMixedReport(max_report, collector).ok());
   Rng rng(21);
@@ -95,42 +100,48 @@ std::string MakeStream(const MixedTupleCollector& collector, int reports) {
 }
 
 TEST(IngestAllocationTest, SteadyStateAcceptPathIsAllocationFree) {
-  const MixedTupleCollector collector = MakeCollector();
-  const std::string bytes = MakeStream(collector, 4000);
-  ShardIngester ingester(&collector);
+  for (const FrequencyOracleKind oracle :
+       {FrequencyOracleKind::kGrr, FrequencyOracleKind::kSue,
+        FrequencyOracleKind::kOue, FrequencyOracleKind::kOlh,
+        FrequencyOracleKind::kHe, FrequencyOracleKind::kThe}) {
+    SCOPED_TRACE(FrequencyOracleKindToString(oracle));
+    const MixedTupleCollector collector = MakeCollector(oracle);
+    const std::string bytes = MakeStream(collector, 4000);
+    ShardIngester ingester(&collector);
 
-  // Warm up: header, staging-ring growth, and scratch sizing all happen on
-  // the first chunks.
-  constexpr size_t kChunk = 4096;
-  const size_t warmup_end = bytes.size() / 2;
-  size_t cursor = 0;
-  while (cursor < warmup_end) {
-    const size_t take = std::min(kChunk, bytes.size() - cursor);
-    ASSERT_TRUE(ingester.Feed(bytes.data() + cursor, take).ok());
-    cursor += take;
+    // Warm up: the header and staging-ring growth happen on the first
+    // chunks.
+    constexpr size_t kChunk = 4096;
+    const size_t warmup_end = bytes.size() / 2;
+    size_t cursor = 0;
+    while (cursor < warmup_end) {
+      const size_t take = std::min(kChunk, bytes.size() - cursor);
+      ASSERT_TRUE(ingester.Feed(bytes.data() + cursor, take).ok());
+      cursor += take;
+    }
+    const uint64_t accepted_before = ingester.stats().accepted;
+    ASSERT_GT(accepted_before, 0u);
+
+    // Measured window: every remaining frame must be accepted without a
+    // single heap allocation.
+    const uint64_t allocations_before =
+        g_allocation_count.load(std::memory_order_relaxed);
+    while (cursor < bytes.size()) {
+      const size_t take = std::min(kChunk, bytes.size() - cursor);
+      ingester.Feed(bytes.data() + cursor, take);
+      cursor += take;
+    }
+    const uint64_t allocations_after =
+        g_allocation_count.load(std::memory_order_relaxed);
+
+    ASSERT_TRUE(ingester.Finish().ok());
+    EXPECT_EQ(ingester.stats().accepted, 4000u);
+    EXPECT_GT(ingester.stats().accepted, accepted_before);
+    EXPECT_EQ(allocations_after - allocations_before, 0u)
+        << "accept path allocated "
+        << (allocations_after - allocations_before) << " times for "
+        << (ingester.stats().accepted - accepted_before) << " frames";
   }
-  const uint64_t accepted_before = ingester.stats().accepted;
-  ASSERT_GT(accepted_before, 0u);
-
-  // Measured window: every remaining frame must be accepted without a
-  // single heap allocation.
-  const uint64_t allocations_before =
-      g_allocation_count.load(std::memory_order_relaxed);
-  while (cursor < bytes.size()) {
-    const size_t take = std::min(kChunk, bytes.size() - cursor);
-    ingester.Feed(bytes.data() + cursor, take);
-    cursor += take;
-  }
-  const uint64_t allocations_after =
-      g_allocation_count.load(std::memory_order_relaxed);
-
-  ASSERT_TRUE(ingester.Finish().ok());
-  EXPECT_EQ(ingester.stats().accepted, 4000u);
-  EXPECT_GT(ingester.stats().accepted, accepted_before);
-  EXPECT_EQ(allocations_after - allocations_before, 0u)
-      << "accept path allocated "
-      << (allocations_after - allocations_before) << " times for "
-      << (ingester.stats().accepted - accepted_before) << " frames";
 }
 
 TEST(IngestAllocationTest, ByteAtATimeSteadyStateIsAllocationFree) {

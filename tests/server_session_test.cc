@@ -15,6 +15,7 @@
 
 #include "api/pipeline.h"
 #include "api/server_session.h"
+#include "core/wire.h"
 #include "data/census.h"
 #include "data/encode.h"
 #include "stream/report_stream.h"
@@ -497,6 +498,59 @@ TEST(ServerSessionTest, EstimateChecksEpochBounds) {
   EXPECT_FALSE(server.value().EstimateMean(0, 1).ok());
   EXPECT_FALSE(server.value().Estimate(1).ok());
   EXPECT_TRUE(server.value().Estimate(0).ok());
+}
+
+TEST(ServerSessionTest, RefusesOracleReportsTheWireCannotCount) {
+  // A mixed frame counts an oracle payload in a u16. HE emits one value per
+  // domain value, so at domain 70,000 its frames would be undecodable:
+  // both session kinds refuse such a schema up front, naming the attribute.
+  // In-process Collect never encodes a frame and is unaffected.
+  auto pipeline_for = [](uint32_t domain) {
+    api::PipelineConfig config;
+    config.attributes = {MixedAttribute::Numeric(),
+                         MixedAttribute::Categorical(domain)};
+    config.epsilon = kEpsilon;
+    config.oracle = FrequencyOracleKind::kHe;
+    auto pipeline = api::Pipeline::Create(std::move(config));
+    EXPECT_TRUE(pipeline.ok());
+    return std::move(pipeline).value();
+  };
+  const api::Pipeline too_wide = pipeline_for(70000);
+  const auto client = too_wide.NewClient();
+  const auto server = too_wide.NewServer();
+  ASSERT_FALSE(client.ok());
+  ASSERT_FALSE(server.ok());
+  EXPECT_EQ(client.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(server.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(client.status().message().find("attribute 1"), std::string::npos)
+      << client.status().message();
+  EXPECT_EQ(server.status(), client.status());
+
+  // Domain 65,535 is the widest that still round-trips.
+  const api::Pipeline widest = pipeline_for(65535);
+  auto widest_client = widest.NewClient();
+  auto widest_server = widest.NewServer();
+  ASSERT_TRUE(widest_client.ok());
+  ASSERT_TRUE(widest_server.ok());
+  Rng rng(3);
+  std::string stream = widest_client.value().EncodeHeader();
+  constexpr int kReports = 6;
+  for (int i = 0; i < kReports; ++i) {
+    const auto report = widest_client.value().EncodeReport(
+        {AttributeValue::Numeric(0.5), AttributeValue::Categorical(65534)},
+        &rng);
+    ASSERT_TRUE(report.ok());
+    internal_wire::PutU32(&stream,
+                          static_cast<uint32_t>(report.value().size()));
+    stream += report.value();
+  }
+  api::ServerSession& session = widest_server.value();
+  const size_t shard = session.OpenShard();
+  ASSERT_TRUE(session.Feed(shard, stream).ok());
+  ASSERT_TRUE(session.CloseShard(shard).ok());
+  const auto ingested = session.num_reports(0);
+  ASSERT_TRUE(ingested.ok());
+  EXPECT_EQ(ingested.value(), static_cast<uint64_t>(kReports));
 }
 
 }  // namespace

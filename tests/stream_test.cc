@@ -303,9 +303,10 @@ TEST(ShardIngesterTest, EveryChunkingMatchesWholeBufferAcrossRingWraps) {
 }
 
 TEST(ShardIngesterTest, VisitorDecodeMatchesMaterializingDecodeBitForBit) {
-  // The zero-copy ingest path streams entries straight into the aggregator
-  // (MixedFrameDecoder -> MixedReportSink); decoding every frame into a
-  // MixedReport and Add()ing it must produce bit-identical aggregates.
+  // The zero-copy ingest path folds each frame straight from its wire bytes
+  // (MixedFrameDecoder views -> MixedAggregator::FoldValidated); decoding
+  // every frame into a MixedReport and Add()ing it must produce
+  // bit-identical aggregates.
   const MixedTupleCollector collector = MakeCollector();
   const std::string bytes = MakeStream(collector, 250);
 

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "stream/report_stream.h"
+#include "stream/shard_ingester.h"
 #include "util/random.h"
 
 namespace ldp {
@@ -257,7 +261,7 @@ TEST(MixedWireTest, RejectsOversizedCategoricalPayload) {
 TEST(MixedWireTest, RejectsCategoricalPayloadOutsideTheDomain) {
   const MixedTupleCollector collector = MakeMixedCollector();
   // A "set bit" index of 9 in a domain of 4: without validation the
-  // server-side Accumulate would write out of bounds.
+  // server-side Fold would write out of bounds.
   MixedReport report;
   MixedReportEntry entry;
   entry.attribute = 1;
@@ -296,118 +300,212 @@ TEST(MixedWireTest, RejectsOutOfBoundNumericValue) {
           .ok());
 }
 
-// Sink that records the delivered entries as a MixedReport, for comparing
-// the streaming decoder against the materializing one.
-class RecordingSink final : public MixedReportSink {
- public:
-  void OnReportBegin(uint32_t entry_count) override {
-    ++reports_begun_;
-    last_entry_count_ = entry_count;
+// The accept-set tests run on every oracle at k = 1 (ε = 4) and at k = 2
+// (ε = 6), over the 4-attribute mixed schema.
+std::vector<MixedTupleCollector> EveryOracleAtKOneAndTwo() {
+  std::vector<MixedTupleCollector> collectors;
+  for (const FrequencyOracleKind oracle :
+       {FrequencyOracleKind::kGrr, FrequencyOracleKind::kSue,
+        FrequencyOracleKind::kOue, FrequencyOracleKind::kOlh,
+        FrequencyOracleKind::kHe, FrequencyOracleKind::kThe}) {
+    for (const double epsilon : {4.0, 6.0}) {
+      auto collector = MixedTupleCollector::Create(
+          {MixedAttribute::Numeric(), MixedAttribute::Categorical(4),
+           MixedAttribute::Numeric(), MixedAttribute::Categorical(6)},
+          epsilon, MechanismKind::kHybrid, oracle);
+      EXPECT_TRUE(collector.ok());
+      EXPECT_EQ(collector.value().k(), epsilon < 5.0 ? 1u : 2u);
+      collectors.push_back(std::move(collector).value());
+    }
   }
-  void OnNumericEntry(uint32_t attribute, double value) override {
-    MixedReportEntry entry;
-    entry.attribute = attribute;
-    entry.numeric_value = value;
-    entries_.push_back(std::move(entry));
-  }
-  void OnCategoricalEntry(uint32_t attribute,
-                          const FrequencyOracle::Report& payload) override {
-    MixedReportEntry entry;
-    entry.attribute = attribute;
-    entry.categorical_report = payload;
-    entries_.push_back(std::move(entry));
-  }
+  return collectors;
+}
 
-  int reports_begun_ = 0;
-  uint32_t last_entry_count_ = 0;
-  MixedReport entries_;
-};
+std::string CaseName(const MixedTupleCollector& collector) {
+  return std::string(FrequencyOracleKindToString(
+             collector.categorical_kind())) +
+         " k=" + std::to_string(collector.k());
+}
 
-TEST(MixedFrameDecoderTest, StreamsExactlyWhatMaterializingDecodeReturns) {
-  const MixedTupleCollector collector = MakeMixedCollector();
-  MixedFrameDecoder decoder(&collector);
-  Rng rng(7);
+MixedTuple DecoderTuple() {
   MixedTuple tuple(4);
   tuple[0] = AttributeValue::Numeric(0.3);
   tuple[1] = AttributeValue::Categorical(2);
   tuple[2] = AttributeValue::Numeric(-0.9);
   tuple[3] = AttributeValue::Categorical(5);
-  for (int i = 0; i < 200; ++i) {
-    const std::string bytes =
-        EncodeMixedReport(collector.Perturb(tuple, &rng), collector);
-    RecordingSink sink;
-    ASSERT_TRUE(decoder.DecodeInto(bytes.data(), bytes.size(), &sink).ok());
-    auto materialized = DecodeMixedReport(bytes, collector);
-    ASSERT_TRUE(materialized.ok());
-    EXPECT_EQ(sink.reports_begun_, 1);
-    EXPECT_EQ(sink.last_entry_count_, collector.k());
-    ASSERT_EQ(sink.entries_.size(), materialized.value().size());
-    for (size_t j = 0; j < sink.entries_.size(); ++j) {
-      EXPECT_EQ(sink.entries_[j].attribute,
-                materialized.value()[j].attribute);
-      EXPECT_EQ(sink.entries_[j].numeric_value,
-                materialized.value()[j].numeric_value);
-      EXPECT_EQ(sink.entries_[j].categorical_report,
-                materialized.value()[j].categorical_report);
+  return tuple;
+}
+
+template <typename T>
+bool SameBits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+// Bit-for-bit equality of two aggregates (doubles compared as bytes, so a
+// -0.0 or NaN difference cannot hide).
+void ExpectSameBits(const MixedAggregator& actual,
+                    const MixedAggregator& expected, const std::string& where) {
+  EXPECT_EQ(actual.num_reports(), expected.num_reports()) << where;
+  EXPECT_EQ(actual.attribute_report_counts(),
+            expected.attribute_report_counts())
+      << where;
+  EXPECT_TRUE(SameBits(actual.numeric_sums(), expected.numeric_sums()))
+      << where;
+  for (size_t j = 0; j < expected.supports().size(); ++j) {
+    EXPECT_TRUE(SameBits(actual.supports()[j], expected.supports()[j]))
+        << where << " attribute " << j;
+  }
+}
+
+TEST(MixedFrameDecoderTest, StreamsExactlyWhatMaterializingDecodeReturns) {
+  for (const MixedTupleCollector& collector : EveryOracleAtKOneAndTwo()) {
+    const std::string name = CaseName(collector);
+    MixedFrameDecoder decoder(&collector);
+    MixedAggregator folded(&collector);
+    MixedAggregator added(&collector);
+    Rng rng(7);
+    const MixedTuple tuple = DecoderTuple();
+    for (int i = 0; i < 200; ++i) {
+      const std::string bytes =
+          EncodeMixedReport(collector.Perturb(tuple, &rng), collector);
+      auto materialized = DecodeMixedReport(bytes, collector);
+      ASSERT_TRUE(materialized.ok()) << name;
+      ASSERT_EQ(decoder.Validate(bytes.data(), bytes.size()), nullptr) << name;
+      const std::vector<MixedEntryView>& views = decoder.entries();
+      ASSERT_EQ(views.size(), materialized.value().size()) << name;
+      for (size_t j = 0; j < views.size(); ++j) {
+        const MixedReportEntry& entry = materialized.value()[j];
+        EXPECT_EQ(views[j].attribute, entry.attribute) << name;
+        EXPECT_EQ(views[j].oracle, collector.oracle_for(entry.attribute))
+            << name;
+        if (views[j].oracle == nullptr) {
+          EXPECT_EQ(views[j].numeric_value, entry.numeric_value) << name;
+        } else {
+          ASSERT_EQ(views[j].payload.size(), entry.categorical_report.size())
+              << name;
+          for (size_t p = 0; p < views[j].payload.size(); ++p) {
+            EXPECT_EQ(views[j].payload[p], entry.categorical_report[p])
+                << name;
+          }
+        }
+      }
+      ASSERT_EQ(decoder.DecodeInto(bytes.data(), bytes.size(), &folded),
+                nullptr)
+          << name;
+      added.Add(materialized.value());
     }
+    ExpectSameBits(folded, added, name);
   }
 }
 
-TEST(MixedFrameDecoderTest, SinkSeesNothingOnAnyMalformedFrame) {
-  // All-or-nothing delivery: a frame that fails validation anywhere — even
-  // on its last entry — must reach the sink with zero callbacks, or a
-  // streamed aggregate would be corrupted by partial reports.
-  const MixedTupleCollector collector = MakeMixedCollector();
-  MixedFrameDecoder decoder(&collector);
-  Rng rng(8);
-  MixedTuple tuple(4);
-  tuple[1] = AttributeValue::Categorical(1);
-  tuple[3] = AttributeValue::Categorical(4);
-  const std::string good =
-      EncodeMixedReport(collector.Perturb(tuple, &rng), collector);
+TEST(MixedFrameDecoderTest, MutatedFramesGetOneVerdictAndFoldAllOrNothing) {
+  // One accept set: for every truncation, every single-byte change of a
+  // valid frame and a duplicate-attribute frame, a ShardIngester that fails
+  // on its first rejection and DecodeMixedReport return the same verdict
+  // and the same reason. A rejected frame leaves the aggregate untouched,
+  // even when it fails on its last entry; an accepted one folds to the same
+  // bits as Add of the materialized report.
+  for (const MixedTupleCollector& collector : EveryOracleAtKOneAndTwo()) {
+    const std::string name = CaseName(collector);
+    const std::string header =
+        stream::EncodeStreamHeader(stream::MakeMixedStreamHeader(collector));
+    auto frame_of = [](const std::string& payload) {
+      std::string frame;
+      internal_wire::PutU32(&frame, static_cast<uint32_t>(payload.size()));
+      return frame + payload;
+    };
 
-  // Every truncation point, including cuts inside the final entry.
-  for (size_t cut = 0; cut < good.size(); ++cut) {
-    RecordingSink sink;
-    EXPECT_FALSE(decoder.DecodeInto(good.data(), cut, &sink).ok());
-    EXPECT_EQ(sink.reports_begun_, 0) << "cut=" << cut;
-    EXPECT_TRUE(sink.entries_.empty()) << "cut=" << cut;
+    // Valid frames holding a numeric and a categorical entry (at k = 1 they
+    // are different frames).
+    std::vector<std::string> good;
+    Rng rng(8);
+    bool numeric_seen = false, categorical_seen = false;
+    while (!numeric_seen || !categorical_seen) {
+      const MixedReport report = collector.Perturb(DecoderTuple(), &rng);
+      bool has_numeric = false, has_categorical = false;
+      for (const MixedReportEntry& entry : report) {
+        (collector.oracle_for(entry.attribute) == nullptr ? has_numeric
+                                                          : has_categorical) =
+            true;
+      }
+      if ((has_numeric && !numeric_seen) ||
+          (has_categorical && !categorical_seen)) {
+        good.push_back(EncodeMixedReport(report, collector));
+        numeric_seen |= has_numeric;
+        categorical_seen |= has_categorical;
+      }
+    }
+    const std::string& first = good.front();
+    const MixedReport first_report =
+        DecodeMixedReport(first, collector).value();
+
+    // One long-lived ingester also takes every mutated frame in turn: its
+    // decoder must stay exact after any number of rejections.
+    stream::ShardIngester tolerant(&collector);
+    ASSERT_TRUE(tolerant.Feed(header).ok());
+    MixedAggregator tolerant_expected(&collector);
+
+    size_t checked = 0, accepted = 0;
+    auto check = [&](const std::string& mutated, const std::string& what) {
+      ++checked;
+      ASSERT_TRUE(tolerant.Feed(frame_of(mutated)).ok());
+      stream::ShardIngester::Options strict;
+      strict.max_rejected = 0;
+      stream::ShardIngester ingester(&collector, strict);
+      ASSERT_TRUE(ingester.Feed(header + frame_of(first)).ok());
+      const Status fed = ingester.Feed(frame_of(mutated));
+      const auto decoded = DecodeMixedReport(mutated, collector);
+      ASSERT_EQ(fed.ok(), decoded.ok()) << name << ' ' << what;
+      MixedAggregator expected(&collector);
+      expected.Add(first_report);
+      if (decoded.ok()) {
+        ++accepted;
+        expected.Add(decoded.value());
+        tolerant_expected.Add(decoded.value());
+      } else {
+        EXPECT_EQ(fed.code(), decoded.status().code()) << name << ' ' << what;
+        EXPECT_EQ(fed.message(), "rejected report budget exhausted: " +
+                                     decoded.status().message())
+            << name << ' ' << what;
+      }
+      ExpectSameBits(ingester.aggregator(), expected, name + ' ' + what);
+    };
+
+    for (const std::string& frame : good) {
+      for (size_t cut = 0; cut < frame.size(); ++cut) {
+        check(frame.substr(0, cut), "cut=" + std::to_string(cut));
+      }
+      for (size_t at = 0; at < frame.size(); ++at) {
+        for (int mask = 1; mask < 256; ++mask) {
+          std::string flipped = frame;
+          flipped[at] = static_cast<char>(flipped[at] ^ mask);
+          check(flipped, "byte " + std::to_string(at) + " ^ " +
+                             std::to_string(mask));
+        }
+      }
+    }
+
+    // A duplicate-attribute report (fails on its second entry; at k = 1 on
+    // its entry count).
+    MixedReport duplicated;
+    MixedReportEntry entry;
+    entry.attribute = 0;
+    entry.numeric_value = 0.25;
+    duplicated.push_back(entry);
+    duplicated.push_back(entry);
+    const std::string bytes = EncodeMixedReport(duplicated, collector);
+    check(bytes, "duplicate");
+    EXPECT_FALSE(DecodeMixedReport(bytes, collector).ok()) << name;
+
+    ExpectSameBits(tolerant.aggregator(), tolerant_expected, name);
+    EXPECT_EQ(tolerant.stats().accepted, accepted) << name;
+    EXPECT_EQ(tolerant.stats().rejected, checked - accepted) << name;
+    // The flips both reject and accept frames, so both sides were compared.
+    EXPECT_GT(accepted, 0u) << name;
+    EXPECT_LT(accepted, checked) << name;
   }
-
-  // A duplicate-attribute report (fails on the second entry).
-  MixedReport duplicated;
-  MixedReportEntry entry;
-  entry.attribute = 0;
-  entry.numeric_value = 0.25;
-  duplicated.push_back(entry);
-  duplicated.push_back(entry);
-  const std::string bytes = EncodeMixedReport(duplicated, collector);
-  RecordingSink sink;
-  EXPECT_FALSE(decoder.DecodeInto(bytes.data(), bytes.size(), &sink).ok());
-  EXPECT_EQ(sink.reports_begun_, 0);
-  EXPECT_TRUE(sink.entries_.empty());
-
-  // The decoder stays usable after rejections.
-  RecordingSink recovered;
-  ASSERT_TRUE(
-      decoder.DecodeInto(good.data(), good.size(), &recovered).ok());
-  EXPECT_EQ(recovered.reports_begun_, 1);
-}
-
-TEST(MixedFrameDecoderTest, OneShotWrapperMatchesPersistentDecoder) {
-  const MixedTupleCollector collector = MakeMixedCollector();
-  Rng rng(9);
-  MixedTuple tuple(4);
-  tuple[1] = AttributeValue::Categorical(3);
-  tuple[3] = AttributeValue::Categorical(0);
-  const std::string bytes =
-      EncodeMixedReport(collector.Perturb(tuple, &rng), collector);
-  RecordingSink sink;
-  ASSERT_TRUE(
-      DecodeMixedReportInto(bytes.data(), bytes.size(), collector, &sink)
-          .ok());
-  EXPECT_EQ(sink.reports_begun_, 1);
-  EXPECT_EQ(sink.entries_.size(), collector.k());
 }
 
 TEST(MixedWireTest, EncodedSizeMatchesThePrecomputedReserve) {
