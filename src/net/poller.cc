@@ -1,13 +1,11 @@
 #include "net/poller.h"
 
+#include <sys/epoll.h>
+#include <unistd.h>
+
 #include <cerrno>
 #include <cstring>
-#include <unistd.h>
 #include <utility>
-
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 namespace ldp::net {
 
@@ -17,38 +15,25 @@ Status ErrnoStatus(const std::string& what) {
   return Status::IoError(what + ": " + std::strerror(errno));
 }
 
-short PollEvents(bool want_read, bool want_write) {
-  short events = 0;
-  if (want_read) events |= POLLIN;
-  if (want_write) events |= POLLOUT;
-  return events;
+Status Control(int epoll_fd, int op, int fd, bool want_read,
+               bool want_write) {
+  epoll_event event{};
+  if (want_read) event.events |= EPOLLIN;
+  if (want_write) event.events |= EPOLLOUT;
+  event.data.fd = fd;
+  if (::epoll_ctl(epoll_fd, op, fd, &event) != 0) {
+    return ErrnoStatus(op == EPOLL_CTL_ADD ? "epoll_ctl(ADD)"
+                                           : "epoll_ctl(MOD)");
+  }
+  return Status::OK();
 }
-
-#ifdef __linux__
-uint32_t EpollEvents(bool want_read, bool want_write) {
-  uint32_t events = 0;
-  if (want_read) events |= EPOLLIN;
-  if (want_write) events |= EPOLLOUT;
-  return events;
-}
-#endif
 
 }  // namespace
 
-Result<Poller> Poller::Create(PollerBackend backend) {
+Result<Poller> Poller::Create() {
   Poller poller;
-#ifdef __linux__
-  if (backend == PollerBackend::kEpoll) {
-    const int fd = ::epoll_create1(EPOLL_CLOEXEC);
-    if (fd < 0) return ErrnoStatus("epoll_create1");
-    poller.backend_ = PollerBackend::kEpoll;
-    poller.epoll_fd_ = fd;
-    return poller;
-  }
-#else
-  (void)backend;
-#endif
-  poller.backend_ = PollerBackend::kPoll;
+  poller.epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (poller.epoll_fd_ < 0) return ErrnoStatus("epoll_create1");
   return poller;
 }
 
@@ -57,120 +42,48 @@ Poller::~Poller() {
 }
 
 Poller::Poller(Poller&& other) noexcept
-    : backend_(other.backend_),
-      epoll_fd_(other.epoll_fd_),
-      interest_(std::move(other.interest_)),
-      scratch_(std::move(other.scratch_)) {
-  other.epoll_fd_ = -1;
-  other.interest_.clear();
-}
+    : epoll_fd_(std::exchange(other.epoll_fd_, -1)) {}
 
 Poller& Poller::operator=(Poller&& other) noexcept {
   if (this != &other) {
     if (epoll_fd_ >= 0) ::close(epoll_fd_);
-    backend_ = other.backend_;
-    epoll_fd_ = other.epoll_fd_;
-    interest_ = std::move(other.interest_);
-    scratch_ = std::move(other.scratch_);
-    other.epoll_fd_ = -1;
-    other.interest_.clear();
+    epoll_fd_ = std::exchange(other.epoll_fd_, -1);
   }
   return *this;
 }
 
 Status Poller::Add(int fd, bool want_read, bool want_write) {
-#ifdef __linux__
-  if (backend_ == PollerBackend::kEpoll) {
-    epoll_event event{};
-    event.events = EpollEvents(want_read, want_write);
-    event.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event) != 0) {
-      return ErrnoStatus("epoll_ctl(ADD)");
-    }
-    return Status::OK();
-  }
-#endif
-  if (!interest_.emplace(fd, PollEvents(want_read, want_write)).second) {
-    return Status::AlreadyExists("fd already watched");
-  }
-  return Status::OK();
+  return Control(epoll_fd_, EPOLL_CTL_ADD, fd, want_read, want_write);
 }
 
 Status Poller::Update(int fd, bool want_read, bool want_write) {
-#ifdef __linux__
-  if (backend_ == PollerBackend::kEpoll) {
-    epoll_event event{};
-    event.events = EpollEvents(want_read, want_write);
-    event.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &event) != 0) {
-      return ErrnoStatus("epoll_ctl(MOD)");
-    }
-    return Status::OK();
-  }
-#endif
-  auto found = interest_.find(fd);
-  if (found == interest_.end()) return Status::NotFound("fd not watched");
-  found->second = PollEvents(want_read, want_write);
-  return Status::OK();
+  return Control(epoll_fd_, EPOLL_CTL_MOD, fd, want_read, want_write);
 }
 
 Status Poller::Remove(int fd) {
-#ifdef __linux__
-  if (backend_ == PollerBackend::kEpoll) {
-    epoll_event event{};
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, &event) != 0 &&
-        errno != ENOENT && errno != EBADF) {
-      return ErrnoStatus("epoll_ctl(DEL)");
-    }
-    return Status::OK();
+  epoll_event event{};
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, &event) != 0 &&
+      errno != ENOENT && errno != EBADF) {
+    return ErrnoStatus("epoll_ctl(DEL)");
   }
-#endif
-  interest_.erase(fd);
   return Status::OK();
 }
 
 Status Poller::Wait(int timeout_ms, std::vector<PollerEvent>* events) {
   events->clear();
-#ifdef __linux__
-  if (backend_ == PollerBackend::kEpoll) {
-    epoll_event ready[256];
-    int count;
-    do {
-      count = ::epoll_wait(epoll_fd_, ready, 256, timeout_ms);
-    } while (count < 0 && errno == EINTR);
-    if (count < 0) return ErrnoStatus("epoll_wait");
-    events->reserve(static_cast<size_t>(count));
-    for (int i = 0; i < count; ++i) {
-      PollerEvent event;
-      event.fd = ready[i].data.fd;
-      event.readable = (ready[i].events & EPOLLIN) != 0;
-      event.writable = (ready[i].events & EPOLLOUT) != 0;
-      event.error = (ready[i].events & (EPOLLERR | EPOLLHUP)) != 0;
-      events->push_back(event);
-    }
-    return Status::OK();
-  }
-#endif
-  scratch_.clear();
-  scratch_.reserve(interest_.size());
-  for (const auto& [fd, wanted] : interest_) {
-    pollfd entry{};
-    entry.fd = fd;
-    entry.events = wanted;
-    scratch_.push_back(entry);
-  }
+  epoll_event ready[256];
   int count;
   do {
-    count = ::poll(scratch_.data(), scratch_.size(), timeout_ms);
+    count = ::epoll_wait(epoll_fd_, ready, 256, timeout_ms);
   } while (count < 0 && errno == EINTR);
-  if (count < 0) return ErrnoStatus("poll");
-  for (const pollfd& entry : scratch_) {
-    if (entry.revents == 0) continue;
+  if (count < 0) return ErrnoStatus("epoll_wait");
+  events->reserve(static_cast<size_t>(count));
+  for (int i = 0; i < count; ++i) {
     PollerEvent event;
-    event.fd = entry.fd;
-    event.readable = (entry.revents & POLLIN) != 0;
-    event.writable = (entry.revents & POLLOUT) != 0;
-    event.error = (entry.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
+    event.fd = ready[i].data.fd;
+    event.readable = (ready[i].events & EPOLLIN) != 0;
+    event.writable = (ready[i].events & EPOLLOUT) != 0;
+    event.error = (ready[i].events & (EPOLLERR | EPOLLHUP)) != 0;
     events->push_back(event);
   }
   return Status::OK();

@@ -3,20 +3,15 @@
 // single thread can drive thousands of connections instead of parking one
 // blocking thread per socket.
 //
-// Two backends. kEpoll uses epoll(7) — O(1) per ready event, the C100K
-// path — and only exists on Linux. kPoll is plain poll(2), portable
-// everywhere and compiled unconditionally so the fallback stays tested on
-// the primary platform rather than rotting behind an #ifdef. Both are
-// level-triggered: an fd keeps reporting ready until its buffer is drained,
-// which keeps the connection state machine free of edge-trigger starvation
-// bugs at the cost of one extra syscall per idle wake.
+// A thin wrapper over epoll(7), O(1) per ready event; the collector runs on
+// Linux only. Level-triggered: an fd keeps reporting ready until its buffer
+// is drained, which keeps the connection state machine free of
+// edge-trigger starvation bugs at the cost of one extra syscall per idle
+// wake.
 
 #ifndef LDP_NET_POLLER_H_
 #define LDP_NET_POLLER_H_
 
-#include <poll.h>
-
-#include <unordered_map>
 #include <vector>
 
 #include "util/result.h"
@@ -24,29 +19,20 @@
 
 namespace ldp::net {
 
-enum class PollerBackend {
-  /// epoll(7) where available (Linux); elsewhere Create falls back to kPoll.
-  kEpoll,
-  /// poll(2): portable, O(watched fds) per wait.
-  kPoll,
-};
-
 /// One readiness report from Wait.
 struct PollerEvent {
   int fd = -1;
   bool readable = false;
   bool writable = false;
-  /// POLLERR/POLLHUP-class conditions: the fd needs attention even if the
-  /// caller only asked for writability. Reads still drain buffered bytes.
+  /// EPOLLERR/EPOLLHUP: the fd needs attention even if the caller only
+  /// asked for writability. Reads still drain buffered bytes.
   bool error = false;
 };
 
-/// A level-triggered readiness set (move-only RAII over the backend state).
+/// A level-triggered readiness set (move-only RAII over the epoll fd).
 class Poller {
  public:
-  /// Builds a poller for `backend`; kEpoll silently degrades to kPoll on
-  /// platforms without epoll (check backend() when it matters).
-  static Result<Poller> Create(PollerBackend backend);
+  static Result<Poller> Create();
 
   Poller() = default;
   ~Poller();
@@ -54,9 +40,6 @@ class Poller {
   Poller& operator=(Poller&& other) noexcept;
   Poller(const Poller&) = delete;
   Poller& operator=(const Poller&) = delete;
-
-  /// The backend actually in force after fallback.
-  PollerBackend backend() const { return backend_; }
 
   /// Starts watching `fd` (must not already be watched).
   Status Add(int fd, bool want_read, bool want_write);
@@ -73,11 +56,7 @@ class Poller {
   Status Wait(int timeout_ms, std::vector<PollerEvent>* events);
 
  private:
-  PollerBackend backend_ = PollerBackend::kPoll;
   int epoll_fd_ = -1;
-  /// kPoll backend: fd -> requested poll events, flattened per Wait.
-  std::unordered_map<int, short> interest_;
-  std::vector<pollfd> scratch_;
 };
 
 }  // namespace ldp::net

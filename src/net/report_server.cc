@@ -60,7 +60,11 @@ ReportServer::ReportServer(api::ServerSession* session,
     : session_(session),
       expected_(expected),
       options_(options),
-      metrics_(obs::NetServerMetrics::ForRegistry(options.metrics)) {}
+      metrics_(obs::NetServerMetrics::ForRegistry(options.metrics)),
+      scheduler_(session, options_, metrics_.merge_barrier_wait_us,
+                 [this](const auto& close, const auto& closed) {
+                   DeliverVerdict(close, closed);
+                 }) {}
 
 Result<std::unique_ptr<ReportServer>> ReportServer::Start(
     api::ServerSession* session, const stream::StreamHeader& expected,
@@ -75,24 +79,13 @@ Result<std::unique_ptr<ReportServer>> ReportServer::Start(
   Result<Listener> listener = Listener::Bind(endpoint);
   if (!listener.ok()) return listener.status();
   server->listener_ = std::move(listener).value();
-  // Seed the barrier and resume state from a WAL replay before any loop
-  // exists (no lock needed yet): ordinals the replay already merged start
-  // done, so the frontier opens past them and a re-HELLO is refused.
+  // No loop exists yet, so no lock is needed.
   server->resume_shards_ = options.resume_shards;
-  for (uint64_t ordinal : options.completed_ordinals) {
-    server->done_ordinals_.insert(ordinal);
-  }
-  if (options.expected_shards > 0) {
-    while (server->merge_frontier_ < options.expected_shards &&
-           server->done_ordinals_.count(server->merge_frontier_) != 0) {
-      ++server->merge_frontier_;
-    }
-  }
   server->loops_.reserve(options.acceptors);
   for (unsigned i = 0; i < options.acceptors; ++i) {
     server->loops_.push_back(std::make_unique<Loop>());
     Loop& loop = *server->loops_.back();
-    Result<Poller> poller = Poller::Create(options.poller);
+    Result<Poller> poller = Poller::Create();
     if (!poller.ok()) return poller.status();
     loop.poller = std::move(poller).value();
     int fds[2];
@@ -108,9 +101,6 @@ Result<std::unique_ptr<ReportServer>> ReportServer::Start(
     server->loops_[i]->thread =
         std::thread([raw = server.get(), i] { raw->LoopMain(i); });
   }
-  server->scheduler_ = std::thread([raw = server.get()] {
-    raw->SchedulerMain();
-  });
   if (options.journal != nullptr) {
     options.journal->Record(obs::EventKind::kServerStart);
   }
@@ -136,11 +126,9 @@ void ReportServer::Stop(bool drain) {
     }
     stop_accepting_ = true;
     if (!drain) {
-      hard_stop_ = true;
       // Kick every connection out of the kernel: reads return EOF, sends
       // fail, and the loops tear everything down and abandon open shards.
       for (const auto& [fd, conn] : conns_) ::shutdown(fd, SHUT_RDWR);
-      merge_cv_.notify_all();
     } else {
       // A drain waits only for shards in flight: connections idling
       // between shards are woken so they notice the stop immediately
@@ -155,18 +143,15 @@ void ReportServer::Stop(bool drain) {
       }
     }
   }
+  // Outside mutex_: the scheduler's lock is taken first everywhere else.
+  if (!drain) scheduler_.Abort();
   for (size_t i = 0; i < loops_.size(); ++i) WakeLoop(i);
   for (auto& loop : loops_) {
     if (loop->thread.joinable()) loop->thread.join();
   }
-  // The loops are gone, so no new close can be enqueued: tell the
-  // scheduler to abandon whatever is left and exit.
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    scheduler_exit_ = true;
-    merge_cv_.notify_all();
-  }
-  if (scheduler_.joinable()) scheduler_.join();
+  // The loops are gone, so no new close can be submitted: the scheduler
+  // abandons whatever is left and exits.
+  scheduler_.Shutdown();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stopped_ = true;
@@ -175,6 +160,11 @@ void ReportServer::Stop(bool drain) {
   if (options_.journal != nullptr) {
     options_.journal->Record(obs::EventKind::kServerStop);
   }
+}
+
+bool ReportServer::Stopping() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return stop_accepting_;
 }
 
 ReportServerStats ReportServer::stats() const {
@@ -249,11 +239,7 @@ void ReportServer::LoopMain(size_t index) {
     }
     flushes.clear();
 
-    bool stopping;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stopping = stop_accepting_;
-    }
+    const bool stopping = Stopping();
     if (stopping && listener_watched) {
       (void)loop.poller.Remove(listener_.fd());
       listener_watched = false;
@@ -502,16 +488,9 @@ void ReportServer::HandleReadable(Loop& loop,
       std::lock_guard<std::mutex> conn_lock(conn->mutex);
       no_channels = conn->channels.empty();
     }
-    if (no_channels) {
-      bool stopping;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stopping = stop_accepting_;
-      }
-      if (stopping) {
-        CloseAfterFlush(loop, conn);
-        return;
-      }
+    if (no_channels && Stopping()) {
+      CloseAfterFlush(loop, conn);
+      return;
     }
     if (--budget <= 0) return;  // fairness: let other connections run
   }
@@ -592,32 +571,18 @@ bool ReportServer::DispatchMessage(Loop& loop,
                    /*count_always=*/false);
         return false;
       }
-      if (options_.journal != nullptr) {
-        options_.journal->Record(obs::EventKind::kMergeEnter, state.ordinal);
-      }
-      PendingClose pending;
-      pending.conn = conn;
-      pending.channel = close.value().channel;
+      MergeScheduler::Close pending;
       pending.shard = state.shard;
       pending.ordinal = state.ordinal;
-      pending.enqueued_ns = metrics_.enabled() ? obs::SteadyNowNs() : 0;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (options_.merge_turn_timeout_ms > 0) {
-          pending.has_deadline = true;
-          pending.deadline =
-              std::chrono::steady_clock::now() +
-              std::chrono::milliseconds(options_.merge_turn_timeout_ms);
-        }
-        pending_closes_.emplace(state.ordinal, std::move(pending));
-      }
-      merge_cv_.notify_all();
+      pending.channel = close.value().channel;
+      pending.reply_to = conn;
+      scheduler_.Submit(std::move(pending));
       // Flush only after the close is scheduler-owned: a send failure here
       // destroys the connection, and AbandonConnChannels skips closing
-      // channels — an un-enqueued close would leave the ordinal active
+      // channels — an unsubmitted close would leave the ordinal active
       // forever and wedge the expected-shards barrier. With the close
-      // enqueued, a dead connection merely drops the reply; FinishOrdinal
-      // still runs in CompleteClose.
+      // submitted, a dead connection merely drops the reply; the scheduler
+      // still finishes the ordinal.
       FlushConn(loop, conn);
       return !conn->dead;
     }
@@ -683,7 +648,7 @@ bool ReportServer::HandleHello(Loop& loop,
   // exactly when an id is present.
   const uint64_t ordinal = hello.value().ordinal;
   // One read of the epoch serves the tag check, the WAL open record and
-  // HELLO_OK; RegisterOrdinal refuses the HELLO if the operator advanced
+  // HELLO_OK; Register refuses the HELLO if the operator advanced
   // the epoch since, so a HELLO verified for epoch e never opens a shard
   // in e+1.
   const uint32_t epoch = session_->current_epoch();
@@ -718,7 +683,7 @@ bool ReportServer::HandleHello(Loop& loop,
   Status refusal = peer.ok()
                        ? stream::CheckHeadersCompatible(expected_, peer.value())
                        : peer.status();
-  if (refusal.ok()) refusal = RegisterOrdinal(ordinal, epoch);
+  if (refusal.ok()) refusal = scheduler_.Register(ordinal, epoch);
   if (!refusal.ok()) {
     return RefuseHello(loop, conn, ordinal, refusal,
                        /*unauthenticated=*/false);
@@ -749,7 +714,7 @@ bool ReportServer::HandleHello(Loop& loop,
     if (!opened.ok()) {
       // Release the ordinal the way an abandoned shard would: the campaign
       // proceeds with this reporter's shard simply missing.
-      FinishOrdinal(state.ordinal);
+      scheduler_.Finish(state.ordinal);
       return RefuseHello(loop, conn, ordinal, opened.status(),
                          /*unauthenticated=*/false);
     }
@@ -881,12 +846,7 @@ void ReportServer::HandleConnFailure(Loop& loop,
     // A drain-stop wakes idle connections by shutting their sockets down;
     // that read failure is bookkeeping, not a protocol error. A failure
     // with shards open is the peer's loss (abandonment), not bad framing.
-    bool stopping;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stopping = stop_accepting_;
-    }
-    count = had_channels == 0 && !stopping;
+    count = had_channels == 0 && !Stopping();
   }
   if (count) CountProtocolError();
   DestroyConn(loop, conn);
@@ -922,7 +882,7 @@ size_t ReportServer::AbandonConnChannels(const std::shared_ptr<Conn>& conn) {
   for (const ChannelState& state : doomed) {
     if (options_.wal != nullptr) options_.wal->OnShardAbandon(state.shard);
     (void)session_->AbandonShard(state.shard);
-    FinishOrdinal(state.ordinal);
+    scheduler_.Finish(state.ordinal);
     CountAbandoned();
   }
   return total;
@@ -1014,102 +974,11 @@ void ReportServer::QueueMessage(const std::shared_ptr<Conn>& conn,
   conn->outbuf.append(wire);
 }
 
-// --- merge scheduler -------------------------------------------------------
+// --- merge verdicts and epochs ---------------------------------------------
 
-void ReportServer::SchedulerMain() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (true) {
-    // A close is ready when its ordinal holds the merge turn — or the
-    // server is tearing down, in which case everything "readies" as an
-    // abandonment.
-    uint64_t ready_ordinal = 0;
-    bool have_ready = false;
-    if (!pending_closes_.empty()) {
-      if (hard_stop_ || scheduler_exit_) {
-        ready_ordinal = pending_closes_.begin()->first;
-        have_ready = true;
-      } else if (options_.expected_shards > 0) {
-        // Strict barrier: only the frontier ordinal may merge.
-        auto found = pending_closes_.find(merge_frontier_);
-        if (found != pending_closes_.end()) {
-          ready_ordinal = found->first;
-          have_ready = true;
-        }
-      } else if (!active_ordinals_.empty()) {
-        // Ad hoc: the smallest ordinal still open holds the turn.
-        auto found = pending_closes_.find(*active_ordinals_.begin());
-        if (found != pending_closes_.end()) {
-          ready_ordinal = found->first;
-          have_ready = true;
-        }
-      }
-    }
-    if (have_ready) {
-      PendingClose close = std::move(pending_closes_[ready_ordinal]);
-      pending_closes_.erase(ready_ordinal);
-      const bool stopping = hard_stop_ || scheduler_exit_;
-      lock.unlock();
-      CompleteClose(std::move(close), /*got_turn=*/!stopping, stopping);
-      lock.lock();
-      continue;
-    }
-    // Guard against a campaign whose predecessor ordinal never arrives:
-    // a close that outwaits merge_turn_timeout_ms is abandoned.
-    const SteadyTime now = std::chrono::steady_clock::now();
-    bool expired_one = false;
-    for (auto it = pending_closes_.begin(); it != pending_closes_.end();
-         ++it) {
-      if (!it->second.has_deadline || it->second.deadline > now) continue;
-      PendingClose close = std::move(it->second);
-      pending_closes_.erase(it);
-      lock.unlock();
-      CompleteClose(std::move(close), /*got_turn=*/false, /*stopping=*/false);
-      lock.lock();
-      expired_one = true;
-      break;  // iterators are stale; rescan
-    }
-    if (expired_one) continue;
-    if (scheduler_exit_ && pending_closes_.empty()) return;
-    SteadyTime nearest = SteadyTime::max();
-    for (const auto& [ordinal, close] : pending_closes_) {
-      if (close.has_deadline) nearest = std::min(nearest, close.deadline);
-    }
-    if (nearest == SteadyTime::max()) {
-      merge_cv_.wait(lock);
-    } else {
-      merge_cv_.wait_until(lock, nearest);
-    }
-  }
-}
-
-void ReportServer::CompleteClose(PendingClose close, bool got_turn,
-                                 bool stopping) {
-  if (metrics_.enabled() && close.enqueued_ns != 0) {
-    // The barrier wait alone — how long this ordinal stalled on its
-    // predecessors — not the close/merge work that follows.
-    metrics_.merge_barrier_wait_us->Observe(
-        (obs::SteadyNowNs() - close.enqueued_ns) / 1000);
-  }
-  Status closed = Status::OK();
-  if (got_turn) {
-    // The close record carries the merge order: written while holding the
-    // merge turn, so a replay closes shards in exactly this sequence.
-    if (options_.wal != nullptr) options_.wal->OnShardClose(close.shard);
-    closed = session_->CloseShard(close.shard);
-  } else {
-    if (options_.wal != nullptr) options_.wal->OnShardAbandon(close.shard);
-    (void)session_->AbandonShard(close.shard);
-    closed = stopping
-                 ? Status::FailedPrecondition("collector is shutting down")
-                 : Status::FailedPrecondition(
-                       "timed out waiting for the merge turn (a smaller "
-                       "ordinal never finished)");
-  }
-  FinishOrdinal(close.ordinal);
-  if (options_.journal != nullptr) {
-    options_.journal->Record(obs::EventKind::kMergeExit, close.ordinal,
-                             closed.ok() ? 0 : 1);
-  }
+void ReportServer::DeliverVerdict(const MergeScheduler::Close& close,
+                                  const Status& closed) {
+  const auto conn = std::static_pointer_cast<Conn>(close.reply_to);
   ShardClosedMessage reply;
   reply.channel = close.channel;
   reply.code = static_cast<uint8_t>(closed.code());
@@ -1132,105 +1001,49 @@ void ReportServer::CompleteClose(PendingClose close, bool got_turn,
         ->Increment();
   }
   std::string wire;
-  if (!AppendMessage(MessageType::kShardClosed, EncodeShardClosed(reply),
-                     &wire)
-           .ok()) {
-    wire.clear();
-  }
+  const bool encoded = AppendMessage(MessageType::kShardClosed,
+                                     EncodeShardClosed(reply), &wire)
+                           .ok();
   bool deliver = false;
   {
-    std::lock_guard<std::mutex> conn_lock(close.conn->mutex);
-    close.conn->channels.erase(close.channel);
-    if (!close.conn->dead && !wire.empty()) {
-      close.conn->outbuf.append(wire);
+    std::lock_guard<std::mutex> conn_lock(conn->mutex);
+    conn->channels.erase(close.channel);
+    if (!conn->dead && encoded) {
+      conn->outbuf.append(wire);
       // During a drain, a connection whose last shard just closed has
       // nothing left to say once the reply flushes.
-      if (draining && close.conn->channels.empty()) {
-        close.conn->close_after_flush = true;
+      if (draining && conn->channels.empty()) {
+        conn->close_after_flush = true;
       }
       deliver = true;
     }
   }
   if (deliver) {
     // Only the owning loop touches the socket: hand it the flush.
-    Loop& loop = *loops_[close.conn->loop];
+    Loop& loop = *loops_[conn->loop];
     {
       std::lock_guard<std::mutex> loop_lock(loop.mutex);
-      loop.flush_inbox.push_back(close.conn);
+      loop.flush_inbox.push_back(conn);
     }
-    WakeLoop(close.conn->loop);
+    WakeLoop(conn->loop);
   }
 }
-
-// --- shared ordinal bookkeeping --------------------------------------------
 
 Status ReportServer::AdvanceEpoch() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!active_ordinals_.empty()) {
-    return Status::FailedPrecondition(
-        std::to_string(active_ordinals_.size()) +
-        " shard(s) still open; advance the epoch once they close");
-  }
-  // A new epoch has no pre-crash shards. A replayed shard whose reporter
-  // never came back is abandoned, or its open session shard would refuse
-  // every advance.
-  for (const auto& [ordinal, resumed] : resume_shards_) {
-    if (options_.wal != nullptr) options_.wal->OnShardAbandon(resumed.shard);
-    (void)session_->AbandonShard(resumed.shard);
-    ++stats_.shards_abandoned;
-    if (metrics_.enabled()) metrics_.shards_abandoned->Increment();
-  }
-  resume_shards_.clear();
-  LDP_RETURN_IF_ERROR(session_->AdvanceEpoch());
-  // A new epoch restarts the campaign: ordinals 0..N-1 stream again, so
-  // the expected-shards barrier resets.
-  done_ordinals_.clear();
-  merge_frontier_ = 0;
-  return Status::OK();
-}
-
-Status ReportServer::RegisterOrdinal(uint64_t ordinal, uint32_t epoch) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  // AdvanceEpoch runs under mutex_ and only while no ordinal is active, so
-  // once this check passes the epoch stays put until the ordinal finishes.
-  const uint32_t current = session_->current_epoch();
-  if (current != epoch) {
-    return Status::FailedPrecondition(
-        "the collection epoch advanced to " + std::to_string(current) +
-        " while this HELLO was being verified");
-  }
-  if (options_.expected_shards > 0) {
-    if (ordinal >= options_.expected_shards) {
-      return Status::OutOfRange(
-          "shard ordinal exceeds the campaign's expected shard count");
-    }
-    if (done_ordinals_.count(ordinal) != 0) {
-      return Status::AlreadyExists(
-          "shard ordinal already completed this epoch");
-    }
-  }
-  if (!active_ordinals_.insert(ordinal).second) {
-    return Status::AlreadyExists("shard ordinal is already streaming");
-  }
-  return Status::OK();
-}
-
-void ReportServer::FinishOrdinal(uint64_t ordinal) {
-  {
+  return scheduler_.AdvanceEpoch([this] {
+    // A new epoch has no pre-crash shards. A replayed shard whose reporter
+    // never came back is abandoned, or its open session shard would refuse
+    // every advance.
     std::lock_guard<std::mutex> lock(mutex_);
-    active_ordinals_.erase(ordinal);
-    if (options_.expected_shards > 0) {
-      // An abandoned ordinal counts as finished too: the barrier must not
-      // wedge the campaign on a reporter that died (its shard is simply
-      // missing, exactly as a missing file would be).
-      done_ordinals_.insert(ordinal);
-      while (merge_frontier_ < options_.expected_shards &&
-             done_ordinals_.count(merge_frontier_) != 0) {
-        ++merge_frontier_;
-      }
+    for (const auto& [ordinal, resumed] : resume_shards_) {
+      if (options_.wal != nullptr) options_.wal->OnShardAbandon(resumed.shard);
+      (void)session_->AbandonShard(resumed.shard);
+      ++stats_.shards_abandoned;
+      if (metrics_.enabled()) metrics_.shards_abandoned->Increment();
     }
-  }
-  merge_cv_.notify_all();
+    resume_shards_.clear();
+    return session_->AdvanceEpoch();
+  });
 }
 
 void ReportServer::CountProtocolError() {

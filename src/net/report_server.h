@@ -1,6 +1,6 @@
 // ReportServer: the network ingestion edge of a collection deployment. It
 // owns a Listener (TCP or Unix-domain) and an event-driven core: N loop
-// threads (Options::acceptors) each drive a Poller over non-blocking
+// threads (Options::acceptors) each drive an epoll Poller over non-blocking
 // sockets, running a small per-connection state machine (reading-prefix →
 // reading-payload → dispatch) that feeds DATA bytes straight into
 // api::ServerSession::Feed — the same zero-copy framing, per-shard strand
@@ -26,28 +26,15 @@
 // verification is HELLO-only: the DATA hot path is untouched. Only the
 // operator moves the epoch (AdvanceEpoch); no message on the wire can.
 //
-// Determinism: closed shards merge in ascending HELLO *ordinal* order, not
-// connection-completion order (floating-point accumulation makes merge
-// order observable). With Options::expected_shards = N this is a strict
-// barrier over ordinals 0..N-1 — the session is bit-identical to the
-// file-based `ldp_aggregate shard-0 ... shard-N-1` run and to the
-// in-process Pipeline::Collect run, no matter when each connection arrives
-// or finishes — the property the net e2e tests and CI pin down. In ad hoc
-// mode (expected_shards = 0) the ordering covers shards open concurrently;
-// a smaller ordinal that connects only after a larger one already closed
-// merges late.
-//
-// Threading: loop threads never block on the merge barrier — a CLOSE_SHARD
-// whose turn has not come is handed to a dedicated merge-scheduler thread
-// (otherwise ordinal k's close could deadlock waiting for ordinal j served
-// by the same loop). The scheduler claims turns in barrier order, performs
-// the WAL close + session merge, and queues the SHARD_CLOSED reply back to
-// the owning loop; replies to other channels on that connection keep
-// flowing meanwhile. The ServerSession surface is thread-safe (PR 4), so
-// loops feed disjoint shards without further coordination. One caveat
-// versus the old thread-per-connection design: a shard held at Feed's
-// backpressure bound stalls its whole loop (bounded by the ingest pool's
-// drain rate), not just its own connection.
+// Determinism and threading: closed shards merge in ascending HELLO
+// *ordinal* order, not connection-completion order. A CLOSE_SHARD is
+// handed to the MergeScheduler (net/merge_scheduler.h), which alone knows
+// the merge-turn rule; the server queues each verdict's SHARD_CLOSED reply
+// on the owning loop, and replies to other channels keep flowing meanwhile.
+// The ServerSession surface is thread-safe, so loops feed disjoint shards
+// without further coordination. A shard held at Feed's backpressure bound
+// stalls its whole loop (bounded by the ingest pool's drain rate), not
+// just its own connection.
 
 #ifndef LDP_NET_REPORT_SERVER_H_
 #define LDP_NET_REPORT_SERVER_H_
@@ -65,6 +52,7 @@
 #include <vector>
 
 #include "api/server_session.h"
+#include "net/merge_scheduler.h"
 #include "net/poller.h"
 #include "net/protocol.h"
 #include "net/socket.h"
@@ -119,9 +107,6 @@ struct ReportServerOptions {
   /// Event-loop threads (at least 1). Each drives its own Poller over a
   /// share of the connections; new connections are dealt round-robin.
   unsigned acceptors = 1;
-  /// Readiness backend. kEpoll (the default) falls back to poll(2) on
-  /// platforms without epoll; tests force kPoll to exercise the fallback.
-  PollerBackend poller = PollerBackend::kEpoll;
   /// Reap a connection that takes longer than this to complete a protocol
   /// message, or sits idle between messages this long (0 = wait forever).
   /// The budget covers a whole prefix or payload — partial reads do not
@@ -133,13 +118,10 @@ struct ReportServerOptions {
   /// so Stop(drain) cannot hang on a peer that never reads its verdict.
   int idle_timeout_ms = 30000;
   /// When nonzero, the campaign's fleet size: every epoch expects shards
-  /// with ordinals exactly 0..expected_shards-1, and ordinal k's merge
-  /// waits until every smaller ordinal has merged or abandoned — a strict
-  /// barrier, so the session is bit-identical to the ordinal-ordered file
-  /// run even when a smaller ordinal connects long after a larger one
-  /// closed. At 0 (ad hoc), merges are ordered only among shards open
-  /// concurrently: a late-connecting smaller ordinal may merge after an
-  /// earlier-closing larger one.
+  /// with ordinals exactly 0..expected_shards-1, and ordinal k merges only
+  /// after every smaller ordinal has merged or abandoned (a strict barrier;
+  /// see net/merge_scheduler.h). At 0 (ad hoc), merges are ordered only
+  /// among shards open concurrently.
   uint64_t expected_shards = 0;
   /// Bound on how long a CLOSE_SHARD may wait for its merge turn before
   /// the shard is abandoned (0 = wait forever). Guards against a campaign
@@ -305,18 +287,6 @@ class ReportServer {
     bool woken = false;  // coalesces wake-pipe writes
   };
 
-  /// A CLOSE_SHARD waiting for its merge turn, keyed by ordinal in the
-  /// scheduler's map.
-  struct PendingClose {
-    std::shared_ptr<Conn> conn;
-    uint32_t channel = 0;
-    size_t shard = 0;
-    uint64_t ordinal = 0;
-    uint64_t enqueued_ns = 0;
-    SteadyTime deadline{};
-    bool has_deadline = false;
-  };
-
   ReportServer(api::ServerSession* session, stream::StreamHeader expected,
                ReportServerOptions options);
 
@@ -364,20 +334,12 @@ class ReportServer {
                     const std::string& payload);
   void ArmDeadline(const std::shared_ptr<Conn>& conn);
 
-  // --- merge scheduler -------------------------------------------------
-  void SchedulerMain();
-  /// Completes one pending close: merge (got_turn) or abandon; stats,
-  /// journal, and the SHARD_CLOSED reply routed to the owning loop.
-  void CompleteClose(PendingClose close, bool got_turn, bool stopping);
-
-  /// Validates and claims `ordinal` for a new shard (bounds and duplicate
-  /// checks; see Options::expected_shards). Refused when the session is no
-  /// longer at `epoch`, the epoch the HELLO was verified for.
-  Status RegisterOrdinal(uint64_t ordinal, uint32_t epoch);
-  /// Marks `ordinal` finished (merged or abandoned): removes it from the
-  /// active set, advances the expected-shards frontier, wakes the
-  /// scheduler.
-  void FinishOrdinal(uint64_t ordinal);
+  /// The scheduler's verdict callback: counts the merge or discard and
+  /// queues SHARD_CLOSED on the owning loop (runs on the scheduler thread).
+  void DeliverVerdict(const MergeScheduler::Close& close,
+                      const Status& closed);
+  /// Stop has begun (stop_accepting_, read under mutex_).
+  bool Stopping() const;
   void CountProtocolError();
   void CountAbandoned();
 
@@ -388,23 +350,9 @@ class ReportServer {
 
   Listener listener_;
   std::vector<std::unique_ptr<Loop>> loops_;
-  std::thread scheduler_;
   size_t rr_next_ = 0;  // round-robin loop assignment (loop 0 thread only)
 
   mutable std::mutex mutex_;
-  /// Scheduler wake: a close enqueued, an ordinal finished, or stopping.
-  std::condition_variable merge_cv_;
-  /// CLOSE_SHARDs waiting for their merge turn, keyed by ordinal (an
-  /// ordinal is active until finished, so keys are unique).
-  std::map<uint64_t, PendingClose> pending_closes_;
-  /// Ordinals of open shards; in ad hoc mode the smallest holds the turn.
-  std::set<uint64_t> active_ordinals_;
-  /// Expected-shards mode only: ordinals finished (merged or abandoned)
-  /// in the current epoch, and the barrier frontier — the smallest ordinal
-  /// not yet finished, i.e. the one holding the merge turn. Both reset
-  /// when the epoch advances.
-  std::set<uint64_t> done_ordinals_;
-  uint64_t merge_frontier_ = 0;
   /// Replay-resumable shards not yet claimed by a HELLO (see Options).
   std::unordered_map<uint64_t, ResumedShard> resume_shards_;
   /// The latest snapshot accepted from each relay node. An ordered map so
@@ -421,9 +369,9 @@ class ReportServer {
   ReportServerStats stats_;
   std::condition_variable stopped_cv_;  // signalled when a Stop completes
   bool stop_accepting_ = false;
-  bool hard_stop_ = false;
-  bool scheduler_exit_ = false;  // loops joined; drain the queue and leave
-  bool stopped_ = false;         // Stop already ran (threads joined)
+  bool stopped_ = false;  // Stop already ran (threads joined)
+  /// Last: its thread calls DeliverVerdict, which uses the members above.
+  MergeScheduler scheduler_;
 };
 
 }  // namespace ldp::net

@@ -15,6 +15,7 @@
 #include <tuple>
 #include <utility>
 
+#include "core/wire.h"
 #include "obs/journal.h"
 #include "util/check.h"
 
@@ -22,45 +23,11 @@ namespace ldp::relay {
 
 namespace {
 
-// Explicit little-endian (de)serialization — the on-disk format must not
-// depend on host byte order.
-void PutLe16(std::string* out, uint16_t v) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>((v >> 8) & 0xff));
-}
-
-void PutLe32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutLe64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void StoreLe32(char* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-uint16_t LoadLe16(const char* p) {
-  const unsigned char* u = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<uint16_t>(u[0] | (u[1] << 8));
-}
-
-uint32_t LoadLe32(const char* p) {
-  const unsigned char* u = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<uint32_t>(u[0]) | (static_cast<uint32_t>(u[1]) << 8) |
-         (static_cast<uint32_t>(u[2]) << 16) |
-         (static_cast<uint32_t>(u[3]) << 24);
-}
-
-uint64_t LoadLe64(const char* p) {
-  return static_cast<uint64_t>(LoadLe32(p)) |
-         (static_cast<uint64_t>(LoadLe32(p + 4)) << 32);
-}
+using internal_wire::LoadLittleEndian;
+using internal_wire::PutU16;
+using internal_wire::PutU32;
+using internal_wire::PutU64;
+using internal_wire::StoreLittleEndian;
 
 // A record's length field larger than this means the framing is garbage,
 // not merely torn: DATA payloads are bounded at 4 MiB by the wire protocol
@@ -74,8 +41,9 @@ RecordHead EncodeRecordHead(WalRecordType type, const void* payload,
                             size_t size) {
   RecordHead head;
   head[0] = static_cast<char>(type);
-  StoreLe32(head.data() + 1, static_cast<uint32_t>(size));
-  StoreLe32(head.data() + 5, Crc32(payload, size, Crc32(head.data(), 5)));
+  StoreLittleEndian(head.data() + 1, static_cast<uint32_t>(size));
+  StoreLittleEndian(head.data() + 5,
+                    Crc32(payload, size, Crc32(head.data(), 5)));
   return head;
 }
 
@@ -185,13 +153,13 @@ Status ReadInstance(const std::string& path, bool truncate,
     instance->abandoned = true;
     return Status::OK();
   }
-  if (LoadLe32(bytes.data()) != kWalMagic ||
-      LoadLe16(bytes.data() + 4) != kWalVersion) {
+  if (LoadLittleEndian<uint32_t>(bytes.data()) != kWalMagic ||
+      LoadLittleEndian<uint16_t>(bytes.data() + 4) != kWalVersion) {
     instance->corrupt = true;
     return Status::OK();
   }
-  const uint32_t epoch = LoadLe32(bytes.data() + 6);
-  const uint64_t ordinal = LoadLe64(bytes.data() + 10);
+  const uint32_t epoch = LoadLittleEndian<uint32_t>(bytes.data() + 6);
+  const uint64_t ordinal = LoadLittleEndian<uint64_t>(bytes.data() + 10);
   if (epoch != instance->epoch || ordinal != instance->ordinal) {
     // The name (our only source of `generation`) disagrees with the file.
     instance->corrupt = true;
@@ -202,8 +170,9 @@ Status ReadInstance(const std::string& path, bool truncate,
   while (cursor < bytes.size()) {
     if (bytes.size() - cursor < kWalRecordHeaderBytes) break;  // torn tail
     const uint8_t type = static_cast<uint8_t>(bytes[cursor]);
-    const uint32_t length = LoadLe32(bytes.data() + cursor + 1);
-    const uint32_t stored_crc = LoadLe32(bytes.data() + cursor + 5);
+    const char* head = bytes.data() + cursor;
+    const uint32_t length = LoadLittleEndian<uint32_t>(head + 1);
+    const uint32_t stored_crc = LoadLittleEndian<uint32_t>(head + 5);
     if (length > kMaxWalRecordPayload) {
       instance->corrupt = true;
       return Status::OK();
@@ -222,11 +191,12 @@ Status ReadInstance(const std::string& path, bool truncate,
       case WalRecordType::kHeader: {
         // u16 reporter-id length, the id, then the stream header.
         if (!instance->header_bytes.empty() || length < 2 ||
-            static_cast<size_t>(2) + LoadLe16(payload) > length) {
+            static_cast<size_t>(2) + LoadLittleEndian<uint16_t>(payload) >
+                length) {
           instance->corrupt = true;
           return Status::OK();
         }
-        const uint16_t id_length = LoadLe16(payload);
+        const uint16_t id_length = LoadLittleEndian<uint16_t>(payload);
         instance->reporter_id.assign(payload + 2, id_length);
         instance->header_bytes.assign(payload + 2 + id_length,
                                       length - 2 - id_length);
@@ -242,7 +212,7 @@ Status ReadInstance(const std::string& path, bool truncate,
           return Status::OK();
         }
         instance->closed = true;
-        instance->close_seq = LoadLe64(payload);
+        instance->close_seq = LoadLittleEndian<uint64_t>(payload);
         break;
       case WalRecordType::kAbandon:
         instance->abandoned = true;
@@ -472,8 +442,8 @@ uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
   uint32_t crc = ~seed;
   const char* bytes = static_cast<const char*>(data);
   for (; size >= 8; bytes += 8, size -= 8) {
-    const uint32_t low = crc ^ LoadLe32(bytes);
-    const uint32_t high = LoadLe32(bytes + 4);
+    const uint32_t low = crc ^ LoadLittleEndian<uint32_t>(bytes);
+    const uint32_t high = LoadLittleEndian<uint32_t>(bytes + 4);
     crc = tables[7][low & 0xffu] ^ tables[6][(low >> 8) & 0xffu] ^
           tables[5][(low >> 16) & 0xffu] ^ tables[4][low >> 24] ^
           tables[3][high & 0xffu] ^ tables[2][(high >> 8) & 0xffu] ^
@@ -605,15 +575,15 @@ void FrameWal::OnShardOpen(size_t shard, uint64_t ordinal, uint32_t epoch,
   // record leaves a truncated-header file, which replays as an empty
   // attempt.
   std::string head;
-  PutLe32(&head, kWalMagic);
-  PutLe16(&head, kWalVersion);
-  PutLe32(&head, epoch);
-  PutLe64(&head, ordinal);
+  PutU32(&head, kWalMagic);
+  PutU16(&head, kWalVersion);
+  PutU32(&head, epoch);
+  PutU64(&head, ordinal);
   iovec file_head = {head.data(), head.size()};
   WriteFully(fd, &file_head, 1, "WAL file header write failed");
   const uint64_t started_ns = metrics_.enabled() ? obs::SteadyNowNs() : 0;
   std::string open_payload;
-  PutLe16(&open_payload, static_cast<uint16_t>(reporter_id.size()));
+  PutU16(&open_payload, static_cast<uint16_t>(reporter_id.size()));
   open_payload.append(reporter_id);
   open_payload.append(header_bytes);
   AppendRecord(fd,
@@ -642,7 +612,7 @@ void FrameWal::OnShardClose(size_t shard) {
   if (it == fds_.end()) return;
   // close_seq is assigned under the lock, so this 8-byte CRC is too.
   std::string payload;
-  PutLe64(&payload, next_close_seq_++);
+  PutU64(&payload, next_close_seq_++);
   AppendRecord(it->second,
                EncodeRecordHead(WalRecordType::kClose, payload.data(),
                                 payload.size()),

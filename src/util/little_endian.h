@@ -33,6 +33,13 @@ inline T LoadLittleEndian(const char* data) {
   return ToLittleEndian(value);
 }
 
+/// Writes `value` little-endian at `data`, which need not be aligned.
+template <typename T>
+inline void StoreLittleEndian(char* data, T value) {
+  const T wire = ToLittleEndian(value);
+  std::memcpy(data, &wire, sizeof(T));
+}
+
 }  // namespace ldp::internal_wire
 
 #endif  // LDP_UTIL_LITTLE_ENDIAN_H_

@@ -355,6 +355,70 @@ TEST(ReportServerTest, ReporterDyingAfterCloseNeverWedgesTheBarrier) {
   }
 }
 
+TEST(ReportServerTest, MergeTurnTimeoutDiscardsAnOrphanedClose) {
+  // Ordinal 1 closes while ordinal 0 never connects: the close outwaits
+  // merge_turn_timeout_ms and is discarded, which finishes ordinal 1 for
+  // the epoch. A late ordinal 0 then holds the turn and merges alone.
+  const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
+  const std::vector<std::string> streams = MakeShardStreams(pipeline, 2);
+
+  auto session = pipeline.NewServer();
+  ASSERT_TRUE(session.ok());
+  net::ReportServerOptions options;
+  options.expected_shards = 2;
+  options.merge_turn_timeout_ms = 300;
+  auto server =
+      net::ReportServer::Start(&session.value(), pipeline.header(),
+                               TestUdsEndpoint("turn_timeout"), options);
+  ASSERT_TRUE(server.ok());
+  const net::Endpoint endpoint = server.value()->endpoint();
+
+  auto orphan = net::CollectorClient::Connect(endpoint, pipeline.header(),
+                                              /*ordinal=*/1);
+  ASSERT_TRUE(orphan.ok());
+  ASSERT_TRUE(orphan.value()
+                  .Send(/*channel=*/0,
+                        streams[1].data() + stream::kStreamHeaderBytes,
+                        streams[1].size() - stream::kStreamHeaderBytes)
+                  .ok());
+  auto verdict = orphan.value().CloseShard(/*channel=*/0);
+  ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+  EXPECT_EQ(verdict.value().status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(verdict.value().status.message().find(
+                "timed out waiting for the merge turn"),
+            std::string::npos)
+      << verdict.value().status.ToString();
+  net::ReportServerStats stats = server.value()->stats();
+  EXPECT_EQ(stats.shards_discarded, 1u);
+  EXPECT_EQ(stats.shards_merged, 0u);
+
+  auto again = net::CollectorClient::Connect(endpoint, pipeline.header(),
+                                             /*ordinal=*/1);
+  ASSERT_FALSE(again.ok());
+  EXPECT_NE(again.status().message().find("already completed this epoch"),
+            std::string::npos)
+      << again.status().ToString();
+
+  auto late = net::CollectorClient::Connect(endpoint, pipeline.header(),
+                                            /*ordinal=*/0);
+  ASSERT_TRUE(late.ok());
+  ASSERT_TRUE(late.value()
+                  .Send(/*channel=*/0,
+                        streams[0].data() + stream::kStreamHeaderBytes,
+                        streams[0].size() - stream::kStreamHeaderBytes)
+                  .ok());
+  auto merged = late.value().CloseShard(/*channel=*/0);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_TRUE(merged.value().status.ok()) << merged.value().status.ToString();
+  server.value()->Stop(/*drain=*/true);
+
+  stats = server.value()->stats();
+  EXPECT_EQ(stats.shards_merged, 1u);
+  EXPECT_EQ(stats.shards_discarded, 1u);
+  EXPECT_EQ(session.value().Snapshot(),
+            DirectSessionSnapshot(pipeline, {streams[0]}));
+}
+
 TEST(ReportServerTest, MultiplexedShardsOverOneConnectionAreBitIdentical) {
   // All four shards ride ONE connection as interleaved channels; the
   // event-driven server demultiplexes them and the merge barrier still
@@ -422,46 +486,6 @@ TEST(ReportServerTest, MultiplexedShardsOverOneConnectionAreBitIdentical) {
   EXPECT_EQ(stats.connections, 1u);
   EXPECT_EQ(stats.shards_merged, streams.size());
   EXPECT_EQ(stats.shards_abandoned, 0u);
-  EXPECT_EQ(session.value().Snapshot(), reference);
-}
-
-TEST(ReportServerTest, PollBackendCampaignIsBitIdentical) {
-  // The portable poll(2) backend must be behaviorally indistinguishable
-  // from epoll — same campaign, same bytes.
-  const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
-  const std::vector<std::string> streams = MakeShardStreams(pipeline, 3);
-  const std::string reference = DirectSessionSnapshot(pipeline, streams);
-
-  api::ServerSessionOptions session_options;
-  auto session = pipeline.NewServer(session_options);
-  ASSERT_TRUE(session.ok());
-  net::ReportServerOptions options;
-  options.poller = net::PollerBackend::kPoll;
-  options.acceptors = 2;
-  options.expected_shards = streams.size();
-  auto server =
-      net::ReportServer::Start(&session.value(), pipeline.header(),
-                               TestUdsEndpoint("poll_backend"), options);
-  ASSERT_TRUE(server.ok());
-
-  std::vector<std::thread> reporters;
-  for (size_t s = 0; s < streams.size(); ++s) {
-    reporters.emplace_back([&, s] {
-      auto client = net::CollectorClient::Connect(server.value()->endpoint(),
-                                                  pipeline.header(), s);
-      ASSERT_TRUE(client.ok()) << client.status().ToString();
-      ASSERT_TRUE(client.value()
-                      .Send(/*channel=*/0,
-                            streams[s].data() + stream::kStreamHeaderBytes,
-                            streams[s].size() - stream::kStreamHeaderBytes)
-                      .ok());
-      auto summary = client.value().CloseShard(/*channel=*/0);
-      ASSERT_TRUE(summary.ok());
-      EXPECT_TRUE(summary.value().status.ok());
-    });
-  }
-  for (std::thread& reporter : reporters) reporter.join();
-  server.value()->Stop(/*drain=*/true);
   EXPECT_EQ(session.value().Snapshot(), reference);
 }
 

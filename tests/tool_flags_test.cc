@@ -40,6 +40,8 @@ TEST(IdentityFlagTest, Table) {
       {"--node-id", "0", kAllIdentityFlags, true, true},
       {"--node-id", "4x2", kAllIdentityFlags, true, false},
       {"--node-id", "", kAllIdentityFlags, true, false},
+      {"--node-id", "-1", kAllIdentityFlags, true, false},
+      {"--node-id", "+4", kAllIdentityFlags, true, false},
       {"--node-id", "42", kFlagReporterId | kFlagCampaignKey, false, true},
       // Non-identity flags never match, whatever is enabled.
       {"--oracle", "oue", kAllIdentityFlags, false, true},
@@ -103,6 +105,59 @@ TEST(IdentityFlagTest, ReporterIdentityPairingRule) {
     std::string error;
     EXPECT_EQ(CheckReporterIdentity(flags, &error), c.ok);
     EXPECT_EQ(error.empty(), c.ok) << error;
+  }
+}
+
+TEST(CountFlagTest, Table) {
+  struct CountCase {
+    const char* text;
+    bool ok;
+    unsigned value;
+  };
+  const CountCase kCases[] = {
+      {"0", true, 0},
+      {"7", true, 7},
+      {"1024", true, 1024},
+      {"-1", false, 0},  // strtoul would read ULONG_MAX
+      {"4x", false, 0},
+      {"abc", false, 0},
+      {"", false, 0},
+      {"+4", false, 0},
+      {" 4", false, 0},
+      {"18446744073709551616", false, 0},  // 2^64
+      {"1025", false, 0},                  // past kMaxThreadsFlag
+  };
+  for (const CountCase& c : kCases) {
+    SCOPED_TRACE(std::string("'") + c.text + "'");
+    unsigned threads = 99;
+    EXPECT_EQ(ParseCountFlag(c.text, &threads, kMaxThreadsFlag), c.ok);
+    EXPECT_EQ(threads, c.ok ? c.value : 99u);  // untouched when refused
+  }
+}
+
+TEST(CountFlagTest, ValueMustFitTheField) {
+  uint32_t epochs = 0;
+  EXPECT_TRUE(ParseCountFlag("4294967295", &epochs));
+  EXPECT_EQ(epochs, 4294967295u);
+  EXPECT_FALSE(ParseCountFlag("4294967296", &epochs));
+  int timeout_ms = 0;
+  EXPECT_TRUE(ParseCountFlag("2147483647", &timeout_ms));
+  EXPECT_FALSE(ParseCountFlag("2147483648", &timeout_ms));
+  uint64_t seed = 0;
+  EXPECT_TRUE(ParseCountFlag("18446744073709551615", &seed));
+  EXPECT_EQ(seed, UINT64_MAX);
+}
+
+TEST(RealFlagTest, WholeStringMustParse) {
+  double value = 0.0;
+  for (const char* good : {"4", "0.5", "1e-3", "-2"}) {
+    SCOPED_TRACE(good);
+    EXPECT_TRUE(ParseRealFlag(good, &value));
+  }
+  EXPECT_EQ(value, -2.0);
+  for (const char* bad : {"", "4x", "abc", " 4", "4 "}) {
+    SCOPED_TRACE(std::string("'") + bad + "'");
+    EXPECT_FALSE(ParseRealFlag(bad, &value));
   }
 }
 

@@ -166,31 +166,29 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    bool parsed = true;  // false: exit 2 with the usage text below
     if (arg == "--schema") {
       schema_path = next();
     } else if (arg == "--confidence") {
-      confidence = std::strtod(next(), nullptr);
+      parsed = tools::ParseRealFlag(next(), &confidence);
     } else if (arg == "--threads") {
-      threads = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+      parsed = tools::ParseCountFlag(next(), &threads, tools::kMaxThreadsFlag);
     } else if (arg == "--max-rejected") {
-      ingest_options.max_rejected = std::strtoull(next(), nullptr, 10);
+      parsed = tools::ParseCountFlag(next(), &ingest_options.max_rejected);
     } else if (arg == "--epoch") {
-      const char* text = next();
-      char* end = nullptr;
-      selected_epoch = std::strtol(text, &end, 10);
-      if (end == text || *end != '\0' || selected_epoch < 0) {
-        Usage();
-        return 2;
-      }
+      parsed = tools::ParseCountFlag(next(), &selected_epoch);
     } else if (arg == "--snapshot-out") {
       snapshot_out = next();
     } else if (arg == "--metrics-out") {
       metrics_out = next();
     } else if (!arg.empty() && arg[0] == '-') {
-      Usage();
-      return 2;
+      parsed = false;
     } else {
       shard_paths.push_back(arg);
+    }
+    if (!parsed) {
+      Usage();
+      return 2;
     }
   }
   if (schema_path.empty() || shard_paths.empty()) {

@@ -86,18 +86,19 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    bool parsed = true;  // false: exit 2 with the usage text below
     if (arg == "--schema") {
       schema_path = next();
     } else if (arg == "--data") {
       data_path = next();
     } else if (arg == "--epsilon") {
-      epsilon = std::strtod(next(), nullptr);
+      parsed = tools::ParseRealFlag(next(), &epsilon);
     } else if (arg == "--confidence") {
-      confidence = std::strtod(next(), nullptr);
+      parsed = tools::ParseRealFlag(next(), &confidence);
     } else if (arg == "--seed") {
-      seed = std::strtoull(next(), nullptr, 10);
+      parsed = tools::ParseCountFlag(next(), &seed);
     } else if (arg == "--threads") {
-      threads = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+      parsed = tools::ParseCountFlag(next(), &threads, tools::kMaxThreadsFlag);
     } else if (arg == "--metrics-out") {
       metrics_out = next();
     } else if (tools::ParseIdentityFlag(arg, next, tools::kFlagReporterId,
@@ -108,16 +109,13 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--mechanism") {
-      if (!tools::ParseMechanismFlag(next(), &mechanism)) {
-        Usage();
-        return 2;
-      }
+      parsed = tools::ParseMechanismFlag(next(), &mechanism);
     } else if (arg == "--oracle") {
-      if (!tools::ParseOracleFlag(next(), &oracle)) {
-        Usage();
-        return 2;
-      }
+      parsed = tools::ParseOracleFlag(next(), &oracle);
     } else {
+      parsed = false;
+    }
+    if (!parsed) {
       Usage();
       return 2;
     }

@@ -14,6 +14,7 @@
 #include "data/census.h"
 #include "data/csv.h"
 #include "data/schema_text.h"
+#include "tool_flags.h"
 #include "util/build_info.h"
 
 namespace {
@@ -46,15 +47,19 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    bool parsed = true;  // false: exit 2 with the usage text below
     if (arg == "--dataset") {
       dataset = next();
     } else if (arg == "--rows") {
-      rows = std::strtoull(next(), nullptr, 10);
+      parsed = ldp::tools::ParseCountFlag(next(), &rows);
     } else if (arg == "--out") {
       prefix = next();
     } else if (arg == "--seed") {
-      seed = std::strtoull(next(), nullptr, 10);
+      parsed = ldp::tools::ParseCountFlag(next(), &seed);
     } else {
+      parsed = false;
+    }
+    if (!parsed) {
       Usage();
       return 2;
     }

@@ -182,28 +182,23 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    bool parsed = true;  // false: exit 2 with the usage text below
     if (arg == "--schema") {
       schema_path = next();
     } else if (arg == "--data") {
       data_path = next();
     } else if (arg == "--epsilon") {
-      epsilon = std::strtod(next(), nullptr);
+      parsed = tools::ParseRealFlag(next(), &epsilon);
     } else if (arg == "--out") {
       prefix = next();
     } else if (arg == "--connect") {
       connect_spec = next();
     } else if (arg == "--shards") {
-      shards = std::strtoull(next(), nullptr, 10);
+      parsed = tools::ParseCountFlag(next(), &shards);
     } else if (arg == "--shard-index") {
-      const char* text = next();
-      char* end = nullptr;
-      shard_index = std::strtol(text, &end, 10);
-      if (end == text || *end != '\0' || shard_index < 0) {
-        Usage();
-        return 2;
-      }
+      parsed = tools::ParseCountFlag(next(), &shard_index);
     } else if (arg == "--seed") {
-      seed = std::strtoull(next(), nullptr, 10);
+      parsed = tools::ParseCountFlag(next(), &seed);
     } else if (arg == "--metrics-out") {
       metrics_out = next();
     } else if (tools::ParseIdentityFlag(
@@ -215,16 +210,13 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--mechanism") {
-      if (!tools::ParseMechanismFlag(next(), &mechanism)) {
-        Usage();
-        return 2;
-      }
+      parsed = tools::ParseMechanismFlag(next(), &mechanism);
     } else if (arg == "--oracle") {
-      if (!tools::ParseOracleFlag(next(), &oracle)) {
-        Usage();
-        return 2;
-      }
+      parsed = tools::ParseOracleFlag(next(), &oracle);
     } else {
+      parsed = false;
+    }
+    if (!parsed) {
       Usage();
       return 2;
     }

@@ -58,6 +58,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 
@@ -147,35 +148,34 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    bool parsed = true;  // false: exit 2 with the usage text below
     if (arg == "--schema") {
       schema_path = next();
     } else if (arg == "--epsilon") {
-      epsilon = std::strtod(next(), nullptr);
+      parsed = tools::ParseRealFlag(next(), &epsilon);
     } else if (arg == "--listen") {
       listen_spec = next();
     } else if (arg == "--epochs") {
-      epochs = static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
+      parsed = tools::ParseCountFlag(next(), &epochs);
     } else if (arg == "--expect-shards") {
-      server_options.expected_shards = std::strtoull(next(), nullptr, 10);
+      parsed = tools::ParseCountFlag(next(), &server_options.expected_shards);
     } else if (arg == "--acceptors") {
-      server_options.acceptors =
-          static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+      parsed = tools::ParseCountFlag(next(), &server_options.acceptors,
+                                     tools::kMaxThreadsFlag);
     } else if (arg == "--threads") {
-      threads = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+      parsed = tools::ParseCountFlag(next(), &threads, tools::kMaxThreadsFlag);
     } else if (arg == "--idle-timeout-ms") {
-      server_options.idle_timeout_ms =
-          static_cast<int>(std::strtol(next(), nullptr, 10));
+      parsed = tools::ParseCountFlag(next(), &server_options.idle_timeout_ms);
     } else if (arg == "--max-rejected") {
-      ingest_options.max_rejected = std::strtoull(next(), nullptr, 10);
+      parsed = tools::ParseCountFlag(next(), &ingest_options.max_rejected);
     } else if (arg == "--confidence") {
-      confidence = std::strtod(next(), nullptr);
+      parsed = tools::ParseRealFlag(next(), &confidence);
     } else if (arg == "--snapshot-out") {
       snapshot_out = next();
     } else if (arg == "--metrics") {
       metrics_spec = next();
     } else if (arg == "--stats-interval-s") {
-      stats_interval_s =
-          static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+      parsed = tools::ParseCountFlag(next(), &stats_interval_s);
     } else if (arg == "--journal-out") {
       journal_out = next();
     } else if (arg == "--trace-out") {
@@ -197,19 +197,20 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--relay-interval-s") {
-      relay_options.interval_ms =
-          static_cast<int>(std::strtol(next(), nullptr, 10)) * 1000;
+      int seconds = 0;
+      // The interval is kept in int milliseconds: refuse what * 1000 would
+      // overflow.
+      parsed = tools::ParseCountFlag(next(), &seconds,
+                                     std::numeric_limits<int>::max() / 1000);
+      if (parsed) relay_options.interval_ms = seconds * 1000;
     } else if (arg == "--mechanism") {
-      if (!tools::ParseMechanismFlag(next(), &mechanism)) {
-        Usage();
-        return 2;
-      }
+      parsed = tools::ParseMechanismFlag(next(), &mechanism);
     } else if (arg == "--oracle") {
-      if (!tools::ParseOracleFlag(next(), &oracle)) {
-        Usage();
-        return 2;
-      }
+      parsed = tools::ParseOracleFlag(next(), &oracle);
     } else {
+      parsed = false;
+    }
+    if (!parsed) {
       Usage();
       return 2;
     }

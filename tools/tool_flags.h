@@ -1,16 +1,22 @@
 // Shared CLI flag parsers for the tools. `--oracle`, `--mechanism`, and the
 // campaign-identity flags (`--reporter-id`, `--campaign-key`, `--node-id`)
 // must accept exactly the same vocabulary in every binary (ldp_collect,
-// ldp_report, ldp_serve); one parser per flag keeps a new oracle kind — or an identity validation rule — from being
-// silently unreachable or different in one tool.
+// ldp_report, ldp_serve); one parser per flag keeps a new oracle kind — or
+// an identity validation rule — from being silently unreachable or
+// different in one tool. Every count and real-valued flag of the five tools
+// goes through ParseCountFlag / ParseRealFlag.
 
 #ifndef LDP_TOOLS_TOOL_FLAGS_H_
 #define LDP_TOOLS_TOOL_FLAGS_H_
 
+#include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "core/mechanism.h"
@@ -48,6 +54,38 @@ inline bool WriteMetricsFile(const std::string& path,
     std::fprintf(stderr, "write error on %s\n", path.c_str());
     return false;
   }
+  return true;
+}
+
+/// Cap on `--threads` and `--acceptors`: each value starts that many
+/// threads, so a typo must not ask for billions of them.
+constexpr uint64_t kMaxThreadsFlag = 1024;
+
+/// Parses a count flag's operand into `*out`: the whole string must be
+/// decimal digits (no sign, no space, not empty) and the value at most
+/// `max`, which defaults to the largest `T`. Leaves `*out` alone and
+/// returns false otherwise; callers exit 2 with their usage text.
+template <typename T>
+bool ParseCountFlag(const char* text, T* out,
+                    uint64_t max = std::numeric_limits<T>::max()) {
+  const char* end = text + std::strlen(text);
+  uint64_t value = 0;
+  const auto [stop, error] = std::from_chars(text, end, value);
+  if (error != std::errc() || stop != end || value > max) return false;
+  *out = static_cast<T>(value);
+  return true;
+}
+
+/// Parses a real flag's operand: strtod must take the whole non-empty
+/// string, with no leading space.
+inline bool ParseRealFlag(const char* text, double* out) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' ||
+      std::isspace(static_cast<unsigned char>(*text))) {
+    return false;
+  }
+  *out = value;
   return true;
 }
 
@@ -120,10 +158,7 @@ bool ParseIdentityFlag(const std::string& arg, NextFn&& next, unsigned allowed,
     return true;
   }
   if (arg == "--node-id" && (allowed & kFlagNodeId) != 0) {
-    const char* value = next();
-    char* end = nullptr;
-    flags->node_id = std::strtoull(value, &end, 10);
-    if (end == value || *end != '\0') {
+    if (!ParseCountFlag(next(), &flags->node_id)) {
       *error = "--node-id must be a non-negative integer";
     }
     return true;
