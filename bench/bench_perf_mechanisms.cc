@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "baselines/duchi_multi_dim.h"
@@ -80,8 +81,11 @@ void BM_MixedCollectorPerturb(benchmark::State& state) {
   }
   auto collector = MixedTupleCollector::Create(schema, 1.0);
   Rng rng(4);
+  std::string report;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(collector.value().Perturb(tuple, &rng));
+    report.clear();
+    collector.value().AppendReport(tuple, &rng, &report);
+    benchmark::DoNotOptimize(report.data());
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -92,9 +96,11 @@ void BM_FrequencyOraclePerturb(benchmark::State& state) {
   const uint32_t domain = static_cast<uint32_t>(state.range(1));
   auto oracle = MakeFrequencyOracle(kind, 1.0, domain);
   Rng rng(5);
+  std::string words(4 * oracle.value()->MaxReportSize(), '\0');
   uint32_t v = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(oracle.value()->Perturb(v, &rng));
+    benchmark::DoNotOptimize(
+        oracle.value()->PerturbInto(v, &rng, words.data()));
     v = (v + 1) % domain;
   }
   state.SetLabel(FrequencyOracleKindToString(kind));

@@ -84,8 +84,7 @@ std::vector<std::string> EncodeShards(const MixedTupleCollector& collector,
         &out, stream::MakeMixedStreamHeader(collector));
     Rng rng(1000 + s);
     for (uint64_t i = ranges[s].begin; i < ranges[s].end; ++i) {
-      if (!writer.WriteMixedReport(collector.Perturb(tuple, &rng), collector)
-               .ok()) {
+      if (!writer.WriteReport(collector, tuple, &rng).ok()) {
         std::fprintf(stderr, "encode failed\n");
         std::exit(1);
       }

@@ -20,7 +20,6 @@
 #include "core/mechanism.h"
 #include "frequency/histogram.h"
 #include "frequency/oue.h"
-#include "stream/report_stream.h"
 #include "util/random.h"
 
 int main() {
@@ -107,10 +106,8 @@ int main() {
     true_mean0 += tuple[0].numeric / num_users;
     // Everything above happens on the device; only this frame crosses the
     // wire to the server.
-    auto payload = client.value().EncodeReport(tuple, &rng);
     std::string frame;
-    if (!payload.ok() ||
-        !ldp::stream::AppendFrame(payload.value(), &frame).ok() ||
+    if (!client.value().AppendFrame(tuple, &rng, &frame).ok() ||
         !server.value().Feed(shard, frame).ok()) {
       std::fprintf(stderr, "report rejected\n");
       return 1;

@@ -21,7 +21,6 @@
 #include "api/pipeline.h"
 #include "api/server_session.h"
 #include "core/scaler.h"
-#include "stream/report_stream.h"
 #include "util/random.h"
 
 namespace {
@@ -127,10 +126,8 @@ int main() {
       tuple[3] = ldp::AttributeValue::Categorical(record.os);
       tuple[4] = ldp::AttributeValue::Categorical(record.channel);
       // Only this perturbed frame leaves the device.
-      auto payload = client.value().EncodeReport(tuple, &rng);
       std::string frame;
-      if (!payload.ok() ||
-          !ldp::stream::AppendFrame(payload.value(), &frame).ok() ||
+      if (!client.value().AppendFrame(tuple, &rng, &frame).ok() ||
           !session.Feed(shard, frame).ok()) {
         std::fprintf(stderr, "report rejected\n");
         return 1;

@@ -71,10 +71,11 @@ Status ValidateDatasetMatches(const data::Dataset& dataset,
 }
 
 // The paper's proposed pipeline (Algorithm 4 + Section IV-C) over the
-// pipeline's collector. One aggregator per chunk, reduced in chunk order
-// after the parallel region: results are bit-deterministic for a fixed
-// (seed, chunk count) regardless of thread scheduling, and a sharded run
-// whose shard boundaries match SplitRange reproduces them exactly.
+// pipeline's collector, folding the bytes a client would send as the server
+// folds them. One aggregator per chunk, reduced in chunk order after the
+// parallel region: results are bit-deterministic for a fixed (seed, chunk
+// count) regardless of thread scheduling, and a sharded run whose shard
+// boundaries match SplitRange reproduces them exactly.
 Result<CollectionOutput> RunProposed(const MixedTupleCollector& collector,
                                      const data::Dataset& dataset,
                                      uint64_t seed, ThreadPool* pool) {
@@ -90,6 +91,8 @@ Result<CollectionOutput> RunProposed(const MixedTupleCollector& collector,
   ParallelFor(pool, dataset.num_rows(),
               [&](unsigned chunk, uint64_t begin, uint64_t end) {
                 MixedAggregator& local = chunk_aggregators[chunk];
+                MixedFrameDecoder decoder(&collector);
+                std::string report;
                 MixedTuple tuple(d);
                 for (uint64_t row = begin; row < end; ++row) {
                   for (uint32_t col = 0; col < d; ++col) {
@@ -100,7 +103,11 @@ Result<CollectionOutput> RunProposed(const MixedTupleCollector& collector,
                     }
                   }
                   Rng rng = UserRng(seed, row);
-                  local.Add(collector.Perturb(tuple, &rng));
+                  report.clear();
+                  collector.AppendReport(tuple, &rng, &report);
+                  const char* rejected =
+                      decoder.DecodeInto(report.data(), report.size(), &local);
+                  LDP_CHECK_MSG(rejected == nullptr, rejected);
                 }
               });
   MixedAggregator total(&collector);
@@ -368,14 +375,24 @@ uint32_t ClientSession::dimension() const {
   return state_->collector->dimension();
 }
 
-Result<std::string> ClientSession::EncodeReport(const MixedTuple& row,
-                                                Rng* rng) const {
+Status ClientSession::AppendFrame(const MixedTuple& row, Rng* rng,
+                                  std::string* frames) const {
   if (row.size() != state_->collector->dimension()) {
     return Status::InvalidArgument(
         "row must carry one value per schema attribute");
   }
-  return EncodeMixedReport(state_->collector->Perturb(row, rng),
-                           *state_->collector);
+  return stream::AppendReportFrame(*state_->collector, row, rng, frames);
+}
+
+Result<std::string> ClientSession::EncodeReport(const MixedTuple& row,
+                                                Rng* rng) const {
+  // Framed in a per-thread buffer (the append needs room for the longest
+  // oracle payload), then copied out at its exact size, which the
+  // small-string buffer holds for most k = 1 reports.
+  thread_local std::string frame;
+  frame.clear();
+  LDP_RETURN_IF_ERROR(AppendFrame(row, rng, &frame));
+  return frame.substr(4);
 }
 
 }  // namespace ldp::api

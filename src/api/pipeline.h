@@ -8,10 +8,10 @@
 //
 //   - Pipeline::Collect     in-process simulation over a Dataset, the
 //                           golden run every sharded deployment reproduces
-//                           bit for bit;
-//   - Pipeline::NewClient   a ClientSession that perturbs rows and encodes
-//                           them as wire frames for the framed report-stream
-//                           format;
+//                           bit for bit (it folds the very bytes a client
+//                           would send);
+//   - Pipeline::NewClient   a ClientSession that perturbs rows straight into
+//                           wire frames of the framed report-stream format;
 //   - Pipeline::NewServer   a ServerSession that owns shards, epochs and a
 //                           PrivacyAccountant, and exposes Feed / Merge /
 //                           Snapshot / Estimate (api/server_session.h).
@@ -151,10 +151,17 @@ class ClientSession {
   /// The serialized header bytes (convenience for callers framing by hand).
   std::string EncodeHeader() const;
 
-  /// Perturbs one full row and encodes it as a frame payload (no length
-  /// prefix; pair with stream::AppendFrame or ReportStreamWriter::WriteFrame).
-  /// Numeric coordinates must be in [-1, 1], categorical ones within their
-  /// domains.
+  /// The encode path: perturbs one full row and appends it to `frames` as
+  /// one length-prefixed frame, each byte written once. Into a buffer the
+  /// caller reuses, a steady-state report allocates nothing. Numeric
+  /// coordinates must be in [-1, 1], categorical ones within their domains.
+  /// Fails on a row of the wrong width, or a report over
+  /// stream::kMaxFrameBytes, leaving `frames` as it was.
+  Status AppendFrame(const MixedTuple& row, Rng* rng,
+                     std::string* frames) const;
+
+  /// AppendFrame's payload (no length prefix; pair with stream::AppendFrame
+  /// or ReportStreamWriter::WriteFrame), in a string of its own.
   Result<std::string> EncodeReport(const MixedTuple& row, Rng* rng) const;
 
   /// The number of attributes each report carries (Eq. 12).

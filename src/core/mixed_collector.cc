@@ -1,9 +1,11 @@
 #include "core/mixed_collector.h"
 
 #include <cmath>
+#include <cstring>
 #include <map>
 
 #include "core/variance.h"
+#include "core/wire.h"
 #include "frequency/histogram.h"
 #include "util/check.h"
 #include "util/sampling.h"
@@ -66,29 +68,49 @@ bool MixedTupleCollector::CompatibleWith(
   return true;
 }
 
-MixedReport MixedTupleCollector::Perturb(const MixedTuple& tuple,
-                                         Rng* rng) const {
+void MixedTupleCollector::AppendReport(const MixedTuple& tuple, Rng* rng,
+                                       std::string* out) const {
+  using internal_wire::StoreLittleEndian;
   LDP_CHECK(tuple.size() == schema_.size());
   const double scale = static_cast<double>(dimension()) / k_;
-  const std::vector<uint32_t> sampled =
-      SampleWithoutReplacement(dimension(), k_, rng);
-  MixedReport report;
-  report.reserve(k_);
-  for (const uint32_t attribute : sampled) {
-    MixedReportEntry entry;
-    entry.attribute = attribute;
-    if (schema_[attribute].type == AttributeType::kNumeric) {
+  // On the stack up to kScanMaxPicks, past which the sampler allocates too.
+  uint32_t stack_picks[kScanMaxPicks];
+  std::vector<uint32_t> heap_picks(k_ > kScanMaxPicks ? k_ : 0);
+  uint32_t* sampled = k_ > kScanMaxPicks ? heap_picks.data() : stack_picks;
+  SampleWithoutReplacement(dimension(), k_, rng, sampled);
+  // Each entry is sized, then stored in place: a categorical one with room
+  // for the longest payload, trimmed once the oracle wrote its words.
+  size_t at = out->size();
+  out->resize(at + 2);
+  StoreLittleEndian(&(*out)[at], static_cast<uint16_t>(k_));
+  for (uint32_t i = 0; i < k_; ++i) {
+    const uint32_t attribute = sampled[i];
+    const FrequencyOracle* oracle = oracles_[attribute].get();
+    // Attribute and kind, then an f64 value or a u16 count and the words.
+    const size_t body =
+        oracle == nullptr ? 8 : 2 + 4 * oracle->MaxReportSize();
+    at = out->size();
+    out->resize(at + 5 + body);
+    char* entry = &(*out)[at];
+    StoreLittleEndian(entry, attribute);
+    if (oracle == nullptr) {
       const double t = tuple[attribute].numeric;
       LDP_DCHECK(t >= -1.0 && t <= 1.0);
-      entry.numeric_value = scale * scalar_->Perturb(t, rng);
-    } else {
-      const uint32_t v = tuple[attribute].category;
-      LDP_DCHECK(v < schema_[attribute].domain_size);
-      entry.categorical_report = oracles_[attribute]->Perturb(v, rng);
+      const double value = scale * scalar_->Perturb(t, rng);
+      uint64_t bits = 0;
+      std::memcpy(&bits, &value, sizeof(bits));
+      entry[4] = static_cast<char>(internal_wire::kNumericEntry);
+      StoreLittleEndian(entry + 5, bits);
+      continue;
     }
-    report.push_back(std::move(entry));
+    const uint32_t v = tuple[attribute].category;
+    LDP_DCHECK(v < schema_[attribute].domain_size);
+    entry[4] = static_cast<char>(internal_wire::kCategoricalEntry);
+    const size_t words = oracle->PerturbInto(v, rng, entry + 7);
+    LDP_DCHECK(words <= kMaxWirePayloadWords);
+    StoreLittleEndian(entry + 5, static_cast<uint16_t>(words));
+    out->resize(at + 7 + 4 * words);
   }
-  return report;
 }
 
 MixedAggregator::MixedAggregator(const MixedTupleCollector* collector)
@@ -101,21 +123,6 @@ MixedAggregator::MixedAggregator(const MixedTupleCollector* collector)
   for (uint32_t j = 0; j < d; ++j) {
     if (collector_->schema()[j].type == AttributeType::kCategorical) {
       supports_[j].assign(collector_->schema()[j].domain_size, 0.0);
-    }
-  }
-}
-
-void MixedAggregator::Add(const MixedReport& report) {
-  ++num_reports_;
-  for (const MixedReportEntry& entry : report) {
-    LDP_DCHECK(entry.attribute < collector_->dimension());
-    ++attribute_reports_[entry.attribute];
-    const FrequencyOracle* oracle = collector_->oracle_for(entry.attribute);
-    if (oracle == nullptr) {
-      numeric_sums_[entry.attribute] += entry.numeric_value;
-    } else {
-      oracle->Accumulate(entry.categorical_report,
-                         &supports_[entry.attribute]);
     }
   }
 }
@@ -231,16 +238,6 @@ Result<std::vector<double>> MixedAggregator::EstimateFrequenciesProjected(
   std::vector<double> raw;
   LDP_ASSIGN_OR_RETURN(raw, EstimateFrequencies(attribute));
   return ProjectOntoSimplex(raw);
-}
-
-std::vector<double> MixedAggregator::EstimateAllMeans() const {
-  std::vector<double> means(collector_->dimension(), 0.0);
-  for (uint32_t j = 0; j < collector_->dimension(); ++j) {
-    if (collector_->schema()[j].type == AttributeType::kNumeric) {
-      means[j] = EstimateMean(j).value();
-    }
-  }
-  return means;
 }
 
 }  // namespace ldp

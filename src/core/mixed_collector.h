@@ -6,7 +6,12 @@
 // sampled numeric attribute is perturbed with PM/HM at budget ε/k and scaled
 // by d/k (exactly as in Algorithm 4); a sampled categorical attribute is
 // perturbed with a frequency oracle (OUE by default, the paper's choice) at
-// budget ε/k. The aggregator estimates
+// budget ε/k.
+//
+// A report exists only as wire bytes (core/wire.h): AppendReport perturbs
+// straight into them, and the aggregator folds them once MixedFrameDecoder
+// has validated them, in process (api::Pipeline::Collect) as over the
+// network. The aggregator estimates
 //   - the mean of numeric attribute j as (1/n) Σ_i reported_scaled_value, and
 //   - the frequency of value v of categorical attribute j as
 //     (d/(k·n)) · (debiased support of v over the reports that sampled j),
@@ -18,6 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -59,18 +65,6 @@ struct AttributeValue {
 /// A full user tuple: one AttributeValue per schema attribute.
 using MixedTuple = std::vector<AttributeValue>;
 
-/// One sampled attribute inside a privatized mixed report.
-struct MixedReportEntry {
-  uint32_t attribute = 0;
-  /// d/k-scaled noisy value (numeric attributes).
-  double numeric_value = 0.0;
-  /// Oracle report (categorical attributes).
-  FrequencyOracle::Report categorical_report;
-};
-
-/// A user's privatized report: exactly k sampled attributes.
-using MixedReport = std::vector<MixedReportEntry>;
-
 /// One entry of a validated wire frame, viewed where it lies in the frame's
 /// bytes: the wire decoder (core/wire.h MixedFrameDecoder) records one per
 /// entry while it validates, and MixedAggregator::FoldValidated folds a
@@ -103,8 +97,11 @@ class MixedTupleCollector {
       FrequencyOracleKind categorical_kind = FrequencyOracleKind::kOue);
 
   /// Perturbs one user tuple (size d, numeric coordinates in [-1, 1],
-  /// categorical coordinates within their domains) into a k-entry report.
-  MixedReport Perturb(const MixedTuple& tuple, Rng* rng) const;
+  /// categorical coordinates within their domains) into a k-entry report,
+  /// appending its wire bytes (core/wire.h) to `out`, each written once.
+  /// Draws the sample (SampleWithoutReplacement), then each entry's
+  /// perturbation in sample order. Allocates nothing once `out` has room.
+  void AppendReport(const MixedTuple& tuple, Rng* rng, std::string* out) const;
 
   double epsilon() const { return epsilon_; }
   uint32_t dimension() const { return static_cast<uint32_t>(schema_.size()); }
@@ -167,7 +164,7 @@ class MixedTupleCollector {
   std::vector<std::shared_ptr<const FrequencyOracle>> oracles_;
 };
 
-/// The server half: accumulates MixedReports and produces estimates.
+/// The server half: folds validated reports and produces estimates.
 class MixedAggregator {
  public:
   /// `collector` must outlive the aggregator (it borrows the schema and the
@@ -184,12 +181,9 @@ class MixedAggregator {
       std::vector<double> numeric_sums,
       std::vector<std::vector<double>> supports);
 
-  /// Folds in one user's report.
-  void Add(const MixedReport& report);
-
   /// Folds in one user's report from the `count` entry views of a wire
-  /// frame that MixedFrameDecoder validated as a whole: bit-identical to
-  /// Add() on the equivalent MixedReport, with nothing materialized.
+  /// frame that MixedFrameDecoder validated as a whole, with nothing
+  /// materialized.
   void FoldValidated(const MixedEntryView* entries, size_t count);
 
   /// Merges another aggregator. The two aggregators must be built from the
@@ -213,17 +207,8 @@ class MixedAggregator {
   Result<std::vector<double>> EstimateFrequenciesProjected(
       uint32_t attribute) const;
 
-  /// Mean estimates for all numeric attributes, indexed by attribute; entries
-  /// at categorical positions are 0.
-  std::vector<double> EstimateAllMeans() const;
-
   /// Number of reports accumulated.
   uint64_t num_reports() const { return num_reports_; }
-
-  /// Number of reports that sampled `attribute`.
-  uint64_t attribute_report_count(uint32_t attribute) const {
-    return attribute_reports_[attribute];
-  }
 
   /// Raw accumulated state, exposed so aggregator snapshots can be
   /// serialised for cross-process shard merging (stream/snapshot.h).

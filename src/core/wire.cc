@@ -7,14 +7,9 @@ namespace ldp {
 
 namespace {
 
-using internal_wire::PutF64;
-using internal_wire::PutU16;
-using internal_wire::PutU32;
-using internal_wire::PutU8;
+using internal_wire::kCategoricalEntry;
+using internal_wire::kNumericEntry;
 using internal_wire::Reader;
-
-constexpr uint8_t kNumericEntry = 0;
-constexpr uint8_t kCategoricalEntry = 1;
 
 // d/k-scaled output bound of a sampled numeric entry.
 double ScaledValueBound(uint32_t dimension, uint32_t k, double output_bound) {
@@ -22,39 +17,6 @@ double ScaledValueBound(uint32_t dimension, uint32_t k, double output_bound) {
 }
 
 }  // namespace
-
-std::string EncodeMixedReport(const MixedReport& report,
-                              const MixedTupleCollector& collector) {
-  // Exact encoded size, so serialization never reallocates mid-report.
-  size_t encoded_size = 2;
-  for (const MixedReportEntry& entry : report) {
-    const bool numeric =
-        entry.attribute < collector.dimension() &&
-        collector.schema()[entry.attribute].type == AttributeType::kNumeric;
-    encoded_size += 4 + 1;
-    encoded_size += numeric ? 8 : 2 + 4 * entry.categorical_report.size();
-  }
-  std::string out;
-  out.reserve(encoded_size);
-  PutU16(&out, static_cast<uint16_t>(report.size()));
-  for (const MixedReportEntry& entry : report) {
-    PutU32(&out, entry.attribute);
-    const bool numeric =
-        entry.attribute < collector.dimension() &&
-        collector.schema()[entry.attribute].type == AttributeType::kNumeric;
-    if (numeric) {
-      PutU8(&out, kNumericEntry);
-      PutF64(&out, entry.numeric_value);
-    } else {
-      PutU8(&out, kCategoricalEntry);
-      PutU16(&out, static_cast<uint16_t>(entry.categorical_report.size()));
-      for (const uint32_t payload : entry.categorical_report) {
-        PutU32(&out, payload);
-      }
-    }
-  }
-  return out;
-}
 
 Status CheckWireEncodable(const MixedTupleCollector& collector) {
   for (uint32_t j = 0; j < collector.dimension(); ++j) {
@@ -140,33 +102,6 @@ const char* MixedFrameDecoder::Validate(const char* data, size_t size) {
   }
   if (!reader.AtEnd()) return "trailing bytes after report";
   return nullptr;
-}
-
-Result<MixedReport> DecodeMixedReport(const std::string& bytes,
-                                      const MixedTupleCollector& collector) {
-  return DecodeMixedReport(bytes.data(), bytes.size(), collector);
-}
-
-Result<MixedReport> DecodeMixedReport(const char* data, size_t size,
-                                      const MixedTupleCollector& collector) {
-  MixedFrameDecoder decoder(&collector);
-  if (const char* rejected = decoder.Validate(data, size)) {
-    return Status::InvalidArgument(rejected);
-  }
-  MixedReport report(decoder.entries().size());
-  for (size_t i = 0; i < report.size(); ++i) {
-    const MixedEntryView& view = decoder.entries()[i];
-    report[i].attribute = view.attribute;
-    if (view.oracle == nullptr) {
-      report[i].numeric_value = view.numeric_value;
-      continue;
-    }
-    report[i].categorical_report.resize(view.payload.size());
-    for (size_t p = 0; p < view.payload.size(); ++p) {
-      report[i].categorical_report[p] = view.payload[p];
-    }
-  }
-  return report;
 }
 
 }  // namespace ldp

@@ -2,11 +2,11 @@
 // the client half (user devices) and the server half (aggregator) of the
 // protocols can actually be deployed across a network. Encoding is
 // little-endian with explicit lengths; decoding validates every length and
-// range against the collector's schema and returns Status on malformed or
-// truncated input (never trusting the payload).
+// range against the collector's schema and rejects malformed or truncated
+// input (never trusting the payload).
 //
 // Layout (all integers little-endian):
-//   MixedReport: u16 entry_count, then per entry
+//   report: u16 entry_count, then per entry
 //     u32 attribute, u8 kind (0 numeric / 1 categorical),
 //     numeric:     f64 value
 //     categorical: u16 payload_count, u32 payload[...]
@@ -16,10 +16,11 @@
 // count caps an oracle payload at 65,535 words; CheckWireEncodable refuses
 // a schema whose oracle could exceed it.
 //
-// One validator decides what is accepted: MixedFrameDecoder checks a frame
-// in one pass over its bytes and records its entries as views into them.
-// The ingest path folds those views straight into a MixedAggregator;
-// DecodeMixedReport (tools and tests) copies them into a MixedReport.
+// The client writes these bytes once, as it perturbs
+// (MixedTupleCollector::AppendReport). One validator decides what is
+// accepted: MixedFrameDecoder checks a frame in one pass over its bytes and
+// records its entries as views into them, which the ingest path folds
+// straight into a MixedAggregator.
 
 #ifndef LDP_CORE_WIRE_H_
 #define LDP_CORE_WIRE_H_
@@ -167,14 +168,11 @@ class Reader {
   size_t cursor_ = 0;
 };
 
-}  // namespace internal_wire
+/// An entry's kind byte.
+inline constexpr uint8_t kNumericEntry = 0;
+inline constexpr uint8_t kCategoricalEntry = 1;
 
-/// Serialises a Section IV-C mixed report; `collector` supplies the schema
-/// that tags each entry as numeric or categorical (an empty categorical
-/// oracle report is legal and indistinguishable from a numeric entry without
-/// the schema). The output buffer is reserved to the exact encoded size.
-std::string EncodeMixedReport(const MixedReport& report,
-                              const MixedTupleCollector& collector);
+}  // namespace internal_wire
 
 /// The wire's limit on an oracle payload: its count is a u16.
 inline constexpr size_t kMaxWirePayloadWords = 0xffff;
@@ -227,16 +225,6 @@ class MixedFrameDecoder {
   double max_abs_value_;                // d/k-scaled bound, with slack
   std::vector<MixedEntryView> entries_;  // k views into the current frame
 };
-
-/// Parses a serialised mixed report, validating entry kinds, attribute
-/// indices and oracle payloads against `collector`'s schema and the entry
-/// count against its k. It copies out the entries MixedFrameDecoder
-/// validated, so it accepts exactly what the ingest path folds and rejects
-/// with the same message. The (data, size) overload parses in place.
-Result<MixedReport> DecodeMixedReport(const char* data, size_t size,
-                                      const MixedTupleCollector& collector);
-Result<MixedReport> DecodeMixedReport(const std::string& bytes,
-                                      const MixedTupleCollector& collector);
 
 }  // namespace ldp
 

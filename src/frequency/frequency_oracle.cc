@@ -45,11 +45,14 @@ void FrequencyOracle::Accumulate(const Report& report,
   });
 }
 
-Status FrequencyOracle::ValidateReport(const Report& report) const {
-  const char* error =
-      WithView(report, [&](ReportView view) { return Validate(view); });
-  if (error == nullptr) return Status::OK();
-  return Status::InvalidArgument(error);
+FrequencyOracle::Report FrequencyOracle::Perturb(uint32_t value,
+                                                 Rng* rng) const {
+  std::string words(4 * MaxReportSize(), '\0');
+  Report report(PerturbInto(value, rng, words.data()));
+  for (size_t i = 0; i < report.size(); ++i) {
+    report[i] = internal_wire::LoadLittleEndian<uint32_t>(&words[4 * i]);
+  }
+  return report;
 }
 
 const char* FrequencyOracleKindToString(FrequencyOracleKind kind) {

@@ -7,9 +7,9 @@
 // plug-in point of the paper's Section IV-C: the mixed-attribute collector
 // routes each sampled categorical attribute through an oracle at budget ε/k.
 //
-// The protocol is split into the client half (Perturb) and the server half
-// (Validate + Fold + Estimate) so that simulation harnesses can route reports
-// through arbitrary collection topologies. All four oracles from the
+// The protocol is split into the client half (PerturbInto) and the server
+// half (Validate + Fold + Estimate) so that simulation harnesses can route
+// reports through arbitrary collection topologies. All four oracles from the
 // literature are provided: GRR (generalized randomized response), SUE (basic
 // RAPPOR), OUE (optimized unary encoding — the paper's choice), and OLH
 // (optimized local hashing).
@@ -43,9 +43,9 @@ const char* FrequencyOracleKindToString(FrequencyOracleKind kind);
 
 /// An ε-LDP randomizer for one categorical value with domain {0, ..., k-1}.
 ///
-/// Thread-safety: instances are immutable after construction; Perturb only
-/// mutates the caller-supplied Rng, so one instance may be shared across
-/// threads as long as each thread owns its Rng.
+/// Thread-safety: instances are immutable after construction; PerturbInto
+/// only mutates the caller-supplied Rng and buffer, so one instance may be
+/// shared across threads as long as each thread owns its Rng.
 class FrequencyOracle {
  public:
   /// A single user's privatized report. The encoding is oracle-specific
@@ -56,8 +56,14 @@ class FrequencyOracle {
 
   virtual ~FrequencyOracle() = default;
 
-  /// Produces the privatized report for true value `value` (< domain_size).
-  virtual Report Perturb(uint32_t value, Rng* rng) const = 0;
+  /// Writes the privatized report for true value `value` (< domain_size) as
+  /// little-endian 32-bit words at `words`, which has room for
+  /// MaxReportSize() of them, and returns how many it wrote: straight into
+  /// a wire frame (MixedTupleCollector::AppendReport).
+  virtual size_t PerturbInto(uint32_t value, Rng* rng, char* words) const = 0;
+
+  /// PerturbInto, materialized: the same draws, as host-order words.
+  Report Perturb(uint32_t value, Rng* rng) const;
 
   /// A read-only view of one report's payload where it lies: `size` 32-bit
   /// words at `words`, little-endian and possibly unaligned — exactly how a
@@ -94,9 +100,6 @@ class FrequencyOracle {
 
   /// Fold over a materialized report (Perturb's output is always valid).
   void Accumulate(const Report& report, std::vector<double>* support) const;
-
-  /// Validate over a materialized report, as an InvalidArgument Status.
-  Status ValidateReport(const Report& report) const;
 
   /// Turns support counts over `num_reports` reports into unbiased frequency
   /// estimates, one per domain value. Estimates may fall outside [0, 1];
@@ -139,6 +142,11 @@ Result<std::unique_ptr<FrequencyOracle>> MakeFrequencyOracle(
     FrequencyOracleKind kind, double epsilon, uint32_t domain_size);
 
 namespace internal_frequency {
+
+/// Writes report word `index` at `words` (PerturbInto's output layout).
+inline void PutWord(char* words, size_t index, uint32_t word) {
+  internal_wire::StoreLittleEndian<uint32_t>(words + 4 * index, word);
+}
 
 /// The rejection reasons of ValidateSortedIndices, worded per oracle.
 struct SortedIndexErrors {

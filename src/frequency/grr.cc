@@ -15,16 +15,16 @@ GrrOracle::GrrOracle(double epsilon, uint32_t domain_size)
   q_ = 1.0 / (e_eps + static_cast<double>(domain_size) - 1.0);
 }
 
-FrequencyOracle::Report GrrOracle::Perturb(uint32_t value, Rng* rng) const {
+size_t GrrOracle::PerturbInto(uint32_t value, Rng* rng, char* words) const {
   LDP_DCHECK(value < domain_size());
-  if (rng->Bernoulli(p_)) {
-    return {value};
+  uint32_t reported = value;
+  if (!rng->Bernoulli(p_)) {
+    // Uniform over the other k-1 values: draw from [0, k-1) and skip `value`.
+    reported = static_cast<uint32_t>(rng->UniformIndex(domain_size() - 1));
+    if (reported >= value) ++reported;
   }
-  // Uniform over the other k-1 values: draw from [0, k-1) and skip `value`.
-  uint32_t other =
-      static_cast<uint32_t>(rng->UniformIndex(domain_size() - 1));
-  if (other >= value) ++other;
-  return {other};
+  internal_frequency::PutWord(words, 0, reported);
+  return 1;
 }
 
 const char* GrrOracle::Validate(ReportView report) const {

@@ -27,19 +27,20 @@ HeOracle::HeOracle(double epsilon, uint32_t domain_size)
   LDP_CHECK(domain_size >= 2);
 }
 
-FrequencyOracle::Report HeOracle::Perturb(uint32_t value, Rng* rng) const {
+size_t HeOracle::PerturbInto(uint32_t value, Rng* rng, char* words) const {
   LDP_DCHECK(value < domain_size());
-  Report packed(domain_size());
   for (uint32_t v = 0; v < domain_size(); ++v) {
     const double one_hot = (v == value) ? 1.0 : 0.0;
     double noisy = one_hot + rng->Laplace(noise_scale_);
     // Clamp into the packable range; at scale 2/ε this tail is negligible
     // for any practical budget.
     noisy = Clamp(noisy, -kOffset, kOffset);
-    packed[v] = static_cast<uint32_t>(
-        std::llround((noisy + kOffset) * kFixedPointScale));
+    internal_frequency::PutWord(
+        words, v,
+        static_cast<uint32_t>(
+            std::llround((noisy + kOffset) * kFixedPointScale)));
   }
-  return packed;
+  return domain_size();
 }
 
 const char* HeOracle::Validate(ReportView report) const {
@@ -114,16 +115,16 @@ TheOracle::TheOracle(double epsilon, uint32_t domain_size, double theta)
   q_ = LaplaceUpperTail(theta_, noise_scale_);
 }
 
-FrequencyOracle::Report TheOracle::Perturb(uint32_t value, Rng* rng) const {
+size_t TheOracle::PerturbInto(uint32_t value, Rng* rng, char* words) const {
   LDP_DCHECK(value < domain_size());
-  Report set_bits;
+  size_t count = 0;
   for (uint32_t v = 0; v < domain_size(); ++v) {
     const double one_hot = (v == value) ? 1.0 : 0.0;
     if (one_hot + rng->Laplace(noise_scale_) > theta_) {
-      set_bits.push_back(v);
+      internal_frequency::PutWord(words, count++, v);
     }
   }
-  return set_bits;
+  return count;
 }
 
 const char* TheOracle::Validate(ReportView report) const {

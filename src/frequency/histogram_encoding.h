@@ -33,7 +33,7 @@ class HeOracle final : public FrequencyOracle {
 
   HeOracle(double epsilon, uint32_t domain_size);
 
-  Report Perturb(uint32_t value, Rng* rng) const override;
+  size_t PerturbInto(uint32_t value, Rng* rng, char* words) const override;
   const char* Validate(ReportView report) const override;
   void Fold(ReportView report, double* support) const override;
   std::vector<double> Estimate(const std::vector<double>& support,
@@ -57,7 +57,7 @@ class TheOracle final : public FrequencyOracle {
   /// Explicit threshold θ ∈ (0.5, 1) (exposed for the threshold ablation).
   TheOracle(double epsilon, uint32_t domain_size, double theta);
 
-  Report Perturb(uint32_t value, Rng* rng) const override;
+  size_t PerturbInto(uint32_t value, Rng* rng, char* words) const override;
   const char* Validate(ReportView report) const override;
   void Fold(ReportView report, double* support) const override;
   std::vector<double> Estimate(const std::vector<double>& support,

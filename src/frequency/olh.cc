@@ -28,7 +28,7 @@ uint32_t OlhOracle::HashToBucket(uint64_t seed, uint32_t value,
   return static_cast<uint32_t>(z % range);
 }
 
-FrequencyOracle::Report OlhOracle::Perturb(uint32_t value, Rng* rng) const {
+size_t OlhOracle::PerturbInto(uint32_t value, Rng* rng, char* words) const {
   LDP_DCHECK(value < domain_size());
   const uint64_t seed = rng->Next();
   uint32_t bucket = HashToBucket(seed, value, hash_range_);
@@ -38,8 +38,11 @@ FrequencyOracle::Report OlhOracle::Perturb(uint32_t value, Rng* rng) const {
     if (other >= bucket) ++other;
     bucket = other;
   }
-  return {static_cast<uint32_t>(seed & 0xffffffffULL),
-          static_cast<uint32_t>(seed >> 32), bucket};
+  internal_frequency::PutWord(words, 0,
+                              static_cast<uint32_t>(seed & 0xffffffffULL));
+  internal_frequency::PutWord(words, 1, static_cast<uint32_t>(seed >> 32));
+  internal_frequency::PutWord(words, 2, bucket);
+  return 3;
 }
 
 const char* OlhOracle::Validate(ReportView report) const {

@@ -18,7 +18,7 @@ class OlhOracle final : public FrequencyOracle {
  public:
   OlhOracle(double epsilon, uint32_t domain_size);
 
-  Report Perturb(uint32_t value, Rng* rng) const override;
+  size_t PerturbInto(uint32_t value, Rng* rng, char* words) const override;
   const char* Validate(ReportView report) const override;
   void Fold(ReportView report, double* support) const override;
   std::vector<double> Estimate(const std::vector<double>& support,

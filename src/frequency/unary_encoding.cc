@@ -8,33 +8,36 @@ namespace ldp {
 
 UnaryEncodingOracle::UnaryEncodingOracle(double epsilon, uint32_t domain_size,
                                          double p, double q)
-    : FrequencyOracle(epsilon, domain_size), p_(p), q_(q) {
+    : FrequencyOracle(epsilon, domain_size), p_(p), q_(q),
+      log1m_q_(std::log1p(-q)) {
   LDP_CHECK(std::isfinite(epsilon) && epsilon > 0.0);
   LDP_CHECK(domain_size >= 2);
   LDP_CHECK(0.0 < q && q < p && p <= 1.0);
 }
 
-FrequencyOracle::Report UnaryEncodingOracle::Perturb(uint32_t value,
-                                                     Rng* rng) const {
-  if (q_ <= kSkipSamplingMaxQ) return PerturbSkip(value, rng);
-  return PerturbPerBit(value, rng);
+size_t UnaryEncodingOracle::PerturbInto(uint32_t value, Rng* rng,
+                                        char* words) const {
+  if (q_ <= kSkipSamplingMaxQ) return PerturbSkip(value, rng, words);
+  return PerturbPerBit(value, rng, words);
 }
 
-FrequencyOracle::Report UnaryEncodingOracle::PerturbPerBit(uint32_t value,
-                                                           Rng* rng) const {
+size_t UnaryEncodingOracle::PerturbPerBit(uint32_t value, Rng* rng,
+                                          char* words) const {
   LDP_DCHECK(value < domain_size());
-  Report set_bits;
+  size_t count = 0;
   for (uint32_t bit = 0; bit < domain_size(); ++bit) {
     const double keep_prob = (bit == value) ? p_ : q_;
-    if (rng->Bernoulli(keep_prob)) set_bits.push_back(bit);
+    if (rng->Bernoulli(keep_prob)) {
+      internal_frequency::PutWord(words, count++, bit);
+    }
   }
-  return set_bits;
+  return count;
 }
 
-FrequencyOracle::Report UnaryEncodingOracle::PerturbSkip(uint32_t value,
-                                                         Rng* rng) const {
+size_t UnaryEncodingOracle::PerturbSkip(uint32_t value, Rng* rng,
+                                        char* words) const {
   LDP_DCHECK(value < domain_size());
-  Report set_bits;
+  size_t count = 0;
   const bool true_bit = rng->Bernoulli(p_);
   bool true_bit_pending = true_bit;
   // The d-1 non-true bits form a virtual array of i.i.d. Bernoulli(q)
@@ -44,20 +47,20 @@ FrequencyOracle::Report UnaryEncodingOracle::PerturbSkip(uint32_t value,
   const uint64_t virtual_size = domain_size() - 1;
   uint64_t position = 0;
   for (;;) {
-    const uint64_t gap = rng->Geometric(q_);
+    const uint64_t gap = rng->GeometricFromLog1mP(log1m_q_);
     if (gap >= virtual_size - position) break;  // no further set bit
     position += gap;
     const uint32_t bit = position < value ? static_cast<uint32_t>(position)
                                           : static_cast<uint32_t>(position) + 1;
     if (true_bit_pending && value < bit) {
-      set_bits.push_back(value);
+      internal_frequency::PutWord(words, count++, value);
       true_bit_pending = false;
     }
-    set_bits.push_back(bit);
+    internal_frequency::PutWord(words, count++, bit);
     if (++position == virtual_size) break;
   }
-  if (true_bit_pending) set_bits.push_back(value);
-  return set_bits;
+  if (true_bit_pending) internal_frequency::PutWord(words, count++, value);
+  return count;
 }
 
 const char* UnaryEncodingOracle::Validate(ReportView report) const {

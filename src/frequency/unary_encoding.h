@@ -32,17 +32,17 @@ class UnaryEncodingOracle : public FrequencyOracle {
   static constexpr double kSkipSamplingMaxQ = 0.2;
 
   /// Dispatches to PerturbSkip when q <= kSkipSamplingMaxQ, else PerturbPerBit.
-  Report Perturb(uint32_t value, Rng* rng) const override;
+  size_t PerturbInto(uint32_t value, Rng* rng, char* words) const override;
 
   /// Reference O(d) implementation: one Bernoulli per domain value, in bit
-  /// order.
-  Report PerturbPerBit(uint32_t value, Rng* rng) const;
+  /// order. Writes like PerturbInto.
+  size_t PerturbPerBit(uint32_t value, Rng* rng, char* words) const;
 
   /// Sublinear implementation: one Bernoulli for the true bit, then the
   /// q-probability bits via geometric gap skipping — expected O(q·d + 1)
   /// draws. Identically distributed to PerturbPerBit (different Rng
-  /// consumption).
-  Report PerturbSkip(uint32_t value, Rng* rng) const;
+  /// consumption). Writes like PerturbInto.
+  size_t PerturbSkip(uint32_t value, Rng* rng, char* words) const;
 
   const char* Validate(ReportView report) const override;
   void Fold(ReportView report, double* support) const override;
@@ -63,6 +63,7 @@ class UnaryEncodingOracle : public FrequencyOracle {
  private:
   double p_;
   double q_;
+  double log1m_q_;  // log1p(-q), the gap sampler's constant
 };
 
 }  // namespace ldp

@@ -203,6 +203,21 @@ Status AppendFrame(const std::string& payload, std::string* out) {
   return Status::OK();
 }
 
+Status AppendReportFrame(const MixedTupleCollector& collector,
+                         const MixedTuple& tuple, Rng* rng, std::string* out) {
+  const size_t start = out->size();
+  out->resize(start + 4);
+  collector.AppendReport(tuple, rng, out);
+  const size_t length = out->size() - start - 4;
+  if (length > kMaxFrameBytes) {
+    out->resize(start);
+    return Status::InvalidArgument("frame payload exceeds kMaxFrameBytes");
+  }
+  internal_wire::StoreLittleEndian(&(*out)[start],
+                                   static_cast<uint32_t>(length));
+  return Status::OK();
+}
+
 ReportStreamWriter::ReportStreamWriter(std::ostream* out,
                                        const StreamHeader& header)
     : out_(out) {
@@ -211,9 +226,11 @@ ReportStreamWriter::ReportStreamWriter(std::ostream* out,
   bytes_written_ += bytes.size();
 }
 
-Status ReportStreamWriter::WriteMixedReport(
-    const MixedReport& report, const MixedTupleCollector& collector) {
-  return WriteFrame(EncodeMixedReport(report, collector));
+Status ReportStreamWriter::WriteReport(const MixedTupleCollector& collector,
+                                       const MixedTuple& tuple, Rng* rng) {
+  std::string payload;
+  collector.AppendReport(tuple, rng, &payload);
+  return WriteFrame(payload);
 }
 
 Status ReportStreamWriter::WriteFrame(const std::string& payload) {

@@ -88,6 +88,13 @@ Status CheckHeadersCompatible(const StreamHeader& expected,
 /// kMaxFrameBytes.
 Status AppendFrame(const std::string& payload, std::string* out);
 
+/// Perturbs `tuple` and appends its report to `out` as one length-prefixed
+/// frame: the report bytes are written once (MixedTupleCollector::
+/// AppendReport) and the length is patched in before them. Fails, with
+/// `out` restored, when the report exceeds kMaxFrameBytes.
+Status AppendReportFrame(const MixedTupleCollector& collector,
+                         const MixedTuple& tuple, Rng* rng, std::string* out);
+
 /// Client-side stream producer over any std::ostream. Writes the header on
 /// construction; one Write* call per user report.
 class ReportStreamWriter {
@@ -95,9 +102,9 @@ class ReportStreamWriter {
   /// Writes `header` to `out` immediately. `out` must outlive the writer.
   ReportStreamWriter(std::ostream* out, const StreamHeader& header);
 
-  /// Encodes and frames one mixed report; `collector` supplies the schema.
-  Status WriteMixedReport(const MixedReport& report,
-                          const MixedTupleCollector& collector);
+  /// Perturbs `tuple` with `collector` and writes its report as one frame.
+  Status WriteReport(const MixedTupleCollector& collector,
+                     const MixedTuple& tuple, Rng* rng);
 
   /// Frames an already-encoded payload.
   Status WriteFrame(const std::string& payload);

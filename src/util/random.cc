@@ -117,8 +117,12 @@ double Rng::Laplace(double scale) {
 uint64_t Rng::Geometric(double p) {
   LDP_DCHECK(p > 0.0 && p <= 1.0);
   if (p >= 1.0) return 0;
+  return GeometricFromLog1mP(std::log1p(-p));
+}
+
+uint64_t Rng::GeometricFromLog1mP(double log1m_p) {
   const double u = 1.0 - Uniform01();  // in (0, 1]
-  const double failures = std::floor(std::log(u) / std::log1p(-p));
+  const double failures = std::floor(std::log(u) / log1m_p);
   // Clamp before converting: for tiny p the tail can exceed the uint64
   // range, and double->uint64 conversion of an out-of-range value is UB.
   constexpr double kMax = 9007199254740992.0;  // 2^53

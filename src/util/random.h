@@ -74,6 +74,10 @@ class Rng {
   /// trial with success probability p in (0, 1].
   uint64_t Geometric(double p);
 
+  /// Geometric(p) for p < 1, given log1p(-p): the same variate from the same
+  /// draw, for callers that draw many with one p.
+  uint64_t GeometricFromLog1mP(double log1m_p);
+
  private:
   uint64_t state_[4];
   double spare_gaussian_ = 0.0;

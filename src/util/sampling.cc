@@ -8,24 +8,31 @@
 
 namespace ldp {
 
+void SampleWithoutReplacement(uint32_t n, uint32_t k, Rng* rng,
+                              uint32_t* out) {
+  LDP_CHECK(k <= n);
+  // Robert Floyd: for j = n-k .. n-1, pick t in [0, j]; take t unless taken,
+  // in which case take j (never taken: every earlier pick is below j).
+  // Every k-subset is equally likely.
+  if (k <= kScanMaxPicks) {
+    for (uint32_t i = 0, j = n - k; j < n; ++i, ++j) {
+      const auto t = static_cast<uint32_t>(rng->UniformIndex(j + 1));
+      out[i] = std::find(out, out + i, t) == out + i ? t : j;
+    }
+    return;
+  }
+  std::unordered_set<uint32_t> taken(2 * static_cast<size_t>(k));
+  for (uint32_t i = 0, j = n - k; j < n; ++i, ++j) {
+    const auto t = static_cast<uint32_t>(rng->UniformIndex(j + 1));
+    out[i] = taken.insert(t).second ? t : j;
+    taken.insert(out[i]);
+  }
+}
+
 std::vector<uint32_t> SampleWithoutReplacement(uint32_t n, uint32_t k,
                                                Rng* rng) {
-  LDP_CHECK(k <= n);
-  std::vector<uint32_t> out;
-  out.reserve(k);
-  std::unordered_set<uint32_t> chosen;
-  chosen.reserve(k * 2);
-  // Robert Floyd: for j = n-k .. n-1, pick t in [0, j]; insert t unless taken,
-  // in which case insert j. Every k-subset is equally likely.
-  for (uint32_t j = n - k; j < n; ++j) {
-    const auto t = static_cast<uint32_t>(rng->UniformIndex(j + 1));
-    if (chosen.insert(t).second) {
-      out.push_back(t);
-    } else {
-      chosen.insert(j);
-      out.push_back(j);
-    }
-  }
+  std::vector<uint32_t> out(k);
+  SampleWithoutReplacement(n, k, rng, out.data());
   return out;
 }
 

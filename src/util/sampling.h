@@ -12,9 +12,15 @@
 namespace ldp {
 
 /// Samples `k` distinct indices uniformly from {0, ..., n-1} using Robert
-/// Floyd's algorithm (O(k) expected time, no O(n) scratch). The returned
-/// order is not uniform over permutations; callers that need a uniformly
-/// random *sequence* should shuffle the result.
+/// Floyd's algorithm (k draws, no O(n) scratch) into `out` (room for k).
+/// The order is not uniform over permutations; callers that need a
+/// uniformly random *sequence* should shuffle it. Up to kScanMaxPicks, a
+/// pick's membership test scans the picks so far (no allocation); above
+/// it, a hash set keeps the cost linear. The picks are the same either way.
+void SampleWithoutReplacement(uint32_t n, uint32_t k, Rng* rng, uint32_t* out);
+inline constexpr uint32_t kScanMaxPicks = 32;
+
+/// SampleWithoutReplacement into a new vector.
 std::vector<uint32_t> SampleWithoutReplacement(uint32_t n, uint32_t k, Rng* rng);
 
 /// In-place Fisher-Yates shuffle.

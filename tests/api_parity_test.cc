@@ -1,7 +1,8 @@
 // The redesign contract of the api::Pipeline facade: Pipeline::Collect must
 // stay BIT-IDENTICAL to the paper's per-user collection loops. The golden
 // behavior is pinned by re-running the original loops inline
-// (collector.Perturb + UserRng + chunk-ordered aggregation) and comparing
+// (collector.AppendReport + UserRng + decode and fold + chunk-ordered
+// aggregation) and comparing
 // every estimated bit against the facade's output.
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "data/census.h"
 #include "data/encode.h"
 #include "util/threadpool.h"
+#include "wire_report.h"
 
 namespace ldp {
 namespace {
@@ -59,7 +61,7 @@ MixedAggregator DirectProposed(const data::Dataset& dataset,
       }
     }
     Rng rng = api::UserRng(kSeed, row);
-    aggregator.Add(collector.Perturb(tuple, &rng));
+    testing::PerturbAndFold(collector, tuple, &rng, &aggregator);
   }
   return aggregator;
 }

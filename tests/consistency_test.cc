@@ -11,6 +11,7 @@
 #include "frequency/histogram.h"
 #include "frequency/oue.h"
 #include "util/random.h"
+#include "wire_report.h"
 
 namespace ldp {
 namespace {
@@ -26,7 +27,7 @@ TEST(MixedProjectedFrequenciesTest, ProjectionYieldsDistribution) {
     tuple[0] = AttributeValue::Categorical(
         static_cast<uint32_t>(rng.UniformIndex(6)));
     tuple[1] = AttributeValue::Numeric(0.0);
-    aggregator.Add(collector.value().Perturb(tuple, &rng));
+    testing::PerturbAndFold(collector.value(), tuple, &rng, &aggregator);
   }
   auto projected = aggregator.EstimateFrequenciesProjected(0);
   ASSERT_TRUE(projected.ok());
@@ -56,7 +57,7 @@ TEST(MixedProjectedFrequenciesTest, AgreesWithManualProjection) {
   for (int i = 0; i < 500; ++i) {
     MixedTuple tuple(1);
     tuple[0] = AttributeValue::Categorical(i % 4 == 0 ? 0u : 1u);
-    aggregator.Add(collector.value().Perturb(tuple, &rng));
+    testing::PerturbAndFold(collector.value(), tuple, &rng, &aggregator);
   }
   const auto raw = aggregator.EstimateFrequencies(0);
   const auto projected = aggregator.EstimateFrequenciesProjected(0);

@@ -1,9 +1,10 @@
 // Proof of the zero-copy ingest contract: once an ingester is warmed up,
 // feeding further frames must perform ZERO heap allocations on the accept
-// path — no MixedReport materialization, no payload vectors, no staging
-// growth — whichever of the six frequency oracles the schema uses. The same
-// holds for the CSV reader on the reporter side: a steady-state NextRow over
-// plain decimal rows allocates nothing. Verified with replaced global
+// path — no report materialization, no payload vectors, no staging growth —
+// whichever of the six frequency oracles the schema uses. The same holds on
+// the reporter side: a steady-state CSV NextRow over plain decimal rows,
+// and a steady-state ClientSession::AppendFrame into a reused buffer,
+// allocate nothing. Verified with replaced global
 // operator new/delete that count every allocation in the process (each
 // gtest case runs in its own process under ctest, so the counter observes
 // only this test).
@@ -20,11 +21,13 @@
 #include <sstream>
 #include <string>
 
+#include "api/pipeline.h"
 #include "core/mixed_collector.h"
 #include "data/csv.h"
 #include "stream/report_stream.h"
 #include "stream/shard_ingester.h"
 #include "util/random.h"
+#include "wire_report.h"
 
 namespace {
 
@@ -55,55 +58,63 @@ void operator delete(void* p, const std::nothrow_t&) noexcept {
 namespace ldp::stream {
 namespace {
 
+constexpr FrequencyOracleKind kEveryOracle[] = {
+    FrequencyOracleKind::kGrr, FrequencyOracleKind::kSue,
+    FrequencyOracleKind::kOue, FrequencyOracleKind::kOlh,
+    FrequencyOracleKind::kHe,  FrequencyOracleKind::kThe};
+
+std::vector<MixedAttribute> MixedSchema() {
+  return {MixedAttribute::Numeric(), MixedAttribute::Categorical(8),
+          MixedAttribute::Numeric(), MixedAttribute::Categorical(16),
+          MixedAttribute::Numeric(), MixedAttribute::Categorical(32)};
+}
+
 MixedTupleCollector MakeCollector(
     FrequencyOracleKind oracle = FrequencyOracleKind::kOue) {
   auto collector = MixedTupleCollector::Create(
-      {MixedAttribute::Numeric(), MixedAttribute::Categorical(8),
-       MixedAttribute::Numeric(), MixedAttribute::Categorical(16),
-       MixedAttribute::Numeric(), MixedAttribute::Categorical(32)},
-      4.0, MechanismKind::kHybrid, oracle);
+      MixedSchema(), 4.0, MechanismKind::kHybrid, oracle);
   EXPECT_TRUE(collector.ok());
   return std::move(collector).value();
+}
+
+// A tuple with every numeric cell 0.5 and categorical cell j at j mod its
+// domain.
+MixedTuple FixedTuple(const std::vector<MixedAttribute>& schema) {
+  MixedTuple tuple(schema.size());
+  for (uint32_t j = 0; j < schema.size(); ++j) {
+    if (schema[j].type == AttributeType::kNumeric) {
+      tuple[j] = AttributeValue::Numeric(0.5);
+    } else {
+      tuple[j] = AttributeValue::Categorical(j % schema[j].domain_size);
+    }
+  }
+  return tuple;
 }
 
 std::string MakeStream(const MixedTupleCollector& collector, int reports) {
   std::ostringstream out;
   ReportStreamWriter writer(&out, MakeMixedStreamHeader(collector));
-  MixedTuple tuple(collector.dimension());
-  for (uint32_t j = 0; j < collector.dimension(); ++j) {
-    if (collector.schema()[j].type == AttributeType::kNumeric) {
-      tuple[j] = AttributeValue::Numeric(0.5);
-    } else {
-      tuple[j] = AttributeValue::Categorical(
-          j % collector.schema()[j].domain_size);
-    }
-  }
+  const MixedTuple tuple = FixedTuple(collector.schema());
   // Lead with the worst-case frame (the longest payload the oracle can emit,
   // on the widest categorical attribute), so the warm-up phase provably
   // sees the largest staging demand any later frame can pose. Words 0, 1,
   // 2, ... are valid for every oracle: increasing indices for the unary
   // ones, an in-range value or bucket for GRR and OLH, any value for HE.
-  MixedReport max_report(1);
-  max_report[0].attribute = 5;  // Categorical(32)
-  const FrequencyOracle* widest = collector.oracle_for(5);
-  for (uint32_t word = 0; word < widest->MaxReportSize(); ++word) {
-    max_report[0].categorical_report.push_back(word);
-  }
-  EXPECT_TRUE(writer.WriteMixedReport(max_report, collector).ok());
+  const FrequencyOracle* widest = collector.oracle_for(5);  // Categorical(32)
+  std::vector<uint32_t> words(widest->MaxReportSize());
+  for (uint32_t word = 0; word < words.size(); ++word) words[word] = word;
+  EXPECT_TRUE(
+      writer.WriteFrame(testing::WireReport().Categorical(5, words).bytes())
+          .ok());
   Rng rng(21);
   for (int i = 0; i < reports - 1; ++i) {
-    EXPECT_TRUE(
-        writer.WriteMixedReport(collector.Perturb(tuple, &rng), collector)
-            .ok());
+    EXPECT_TRUE(writer.WriteReport(collector, tuple, &rng).ok());
   }
   return out.str();
 }
 
 TEST(IngestAllocationTest, SteadyStateAcceptPathIsAllocationFree) {
-  for (const FrequencyOracleKind oracle :
-       {FrequencyOracleKind::kGrr, FrequencyOracleKind::kSue,
-        FrequencyOracleKind::kOue, FrequencyOracleKind::kOlh,
-        FrequencyOracleKind::kHe, FrequencyOracleKind::kThe}) {
+  for (const FrequencyOracleKind oracle : kEveryOracle) {
     SCOPED_TRACE(FrequencyOracleKindToString(oracle));
     const MixedTupleCollector collector = MakeCollector(oracle);
     const std::string bytes = MakeStream(collector, 4000);
@@ -169,6 +180,77 @@ TEST(IngestAllocationTest, ByteAtATimeSteadyStateIsAllocationFree) {
   ASSERT_TRUE(ingester.Finish().ok());
   EXPECT_EQ(ingester.stats().accepted, 600u);
   EXPECT_EQ(allocations_after - allocations_before, 0u);
+}
+
+// Appends `reports` frames for `tuple` to `frames` (cleared first), user r
+// drawing from UserRng(7, r).
+void AppendFrames(const api::ClientSession& client, const MixedTuple& tuple,
+                  uint64_t first_row, int reports, std::string* frames) {
+  frames->clear();
+  for (int i = 0; i < reports; ++i) {
+    Rng rng = api::UserRng(7, first_row + i);
+    ASSERT_TRUE(client.AppendFrame(tuple, &rng, frames).ok());
+  }
+}
+
+TEST(IngestAllocationTest, ClientAppendIsAllocationFree) {
+  // Once the caller's buffer has grown to a batch's size, perturbing and
+  // encoding further batches into it allocates nothing: not the attribute
+  // sample, not an oracle payload, not the frame. Every oracle, with HM
+  // numerics, and an all-numeric schema.
+  struct Case {
+    std::vector<MixedAttribute> schema;
+    FrequencyOracleKind oracle;
+  };
+  std::vector<Case> cases;
+  for (const FrequencyOracleKind oracle : kEveryOracle) {
+    cases.push_back({MixedSchema(), oracle});
+  }
+  cases.push_back({std::vector<MixedAttribute>(5, MixedAttribute::Numeric()),
+                   FrequencyOracleKind::kOue});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(FrequencyOracleKindToString(c.oracle)) + " d=" +
+                 std::to_string(c.schema.size()));
+    // ε = 8 samples k = 3 of the attributes, so the sampler's membership
+    // scan runs too.
+    api::PipelineConfig config;
+    config.attributes = c.schema;
+    config.epsilon = 8.0;
+    config.oracle = c.oracle;
+    auto pipeline = api::Pipeline::Create(config);
+    ASSERT_TRUE(pipeline.ok());
+    auto client = pipeline.value().NewClient();
+    ASSERT_TRUE(client.ok());
+    ASSERT_EQ(client.value().k(), 3u);
+    const MixedTuple tuple = FixedTuple(c.schema);
+
+    // Warm-up: the buffer grows to a batch's size.
+    std::string frames;
+    constexpr int kBatch = 256;
+    for (int batch = 0; batch < 8; ++batch) {
+      AppendFrames(client.value(), tuple, batch * kBatch, kBatch, &frames);
+    }
+    // Headroom, so later rows' batches cannot outgrow it.
+    frames.reserve(2 * frames.capacity());
+
+    const uint64_t allocations_before =
+        g_allocation_count.load(std::memory_order_relaxed);
+    for (int batch = 8; batch < 16; ++batch) {
+      AppendFrames(client.value(), tuple, batch * kBatch, kBatch, &frames);
+    }
+    const uint64_t allocations_after =
+        g_allocation_count.load(std::memory_order_relaxed);
+    EXPECT_EQ(allocations_after - allocations_before, 0u)
+        << "AppendFrame allocated " << (allocations_after - allocations_before)
+        << " times for " << 8 * kBatch << " reports";
+
+    // The frames are whole and valid.
+    ShardIngester ingester(&pipeline.value().mixed_collector());
+    ASSERT_TRUE(ingester.Feed(client.value().EncodeHeader()).ok());
+    ASSERT_TRUE(ingester.Feed(frames).ok());
+    ASSERT_TRUE(ingester.Finish().ok());
+    EXPECT_EQ(ingester.stats().accepted, static_cast<uint64_t>(kBatch));
+  }
 }
 
 TEST(IngestAllocationTest, CsvRowReaderSteadyStateIsAllocationFree) {

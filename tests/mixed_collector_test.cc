@@ -6,10 +6,15 @@
 
 #include "core/sampled_numeric.h"
 #include "core/variance.h"
+#include "core/wire.h"
 #include "test_util.h"
+#include "wire_report.h"
 
 namespace ldp {
 namespace {
+
+using testing::PerturbAndFold;
+using testing::PerturbBytes;
 
 std::vector<MixedAttribute> SmallSchema() {
   return {MixedAttribute::Numeric(), MixedAttribute::Categorical(3),
@@ -59,21 +64,24 @@ TEST(MixedTupleCollectorTest, ReportsHaveKEntries) {
   tuple[2] = AttributeValue::Numeric(-0.5);
   tuple[3] = AttributeValue::Categorical(4);
   Rng rng(1);
+  MixedFrameDecoder decoder(&collector.value());
   for (int i = 0; i < 200; ++i) {
-    const MixedReport report = collector.value().Perturb(tuple, &rng);
-    ASSERT_EQ(report.size(), collector.value().k());
-    for (const MixedReportEntry& entry : report) {
+    const std::string bytes = PerturbBytes(collector.value(), tuple, &rng);
+    ASSERT_EQ(decoder.Validate(bytes.data(), bytes.size()), nullptr);
+    ASSERT_EQ(decoder.entries().size(), collector.value().k());
+    for (const MixedEntryView& entry : decoder.entries()) {
       EXPECT_LT(entry.attribute, 4u);
       // Categorical entries carry a valid oracle report (an OUE report may
       // legitimately be empty: no bits survived the flips).
       if (entry.attribute == 1 || entry.attribute == 3) {
+        EXPECT_EQ(entry.oracle, collector.value().oracle_for(entry.attribute));
         const uint32_t domain =
             collector.value().schema()[entry.attribute].domain_size;
-        for (const uint32_t bit : entry.categorical_report) {
-          EXPECT_LT(bit, domain);
+        for (size_t b = 0; b < entry.payload.size(); ++b) {
+          EXPECT_LT(entry.payload[b], domain);
         }
       } else {
-        EXPECT_TRUE(entry.categorical_report.empty());
+        EXPECT_EQ(entry.oracle, nullptr);
       }
     }
   }
@@ -109,7 +117,7 @@ TEST_P(MixedEndToEndTest, EstimatesMeansAndFrequencies) {
     true_mean2.Add(tuple[2].numeric);
     true_freq1[tuple[1].category] += 1.0;
     true_freq3[tuple[3].category] += 1.0;
-    aggregator.Add(collector.Perturb(tuple, &rng));
+    PerturbAndFold(collector, tuple, &rng, &aggregator);
   }
   for (double& f : true_freq1) f /= static_cast<double>(n);
   for (double& f : true_freq3) f /= static_cast<double>(n);
@@ -165,6 +173,7 @@ TEST(MixedAggregatorTest, MergeMatchesSequentialAggregation) {
 
   MixedAggregator merged_a(&collector), merged_b(&collector),
       sequential(&collector);
+  MixedFrameDecoder decoder(&collector);
   Rng rng_split(3), rng_seq(3);
   for (int i = 0; i < 2000; ++i) {
     MixedTuple tuple(4);
@@ -172,9 +181,11 @@ TEST(MixedAggregatorTest, MergeMatchesSequentialAggregation) {
     tuple[1] = AttributeValue::Categorical(1);
     tuple[2] = AttributeValue::Numeric(-0.2);
     tuple[3] = AttributeValue::Categorical(0);
-    const MixedReport split_report = collector.Perturb(tuple, &rng_split);
-    (i % 2 == 0 ? merged_a : merged_b).Add(split_report);
-    sequential.Add(collector.Perturb(tuple, &rng_seq));
+    const std::string split_report = PerturbBytes(collector, tuple, &rng_split);
+    ASSERT_EQ(decoder.DecodeInto(split_report.data(), split_report.size(),
+                                 i % 2 == 0 ? &merged_a : &merged_b),
+              nullptr);
+    PerturbAndFold(collector, tuple, &rng_seq, &sequential);
   }
   ASSERT_TRUE(merged_a.Merge(merged_b).ok());
   EXPECT_EQ(merged_a.num_reports(), sequential.num_reports());
@@ -205,8 +216,8 @@ TEST(MixedAggregatorTest, MergeAcceptsCompatibleCollectorInstances) {
   tuple[2] = AttributeValue::Numeric(0.9);
   tuple[3] = AttributeValue::Categorical(4);
   for (int i = 0; i < 100; ++i) {
-    a.Add(collector_a.value().Perturb(tuple, &rng));
-    b.Add(collector_b.value().Perturb(tuple, &rng));
+    PerturbAndFold(collector_a.value(), tuple, &rng, &a);
+    PerturbAndFold(collector_b.value(), tuple, &rng, &b);
   }
   EXPECT_TRUE(a.Merge(b).ok());
   EXPECT_EQ(a.num_reports(), 200u);
@@ -262,7 +273,7 @@ TEST(MixedTupleCollectorTest, AllNumericSchemaBehavesLikeAlgorithm4) {
     MixedTuple tuple(2);
     tuple[0] = AttributeValue::Numeric(0.4);
     tuple[1] = AttributeValue::Numeric(-0.6);
-    aggregator.Add(collector.value().Perturb(tuple, &rng));
+    PerturbAndFold(collector.value(), tuple, &rng, &aggregator);
   }
   EXPECT_NEAR(aggregator.EstimateMean(0).value(), 0.4, 0.1);
   EXPECT_NEAR(aggregator.EstimateMean(1).value(), -0.6, 0.1);
@@ -272,7 +283,8 @@ TEST(MixedTupleCollectorTest, AllNumericPerturbIsAlgorithm4BitForBit) {
   // Section IV-C restricted to numeric attributes is Algorithm 4: from an
   // equal Rng, both draw the same k attributes in the same order and the
   // same d/k-scaled PM/HM values, for every k from 1 to d. This is what lets
-  // one report format carry all-numeric schemas.
+  // one report format carry all-numeric schemas. The mixed side is read
+  // back from the wire bytes the client writes.
   constexpr uint32_t kD = 5;
   // ε values whose Eq. 12 sample count k = ⌊ε/2.5⌋ (clamped to [1, d]) is
   // 1, 2, 3, 4, 5 in turn.
@@ -295,10 +307,14 @@ TEST(MixedTupleCollectorTest, AllNumericPerturbIsAlgorithm4BitForBit) {
       ASSERT_EQ(collector.value().k(), i + 1);
       ASSERT_EQ(mechanism.value().k(), i + 1);
 
+      MixedFrameDecoder decoder(&collector.value());
       Rng mixed_rng(100 + i);
       Rng numeric_rng(100 + i);
       for (int trial = 0; trial < 200; ++trial) {
-        const MixedReport mixed = collector.value().Perturb(tuple, &mixed_rng);
+        const std::string bytes =
+            PerturbBytes(collector.value(), tuple, &mixed_rng);
+        ASSERT_EQ(decoder.Validate(bytes.data(), bytes.size()), nullptr);
+        const std::vector<MixedEntryView>& mixed = decoder.entries();
         const SampledNumericReport numeric =
             mechanism.value().Perturb(values, &numeric_rng);
         ASSERT_EQ(mixed.size(), numeric.size());
@@ -326,7 +342,7 @@ TEST(MixedTupleCollectorTest, AllCategoricalSchemaEstimatesFrequencies) {
     MixedTuple tuple(2);
     tuple[0] = AttributeValue::Categorical(rng.Bernoulli(0.8) ? 1u : 0u);
     tuple[1] = AttributeValue::Categorical(rng.Bernoulli(0.25) ? 1u : 0u);
-    aggregator.Add(collector.value().Perturb(tuple, &rng));
+    PerturbAndFold(collector.value(), tuple, &rng, &aggregator);
   }
   EXPECT_NEAR(aggregator.EstimateFrequencies(0).value()[1], 0.8, 0.05);
   EXPECT_NEAR(aggregator.EstimateFrequencies(1).value()[1], 0.25, 0.05);

@@ -131,11 +131,11 @@ TEST(NumericStreamTest, AllNumericPipelineEncodesKindZeroAndMixedFrames) {
     for (uint32_t e = 0; e < collector.k(); ++e) {
       EXPECT_EQ(bytes[2 + 13 * e + 4], 0) << "entry " << e;
     }
-    auto decoded = DecodeMixedReport(bytes, collector);
-    ASSERT_TRUE(decoded.ok());
-    ASSERT_EQ(decoded.value().size(), collector.k());
-    for (const MixedReportEntry& entry : decoded.value()) {
-      EXPECT_TRUE(entry.categorical_report.empty());
+    MixedFrameDecoder decoder(&collector);
+    ASSERT_EQ(decoder.Validate(bytes.data(), bytes.size()), nullptr);
+    ASSERT_EQ(decoder.entries().size(), collector.k());
+    for (const MixedEntryView& entry : decoder.entries()) {
+      EXPECT_EQ(entry.oracle, nullptr);
     }
   }
 }

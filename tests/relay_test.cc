@@ -7,7 +7,6 @@
 // the root's session.
 
 #include <gtest/gtest.h>
-#include <dirent.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -26,6 +25,7 @@
 #include "relay/frame_wal.h"
 #include "stream/report_stream.h"
 #include "stream_corpus_util.h"
+#include "test_util.h"
 
 namespace ldp {
 namespace {
@@ -40,19 +40,6 @@ net::Endpoint RelayUdsEndpoint(const std::string& name) {
   endpoint.path = "/tmp/ldp_relay_" + std::to_string(::getpid()) + "_" +
                   name + ".sock";
   return endpoint;
-}
-
-// A WAL directory with no files left from an earlier run.
-std::string EmptyWalDir(const std::string& name) {
-  const std::string dir =
-      "/tmp/ldp_relay_wal_" + std::to_string(::getpid()) + "_" + name;
-  if (DIR* handle = ::opendir(dir.c_str())) {
-    while (dirent* entry = ::readdir(handle)) {
-      ::unlink((dir + "/" + entry->d_name).c_str());
-    }
-    ::closedir(handle);
-  }
-  return dir;
 }
 
 // Forwarder options for tests: an idle background cadence so the only
@@ -141,7 +128,8 @@ TEST(RelayTest, OneEdgeRelayIsBitIdenticalToTheFlatRun) {
     // Edge tier: a normal collector plus a forwarder pointed at the root.
     auto edge_session = pipeline.NewServer();
     ASSERT_TRUE(edge_session.ok());
-    const std::string wal_dir = EmptyWalDir("edge1");
+    const testing::ScopedTempDir scoped_wal_dir("ldp_relay_wal_edge1_");
+    const std::string& wal_dir = scoped_wal_dir.path();
     std::unique_ptr<relay::FrameWal> wal;
     if (with_wal) {
       auto opened = relay::FrameWal::Open(wal_dir, &edge_session.value(), {},

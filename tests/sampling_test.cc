@@ -44,6 +44,26 @@ TEST(SampleWithoutReplacementTest, MarginalInclusionIsUniform) {
   }
 }
 
+TEST(SampleWithoutReplacementTest, BothMembershipTestsPickAsFloyd) {
+  // Below kScanMaxPicks the sampler scans its picks, above it hashes them:
+  // from an equal Rng, both must give Floyd's picks in Floyd's order, as a
+  // set-based reference draws them.
+  for (const uint32_t k : {1u, 5u, kScanMaxPicks, kScanMaxPicks + 1, 150u}) {
+    Rng rng(6), twin(6);
+    for (int trial = 0; trial < 50; ++trial) {
+      std::vector<uint32_t> expected;
+      std::set<uint32_t> taken;
+      for (uint32_t j = 200 - k; j < 200; ++j) {
+        const auto t = static_cast<uint32_t>(twin.UniformIndex(j + 1));
+        const uint32_t pick = taken.insert(t).second ? t : j;
+        taken.insert(pick);
+        expected.push_back(pick);
+      }
+      ASSERT_EQ(SampleWithoutReplacement(200, k, &rng), expected) << "k=" << k;
+    }
+  }
+}
+
 TEST(SampleWithoutReplacementTest, SingleElementDomain) {
   Rng rng(4);
   const std::vector<uint32_t> sample = SampleWithoutReplacement(1, 1, &rng);

@@ -6,6 +6,7 @@
 
 #include "stream/report_stream.h"
 #include "util/random.h"
+#include "wire_report.h"
 
 namespace ldp::stream {
 namespace {
@@ -33,7 +34,7 @@ MixedAggregator FillAggregator(const MixedTupleCollector& collector,
   MixedAggregator aggregator(&collector);
   Rng rng(seed);
   for (int i = 0; i < reports; ++i) {
-    aggregator.Add(collector.Perturb(SampleTuple(), &rng));
+    testing::PerturbAndFold(collector, SampleTuple(), &rng, &aggregator);
   }
   return aggregator;
 }

@@ -85,9 +85,7 @@ std::string WriteShard(const data::Dataset& dataset,
       }
     }
     Rng rng = api::UserRng(kSeed, row);
-    EXPECT_TRUE(
-        writer.WriteMixedReport(collector.Perturb(tuple, &rng), collector)
-            .ok());
+    EXPECT_TRUE(writer.WriteReport(collector, tuple, &rng).ok());
   }
   return out.str();
 }

@@ -7,6 +7,7 @@
 #include "core/wire.h"
 #include "stream/shard_ingester.h"
 #include "util/random.h"
+#include "wire_report.h"
 
 namespace ldp::stream {
 namespace {
@@ -36,10 +37,7 @@ std::string MakeStream(const MixedTupleCollector& collector, int reports,
   ReportStreamWriter writer(&out, MakeMixedStreamHeader(collector));
   Rng rng(seed);
   for (int i = 0; i < reports; ++i) {
-    EXPECT_TRUE(
-        writer.WriteMixedReport(collector.Perturb(SampleTuple(), &rng),
-                                collector)
-            .ok());
+    EXPECT_TRUE(writer.WriteReport(collector, SampleTuple(), &rng).ok());
   }
   return out.str();
 }
@@ -167,11 +165,13 @@ TEST(ReportStreamTest, WriterReaderRoundTrip) {
   const MixedTupleCollector collector = MakeCollector();
   std::ostringstream sink;
   ReportStreamWriter writer(&sink, MakeMixedStreamHeader(collector));
-  Rng rng(3);
-  std::vector<MixedReport> reports;
+  // The writer's frames carry the bytes the collector writes from an equal
+  // Rng.
+  Rng rng(3), twin(3);
+  std::vector<std::string> reports;
   for (int i = 0; i < 50; ++i) {
-    reports.push_back(collector.Perturb(SampleTuple(), &rng));
-    ASSERT_TRUE(writer.WriteMixedReport(reports.back(), collector).ok());
+    reports.push_back(testing::PerturbBytes(collector, SampleTuple(), &twin));
+    ASSERT_TRUE(writer.WriteReport(collector, SampleTuple(), &rng).ok());
   }
   EXPECT_EQ(writer.frames_written(), 50u);
 
@@ -185,16 +185,8 @@ TEST(ReportStreamTest, WriterReaderRoundTrip) {
     auto frame = reader.NextFrame(&payload);
     ASSERT_TRUE(frame.ok());
     ASSERT_TRUE(frame.value());
-    auto decoded = DecodeMixedReport(payload, collector);
-    ASSERT_TRUE(decoded.ok());
-    ASSERT_EQ(decoded.value().size(), reports[i].size());
-    for (size_t j = 0; j < reports[i].size(); ++j) {
-      EXPECT_EQ(decoded.value()[j].attribute, reports[i][j].attribute);
-      EXPECT_EQ(decoded.value()[j].numeric_value,
-                reports[i][j].numeric_value);
-      EXPECT_EQ(decoded.value()[j].categorical_report,
-                reports[i][j].categorical_report);
-    }
+    EXPECT_EQ(payload, reports[i]);
+    EXPECT_EQ(testing::Rejection(collector, payload), nullptr);
   }
   auto eof = reader.NextFrame(&payload);
   ASSERT_TRUE(eof.ok());
@@ -303,10 +295,10 @@ TEST(ShardIngesterTest, EveryChunkingMatchesWholeBufferAcrossRingWraps) {
 }
 
 TEST(ShardIngesterTest, VisitorDecodeMatchesMaterializingDecodeBitForBit) {
-  // The zero-copy ingest path folds each frame straight from its wire bytes
-  // (MixedFrameDecoder views -> MixedAggregator::FoldValidated); decoding
-  // every frame into a MixedReport and Add()ing it must produce
-  // bit-identical aggregates.
+  // The ingester folds each frame straight from the bytes it stages
+  // (MixedFrameDecoder views -> MixedAggregator::FoldValidated); reading
+  // every frame out with a ReportStreamReader and decoding it on its own
+  // must produce bit-identical aggregates.
   const MixedTupleCollector collector = MakeCollector();
   const std::string bytes = MakeStream(collector, 250);
 
@@ -315,6 +307,7 @@ TEST(ShardIngesterTest, VisitorDecodeMatchesMaterializingDecodeBitForBit) {
   ASSERT_TRUE(streamed.Finish().ok());
 
   MixedAggregator materialized(&collector);
+  MixedFrameDecoder decoder(&collector);
   std::istringstream source(bytes);
   ReportStreamReader reader(&source);
   ASSERT_TRUE(reader.ReadHeader().ok());
@@ -323,9 +316,9 @@ TEST(ShardIngesterTest, VisitorDecodeMatchesMaterializingDecodeBitForBit) {
     auto frame = reader.NextFrame(&payload);
     ASSERT_TRUE(frame.ok());
     if (!frame.value()) break;
-    auto report = DecodeMixedReport(payload, collector);
-    ASSERT_TRUE(report.ok());
-    materialized.Add(report.value());
+    ASSERT_EQ(
+        decoder.DecodeInto(payload.data(), payload.size(), &materialized),
+        nullptr);
   }
 
   EXPECT_EQ(streamed.aggregator().num_reports(), materialized.num_reports());
@@ -341,11 +334,10 @@ TEST(ShardIngesterTest, MatchesStreamlessAggregation) {
   MixedAggregator direct(&collector);
   std::ostringstream sink;
   ReportStreamWriter writer(&sink, MakeMixedStreamHeader(collector));
-  Rng rng(9);
+  Rng rng(9), twin(9);
   for (int i = 0; i < 300; ++i) {
-    const MixedReport report = collector.Perturb(SampleTuple(), &rng);
-    direct.Add(report);
-    ASSERT_TRUE(writer.WriteMixedReport(report, collector).ok());
+    testing::PerturbAndFold(collector, SampleTuple(), &twin, &direct);
+    ASSERT_TRUE(writer.WriteReport(collector, SampleTuple(), &rng).ok());
   }
   ShardIngester ingester(&collector);
   ASSERT_TRUE(ingester.Feed(sink.str()).ok());

@@ -1,11 +1,18 @@
 // Shared helpers for the test suite: Monte-Carlo moment estimation with
-// sample-size-aware tolerances, and small numeric utilities.
+// sample-size-aware tolerances, small numeric utilities, and scratch
+// directories that clean up after themselves.
 
 #ifndef LDP_TESTS_TEST_UTIL_H_
 #define LDP_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+#include <stdlib.h>
+
 #include <cmath>
+#include <filesystem>
 #include <functional>
+#include <string>
+#include <system_error>
 #include <vector>
 
 #include "util/random.h"
@@ -45,6 +52,32 @@ inline double Integrate(const std::function<double(double)>& f, double lo,
   }
   return sum * h / 3.0;
 }
+
+/// A fresh, empty directory under the test temp dir, named `prefix` plus a
+/// unique suffix, removed with everything in it when the object goes out of
+/// scope. Declare it before whatever writes into it (a WAL, a server), so
+/// those close first.
+class ScopedTempDir {
+ public:
+  explicit ScopedTempDir(const std::string& prefix) {
+    std::string pattern = ::testing::TempDir() + prefix + "XXXXXX";
+    if (::mkdtemp(pattern.data()) != nullptr) path_ = pattern;
+    EXPECT_FALSE(path_.empty()) << "mkdtemp failed for " << pattern;
+  }
+
+  ~ScopedTempDir() {
+    std::error_code ignored;
+    if (!path_.empty()) std::filesystem::remove_all(path_, ignored);
+  }
+
+  ScopedTempDir(const ScopedTempDir&) = delete;
+  ScopedTempDir& operator=(const ScopedTempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 }  // namespace ldp::testing
 

@@ -148,7 +148,9 @@ TEST(SplitRangeTest, CoversRangeContiguously) {
       EXPECT_EQ(ranges.back().end, n);
       for (size_t i = 0; i < ranges.size(); ++i) {
         EXPECT_LT(ranges[i].begin, ranges[i].end);
-        if (i > 0) EXPECT_EQ(ranges[i].begin, ranges[i - 1].end);
+        if (i > 0) {
+          EXPECT_EQ(ranges[i].begin, ranges[i - 1].end);
+        }
       }
     }
   }

@@ -182,7 +182,9 @@ TEST(VocabularyFlagTest, OracleTable) {
     SCOPED_TRACE(c.name);
     FrequencyOracleKind kind = FrequencyOracleKind::kOue;
     EXPECT_EQ(ParseOracleFlag(c.name, &kind), c.ok);
-    if (c.ok) EXPECT_EQ(kind, c.kind);
+    if (c.ok) {
+      EXPECT_EQ(kind, c.kind);
+    }
   }
 }
 

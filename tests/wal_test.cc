@@ -31,6 +31,7 @@
 #include "relay/frame_wal.h"
 #include "stream/report_stream.h"
 #include "stream_corpus_util.h"
+#include "test_util.h"
 
 namespace ldp {
 namespace {
@@ -38,21 +39,26 @@ namespace {
 using ldp::testing::kCorpusReports;
 using ldp::testing::MakeCorpusPipeline;
 using ldp::testing::MakeHonestStream;
+using ldp::testing::ScopedTempDir;
 
-// A fresh, empty WAL directory per test.
-std::string TestWalDir(const std::string& name) {
-  const std::string dir =
-      "/tmp/ldp_wal_test_" + std::to_string(::getpid()) + "_" + name;
-  DIR* handle = ::opendir(dir.c_str());
-  if (handle != nullptr) {
-    while (dirent* entry = ::readdir(handle)) {
-      const std::string file = entry->d_name;
-      if (file == "." || file == "..") continue;
-      std::remove((dir + "/" + file).c_str());  // a file or an empty dir
-    }
-    ::closedir(handle);
+TEST(ScopedTempDirTest, RemovesTheDirectoryAndItsContents) {
+  // Each WAL test writes into one of these; none may outlive its scope.
+  std::string path;
+  {
+    const ScopedTempDir dir("ldp_scoped_dir_test_");
+    path = dir.path();
+    struct stat info {};
+    ASSERT_EQ(::stat(path.c_str(), &info), 0);
+    EXPECT_TRUE(S_ISDIR(info.st_mode));
+    ASSERT_EQ(::mkdir((path + "/nested").c_str(), 0755), 0);
+    std::ofstream(path + "/nested/file") << "bytes";
+    std::ofstream(path + "/top") << "bytes";
+    // A second one is a different directory.
+    const ScopedTempDir other("ldp_scoped_dir_test_");
+    EXPECT_NE(other.path(), path);
   }
-  return dir;
+  struct stat info {};
+  EXPECT_NE(::stat(path.c_str(), &info), 0) << path << " still exists";
 }
 
 std::vector<std::string> ListWalFiles(const std::string& dir) {
@@ -213,7 +219,8 @@ TEST(WalTest, AppendedFileIsByteExactToTheLayout) {
   const std::string body = stream.substr(stream::kStreamHeaderBytes);
   const size_t half = body.size() / 2;
   const std::string reporter = "device-42";
-  const std::string dir = TestWalDir("byte_exact");
+  const ScopedTempDir wal_dir("ldp_wal_test_byte_exact_");
+  const std::string& dir = wal_dir.path();
 
   auto session = pipeline.NewServer();
   ASSERT_TRUE(session.ok());
@@ -257,7 +264,8 @@ TEST(WalTest, ConcurrentAppendsToDistinctShardsReplayLikeASerialFeed) {
   for (uint64_t s = 0; s < kShards; ++s) {
     streams.push_back(MakeHonestStream(pipeline, 960 + s));
   }
-  const std::string dir = TestWalDir("concurrent");
+  const ScopedTempDir wal_dir("ldp_wal_test_concurrent_");
+  const std::string& dir = wal_dir.path();
 
   auto logged = pipeline.NewServer();
   ASSERT_TRUE(logged.ok());
@@ -320,7 +328,8 @@ TEST(WalTest, ReadErrorIsAnIoErrorAndTruncatesNothing) {
   // A WAL name that read(2) cannot read (a directory: EISDIR). Taking the
   // failed read for EOF would replay it as a torn tail and truncate.
   const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
-  const std::string dir = TestWalDir("read_error");
+  const ScopedTempDir wal_dir("ldp_wal_test_read_error_");
+  const std::string& dir = wal_dir.path();
   ::mkdir(dir.c_str(), 0755);
   const std::string path = dir + "/wal-e00000-o00000-g00000.ldpw";
   ASSERT_EQ(::mkdir(path.c_str(), 0755), 0);
@@ -356,7 +365,8 @@ TEST(WalTest, ReplayReproducesTheSessionExactly) {
   for (uint64_t s = 0; s < 3; ++s) {
     streams.push_back(MakeHonestStream(pipeline, 900 + s));
   }
-  const std::string dir = TestWalDir("replay_exact");
+  const ScopedTempDir wal_dir("ldp_wal_test_replay_exact_");
+  const std::string& dir = wal_dir.path();
 
   auto logged = pipeline.NewServer();
   ASSERT_TRUE(logged.ok());
@@ -402,7 +412,8 @@ TEST(WalTest, OpenShardBecomesAResumeEntryWithExactDurableBytes) {
   const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
   const std::string closed_stream = MakeHonestStream(pipeline, 910);
   const std::string open_stream = MakeHonestStream(pipeline, 911);
-  const std::string dir = TestWalDir("resume");
+  const ScopedTempDir wal_dir("ldp_wal_test_resume_");
+  const std::string& dir = wal_dir.path();
 
   auto logged = pipeline.NewServer();
   ASSERT_TRUE(logged.ok());
@@ -465,7 +476,8 @@ TEST(WalTest, OpenShardBecomesAResumeEntryWithExactDurableBytes) {
 TEST(WalTest, TornTailIsTruncatedAndTheShardStillResumes) {
   const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
   const std::string stream = MakeHonestStream(pipeline, 920);
-  const std::string dir = TestWalDir("torn_tail");
+  const ScopedTempDir wal_dir("ldp_wal_test_torn_tail_");
+  const std::string& dir = wal_dir.path();
 
   auto logged = pipeline.NewServer();
   ASSERT_TRUE(logged.ok());
@@ -509,7 +521,8 @@ TEST(WalTest, CorruptRecordPoisonsOnlyItsShard) {
   const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
   const std::string poisoned_stream = MakeHonestStream(pipeline, 930);
   const std::string honest_stream = MakeHonestStream(pipeline, 931);
-  const std::string dir = TestWalDir("corrupt");
+  const ScopedTempDir wal_dir("ldp_wal_test_corrupt_");
+  const std::string& dir = wal_dir.path();
 
   auto logged = pipeline.NewServer();
   ASSERT_TRUE(logged.ok());
@@ -569,7 +582,8 @@ TEST(WalTest, AbandonedShardReplaysToNothing) {
   const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
   const std::string abandoned_stream = MakeHonestStream(pipeline, 940);
   const std::string kept_stream = MakeHonestStream(pipeline, 941);
-  const std::string dir = TestWalDir("abandon");
+  const ScopedTempDir wal_dir("ldp_wal_test_abandon_");
+  const std::string& dir = wal_dir.path();
 
   auto logged = pipeline.NewServer();
   ASSERT_TRUE(logged.ok());
@@ -608,7 +622,8 @@ TEST(WalTest, ReopeningTheLogContinuesGenerationsAndCloseOrder) {
   // a second crash/replay must see one continuous history.
   const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
   const std::string stream = MakeHonestStream(pipeline, 950);
-  const std::string dir = TestWalDir("reopen");
+  const ScopedTempDir wal_dir("ldp_wal_test_reopen_");
+  const std::string& dir = wal_dir.path();
   const std::string header = stream.substr(0, stream::kStreamHeaderBytes);
   const char* data = stream.data() + stream::kStreamHeaderBytes;
   const size_t total = stream.size() - stream::kStreamHeaderBytes;
@@ -674,7 +689,8 @@ TEST(WalTest, ServerResumeHandshakeContinuesACrashedCampaign) {
   const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
   const std::string done_stream = MakeHonestStream(pipeline, 970);
   const std::string cut_stream = MakeHonestStream(pipeline, 971);
-  const std::string dir = TestWalDir("net_resume");
+  const ScopedTempDir wal_dir("ldp_wal_test_net_resume_");
+  const std::string& dir = wal_dir.path();
   const char* data = cut_stream.data() + stream::kStreamHeaderBytes;
   const size_t total = cut_stream.size() - stream::kStreamHeaderBytes;
   const size_t partial = total / 2 + 7;
@@ -738,7 +754,8 @@ TEST(WalTest, EpochAdvanceAbandonsAnUnclaimedResumeShard) {
       MakeCorpusPipeline(/*numeric=*/false, /*epochs=*/2);
   const std::string done_stream = MakeHonestStream(pipeline, 972);
   const std::string cut_stream = MakeHonestStream(pipeline, 973);
-  const std::string dir = TestWalDir("advance_abandons");
+  const ScopedTempDir wal_dir("ldp_wal_test_advance_abandons_");
+  const std::string& dir = wal_dir.path();
   CrashWithOrdinalOneOpen(pipeline, dir, done_stream, cut_stream,
                           /*partial=*/100);
 
@@ -796,7 +813,8 @@ TEST(WalTest, HeaderMismatchAgainstExpectedPoisonsTheShard) {
   const api::Pipeline mixed = MakeCorpusPipeline(/*numeric=*/false);
   const api::Pipeline numeric = MakeCorpusPipeline(/*numeric=*/true);
   const std::string stream = MakeHonestStream(numeric, 960);
-  const std::string dir = TestWalDir("expected");
+  const ScopedTempDir wal_dir("ldp_wal_test_expected_");
+  const std::string& dir = wal_dir.path();
 
   auto logged = numeric.NewServer();
   ASSERT_TRUE(logged.ok());
@@ -832,7 +850,8 @@ TEST(WalTest, ReplayRestoresTheReporterLedgerExactly) {
   // the restored session must match the pre-crash one bit for bit — the
   // v2 snapshot embeds the ledger section, so equality pins the spend.
   const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
-  const std::string dir = TestWalDir("reporter_ledger");
+  const ScopedTempDir wal_dir("ldp_wal_test_reporter_ledger_");
+  const std::string& dir = wal_dir.path();
   const std::vector<std::string> streams = {MakeHonestStream(pipeline, 920),
                                             MakeHonestStream(pipeline, 921)};
 
@@ -893,7 +912,8 @@ TEST(WalTest, LegacyV1LogCountsAsCorruptAndReplaysNothing) {
   // current version, so the whole log counts as corrupt.
   const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
   const std::string stream = MakeHonestStream(pipeline, 930);
-  const std::string dir = TestWalDir("legacy_v1");
+  const ScopedTempDir wal_dir("ldp_wal_test_legacy_v1_");
+  const std::string& dir = wal_dir.path();
   ::mkdir(dir.c_str(), 0755);
 
   auto put16 = [](std::string* out, uint16_t v) {

@@ -11,9 +11,16 @@
 #include "stream/report_stream.h"
 #include "stream/shard_ingester.h"
 #include "util/random.h"
+#include "util/sampling.h"
+#include "wire_report.h"
 
 namespace ldp {
 namespace {
+
+using testing::PayloadWords;
+using testing::PerturbBytes;
+using testing::Rejection;
+using testing::WireReport;
 
 MixedTupleCollector MakeMixedCollector() {
   auto collector = MixedTupleCollector::Create(
@@ -42,47 +49,80 @@ MixedTuple NumericTuple(const std::vector<double>& values) {
   return tuple;
 }
 
-// A hand-built all-numeric report, one entry per (attribute, value) pair.
-MixedReport NumericReport(
-    const std::vector<std::pair<uint32_t, double>>& entries) {
-  MixedReport report;
-  for (const auto& [attribute, value] : entries) {
-    MixedReportEntry entry;
+// One entry as an independent reference draws it.
+struct ReferenceEntry {
+  uint32_t attribute = 0;
+  double numeric_value = 0.0;
+  FrequencyOracle::Report payload;
+};
+
+// Section IV-C's client draws, spelled out without the wire: Floyd's sample
+// of k attributes, then each sampled attribute's d/k-scaled PM/HM value or
+// oracle report, in sample order. AppendReport must write exactly these,
+// from an equal Rng.
+std::vector<ReferenceEntry> ReferenceDraws(const MixedTupleCollector& collector,
+                                           const MixedTuple& tuple, Rng* rng) {
+  const double scale = static_cast<double>(collector.dimension()) /
+                       static_cast<double>(collector.k());
+  std::vector<ReferenceEntry> entries;
+  for (const uint32_t attribute :
+       SampleWithoutReplacement(collector.dimension(), collector.k(), rng)) {
+    ReferenceEntry entry;
     entry.attribute = attribute;
-    entry.numeric_value = value;
-    report.push_back(entry);
+    const FrequencyOracle* oracle = collector.oracle_for(attribute);
+    if (oracle == nullptr) {
+      entry.numeric_value =
+          scale * collector.scalar_mechanism().Perturb(
+                      tuple[attribute].numeric, rng);
+    } else {
+      entry.payload = oracle->Perturb(tuple[attribute].category, rng);
+    }
+    entries.push_back(std::move(entry));
   }
-  return report;
+  return entries;
+}
+
+// The decoder's entries for the last frame it accepted equal `expected`.
+void ExpectEntries(const MixedFrameDecoder& decoder,
+                   const MixedTupleCollector& collector,
+                   const std::vector<ReferenceEntry>& expected,
+                   const std::string& where) {
+  const std::vector<MixedEntryView>& views = decoder.entries();
+  ASSERT_EQ(views.size(), expected.size()) << where;
+  for (size_t j = 0; j < views.size(); ++j) {
+    EXPECT_EQ(views[j].attribute, expected[j].attribute) << where;
+    EXPECT_EQ(views[j].oracle, collector.oracle_for(expected[j].attribute))
+        << where;
+    if (views[j].oracle == nullptr) {
+      EXPECT_EQ(views[j].numeric_value, expected[j].numeric_value) << where;
+    } else {
+      EXPECT_EQ(PayloadWords(views[j]), expected[j].payload) << where;
+    }
+  }
 }
 
 TEST(SampledNumericWireTest, RoundTripsRealReports) {
   const MixedTupleCollector collector = MakeNumericCollector();
-  Rng rng(1);
+  MixedFrameDecoder decoder(&collector);
+  Rng rng(1), twin(1);
   const MixedTuple tuple = NumericTuple({0.1, -0.5, 0.9, 0.0, -1.0, 1.0});
   for (int i = 0; i < 200; ++i) {
-    const MixedReport report = collector.Perturb(tuple, &rng);
-    const std::string bytes = EncodeMixedReport(report, collector);
+    const std::string bytes = PerturbBytes(collector, tuple, &rng);
     // u16 count, then u32 attribute + u8 kind + f64 value per entry.
     EXPECT_EQ(bytes.size(), 2u + 13u * collector.k());
-    auto decoded = DecodeMixedReport(bytes, collector);
-    ASSERT_TRUE(decoded.ok());
-    ASSERT_EQ(decoded.value().size(), report.size());
-    for (size_t j = 0; j < report.size(); ++j) {
-      EXPECT_EQ(decoded.value()[j].attribute, report[j].attribute);
-      EXPECT_EQ(decoded.value()[j].numeric_value, report[j].numeric_value);
-      EXPECT_TRUE(decoded.value()[j].categorical_report.empty());
-    }
+    ASSERT_EQ(decoder.Validate(bytes.data(), bytes.size()), nullptr);
+    ExpectEntries(decoder, collector, ReferenceDraws(collector, tuple, &twin),
+                  "report " + std::to_string(i));
   }
 }
 
 TEST(SampledNumericWireTest, RejectsTruncation) {
   const MixedTupleCollector collector = MakeNumericCollector();
   Rng rng(2);
-  const std::string bytes = EncodeMixedReport(
-      collector.Perturb(NumericTuple({0.0, 0.0, 0.0, 0.0, 0.0, 0.0}), &rng),
-      collector);
+  const std::string bytes = PerturbBytes(
+      collector, NumericTuple({0.0, 0.0, 0.0, 0.0, 0.0, 0.0}), &rng);
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
-    EXPECT_FALSE(DecodeMixedReport(bytes.substr(0, cut), collector).ok())
+    EXPECT_NE(Rejection(collector, bytes.substr(0, cut)), nullptr)
         << "cut=" << cut;
   }
 }
@@ -90,81 +130,66 @@ TEST(SampledNumericWireTest, RejectsTruncation) {
 TEST(SampledNumericWireTest, RejectsTrailingBytes) {
   const MixedTupleCollector collector = MakeNumericCollector();
   Rng rng(3);
-  std::string bytes = EncodeMixedReport(
-      collector.Perturb(NumericTuple({0.0, 0.0, 0.0, 0.0, 0.0, 0.0}), &rng),
-      collector);
+  std::string bytes = PerturbBytes(
+      collector, NumericTuple({0.0, 0.0, 0.0, 0.0, 0.0, 0.0}), &rng);
   bytes.push_back('x');
-  EXPECT_FALSE(DecodeMixedReport(bytes, collector).ok());
+  EXPECT_NE(Rejection(collector, bytes), nullptr);
 }
 
 TEST(SampledNumericWireTest, RejectsWrongEntryCount) {
   const MixedTupleCollector collector = MakeNumericCollector();
-  EXPECT_FALSE(DecodeMixedReport(
-                   EncodeMixedReport(NumericReport({{0, 0.5}}), collector),
-                   collector)
-                   .ok());
+  EXPECT_NE(Rejection(collector, WireReport().Numeric(0, 0.5).bytes()),
+            nullptr);
 }
 
 TEST(SampledNumericWireTest, RejectsOutOfRangeAttributeAndValue) {
   const MixedTupleCollector collector = MakeNumericCollector();
-  for (const MixedReport& bad :
-       {NumericReport({{0, 0.5}, {99, 0.5}}),
-        NumericReport({{0, 0.5}, {1, 1e9}}),
-        NumericReport({{0, 0.5}, {1, std::nan("")}})}) {
-    EXPECT_FALSE(
-        DecodeMixedReport(EncodeMixedReport(bad, collector), collector).ok());
+  for (const std::string& bad :
+       {WireReport().Numeric(0, 0.5).Numeric(99, 0.5).bytes(),
+        WireReport().Numeric(0, 0.5).Numeric(1, 1e9).bytes(),
+        WireReport().Numeric(0, 0.5).Numeric(1, std::nan("")).bytes()}) {
+    EXPECT_NE(Rejection(collector, bad), nullptr);
   }
 }
 
 TEST(SampledNumericWireTest, RejectsDuplicateAttributes) {
   const MixedTupleCollector collector = MakeNumericCollector();
-  EXPECT_FALSE(DecodeMixedReport(
-                   EncodeMixedReport(NumericReport({{3, 0.5}, {3, -0.5}}),
-                                     collector),
-                   collector)
-                   .ok());
+  EXPECT_NE(Rejection(collector,
+                      WireReport().Numeric(3, 0.5).Numeric(3, -0.5).bytes()),
+            nullptr);
 }
 
 TEST(MixedWireTest, RoundTripsRealReports) {
   const MixedTupleCollector collector = MakeMixedCollector();
-  Rng rng(4);
+  MixedFrameDecoder decoder(&collector);
+  Rng rng(4), twin(4);
   MixedTuple tuple(4);
   tuple[0] = AttributeValue::Numeric(0.3);
   tuple[1] = AttributeValue::Categorical(2);
   tuple[2] = AttributeValue::Numeric(-0.9);
   tuple[3] = AttributeValue::Categorical(5);
   for (int i = 0; i < 300; ++i) {
-    const MixedReport report = collector.Perturb(tuple, &rng);
-    auto decoded = DecodeMixedReport(EncodeMixedReport(report, collector),
-                                     collector);
-    ASSERT_TRUE(decoded.ok());
-    ASSERT_EQ(decoded.value().size(), report.size());
-    for (size_t j = 0; j < report.size(); ++j) {
-      EXPECT_EQ(decoded.value()[j].attribute, report[j].attribute);
-      EXPECT_DOUBLE_EQ(decoded.value()[j].numeric_value,
-                       report[j].numeric_value);
-      EXPECT_EQ(decoded.value()[j].categorical_report,
-                report[j].categorical_report);
-    }
+    const std::string bytes = PerturbBytes(collector, tuple, &rng);
+    ASSERT_EQ(decoder.Validate(bytes.data(), bytes.size()), nullptr);
+    ExpectEntries(decoder, collector, ReferenceDraws(collector, tuple, &twin),
+                  "report " + std::to_string(i));
   }
+  // Both consumed exactly the same randomness.
+  EXPECT_EQ(rng.Next(), twin.Next());
 }
 
 TEST(MixedWireTest, RoundTripsEmptyCategoricalReports) {
-  // An OUE report with no set bits must survive the round trip as
-  // categorical, not be mistaken for a numeric entry.
+  // An OUE report with no set bits is a categorical entry with an empty
+  // payload, not to be mistaken for a numeric entry (whose value 0.0 would
+  // be ambiguous without the kind byte).
   const MixedTupleCollector collector = MakeMixedCollector();
-  MixedReport report;
-  MixedReportEntry numeric_entry;
-  numeric_entry.attribute = 0;
-  numeric_entry.numeric_value = 0.0;  // ambiguous without schema tagging
-  MixedReportEntry empty_categorical;
-  empty_categorical.attribute = 1;
-  report.push_back(numeric_entry);
-  report.push_back(empty_categorical);
-  auto decoded =
-      DecodeMixedReport(EncodeMixedReport(report, collector), collector);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(decoded.value()[1].categorical_report.empty());
+  const std::string bytes =
+      WireReport().Numeric(0, 0.0).Categorical(1, {}).bytes();
+  MixedFrameDecoder decoder(&collector);
+  ASSERT_EQ(decoder.Validate(bytes.data(), bytes.size()), nullptr);
+  EXPECT_EQ(decoder.entries()[0].oracle, nullptr);
+  EXPECT_EQ(decoder.entries()[1].oracle, collector.oracle_for(1));
+  EXPECT_EQ(decoder.entries()[1].payload.size(), 0u);
 }
 
 TEST(MixedWireTest, RejectsTruncationEverywhere) {
@@ -173,43 +198,24 @@ TEST(MixedWireTest, RejectsTruncationEverywhere) {
   MixedTuple tuple(4);
   tuple[1] = AttributeValue::Categorical(1);
   tuple[3] = AttributeValue::Categorical(2);
-  const std::string bytes =
-      EncodeMixedReport(collector.Perturb(tuple, &rng), collector);
+  const std::string bytes = PerturbBytes(collector, tuple, &rng);
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
-    EXPECT_FALSE(DecodeMixedReport(bytes.substr(0, cut), collector).ok());
+    EXPECT_NE(Rejection(collector, bytes.substr(0, cut)), nullptr);
   }
 }
 
 TEST(MixedWireTest, RejectsKindSchemaMismatch) {
   const MixedTupleCollector collector = MakeMixedCollector();
-  // Hand-craft: numeric entry pointing at categorical attribute 1.
-  MixedReport bad;
-  MixedReportEntry entry;
-  entry.attribute = 1;  // categorical in the schema
-  entry.numeric_value = 0.25;
-  bad.push_back(entry);
-  MixedReportEntry other;
-  other.attribute = 0;
-  bad.push_back(other);
-  // Encode with a lying schema by building bytes via a collector whose
-  // attribute 1 is numeric — simplest: flip the entries' attributes.
-  const std::string bytes = EncodeMixedReport(bad, collector);
-  // EncodeMixedReport consults the schema, so it writes entry 1 as
-  // categorical; craft the mismatch manually instead.
-  std::string crafted;
-  crafted.push_back(2);  // count lo
-  crafted.push_back(0);  // count hi
-  // entry: attribute 1 (categorical) tagged numeric
-  crafted.append(std::string("\x01\x00\x00\x00", 4));
-  crafted.push_back(0);  // kNumericEntry
-  crafted.append(8, '\0');
-  // entry: attribute 0 (numeric) tagged categorical
-  crafted.append(std::string(4, '\0'));
-  crafted.push_back(1);  // kCategoricalEntry
-  crafted.push_back(0);
-  crafted.push_back(0);
-  EXPECT_FALSE(DecodeMixedReport(crafted, collector).ok());
-  (void)bytes;
+  // A numeric entry for categorical attribute 1, then a categorical entry
+  // for numeric attribute 0: each kind contradicts the schema.
+  EXPECT_STREQ(
+      Rejection(collector,
+                WireReport().Numeric(1, 0.25).Numeric(0, 0.0).bytes()),
+      "numeric entry for categorical attribute");
+  EXPECT_STREQ(
+      Rejection(collector,
+                WireReport().Categorical(0, {}).Categorical(1, {}).bytes()),
+      "categorical entry for numeric attribute");
 }
 
 TEST(MixedWireTest, RejectsUnknownEntryKind) {
@@ -219,7 +225,7 @@ TEST(MixedWireTest, RejectsUnknownEntryKind) {
   crafted.push_back(0);
   crafted.append(std::string(4, '\0'));  // attribute 0
   crafted.push_back(7);                  // bogus kind
-  EXPECT_FALSE(DecodeMixedReport(crafted, collector).ok());
+  EXPECT_NE(Rejection(collector, crafted), nullptr);
 }
 
 TEST(MixedWireTest, RejectsOutOfRangeAttribute) {
@@ -230,7 +236,7 @@ TEST(MixedWireTest, RejectsOutOfRangeAttribute) {
   crafted.append(std::string("\x63\x00\x00\x00", 4));  // attribute 99
   crafted.push_back(0);                                // numeric kind
   crafted.append(8, '\0');
-  EXPECT_FALSE(DecodeMixedReport(crafted, collector).ok());
+  EXPECT_NE(Rejection(collector, crafted), nullptr);
 }
 
 TEST(MixedWireTest, RejectsOversizedEntryCount) {
@@ -240,7 +246,7 @@ TEST(MixedWireTest, RejectsOversizedEntryCount) {
   std::string crafted;
   crafted.push_back(static_cast<char>(0xff));
   crafted.push_back(static_cast<char>(0xff));
-  EXPECT_FALSE(DecodeMixedReport(crafted, collector).ok());
+  EXPECT_NE(Rejection(collector, crafted), nullptr);
 }
 
 TEST(MixedWireTest, RejectsOversizedCategoricalPayload) {
@@ -255,49 +261,36 @@ TEST(MixedWireTest, RejectsOversizedCategoricalPayload) {
   crafted.push_back(1);                                // categorical kind
   crafted.push_back(static_cast<char>(0xff));
   crafted.push_back(static_cast<char>(0xff));
-  EXPECT_FALSE(DecodeMixedReport(crafted, collector).ok());
+  EXPECT_NE(Rejection(collector, crafted), nullptr);
 }
 
 TEST(MixedWireTest, RejectsCategoricalPayloadOutsideTheDomain) {
   const MixedTupleCollector collector = MakeMixedCollector();
   // A "set bit" index of 9 in a domain of 4: without validation the
   // server-side Fold would write out of bounds.
-  MixedReport report;
-  MixedReportEntry entry;
-  entry.attribute = 1;
-  entry.categorical_report = {9};
-  report.push_back(entry);
-  MixedReportEntry numeric_entry;
-  numeric_entry.attribute = 0;
-  report.push_back(numeric_entry);
-  EXPECT_FALSE(
-      DecodeMixedReport(EncodeMixedReport(report, collector), collector)
-          .ok());
+  EXPECT_NE(
+      Rejection(collector,
+                WireReport().Categorical(1, {9}).Numeric(0, 0.0).bytes()),
+      nullptr);
   // Duplicate bits would double-count support; also rejected.
-  report[0].categorical_report = {2, 2};
-  EXPECT_FALSE(
-      DecodeMixedReport(EncodeMixedReport(report, collector), collector)
-          .ok());
+  EXPECT_NE(
+      Rejection(collector,
+                WireReport().Categorical(1, {2, 2}).Numeric(0, 0.0).bytes()),
+      nullptr);
   // In-range strictly increasing bits pass.
-  report[0].categorical_report = {1, 3};
-  EXPECT_TRUE(
-      DecodeMixedReport(EncodeMixedReport(report, collector), collector)
-          .ok());
+  EXPECT_EQ(
+      Rejection(collector,
+                WireReport().Categorical(1, {1, 3}).Numeric(0, 0.0).bytes()),
+      nullptr);
 }
 
 TEST(MixedWireTest, RejectsOutOfBoundNumericValue) {
   const MixedTupleCollector collector = MakeMixedCollector();
-  MixedReport report;
-  MixedReportEntry entry;
-  entry.attribute = 0;
-  entry.numeric_value = 1e12;  // far beyond (d/k) * OutputBound for HM
-  report.push_back(entry);
-  MixedReportEntry other;
-  other.attribute = 2;
-  report.push_back(other);
-  EXPECT_FALSE(
-      DecodeMixedReport(EncodeMixedReport(report, collector), collector)
-          .ok());
+  // 1e12 is far beyond (d/k) * OutputBound for HM.
+  EXPECT_NE(
+      Rejection(collector,
+                WireReport().Numeric(0, 1e12).Numeric(2, 0.0).bytes()),
+      nullptr);
 }
 
 // The accept-set tests run on every oracle at k = 1 (ε = 4) and at k = 2
@@ -360,53 +353,59 @@ void ExpectSameBits(const MixedAggregator& actual,
 }
 
 TEST(MixedFrameDecoderTest, StreamsExactlyWhatMaterializingDecodeReturns) {
+  // The decoder's views of a client frame are the reference draws, and
+  // folding them lands on the bits of folding the reference draws by hand
+  // (numeric sums, oracle Accumulate on materialized reports).
   for (const MixedTupleCollector& collector : EveryOracleAtKOneAndTwo()) {
     const std::string name = CaseName(collector);
     MixedFrameDecoder decoder(&collector);
     MixedAggregator folded(&collector);
-    MixedAggregator added(&collector);
-    Rng rng(7);
-    const MixedTuple tuple = DecoderTuple();
-    for (int i = 0; i < 200; ++i) {
-      const std::string bytes =
-          EncodeMixedReport(collector.Perturb(tuple, &rng), collector);
-      auto materialized = DecodeMixedReport(bytes, collector);
-      ASSERT_TRUE(materialized.ok()) << name;
-      ASSERT_EQ(decoder.Validate(bytes.data(), bytes.size()), nullptr) << name;
-      const std::vector<MixedEntryView>& views = decoder.entries();
-      ASSERT_EQ(views.size(), materialized.value().size()) << name;
-      for (size_t j = 0; j < views.size(); ++j) {
-        const MixedReportEntry& entry = materialized.value()[j];
-        EXPECT_EQ(views[j].attribute, entry.attribute) << name;
-        EXPECT_EQ(views[j].oracle, collector.oracle_for(entry.attribute))
-            << name;
-        if (views[j].oracle == nullptr) {
-          EXPECT_EQ(views[j].numeric_value, entry.numeric_value) << name;
-        } else {
-          ASSERT_EQ(views[j].payload.size(), entry.categorical_report.size())
-              << name;
-          for (size_t p = 0; p < views[j].payload.size(); ++p) {
-            EXPECT_EQ(views[j].payload[p], entry.categorical_report[p])
-                << name;
-          }
-        }
+    const uint32_t d = collector.dimension();
+    std::vector<uint64_t> attribute_reports(d, 0);
+    std::vector<double> numeric_sums(d, 0.0);
+    std::vector<std::vector<double>> supports(d);
+    for (uint32_t j = 0; j < d; ++j) {
+      if (collector.oracle_for(j) != nullptr) {
+        supports[j].assign(collector.schema()[j].domain_size, 0.0);
       }
+    }
+    Rng rng(7), twin(7);
+    const MixedTuple tuple = DecoderTuple();
+    constexpr int kReports = 200;
+    for (int i = 0; i < kReports; ++i) {
+      const std::string bytes = PerturbBytes(collector, tuple, &rng);
+      const std::vector<ReferenceEntry> reference =
+          ReferenceDraws(collector, tuple, &twin);
+      ASSERT_EQ(decoder.Validate(bytes.data(), bytes.size()), nullptr) << name;
+      ExpectEntries(decoder, collector, reference, name);
       ASSERT_EQ(decoder.DecodeInto(bytes.data(), bytes.size(), &folded),
                 nullptr)
           << name;
-      added.Add(materialized.value());
+      for (const ReferenceEntry& entry : reference) {
+        ++attribute_reports[entry.attribute];
+        const FrequencyOracle* oracle = collector.oracle_for(entry.attribute);
+        if (oracle == nullptr) {
+          numeric_sums[entry.attribute] += entry.numeric_value;
+        } else {
+          oracle->Accumulate(entry.payload, &supports[entry.attribute]);
+        }
+      }
     }
-    ExpectSameBits(folded, added, name);
+    auto expected = MixedAggregator::FromParts(
+        &collector, kReports, std::move(attribute_reports),
+        std::move(numeric_sums), std::move(supports));
+    ASSERT_TRUE(expected.ok()) << name;
+    ExpectSameBits(folded, expected.value(), name);
   }
 }
 
 TEST(MixedFrameDecoderTest, MutatedFramesGetOneVerdictAndFoldAllOrNothing) {
   // One accept set: for every truncation, every single-byte change of a
   // valid frame and a duplicate-attribute frame, a ShardIngester that fails
-  // on its first rejection and DecodeMixedReport return the same verdict
+  // on its first rejection and a MixedFrameDecoder return the same verdict
   // and the same reason. A rejected frame leaves the aggregate untouched,
   // even when it fails on its last entry; an accepted one folds to the same
-  // bits as Add of the materialized report.
+  // bits as the decoder folding it on its own.
   for (const MixedTupleCollector& collector : EveryOracleAtKOneAndTwo()) {
     const std::string name = CaseName(collector);
     const std::string header =
@@ -416,6 +415,7 @@ TEST(MixedFrameDecoderTest, MutatedFramesGetOneVerdictAndFoldAllOrNothing) {
       internal_wire::PutU32(&frame, static_cast<uint32_t>(payload.size()));
       return frame + payload;
     };
+    MixedFrameDecoder decoder(&collector);
 
     // Valid frames holding a numeric and a categorical entry (at k = 1 they
     // are different frames).
@@ -423,23 +423,20 @@ TEST(MixedFrameDecoderTest, MutatedFramesGetOneVerdictAndFoldAllOrNothing) {
     Rng rng(8);
     bool numeric_seen = false, categorical_seen = false;
     while (!numeric_seen || !categorical_seen) {
-      const MixedReport report = collector.Perturb(DecoderTuple(), &rng);
+      const std::string report = PerturbBytes(collector, DecoderTuple(), &rng);
+      ASSERT_EQ(decoder.Validate(report.data(), report.size()), nullptr);
       bool has_numeric = false, has_categorical = false;
-      for (const MixedReportEntry& entry : report) {
-        (collector.oracle_for(entry.attribute) == nullptr ? has_numeric
-                                                          : has_categorical) =
-            true;
+      for (const MixedEntryView& entry : decoder.entries()) {
+        (entry.oracle == nullptr ? has_numeric : has_categorical) = true;
       }
       if ((has_numeric && !numeric_seen) ||
           (has_categorical && !categorical_seen)) {
-        good.push_back(EncodeMixedReport(report, collector));
+        good.push_back(report);
         numeric_seen |= has_numeric;
         categorical_seen |= has_categorical;
       }
     }
     const std::string& first = good.front();
-    const MixedReport first_report =
-        DecodeMixedReport(first, collector).value();
 
     // One long-lived ingester also takes every mutated frame in turn: its
     // decoder must stay exact after any number of rejections.
@@ -456,18 +453,21 @@ TEST(MixedFrameDecoderTest, MutatedFramesGetOneVerdictAndFoldAllOrNothing) {
       stream::ShardIngester ingester(&collector, strict);
       ASSERT_TRUE(ingester.Feed(header + frame_of(first)).ok());
       const Status fed = ingester.Feed(frame_of(mutated));
-      const auto decoded = DecodeMixedReport(mutated, collector);
-      ASSERT_EQ(fed.ok(), decoded.ok()) << name << ' ' << what;
+      const char* rejected = decoder.Validate(mutated.data(), mutated.size());
+      ASSERT_EQ(fed.ok(), rejected == nullptr) << name << ' ' << what;
       MixedAggregator expected(&collector);
-      expected.Add(first_report);
-      if (decoded.ok()) {
+      ASSERT_EQ(decoder.DecodeInto(first.data(), first.size(), &expected),
+                nullptr);
+      if (rejected == nullptr) {
         ++accepted;
-        expected.Add(decoded.value());
-        tolerant_expected.Add(decoded.value());
+        decoder.DecodeInto(mutated.data(), mutated.size(), &expected);
+        decoder.DecodeInto(mutated.data(), mutated.size(),
+                           &tolerant_expected);
       } else {
-        EXPECT_EQ(fed.code(), decoded.status().code()) << name << ' ' << what;
-        EXPECT_EQ(fed.message(), "rejected report budget exhausted: " +
-                                     decoded.status().message())
+        EXPECT_EQ(fed.code(), StatusCode::kInvalidArgument)
+            << name << ' ' << what;
+        EXPECT_EQ(fed.message(),
+                  std::string("rejected report budget exhausted: ") + rejected)
             << name << ' ' << what;
       }
       ExpectSameBits(ingester.aggregator(), expected, name + ' ' + what);
@@ -489,15 +489,10 @@ TEST(MixedFrameDecoderTest, MutatedFramesGetOneVerdictAndFoldAllOrNothing) {
 
     // A duplicate-attribute report (fails on its second entry; at k = 1 on
     // its entry count).
-    MixedReport duplicated;
-    MixedReportEntry entry;
-    entry.attribute = 0;
-    entry.numeric_value = 0.25;
-    duplicated.push_back(entry);
-    duplicated.push_back(entry);
-    const std::string bytes = EncodeMixedReport(duplicated, collector);
+    const std::string bytes =
+        WireReport().Numeric(0, 0.25).Numeric(0, 0.25).bytes();
     check(bytes, "duplicate");
-    EXPECT_FALSE(DecodeMixedReport(bytes, collector).ok()) << name;
+    EXPECT_NE(Rejection(collector, bytes), nullptr) << name;
 
     ExpectSameBits(tolerant.aggregator(), tolerant_expected, name);
     EXPECT_EQ(tolerant.stats().accepted, accepted) << name;
@@ -508,25 +503,32 @@ TEST(MixedFrameDecoderTest, MutatedFramesGetOneVerdictAndFoldAllOrNothing) {
   }
 }
 
-TEST(MixedWireTest, EncodedSizeMatchesThePrecomputedReserve) {
-  // EncodeMixedReport reserves the exact encoded size up front; the formula
-  // and the writer must agree or serialization reallocates mid-report.
+TEST(MixedWireTest, EncodedSizeMatchesTheLayout) {
+  // AppendReport writes exactly the layout's bytes — 2 for the count, then
+  // per entry 4 + 1 and an 8-byte value or a 2-byte count and 4 per payload
+  // word — and only appends: after earlier bytes it writes the same report.
   const MixedTupleCollector collector = MakeMixedCollector();
-  Rng rng(10);
+  MixedFrameDecoder decoder(&collector);
+  Rng rng(10), twin(10);
   MixedTuple tuple(4);
   tuple[0] = AttributeValue::Numeric(0.5);
   tuple[1] = AttributeValue::Categorical(2);
   tuple[2] = AttributeValue::Numeric(-0.25);
   tuple[3] = AttributeValue::Categorical(1);
+  std::string appended = "prefix";
   for (int i = 0; i < 100; ++i) {
-    const MixedReport report = collector.Perturb(tuple, &rng);
+    const std::string bytes = PerturbBytes(collector, tuple, &rng);
+    ASSERT_EQ(decoder.Validate(bytes.data(), bytes.size()), nullptr);
     size_t expected = 2;
-    for (const MixedReportEntry& entry : report) {
-      const bool numeric =
-          collector.schema()[entry.attribute].type == AttributeType::kNumeric;
-      expected += 4 + 1 + (numeric ? 8 : 2 + 4 * entry.categorical_report.size());
+    for (const MixedEntryView& entry : decoder.entries()) {
+      expected += 4 + 1 + (entry.oracle == nullptr
+                               ? 8
+                               : 2 + 4 * entry.payload.size());
     }
-    EXPECT_EQ(EncodeMixedReport(report, collector).size(), expected);
+    EXPECT_EQ(bytes.size(), expected);
+    const size_t start = appended.size();
+    collector.AppendReport(tuple, &twin, &appended);
+    EXPECT_EQ(appended.substr(start), bytes);
   }
 }
 
@@ -537,8 +539,7 @@ TEST(MixedWireTest, EncodingIsCompact) {
   MixedTuple tuple(4);
   tuple[1] = AttributeValue::Categorical(0);
   tuple[3] = AttributeValue::Categorical(0);
-  const MixedReport report = collector.Perturb(tuple, &rng);
-  const std::string bytes = EncodeMixedReport(report, collector);
+  const std::string bytes = PerturbBytes(collector, tuple, &rng);
   EXPECT_LE(bytes.size(), 2 + collector.k() * (4 + 1 + 2 + 6 * 4 + 8));
 }
 

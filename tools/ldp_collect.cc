@@ -205,12 +205,7 @@ int main(int argc, char** argv) {
       }
       api::RowToTuple(schema.value(), numeric_row, category_row, &tuple);
       Rng rng = api::UserRng(seed, row);
-      auto payload = client.value().EncodeReport(tuple, &rng);
-      if (!payload.ok()) {
-        std::fprintf(stderr, "%s\n", payload.status().ToString().c_str());
-        return 1;
-      }
-      Status framed = stream::AppendFrame(payload.value(), &buffer);
+      Status framed = client.value().AppendFrame(tuple, &rng, &buffer);
       if (framed.ok() && buffer.size() >= 64 * 1024) {
         framed = session.Feed(shard, buffer);
         buffer.clear();

@@ -358,14 +358,8 @@ int main(int argc, char** argv) {
       if (!selected) continue;
       api::RowToTuple(schema.value(), numeric_row, category_row, &tuple);
       Rng rng = api::UserRng(seed, row);
-      auto payload = client.value().EncodeReport(tuple, &rng);
-      if (!payload.ok()) {
-        std::fprintf(stderr, "shard %zu: %s\n", s,
-                     payload.status().ToString().c_str());
-        return 1;
-      }
       buffer.clear();
-      const Status framed = stream::AppendFrame(payload.value(), &buffer);
+      const Status framed = client.value().AppendFrame(tuple, &rng, &buffer);
       const Status wrote = framed.ok() ? sink->Write(buffer) : framed;
       if (!wrote.ok()) {
         std::fprintf(stderr, "shard %zu: %s\n", s, wrote.ToString().c_str());
