@@ -238,6 +238,15 @@ Result<CollectionOutput> RunBaseline(const data::Dataset& dataset,
   return out;
 }
 
+Status CheckRowWidth(const MixedTuple& row,
+                     const MixedTupleCollector& collector) {
+  if (row.size() != collector.dimension()) {
+    return Status::InvalidArgument(
+        "row must carry one value per schema attribute");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 const char* NumericStrategyToString(NumericStrategy strategy) {
@@ -335,6 +344,7 @@ Result<CollectionOutput> Pipeline::Collect(const data::Dataset& dataset,
     return RunBaseline(dataset, state_->config.epsilon, seed,
                        *state_->config.baseline, state_->config.oracle, pool);
   }
+  LDP_RETURN_IF_ERROR(CheckWireEncodable(*state_->collector));
   return RunProposed(*state_->collector, dataset, seed, pool);
 }
 
@@ -377,22 +387,20 @@ uint32_t ClientSession::dimension() const {
 
 Status ClientSession::AppendFrame(const MixedTuple& row, Rng* rng,
                                   std::string* frames) const {
-  if (row.size() != state_->collector->dimension()) {
-    return Status::InvalidArgument(
-        "row must carry one value per schema attribute");
-  }
+  LDP_RETURN_IF_ERROR(CheckRowWidth(row, *state_->collector));
   return stream::AppendReportFrame(*state_->collector, row, rng, frames);
 }
 
 Result<std::string> ClientSession::EncodeReport(const MixedTuple& row,
                                                 Rng* rng) const {
-  // Framed in a per-thread buffer (the append needs room for the longest
-  // oracle payload), then copied out at its exact size, which the
-  // small-string buffer holds for most k = 1 reports.
-  thread_local std::string frame;
-  frame.clear();
-  LDP_RETURN_IF_ERROR(AppendFrame(row, rng, &frame));
-  return frame.substr(4);
+  LDP_RETURN_IF_ERROR(CheckRowWidth(row, *state_->collector));
+  // Straight into the result: most k = 1 reports fit its small-string room.
+  std::string report;
+  state_->collector->AppendReport(row, rng, &report);
+  if (report.size() > stream::kMaxFrameBytes) {
+    return Status::InvalidArgument("frame payload exceeds kMaxFrameBytes");
+  }
+  return report;
 }
 
 }  // namespace ldp::api

@@ -152,7 +152,7 @@ class ClientSession {
   std::string EncodeHeader() const;
 
   /// The encode path: perturbs one full row and appends it to `frames` as
-  /// one length-prefixed frame, each byte written once. Into a buffer the
+  /// one length-prefixed frame, in place at its end. Into a buffer the
   /// caller reuses, a steady-state report allocates nothing. Numeric
   /// coordinates must be in [-1, 1], categorical ones within their domains.
   /// Fails on a row of the wrong width, or a report over
@@ -160,8 +160,8 @@ class ClientSession {
   Status AppendFrame(const MixedTuple& row, Rng* rng,
                      std::string* frames) const;
 
-  /// AppendFrame's payload (no length prefix; pair with stream::AppendFrame
-  /// or ReportStreamWriter::WriteFrame), in a string of its own.
+  /// AppendFrame's payload (no length prefix; pair with stream::AppendFrame),
+  /// in a string of its own. Fails as AppendFrame does.
   Result<std::string> EncodeReport(const MixedTuple& row, Rng* rng) const;
 
   /// The number of attributes each report carries (Eq. 12).
@@ -195,7 +195,9 @@ class Pipeline {
   /// data::NormalizeNumeric) and whose column types must match the config's
   /// attributes. Deterministic in `seed`; `pool` optionally shards users
   /// across threads (results then depend on the pool's thread count as chunk
-  /// summation order differs).
+  /// summation order differs). The proposed collection folds the frames a
+  /// client would send, so it refuses what NewClient refuses: an oracle
+  /// whose payloads a mixed frame cannot count (InvalidArgument).
   Result<CollectionOutput> Collect(const data::Dataset& dataset, uint64_t seed,
                                    ThreadPool* pool = nullptr) const;
 

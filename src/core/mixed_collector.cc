@@ -68,6 +68,19 @@ bool MixedTupleCollector::CompatibleWith(
   return true;
 }
 
+namespace {
+
+// An oracle's payload is drawn here, then only its words are appended: room
+// for the longest payload at the frame's end would be zero-filled per report,
+// O(d) where SUE/OUE draw O(q·d + 1) words. At most 256 KiB per thread.
+char* PayloadScratch(size_t words) {
+  thread_local std::vector<char> scratch;
+  if (scratch.size() < 4 * words) scratch.resize(4 * words);
+  return scratch.data();
+}
+
+}  // namespace
+
 void MixedTupleCollector::AppendReport(const MixedTuple& tuple, Rng* rng,
                                        std::string* out) const {
   using internal_wire::StoreLittleEndian;
@@ -78,8 +91,6 @@ void MixedTupleCollector::AppendReport(const MixedTuple& tuple, Rng* rng,
   std::vector<uint32_t> heap_picks(k_ > kScanMaxPicks ? k_ : 0);
   uint32_t* sampled = k_ > kScanMaxPicks ? heap_picks.data() : stack_picks;
   SampleWithoutReplacement(dimension(), k_, rng, sampled);
-  // Each entry is sized, then stored in place: a categorical one with room
-  // for the longest payload, trimmed once the oracle wrote its words.
   size_t at = out->size();
   out->resize(at + 2);
   StoreLittleEndian(&(*out)[at], static_cast<uint16_t>(k_));
@@ -87,29 +98,34 @@ void MixedTupleCollector::AppendReport(const MixedTuple& tuple, Rng* rng,
     const uint32_t attribute = sampled[i];
     const FrequencyOracle* oracle = oracles_[attribute].get();
     // Attribute and kind, then an f64 value or a u16 count and the words.
-    const size_t body =
-        oracle == nullptr ? 8 : 2 + 4 * oracle->MaxReportSize();
-    at = out->size();
-    out->resize(at + 5 + body);
-    char* entry = &(*out)[at];
-    StoreLittleEndian(entry, attribute);
     if (oracle == nullptr) {
       const double t = tuple[attribute].numeric;
       LDP_DCHECK(t >= -1.0 && t <= 1.0);
       const double value = scale * scalar_->Perturb(t, rng);
       uint64_t bits = 0;
       std::memcpy(&bits, &value, sizeof(bits));
+      at = out->size();
+      out->resize(at + 13);
+      char* entry = &(*out)[at];
+      StoreLittleEndian(entry, attribute);
       entry[4] = static_cast<char>(internal_wire::kNumericEntry);
       StoreLittleEndian(entry + 5, bits);
       continue;
     }
     const uint32_t v = tuple[attribute].category;
     LDP_DCHECK(v < schema_[attribute].domain_size);
+    LDP_CHECK_MSG(oracle->MaxReportSize() <= kMaxWirePayloadWords,
+                  "oracle payloads exceed the wire's u16 count; "
+                  "see CheckWireEncodable");
+    char* words = PayloadScratch(oracle->MaxReportSize());
+    const size_t count = oracle->PerturbInto(v, rng, words);
+    at = out->size();
+    out->resize(at + 7);
+    char* entry = &(*out)[at];
+    StoreLittleEndian(entry, attribute);
     entry[4] = static_cast<char>(internal_wire::kCategoricalEntry);
-    const size_t words = oracle->PerturbInto(v, rng, entry + 7);
-    LDP_DCHECK(words <= kMaxWirePayloadWords);
-    StoreLittleEndian(entry + 5, static_cast<uint16_t>(words));
-    out->resize(at + 7 + 4 * words);
+    StoreLittleEndian(entry + 5, static_cast<uint16_t>(count));
+    out->append(words, 4 * count);
   }
 }
 

@@ -98,9 +98,10 @@ class MixedTupleCollector {
 
   /// Perturbs one user tuple (size d, numeric coordinates in [-1, 1],
   /// categorical coordinates within their domains) into a k-entry report,
-  /// appending its wire bytes (core/wire.h) to `out`, each written once.
-  /// Draws the sample (SampleWithoutReplacement), then each entry's
-  /// perturbation in sample order. Allocates nothing once `out` has room.
+  /// appending its wire bytes (core/wire.h) to `out`. Draws the sample
+  /// (SampleWithoutReplacement), then each entry's perturbation in sample
+  /// order. Allocates nothing once `out` (and a per-thread payload scratch)
+  /// have room. Aborts on an oracle CheckWireEncodable refuses.
   void AppendReport(const MixedTuple& tuple, Rng* rng, std::string* out) const;
 
   double epsilon() const { return epsilon_; }

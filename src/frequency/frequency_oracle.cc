@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -47,8 +48,10 @@ void FrequencyOracle::Accumulate(const Report& report,
 
 FrequencyOracle::Report FrequencyOracle::Perturb(uint32_t value,
                                                  Rng* rng) const {
-  std::string words(4 * MaxReportSize(), '\0');
-  Report report(PerturbInto(value, rng, words.data()));
+  // Uninitialised: zeroing room for the longest report would cost O(d) where
+  // the sparse oracles write O(q·d + 1) words.
+  const std::unique_ptr<char[]> words(new char[4 * MaxReportSize()]);
+  Report report(PerturbInto(value, rng, words.get()));
   for (size_t i = 0; i < report.size(); ++i) {
     report[i] = internal_wire::LoadLittleEndian<uint32_t>(&words[4 * i]);
   }

@@ -228,21 +228,14 @@ ReportStreamWriter::ReportStreamWriter(std::ostream* out,
 
 Status ReportStreamWriter::WriteReport(const MixedTupleCollector& collector,
                                        const MixedTuple& tuple, Rng* rng) {
-  std::string payload;
-  collector.AppendReport(tuple, rng, &payload);
-  return WriteFrame(payload);
-}
-
-Status ReportStreamWriter::WriteFrame(const std::string& payload) {
-  std::string framed;
-  framed.reserve(4 + payload.size());
-  LDP_RETURN_IF_ERROR(AppendFrame(payload, &framed));
-  out_->write(framed.data(), static_cast<std::streamsize>(framed.size()));
+  frame_.clear();
+  LDP_RETURN_IF_ERROR(AppendReportFrame(collector, tuple, rng, &frame_));
+  out_->write(frame_.data(), static_cast<std::streamsize>(frame_.size()));
   if (!out_->good()) {
     return Status::IoError("short write on report stream");
   }
   ++frames_written_;
-  bytes_written_ += framed.size();
+  bytes_written_ += frame_.size();
   return Status::OK();
 }
 

@@ -89,14 +89,15 @@ Status CheckHeadersCompatible(const StreamHeader& expected,
 Status AppendFrame(const std::string& payload, std::string* out);
 
 /// Perturbs `tuple` and appends its report to `out` as one length-prefixed
-/// frame: the report bytes are written once (MixedTupleCollector::
-/// AppendReport) and the length is patched in before them. Fails, with
+/// frame: the report is appended in place (MixedTupleCollector::
+/// AppendReport) and the length is patched in before it. Fails, with
 /// `out` restored, when the report exceeds kMaxFrameBytes.
 Status AppendReportFrame(const MixedTupleCollector& collector,
                          const MixedTuple& tuple, Rng* rng, std::string* out);
 
 /// Client-side stream producer over any std::ostream. Writes the header on
-/// construction; one Write* call per user report.
+/// construction, then one WriteReport call per user report, framed in a
+/// buffer the writer reuses.
 class ReportStreamWriter {
  public:
   /// Writes `header` to `out` immediately. `out` must outlive the writer.
@@ -106,9 +107,6 @@ class ReportStreamWriter {
   Status WriteReport(const MixedTupleCollector& collector,
                      const MixedTuple& tuple, Rng* rng);
 
-  /// Frames an already-encoded payload.
-  Status WriteFrame(const std::string& payload);
-
   /// Frames written so far (excluding the header).
   uint64_t frames_written() const { return frames_written_; }
 
@@ -117,6 +115,7 @@ class ReportStreamWriter {
 
  private:
   std::ostream* out_;
+  std::string frame_;
   uint64_t frames_written_ = 0;
   uint64_t bytes_written_ = 0;
 };

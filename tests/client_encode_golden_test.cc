@@ -5,12 +5,13 @@
 // The digests pin the Rng draws, their order and the wire layout at once: a
 // change to the sampler, an oracle's perturbation or the encoder that moves
 // a single bit of a single report fails here. ClientSession::EncodeReport
-// framed by stream::AppendFrame and ClientSession::AppendFrame must agree
-// byte for byte.
+// framed by stream::AppendFrame, ClientSession::AppendFrame and
+// ReportStreamWriter::WriteReport must agree byte for byte.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -64,10 +65,12 @@ Digest EncodeRows(std::vector<MixedAttribute> schema, double epsilon,
   EXPECT_TRUE(pipeline.ok());
   auto client = pipeline.value().NewClient();
   EXPECT_TRUE(client.ok());
-  // The two client encode calls must write the same bytes from the same
+  // The three client encode calls must write the same bytes from the same
   // draws.
   std::string frames;
   std::string appended;
+  std::ostringstream written;
+  stream::ReportStreamWriter writer(&written, client.value().header());
   for (uint64_t row = 0; row < kRows; ++row) {
     const MixedTuple tuple = RowTuple(schema, row);
     Rng rng = UserRng(kSeed, row);
@@ -76,8 +79,14 @@ Digest EncodeRows(std::vector<MixedAttribute> schema, double epsilon,
     EXPECT_TRUE(stream::AppendFrame(payload.value(), &frames).ok());
     Rng append_rng = UserRng(kSeed, row);
     EXPECT_TRUE(client.value().AppendFrame(tuple, &append_rng, &appended).ok());
+    Rng writer_rng = UserRng(kSeed, row);
+    EXPECT_TRUE(
+        writer.WriteReport(pipeline.value().mixed_collector(), tuple,
+                           &writer_rng)
+            .ok());
   }
   EXPECT_EQ(appended, frames);
+  EXPECT_EQ(written.str(), client.value().EncodeHeader() + frames);
   return {relay::Crc32(frames.data(), frames.size()), frames.size()};
 }
 

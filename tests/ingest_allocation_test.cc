@@ -18,7 +18,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <new>
-#include <sstream>
 #include <string>
 
 #include "api/pipeline.h"
@@ -92,8 +91,7 @@ MixedTuple FixedTuple(const std::vector<MixedAttribute>& schema) {
 }
 
 std::string MakeStream(const MixedTupleCollector& collector, int reports) {
-  std::ostringstream out;
-  ReportStreamWriter writer(&out, MakeMixedStreamHeader(collector));
+  std::string out = EncodeStreamHeader(MakeMixedStreamHeader(collector));
   const MixedTuple tuple = FixedTuple(collector.schema());
   // Lead with the worst-case frame (the longest payload the oracle can emit,
   // on the widest categorical attribute), so the warm-up phase provably
@@ -104,13 +102,13 @@ std::string MakeStream(const MixedTupleCollector& collector, int reports) {
   std::vector<uint32_t> words(widest->MaxReportSize());
   for (uint32_t word = 0; word < words.size(); ++word) words[word] = word;
   EXPECT_TRUE(
-      writer.WriteFrame(testing::WireReport().Categorical(5, words).bytes())
+      AppendFrame(testing::WireReport().Categorical(5, words).bytes(), &out)
           .ok());
   Rng rng(21);
   for (int i = 0; i < reports - 1; ++i) {
-    EXPECT_TRUE(writer.WriteReport(collector, tuple, &rng).ok());
+    EXPECT_TRUE(AppendReportFrame(collector, tuple, &rng, &out).ok());
   }
-  return out.str();
+  return out;
 }
 
 TEST(IngestAllocationTest, SteadyStateAcceptPathIsAllocationFree) {

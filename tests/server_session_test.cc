@@ -17,6 +17,7 @@
 #include "api/server_session.h"
 #include "core/wire.h"
 #include "data/census.h"
+#include "data/dataset.h"
 #include "data/encode.h"
 #include "stream/report_stream.h"
 #include "stream/shard_ingester.h"
@@ -503,8 +504,8 @@ TEST(ServerSessionTest, EstimateChecksEpochBounds) {
 TEST(ServerSessionTest, RefusesOracleReportsTheWireCannotCount) {
   // A mixed frame counts an oracle payload in a u16. HE emits one value per
   // domain value, so at domain 70,000 its frames would be undecodable:
-  // both session kinds refuse such a schema up front, naming the attribute.
-  // In-process Collect never encodes a frame and is unaffected.
+  // both session kinds refuse such a schema up front, naming the attribute,
+  // and so does in-process Collect, which folds the frames a client sends.
   auto pipeline_for = [](uint32_t domain) {
     api::PipelineConfig config;
     config.attributes = {MixedAttribute::Numeric(),
@@ -525,9 +526,26 @@ TEST(ServerSessionTest, RefusesOracleReportsTheWireCannotCount) {
   EXPECT_NE(client.status().message().find("attribute 1"), std::string::npos)
       << client.status().message();
   EXPECT_EQ(server.status(), client.status());
+  auto dataset_for = [](uint32_t domain) {
+    auto schema = data::Schema::Create(
+        {data::ColumnSpec::Numeric("x", -1, 1),
+         data::ColumnSpec::Categorical("c", domain)});
+    EXPECT_TRUE(schema.ok());
+    data::Dataset dataset(std::move(schema).value());
+    dataset.Resize(8);
+    for (uint64_t row = 0; row < dataset.num_rows(); ++row) {
+      dataset.set_numeric(row, 0, 0.5);
+      dataset.set_category(row, 1, domain - 1);
+    }
+    return dataset;
+  };
+  const auto collected = too_wide.Collect(dataset_for(70000), 5);
+  ASSERT_FALSE(collected.ok());
+  EXPECT_EQ(collected.status(), client.status());
 
   // Domain 65,535 is the widest that still round-trips.
   const api::Pipeline widest = pipeline_for(65535);
+  EXPECT_TRUE(widest.Collect(dataset_for(65535), 5).ok());
   auto widest_client = widest.NewClient();
   auto widest_server = widest.NewServer();
   ASSERT_TRUE(widest_client.ok());
