@@ -11,15 +11,27 @@
 //
 // Reading is block-buffered. A CsvRowReader (and CountCsvDataRows) owns
 // exactly one read buffer over a raw file descriptor: 8 KiB, grown only to
-// hold a single line longer than that. Lines are found with memchr, and the
-// header and every row split into std::string_view cells of that buffer, so
-// a steady-state row costs no heap allocation. Cells parse with
-// std::from_chars under one contract: the fast path never accepts a cell
-// strtod/strtol would refuse, and returns the same bits when it accepts. Any
-// cell it does not take whole (leading whitespace or '+', hex floats, "-0"
-// as a code, inf/nan, subnormals, values at or past DBL_MIN/DBL_MAX,
-// overflow) is handed to strtod/strtol on a copy, which decides its verdict
-// and error text exactly as a std::getline + strtod reader would.
+// hold a single line longer than that. Lines are found with memchr, and each
+// row is parsed in one walk: every cell is parsed where it starts and must
+// stop at its own ',' (or the line's end), so a steady-state row costs no
+// heap allocation and no separate split. Numeric cells go through three
+// tiers, under one contract: a tier never accepts a cell strtod would
+// refuse, and returns strtod's bits when it accepts.
+//   1. Plain -?D+(.D*)? cells with at most 19 significant digits are exact.
+//      Their digits are read eight bytes at a time. A mantissa up to 2^53
+//      with at most 22 fraction digits is one double division by an exact
+//      power of ten (Clinger's fast path). Otherwise, where long double is
+//      x87's 64-bit format, the mantissa is divided by an exact long double
+//      10^f (f <= 27) and rounded to double, unless that quotient sits
+//      exactly on a double midpoint.
+//   2. Everything else goes to std::from_chars, which keeps only exact zeros
+//      and magnitudes strictly between DBL_MIN and DBL_MAX.
+//   3. Any cell neither takes whole (leading whitespace or '+', hex floats,
+//      inf/nan, subnormals, values at or past DBL_MIN/DBL_MAX, overflow) is
+//      handed to strtod on a copy, which decides its verdict and error text
+//      exactly as a std::getline + strtod reader would.
+// Categorical cells are a digit loop below the domain size, else strtol on a
+// copy (leading whitespace or a sign, "-0", codes at or past the domain).
 
 #ifndef LDP_DATA_CSV_H_
 #define LDP_DATA_CSV_H_
@@ -36,7 +48,9 @@
 
 namespace ldp::data {
 
-/// Writes `dataset` to `path`, overwriting any existing file.
+/// Writes `dataset` to `path`, overwriting any existing file. Numeric cells
+/// are spelled as printf's %.17g (an ostream's at precision 17), which reads
+/// back bit for bit.
 Status WriteCsv(const Dataset& dataset, const std::string& path);
 
 /// Reads a CSV written in the format above. The file's header must match
@@ -85,12 +99,21 @@ class LineScanner {
   bool eof_ = false;
 };
 
-/// The reader's from_chars fast paths, exposed for tests. Each returns true
-/// only for a cell strtod/strtol parses whole to the same accepted value;
-/// false means "take the strtod/strtol fallback", never "refuse".
-bool FastNumericCell(std::string_view cell, double* value);
-bool FastCategoricalCell(std::string_view cell, uint32_t domain_size,
-                         uint32_t* code);
+/// Which tier of ParseNumericPrefix took a cell (for tests).
+enum class NumericTier { kExactDouble, kExactLongDouble, kFromChars };
+
+/// The cell parsers CsvRowReader::NextRow calls where each cell starts,
+/// with `end` the end of the line. Each returns one past the last character
+/// it read, or nullptr to decline; the reader takes the value only when that
+/// stop is the cell's end (its ',' or the line's end). Whatever the reader
+/// takes is the value strtod/strtol returns for the cell, and every cell
+/// strtod/strtol would accept, except those the header comment names,
+/// parses whole. A decline or an early stop means "take the strtod/strtol
+/// fallback", never "refuse".
+const char* ParseNumericPrefix(const char* begin, const char* end,
+                               double* value, NumericTier* tier = nullptr);
+const char* ParseCategoricalPrefix(const char* begin, const char* end,
+                                   uint32_t domain_size, uint32_t* code);
 
 }  // namespace internal_csv
 
@@ -121,10 +144,12 @@ class CsvRowReader {
   CsvRowReader(const Schema* schema, internal_csv::LineScanner lines)
       : schema_(schema), lines_(std::move(lines)) {}
 
+  // The refusal for a data line whose cell count is not the schema's.
+  Status CellCountError(std::string_view line) const;
+
   const Schema* schema_;
   internal_csv::LineScanner lines_;
   uint64_t rows_read_ = 0;
-  std::vector<std::string_view> cells_;  // reused; slices of lines_' buffer
 };
 
 }  // namespace ldp::data

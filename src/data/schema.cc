@@ -3,7 +3,6 @@
 #include <cmath>
 #include <unordered_set>
 
-#include "util/check.h"
 
 namespace ldp::data {
 
@@ -41,11 +40,6 @@ Schema::Schema(std::vector<ColumnSpec> columns) : columns_(std::move(columns)) {
       ++num_categorical_;
     }
   }
-}
-
-const ColumnSpec& Schema::column(uint32_t index) const {
-  LDP_CHECK(index < columns_.size());
-  return columns_[index];
 }
 
 Result<uint32_t> Schema::FindColumn(const std::string& name) const {

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "util/check.h"
 #include "util/result.h"
 #include "util/status.h"
 
@@ -55,7 +56,10 @@ class Schema {
   }
 
   /// The spec of column `index` (must be < num_columns()).
-  const ColumnSpec& column(uint32_t index) const;
+  const ColumnSpec& column(uint32_t index) const {
+    LDP_CHECK(index < columns_.size());
+    return columns_[index];
+  }
 
   /// All column specs in order.
   const std::vector<ColumnSpec>& columns() const { return columns_; }

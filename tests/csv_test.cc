@@ -12,8 +12,11 @@
 #include <fstream>
 #include <limits>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
+
+#include "data/census.h"
 
 namespace ldp::data {
 namespace {
@@ -110,7 +113,12 @@ TEST_F(CsvTest, ReadSkipsBlankLines) {
 
 TEST_F(CsvTest, WriteFailsOnUnwritablePath) {
   Dataset dataset(TestSchema());
-  EXPECT_FALSE(WriteCsv(dataset, "/nonexistent_dir_xyz/file.csv").ok());
+  EXPECT_EQ(WriteCsv(dataset, "/nonexistent_dir_xyz/file.csv").message(),
+            "cannot open for writing: /nonexistent_dir_xyz/file.csv");
+  if (::access("/dev/full", W_OK) == 0) {
+    EXPECT_EQ(WriteCsv(dataset, "/dev/full").message(),
+              "write failed: /dev/full");
+  }
 }
 
 TEST_F(CsvTest, RowReaderStreamsWhatReadCsvMaterializes) {
@@ -252,6 +260,21 @@ TEST_F(CsvTest, AcceptSetMatchesStrtodReader) {
       // Line shape: '\r' stays in the last cell; a trailing comma is a cell.
       {"0.5,1\r", false, 0, 0, kCategorical + "1\r'"},
       {"0.5,1,", false, 0, 0, "row 0 has 3 cells, expected 2"},
+      // A wrong cell count wins over a bad cell, wherever either sits.
+      {"abc,1,", false, 0, 0, "row 0 has 3 cells, expected 2"},
+      {"0.5,x,", false, 0, 0, "row 0 has 3 cells, expected 2"},
+      {"abc", false, 0, 0, "row 0 has 1 cells, expected 2"},
+      {"0.5", false, 0, 0, "row 0 has 1 cells, expected 2"},
+      {"0.5,1,2", false, 0, 0, "row 0 has 3 cells, expected 2"},
+      // A byte past ASCII ends the digits, even eight bytes into a line.
+      {"1.25\xB9" "00000000,1", false, 0, 0,
+       kNumeric + "1.25\xB9" "00000000'"},
+      {"1\xFF" "2345678,1", false, 0, 0, kNumeric + "1\xFF" "2345678'"},
+      // An exact double midpoint rounds to even; 20 digits and a long zero
+      // code still read exactly.
+      {"9007199254740993,1", true, 9007199254740992.0, 1, ""},
+      {"-0.10000000000000000555,1", true, -0.1, 1, ""},
+      {"0.5,00000000000002", true, 0.5, 2, ""},
   };
   const Schema schema = TestSchema();
   for (const AcceptCase& entry : cases) {
@@ -448,6 +471,38 @@ std::vector<std::string> ParseCorpus() {
                       static_cast<double>(1 + rng() % 1000));
     corpus.emplace_back(text);
   }
+  for (int i = 0; i < kPerFamily / 10; ++i) {
+    // Halfway between two doubles, spelled exactly in at most 19 significant
+    // digits past 2^53: an odd m in (2^53, 2^54) over 2^k, k <= 3.
+    const uint64_t odd =
+        (uint64_t{1} << 53) + 1 + 2 * (rng() % (uint64_t{1} << 52));
+    const int shift = static_cast<int>(rng() % 4);
+    std::snprintf(text, sizeof(text), "%s%.*Lf", sign().c_str(), shift,
+                  std::ldexp(static_cast<long double>(odd), -shift));
+    corpus.emplace_back(text);
+    // A short mantissa behind up to 30 zeros: the fraction digit count
+    // runs past the exact tiers' 22 and 27.
+    corpus.push_back(sign() + "0." + std::string(rng() % 31, '0') +
+                     RandomDigits(&rng, 1 + static_cast<int>(rng() % 8)));
+    // 20 significant digits, the point anywhere.
+    std::string twenty =
+        std::to_string(1 + rng() % 9) + RandomDigits(&rng, 19);
+    twenty.insert(rng() % (twenty.size() + 1), ".");
+    corpus.push_back(sign() + twenty);
+  }
+  // Census-shaped cells: %.17g of every numeric cell of a BR census.
+  auto census = MakeBrazilCensus(kPerFamily / 60, 7);
+  if (census.ok()) {
+    const Schema& schema = census.value().schema();
+    for (uint64_t row = 0; row < census.value().num_rows(); ++row) {
+      for (uint32_t col = 0; col < schema.num_columns(); ++col) {
+        if (schema.column(col).type != ColumnType::kNumeric) continue;
+        std::snprintf(text, sizeof(text), "%.17g",
+                      census.value().numeric(row, col));
+        corpus.emplace_back(text);
+      }
+    }
+  }
   for (const char* edge :
        {"0", "-0", "0.0", "000.000", "0e999999", "-0.000e-99999", "0e-400",
         "1e-400", "0.0001e-320", "4.9e-324", "2.4703282292062328e-324",
@@ -471,36 +526,157 @@ std::vector<std::string> ParseCorpus() {
   return corpus;
 }
 
+TEST_F(CsvTest, WriteSpellsCellsAsAnOstreamAtPrecision17) {
+  // Every corpus spelling's strtod value, whatever strtod's verdict, and the
+  // edges: zeros, subnormals, the extremes, infinities and NaN.
+  std::vector<double> values;
+  for (const std::string& cell : ParseCorpus()) {
+    values.push_back(std::strtod(cell.c_str(), nullptr));
+  }
+  using Limits = std::numeric_limits<double>;
+  for (const double edge :
+       {0.0, -0.0, Limits::denorm_min(), -Limits::denorm_min(),
+        Limits::min() / 3, Limits::min(), -Limits::min(), Limits::max(),
+        Limits::lowest(), Limits::infinity(), -Limits::infinity(),
+        Limits::quiet_NaN(), -Limits::quiet_NaN(), 1e16, 1e17, 123456789.0}) {
+    values.push_back(edge);
+  }
+  Dataset dataset(TestSchema());
+  dataset.Resize(values.size());
+  std::ostringstream expected;
+  expected << "x,c\n";
+  expected.precision(17);
+  for (uint64_t row = 0; row < values.size(); ++row) {
+    dataset.set_numeric(row, 0, values[row]);
+    dataset.set_category(row, 1, static_cast<uint32_t>(row % 3));
+    expected << values[row] << ',' << row % 3 << '\n';
+  }
+  ASSERT_TRUE(WriteCsv(dataset, path_).ok());
+  std::ifstream in(path_, std::ios::binary);
+  std::ostringstream written;
+  written << in.rdbuf();
+  ASSERT_EQ(written.str().size(), expected.str().size());
+  EXPECT_TRUE(written.str() == expected.str());
+}
+
+// The numeric parser NextRow runs, as NextRow runs it: from the cell's start
+// to the end of a line that goes on past the cell. It takes the cell when it
+// stops exactly at the cell's ','; parsing the bare cell must agree.
+bool ReaderTakesNumeric(const std::string& cell, double* value,
+                        internal_csv::NumericTier* tier) {
+  const std::string line = cell + ",12";
+  const char* const stop = internal_csv::ParseNumericPrefix(
+      line.data(), line.data() + line.size(), value, tier);
+  double bare = 0;
+  const char* const bare_stop = internal_csv::ParseNumericPrefix(
+      cell.data(), cell.data() + cell.size(), &bare);
+  const bool taken = stop == line.data() + cell.size();
+  EXPECT_EQ(taken, bare_stop == cell.data() + cell.size()) << cell;
+  if (taken) {
+    EXPECT_EQ(Bits(bare), Bits(*value)) << cell;
+  }
+  return taken;
+}
+
 TEST(CsvParseCorpusTest, FastNumericPathIsStrtodBitForBit) {
   const std::vector<std::string> corpus = ParseCorpus();
   ASSERT_GE(corpus.size(), 1000000u);
   const double kMin = std::numeric_limits<double>::min();
   const double kMax = std::numeric_limits<double>::max();
   uint64_t fast_accepted = 0;
+  uint64_t by_tier[3] = {0, 0, 0};
   int reported = 0;
   for (const std::string& cell : corpus) {
     double reference = 0;
     const bool strtod_accepts = StrtodVerdict(cell, &reference);
     double fast = 0;
-    const bool fast_accepts = internal_csv::FastNumericCell(cell, &fast);
-    if (fast_accepts) ++fast_accepted;
+    auto tier = internal_csv::NumericTier::kFromChars;
+    const bool fast_accepts = ReaderTakesNumeric(cell, &fast, &tier);
+    if (fast_accepts) {
+      ++fast_accepted;
+      ++by_tier[static_cast<int>(tier)];
+    }
     // The fast path declines only what the header names: results at or
     // past DBL_MIN/DBL_MAX. Every other cell strtod accepts, it takes.
     const bool must_take =
         strtod_accepts && (reference == 0 || (std::fabs(reference) > kMin &&
                                               std::fabs(reference) < kMax));
-    const bool ok = fast_accepts
-                        ? strtod_accepts && Bits(fast) == Bits(reference)
-                        : !must_take;
+    bool ok = fast_accepts
+                  ? strtod_accepts && Bits(fast) == Bits(reference)
+                  : !must_take;
+    // The exact tiers take no exponent, no 20th significant digit and no
+    // quotient on a double midpoint.
+    const size_t significant = cell.find_first_not_of("-0.");
+    const bool plain = cell.find_first_of("eE") == std::string::npos;
+    if (tier != internal_csv::NumericTier::kFromChars &&
+        (!plain || (significant != std::string::npos &&
+                    cell.size() - significant -
+                            (cell.find('.', significant) != std::string::npos) >
+                        19))) {
+      ok = false;
+    }
     if (!ok && reported++ < 10) {
       ADD_FAILURE() << "cell '" << cell << "': strtod "
                     << (strtod_accepts ? "accepts " : "refuses ") << reference
                     << ", fast path "
-                    << (fast_accepts ? "accepts " : "declines ") << fast;
+                    << (fast_accepts ? "accepts " : "declines ") << fast
+                    << " (tier " << static_cast<int>(tier) << ")";
     }
   }
   EXPECT_EQ(reported, 0);
   EXPECT_GT(fast_accepted, corpus.size() / 2);
+  EXPECT_GT(by_tier[static_cast<int>(internal_csv::NumericTier::kExactDouble)],
+            0u);
+  if (std::numeric_limits<long double>::digits == 64) {
+    EXPECT_GT(
+        by_tier[static_cast<int>(internal_csv::NumericTier::kExactLongDouble)],
+        0u);
+  }
+  EXPECT_GT(by_tier[static_cast<int>(internal_csv::NumericTier::kFromChars)],
+            0u);
+}
+
+TEST(CsvParseCorpusTest, ExactMidpointsTakeTheFromCharsTier) {
+  // 2^53 + 1 and its generated kin sit exactly between two doubles: the
+  // long double quotient cannot say which way to round, so from_chars does.
+  std::mt19937_64 rng(9);
+  std::vector<std::string> midpoints = {"9007199254740993",
+                                        "-9007199254740995",
+                                        "1125899906842624.125"};
+  char text[64];
+  for (int i = 0; i < 20000; ++i) {
+    const uint64_t odd =
+        (uint64_t{1} << 53) + 1 + 2 * (rng() % (uint64_t{1} << 52));
+    const int shift = static_cast<int>(rng() % 4);
+    std::snprintf(text, sizeof(text), "%.*Lf", shift,
+                  std::ldexp(static_cast<long double>(odd), -shift));
+    midpoints.emplace_back(text);
+  }
+  for (const std::string& cell : midpoints) {
+    double reference = 0;
+    ASSERT_TRUE(StrtodVerdict(cell, &reference)) << cell;
+    double value = 0;
+    auto tier = internal_csv::NumericTier::kExactDouble;
+    ASSERT_TRUE(ReaderTakesNumeric(cell, &value, &tier)) << cell;
+    EXPECT_EQ(tier, internal_csv::NumericTier::kFromChars) << cell;
+    EXPECT_EQ(Bits(value), Bits(reference)) << cell;
+  }
+}
+
+TEST(CsvParseCorpusTest, TwentyDigitMantissasDeclineTheExactTiers) {
+  std::mt19937_64 rng(11);
+  for (int i = 0; i < 20000; ++i) {
+    std::string cell = std::to_string(1 + rng() % 9) + RandomDigits(&rng, 19);
+    cell.insert(rng() % (cell.size() + 1), ".");
+    if (cell.front() == '.') cell.insert(0, "0");
+    double reference = 0;
+    ASSERT_TRUE(StrtodVerdict(cell, &reference)) << cell;
+    double value = 0;
+    auto tier = internal_csv::NumericTier::kExactDouble;
+    ASSERT_TRUE(ReaderTakesNumeric(cell, &value, &tier)) << cell;
+    EXPECT_EQ(tier, internal_csv::NumericTier::kFromChars) << cell;
+    EXPECT_EQ(Bits(value), Bits(reference)) << cell;
+  }
 }
 
 TEST(CsvParseCorpusTest, FastCategoricalPathIsStrtolExactly) {
@@ -519,9 +695,12 @@ TEST(CsvParseCorpusTest, FastCategoricalPathIsStrtolExactly) {
     const bool strtol_accepts = end != cell.c_str() && *end == '\0' &&
                                 errno != ERANGE && code >= 0 &&
                                 static_cast<uint64_t>(code) < domain;
+    // As NextRow calls it: the line goes on past the cell.
+    const std::string line = cell + ",3";
     uint32_t fast = 0;
-    const bool fast_accepts =
-        internal_csv::FastCategoricalCell(cell, domain, &fast);
+    const char* const stop = internal_csv::ParseCategoricalPrefix(
+        line.data(), line.data() + line.size(), domain, &fast);
+    const bool fast_accepts = stop == line.data() + cell.size();
     const bool ok = fast_accepts
                         ? strtol_accepts && static_cast<long>(fast) == code
                         : cell[0] == '-' || cell[0] == '+' || cell[0] == ' ' ||

@@ -2,12 +2,12 @@
 // feeding further frames must perform ZERO heap allocations on the accept
 // path — no report materialization, no payload vectors, no staging growth —
 // whichever of the six frequency oracles the schema uses. The same holds on
-// the reporter side: a steady-state CSV NextRow over plain decimal rows,
-// and a steady-state ClientSession::AppendFrame into a reused buffer,
-// allocate nothing. Verified with replaced global
-// operator new/delete that count every allocation in the process (each
-// gtest case runs in its own process under ctest, so the counter observes
-// only this test).
+// the reporter side: a steady-state CSV NextRow over plain decimal rows, a
+// NextRow plus RowToTuple over 16-column census rows, and a steady-state
+// ClientSession::AppendFrame into a reused buffer allocate nothing.
+// Verified with replaced global operator new/delete that count every
+// allocation in the process (each gtest case runs in its own process under
+// ctest, so the counter observes only this test).
 
 #include <gtest/gtest.h>
 
@@ -22,6 +22,7 @@
 
 #include "api/pipeline.h"
 #include "core/mixed_collector.h"
+#include "data/census.h"
 #include "data/csv.h"
 #include "stream/report_stream.h"
 #include "stream/shard_ingester.h"
@@ -290,6 +291,34 @@ TEST(IngestAllocationTest, CsvRowReaderSteadyStateIsAllocationFree) {
   EXPECT_EQ(allocations_after - allocations_before, 0u)
       << "NextRow allocated " << (allocations_after - allocations_before)
       << " times for " << rows << " rows";
+
+  // 16-column BR census rows as WriteCsv spells them (17-digit numeric
+  // cells, one-digit codes), read and normalized as a reporter does.
+  auto census = data::MakeBrazilCensus(4000, 11);
+  ASSERT_TRUE(census.ok());
+  const data::Schema& census_schema = census.value().schema();
+  ASSERT_TRUE(data::WriteCsv(census.value(), path).ok());
+  auto census_reader = data::CsvRowReader::Open(census_schema, path);
+  ASSERT_TRUE(census_reader.ok());
+  MixedTuple tuple(census_schema.num_columns());
+  ASSERT_TRUE(census_reader.value().NextRow(&numeric, &category).value());
+  api::RowToTuple(census_schema, numeric, category, &tuple);
+
+  const uint64_t census_before =
+      g_allocation_count.load(std::memory_order_relaxed);
+  rows = 0;
+  while (census_reader.value().NextRow(&numeric, &category).value()) {
+    api::RowToTuple(census_schema, numeric, category, &tuple);
+    ++rows;
+  }
+  const uint64_t census_after =
+      g_allocation_count.load(std::memory_order_relaxed);
+  std::remove(path.c_str());
+
+  EXPECT_EQ(rows, 3999u);
+  EXPECT_EQ(census_after - census_before, 0u)
+      << "NextRow+RowToTuple allocated " << (census_after - census_before)
+      << " times for " << rows << " census rows";
 }
 
 }  // namespace

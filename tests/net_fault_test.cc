@@ -11,7 +11,6 @@
 // the relay forwarder, never pass for success.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -29,6 +28,7 @@
 #include "relay/forwarder.h"
 #include "stream/report_stream.h"
 #include "stream_corpus_util.h"
+#include "test_util.h"
 
 namespace ldp {
 namespace {
@@ -42,8 +42,7 @@ using ldp::testing::MakeHonestStream;
 net::Endpoint FaultUdsEndpoint(const std::string& name) {
   net::Endpoint endpoint;
   endpoint.kind = net::Endpoint::Kind::kUnix;
-  endpoint.path = "/tmp/ldp_fault_" + std::to_string(::getpid()) + "_" +
-                  name + ".sock";
+  endpoint.path = ldp::testing::TestSocketPath(name);
   return endpoint;
 }
 

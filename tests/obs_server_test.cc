@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -30,6 +29,7 @@
 #include "obs/metrics_server.h"
 #include "stream/report_stream.h"
 #include "stream_corpus_util.h"
+#include "test_util.h"
 
 namespace ldp {
 namespace {
@@ -49,8 +49,7 @@ net::Endpoint TcpEphemeral() {
 net::Endpoint UdsEndpoint(const std::string& name) {
   net::Endpoint endpoint;
   endpoint.kind = net::Endpoint::Kind::kUnix;
-  endpoint.path = "/tmp/ldp_obs_test_" + std::to_string(::getpid()) + "_" +
-                  name + ".sock";
+  endpoint.path = ldp::testing::TestSocketPath(name);
   return endpoint;
 }
 

@@ -7,7 +7,6 @@
 // the root's session.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <memory>
@@ -37,8 +36,7 @@ using ldp::testing::MakeHonestStream;
 net::Endpoint RelayUdsEndpoint(const std::string& name) {
   net::Endpoint endpoint;
   endpoint.kind = net::Endpoint::Kind::kUnix;
-  endpoint.path = "/tmp/ldp_relay_" + std::to_string(::getpid()) + "_" +
-                  name + ".sock";
+  endpoint.path = ldp::testing::TestSocketPath(name);
   return endpoint;
 }
 

@@ -8,7 +8,6 @@
 // accountant's refusal) and hard-stop abandonment.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -24,6 +23,7 @@
 #include "net/socket.h"
 #include "stream/report_stream.h"
 #include "stream_corpus_util.h"
+#include "test_util.h"
 
 namespace ldp {
 namespace {
@@ -35,8 +35,7 @@ using ldp::testing::MakeHonestStream;
 net::Endpoint TestUdsEndpoint(const std::string& name) {
   net::Endpoint endpoint;
   endpoint.kind = net::Endpoint::Kind::kUnix;
-  endpoint.path = "/tmp/ldp_test_" + std::to_string(::getpid()) + "_" + name +
-                  ".sock";
+  endpoint.path = ldp::testing::TestSocketPath(name);
   return endpoint;
 }
 

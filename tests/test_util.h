@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 #include <stdlib.h>
+#include <sys/un.h>
 
 #include <cmath>
 #include <filesystem>
@@ -78,6 +79,16 @@ class ScopedTempDir {
  private:
   std::string path_;
 };
+
+/// A Unix socket path for `name`, in a directory of this test process's own
+/// that is removed, with every socket in it, when the process exits. The
+/// path must fit sockaddr_un's sun_path.
+inline std::string TestSocketPath(const std::string& name) {
+  static const ScopedTempDir dir("ldp_sock_");
+  const std::string path = dir.path() + "/" + name + ".sock";
+  EXPECT_LT(path.size(), sizeof(sockaddr_un{}.sun_path)) << path;
+  return path;
+}
 
 }  // namespace ldp::testing
 
