@@ -1,6 +1,7 @@
 #include "api/pipeline.h"
 
 #include <cmath>
+#include <mutex>
 #include <utility>
 
 #include "aggregate/estimators.h"
@@ -72,10 +73,9 @@ Status ValidateDatasetMatches(const data::Dataset& dataset,
 
 // The paper's proposed pipeline (Algorithm 4 + Section IV-C) over the
 // pipeline's collector, folding the bytes a client would send as the server
-// folds them. One aggregator per chunk, reduced in chunk order after the
-// parallel region: results are bit-deterministic for a fixed (seed, chunk
-// count) regardless of thread scheduling, and a sharded run whose shard
-// boundaries match SplitRange reproduces them exactly.
+// folds them. Each chunk folds into its own aggregator and adds it to the
+// total when done; the sums are exact, so the result is the same for every
+// pool size and schedule, and equals any sharded run over the same rows.
 Result<CollectionOutput> RunProposed(const MixedTupleCollector& collector,
                                      const data::Dataset& dataset,
                                      uint64_t seed, ThreadPool* pool) {
@@ -84,13 +84,11 @@ Result<CollectionOutput> RunProposed(const MixedTupleCollector& collector,
 
   const data::Schema& schema = dataset.schema();
   const uint32_t d = schema.num_columns();
-  const uint64_t num_chunks =
-      ParallelForChunkCount(pool, dataset.num_rows());
-  std::vector<MixedAggregator> chunk_aggregators(num_chunks,
-                                                 MixedAggregator(&collector));
+  MixedAggregator total(&collector);
+  std::mutex total_mutex;
   ParallelFor(pool, dataset.num_rows(),
-              [&](unsigned chunk, uint64_t begin, uint64_t end) {
-                MixedAggregator& local = chunk_aggregators[chunk];
+              [&](unsigned /*chunk*/, uint64_t begin, uint64_t end) {
+                MixedAggregator local(&collector);
                 MixedFrameDecoder decoder(&collector);
                 std::string report;
                 MixedTuple tuple(d);
@@ -109,11 +107,9 @@ Result<CollectionOutput> RunProposed(const MixedTupleCollector& collector,
                       decoder.DecodeInto(report.data(), report.size(), &local);
                   LDP_CHECK_MSG(rejected == nullptr, rejected);
                 }
+                std::lock_guard<std::mutex> lock(total_mutex);
+                LDP_CHECK(total.Merge(local).ok());
               });
-  MixedAggregator total(&collector);
-  for (const MixedAggregator& local : chunk_aggregators) {
-    LDP_RETURN_IF_ERROR(total.Merge(local));
-  }
 
   for (const uint32_t col : out.numeric_columns) {
     double mean = 0.0;
@@ -174,24 +170,21 @@ Result<CollectionOutput> RunBaseline(const data::Dataset& dataset,
     oracles.push_back(std::move(oracle));
   }
 
-  std::vector<size_t> support_sizes;
-  for (const uint32_t col : out.categorical_columns) {
-    support_sizes.push_back(dataset.schema().column(col).domain_size);
-  }
-  // Per-chunk accumulators reduced in chunk order after the parallel region,
-  // mirroring the proposed path: bit-deterministic for a fixed chunk count.
+  // The numeric means are double sums (Laplace outputs are unbounded, so no
+  // exact grid holds them), reduced in chunk order: deterministic for a
+  // fixed chunk count. Support counts are exact, added as chunks finish.
   const uint64_t num_chunks = ParallelForChunkCount(pool, n);
   std::vector<aggregate::VectorMeanEstimator> chunk_means(
       num_chunks, aggregate::VectorMeanEstimator(dn));
-  std::vector<std::vector<std::vector<double>>> chunk_supports(num_chunks);
-  for (auto& supports : chunk_supports) {
-    for (const size_t size : support_sizes) {
-      supports.emplace_back(size, 0.0);
-    }
+  std::vector<std::vector<uint64_t>> no_supports;
+  for (const uint32_t col : out.categorical_columns) {
+    no_supports.emplace_back(dataset.schema().column(col).domain_size, 0);
   }
+  std::vector<std::vector<uint64_t>> total_supports = no_supports;
+  std::mutex total_mutex;
   ParallelFor(pool, n, [&](unsigned chunk, uint64_t begin, uint64_t end) {
     aggregate::VectorMeanEstimator& local_means = chunk_means[chunk];
-    std::vector<std::vector<double>>& local_supports = chunk_supports[chunk];
+    std::vector<std::vector<uint64_t>> local_supports = no_supports;
     std::vector<double> numeric_tuple(dn, 0.0);
     std::vector<double> dense(dn, 0.0);
     for (uint64_t row = begin; row < end; ++row) {
@@ -215,19 +208,16 @@ Result<CollectionOutput> RunBaseline(const data::Dataset& dataset,
                                &local_supports[c]);
       }
     }
-  });
-  aggregate::VectorMeanEstimator total_means(dn);
-  std::vector<std::vector<double>> total_supports;
-  for (const size_t size : support_sizes) {
-    total_supports.emplace_back(size, 0.0);
-  }
-  for (uint64_t chunk = 0; chunk < num_chunks; ++chunk) {
-    total_means.Merge(chunk_means[chunk]);
+    std::lock_guard<std::mutex> lock(total_mutex);
     for (uint32_t c = 0; c < dc; ++c) {
       for (size_t v = 0; v < total_supports[c].size(); ++v) {
-        total_supports[c][v] += chunk_supports[chunk][c][v];
+        total_supports[c][v] += local_supports[c][v];
       }
     }
+  });
+  aggregate::VectorMeanEstimator total_means(dn);
+  for (const aggregate::VectorMeanEstimator& local : chunk_means) {
+    total_means.Merge(local);
   }
 
   out.estimated_means = total_means.Estimate();

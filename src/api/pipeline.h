@@ -8,8 +8,8 @@
 //
 //   - Pipeline::Collect     in-process simulation over a Dataset, the
 //                           golden run every sharded deployment reproduces
-//                           bit for bit (it folds the very bytes a client
-//                           would send);
+//                           bit for bit however it is sharded (it folds the
+//                           very bytes a client would send);
 //   - Pipeline::NewClient   a ClientSession that perturbs rows straight into
 //                           wire frames of the framed report-stream format;
 //   - Pipeline::NewServer   a ServerSession that owns shards, epochs and a
@@ -194,10 +194,10 @@ class Pipeline {
   /// columns must already be normalised to [-1, 1] (see
   /// data::NormalizeNumeric) and whose column types must match the config's
   /// attributes. Deterministic in `seed`; `pool` optionally shards users
-  /// across threads (results then depend on the pool's thread count as chunk
-  /// summation order differs). The proposed collection folds the frames a
-  /// client would send, so it refuses what NewClient refuses: an oracle
-  /// whose payloads a mixed frame cannot count (InvalidArgument).
+  /// across threads without changing the results (except a baseline's
+  /// numeric means, which are double sums). The proposed collection folds
+  /// the frames a client would send, so it refuses what NewClient refuses:
+  /// an oracle whose payloads a mixed frame cannot count (InvalidArgument).
   Result<CollectionOutput> Collect(const data::Dataset& dataset, uint64_t seed,
                                    ThreadPool* pool = nullptr) const;
 

@@ -57,7 +57,8 @@ Result<SessionSnapshotConfig> ReadSessionPreamble(Reader* reader) {
   uint16_t version = 0;
   LDP_ASSIGN_OR_RETURN(version, reader->U16());
   if (version != kSessionSnapshotVersion) {
-    return Status::InvalidArgument("unsupported session snapshot version");
+    return Status::InvalidArgument("unsupported session snapshot version " +
+                                   std::to_string(version));
   }
   uint8_t kind = 0, mechanism = 0, oracle = 0;
   LDP_ASSIGN_OR_RETURN(kind, reader->U8());
@@ -107,8 +108,8 @@ uint64_t SessionSnapshotReportCount(const std::string& bytes) {
 }
 
 // One IngestInputs input after its load: a report stream's aggregate, or a
-// session snapshot's bytes (whose epoch-aligned merge stays ordered), or
-// the reason it failed.
+// session snapshot's bytes (merged epoch by epoch), or the reason it
+// failed.
 struct LoadedInput {
   Status status = Status::OK();
   stream::ShardIngester::Stats stats;
@@ -441,8 +442,8 @@ Status ServerSession::FeedLocked(size_t shard, const char* data, size_t size) {
 }
 
 Status ServerSession::CloseShard(size_t shard) {
-  // Close latency covers the queued-chunk drain plus the ordered merge —
-  // the interval a merge-barrier caller actually waits on.
+  // Close latency covers the queued-chunk drain plus the merge — the
+  // interval a caller awaiting the verdict actually waits on.
   const uint64_t close_started_ns =
       metrics_.enabled() ? obs::SteadyNowNs() : 0;
   std::unique_lock<std::mutex> lock(*mutex_);
@@ -547,8 +548,8 @@ Status ServerSession::IngestInputs(const std::vector<std::string>& paths,
     return Status::InvalidArgument("no inputs to ingest");
   }
   // Holds the session mutex end to end: inputs load on pool workers that
-  // never touch session state, and the ordered merge below must see a
-  // stable epoch table.
+  // never touch session state, and the merges below must see a stable
+  // epoch table.
   std::lock_guard<std::mutex> lock(*mutex_);
   if (pool == nullptr) pool = pool_.get();
   // Phase 1, concurrent: each worker opens its inputs and loads them.
@@ -570,10 +571,10 @@ Status ServerSession::IngestInputs(const std::vector<std::string>& paths,
   }
   if (summary != nullptr) *summary = std::move(local_summary);
 
-  // Phase 2, ordered: merge in argument order, and only once every input
-  // has loaded. Report streams land in the epoch that was current at the
-  // call (an index: a session snapshot may grow epochs_); session
-  // snapshots align by epoch.
+  // Phase 2: merge, only once every input has loaded. The sums are exact,
+  // so the order is immaterial. Report streams land in the epoch that was
+  // current at the call (an index: a session snapshot may grow epochs_);
+  // session snapshots align by epoch.
   auto named = [&paths](size_t i, const Status& status) {
     return Status(status.code(),
                   "input '" + paths[i] + "': " + status.message());
@@ -604,7 +605,8 @@ Status ServerSession::MergeLocked(const std::string& snapshot_bytes) {
   const uint32_t peer_epochs = peer.epochs;
 
   // Cheap refusals first (nothing decoded yet), then stage every epoch
-  // section so a malformed snapshot mutates nothing, then commit.
+  // section added to ours, so a malformed snapshot or an overflowing merge
+  // mutates nothing, then commit.
   if (peer_epochs > epochs_.size()) {
     if (open_shards_ > 0) {
       return Status::FailedPrecondition(
@@ -630,7 +632,9 @@ Status ServerSession::MergeLocked(const std::string& snapshot_bytes) {
     Result<MixedAggregator> decoded = stream::DecodeAggregatorSnapshot(
         std::string_view(inner, inner_size), &*state_->collector);
     if (!decoded.ok()) return decoded.status();
-    staged.push_back(std::move(decoded).value());
+    staged.push_back(e < epochs_.size() ? epochs_[e]
+                                        : MixedAggregator(&*state_->collector));
+    LDP_RETURN_IF_ERROR(staged.back().Merge(decoded.value()));
   }
   // Stage the per-reporter ledger section before anything commits, so
   // a truncated snapshot mutates nothing.
@@ -676,7 +680,7 @@ Status ServerSession::MergeLocked(const std::string& snapshot_bytes) {
   }
   for (uint32_t e = 0; e < peer_epochs; ++e) {
     if (e >= epochs_.size()) LDP_RETURN_IF_ERROR(AdvanceEpochLocked());
-    LDP_RETURN_IF_ERROR(epochs_[e].Merge(staged[e]));
+    epochs_[e] = std::move(staged[e]);
   }
   // Union the peer's ledgers by (reporter, epoch): a reporter both edges
   // saw in an epoch is restored once, not summed — the exactly-once

@@ -9,20 +9,19 @@
 // snapshot), Snapshot (serialise every epoch's state for a reducer),
 // Estimate (per-epoch means/frequencies).
 //
-// Determinism contract: shard aggregates merge into the epoch total in
-// CloseShard order (and IngestInputs reduces in argument order), so a
-// sharded session whose shard boundaries match util/threadpool.h SplitRange
-// reproduces the in-process Pipeline::Collect run bit for bit.
+// Determinism contract: an epoch's state is integer sums, so it depends only
+// on which reports were folded — not on shard boundaries, close order,
+// IngestInputs argument order or peer merge order. A session fed the same
+// reports as Pipeline::Collect reproduces it bit for bit.
 //
 // Concurrency: with ServerSessionOptions::ingest_threads >= 2 the session
 // owns a util::ThreadPool and Feed becomes asynchronous — each open shard is
 // a serial queue keyed by its shard id, so chunks of one shard decode in
 // Feed-call order (the stream stays intact) while different shards decode
 // concurrently. CloseShard and ShardStats are the drain points: they block
-// until the shard's queued chunks are consumed. Because per-shard byte order
-// is preserved and shard aggregates still merge on the calling thread in
-// CloseShard order, a concurrent session is bit-identical to the serial one
-// at every thread count — snapshots and estimates included. The whole public
+// until the shard's queued chunks are consumed. Per-shard byte order is
+// preserved, so a concurrent session is bit-identical to the serial one at
+// every thread count — snapshots and estimates included. The whole public
 // surface is additionally thread-safe (one internal mutex), so multiple
 // producer threads may feed disjoint shards; calls targeting the *same*
 // shard must still be externally ordered, or "per-shard FIFO" has no
@@ -74,11 +73,12 @@ namespace ldp::api {
 ///   u32 num_reporters, then per reporter in ascending id order:
 ///     u16 id_length, id bytes, u64 refusals, u32 num_epoch_entries,
 ///     then per entry: u32 epoch, f64 epsilon spent.
-/// Only version 2 is read; version 1 (no ledger section) is refused. The
+/// Only version 3 (version 2 'LDPA' sections, with exact integer sums) is
+/// read; versions 1 and 2 are refused with a message naming the version. The
 /// kind byte is a leftover of the retired numeric-only stream kind: it is
 /// always written as 0, and a nonzero byte is refused with InvalidArgument.
 inline constexpr uint32_t kSessionSnapshotMagic = 0x4550444cu;
-inline constexpr uint16_t kSessionSnapshotVersion = 2;
+inline constexpr uint16_t kSessionSnapshotVersion = 3;
 
 /// The preamble of a session snapshot; together with the attribute schema it
 /// is enough to rebuild the pipeline configuration (tools/ldp_aggregate
@@ -182,10 +182,9 @@ class ServerSession {
   }
 
   /// Declares end-of-stream on shard `shard` and folds its aggregate into
-  /// the current epoch. Shard aggregates merge in CloseShard order. On a
-  /// concurrent session this is a drain point: it blocks until the shard's
-  /// queued chunks are decoded (without stalling other shards' Feed
-  /// calls), then merges on the calling thread.
+  /// the current epoch. On a concurrent session this is a drain point: it
+  /// blocks until the shard's queued chunks are decoded (without stalling
+  /// other shards' Feed calls), then merges on the calling thread.
   Status CloseShard(size_t shard);
 
   /// Discards shard `shard` without merging anything: drains its queued
@@ -206,11 +205,12 @@ class ServerSession {
   /// report stream ('LDPS') decodes through a ShardIngester with the
   /// session's ingest options, a session snapshot ('LDPE') is read whole.
   /// Anything else is refused with InvalidArgument. The loaded inputs then
-  /// merge IN ARGUMENT ORDER — report streams into the epoch current at the
-  /// call, session snapshots epoch-aligned (see Merge). If any input fails
-  /// to load, nothing merges and the first failure (in order) is returned,
-  /// naming its path; a merge that fails stops the batch at that input,
-  /// likewise named. `summary`, when non-null, is filled either way.
+  /// merge — report streams into the epoch current at the call, session
+  /// snapshots epoch-aligned (see Merge); the result does not depend on the
+  /// arguments' order. If any input fails to load, nothing merges and the
+  /// first failure (in argument order) is returned, naming its path; a
+  /// merge that fails stops the batch at that input, likewise named.
+  /// `summary`, when non-null, is filled either way.
   Status IngestInputs(const std::vector<std::string>& paths, ThreadPool* pool,
                       stream::MultiShardSummary* summary = nullptr);
 
@@ -220,7 +220,8 @@ class ServerSession {
   /// session epoch by epoch, advancing (and charging) this session as
   /// needed to materialize the peer's later epochs, and unions the peer's
   /// reporter ledgers. Any other bytes are refused with InvalidArgument; a
-  /// malformed snapshot mutates nothing.
+  /// malformed snapshot, or one whose sums would overflow ours
+  /// (OutOfRange), mutates nothing.
   Status Merge(const std::string& snapshot_bytes);
 
   // --- snapshots ----------------------------------------------------------

@@ -1,8 +1,13 @@
 #include "core/mixed_collector.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <map>
+
+#if defined(__x86_64__)
+#include <emmintrin.h>
+#endif
 
 #include "core/variance.h"
 #include "core/wire.h"
@@ -48,6 +53,16 @@ Result<MixedTupleCollector> MixedTupleCollector::Create(
                              std::shared_ptr<const ScalarMechanism>(
                                  std::move(scalar)),
                              std::move(oracles));
+}
+
+double MixedTupleCollector::numeric_bound() const {
+  return static_cast<double>(dimension()) / k_ * scalar_->OutputBound() *
+         (1.0 + 1e-9);
+}
+
+int MixedTupleCollector::numeric_grid_exponent() const {
+  const int e = std::ilogb(numeric_bound());
+  return std::ldexp(1.0, e) < numeric_bound() ? e + 1 : e;
 }
 
 bool MixedTupleCollector::CompatibleWith(
@@ -129,16 +144,31 @@ void MixedTupleCollector::AppendReport(const MixedTuple& tuple, Rng* rng,
   }
 }
 
+namespace {
+
+// The int64 nearest `scaled` (ties to even, the default rounding mode);
+// |scaled| <= 2^62 on the grid, so it always fits.
+inline int64_t RoundToGrid(double scaled) {
+#if defined(__x86_64__)
+  return _mm_cvtsd_si64(_mm_set_sd(scaled));
+#else
+  return std::llrint(scaled);
+#endif
+}
+
+}  // namespace
+
 MixedAggregator::MixedAggregator(const MixedTupleCollector* collector)
     : collector_(collector) {
   LDP_CHECK(collector != nullptr);
+  to_grid_ = std::ldexp(1.0, 62 - collector_->numeric_grid_exponent());
   const uint32_t d = collector_->dimension();
   attribute_reports_.assign(d, 0);
-  numeric_sums_.assign(d, 0.0);
+  numeric_sums_.assign(d, 0);
   supports_.resize(d);
   for (uint32_t j = 0; j < d; ++j) {
     if (collector_->schema()[j].type == AttributeType::kCategorical) {
-      supports_[j].assign(collector_->schema()[j].domain_size, 0.0);
+      supports_[j].assign(collector_->schema()[j].domain_size, 0);
     }
   }
 }
@@ -150,7 +180,8 @@ void MixedAggregator::FoldValidated(const MixedEntryView* entries,
     const MixedEntryView& entry = entries[i];
     ++attribute_reports_[entry.attribute];
     if (entry.oracle == nullptr) {
-      numeric_sums_[entry.attribute] += entry.numeric_value;
+      numeric_sums_[entry.attribute] +=
+          RoundToGrid(entry.numeric_value * to_grid_);
     } else {
       entry.oracle->Fold(entry.payload, supports_[entry.attribute].data());
     }
@@ -159,8 +190,9 @@ void MixedAggregator::FoldValidated(const MixedEntryView* entries,
 
 Result<MixedAggregator> MixedAggregator::FromParts(
     const MixedTupleCollector* collector, uint64_t num_reports,
-    std::vector<uint64_t> attribute_reports, std::vector<double> numeric_sums,
-    std::vector<std::vector<double>> supports) {
+    std::vector<uint64_t> attribute_reports,
+    std::vector<NumericSum> numeric_sums,
+    std::vector<std::vector<uint64_t>> supports) {
   LDP_CHECK(collector != nullptr);
   const uint32_t d = collector->dimension();
   if (attribute_reports.size() != d || numeric_sums.size() != d ||
@@ -170,23 +202,29 @@ Result<MixedAggregator> MixedAggregator::FromParts(
   }
   for (uint32_t j = 0; j < d; ++j) {
     const MixedAttribute& spec = collector->schema()[j];
+    const FrequencyOracle* oracle = collector->oracle_for(j);
     const size_t expected_support =
         spec.type == AttributeType::kCategorical ? spec.domain_size : 0;
     if (supports[j].size() != expected_support) {
       return Status::InvalidArgument(
           "support vector size does not match the attribute's domain");
     }
-    if (attribute_reports[j] > num_reports) {
+    const uint64_t n_j = attribute_reports[j];
+    if (n_j > num_reports) {
       return Status::InvalidArgument(
           "attribute report count exceeds the total report count");
     }
-    if (!std::isfinite(numeric_sums[j])) {
-      return Status::InvalidArgument("non-finite numeric sum");
-    }
-    for (const double s : supports[j]) {
-      if (!std::isfinite(s)) {
-        return Status::InvalidArgument("non-finite support count");
-      }
+    // Each report moves a sum by at most 2^62 grid units (n_j < 2^64 keeps
+    // the bound below 2^126) and a support count by MaxFoldPerReport().
+    const NumericSum max_sum =
+        oracle != nullptr ? 0 : NumericSum{n_j} << 62;
+    const unsigned __int128 max_support =
+        oracle != nullptr ? NumericSum{n_j} * oracle->MaxFoldPerReport() : 0;
+    if (numeric_sums[j] > max_sum || numeric_sums[j] < -max_sum ||
+        std::any_of(supports[j].begin(), supports[j].end(),
+                    [&](uint64_t s) { return s > max_support; })) {
+      return Status::InvalidArgument(
+          "aggregator state exceeds what the attribute's reports add up to");
     }
   }
   MixedAggregator aggregator(collector);
@@ -202,6 +240,22 @@ Status MixedAggregator::Merge(const MixedAggregator& other) {
       !collector_->CompatibleWith(*other.collector_)) {
     return Status::FailedPrecondition(
         "cannot merge aggregators built from incompatible collectors");
+  }
+  // Every add is checked before any is made, so a refusal changes nothing.
+  auto fits = [](auto a, auto b) {
+    decltype(a) sum{};
+    return !__builtin_add_overflow(a, b, &sum);
+  };
+  bool fit = fits(num_reports_, other.num_reports_);
+  for (uint32_t j = 0; fit && j < collector_->dimension(); ++j) {
+    fit = fits(attribute_reports_[j], other.attribute_reports_[j]) &&
+          fits(numeric_sums_[j], other.numeric_sums_[j]);
+    for (size_t v = 0; fit && v < supports_[j].size(); ++v) {
+      fit = fits(supports_[j][v], other.supports_[j][v]);
+    }
+  }
+  if (!fit) {
+    return Status::OutOfRange("merging the aggregates would overflow a count");
   }
   num_reports_ += other.num_reports_;
   for (uint32_t j = 0; j < collector_->dimension(); ++j) {
@@ -223,7 +277,9 @@ Result<double> MixedAggregator::EstimateMean(uint32_t attribute) const {
   }
   if (num_reports_ == 0) return 0.0;
   // Algorithm 4's estimator: average of the dense (zero-padded) reports.
-  return numeric_sums_[attribute] / static_cast<double>(num_reports_);
+  // The exact sum rounds once to double; the grid scale is a power of two.
+  return static_cast<double>(numeric_sums_[attribute]) / to_grid_ /
+         static_cast<double>(num_reports_);
 }
 
 Result<std::vector<double>> MixedAggregator::EstimateFrequencies(

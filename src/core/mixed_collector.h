@@ -16,6 +16,10 @@
 //   - the frequency of value v of categorical attribute j as
 //     (d/(k·n)) · (debiased support of v over the reports that sampled j),
 // both unbiased (Lemma 4 and the Section IV-C estimator).
+//
+// Every accumulated quantity is an integer — u64 supports, and each numeric
+// value rounded to its nearest multiple of 2^(E−62) in an __int128 sum — so
+// folds and merges in any order give the same bits.
 
 #ifndef LDP_CORE_MIXED_COLLECTOR_H_
 #define LDP_CORE_MIXED_COLLECTOR_H_
@@ -132,6 +136,14 @@ class MixedTupleCollector {
   /// The scalar mechanism shared by all numeric attributes.
   const ScalarMechanism& scalar_mechanism() const { return *scalar_; }
 
+  /// The largest |value| the wire decoder accepts in a numeric entry: the
+  /// mechanism's output bound scaled by d/k, with 1e-9 relative slack.
+  double numeric_bound() const;
+
+  /// E, the least exponent with 2^E >= numeric_bound(): numeric sums fold
+  /// on the grid of multiples of 2^(E−62), where every value fits an int64.
+  int numeric_grid_exponent() const;
+
   /// The oracle used for categorical attribute `attribute`; null for numeric
   /// attributes.
   const FrequencyOracle* oracle_for(uint32_t attribute) const {
@@ -165,6 +177,10 @@ class MixedTupleCollector {
   std::vector<std::shared_ptr<const FrequencyOracle>> oracles_;
 };
 
+/// A numeric attribute's exact sum, in units of 2^(E−62) (see
+/// MixedTupleCollector::numeric_grid_exponent).
+using NumericSum = __int128;
+
 /// The server half: folds validated reports and produces estimates.
 class MixedAggregator {
  public:
@@ -175,22 +191,26 @@ class MixedAggregator {
   /// Rebuilds an aggregator from previously captured state (the inverse of
   /// the num_reports / attribute_report_counts / numeric_sums / supports
   /// accessors, used by the snapshot codec). Validates every vector length
-  /// against `collector`'s schema and that all values are finite.
+  /// against `collector`'s schema, and refuses state no run of reports can
+  /// reach: an attribute count above num_reports, a sum of magnitude above
+  /// n_j·2^62 or at a categorical position, a support count above
+  /// n_j·MaxFoldPerReport(), where n_j is the attribute's report count.
   static Result<MixedAggregator> FromParts(
       const MixedTupleCollector* collector, uint64_t num_reports,
       std::vector<uint64_t> attribute_reports,
-      std::vector<double> numeric_sums,
-      std::vector<std::vector<double>> supports);
+      std::vector<NumericSum> numeric_sums,
+      std::vector<std::vector<uint64_t>> supports);
 
   /// Folds in one user's report from the `count` entry views of a wire
   /// frame that MixedFrameDecoder validated as a whole, with nothing
   /// materialized.
   void FoldValidated(const MixedEntryView* entries, size_t count);
 
-  /// Merges another aggregator. The two aggregators must be built from the
-  /// same collector or from CompatibleWith collectors (equal schema, budget,
-  /// sample count and mechanism/oracle kinds); returns FailedPrecondition
-  /// otherwise and leaves this aggregator untouched.
+  /// Adds another aggregator's state. The two aggregators must be built
+  /// from the same collector or from CompatibleWith collectors (equal
+  /// schema, budget, sample count and mechanism/oracle kinds); returns
+  /// FailedPrecondition otherwise, and OutOfRange when an add would
+  /// overflow. Either refusal leaves this aggregator untouched.
   Status Merge(const MixedAggregator& other);
 
   /// Unbiased mean estimate of numeric attribute `attribute`; fails if the
@@ -216,8 +236,8 @@ class MixedAggregator {
   const std::vector<uint64_t>& attribute_report_counts() const {
     return attribute_reports_;
   }
-  const std::vector<double>& numeric_sums() const { return numeric_sums_; }
-  const std::vector<std::vector<double>>& supports() const {
+  const std::vector<NumericSum>& numeric_sums() const { return numeric_sums_; }
+  const std::vector<std::vector<uint64_t>>& supports() const {
     return supports_;
   }
 
@@ -226,10 +246,11 @@ class MixedAggregator {
 
  private:
   const MixedTupleCollector* collector_;
+  double to_grid_;  // 2^(62−E): a value times this is its grid position
   uint64_t num_reports_ = 0;
-  std::vector<uint64_t> attribute_reports_;   // reports sampling each attr
-  std::vector<double> numeric_sums_;          // Σ scaled noisy values
-  std::vector<std::vector<double>> supports_;  // per-categorical supports
+  std::vector<uint64_t> attribute_reports_;  // reports sampling each attr
+  std::vector<NumericSum> numeric_sums_;     // Σ values, in grid units
+  std::vector<std::vector<uint64_t>> supports_;  // per-categorical supports
 };
 
 }  // namespace ldp

@@ -11,11 +11,6 @@ using internal_wire::kCategoricalEntry;
 using internal_wire::kNumericEntry;
 using internal_wire::Reader;
 
-// d/k-scaled output bound of a sampled numeric entry.
-double ScaledValueBound(uint32_t dimension, uint32_t k, double output_bound) {
-  return static_cast<double>(dimension) / k * output_bound;
-}
-
 }  // namespace
 
 Status CheckWireEncodable(const MixedTupleCollector& collector) {
@@ -34,10 +29,7 @@ Status CheckWireEncodable(const MixedTupleCollector& collector) {
 
 MixedFrameDecoder::MixedFrameDecoder(const MixedTupleCollector* collector)
     : slots_(collector->dimension()),
-      max_abs_value_(
-          ScaledValueBound(collector->dimension(), collector->k(),
-                           collector->scalar_mechanism().OutputBound()) *
-          (1.0 + 1e-9)),
+      max_abs_value_(collector->numeric_bound()),
       entries_(collector->k()) {
   for (uint32_t j = 0; j < collector->dimension(); ++j) {
     const FrequencyOracle* oracle = collector->oracle_for(j);

@@ -222,7 +222,7 @@ class MixedFrameDecoder {
     size_t max_payload = 0;
   };
   std::vector<AttributeSlot> slots_;
-  double max_abs_value_;                // d/k-scaled bound, with slack
+  double max_abs_value_;  // MixedTupleCollector::numeric_bound()
   std::vector<MixedEntryView> entries_;  // k views into the current frame
 };
 

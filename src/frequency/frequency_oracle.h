@@ -95,17 +95,22 @@ class FrequencyOracle {
 
   /// Folds one report that passed Validate into per-value support counts:
   /// `support` has domain_size() entries, and entry v counts reports
-  /// consistent with value v.
-  virtual void Fold(ReportView report, double* support) const = 0;
+  /// consistent with value v (HE: sums the raw payload words). Integer
+  /// counts make any fold or merge order give the same bits.
+  virtual void Fold(ReportView report, uint64_t* support) const = 0;
 
   /// Fold over a materialized report (Perturb's output is always valid).
-  void Accumulate(const Report& report, std::vector<double>* support) const;
+  void Accumulate(const Report& report, std::vector<uint64_t>* support) const;
 
   /// Turns support counts over `num_reports` reports into unbiased frequency
   /// estimates, one per domain value. Estimates may fall outside [0, 1];
   /// see FrequencyEstimator for clamping / simplex projection.
-  virtual std::vector<double> Estimate(const std::vector<double>& support,
+  virtual std::vector<double> Estimate(const std::vector<uint64_t>& support,
                                        uint64_t num_reports) const = 0;
+
+  /// The most one report adds to one support count (HE sums 32-bit words);
+  /// snapshot decoding refuses a count above num_reports times this.
+  virtual uint64_t MaxFoldPerReport() const { return 1; }
 
   /// Variance of a single value's frequency estimate when its true frequency
   /// is `f` and `num_reports` reports were collected.
@@ -170,14 +175,15 @@ inline const char* ValidateSortedIndices(FrequencyOracle::ReportView report,
 }
 
 /// Their fold: one support count per reported index.
-inline void FoldIndices(FrequencyOracle::ReportView report, double* support) {
-  for (size_t i = 0; i < report.size(); ++i) support[report[i]] += 1.0;
+inline void FoldIndices(FrequencyOracle::ReportView report,
+                        uint64_t* support) {
+  for (size_t i = 0; i < report.size(); ++i) ++support[report[i]];
 }
 
 /// Debiases per-value support counts for an oracle where a report supports
 /// the user's true value with probability p and any other fixed value with
 /// probability q: f̂_v = (support_v / n - q) / (p - q).
-std::vector<double> DebiasSupportCounts(const std::vector<double>& support,
+std::vector<double> DebiasSupportCounts(const std::vector<uint64_t>& support,
                                         uint64_t num_reports, double p,
                                         double q);
 

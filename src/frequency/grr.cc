@@ -33,11 +33,11 @@ const char* GrrOracle::Validate(ReportView report) const {
   return nullptr;
 }
 
-void GrrOracle::Fold(ReportView report, double* support) const {
-  support[report[0]] += 1.0;
+void GrrOracle::Fold(ReportView report, uint64_t* support) const {
+  ++support[report[0]];
 }
 
-std::vector<double> GrrOracle::Estimate(const std::vector<double>& support,
+std::vector<double> GrrOracle::Estimate(const std::vector<uint64_t>& support,
                                         uint64_t num_reports) const {
   LDP_DCHECK(support.size() == domain_size());
   return internal_frequency::DebiasSupportCounts(support, num_reports, p_, q_);

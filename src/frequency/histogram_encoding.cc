@@ -50,19 +50,23 @@ const char* HeOracle::Validate(ReportView report) const {
   return nullptr;
 }
 
-void HeOracle::Fold(ReportView report, double* support) const {
-  for (uint32_t v = 0; v < domain_size(); ++v) {
-    support[v] += static_cast<double>(report[v]) / kFixedPointScale - kOffset;
-  }
+void HeOracle::Fold(ReportView report, uint64_t* support) const {
+  for (uint32_t v = 0; v < domain_size(); ++v) support[v] += report[v];
 }
 
-std::vector<double> HeOracle::Estimate(const std::vector<double>& support,
+std::vector<double> HeOracle::Estimate(const std::vector<uint64_t>& support,
                                        uint64_t num_reports) const {
   LDP_DCHECK(support.size() == domain_size());
   std::vector<double> estimates(domain_size(), 0.0);
   if (num_reports == 0) return estimates;
+  // Σ_i (word_i / scale − offset) / n, with n·offset·scale taken off the
+  // word sum in integers first: the only roundings are the two below.
+  const __int128 offset = static_cast<__int128>(num_reports) *
+                          static_cast<int64_t>(kOffset * kFixedPointScale);
+  const double n = static_cast<double>(num_reports);
   for (uint32_t v = 0; v < domain_size(); ++v) {
-    estimates[v] = support[v] / static_cast<double>(num_reports);
+    const __int128 centered = static_cast<__int128>(support[v]) - offset;
+    estimates[v] = static_cast<double>(centered) / kFixedPointScale / n;
   }
   return estimates;
 }
@@ -136,11 +140,11 @@ const char* TheOracle::Validate(ReportView report) const {
                                                    kErrors);
 }
 
-void TheOracle::Fold(ReportView report, double* support) const {
+void TheOracle::Fold(ReportView report, uint64_t* support) const {
   internal_frequency::FoldIndices(report, support);
 }
 
-std::vector<double> TheOracle::Estimate(const std::vector<double>& support,
+std::vector<double> TheOracle::Estimate(const std::vector<uint64_t>& support,
                                         uint64_t num_reports) const {
   LDP_DCHECK(support.size() == domain_size());
   return internal_frequency::DebiasSupportCounts(support, num_reports, p_,

@@ -22,7 +22,8 @@ namespace ldp {
 
 /// HE: report payload is the noisy histogram scaled to fixed point (each
 /// component stored as round(value · kFixedPointScale) offset to stay
-/// non-negative in the uint32 payload).
+/// non-negative in the uint32 payload). Fold sums the raw words; Estimate
+/// removes the offset and the scale once.
 class HeOracle final : public FrequencyOracle {
  public:
   /// Fixed-point scale used to pack doubles into the uint32 report payload.
@@ -35,10 +36,11 @@ class HeOracle final : public FrequencyOracle {
 
   size_t PerturbInto(uint32_t value, Rng* rng, char* words) const override;
   const char* Validate(ReportView report) const override;
-  void Fold(ReportView report, double* support) const override;
-  std::vector<double> Estimate(const std::vector<double>& support,
+  void Fold(ReportView report, uint64_t* support) const override;
+  std::vector<double> Estimate(const std::vector<uint64_t>& support,
                                uint64_t num_reports) const override;
   double EstimateVariance(double f, uint64_t num_reports) const override;
+  uint64_t MaxFoldPerReport() const override { return UINT32_MAX; }
   const char* name() const override { return "HE"; }
 
   /// The Laplace noise scale 2/ε.
@@ -59,8 +61,8 @@ class TheOracle final : public FrequencyOracle {
 
   size_t PerturbInto(uint32_t value, Rng* rng, char* words) const override;
   const char* Validate(ReportView report) const override;
-  void Fold(ReportView report, double* support) const override;
-  std::vector<double> Estimate(const std::vector<double>& support,
+  void Fold(ReportView report, uint64_t* support) const override;
+  std::vector<double> Estimate(const std::vector<uint64_t>& support,
                                uint64_t num_reports) const override;
   double EstimateVariance(double f, uint64_t num_reports) const override;
   const char* name() const override { return "THE"; }

@@ -55,18 +55,18 @@ const char* OlhOracle::Validate(ReportView report) const {
   return nullptr;
 }
 
-void OlhOracle::Fold(ReportView report, double* support) const {
+void OlhOracle::Fold(ReportView report, uint64_t* support) const {
   const uint64_t seed = static_cast<uint64_t>(report[0]) |
                         (static_cast<uint64_t>(report[1]) << 32);
   const uint32_t bucket = report[2];
   for (uint32_t v = 0; v < domain_size(); ++v) {
     if (HashToBucket(seed, v, hash_range_) == bucket) {
-      support[v] += 1.0;
+      ++support[v];
     }
   }
 }
 
-std::vector<double> OlhOracle::Estimate(const std::vector<double>& support,
+std::vector<double> OlhOracle::Estimate(const std::vector<uint64_t>& support,
                                         uint64_t num_reports) const {
   LDP_DCHECK(support.size() == domain_size());
   return internal_frequency::DebiasSupportCounts(support, num_reports, p_,

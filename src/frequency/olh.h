@@ -20,8 +20,8 @@ class OlhOracle final : public FrequencyOracle {
 
   size_t PerturbInto(uint32_t value, Rng* rng, char* words) const override;
   const char* Validate(ReportView report) const override;
-  void Fold(ReportView report, double* support) const override;
-  std::vector<double> Estimate(const std::vector<double>& support,
+  void Fold(ReportView report, uint64_t* support) const override;
+  std::vector<double> Estimate(const std::vector<uint64_t>& support,
                                uint64_t num_reports) const override;
   double EstimateVariance(double f, uint64_t num_reports) const override;
   size_t MaxReportSize() const override { return 3; }

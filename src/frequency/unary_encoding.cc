@@ -72,12 +72,12 @@ const char* UnaryEncodingOracle::Validate(ReportView report) const {
                                                    kErrors);
 }
 
-void UnaryEncodingOracle::Fold(ReportView report, double* support) const {
+void UnaryEncodingOracle::Fold(ReportView report, uint64_t* support) const {
   internal_frequency::FoldIndices(report, support);
 }
 
 std::vector<double> UnaryEncodingOracle::Estimate(
-    const std::vector<double>& support, uint64_t num_reports) const {
+    const std::vector<uint64_t>& support, uint64_t num_reports) const {
   LDP_DCHECK(support.size() == domain_size());
   return internal_frequency::DebiasSupportCounts(support, num_reports, p_, q_);
 }

@@ -45,8 +45,8 @@ class UnaryEncodingOracle : public FrequencyOracle {
   size_t PerturbSkip(uint32_t value, Rng* rng, char* words) const;
 
   const char* Validate(ReportView report) const override;
-  void Fold(ReportView report, double* support) const override;
-  std::vector<double> Estimate(const std::vector<double>& support,
+  void Fold(ReportView report, uint64_t* support) const override;
+  std::vector<double> Estimate(const std::vector<uint64_t>& support,
                                uint64_t num_reports) const override;
   double EstimateVariance(double f, uint64_t num_reports) const override;
 

@@ -85,7 +85,8 @@ Result<std::string> CollectorClient::AwaitReply(MessageType expected,
       return StatusFromWire(error.code, error.message);
     }
     if (type == MessageType::kShardClosed) {
-      // Merge-barrier reordering: another channel's verdict may land first.
+      // Closes complete out of order: another channel's verdict may land
+      // first.
       // Stash it for AwaitShardClosed.
       ShardClosedMessage closed;
       LDP_ASSIGN_OR_RETURN(closed, DecodeShardClosed(payload));
@@ -172,10 +173,10 @@ Result<ShardCloseSummary> CollectorClient::AwaitShardClosed(uint32_t channel) {
     payload = std::move(stashed->second);
     closed_payloads_.erase(stashed);
   } else {
-    // The merge verdict may wait at the collector's ordinal barrier until
-    // every smaller shard lands — legitimately much longer than the idle
-    // timeout — so lift the timeout for this one reply (the collector's
-    // own merge-turn bound keeps the wait finite).
+    // The verdict waits for the collector to drain the shard's queued
+    // chunks and reach it in its close queue — legitimately longer than
+    // the idle timeout under load — so lift the timeout for this one
+    // reply (the collector exempts the wait from its own idle reap too).
     if (options_.idle_timeout_ms > 0) {
       LDP_RETURN_IF_ERROR(socket_.SetIdleTimeout(0));
     }

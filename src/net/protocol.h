@@ -16,16 +16,16 @@
 //   DATA {channel, raw frame bytes}  (any chunking; fed straight into
 //                            ServerSession::Feed — the report-stream
 //                            framing below is untouched)      [repeated]
-//   CLOSE_SHARD {channel}            -> drain, merge in ordinal order
+//   CLOSE_SHARD {channel}            -> drain, merge
 //                                    <- SHARD_CLOSED {channel, status,
 //                                                     stats}
 //   ... another HELLO (a new channel/shard), or EOF.
 //
 // A `channel` is the client-chosen id multiplexing several concurrently
 // open shards over one connection; ids are free for reuse once their
-// SHARD_CLOSED arrives. Because merges wait for the ordinal barrier, a
-// SHARD_CLOSED may arrive *after* replies to later requests on the same
-// connection — clients must match replies by channel, not by order.
+// SHARD_CLOSED arrives. Because closes complete on the collector's close
+// queue, a SHARD_CLOSED may arrive *after* replies to later requests on the
+// same connection — clients must match replies by channel, not by order.
 //
 // No peer can advance the collection epoch: that is the operator's call
 // (ReportServer::AdvanceEpoch), and the retired ADVANCE_EPOCH (0x04) and
@@ -42,8 +42,8 @@
 // with on disk, so the server rejects a mismatched client (schema hash, ε,
 // kinds) before a single report is decoded, and the ingester still consumes
 // a byte-identical stream. `ordinal` is the client's shard index in its
-// campaign: the server merges closed shards in ascending ordinal order,
-// which is what makes a networked run bit-identical to the file-based
+// campaign: the server admits each ordinal once per epoch. Aggregates are
+// exact sums, so a networked run is bit-identical to the file-based
 // `ldp_aggregate shard-0 shard-1 ...` run no matter which connection
 // finishes first.
 //
@@ -195,11 +195,11 @@ Result<CloseShardMessage> DecodeCloseShard(const std::string& payload);
 /// SNAPSHOT: a relay node ships its whole session snapshot upstream. The
 /// snapshot is cumulative (every epoch, all reports so far), so a node may
 /// re-send at any cadence: the upstream keeps only the highest `seq` per
-/// node and folds the survivors in ascending node-id order at drain time —
-/// retries and restarts are idempotent by construction.
+/// node and folds the survivors at drain time — retries and restarts are
+/// idempotent by construction.
 struct SnapshotMessage {
   uint16_t version = kProtocolVersion;
-  uint64_t node = 0;   ///< The sender's node id (its merge position).
+  uint64_t node = 0;   ///< The sender's node id.
   uint64_t seq = 0;    ///< Monotone per node; highest wins upstream.
   /// Sender's current epoch at snapshot time. Informational: the
   /// collector ignores it (the snapshot carries its own epochs).

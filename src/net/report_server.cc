@@ -179,7 +179,7 @@ Status ReportServer::FoldRelaySnapshots() {
     pending.swap(relay_snapshots_);
   }
   Status first_error = Status::OK();
-  for (const auto& [node, snap] : pending) {  // std::map: ascending node id
+  for (const auto& [node, snap] : pending) {
     const Status merged = session_->Merge(snap.bytes);
     if (merged.ok()) {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -231,9 +231,13 @@ void ReportServer::LoopMain(size_t index) {
     adopts.clear();
     for (const auto& conn : flushes) {
       // A scheduler reply just landed (merge verdict or drain goodbye):
-      // re-arm so a deadline that expired during the barrier wait cannot
+      // re-arm so a deadline that expired while the close waited cannot
       // reap the connection before the reply flushes, and so a drain
       // goodbye gets its bounded grace even with the idle timer off.
+      {
+        std::lock_guard<std::mutex> conn_lock(conn->mutex);
+        conn->verdict_queued = false;
+      }
       ArmDeadline(conn);
       FlushConn(loop, conn);
     }
@@ -319,30 +323,32 @@ void ReportServer::LoopMain(size_t index) {
           continue;
         }
         bool goodbye_stuck;
-        bool barrier_wait;
+        bool awaiting_verdicts;
         {
           std::lock_guard<std::mutex> conn_lock(conn->mutex);
-          goodbye_stuck = conn->close_after_flush;
-          barrier_wait = !conn->channels.empty();
+          goodbye_stuck = conn->close_after_flush && !conn->verdict_queued;
+          awaiting_verdicts = !conn->channels.empty();
           for (const auto& [channel, state] : conn->channels) {
             if (!state.closing) {
-              barrier_wait = false;
+              awaiting_verdicts = false;
               break;
             }
           }
+          // Delivered mid-sweep: flushes at the next iteration's top.
+          awaiting_verdicts = awaiting_verdicts || conn->verdict_queued;
         }
         if (goodbye_stuck) {
           // A drain goodbye the peer never read: give up on delivery.
           DestroyConn(loop, conn);
           continue;
         }
-        if (barrier_wait) {
+        if (awaiting_verdicts) {
           // Every channel is awaiting its SHARD_CLOSED verdict: the wait
-          // belongs to the merge scheduler (bounded by
-          // merge_turn_timeout_ms, often longer than the idle budget) and
-          // the client has stopped sending on purpose — not a slow loris.
-          // Re-arm rather than reap, or an out-of-order campaign with
-          // skew beyond idle_timeout_ms would lose its merge verdicts.
+          // is the server's own (the shard's queued chunks draining, and
+          // the close queue, which a long drain or a session held by
+          // another caller can stall past the idle budget), and the client
+          // has stopped sending on purpose — not a slow loris. Re-arm
+          // rather than reap, or the verdicts would be lost.
           ArmDeadline(conn);
           continue;
         }
@@ -579,10 +585,10 @@ bool ReportServer::DispatchMessage(Loop& loop,
       scheduler_.Submit(std::move(pending));
       // Flush only after the close is scheduler-owned: a send failure here
       // destroys the connection, and AbandonConnChannels skips closing
-      // channels — an unsubmitted close would leave the ordinal active
-      // forever and wedge the expected-shards barrier. With the close
-      // submitted, a dead connection merely drops the reply; the scheduler
-      // still finishes the ordinal.
+      // channels — an unsubmitted close would leave the ordinal (and its
+      // session shard) open forever, refusing every epoch advance. With
+      // the close submitted, a dead connection merely drops the reply; the
+      // scheduler still finishes the ordinal.
       FlushConn(loop, conn);
       return !conn->dead;
     }
@@ -878,7 +884,7 @@ size_t ReportServer::AbandonConnChannels(const std::shared_ptr<Conn>& conn) {
     }
   }
   // An aborted upload contributes nothing, even if it stopped on a frame
-  // boundary: drop the shard and release its merge turn.
+  // boundary: drop the shard and release its ordinal.
   for (const ChannelState& state : doomed) {
     if (options_.wal != nullptr) options_.wal->OnShardAbandon(state.shard);
     (void)session_->AbandonShard(state.shard);
@@ -1015,6 +1021,7 @@ void ReportServer::DeliverVerdict(const MergeScheduler::Close& close,
       if (draining && conn->channels.empty()) {
         conn->close_after_flush = true;
       }
+      conn->verdict_queued = true;
       deliver = true;
     }
   }

@@ -26,15 +26,15 @@
 // verification is HELLO-only: the DATA hot path is untouched. Only the
 // operator moves the epoch (AdvanceEpoch); no message on the wire can.
 //
-// Determinism and threading: closed shards merge in ascending HELLO
-// *ordinal* order, not connection-completion order. A CLOSE_SHARD is
-// handed to the MergeScheduler (net/merge_scheduler.h), which alone knows
-// the merge-turn rule; the server queues each verdict's SHARD_CLOSED reply
-// on the owning loop, and replies to other channels keep flowing meanwhile.
-// The ServerSession surface is thread-safe, so loops feed disjoint shards
-// without further coordination. A shard held at Feed's backpressure bound
-// stalls its whole loop (bounded by the ingest pool's drain rate), not
-// just its own connection.
+// Determinism and threading: aggregates are exact integer sums, so closed
+// shards merge in whatever order they close and the session still equals
+// the file-based run. A CLOSE_SHARD is handed to the MergeScheduler
+// (net/merge_scheduler.h), whose thread drains and merges it; the server
+// queues each verdict's SHARD_CLOSED reply on the owning loop, and replies
+// to other channels keep flowing meanwhile. The ServerSession surface is
+// thread-safe, so loops feed disjoint shards without further coordination.
+// A shard held at Feed's backpressure bound stalls its whole loop (bounded
+// by the ingest pool's drain rate), not just its own connection.
 
 #ifndef LDP_NET_REPORT_SERVER_H_
 #define LDP_NET_REPORT_SERVER_H_
@@ -87,9 +87,9 @@ class ShardDurabilityHook {
                            const std::string& header_bytes) = 0;
   /// An accepted DATA payload, about to be fed to the session.
   virtual void OnShardData(size_t shard, const char* data, size_t size) = 0;
-  /// Called inside the shard's merge turn, immediately before the session
-  /// close — the close record's sequence is the exact merge order a replay
-  /// must reproduce.
+  /// Called on the merge scheduler immediately before the session close,
+  /// so the log records which shards merged. The merge order it records
+  /// does not matter: the sums are exact.
   virtual void OnShardClose(size_t shard) = 0;
   /// The shard was dropped (disconnect, timeout, poison, shutdown).
   virtual void OnShardAbandon(size_t shard) = 0;
@@ -112,26 +112,25 @@ struct ReportServerOptions {
   /// The budget covers a whole prefix or payload — partial reads do not
   /// reset it — which is what bounds slow-loris reporters trickling bytes.
   /// A connection whose channels are all awaiting their SHARD_CLOSED
-  /// verdict is exempt: that wait belongs to the merge scheduler and is
-  /// bounded by merge_turn_timeout_ms, which may legitimately exceed this.
+  /// verdict is exempt: that wait belongs to the server — the shard's
+  /// queued chunks draining and the close queue — not to the peer.
   /// Even at 0, a teardown's goodbye flush stays bounded by a fixed grace
   /// so Stop(drain) cannot hang on a peer that never reads its verdict.
   int idle_timeout_ms = 30000;
-  /// When nonzero, the campaign's fleet size: every epoch expects shards
-  /// with ordinals exactly 0..expected_shards-1, and ordinal k merges only
-  /// after every smaller ordinal has merged or abandoned (a strict barrier;
-  /// see net/merge_scheduler.h). At 0 (ad hoc), merges are ordered only
-  /// among shards open concurrently.
+  /// When nonzero, the campaign's fleet size: every epoch admits shards
+  /// with ordinals 0..expected_shards-1 only, each completing (merged or
+  /// abandoned) at most once; a repeat HELLO is refused as "already
+  /// completed this epoch". At 0 (ad hoc), any ordinal not currently
+  /// streaming is admitted.
   uint64_t expected_shards = 0;
-  /// Bound on how long a CLOSE_SHARD may wait for its merge turn before
-  /// the shard is abandoned (0 = wait forever). Guards against a campaign
-  /// whose predecessor ordinal never arrives — e.g. a dead reporter.
+  /// Ignored. Declared only because campaign_bench sets it; delete it once
+  /// the benchmark stops.
   int merge_turn_timeout_ms = 120000;
   /// Optional telemetry (obs/metrics.h): connection/HELLO/shard counters,
-  /// DATA read and merge-barrier latency histograms. Typically the same
+  /// DATA read and close-queue wait histograms. Typically the same
   /// registry the session reports through. Must outlive the server.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Optional campaign event journal: HELLO accept/refuse and merge-barrier
+  /// Optional campaign event journal: HELLO accept/refuse and close-queue
   /// enter/exit events (the session journals shard lifecycle itself).
   obs::EventJournal* journal = nullptr;
   /// Accept SNAPSHOT messages from downstream relay nodes (a root or
@@ -154,9 +153,8 @@ struct ReportServerOptions {
   /// HELLO; ReportServer::AdvanceEpoch abandons the unclaimed ones (a new
   /// epoch has no pre-crash shards).
   std::unordered_map<uint64_t, ResumedShard> resume_shards;
-  /// Ordinals a WAL replay already closed into the current epoch: they seed
-  /// the expected-shards barrier as done, so the frontier starts past them
-  /// and a re-HELLO for one is refused as a duplicate.
+  /// Ordinals a WAL replay already closed into the current epoch: they
+  /// start completed, so a re-HELLO for one is refused as a duplicate.
   std::set<uint64_t> completed_ordinals;
 };
 
@@ -211,13 +209,14 @@ class ReportServer {
   /// The operator's one way to open the next collection epoch; no peer can.
   /// Refused while any shard is open. Otherwise abandons the WAL resume
   /// entries no reporter claimed, advances the session (the accountant
-  /// refuses once the plan is spent), and resets the expected-shards
-  /// barrier so ordinals 0..N-1 stream again.
+  /// refuses once the plan is spent), and forgets the completed ordinals
+  /// so 0..N-1 stream again.
   Status AdvanceEpoch();
 
   /// Merges the retained relay snapshots (highest seq per node) into the
-  /// session in ascending node-id order — the deterministic fold that makes
-  /// a two-tier campaign reproduce the tree-shaped file run bit for bit.
+  /// session (in ascending node id order, so the first error is fixed); the
+  /// sums are exact, so a two-tier campaign reproduces the tree-shaped file
+  /// run bit for bit.
   /// Call after Stop(drain): no connection is racing the session. A
   /// malformed snapshot mutates nothing (the session stages before
   /// committing); folding continues past it and the first error is
@@ -270,6 +269,10 @@ class ReportServer {
     std::string outbuf;
     size_t outbuf_sent = 0;
     bool close_after_flush = false;
+    /// A verdict sits in the outbuf that the loop has not taken from its
+    /// flush inbox yet: the idle sweep must not reap the connection, or
+    /// the verdict is lost.
+    bool verdict_queued = false;
     bool dead = false;  ///< Torn down; late scheduler replies are dropped.
   };
 
@@ -355,8 +358,7 @@ class ReportServer {
   mutable std::mutex mutex_;
   /// Replay-resumable shards not yet claimed by a HELLO (see Options).
   std::unordered_map<uint64_t, ResumedShard> resume_shards_;
-  /// The latest snapshot accepted from each relay node. An ordered map so
-  /// FoldRelaySnapshots walks nodes in ascending id order.
+  /// The latest snapshot accepted from each relay node.
   struct PendingSnapshot {
     uint64_t seq = 0;
     std::string bytes;

@@ -278,7 +278,8 @@ struct NetServerMetrics {
   ///< ldp_net_snapshots_refused_total
   Histogram* data_read_us = nullptr;   ///< ldp_net_data_read_us
   Histogram* merge_barrier_wait_us = nullptr;
-  ///< ldp_net_merge_barrier_wait_us
+  ///< ldp_net_merge_barrier_wait_us: a CLOSE_SHARD's wait in the close
+  ///< queue, from Submit to the start of its close
   bool enabled() const { return connections != nullptr; }
   static NetServerMetrics ForRegistry(MetricsRegistry* registry);
 };

@@ -6,15 +6,15 @@
 // (cumulative: every epoch, all reports so far) and ships it upstream as
 // one SNAPSHOT message (net/protocol.h), tagged with the node id and a
 // monotone sequence number. The upstream keeps only the highest sequence
-// per node and folds the survivors in ascending node-id order at its own
-// drain (ReportServer::FoldRelaySnapshots), so:
+// per node and folds the survivors at its own drain
+// (ReportServer::FoldRelaySnapshots), so:
 //
 //   - retries after a lost ack, duplicate deliveries, and upstream
 //     restarts are all idempotent — the latest cumulative snapshot
 //     subsumes every earlier one;
-//   - the fold order is a function of node ids alone, which is what makes
-//     a two-tier campaign reproduce the tree-shaped file-based run
-//     (`ldp_aggregate edge0.ldpe edge1.ldpe`) bit for bit.
+//   - the sums are exact, so a two-tier campaign reproduces the
+//     tree-shaped file-based run (`ldp_aggregate edge0.ldpe edge1.ldpe`)
+//     bit for bit.
 //
 // A dead upstream costs nothing but retries: the forwarder reconnects
 // with exponential backoff and the next cycle ships a snapshot that
@@ -43,8 +43,8 @@ class EventJournal;
 namespace ldp::relay {
 
 struct RelayForwarderOptions {
-  /// This node's merge position at the upstream (must be unique per edge;
-  /// the upstream folds nodes in ascending id order).
+  /// This node's id at the upstream (must be unique per edge: the
+  /// upstream keeps one snapshot per node).
   uint64_t node_id = 0;
   /// Periodic forwarding cadence. A cycle whose session is unchanged since
   /// the last acked snapshot sends nothing.

@@ -90,7 +90,6 @@ struct Instance {
   std::vector<std::pair<size_t, size_t>> chunks;
   uint64_t data_bytes = 0;
   bool closed = false;
-  uint64_t close_seq = 0;
   bool abandoned = false;
   bool corrupt = false;
   // Set by ReplayInstances when this instance became a resumed shard; the
@@ -98,7 +97,7 @@ struct Instance {
   bool resumed = false;
   size_t session_shard = 0;
 
-  // Feed-order key; close order uses close_seq instead.
+  // Replay order.
   std::tuple<uint32_t, uint64_t, uint32_t> key() const {
     return {epoch, ordinal, generation};
   }
@@ -212,7 +211,6 @@ Status ReadInstance(const std::string& path, bool truncate,
           return Status::OK();
         }
         instance->closed = true;
-        instance->close_seq = LoadLittleEndian<uint64_t>(payload);
         break;
       case WalRecordType::kAbandon:
         instance->abandoned = true;
@@ -281,9 +279,7 @@ Status ScanWalDir(const std::string& dir, bool truncate,
 }
 
 // Feeds the scanned instances back into a fresh session, reproducing the
-// pre-crash merge order exactly. See the header comment for the rules;
-// `max_close_seq` (optional) reports the largest replayed close sequence
-// so continued appends keep the counter monotone.
+// pre-crash state exactly. See the header comment for the rules.
 //
 // One deliberate gap: epoch advances are implied by shard files, so an
 // operator advance (ReportServer::AdvanceEpoch) that no shard in the new
@@ -292,8 +288,7 @@ Status ScanWalDir(const std::string& dir, bool truncate,
 Status ReplayInstances(std::vector<Instance>* instances,
                        api::ServerSession* session,
                        const stream::StreamHeader* expected,
-                       obs::EventJournal* journal, WalReplaySummary* summary,
-                       uint64_t* max_close_seq) {
+                       obs::EventJournal* journal, WalReplaySummary* summary) {
   uint32_t final_epoch = 0;
   for (const Instance& instance : *instances) {
     final_epoch = std::max(final_epoch, instance.epoch);
@@ -392,19 +387,14 @@ Status ReplayInstances(std::vector<Instance>* instances,
         ++summary->shards_resumed;
       }
     }
-    // Close in the exact order the merge barrier chose pre-crash — the
-    // step that keeps the replayed session bit-identical.
-    std::sort(closed.begin(), closed.end(), [](const Fed& a, const Fed& b) {
-      return a.instance->close_seq < b.instance->close_seq;
-    });
+    // Closes wait until the whole epoch is fed, so a concurrent session
+    // decodes the shards in parallel before each close drains its own. The
+    // sums are exact: closing in replay order gives the pre-crash session.
     for (const Fed& fed : closed) {
       // A shard the original run closed as discarded replays as discarded:
       // same bytes, same verdict. The status is not an error here.
       (void)session->CloseShard(fed.shard);
       ++summary->shards_replayed;
-      if (max_close_seq != nullptr) {
-        *max_close_seq = std::max(*max_close_seq, fed.instance->close_seq);
-      }
       if (epoch == final_epoch) {
         summary->completed_ordinals.insert(fed.instance->ordinal);
       }
@@ -464,8 +454,7 @@ Status ReplayWalDir(const std::string& dir, api::ServerSession* session,
   std::vector<Instance> instances;
   LDP_RETURN_IF_ERROR(ScanWalDir(dir, /*truncate=*/true, &instances,
                                  summary));
-  return ReplayInstances(&instances, session, expected, journal, summary,
-                         nullptr);
+  return ReplayInstances(&instances, session, expected, journal, summary);
 }
 
 Result<WalDirPeek> PeekWalDir(const std::string& dir) {
@@ -511,12 +500,9 @@ Result<std::unique_ptr<FrameWal>> FrameWal::Open(const std::string& dir,
   std::vector<Instance> instances;
   LDP_RETURN_IF_ERROR(ScanWalDir(dir, /*truncate=*/true, &instances,
                                  summary));
-  uint64_t max_close_seq = 0;
   LDP_RETURN_IF_ERROR(ReplayInstances(&instances, session, options.expected,
-                                      options.journal, summary,
-                                      &max_close_seq));
+                                      options.journal, summary));
   std::unique_ptr<FrameWal> wal(new FrameWal(dir, options));
-  wal->next_close_seq_ = summary->shards_replayed > 0 ? max_close_seq + 1 : 0;
   for (const Instance& instance : instances) {
     auto& slot = wal->next_generation_[{instance.epoch, instance.ordinal}];
     slot = std::max(slot, instance.generation + 1);
@@ -610,9 +596,8 @@ void FrameWal::OnShardClose(size_t shard) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = fds_.find(shard);
   if (it == fds_.end()) return;
-  // close_seq is assigned under the lock, so this 8-byte CRC is too.
   std::string payload;
-  PutU64(&payload, next_close_seq_++);
+  PutU64(&payload, 0);  // reserved
   AppendRecord(it->second,
                EncodeRecordHead(WalRecordType::kClose, payload.data(),
                                 payload.size()),

@@ -5,7 +5,7 @@
 // crashed collector cannot ask devices to "just run the campaign again" —
 // it must reconstruct exactly the state it had acknowledged. The inputs it
 // acknowledged are bytes: the validated HELLO header and the accepted DATA
-// payloads of each shard, plus the order shards merged in. So the WAL
+// payloads of each shard, plus which shards merged. So the WAL
 // journals exactly those, upstream of ServerSession::Feed, one log file per
 // shard attempt:
 //
@@ -16,7 +16,7 @@
 //       type 1  shard open: u16 reporter-id length, the reporter id, then
 //               the stream-header bytes (the HELLO header)
 //       type 2  accepted DATA payload (one record per DATA message)
-//       type 3  close, payload = u64 close_seq (global merge order)
+//       type 3  close, payload = u64 reserved (written as 0)
 //       type 4  abandon (the shard contributed nothing)
 //
 // The reporter id rides in the log because replay must restore the
@@ -25,9 +25,9 @@
 // makes replay-after-replay exact rather than double-spending.
 //
 // `generation` disambiguates ordinal reuse (ad hoc mode may stream the
-// same ordinal several times per epoch); `close_seq` is a single counter
-// across the whole log so replay can reproduce the exact merge order the
-// barrier chose, which is what keeps the replayed session bit-identical.
+// same ordinal several times per epoch). Replay closes an epoch's closed
+// shards once all of them are fed: the sums are exact, so the replayed
+// session is bit-identical to the live one whatever order they merged in.
 //
 // Replay (FrameWal::Open on a non-empty directory) distinguishes two kinds
 // of damage:
@@ -50,8 +50,7 @@
 // Concurrency: a DATA record's CRC is computed before the WAL mutex, so
 // shards CRC their payloads in parallel and serialize only on the fd
 // lookup and the write. `ldp_wal_append_us` therefore times a DATA record
-// from CRC start to write end, lock wait included. The close record's CRC
-// covers close_seq, which is assigned under the mutex, so it stays there.
+// from CRC start to write end, lock wait included.
 
 #ifndef LDP_RELAY_FRAME_WAL_H_
 #define LDP_RELAY_FRAME_WAL_H_
@@ -197,9 +196,6 @@ class FrameWal : public net::ShardDurabilityHook {
   std::unordered_map<size_t, int> fds_;
   /// Next generation per (epoch, ordinal) — continues past replayed files.
   std::map<std::pair<uint32_t, uint64_t>, uint32_t> next_generation_;
-  /// Global close counter; replay closes in this order. Seeded past the
-  /// largest replayed close_seq.
-  uint64_t next_close_seq_ = 0;
 };
 
 }  // namespace ldp::relay

@@ -98,7 +98,7 @@ class ShardIngester {
   const MixedAggregator& aggregator() const { return aggregator_; }
 
   /// Transfers the aggregate out of the ingester (for shard drivers that
-  /// reduce shards in order). The ingester must not be fed afterwards.
+  /// merge it elsewhere). The ingester must not be fed afterwards.
   MixedAggregator ReleaseAggregator() { return std::move(aggregator_); }
 
   const Stats& stats() const { return stats_; }

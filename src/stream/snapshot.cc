@@ -1,5 +1,6 @@
 #include "stream/snapshot.h"
 
+#include <string>
 #include <utility>
 
 #include "core/wire.h"
@@ -27,7 +28,8 @@ Result<SnapshotConfig> ReadConfig(Reader* reader) {
   uint16_t version = 0;
   LDP_ASSIGN_OR_RETURN(version, reader->U16());
   if (version != kSnapshotVersion) {
-    return Status::InvalidArgument("unsupported snapshot version");
+    return Status::InvalidArgument("unsupported aggregator snapshot version " +
+                                   std::to_string(version));
   }
   uint8_t mechanism = 0, oracle = 0;
   LDP_ASSIGN_OR_RETURN(mechanism, reader->U8());
@@ -46,6 +48,9 @@ Result<SnapshotConfig> ReadConfig(Reader* reader) {
   LDP_ASSIGN_OR_RETURN(config.dimension, reader->U32());
   LDP_ASSIGN_OR_RETURN(config.k, reader->U32());
   LDP_ASSIGN_OR_RETURN(config.num_reports, reader->U64());
+  uint32_t exponent = 0;
+  LDP_ASSIGN_OR_RETURN(exponent, reader->U32());
+  config.grid_exponent = static_cast<int32_t>(exponent);
   return config;
 }
 
@@ -65,12 +70,16 @@ std::string EncodeAggregatorSnapshot(const MixedAggregator& aggregator) {
   PutU32(&out, d);
   PutU32(&out, collector->k());
   PutU64(&out, aggregator.num_reports());
+  PutU32(&out, static_cast<uint32_t>(collector->numeric_grid_exponent()));
   for (uint32_t j = 0; j < d; ++j) {
     PutU64(&out, aggregator.attribute_report_counts()[j]);
-    PutF64(&out, aggregator.numeric_sums()[j]);
-    const std::vector<double>& support = aggregator.supports()[j];
+    const auto sum =
+        static_cast<unsigned __int128>(aggregator.numeric_sums()[j]);
+    PutU64(&out, static_cast<uint64_t>(sum));
+    PutU64(&out, static_cast<uint64_t>(sum >> 64));
+    const std::vector<uint64_t>& support = aggregator.supports()[j];
     PutU32(&out, static_cast<uint32_t>(support.size()));
-    for (const double s : support) PutF64(&out, s);
+    for (const uint64_t s : support) PutU64(&out, s);
   }
   return out;
 }
@@ -93,25 +102,32 @@ Result<MixedAggregator> DecodeAggregatorSnapshot(
     return Status::FailedPrecondition(
         "snapshot configuration does not match the reducer's collector");
   }
+  if (config.grid_exponent != collector->numeric_grid_exponent()) {
+    return Status::FailedPrecondition(
+        "snapshot numeric grid does not match the reducer's collector");
+  }
   const uint32_t dimension = config.dimension;
   std::vector<uint64_t> attribute_reports(dimension, 0);
-  std::vector<double> numeric_sums(dimension, 0.0);
-  std::vector<std::vector<double>> supports(dimension);
+  std::vector<NumericSum> numeric_sums(dimension, 0);
+  std::vector<std::vector<uint64_t>> supports(dimension);
   for (uint32_t j = 0; j < dimension; ++j) {
     LDP_ASSIGN_OR_RETURN(attribute_reports[j], reader.U64());
-    LDP_ASSIGN_OR_RETURN(numeric_sums[j], reader.F64());
+    uint64_t low = 0, high = 0;
+    LDP_ASSIGN_OR_RETURN(low, reader.U64());
+    LDP_ASSIGN_OR_RETURN(high, reader.U64());
+    numeric_sums[j] = static_cast<NumericSum>(
+        (static_cast<unsigned __int128>(high) << 64) | low);
     uint32_t support_count = 0;
     LDP_ASSIGN_OR_RETURN(support_count, reader.U32());
     const MixedAttribute& spec = collector->schema()[j];
-    const uint32_t expected =
-        spec.type == AttributeType::kCategorical ? spec.domain_size : 0;
-    if (support_count != expected) {
+    if (support_count !=
+        (spec.type == AttributeType::kCategorical ? spec.domain_size : 0)) {
       return Status::InvalidArgument(
           "snapshot support size does not match the attribute's domain");
     }
     supports[j].resize(support_count);
     for (uint32_t v = 0; v < support_count; ++v) {
-      LDP_ASSIGN_OR_RETURN(supports[j][v], reader.F64());
+      LDP_ASSIGN_OR_RETURN(supports[j][v], reader.U64());
     }
   }
   if (!reader.AtEnd()) {

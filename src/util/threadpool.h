@@ -106,9 +106,7 @@ struct IndexRange {
 
 /// Splits [0, n) into at most `max_chunks` contiguous, roughly equal,
 /// non-empty ranges in ascending order. This is the canonical chunking used
-/// by ParallelFor and by the stream sharding tools: producing shards with
-/// SplitRange boundaries and reducing them in order reproduces a pooled
-/// single-process run bit for bit.
+/// by ParallelFor and by the stream sharding tools.
 std::vector<IndexRange> SplitRange(uint64_t n, uint64_t max_chunks);
 
 /// The number of chunks ParallelFor will use for `n` items on `pool` (1 for

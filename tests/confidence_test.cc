@@ -109,7 +109,7 @@ TEST(FrequencyConfidenceIntervalTest, EmpiricalCoverage) {
   int covered = 0;
   const int reps = 300;
   for (int rep = 0; rep < reps; ++rep) {
-    std::vector<double> support(4, 0.0);
+    std::vector<uint64_t> support(4, 0);
     for (uint64_t i = 0; i < n; ++i) {
       oracle.Accumulate(
           oracle.Perturb(rng.Bernoulli(truth) ? 0u : 2u, &rng), &support);

@@ -142,9 +142,8 @@ TEST(NumericStreamTest, AllNumericPipelineEncodesKindZeroAndMixedFrames) {
 
 TEST(NumericStreamTest, ShardedServerSessionReproducesCollectProposed) {
   const data::Dataset dataset = MakeNumericData();
-  // Shard boundaries mirror the pooled run's ParallelFor chunks (threads×4),
-  // and shards merge in order — the same bit-reproduction contract every
-  // schema has.
+  // The sums are exact, so any sharding reproduces the pooled run — the
+  // same bit-reproduction contract every schema has.
   constexpr unsigned kPoolThreads = 2;
   ThreadPool pool(kPoolThreads);
   auto expected = CollectProposed(dataset, kEpsilon, kSeed,
@@ -158,7 +157,7 @@ TEST(NumericStreamTest, ShardedServerSessionReproducesCollectProposed) {
   auto server = pipeline.NewServer();
   ASSERT_TRUE(server.ok());
 
-  // >= 2 shards, fed across 1000-byte chunk boundaries, closed in order.
+  // >= 2 shards, fed across 1000-byte chunk boundaries.
   const std::vector<IndexRange> ranges =
       SplitRange(kRows, kPoolThreads * 4);
   ASSERT_GE(ranges.size(), 2u);

@@ -2,12 +2,15 @@
 // net/client.h): loopback campaigns over Unix-domain and TCP sockets must
 // reproduce a directly-fed ServerSession byte for byte — snapshots included
 // — at every session thread count and regardless of which connection
-// finishes first (shards merge in HELLO ordinal order, not completion
-// order). Also covers a multi-epoch campaign over one connection (CLOSE,
+// finishes first (the sums are exact, so completion order cannot show).
+// Also covers a multi-epoch campaign over one connection (CLOSE,
 // the operator's ReportServer::AdvanceEpoch, re-HELLO, down to the
 // accountant's refusal) and hard-stop abandonment.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -58,8 +61,8 @@ std::vector<std::string> MakeShardStreams(const api::Pipeline& pipeline,
   return streams;
 }
 
-// The reference: the same shard bytes fed straight into a session, closed
-// in ordinal order — what the file-based ldp_aggregate run would compute.
+// The reference: the same shard bytes fed straight into a session — what
+// the file-based ldp_aggregate run would compute.
 std::string DirectSessionSnapshot(const api::Pipeline& pipeline,
                                   const std::vector<std::string>& streams) {
   auto session = pipeline.NewServer();
@@ -87,8 +90,8 @@ std::string RunCampaign(const api::Pipeline& pipeline,
   EXPECT_TRUE(session.ok());
   net::ReportServerOptions server_options;
   server_options.acceptors = static_cast<unsigned>(streams.size());
-  // The campaigns race real threads; the expected-shards barrier is what
-  // makes the snapshot-equality assertions deterministic.
+  // The campaigns race real threads; the exact sums make the
+  // snapshot-equality assertions deterministic whatever the close order.
   server_options.expected_shards = streams.size();
   auto server = net::ReportServer::Start(&session.value(), pipeline.header(),
                                          endpoint, server_options);
@@ -158,9 +161,8 @@ TEST(ReportServerTest, CompletionOrderDoesNotChangeTheSession) {
   const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
   const std::vector<std::string> streams = MakeShardStreams(pipeline, 3);
   const std::string reference = DirectSessionSnapshot(pipeline, streams);
-  // Ordinal 0 asks to close LAST: ordinal 2's CLOSE arrives first and must
-  // wait for its merge turn. Whatever interleaving the scheduler picks,
-  // the session is the ordinal-ordered one.
+  // Ordinal 0 asks to close LAST: ordinal 2's CLOSE arrives first and
+  // merges first. The session still equals the ordinal-ordered one.
   const std::string snapshot =
       RunCampaign(pipeline, TestUdsEndpoint("reverse_close"), streams,
                   /*ingest_threads=*/0, /*stagger_ms=*/{120, 60, 0});
@@ -168,10 +170,8 @@ TEST(ReportServerTest, CompletionOrderDoesNotChangeTheSession) {
 }
 
 TEST(ReportServerTest, ExpectedShardsBarrierHoldsForLateConnectors) {
-  // Ordinal 1 connects, streams, and asks to close BEFORE ordinal 0 has
-  // even connected. In ad hoc mode that would merge shard 1 first; with
-  // expected_shards the close blocks at the barrier until shard 0 — the
-  // late connector — merges, so the session still matches the
+  // Ordinal 1 connects, streams, and closes BEFORE ordinal 0 has even
+  // connected, so shard 1 merges first; the session still matches the
   // ordinal-ordered reference bit for bit.
   const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
   const std::vector<std::string> streams = MakeShardStreams(pipeline, 2);
@@ -197,7 +197,6 @@ TEST(ReportServerTest, ExpectedShardsBarrierHoldsForLateConnectors) {
                           streams[1].data() + stream::kStreamHeaderBytes,
                           streams[1].size() - stream::kStreamHeaderBytes)
                     .ok());
-    // Blocks on the barrier.
     auto summary = client.value().CloseShard(/*channel=*/0);
     ASSERT_TRUE(summary.ok()) << summary.status().ToString();
     EXPECT_TRUE(summary.value().status.ok());
@@ -236,15 +235,17 @@ TEST(ReportServerTest, ExpectedShardsBarrierHoldsForLateConnectors) {
 }
 
 TEST(ReportServerTest, BarrierWaitIsExemptFromTheIdleReap) {
-  // Ordinal 1 reaches its CLOSE while ordinal 0 stays away for several
-  // idle-timeout periods. The wait for the SHARD_CLOSED verdict belongs to
-  // the merge scheduler (bounded by merge_turn_timeout_ms, not
-  // idle_timeout_ms), so the idle sweep must not reap the connection —
-  // the reporter still gets its verdict and the session stays bit-identical
-  // to the ordinal-ordered reference.
+  // Ordinal 0 sends its CLOSE while the session lock is held elsewhere for
+  // several idle-timeout periods: an IngestInputs call blocked reading a
+  // FIFO. The wait for the SHARD_CLOSED verdict is the server's own, so the
+  // idle sweep must not reap the connection — the reporter still gets its
+  // verdict once the lock is released, and the session holds both inputs.
   const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
   const std::vector<std::string> streams = MakeShardStreams(pipeline, 2);
   const std::string reference = DirectSessionSnapshot(pipeline, streams);
+  const ldp::testing::ScopedTempDir dir("ldp_fifo_");
+  const std::string fifo = dir.path() + "/held.ldps";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
 
   auto session = pipeline.NewServer();
   ASSERT_TRUE(session.ok());
@@ -253,43 +254,58 @@ TEST(ReportServerTest, BarrierWaitIsExemptFromTheIdleReap) {
   options.idle_timeout_ms = 150;  // several sweeps elapse during the wait
   auto server =
       net::ReportServer::Start(&session.value(), pipeline.header(),
-                               TestUdsEndpoint("barrier_idle"), options);
+                               TestUdsEndpoint("verdict_idle"), options);
   ASSERT_TRUE(server.ok());
-  const net::Endpoint endpoint = server.value()->endpoint();
 
-  std::thread early([&] {
-    auto client = net::CollectorClient::Connect(endpoint, pipeline.header(),
-                                                /*ordinal=*/1);
-    ASSERT_TRUE(client.ok());
-    ASSERT_TRUE(client.value()
-                    .Send(/*channel=*/0,
-                          streams[1].data() + stream::kStreamHeaderBytes,
-                          streams[1].size() - stream::kStreamHeaderBytes)
-                    .ok());
-    // The barrier wait far outlasts the idle timeout.
-    auto summary = client.value().CloseShard(/*channel=*/0);
-    ASSERT_TRUE(summary.ok()) << summary.status().ToString();
-    EXPECT_TRUE(summary.value().status.ok())
-        << summary.value().status.ToString();
-  });
-  // Hold ordinal 0 back for ~4 idle-timeout periods.
-  std::this_thread::sleep_for(std::chrono::milliseconds(600));
-  auto late = net::CollectorClient::Connect(endpoint, pipeline.header(),
-                                            /*ordinal=*/0);
-  ASSERT_TRUE(late.ok());
-  ASSERT_TRUE(late.value()
+  // One DATA message carries the whole stream, sent by Send itself.
+  const size_t payload = streams[0].size() - stream::kStreamHeaderBytes;
+  net::CollectorClientOptions client_options;
+  client_options.flush_bytes = payload;
+  auto client =
+      net::CollectorClient::Connect(server.value()->endpoint(),
+                                    pipeline.header(), /*ordinal=*/0,
+                                    client_options);
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client.value()
                   .Send(/*channel=*/0,
                         streams[0].data() + stream::kStreamHeaderBytes,
-                        streams[0].size() - stream::kStreamHeaderBytes)
+                        payload)
                   .ok());
-  auto summary = late.value().CloseShard(/*channel=*/0);
-  ASSERT_TRUE(summary.ok());
-  EXPECT_TRUE(summary.value().status.ok());
-  early.join();
+  // Wait until every DATA byte is fed (the server's first shard is id 0),
+  // so the lock below stalls nothing but the close.
+  for (int i = 0; i < 2000; ++i) {
+    auto fed = session.value().ShardStats(0);
+    ASSERT_TRUE(fed.ok());
+    if (fed.value().accepted == kCorpusReports) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+
+  // IngestInputs takes the session lock, then blocks opening the FIFO until
+  // a writer does; so once this open returns, the lock is held.
+  Status ingested = Status::OK();
+  std::thread holder(
+      [&] { ingested = session.value().IngestInputs({fifo}, nullptr); });
+  const int writer = ::open(fifo.c_str(), O_WRONLY);
+  ASSERT_GE(writer, 0);
+  const Status begun = client.value().CloseShardBegin(/*channel=*/0);
+  ASSERT_TRUE(begun.ok()) << begun.ToString();
+  // Hold the lock for ~4 idle-timeout periods, then hand IngestInputs the
+  // other shard's stream.
+  std::this_thread::sleep_for(std::chrono::milliseconds(600));
+  ASSERT_EQ(::write(writer, streams[1].data(), streams[1].size()),
+            static_cast<ssize_t>(streams[1].size()));
+  ::close(writer);
+  holder.join();
+  EXPECT_TRUE(ingested.ok()) << ingested.ToString();
+
+  auto summary = client.value().AwaitShardClosed(/*channel=*/0);
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  EXPECT_TRUE(summary.value().status.ok())
+      << summary.value().status.ToString();
   server.value()->Stop(/*drain=*/true);
 
   const net::ReportServerStats stats = server.value()->stats();
-  EXPECT_EQ(stats.shards_merged, 2u);
+  EXPECT_EQ(stats.shards_merged, 1u);
   EXPECT_EQ(stats.shards_abandoned, 0u);
   EXPECT_EQ(session.value().Snapshot(), reference);
 }
@@ -300,8 +316,7 @@ TEST(ReportServerTest, ReporterDyingAfterCloseNeverWedgesTheBarrier) {
   // the server's reply flush can fail at any point around the dispatch).
   // Whatever interleaving the server loses — close enqueued with the reply
   // dropped, or the disconnect seen first and the shard abandoned — the
-  // ordinal must finish, so ordinal 1's close merges promptly instead of
-  // timing out at a wedged frontier.
+  // ordinal must finish, and ordinal 1's close merges.
   const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
   const std::vector<std::string> streams = MakeShardStreams(pipeline, 2);
 
@@ -309,9 +324,6 @@ TEST(ReportServerTest, ReporterDyingAfterCloseNeverWedgesTheBarrier) {
   ASSERT_TRUE(session.ok());
   net::ReportServerOptions options;
   options.expected_shards = 2;
-  // A wedged frontier would discard ordinal 1 at this bound: keep it well
-  // under the test timeout but far above the healthy-path latency.
-  options.merge_turn_timeout_ms = 2000;
   auto server =
       net::ReportServer::Start(&session.value(), pipeline.header(),
                                TestUdsEndpoint("dying_closer"), options);
@@ -354,42 +366,33 @@ TEST(ReportServerTest, ReporterDyingAfterCloseNeverWedgesTheBarrier) {
   }
 }
 
-TEST(ReportServerTest, MergeTurnTimeoutDiscardsAnOrphanedClose) {
-  // Ordinal 1 closes while ordinal 0 never connects: the close outwaits
-  // merge_turn_timeout_ms and is discarded, which finishes ordinal 1 for
-  // the epoch. A late ordinal 0 then holds the turn and merges alone.
+TEST(ReportServerTest, CompletedOrdinalIsRefusedForTheRestOfTheEpoch) {
+  // With a fleet size, each ordinal completes once per epoch: a repeat
+  // HELLO is refused.
   const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
-  const std::vector<std::string> streams = MakeShardStreams(pipeline, 2);
+  const std::vector<std::string> streams = MakeShardStreams(pipeline, 1);
 
   auto session = pipeline.NewServer();
   ASSERT_TRUE(session.ok());
   net::ReportServerOptions options;
   options.expected_shards = 2;
-  options.merge_turn_timeout_ms = 300;
   auto server =
       net::ReportServer::Start(&session.value(), pipeline.header(),
-                               TestUdsEndpoint("turn_timeout"), options);
+                               TestUdsEndpoint("completed_ordinal"), options);
   ASSERT_TRUE(server.ok());
   const net::Endpoint endpoint = server.value()->endpoint();
 
-  auto orphan = net::CollectorClient::Connect(endpoint, pipeline.header(),
-                                              /*ordinal=*/1);
-  ASSERT_TRUE(orphan.ok());
-  ASSERT_TRUE(orphan.value()
+  auto first = net::CollectorClient::Connect(endpoint, pipeline.header(),
+                                             /*ordinal=*/1);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(first.value()
                   .Send(/*channel=*/0,
-                        streams[1].data() + stream::kStreamHeaderBytes,
-                        streams[1].size() - stream::kStreamHeaderBytes)
+                        streams[0].data() + stream::kStreamHeaderBytes,
+                        streams[0].size() - stream::kStreamHeaderBytes)
                   .ok());
-  auto verdict = orphan.value().CloseShard(/*channel=*/0);
-  ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
-  EXPECT_EQ(verdict.value().status.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(verdict.value().status.message().find(
-                "timed out waiting for the merge turn"),
-            std::string::npos)
-      << verdict.value().status.ToString();
-  net::ReportServerStats stats = server.value()->stats();
-  EXPECT_EQ(stats.shards_discarded, 1u);
-  EXPECT_EQ(stats.shards_merged, 0u);
+  auto merged = first.value().CloseShard(/*channel=*/0);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_TRUE(merged.value().status.ok()) << merged.value().status.ToString();
 
   auto again = net::CollectorClient::Connect(endpoint, pipeline.header(),
                                              /*ordinal=*/1);
@@ -397,31 +400,16 @@ TEST(ReportServerTest, MergeTurnTimeoutDiscardsAnOrphanedClose) {
   EXPECT_NE(again.status().message().find("already completed this epoch"),
             std::string::npos)
       << again.status().ToString();
-
-  auto late = net::CollectorClient::Connect(endpoint, pipeline.header(),
-                                            /*ordinal=*/0);
-  ASSERT_TRUE(late.ok());
-  ASSERT_TRUE(late.value()
-                  .Send(/*channel=*/0,
-                        streams[0].data() + stream::kStreamHeaderBytes,
-                        streams[0].size() - stream::kStreamHeaderBytes)
-                  .ok());
-  auto merged = late.value().CloseShard(/*channel=*/0);
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  EXPECT_TRUE(merged.value().status.ok()) << merged.value().status.ToString();
   server.value()->Stop(/*drain=*/true);
-
-  stats = server.value()->stats();
-  EXPECT_EQ(stats.shards_merged, 1u);
-  EXPECT_EQ(stats.shards_discarded, 1u);
+  EXPECT_EQ(server.value()->stats().shards_merged, 1u);
   EXPECT_EQ(session.value().Snapshot(),
-            DirectSessionSnapshot(pipeline, {streams[0]}));
+            DirectSessionSnapshot(pipeline, streams));
 }
 
 TEST(ReportServerTest, MultiplexedShardsOverOneConnectionAreBitIdentical) {
   // All four shards ride ONE connection as interleaved channels; the
-  // event-driven server demultiplexes them and the merge barrier still
-  // produces the ordinal-ordered reference byte for byte.
+  // event-driven server demultiplexes them and still produces the
+  // reference byte for byte.
   const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
   const std::vector<std::string> streams = MakeShardStreams(pipeline, 4);
   const std::string reference = DirectSessionSnapshot(pipeline, streams);
@@ -466,8 +454,8 @@ TEST(ReportServerTest, MultiplexedShardsOverOneConnectionAreBitIdentical) {
       progressed = true;
     }
   }
-  // Close in REVERSE ordinal order, pipelined: the verdicts come back in
-  // merge (ordinal) order and must still match up by channel.
+  // Close in REVERSE ordinal order, pipelined, and await in ordinal order:
+  // the verdicts must still match up by channel.
   for (size_t s = streams.size(); s-- > 0;) {
     ASSERT_TRUE(client.value().CloseShardBegin(channels[s]).ok());
   }
@@ -546,8 +534,9 @@ TEST(ReportServerTest, MultiEpochCampaignOverOneConnection) {
   auto session = pipeline.NewServer();
   ASSERT_TRUE(session.ok());
   net::ReportServerOptions options;
-  // Expected-shards mode: the shard reopened below also proves the barrier
-  // resets when the epoch advances (ordinal 0 streams again in epoch 1).
+  // Expected-shards mode: the shard reopened below also proves completed
+  // ordinals reset when the epoch advances (ordinal 0 streams again in
+  // epoch 1).
   options.expected_shards = 1;
   auto server =
       net::ReportServer::Start(&session.value(), pipeline.header(),

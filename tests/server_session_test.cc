@@ -31,8 +31,8 @@ constexpr double kEpsilon = 4.0;
 constexpr uint64_t kRows = 1500;
 // One distinct master seed per collection epoch, as a deployment would use.
 constexpr uint64_t kEpochSeeds[] = {101, 202};
-// Shard boundaries mirror a kPoolThreads-pooled run's ParallelFor chunks
-// (threads×4), the repo's bit-reproduction contract for sharded ingestion.
+// Shards per epoch; the sums are exact, so any count reproduces the pooled
+// run.
 constexpr unsigned kPoolThreads = 2;
 constexpr size_t kShards = kPoolThreads * 4;
 
@@ -378,6 +378,87 @@ TEST(ServerSessionTest, LegacyV1SnapshotIsRefused) {
   ASSERT_TRUE(reports.ok());
   EXPECT_EQ(reports.value(), 0u);
   EXPECT_EQ(receiver.value().num_epochs(), 1u);
+}
+
+// Byte offsets in a one- or two-epoch 'LDPE' snapshot: the preamble (u32
+// magic, u16 version, u8 kind, u8 mechanism, u8 oracle, u64 schema hash,
+// f64 ε, u32 epochs), then per epoch a u64 size and its 'LDPA' section.
+constexpr size_t kFirstSectionAt = 4 + 2 + 1 + 1 + 1 + 8 + 8 + 4 + 8;
+
+TEST(ServerSessionTest, OlderSnapshotVersionsAreRefusedByNumber) {
+  const data::Dataset dataset = MakeData();
+  const api::Pipeline pipeline = MakePipeline(dataset, 1);
+  auto client = pipeline.NewClient();
+  ASSERT_TRUE(client.ok());
+  const std::vector<std::string> shards =
+      WriteEpochShards(dataset, client.value(), kEpochSeeds[0], 2);
+  auto donor = pipeline.NewServer();
+  ASSERT_TRUE(donor.ok());
+  FeedEpoch(&donor.value(), {shards[0]});
+  auto receiver = pipeline.NewServer();
+  ASSERT_TRUE(receiver.ok());
+  FeedEpoch(&receiver.value(), {shards[1]});
+  const std::string before = receiver.value().Snapshot();
+
+  // A version-2 'LDPE' (f64 sums inside) is refused before its epochs are
+  // read.
+  std::string v2 = donor.value().Snapshot();
+  v2[4] = 2;
+  Status merged = receiver.value().Merge(v2);
+  EXPECT_EQ(merged.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(merged.message(), "unsupported session snapshot version 2");
+  EXPECT_EQ(receiver.value().Snapshot(), before);
+
+  // A current 'LDPE' wrapping a version-1 'LDPA' section is refused too.
+  std::string v1_section = donor.value().Snapshot();
+  v1_section[kFirstSectionAt + 4] = 1;
+  merged = receiver.value().Merge(v1_section);
+  EXPECT_EQ(merged.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(merged.message(), "unsupported aggregator snapshot version 1");
+  EXPECT_EQ(receiver.value().Snapshot(), before);
+}
+
+TEST(ServerSessionTest, OverflowingSnapshotMergeChangesNothing) {
+  // A two-epoch peer whose epoch 0 would merge cleanly but whose epoch 1
+  // holds ~2^64 reports: the merge is refused, and epoch 0 is not merged
+  // either.
+  const data::Dataset dataset = MakeData();
+  const api::Pipeline pipeline = MakePipeline(dataset, 2);
+  auto client = pipeline.NewClient();
+  ASSERT_TRUE(client.ok());
+  const std::vector<std::string> shards =
+      WriteEpochShards(dataset, client.value(), kEpochSeeds[0], 2);
+  auto donor = pipeline.NewServer();
+  ASSERT_TRUE(donor.value().AdvanceEpoch().ok());
+  std::string peer = donor.value().Snapshot();
+  auto receiver = pipeline.NewServer();
+  ASSERT_TRUE(receiver.ok());
+  FeedEpoch(&receiver.value(), {shards[0]});
+  ASSERT_TRUE(receiver.value().AdvanceEpoch().ok());
+  FeedEpoch(&receiver.value(), {shards[1]});
+  const std::string before = receiver.value().Snapshot();
+
+  const MixedTupleCollector& collector = pipeline.mixed_collector();
+  const uint32_t d = collector.dimension();
+  std::vector<std::vector<uint64_t>> supports(d);
+  for (uint32_t j = 0; j < d; ++j) {
+    if (collector.oracle_for(j) != nullptr) {
+      supports[j].assign(collector.schema()[j].domain_size, 0);
+    }
+  }
+  auto huge = MixedAggregator::FromParts(
+      &collector, ~uint64_t{0} - 1, std::vector<uint64_t>(d, 0),
+      std::vector<NumericSum>(d, 0), supports);
+  ASSERT_TRUE(huge.ok());
+  const std::string section = stream::EncodeAggregatorSnapshot(huge.value());
+  // Epoch 1's section follows epoch 0's (equal shapes, so equal sizes).
+  const size_t second_at = kFirstSectionAt + section.size() + 8;
+  ASSERT_EQ(peer.compare(second_at, 4, "LDPA"), 0);
+  peer.replace(second_at, section.size(), section);
+
+  const Status merged = receiver.value().Merge(peer);
+  EXPECT_EQ(merged.code(), StatusCode::kOutOfRange) << merged.ToString();
+  EXPECT_EQ(receiver.value().Snapshot(), before);
 }
 
 TEST(ServerSessionTest, IngestInputsMatchesTheSameInputsAppliedInOrder) {

@@ -73,6 +73,7 @@ TEST(SnapshotTest, ConfigRoundTrips) {
   EXPECT_EQ(config.value().dimension, collector.dimension());
   EXPECT_EQ(config.value().k, collector.k());
   EXPECT_EQ(config.value().schema_hash, CollectorSchemaHash(collector));
+  EXPECT_EQ(config.value().grid_exponent, collector.numeric_grid_exponent());
 }
 
 TEST(SnapshotTest, MergeIsCommutative) {
@@ -83,7 +84,7 @@ TEST(SnapshotTest, MergeIsCommutative) {
   ASSERT_TRUE(ab.Merge(b).ok());
   MixedAggregator ba = b;
   ASSERT_TRUE(ba.Merge(a).ok());
-  // Double addition is commutative, so the merged states match bit for bit.
+  // Integer addition is commutative, so the merged states match bit for bit.
   ExpectSameState(ab, ba);
 }
 
@@ -101,14 +102,9 @@ TEST(SnapshotTest, MergeIsAssociativeOnEstimates) {
   MixedAggregator right = a;
   ASSERT_TRUE(right.Merge(bc).ok());
 
-  // Counts and integer-valued supports associate exactly; floating-point
-  // numeric sums associate to within rounding.
-  EXPECT_EQ(left.num_reports(), right.num_reports());
-  EXPECT_EQ(left.attribute_report_counts(), right.attribute_report_counts());
-  EXPECT_EQ(left.supports(), right.supports());
-  for (size_t j = 0; j < left.numeric_sums().size(); ++j) {
-    EXPECT_NEAR(left.numeric_sums()[j], right.numeric_sums()[j], 1e-9);
-  }
+  // Every sum is an integer, numeric sums included: exactly associative.
+  ExpectSameState(left, right);
+  EXPECT_EQ(EncodeAggregatorSnapshot(left), EncodeAggregatorSnapshot(right));
 }
 
 TEST(SnapshotTest, SnapshotMergeMatchesDirectMerge) {
@@ -176,14 +172,39 @@ TEST(SnapshotTest, RejectsBadMagicAndVersion) {
   EXPECT_FALSE(DecodeAggregatorSnapshot(bad_version, &collector).ok());
 }
 
+TEST(SnapshotTest, RefusesVersionOneByNumber) {
+  // A version-1 section (f64 sums and supports) is refused before any of
+  // its state is read, naming the version.
+  const MixedTupleCollector collector = MakeCollector();
+  std::string v1 = EncodeAggregatorSnapshot(FillAggregator(collector, 4, 55));
+  v1[4] = 1;
+  v1[5] = 0;
+  auto decoded = DecodeAggregatorSnapshot(v1, &collector);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().message(),
+            "unsupported aggregator snapshot version 1");
+}
+
+TEST(SnapshotTest, RefusesAnotherGridExponent) {
+  const MixedTupleCollector collector = MakeCollector();
+  std::string bytes =
+      EncodeAggregatorSnapshot(FillAggregator(collector, 4, 56));
+  // u32 magic, u16 version, u8 ×2, u64 hash, f64 ε, u32 d, u32 k, u64 n.
+  const size_t exponent_at = 4 + 2 + 2 + 8 + 8 + 4 + 4 + 8;
+  ASSERT_EQ(static_cast<int>(bytes[exponent_at]),
+            collector.numeric_grid_exponent());
+  bytes[exponent_at] = static_cast<char>(bytes[exponent_at] + 1);
+  EXPECT_FALSE(DecodeAggregatorSnapshot(bytes, &collector).ok());
+}
+
 TEST(FromPartsTest, ValidatesShapesAndValues) {
   const MixedTupleCollector collector = MakeCollector();
   const uint32_t d = collector.dimension();
   std::vector<uint64_t> counts(d, 5);
-  std::vector<double> sums(d, 0.0);
-  std::vector<std::vector<double>> supports(d);
-  supports[1].assign(4, 1.0);
-  supports[3].assign(6, 1.0);
+  std::vector<NumericSum> sums(d, 0);
+  std::vector<std::vector<uint64_t>> supports(d);
+  supports[1].assign(4, 1);
+  supports[3].assign(6, 1);
 
   EXPECT_TRUE(MixedAggregator::FromParts(&collector, 10, counts, sums,
                                          supports)
@@ -195,13 +216,13 @@ TEST(FromPartsTest, ValidatesShapesAndValues) {
                    .ok());
   // Support size not matching the domain.
   auto bad_supports = supports;
-  bad_supports[1].push_back(0.0);
+  bad_supports[1].push_back(0);
   EXPECT_FALSE(MixedAggregator::FromParts(&collector, 10, counts, sums,
                                           bad_supports)
                    .ok());
   // Support present at a numeric position.
   bad_supports = supports;
-  bad_supports[0].assign(2, 0.0);
+  bad_supports[0].assign(2, 0);
   EXPECT_FALSE(MixedAggregator::FromParts(&collector, 10, counts, sums,
                                           bad_supports)
                    .ok());
@@ -211,12 +232,109 @@ TEST(FromPartsTest, ValidatesShapesAndValues) {
   EXPECT_FALSE(MixedAggregator::FromParts(&collector, 10, bad_counts, sums,
                                           supports)
                    .ok());
-  // Non-finite sums.
+}
+
+TEST(FromPartsTest, RefusesStateNoRunOfReportsReaches) {
+  const MixedTupleCollector collector = MakeCollector();
+  const uint32_t d = collector.dimension();
+  const NumericSum kUnit = NumericSum{1} << 62;  // one report's largest move
+  std::vector<uint64_t> counts(d, 5);
+  std::vector<NumericSum> sums(d, 0);
+  sums[0] = 5 * kUnit;
+  sums[2] = -5 * kUnit;
+  std::vector<std::vector<uint64_t>> supports(d);
+  supports[1].assign(4, 5);
+  supports[3].assign(6, 5);
+  auto from = [&](uint64_t n, std::vector<uint64_t> c,
+                  std::vector<NumericSum> s,
+                  std::vector<std::vector<uint64_t>> v) {
+    return MixedAggregator::FromParts(&collector, n, std::move(c),
+                                      std::move(s), std::move(v))
+        .status();
+  };
+  // At every bound: accepted.
+  EXPECT_TRUE(from(10, counts, sums, supports).ok());
+  // A sum past n_j·2^62, either sign (and so past num_reports·2^62 too).
   auto bad_sums = sums;
-  bad_sums[0] = std::nan("");
-  EXPECT_FALSE(MixedAggregator::FromParts(&collector, 10, counts, bad_sums,
+  bad_sums[0] += 1;
+  EXPECT_FALSE(from(10, counts, bad_sums, supports).ok());
+  bad_sums = sums;
+  bad_sums[2] -= 1;
+  EXPECT_FALSE(from(10, counts, bad_sums, supports).ok());
+  bad_sums = sums;
+  bad_sums[0] = 11 * kUnit;
+  EXPECT_FALSE(from(10, counts, bad_sums, supports).ok());
+  // The most negative sum must not wrap into range.
+  bad_sums[0] =
+      static_cast<NumericSum>(static_cast<unsigned __int128>(1) << 127);
+  EXPECT_FALSE(from(10, counts, bad_sums, supports).ok());
+  // A sum at a categorical position.
+  bad_sums = sums;
+  bad_sums[1] = 1;
+  EXPECT_FALSE(from(10, counts, bad_sums, supports).ok());
+  // A count above n_j.
+  auto bad_supports = supports;
+  bad_supports[3][5] = 6;
+  EXPECT_FALSE(from(10, counts, sums, bad_supports).ok());
+  // An attribute count above num_reports.
+  auto bad_counts = counts;
+  bad_counts[1] = 11;
+  EXPECT_FALSE(from(10, bad_counts, sums, supports).ok());
+}
+
+TEST(FromPartsTest, HeWordSumsAreBoundedByTheirWords) {
+  auto collector = MixedTupleCollector::Create(
+      {MixedAttribute::Categorical(3)}, 1.0, MechanismKind::kHybrid,
+      FrequencyOracleKind::kHe);
+  ASSERT_TRUE(collector.ok());
+  const uint64_t max = 4 * uint64_t{UINT32_MAX};
+  std::vector<std::vector<uint64_t>> supports = {{max, 0, max}};
+  EXPECT_TRUE(MixedAggregator::FromParts(&collector.value(), 4, {4}, {0},
+                                         supports)
+                  .ok());
+  supports[0][1] = max + 1;
+  EXPECT_FALSE(MixedAggregator::FromParts(&collector.value(), 4, {4}, {0},
                                           supports)
                    .ok());
+}
+
+TEST(MergeTest, RefusedOverflowChangesNothing) {
+  const MixedTupleCollector collector = MakeCollector();
+  const uint32_t d = collector.dimension();
+  const uint64_t kHuge = ~uint64_t{0} - 2;
+  std::vector<std::vector<uint64_t>> supports(d);
+  supports[1].assign(4, 0);
+  supports[3].assign(6, 0);
+  auto huge = MixedAggregator::FromParts(
+      &collector, kHuge, std::vector<uint64_t>(d, 0),
+      std::vector<NumericSum>(d, 0), supports);
+  ASSERT_TRUE(huge.ok());
+  const MixedAggregator small = FillAggregator(collector, 5, 57);
+  // num_reports would wrap: refused, and neither side moves.
+  MixedAggregator target = huge.value();
+  const std::string before = EncodeAggregatorSnapshot(target);
+  const Status merged = target.Merge(small);
+  EXPECT_EQ(merged.code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(EncodeAggregatorSnapshot(target), before);
+  MixedAggregator other = small;
+  const std::string other_before = EncodeAggregatorSnapshot(other);
+  EXPECT_FALSE(other.Merge(huge.value()).ok());
+  EXPECT_EQ(EncodeAggregatorSnapshot(other), other_before);
+
+  // A support count that would wrap on its own (HE words at the edge of
+  // their bound, with num_reports still in range).
+  auto he = MixedTupleCollector::Create({MixedAttribute::Categorical(2)}, 1.0,
+                                        MechanismKind::kHybrid,
+                                        FrequencyOracleKind::kHe);
+  ASSERT_TRUE(he.ok());
+  const uint64_t n = uint64_t{1} << 40;
+  auto full = MixedAggregator::FromParts(&he.value(), n, {n}, {0},
+                                         {{~uint64_t{0}, 0}});
+  ASSERT_TRUE(full.ok());
+  MixedAggregator twice = full.value();
+  const std::string twice_before = EncodeAggregatorSnapshot(twice);
+  EXPECT_EQ(twice.Merge(full.value()).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(EncodeAggregatorSnapshot(twice), twice_before);
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
 // End-to-end equivalence of the deployment split: privatizing users into
-// framed shard streams (the ldp_report path), ingesting the shards
-// concurrently and reducing them in order (the ldp_aggregate path) must
-// reproduce the in-process Pipeline::Collect simulation BIT FOR BIT — same
-// seeds, same chunk boundaries, same estimates, regardless of how many
-// threads either side uses.
+// framed shard streams (the ldp_report path) and ingesting the shards
+// concurrently (the ldp_aggregate path) must reproduce the in-process
+// Pipeline::Collect simulation BIT FOR BIT — same seeds, same estimates,
+// regardless of how many threads either side uses.
 
 #include <gtest/gtest.h>
 
@@ -104,8 +103,7 @@ std::vector<std::string> WriteShards(const data::Dataset& dataset,
 }
 
 // The server half: writes the shard buffers to files and bulk-loads them
-// into a fresh ServerSession on `pool`, reduced in shard order, as
-// tools/ldp_aggregate does.
+// into a fresh ServerSession on `pool`, as tools/ldp_aggregate does.
 Result<api::ServerSession> IngestShards(const data::Dataset& dataset,
                                         const std::vector<std::string>& shards,
                                         ThreadPool* pool,

@@ -3,7 +3,7 @@
 // (record first, session call second), "crashes" by abandoning the log
 // mid-conversation, and then replays the directory into a fresh session.
 // The contract under test: replay reconstructs the pre-crash session bit
-// for bit — same Snapshot(), same merge order — a torn tail at EOF is
+// for bit — same Snapshot() — a torn tail at EOF is
 // truncated away, and a CRC-corrupt record poisons only its own shard.
 
 #include <gtest/gtest.h>
@@ -247,7 +247,7 @@ TEST(WalTest, AppendedFileIsByteExactToTheLayout) {
   expected += LayoutRecord(/*kData=*/2, body.substr(0, half));
   expected += LayoutRecord(/*kData=*/2, body.substr(half));
   std::string close_payload;
-  PutLe(&close_payload, 0, 8);  // a fresh log's first close_seq
+  PutLe(&close_payload, 0, 8);  // reserved
   expected += LayoutRecord(/*kClose=*/3, close_payload);
 
   const std::vector<std::string> files = ListWalFiles(dir);
@@ -376,8 +376,8 @@ TEST(WalTest, ReplayReproducesTheSessionExactly) {
   ASSERT_TRUE(wal.ok()) << wal.status().ToString();
   EXPECT_EQ(empty.shards_replayed, 0u);
 
-  // Merge in NON-ordinal order (1, 0, 2): close_seq, not the file name,
-  // must carry the merge order through the crash.
+  // Merge in NON-ordinal order (1, 0, 2): replay closes in file order, and
+  // the exact sums make the result the same.
   std::vector<size_t> shards(3);
   for (uint64_t s = 0; s < 3; ++s) {
     PlayShard(wal.value().get(), &logged.value(), streams[s], s, &shards[s]);

@@ -355,18 +355,20 @@ void ExpectSameBits(const MixedAggregator& actual,
 TEST(MixedFrameDecoderTest, StreamsExactlyWhatMaterializingDecodeReturns) {
   // The decoder's views of a client frame are the reference draws, and
   // folding them lands on the bits of folding the reference draws by hand
-  // (numeric sums, oracle Accumulate on materialized reports).
+  // (each numeric value rounded to its nearest grid unit, oracle Accumulate
+  // on materialized reports).
   for (const MixedTupleCollector& collector : EveryOracleAtKOneAndTwo()) {
     const std::string name = CaseName(collector);
     MixedFrameDecoder decoder(&collector);
     MixedAggregator folded(&collector);
     const uint32_t d = collector.dimension();
+    const int grid_shift = 62 - collector.numeric_grid_exponent();
     std::vector<uint64_t> attribute_reports(d, 0);
-    std::vector<double> numeric_sums(d, 0.0);
-    std::vector<std::vector<double>> supports(d);
+    std::vector<NumericSum> numeric_sums(d, 0);
+    std::vector<std::vector<uint64_t>> supports(d);
     for (uint32_t j = 0; j < d; ++j) {
       if (collector.oracle_for(j) != nullptr) {
-        supports[j].assign(collector.schema()[j].domain_size, 0.0);
+        supports[j].assign(collector.schema()[j].domain_size, 0);
       }
     }
     Rng rng(7), twin(7);
@@ -385,7 +387,8 @@ TEST(MixedFrameDecoderTest, StreamsExactlyWhatMaterializingDecodeReturns) {
         ++attribute_reports[entry.attribute];
         const FrequencyOracle* oracle = collector.oracle_for(entry.attribute);
         if (oracle == nullptr) {
-          numeric_sums[entry.attribute] += entry.numeric_value;
+          numeric_sums[entry.attribute] +=
+              std::llrint(std::ldexp(entry.numeric_value, grid_shift));
         } else {
           oracle->Accumulate(entry.payload, &supports[entry.attribute]);
         }

@@ -2,9 +2,9 @@
 // ServerSession at the CLI. Ingests any mix of shard inputs in one
 // invocation — framed report streams written by ldp_report and multi-epoch
 // session snapshots written by a previous ldp_aggregate --snapshot-out or
-// ldp_serve --snapshot-out — merges them in argument order, and
-// prints ε-LDP estimates with confidence intervals for every attribute, per
-// epoch. The pipeline configuration (ε, mechanism, oracle) is taken from the
+// ldp_serve --snapshot-out — merges them (in any order: the sums are
+// exact), and prints ε-LDP estimates with confidence intervals for every
+// attribute, per epoch. The pipeline configuration (ε, mechanism, oracle) is taken from the
 // first input's validated preamble, so a mismatched client population is
 // rejected up front.
 //
@@ -13,19 +13,19 @@
 //                 [--snapshot-out FILE] SHARD...
 //
 // A SHARD argument that is a *directory* is a write-ahead frame log left
-// by `ldp_serve --wal-dir` (src/relay/frame_wal.h): its shards replay in
-// the exact merge order the crashed collector used, so aggregating a WAL
-// directory reproduces that collector's session bit for bit — the offline
-// escape hatch when a crashed edge is never restarted.
+// by `ldp_serve --wal-dir` (src/relay/frame_wal.h): its shards replay, so
+// aggregating a WAL directory reproduces the crashed collector's session
+// bit for bit — the offline escape hatch when a crashed edge is never
+// restarted.
 //
 // Report streams fold into the epoch current when their batch of files
 // starts (epoch 0 unless a WAL directory before them advanced it); session
 // snapshots merge epoch by epoch. --epoch E prints only epoch E's
 // estimates (default: every epoch). --threads T gives the ServerSession a
-// T-worker ingest pool: inputs decode concurrently within the epoch but are
-// always reduced in argument order, so the output is independent of
-// scheduling and thread count — shards produced by ldp_report with the same
-// seed reproduce an in-process ldp_collect run exactly. With --snapshot-out
+// T-worker ingest pool: inputs decode concurrently within the epoch, and
+// the output is independent of scheduling, thread count and argument order
+// — shards produced by ldp_report with the same seed reproduce an
+// in-process ldp_collect run exactly, however many. With --snapshot-out
 // the full session state is written as a session snapshot, enabling
 // tree-shaped aggregation across server generations and epochs.
 
@@ -61,9 +61,9 @@ void Usage() {
       "                     [--snapshot-out FILE] [--metrics-out FILE]\n"
       "                     [--version] SHARD...\n"
       "SHARD files are report streams (ldp_report) or session snapshots\n"
-      "(ldp_aggregate or ldp_serve --snapshot-out), merged in argument\n"
-      "order; a SHARD directory is an ldp_serve --wal-dir frame log,\n"
-      "replayed in its logged merge order. --epoch E prints only epoch E.\n"
+      "(ldp_aggregate or ldp_serve --snapshot-out), merged in any order;\n"
+      "a SHARD directory is an ldp_serve --wal-dir frame log, replayed.\n"
+      "--epoch E prints only epoch E.\n"
       "--metrics-out dumps the run's telemetry registry as JSON at exit.\n");
 }
 
@@ -245,8 +245,8 @@ int main(int argc, char** argv) {
   }
   api::ServerSession& session = server.value();
 
-  // Inputs merge in argument order; WAL directories replay inline between
-  // the file batches that surround them. A multi-epoch WAL replays relative
+  // WAL directories replay inline between the file batches that surround
+  // them, so epochs follow the arguments. A multi-epoch WAL replays relative
   // to the session's current epoch, so pass it first when mixing it with
   // session snapshots that also advance epochs.
   const auto started = std::chrono::steady_clock::now();

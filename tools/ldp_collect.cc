@@ -5,24 +5,18 @@
 //
 //   ldp_collect --schema FILE --data FILE --epsilon E
 //               [--mechanism hm|pm] [--oracle oue|grr|sue|olh|he|the]
-//               [--seed S] [--confidence C] [--threads T]
+//               [--seed S] [--confidence C]
 //
 // Implementation: an api::Pipeline ClientSession/ServerSession pair in one
 // process. Rows stream through data::CsvRowReader one at a time — each is
-// normalised, perturbed, wire-encoded and fed to the server session, then
-// dropped — so memory stays O(schema) no matter how many rows the CSV
-// carries (a cheap first pass counts rows to fix the chunk boundaries).
-// Rows are fed as one server shard per SplitRange chunk of the requested
-// --threads, closed in order, so the printed estimates are bit-identical to
-// the materializing Pipeline::Collect simulation with the same seed and
-// thread count (and to an ldp_report | ldp_aggregate split with matching
-// shards).
-//
-// Note on --threads: the streaming loop itself is sequential (the CSV
-// reader is the pipeline); the flag only fixes the chunk boundaries so the
-// output stays reproducible against pooled in-process runs and sharded
-// splits. For parallel collection at scale, split the work with
-// `ldp_report --shards` and aggregate with `ldp_aggregate --threads`.
+// normalised, perturbed, wire-encoded and fed to the server session's one
+// shard, then dropped — so memory stays O(schema) no matter how many rows
+// the CSV carries. The sums are exact, so the printed estimates are
+// bit-identical to the materializing Pipeline::Collect simulation with the
+// same seed at any thread count, and to an ldp_report | ldp_aggregate
+// split into any number of shards. For parallel collection at scale, split
+// the work with `ldp_report --shards` and aggregate with
+// `ldp_aggregate --threads`.
 //
 // The schema file format is documented in src/data/schema_text.h;
 // ldp_generate produces compatible pairs.
@@ -42,7 +36,6 @@
 #include "data/schema_text.h"
 #include "tool_flags.h"
 #include "stream/report_stream.h"
-#include "util/threadpool.h"
 
 namespace {
 
@@ -54,11 +47,11 @@ void Usage() {
       "usage: ldp_collect --schema FILE --data FILE --epsilon E\n"
       "                   [--mechanism hm|pm] [--oracle "
       "oue|grr|sue|olh|he|the]\n"
-      "                   [--seed S] [--confidence C] [--threads T]\n"
+      "                   [--seed S] [--confidence C]\n"
       "                   [--reporter-id ID] [--metrics-out FILE]\n"
       "                   [--version]\n"
-      "--threads fixes the summation chunk boundaries for bit-compatible\n"
-      "output with pooled/sharded runs; the streaming loop is sequential.\n"
+      "The estimates equal ldp_report | ldp_aggregate over any number of\n"
+      "shards with the same seed.\n"
       "--reporter-id charges the run's privacy budget to that reporter's\n"
       "ledger (once per epoch) instead of only the anonymous campaign plan.\n"
       "--metrics-out dumps the run's telemetry registry as JSON at exit.\n");
@@ -72,7 +65,6 @@ int main(int argc, char** argv) {
   double epsilon = 0.0;
   double confidence = 0.95;
   uint64_t seed = 1;
-  unsigned threads = 0;
   MechanismKind mechanism = MechanismKind::kHybrid;
   FrequencyOracleKind oracle = FrequencyOracleKind::kOue;
   tools::IdentityFlags identity;
@@ -97,8 +89,6 @@ int main(int argc, char** argv) {
       parsed = tools::ParseRealFlag(next(), &confidence);
     } else if (arg == "--seed") {
       parsed = tools::ParseCountFlag(next(), &seed);
-    } else if (arg == "--threads") {
-      parsed = tools::ParseCountFlag(next(), &threads, tools::kMaxThreadsFlag);
     } else if (arg == "--metrics-out") {
       metrics_out = next();
     } else if (tools::ParseIdentityFlag(arg, next, tools::kFlagReporterId,
@@ -130,17 +120,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", schema.status().ToString().c_str());
     return 1;
   }
-  auto row_count = data::CountCsvDataRows(data_path);
-  if (!row_count.ok()) {
-    std::fprintf(stderr, "%s\n", row_count.status().ToString().c_str());
-    return 1;
-  }
-  const uint64_t n = row_count.value();
-  if (n == 0) {
-    std::fprintf(stderr, "dataset is empty\n");
-    return 1;
-  }
-
   auto config = api::PipelineConfig::FromSchema(schema.value(), epsilon);
   if (!config.ok()) {
     std::fprintf(stderr, "%s\n", config.status().ToString().c_str());
@@ -167,60 +146,51 @@ int main(int argc, char** argv) {
   }
   api::ServerSession& session = server.value();
 
-  // Chunk boundaries mirror what ParallelFor would use for --threads
-  // workers, so the chunk-ordered reduction lands on the same bits as the
-  // pooled in-process simulation ever did.
-  const std::vector<IndexRange> ranges =
-      threads > 1 ? SplitRange(n, static_cast<uint64_t>(threads) * 4)
-                  : SplitRange(n, 1);
-
   auto reader = data::CsvRowReader::Open(schema.value(), data_path);
   if (!reader.ok()) {
     std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
     return 1;
   }
+  auto opened = session.OpenShard(identity.reporter_id);
+  if (!opened.ok()) {
+    std::fprintf(stderr, "%s\n", opened.status().ToString().c_str());
+    return 1;
+  }
+  const size_t shard = opened.value();
   const uint32_t d = schema.value().num_columns();
   std::vector<double> numeric_row;
   std::vector<uint32_t> category_row;
   MixedTuple tuple(d);
-  const std::string header_bytes = client.value().EncodeHeader();
-  std::string buffer;
-  for (const IndexRange& range : ranges) {
-    auto opened = session.OpenShard(identity.reporter_id);
-    if (!opened.ok()) {
-      std::fprintf(stderr, "%s\n", opened.status().ToString().c_str());
+  std::string buffer = client.value().EncodeHeader();
+  uint64_t n = 0;
+  for (;; ++n) {
+    auto more = reader.value().NextRow(&numeric_row, &category_row);
+    if (!more.ok()) {
+      std::fprintf(stderr, "%s\n", more.status().ToString().c_str());
       return 1;
     }
-    const size_t shard = opened.value();
-    buffer.assign(header_bytes);
-    for (uint64_t row = range.begin; row < range.end; ++row) {
-      auto more = reader.value().NextRow(&numeric_row, &category_row);
-      if (!more.ok()) {
-        std::fprintf(stderr, "%s\n", more.status().ToString().c_str());
-        return 1;
-      }
-      if (!more.value()) {
-        std::fprintf(stderr, "%s shrank between passes\n", data_path.c_str());
-        return 1;
-      }
-      api::RowToTuple(schema.value(), numeric_row, category_row, &tuple);
-      Rng rng = api::UserRng(seed, row);
-      Status framed = client.value().AppendFrame(tuple, &rng, &buffer);
-      if (framed.ok() && buffer.size() >= 64 * 1024) {
-        framed = session.Feed(shard, buffer);
-        buffer.clear();
-      }
-      if (!framed.ok()) {
-        std::fprintf(stderr, "%s\n", framed.ToString().c_str());
-        return 1;
-      }
+    if (!more.value()) break;
+    api::RowToTuple(schema.value(), numeric_row, category_row, &tuple);
+    Rng rng = api::UserRng(seed, n);
+    Status framed = client.value().AppendFrame(tuple, &rng, &buffer);
+    if (framed.ok() && buffer.size() >= 64 * 1024) {
+      framed = session.Feed(shard, buffer);
+      buffer.clear();
     }
-    Status fed = session.Feed(shard, buffer);
-    if (fed.ok()) fed = session.CloseShard(shard);
-    if (!fed.ok()) {
-      std::fprintf(stderr, "%s\n", fed.ToString().c_str());
+    if (!framed.ok()) {
+      std::fprintf(stderr, "%s\n", framed.ToString().c_str());
       return 1;
     }
+  }
+  if (n == 0) {
+    std::fprintf(stderr, "dataset is empty\n");
+    return 1;
+  }
+  Status fed = session.Feed(shard, buffer);
+  if (fed.ok()) fed = session.CloseShard(shard);
+  if (!fed.ok()) {
+    std::fprintf(stderr, "%s\n", fed.ToString().c_str());
+    return 1;
   }
 
   const uint32_t k = pipeline.value().k();

@@ -20,11 +20,12 @@
 //
 // File mode produces PREFIX.shard-000.ldps ... PREFIX.shard-<N-1>.ldps.
 // Connect mode opens one collector connection per shard and HELLOs the
-// shard's index as its merge ordinal. Either way, shard boundaries follow
+// shard's index as its ordinal. Either way, shard boundaries follow
 // util/threadpool.h SplitRange and user `row` draws from
-// api::UserRng(seed, row), so aggregating the shards in (ordinal) order
-// reproduces an in-process ldp_collect run with the same seed and chunking
-// bit for bit — including across the network. --shard-index I restricts
+// api::UserRng(seed, row), so aggregating the shards (in any order, as
+// the sums are exact) reproduces an in-process ldp_collect run with the
+// same seed bit for bit — including across the network, and for any shard
+// count. --shard-index I restricts
 // this invocation to shard I (same boundaries, same randomness), which is
 // how a fleet of concurrent reporter processes splits one campaign.
 
@@ -67,8 +68,7 @@ void Usage() {
 
 std::string ShardPath(const std::string& prefix, size_t shard) {
   // Five digits keep lexicographic shell-glob order equal to numeric shard
-  // order (ldp_aggregate reduces in argument order, and bit-exact
-  // reproduction depends on it) for any realistic shard count.
+  // order for any realistic shard count.
   char suffix[48];
   std::snprintf(suffix, sizeof(suffix), ".shard-%05zu.ldps", shard);
   return prefix + suffix;

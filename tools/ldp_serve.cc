@@ -4,11 +4,11 @@
 // connection negotiates its stream header (schema hash, ε, mechanism/oracle
 // kinds) before a single report byte is decoded, then becomes one session
 // shard: framing errors, disconnects, and slow-loris stalls poison or
-// abandon only that shard. Closed shards merge in client ordinal order;
-// with --expect-shards N (a strict barrier over ordinals 0..N-1) a
-// campaign of reporters reproduces the file-based
+// abandon only that shard. Closed shards merge as they close: the sums are
+// exact, so a campaign of reporters reproduces the file-based
 // `ldp_aggregate shard-0 ... shard-N-1` run bit for bit no matter when
-// each reporter connects or finishes.
+// each reporter connects or finishes. --expect-shards N admits ordinals
+// 0..N-1 only, each at most once per epoch.
 //
 //   ldp_serve --schema FILE --epsilon E --listen tcp:HOST:PORT|unix:PATH
 //             [--expect-shards N] [--mechanism hm|pm]
@@ -36,9 +36,8 @@
 // and skip them). --relay-to turns this node into an edge that
 // periodically — and finally, at drain — ships its cumulative session
 // snapshot upstream; the upstream (run with --accept-snapshots) folds the
-// latest snapshot per node in ascending --node-id order at its own drain,
-// which keeps a two-tier campaign bit-identical to the tree-shaped
-// file-based run.
+// latest snapshot per node at its own drain, which keeps a two-tier
+// campaign bit-identical to the tree-shaped file-based run.
 //
 // Observability: every run carries an obs::MetricsRegistry and campaign
 // EventJournal wired through the session, ingester, thread pool, and
@@ -109,6 +108,9 @@ void Usage() {
       "or unix:PATH. SIGTERM drains and writes the snapshot/estimates;\n"
       "SIGUSR1 advances the collection epoch (refused while shards are\n"
       "open or once the --epochs plan is spent).\n"
+      "Shards merge as they close; the sums are exact, so the estimates\n"
+      "equal the file-based ldp_aggregate run. --expect-shards N admits\n"
+      "ordinals 0..N-1 only, each once per epoch.\n"
       "--campaign-key requires protocol v3 HELLOs carrying a reporter id\n"
       "authenticated with the shared key; spend is then accounted per\n"
       "reporter and unauthenticated connections are refused.\n"
@@ -265,7 +267,7 @@ int main(int argc, char** argv) {
 
   // The WAL replays before the server starts listening: a crashed run's
   // frames are back in the session, still-open shards become resume
-  // entries, and already-merged ordinals seed the barrier as done.
+  // entries, and already-merged ordinals start completed.
   const stream::StreamHeader expected_header = pipeline.value().header();
   std::unique_ptr<relay::FrameWal> wal;
   relay::WalReplaySummary replay;
