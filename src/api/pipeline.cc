@@ -170,21 +170,22 @@ Result<CollectionOutput> RunBaseline(const data::Dataset& dataset,
     oracles.push_back(std::move(oracle));
   }
 
-  // The numeric means are double sums (Laplace outputs are unbounded, so no
-  // exact grid holds them), reduced in chunk order: deterministic for a
-  // fixed chunk count. Support counts are exact, added as chunks finish.
+  std::vector<std::vector<uint64_t>> no_supports;
+  for (const std::unique_ptr<FrequencyOracle>& oracle : oracles) {
+    no_supports.emplace_back(oracle->SupportSize(), 0);
+  }
+  // Per-chunk accumulators reduced in chunk order after the parallel region.
+  // The support counts are exact; the numeric means are double sums
+  // (Laplace outputs are unbounded, so no exact grid holds them), which
+  // makes the result bit-deterministic for a fixed chunk count.
   const uint64_t num_chunks = ParallelForChunkCount(pool, n);
   std::vector<aggregate::VectorMeanEstimator> chunk_means(
       num_chunks, aggregate::VectorMeanEstimator(dn));
-  std::vector<std::vector<uint64_t>> no_supports;
-  for (const uint32_t col : out.categorical_columns) {
-    no_supports.emplace_back(dataset.schema().column(col).domain_size, 0);
-  }
-  std::vector<std::vector<uint64_t>> total_supports = no_supports;
-  std::mutex total_mutex;
+  std::vector<std::vector<std::vector<uint64_t>>> chunk_supports(
+      num_chunks, no_supports);
   ParallelFor(pool, n, [&](unsigned chunk, uint64_t begin, uint64_t end) {
     aggregate::VectorMeanEstimator& local_means = chunk_means[chunk];
-    std::vector<std::vector<uint64_t>> local_supports = no_supports;
+    std::vector<std::vector<uint64_t>>& local_supports = chunk_supports[chunk];
     std::vector<double> numeric_tuple(dn, 0.0);
     std::vector<double> dense(dn, 0.0);
     for (uint64_t row = begin; row < end; ++row) {
@@ -208,16 +209,16 @@ Result<CollectionOutput> RunBaseline(const data::Dataset& dataset,
                                &local_supports[c]);
       }
     }
-    std::lock_guard<std::mutex> lock(total_mutex);
-    for (uint32_t c = 0; c < dc; ++c) {
-      for (size_t v = 0; v < total_supports[c].size(); ++v) {
-        total_supports[c][v] += local_supports[c][v];
-      }
-    }
   });
   aggregate::VectorMeanEstimator total_means(dn);
-  for (const aggregate::VectorMeanEstimator& local : chunk_means) {
-    total_means.Merge(local);
+  std::vector<std::vector<uint64_t>> total_supports = no_supports;
+  for (uint64_t chunk = 0; chunk < num_chunks; ++chunk) {
+    total_means.Merge(chunk_means[chunk]);
+    for (uint32_t c = 0; c < dc; ++c) {
+      for (size_t v = 0; v < total_supports[c].size(); ++v) {
+        total_supports[c][v] += chunk_supports[chunk][c][v];
+      }
+    }
   }
 
   out.estimated_means = total_means.Estimate();

@@ -5,10 +5,6 @@
 #include <cstring>
 #include <map>
 
-#if defined(__x86_64__)
-#include <emmintrin.h>
-#endif
-
 #include "core/variance.h"
 #include "core/wire.h"
 #include "frequency/histogram.h"
@@ -144,20 +140,6 @@ void MixedTupleCollector::AppendReport(const MixedTuple& tuple, Rng* rng,
   }
 }
 
-namespace {
-
-// The int64 nearest `scaled` (ties to even, the default rounding mode);
-// |scaled| <= 2^62 on the grid, so it always fits.
-inline int64_t RoundToGrid(double scaled) {
-#if defined(__x86_64__)
-  return _mm_cvtsd_si64(_mm_set_sd(scaled));
-#else
-  return std::llrint(scaled);
-#endif
-}
-
-}  // namespace
-
 MixedAggregator::MixedAggregator(const MixedTupleCollector* collector)
     : collector_(collector) {
   LDP_CHECK(collector != nullptr);
@@ -167,9 +149,8 @@ MixedAggregator::MixedAggregator(const MixedTupleCollector* collector)
   numeric_sums_.assign(d, 0);
   supports_.resize(d);
   for (uint32_t j = 0; j < d; ++j) {
-    if (collector_->schema()[j].type == AttributeType::kCategorical) {
-      supports_[j].assign(collector_->schema()[j].domain_size, 0);
-    }
+    const FrequencyOracle* oracle = collector_->oracle_for(j);
+    if (oracle != nullptr) supports_[j].assign(oracle->SupportSize(), 0);
   }
 }
 
@@ -180,8 +161,10 @@ void MixedAggregator::FoldValidated(const MixedEntryView* entries,
     const MixedEntryView& entry = entries[i];
     ++attribute_reports_[entry.attribute];
     if (entry.oracle == nullptr) {
+      // The int64 nearest the scaled value (ties to even, the default
+      // rounding mode); |value·to_grid_| <= 2^62, so it always fits.
       numeric_sums_[entry.attribute] +=
-          RoundToGrid(entry.numeric_value * to_grid_);
+          std::llrint(entry.numeric_value * to_grid_);
     } else {
       entry.oracle->Fold(entry.payload, supports_[entry.attribute].data());
     }
@@ -201,10 +184,9 @@ Result<MixedAggregator> MixedAggregator::FromParts(
         "aggregator state vectors must have one entry per attribute");
   }
   for (uint32_t j = 0; j < d; ++j) {
-    const MixedAttribute& spec = collector->schema()[j];
     const FrequencyOracle* oracle = collector->oracle_for(j);
     const size_t expected_support =
-        spec.type == AttributeType::kCategorical ? spec.domain_size : 0;
+        oracle != nullptr ? oracle->SupportSize() : 0;
     if (supports[j].size() != expected_support) {
       return Status::InvalidArgument(
           "support vector size does not match the attribute's domain");

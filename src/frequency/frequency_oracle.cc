@@ -39,7 +39,7 @@ auto WithView(const FrequencyOracle::Report& report, Fn fn) {
 
 void FrequencyOracle::Accumulate(const Report& report,
                                  std::vector<uint64_t>* support) const {
-  LDP_DCHECK(support->size() == domain_size_);
+  LDP_DCHECK(support->size() == SupportSize());
   WithView(report, [&](ReportView view) {
     LDP_DCHECK(Validate(view) == nullptr);
     Fold(view, support->data());

@@ -94,9 +94,9 @@ class FrequencyOracle {
   virtual const char* Validate(ReportView report) const = 0;
 
   /// Folds one report that passed Validate into per-value support counts:
-  /// `support` has domain_size() entries, and entry v counts reports
-  /// consistent with value v (HE: sums the raw payload words). Integer
-  /// counts make any fold or merge order give the same bits.
+  /// `support` has SupportSize() entries, and entry v counts reports
+  /// consistent with value v (HE: sums the payload words' 16-bit halves).
+  /// Integer counts make any fold or merge order give the same bits.
   virtual void Fold(ReportView report, uint64_t* support) const = 0;
 
   /// Fold over a materialized report (Perturb's output is always valid).
@@ -108,8 +108,13 @@ class FrequencyOracle {
   virtual std::vector<double> Estimate(const std::vector<uint64_t>& support,
                                        uint64_t num_reports) const = 0;
 
-  /// The most one report adds to one support count (HE sums 32-bit words);
-  /// snapshot decoding refuses a count above num_reports times this.
+  /// The number of support counts Fold writes: one per domain value, except
+  /// for HE, which keeps two per value.
+  virtual size_t SupportSize() const { return domain_size_; }
+
+  /// The most one report adds to one support count (HE adds 16-bit halves
+  /// of its words); snapshot decoding refuses a count above num_reports
+  /// times this.
   virtual uint64_t MaxFoldPerReport() const { return 1; }
 
   /// Variance of a single value's frequency estimate when its true frequency

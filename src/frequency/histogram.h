@@ -38,7 +38,7 @@ class FrequencyEstimator {
   /// Number of reports accumulated so far.
   uint64_t count() const { return count_; }
 
-  /// The raw per-value support counts (for inspection/testing).
+  /// The raw support counts, SupportSize() of them (for inspection/testing).
   const std::vector<uint64_t>& support() const { return support_; }
 
  private:

@@ -51,21 +51,28 @@ const char* HeOracle::Validate(ReportView report) const {
 }
 
 void HeOracle::Fold(ReportView report, uint64_t* support) const {
-  for (uint32_t v = 0; v < domain_size(); ++v) support[v] += report[v];
+  for (uint32_t v = 0; v < domain_size(); ++v) {
+    const uint32_t word = report[v];
+    support[2 * v] += word & 0xFFFF;
+    support[2 * v + 1] += word >> 16;
+  }
 }
 
 std::vector<double> HeOracle::Estimate(const std::vector<uint64_t>& support,
                                        uint64_t num_reports) const {
-  LDP_DCHECK(support.size() == domain_size());
+  LDP_DCHECK(support.size() == SupportSize());
   std::vector<double> estimates(domain_size(), 0.0);
   if (num_reports == 0) return estimates;
-  // Σ_i (word_i / scale − offset) / n, with n·offset·scale taken off the
-  // word sum in integers first: the only roundings are the two below.
+  // Σ_i (word_i / scale − offset) / n, with the word sum rejoined from its
+  // halves and n·offset·scale taken off in integers first: the only
+  // roundings are the two below.
   const __int128 offset = static_cast<__int128>(num_reports) *
                           static_cast<int64_t>(kOffset * kFixedPointScale);
   const double n = static_cast<double>(num_reports);
   for (uint32_t v = 0; v < domain_size(); ++v) {
-    const __int128 centered = static_cast<__int128>(support[v]) - offset;
+    const __int128 words = static_cast<__int128>(support[2 * v]) +
+                           (static_cast<__int128>(support[2 * v + 1]) << 16);
+    const __int128 centered = words - offset;
     estimates[v] = static_cast<double>(centered) / kFixedPointScale / n;
   }
   return estimates;

@@ -22,8 +22,10 @@ namespace ldp {
 
 /// HE: report payload is the noisy histogram scaled to fixed point (each
 /// component stored as round(value · kFixedPointScale) offset to stay
-/// non-negative in the uint32 payload). Fold sums the raw words; Estimate
-/// removes the offset and the scale once.
+/// non-negative in the uint32 payload). Fold sums each word's low and high
+/// 16 bits into two counts per value, so a count grows by under 2^16 per
+/// report and holds 2^48 reports; Estimate rejoins the halves and removes
+/// the offset and the scale once.
 class HeOracle final : public FrequencyOracle {
  public:
   /// Fixed-point scale used to pack doubles into the uint32 report payload.
@@ -40,7 +42,8 @@ class HeOracle final : public FrequencyOracle {
   std::vector<double> Estimate(const std::vector<uint64_t>& support,
                                uint64_t num_reports) const override;
   double EstimateVariance(double f, uint64_t num_reports) const override;
-  uint64_t MaxFoldPerReport() const override { return UINT32_MAX; }
+  size_t SupportSize() const override { return 2 * size_t{domain_size()}; }
+  uint64_t MaxFoldPerReport() const override { return 0xFFFF; }
   const char* name() const override { return "HE"; }
 
   /// The Laplace noise scale 2/ε.

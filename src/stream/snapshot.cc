@@ -119,9 +119,8 @@ Result<MixedAggregator> DecodeAggregatorSnapshot(
         (static_cast<unsigned __int128>(high) << 64) | low);
     uint32_t support_count = 0;
     LDP_ASSIGN_OR_RETURN(support_count, reader.U32());
-    const MixedAttribute& spec = collector->schema()[j];
-    if (support_count !=
-        (spec.type == AttributeType::kCategorical ? spec.domain_size : 0)) {
+    const FrequencyOracle* oracle = collector->oracle_for(j);
+    if (support_count != (oracle != nullptr ? oracle->SupportSize() : 0)) {
       return Status::InvalidArgument(
           "snapshot support size does not match the attribute's domain");
     }

@@ -12,8 +12,10 @@
 //   i32 grid_exponent E, then per attribute: u64 report_count,
 //     i128 numeric_sum in units of 2^(E−62) (u64 low, then u64 high),
 //     u32 support_count, u64 support[support_count]
-//   (support_count is the categorical domain size; 0 at numeric positions,
-//   and numeric_sum is 0 at categorical ones).
+//   (support_count is the oracle's SupportSize(): the categorical domain
+//   size, twice that for HE, which keeps each value's low and high 16-bit
+//   word halves apart; 0 at numeric positions, and numeric_sum is 0 at
+//   categorical ones).
 // Mechanism and oracle kinds are carried redundantly with the schema hash;
 // DecodeSnapshotConfig reads them, num_reports and E without decoding the
 // state. Version 1 (f64 sums and supports) is refused by number.

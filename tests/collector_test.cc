@@ -166,22 +166,26 @@ TEST(PipelineBaselineTest, NumericOnlyDataset) {
 TEST(PipelineBaselineTest, ParallelMatchesSerialIncludingCategorical) {
   // Regression test: chunk-local support tables must start from zero, not
   // from a racy copy of the partially merged totals.
+  // HE keeps two support counts per value, so its tables are sized apart.
   const data::Dataset dataset = SmallCensus(8000);
-  auto serial =
-      CollectBaseline(dataset, 1.0, 5, NumericStrategy::kDuchiMulti);
   ThreadPool pool(4);
-  auto parallel = CollectBaseline(dataset, 1.0, 5,
-                                  NumericStrategy::kDuchiMulti,
-                                  FrequencyOracleKind::kOue, &pool);
-  ASSERT_TRUE(serial.ok() && parallel.ok());
-  for (size_t j = 0; j < serial.value().estimated_means.size(); ++j) {
-    EXPECT_NEAR(serial.value().estimated_means[j],
-                parallel.value().estimated_means[j], 1e-12);
+  for (const FrequencyOracleKind oracle :
+       {FrequencyOracleKind::kOue, FrequencyOracleKind::kHe}) {
+    auto serial = CollectBaseline(dataset, 1.0, 5,
+                                  NumericStrategy::kDuchiMulti, oracle);
+    auto parallel = CollectBaseline(
+        dataset, 1.0, 5, NumericStrategy::kDuchiMulti, oracle, &pool);
+    ASSERT_TRUE(serial.ok() && parallel.ok());
+    for (size_t j = 0; j < serial.value().estimated_means.size(); ++j) {
+      EXPECT_NEAR(serial.value().estimated_means[j],
+                  parallel.value().estimated_means[j], 1e-12);
+    }
+    // Supports are integer counts: exact whatever the chunking. The numeric
+    // means are double sums reduced per chunk, so only close.
+    EXPECT_EQ(serial.value().estimated_frequencies,
+              parallel.value().estimated_frequencies)
+        << FrequencyOracleKindToString(oracle);
   }
-  // Supports are integer counts: exact whatever the chunking. The numeric
-  // means are double sums reduced per chunk, so only close.
-  EXPECT_EQ(serial.value().estimated_frequencies,
-            parallel.value().estimated_frequencies);
 }
 
 TEST(PipelineBaselineTest, StrategyNames) {

@@ -24,7 +24,7 @@ TEST(HeOracleTest, ReportPacksFullNoisyHistogram) {
   const auto report = oracle.Perturb(2, &rng);
   ASSERT_EQ(report.size(), 5u);
   // Unpacking recovers values near the one-hot vector (within noise).
-  std::vector<uint64_t> support(5, 0);
+  std::vector<uint64_t> support(oracle.SupportSize(), 0);
   oracle.Accumulate(report, &support);
   const std::vector<double> unpacked = oracle.Estimate(support, 1);
   for (uint32_t v = 0; v < 5; ++v) {
@@ -38,7 +38,7 @@ TEST(HeOracleTest, FixedPointRoundTripIsTight) {
   Rng rng(2);
   for (int i = 0; i < 200; ++i) {
     const auto report = oracle.Perturb(0, &rng);
-    std::vector<uint64_t> support(3, 0);
+    std::vector<uint64_t> support(oracle.SupportSize(), 0);
     oracle.Accumulate(report, &support);
     for (const double value : oracle.Estimate(support, 1)) {
       // Any unpacked value is a multiple of the quantum within rounding.

@@ -443,7 +443,7 @@ TEST(ServerSessionTest, OverflowingSnapshotMergeChangesNothing) {
   std::vector<std::vector<uint64_t>> supports(d);
   for (uint32_t j = 0; j < d; ++j) {
     if (collector.oracle_for(j) != nullptr) {
-      supports[j].assign(collector.schema()[j].domain_size, 0);
+      supports[j].assign(collector.oracle_for(j)->SupportSize(), 0);
     }
   }
   auto huge = MixedAggregator::FromParts(

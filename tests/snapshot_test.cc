@@ -282,20 +282,63 @@ TEST(FromPartsTest, RefusesStateNoRunOfReportsReaches) {
   EXPECT_FALSE(from(10, bad_counts, sums, supports).ok());
 }
 
+Result<MixedTupleCollector> HeCollector(uint32_t domain_size) {
+  return MixedTupleCollector::Create({MixedAttribute::Categorical(domain_size)},
+                                     1.0, MechanismKind::kHybrid,
+                                     FrequencyOracleKind::kHe);
+}
+
 TEST(FromPartsTest, HeWordSumsAreBoundedByTheirWords) {
-  auto collector = MixedTupleCollector::Create(
-      {MixedAttribute::Categorical(3)}, 1.0, MechanismKind::kHybrid,
-      FrequencyOracleKind::kHe);
+  // HE keeps each value's low and high 16-bit word halves in two counts,
+  // and each grows by at most 0xFFFF per report.
+  auto collector = HeCollector(3);
   ASSERT_TRUE(collector.ok());
-  const uint64_t max = 4 * uint64_t{UINT32_MAX};
-  std::vector<std::vector<uint64_t>> supports = {{max, 0, max}};
+  const uint64_t max = 4 * uint64_t{0xFFFF};
+  std::vector<std::vector<uint64_t>> supports = {{max, max, 0, 0, max, max}};
   EXPECT_TRUE(MixedAggregator::FromParts(&collector.value(), 4, {4}, {0},
                                          supports)
                   .ok());
-  supports[0][1] = max + 1;
+  for (const size_t slot : {size_t{2}, size_t{3}}) {
+    auto bad = supports;
+    bad[0][slot] = max + 1;
+    EXPECT_FALSE(
+        MixedAggregator::FromParts(&collector.value(), 4, {4}, {0}, bad).ok())
+        << "slot " << slot;
+  }
+  // One count per value is the wrong shape.
   EXPECT_FALSE(MixedAggregator::FromParts(&collector.value(), 4, {4}, {0},
-                                          supports)
+                                          {{max, 0, max}})
                    .ok());
+}
+
+TEST(FromPartsTest, HeSupportsHoldAnEpochPastTwoToTheThirtyThreeReports) {
+  // A single u64 word sum would overflow after ~2^33 reports of words near
+  // the offset 2^31; the two half sums hold 2^48. Two halves of an epoch of
+  // 2^34 + 6 reports, each value reported as exactly 1.0 for value 0 and
+  // 0.0 for value 1, merge and estimate exactly.
+  auto collector = HeCollector(2);
+  ASSERT_TRUE(collector.ok());
+  const uint64_t one = uint64_t{2048 + 1} << 20;  // (1 + offset)·scale
+  const uint64_t zero = uint64_t{2048} << 20;
+  const uint64_t n = (uint64_t{1} << 33) + 3;
+  const std::vector<std::vector<uint64_t>> supports = {
+      {n * (one & 0xFFFF), n * (one >> 16), n * (zero & 0xFFFF),
+       n * (zero >> 16)}};
+  auto half = MixedAggregator::FromParts(&collector.value(), n, {n}, {0},
+                                         supports);
+  ASSERT_TRUE(half.ok());
+  MixedAggregator epoch = half.value();
+  ASSERT_TRUE(epoch.Merge(half.value()).ok());
+  EXPECT_EQ(epoch.num_reports(), 2 * n);
+  auto frequencies = epoch.EstimateFrequencies(0);
+  ASSERT_TRUE(frequencies.ok());
+  EXPECT_EQ(frequencies.value(), (std::vector<double>{1.0, 0.0}));
+  // The snapshot round trip keeps the state.
+  auto decoded =
+      DecodeAggregatorSnapshot(EncodeAggregatorSnapshot(epoch),
+                               &collector.value());
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded.value().supports(), epoch.supports());
 }
 
 TEST(MergeTest, RefusedOverflowChangesNothing) {
@@ -321,15 +364,13 @@ TEST(MergeTest, RefusedOverflowChangesNothing) {
   EXPECT_FALSE(other.Merge(huge.value()).ok());
   EXPECT_EQ(EncodeAggregatorSnapshot(other), other_before);
 
-  // A support count that would wrap on its own (HE words at the edge of
-  // their bound, with num_reports still in range).
-  auto he = MixedTupleCollector::Create({MixedAttribute::Categorical(2)}, 1.0,
-                                        MechanismKind::kHybrid,
-                                        FrequencyOracleKind::kHe);
+  // A support count that would wrap on its own (an HE half sum at the edge
+  // of its bound, with num_reports still in range).
+  auto he = HeCollector(2);
   ASSERT_TRUE(he.ok());
-  const uint64_t n = uint64_t{1} << 40;
+  const uint64_t n = uint64_t{1} << 50;
   auto full = MixedAggregator::FromParts(&he.value(), n, {n}, {0},
-                                         {{~uint64_t{0}, 0}});
+                                         {{~uint64_t{0}, 0, 0, 0}});
   ASSERT_TRUE(full.ok());
   MixedAggregator twice = full.value();
   const std::string twice_before = EncodeAggregatorSnapshot(twice);
