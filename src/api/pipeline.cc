@@ -275,8 +275,9 @@ Result<std::vector<MixedAttribute>> AttributesFromSchema(
 void RowToTuple(const data::Schema& schema,
                 const std::vector<double>& numeric_row,
                 const std::vector<uint32_t>& category_row, MixedTuple* tuple) {
-  for (uint32_t col = 0; col < schema.num_columns(); ++col) {
-    const data::ColumnSpec& spec = schema.column(col);
+  const std::vector<data::ColumnSpec>& columns = schema.columns();
+  for (size_t col = 0; col < columns.size(); ++col) {
+    const data::ColumnSpec& spec = columns[col];
     if (spec.type == data::ColumnType::kNumeric) {
       const double mid = (spec.hi + spec.lo) / 2.0;
       const double half_width = (spec.hi - spec.lo) / 2.0;

@@ -52,7 +52,7 @@ Result<MixedTupleCollector> MixedTupleCollector::Create(
 }
 
 double MixedTupleCollector::numeric_bound() const {
-  return static_cast<double>(dimension()) / k_ * scalar_->OutputBound() *
+  return numeric_scale_ * scalar_->OutputBound() *
          (1.0 + 1e-9);
 }
 
@@ -81,12 +81,13 @@ bool MixedTupleCollector::CompatibleWith(
 
 namespace {
 
-// An oracle's payload is drawn here, then only its words are appended: room
-// for the longest payload at the frame's end would be zero-filled per report,
-// O(d) where SUE/OUE draw O(q·d + 1) words. At most 256 KiB per thread.
-char* PayloadScratch(size_t words) {
+// A report is written here, then appended to its output in one go: writing
+// it in place would grow the output field by field, or zero-fill room for
+// the longest payload, O(d) where SUE/OUE draw O(q·d + 1) words. Grows to
+// the longest report bound seen on the thread.
+char* ReportScratch(size_t bytes) {
   thread_local std::vector<char> scratch;
-  if (scratch.size() < 4 * words) scratch.resize(4 * words);
+  if (scratch.size() < bytes) scratch.resize(bytes);
   return scratch.data();
 }
 
@@ -96,48 +97,47 @@ void MixedTupleCollector::AppendReport(const MixedTuple& tuple, Rng* rng,
                                        std::string* out) const {
   using internal_wire::StoreLittleEndian;
   LDP_CHECK(tuple.size() == schema_.size());
-  const double scale = static_cast<double>(dimension()) / k_;
   // On the stack up to kScanMaxPicks, past which the sampler allocates too.
   uint32_t stack_picks[kScanMaxPicks];
   std::vector<uint32_t> heap_picks(k_ > kScanMaxPicks ? k_ : 0);
   uint32_t* sampled = k_ > kScanMaxPicks ? heap_picks.data() : stack_picks;
   SampleWithoutReplacement(dimension(), k_, rng, sampled);
-  size_t at = out->size();
-  out->resize(at + 2);
-  StoreLittleEndian(&(*out)[at], static_cast<uint16_t>(k_));
+  // u16 entry count, then per entry its u32 attribute and kind byte, then
+  // an f64 value or a u16 count and the words.
+  size_t bound = 2;
+  for (uint32_t i = 0; i < k_; ++i) {
+    const AttributeSlot& slot = slots_[sampled[i]];
+    bound += slot.oracle == nullptr ? 13 : 7 + 4 * slot.max_payload;
+  }
+  char* const report = ReportScratch(bound);
+  StoreLittleEndian(report, static_cast<uint16_t>(k_));
+  char* entry = report + 2;
   for (uint32_t i = 0; i < k_; ++i) {
     const uint32_t attribute = sampled[i];
-    const FrequencyOracle* oracle = oracles_[attribute].get();
-    // Attribute and kind, then an f64 value or a u16 count and the words.
-    if (oracle == nullptr) {
+    const AttributeSlot& slot = slots_[attribute];
+    StoreLittleEndian(entry, attribute);
+    if (slot.oracle == nullptr) {
       const double t = tuple[attribute].numeric;
       LDP_DCHECK(t >= -1.0 && t <= 1.0);
-      const double value = scale * scalar_->Perturb(t, rng);
+      const double value = numeric_scale_ * scalar_->Perturb(t, rng);
       uint64_t bits = 0;
       std::memcpy(&bits, &value, sizeof(bits));
-      at = out->size();
-      out->resize(at + 13);
-      char* entry = &(*out)[at];
-      StoreLittleEndian(entry, attribute);
       entry[4] = static_cast<char>(internal_wire::kNumericEntry);
       StoreLittleEndian(entry + 5, bits);
+      entry += 13;
       continue;
     }
     const uint32_t v = tuple[attribute].category;
     LDP_DCHECK(v < schema_[attribute].domain_size);
-    LDP_CHECK_MSG(oracle->MaxReportSize() <= kMaxWirePayloadWords,
+    LDP_CHECK_MSG(slot.max_payload <= kMaxWirePayloadWords,
                   "oracle payloads exceed the wire's u16 count; "
                   "see CheckWireEncodable");
-    char* words = PayloadScratch(oracle->MaxReportSize());
-    const size_t count = oracle->PerturbInto(v, rng, words);
-    at = out->size();
-    out->resize(at + 7);
-    char* entry = &(*out)[at];
-    StoreLittleEndian(entry, attribute);
+    const size_t count = slot.oracle->PerturbInto(v, rng, entry + 7);
     entry[4] = static_cast<char>(internal_wire::kCategoricalEntry);
     StoreLittleEndian(entry + 5, static_cast<uint16_t>(count));
-    out->append(words, 4 * count);
+    entry += 7 + 4 * count;
   }
+  out->append(report, static_cast<size_t>(entry - report));
 }
 
 MixedAggregator::MixedAggregator(const MixedTupleCollector* collector)

@@ -104,8 +104,9 @@ class MixedTupleCollector {
   /// categorical coordinates within their domains) into a k-entry report,
   /// appending its wire bytes (core/wire.h) to `out`. Draws the sample
   /// (SampleWithoutReplacement), then each entry's perturbation in sample
-  /// order. Allocates nothing once `out` (and a per-thread payload scratch)
-  /// have room. Aborts on an oracle CheckWireEncodable refuses.
+  /// order, into a per-thread scratch, then appends the report in one go.
+  /// Allocates nothing once `out` (and the scratch) have room. Aborts on an
+  /// oracle CheckWireEncodable refuses.
   void AppendReport(const MixedTuple& tuple, Rng* rng, std::string* out) const;
 
   double epsilon() const { return epsilon_; }
@@ -159,15 +160,32 @@ class MixedTupleCollector {
       : schema_(std::move(schema)),
         epsilon_(epsilon),
         k_(k),
+        numeric_scale_(static_cast<double>(schema_.size()) / k),
         per_attribute_epsilon_(epsilon / k),
         numeric_kind_(numeric_kind),
         categorical_kind_(categorical_kind),
         scalar_(std::move(scalar)),
-        oracles_(std::move(oracles)) {}
+        oracles_(std::move(oracles)) {
+    for (const std::shared_ptr<const FrequencyOracle>& oracle : oracles_) {
+      slots_.push_back(oracle == nullptr
+                           ? AttributeSlot{}
+                           : AttributeSlot{oracle.get(),
+                                           oracle->MaxReportSize()});
+    }
+  }
+
+  // Per attribute: its oracle (null when numeric) and the longest payload
+  // that oracle can emit, so a report reads its wire limit and its byte
+  // bound without a virtual call.
+  struct AttributeSlot {
+    const FrequencyOracle* oracle = nullptr;
+    size_t max_payload = 0;
+  };
 
   std::vector<MixedAttribute> schema_;
   double epsilon_;
   uint32_t k_;
+  double numeric_scale_;  // d/k, by which a numeric entry's value is scaled
   double per_attribute_epsilon_;
   MechanismKind numeric_kind_;
   FrequencyOracleKind categorical_kind_;
@@ -175,6 +193,7 @@ class MixedTupleCollector {
   // One oracle per attribute (null at numeric positions); oracles with equal
   // domain sizes are shared.
   std::vector<std::shared_ptr<const FrequencyOracle>> oracles_;
+  std::vector<AttributeSlot> slots_;
 };
 
 /// A numeric attribute's exact sum, in units of 2^(E−62) (see

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <utility>
 
@@ -151,55 +152,118 @@ constexpr uint64_t kPow10U64[] = {1,      10,      100,      1000,     10000,
   return static_cast<size_t>(p - start);
 }
 
-// 10^0 .. 10^22: every power of ten a double holds exactly.
-constexpr double kExactPow10[] = {
-    1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,  1e8,  1e9,  1e10, 1e11,
-    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+// 10^-f for f = 0..27 as w/10^f reads it: the 128-bit 2^(127+e) / 10^f
+// rounded up, where e = f + ceil(log2 5^f) puts its top bit at bit 127.
+struct Pow10Inverse {
+  uint64_t high;
+  uint64_t low;
+  int e;
+};
+constexpr Pow10Inverse kPow10Inverse[] = {
+    {0x8000000000000000, 0x0000000000000000, 0},
+    {0xCCCCCCCCCCCCCCCC, 0xCCCCCCCCCCCCCCCD, 4},
+    {0xA3D70A3D70A3D70A, 0x3D70A3D70A3D70A4, 7},
+    {0x83126E978D4FDF3B, 0x645A1CAC083126EA, 10},
+    {0xD1B71758E219652B, 0xD3C36113404EA4A9, 14},
+    {0xA7C5AC471B478423, 0x0FCF80DC33721D54, 17},
+    {0x8637BD05AF6C69B5, 0xA63F9A49C2C1B110, 20},
+    {0xD6BF94D5E57A42BC, 0x3D32907604691B4D, 24},
+    {0xABCC77118461CEFC, 0xFDC20D2B36BA7C3E, 27},
+    {0x89705F4136B4A597, 0x31680A88F8953031, 30},
+    {0xDBE6FECEBDEDD5BE, 0xB573440E5A884D1C, 34},
+    {0xAFEBFF0BCB24AAFE, 0xF78F69A51539D749, 37},
+    {0x8CBCCC096F5088CB, 0xF93F87B7442E45D4, 40},
+    {0xE12E13424BB40E13, 0x2865A5F206B06FBA, 44},
+    {0xB424DC35095CD80F, 0x538484C19EF38C95, 47},
+    {0x901D7CF73AB0ACD9, 0x0F9D37014BF60A11, 50},
+    {0xE69594BEC44DE15B, 0x4C2EBE687989A9B4, 54},
+    {0xB877AA3236A4B449, 0x09BEFEB9FAD487C3, 57},
+    {0x9392EE8E921D5D07, 0x3AFF322E62439FD0, 60},
+    {0xEC1E4A7DB69561A5, 0x2B31E9E3D06C32E6, 64},
+    {0xBCE5086492111AEA, 0x88F4BB1CA6BCF585, 67},
+    {0x971DA05074DA7BEE, 0xD3F6FC16EBCA5E04, 70},
+    {0xF1C90080BAF72CB1, 0x5324C68B12DD6339, 74},
+    {0xC16D9A0095928A27, 0x75B7053C0F178294, 77},
+    {0x9ABE14CD44753B52, 0xC4926A9672793543, 80},
+    {0xF79687AED3EEC551, 0x3A83DDBD83F52205, 84},
+    {0xC612062576589DDA, 0x95364AFE032A819E, 87},
+    {0x9E74D1B791E07E48, 0x775EA264CF55347E, 90}};
+constexpr size_t kMaxExactFraction = std::size(kPow10Inverse) - 1;
 
-// The exact long double tier needs x87's 64-bit significand, read as the
-// low 8 bytes of the object: 10^0 .. 10^27 and every 19-digit mantissa are
-// exact in it.
-constexpr bool kExtendedTier =
-    kLittleEndian && std::numeric_limits<long double>::digits == 64;
-constexpr long double kExactPow10L[] = {
-    1e0L,  1e1L,  1e2L,  1e3L,  1e4L,  1e5L,  1e6L,  1e7L,  1e8L,  1e9L,
-    1e10L, 1e11L, 1e12L, 1e13L, 1e14L, 1e15L, 1e16L, 1e17L, 1e18L, 1e19L,
-    1e20L, 1e21L, 1e22L, 1e23L, 1e24L, 1e25L, 1e26L, 1e27L};
+// Eisel-Lemire: the bits of the double nearest w / 10^f, for 0 < w < 2^64
+// and f <= kMaxExactFraction. Returns false, undecided, when the product is
+// too close to a midpoint to tell which way w / 10^f rounds.
+[[gnu::always_inline]] inline bool EiselLemire(uint64_t w, size_t f,
+                                              uint64_t* bits) {
+  using U128 = unsigned __int128;
+  const Pow10Inverse& inverse = kPow10Inverse[f];
+  const int shift = __builtin_clzll(w);
+  const uint64_t n = w << shift;
+  // P = n * inverse, 192 bits, as top (bits 128..191) and middle (64..127).
+  // It is at most n < 2^64 above the exact n * 2^(127+e) / 10^f.
+  const U128 upper = static_cast<U128>(n) * inverse.high;
+  const U128 lower = static_cast<U128>(n) * inverse.low;
+  const uint64_t middle =
+      static_cast<uint64_t>(upper) + static_cast<uint64_t>(lower >> 64);
+  const uint64_t top = static_cast<uint64_t>(upper >> 64) +
+                       (middle < static_cast<uint64_t>(upper));
+  // P's top bit is bit 190 + u. The double's 53 bits are P's bits 138 + u
+  // and up, and bit 137 + u is its round bit.
+  const int u = static_cast<int>(top >> 63);
+  uint64_t mantissa = top >> (10 + u);
+  const uint64_t round = (top >> (9 + u)) & 1;
+  const uint64_t below_round = (top & ((uint64_t{1} << (9 + u)) - 1)) | middle;
+  if (__builtin_expect(round != 0 && below_round == 0, 0)) {
+    // P is less than 2^64 past the midpoint (2 * mantissa + 1) * 2^(137+u),
+    // which leaves w / 10^f on either side of it unless it is exactly the
+    // midpoint: w == (2 * mantissa + 1) * 5^f * 2^g. That needs w >= 2^53 *
+    // 5^f, so f <= 4.
+    const int g = 10 + u - shift - (inverse.e - static_cast<int>(f));
+    if (f > 4 || g < 0 || (w >> g) << g != w ||
+        w >> g != (2 * mantissa + 1) * (kPow10U64[f] >> f)) {
+      return false;
+    }
+    mantissa += mantissa & 1;  // ties to even
+  } else {
+    // Clear of the midpoint by 2^64 or more (or below it), so w / 10^f is
+    // on P's side of it.
+    mantissa += round;
+  }
+  // The value is mantissa * 2^(11 + u - shift - e), mantissa in [2^52, 2^53]
+  // (2^53 carries into the exponent), and always normal: 1e-27 <= w / 10^f
+  // < 1e19.
+  const int exponent = 11 + u - shift - inverse.e;
+  *bits = (static_cast<uint64_t>(exponent + 1075) << 52) + mantissa -
+          (uint64_t{1} << 52);
+  return true;
+}
 
 // The from_chars tier, with strtod's range verdicts: [begin, ptr) must read
-// as an exact zero or a magnitude strictly between DBL_MIN and DBL_MAX.
+// as zero or a magnitude strictly between DBL_MIN and DBL_MAX. (libstdc++
+// reports a nonzero mantissa that underflows to zero as out of range.)
 const char* FromCharsPrefix(const char* begin, const char* end,
                             double* value) {
   double parsed = 0.0;
   const std::from_chars_result result = std::from_chars(begin, end, parsed);
   if (result.ec != std::errc{}) return nullptr;
-  if (parsed == 0.0) {
-    // Exact zeros only: a nonzero mantissa read as zero is strtod's ERANGE.
-    // libstdc++ already reports that underflow as out of range, but the
-    // standard leaves it to the library.
-    for (const char* at = begin; at != result.ptr; ++at) {
-      if (*at == 'e' || *at == 'E') break;
-      if (*at >= '1' && *at <= '9') return nullptr;
-    }
-  } else {
-    // strtod flags ERANGE on every result below DBL_MIN before rounding,
-    // which includes some that round up to DBL_MIN; inf and nan are refused.
-    const double magnitude = std::fabs(parsed);
-    if (!(magnitude > std::numeric_limits<double>::min() &&
-          magnitude < std::numeric_limits<double>::max())) {
-      return nullptr;
-    }
+  // strtod flags ERANGE on every result below DBL_MIN before rounding,
+  // which includes some that round up to DBL_MIN; inf and nan are refused.
+  const double magnitude = std::fabs(parsed);
+  if (parsed != 0.0 && !(magnitude > std::numeric_limits<double>::min() &&
+                         magnitude < std::numeric_limits<double>::max())) {
+    return nullptr;
   }
   *value = parsed;
   return result.ptr;
 }
 
-}  // namespace
-
-const char* ParseNumericPrefix(const char* begin, const char* end,
-                               double* value, NumericTier* tier) {
-  // The exact tiers take -?D+(.D*)? with at most 19 significant digits: the
-  // mantissa m fits a uint64 and the value is m / 10^f for f fraction digits.
+// ParseNumericPrefix, inlined into NextRow's column loop.
+[[gnu::always_inline]] inline const char* ParseNumeric(const char* begin,
+                                                       const char* end,
+                                                       double* value,
+                                                       NumericTier* tier) {
+  // The exact tier takes -?D+(.D*)? with at most 19 significant digits: the
+  // mantissa w fits a uint64 and the value is w / 10^f for f fraction digits.
   const char* at = begin;
   const bool negative = at != end && *at == '-';
   at += negative;
@@ -220,45 +284,31 @@ const char* ParseNumericPrefix(const char* begin, const char* end,
     significant =
         static_cast<size_t>(at - first) - (point != nullptr && point >= first);
   }
-  if (total != 0 && significant <= 19 &&
+  if (total != 0 && significant <= 19 && fraction <= kMaxExactFraction &&
       !(at != end && (*at == 'e' || *at == 'E'))) {
-#if FLT_EVAL_METHOD == 0
-    // Clinger's fast path: both operands exact, one correctly rounded
-    // division.
-    if (mantissa <= (uint64_t{1} << 53) && fraction <= 22) {
-      const double quotient =
-          static_cast<double>(mantissa) / kExactPow10[fraction];
-      *value = negative ? -quotient : quotient;
-      if (tier != nullptr) *tier = NumericTier::kExactDouble;
-      return at;
+    uint64_t bits = 0;  // a zero mantissa reads as a zero
+    bool decided = true;
+    if (fraction == 0 && mantissa <= (uint64_t{1} << 53)) {
+      const double integer = static_cast<double>(mantissa);
+      std::memcpy(&bits, &integer, sizeof(bits));
+    } else if (mantissa != 0) {
+      decided = EiselLemire(mantissa, fraction, &bits);
     }
-#endif
-    if constexpr (kExtendedTier) {
-      if (fraction <= 27) {
-        // Both operands exact in 64 bits, so the quotient is m / 10^f
-        // correctly rounded to 64 bits; rounding that to 53 bits gives the
-        // correctly rounded double unless it sits exactly on a double
-        // midpoint (its 11 extra bits 0x400), where it may have been rounded
-        // onto the midpoint from either side.
-        const long double quotient =
-            static_cast<long double>(mantissa) / kExactPow10L[fraction];
-        uint64_t significand;
-        std::memcpy(&significand, &quotient, sizeof(significand));
-        if ((significand & 0x7FF) != 0x400) {
-          const double rounded = static_cast<double>(quotient);
-          *value = negative ? -rounded : rounded;
-          if (tier != nullptr) *tier = NumericTier::kExactLongDouble;
-          return at;
-        }
-      }
+    if (decided) {
+      bits |= static_cast<uint64_t>(negative) << 63;
+      std::memcpy(value, &bits, sizeof(bits));
+      if (tier != nullptr) *tier = NumericTier::kExact;
+      return at;
     }
   }
   if (tier != nullptr) *tier = NumericTier::kFromChars;
   return FromCharsPrefix(begin, end, value);
 }
 
-const char* ParseCategoricalPrefix(const char* begin, const char* end,
-                                   uint32_t domain_size, uint32_t* code) {
+// ParseCategoricalPrefix, inlined into NextRow's column loop.
+[[gnu::always_inline]] inline const char* ParseCategorical(
+    const char* begin, const char* end, uint32_t domain_size,
+    uint32_t* code) {
   uint64_t parsed = 0;
   const char* at = begin;
   while (at != end && IsDigit(*at)) {
@@ -268,6 +318,18 @@ const char* ParseCategoricalPrefix(const char* begin, const char* end,
   if (at == begin) return nullptr;
   *code = static_cast<uint32_t>(parsed);
   return at;
+}
+
+}  // namespace
+
+const char* ParseNumericPrefix(const char* begin, const char* end,
+                               double* value, NumericTier* tier) {
+  return ParseNumeric(begin, end, value, tier);
+}
+
+const char* ParseCategoricalPrefix(const char* begin, const char* end,
+                                   uint32_t domain_size, uint32_t* code) {
+  return ParseCategorical(begin, end, domain_size, code);
 }
 
 }  // namespace internal_csv
@@ -421,6 +483,15 @@ Result<CsvRowReader> CsvRowReader::Open(const Schema& schema,
   return CsvRowReader(&schema, std::move(lines).value());
 }
 
+CsvRowReader::CsvRowReader(const Schema* schema,
+                           internal_csv::LineScanner lines)
+    : schema_(schema), lines_(std::move(lines)) {
+  for (const ColumnSpec& spec : schema->columns()) {
+    domains_.push_back(spec.type == ColumnType::kNumeric ? 0
+                                                         : spec.domain_size);
+  }
+}
+
 Result<bool> CsvRowReader::NextRow(std::vector<double>* numeric,
                                    std::vector<uint32_t>* category) {
   std::string_view line;
@@ -434,54 +505,79 @@ Result<bool> CsvRowReader::NextRow(std::vector<double>* numeric,
     if (!more.value()) return false;
     if (!line.empty()) break;
   }
-  // One walk over the line: each cell parses where it starts, and the parse
-  // must stop exactly at the cell's ',' (or the line's end, for the last).
-  // Any other cell goes to strtod/strtol on a copy of its text. A wrong cell
-  // count wins over a bad cell, as when the line was split first.
-  const std::vector<ColumnSpec>& columns = schema_->columns();
-  const size_t width = columns.size();
+  // One walk over the line and the column plan: each cell parses where it
+  // starts, and the parse must stop exactly at the cell's ',' (or the line's
+  // end, for the last).
+  const uint32_t* const domains = domains_.data();
+  const size_t width = domains_.size();
   numeric->resize(width);
   category->resize(width);
   if (width == 0) return CellCountError(line);  // a line holds a cell
+  double* const values = numeric->data();
+  uint32_t* const codes = category->data();
   const char* cell = line.data();
   const char* const end = cell + line.size();
-  for (size_t col = 0; col < width; ++col) {
-    const ColumnSpec& spec = columns[col];
-    const bool numeric_cell = spec.type == ColumnType::kNumeric;
-    double* const value = &(*numeric)[col];
-    uint32_t* const code = &(*category)[col];
-    const char* stop;
-    if (numeric_cell) {
-      *code = 0;
-      stop = internal_csv::ParseNumericPrefix(cell, end, value);
-    } else {
-      *value = 0.0;
-      stop = internal_csv::ParseCategoricalPrefix(cell, end, spec.domain_size,
-                                                  code);
-    }
+  for (size_t col = 0;; ++col) {
+    const uint32_t domain = domains[col];
     const bool last = col + 1 == width;
-    if (stop == nullptr ||
-        (last ? stop != end : stop == end || *stop != ',')) {
-      stop = static_cast<const char*>(std::memchr(cell, ',', end - cell));
-      if (stop == nullptr) stop = end;
-      if ((stop == end) != last) return CellCountError(line);
-      const std::string text(cell, stop);
-      const bool parsed =
-          numeric_cell
-              ? StrtodNumericCell(text, value)
-              : StrtolCategoricalCell(text, spec.domain_size, code);
-      if (!parsed) {
-        if (CountCells(line) != width) return CellCountError(line);
-        return Status::InvalidArgument(
-            "row " + std::to_string(rows_read_) + ", column '" + spec.name +
-            "': bad " + (numeric_cell ? "numeric" : "categorical") +
-            " cell '" + text + "'");
+    const char* stop = cell + 1;
+    // A one-digit cell (most census cells: codes, counts, zeros) is read at
+    // once.
+    const uint32_t digit = cell != end ? static_cast<unsigned char>(*cell) -
+                                             uint32_t{'0'}
+                                       : 10;
+    if (digit < 10 && (domain == 0 || digit < domain) &&
+        (stop == end ? last : !last && *stop == ',')) {
+      values[col] = domain == 0 ? digit : 0.0;
+      codes[col] = domain == 0 ? 0 : digit;
+    } else {
+      if (domain == 0) {
+        codes[col] = 0;
+        stop = internal_csv::ParseNumeric(cell, end, &values[col], nullptr);
+      } else {
+        values[col] = 0.0;
+        stop = internal_csv::ParseCategorical(cell, end, domain, &codes[col]);
+      }
+      if (__builtin_expect(
+              stop == nullptr || (stop == end ? !last : last || *stop != ','),
+              0)) {
+        Result<const char*> taken =
+            FallbackCell(line, col, cell, &values[col], &codes[col]);
+        if (!taken.ok()) return taken.status();
+        stop = taken.value();
       }
     }
-    if (!last) cell = stop + 1;
+    if (last) break;
+    cell = stop + 1;
   }
   ++rows_read_;
   return true;
+}
+
+Result<const char*> CsvRowReader::FallbackCell(std::string_view line,
+                                               size_t col, const char* cell,
+                                               double* value,
+                                               uint32_t* code) const {
+  // strtod/strtol on a copy of the cell's text. A wrong cell count wins over
+  // a bad cell, as when the line was split first.
+  const char* const end = line.data() + line.size();
+  const char* stop =
+      static_cast<const char*>(std::memchr(cell, ',', end - cell));
+  if (stop == nullptr) stop = end;
+  const size_t width = domains_.size();
+  if ((stop == end) != (col + 1 == width)) return CellCountError(line);
+  const std::string text(cell, stop);
+  const uint32_t domain = domains_[col];
+  const bool parsed = domain == 0 ? StrtodNumericCell(text, value)
+                                  : StrtolCategoricalCell(text, domain, code);
+  if (!parsed) {
+    if (CountCells(line) != width) return CellCountError(line);
+    return Status::InvalidArgument(
+        "row " + std::to_string(rows_read_) + ", column '" +
+        schema_->columns()[col].name + "': bad " +
+        (domain == 0 ? "numeric" : "categorical") + " cell '" + text + "'");
+  }
+  return stop;
 }
 
 Status CsvRowReader::CellCountError(std::string_view line) const {

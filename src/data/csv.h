@@ -12,26 +12,30 @@
 // Reading is block-buffered. A CsvRowReader (and CountCsvDataRows) owns
 // exactly one read buffer over a raw file descriptor: 8 KiB, grown only to
 // hold a single line longer than that. Lines are found with memchr, and each
-// row is parsed in one walk: every cell is parsed where it starts and must
-// stop at its own ',' (or the line's end), so a steady-state row costs no
-// heap allocation and no separate split. Numeric cells go through three
-// tiers, under one contract: a tier never accepts a cell strtod would
-// refuse, and returns strtod's bits when it accepts.
-//   1. Plain -?D+(.D*)? cells with at most 19 significant digits are exact.
-//      Their digits are read eight bytes at a time. A mantissa up to 2^53
-//      with at most 22 fraction digits is one double division by an exact
-//      power of ten (Clinger's fast path). Otherwise, where long double is
-//      x87's 64-bit format, the mantissa is divided by an exact long double
-//      10^f (f <= 27) and rounded to double, unless that quotient sits
-//      exactly on a double midpoint.
+// row is parsed in one walk over a column plan built at Open (each column's
+// kind and domain): every cell is parsed where it starts and must stop at
+// its own ',' (or the line's end), so a steady-state row costs no heap
+// allocation and no separate split. Numeric cells go through three tiers,
+// under one contract: a tier never accepts a cell strtod would refuse, and
+// returns strtod's bits when it accepts.
+//   1. Plain -?D+(.D*)? cells with at most 19 significant digits and at
+//      most 27 fraction digits are exact. Their digits are read eight bytes
+//      at a time into a mantissa w and a fraction digit count f. An integer
+//      up to 2^53 converts as it is; any other cell is Eisel-Lemire's w/10^f:
+//      w times a 128-bit 10^-f rounded up, whose top bits are the double and
+//      its rounding, ties to even. A product too close to a midpoint to
+//      decide declines the tier.
 //   2. Everything else goes to std::from_chars, which keeps only exact zeros
 //      and magnitudes strictly between DBL_MIN and DBL_MAX.
 //   3. Any cell neither takes whole (leading whitespace or '+', hex floats,
-//      inf/nan, subnormals, values at or past DBL_MIN/DBL_MAX, overflow) is
-//      handed to strtod on a copy, which decides its verdict and error text
-//      exactly as a std::getline + strtod reader would.
-// Categorical cells are a digit loop below the domain size, else strtol on a
-// copy (leading whitespace or a sign, "-0", codes at or past the domain).
+//      inf/nan, subnormals, values at or past DBL_MIN/DBL_MAX, overflow,
+//      underflow to zero) is handed to strtod on a copy, which decides its
+//      verdict and error text exactly as a std::getline + strtod reader
+//      would.
+// Categorical cells are a digit loop below the domain size, else strtol on
+// a copy (leading whitespace or a sign, "-0", codes at or past the domain).
+// A one-digit cell of either kind, followed by ',' or the line's end, is
+// read at once.
 
 #ifndef LDP_DATA_CSV_H_
 #define LDP_DATA_CSV_H_
@@ -100,7 +104,7 @@ class LineScanner {
 };
 
 /// Which tier of ParseNumericPrefix took a cell (for tests).
-enum class NumericTier { kExactDouble, kExactLongDouble, kFromChars };
+enum class NumericTier { kExact, kFromChars };
 
 /// The cell parsers CsvRowReader::NextRow calls where each cell starts,
 /// with `end` the end of the line. Each returns one past the last character
@@ -141,13 +145,22 @@ class CsvRowReader {
   uint64_t rows_read() const { return rows_read_; }
 
  private:
-  CsvRowReader(const Schema* schema, internal_csv::LineScanner lines)
-      : schema_(schema), lines_(std::move(lines)) {}
+  CsvRowReader(const Schema* schema, internal_csv::LineScanner lines);
+
+  // Reads column `col`'s cell, which starts at `cell` in `line`, as the
+  // strtod/strtol fallback does, and returns where it stops: the cell's ','
+  // or the line's end. Fails on a bad cell or a wrong cell count.
+  Result<const char*> FallbackCell(std::string_view line, size_t col,
+                                   const char* cell, double* value,
+                                   uint32_t* code) const;
 
   // The refusal for a data line whose cell count is not the schema's.
   Status CellCountError(std::string_view line) const;
 
   const Schema* schema_;
+  // The column plan: per column, 0 when numeric, else the categorical
+  // domain size (which Schema::Create keeps at 2 or more).
+  std::vector<uint32_t> domains_;
   internal_csv::LineScanner lines_;
   uint64_t rows_read_ = 0;
 };

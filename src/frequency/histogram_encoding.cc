@@ -27,18 +27,21 @@ HeOracle::HeOracle(double epsilon, uint32_t domain_size)
   LDP_CHECK(domain_size >= 2);
 }
 
+uint32_t HeOracle::PackComponent(double noisy) {
+  // Clamp into the packable range; at scale 2/ε this tail is negligible for
+  // any practical budget. +kOffset itself would pack as 2^32.
+  const double clamped =
+      Clamp(noisy, -kOffset, kOffset - 1.0 / kFixedPointScale);
+  return static_cast<uint32_t>(
+      std::llround((clamped + kOffset) * kFixedPointScale));
+}
+
 size_t HeOracle::PerturbInto(uint32_t value, Rng* rng, char* words) const {
   LDP_DCHECK(value < domain_size());
   for (uint32_t v = 0; v < domain_size(); ++v) {
     const double one_hot = (v == value) ? 1.0 : 0.0;
-    double noisy = one_hot + rng->Laplace(noise_scale_);
-    // Clamp into the packable range; at scale 2/ε this tail is negligible
-    // for any practical budget.
-    noisy = Clamp(noisy, -kOffset, kOffset);
     internal_frequency::PutWord(
-        words, v,
-        static_cast<uint32_t>(
-            std::llround((noisy + kOffset) * kFixedPointScale)));
+        words, v, PackComponent(one_hot + rng->Laplace(noise_scale_)));
   }
   return domain_size();
 }

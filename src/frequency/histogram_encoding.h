@@ -34,6 +34,11 @@ class HeOracle final : public FrequencyOracle {
   /// ±2047 are clamped; at scale 2/ε this is > 1000σ for any sane ε).
   static constexpr double kOffset = 2048.0;
 
+  /// One noisy component's payload word: `noisy` clamped to [−kOffset,
+  /// kOffset − 1/kFixedPointScale], offset by kOffset and rounded to fixed
+  /// point, so the top of the range packs as UINT32_MAX.
+  static uint32_t PackComponent(double noisy);
+
   HeOracle(double epsilon, uint32_t domain_size);
 
   size_t PerturbInto(uint32_t value, Rng* rng, char* words) const override;

@@ -240,6 +240,13 @@ TEST_F(CsvTest, AcceptSetMatchesStrtodReader) {
        kNumeric + "2.2250738585072012e-308'"},
       {"1.7976931348623157e308,1", true, kMax, 1, ""},
       {"1e-400,1", false, 0, 0, kNumeric + "1e-400'"},
+      // A nonzero mantissa that underflows to zero is ERANGE; a zero
+      // mantissa is an exact zero, whatever its exponent or spelling.
+      {"0.00000000000000000001e-330,1", false, 0, 0,
+       kNumeric + "0.00000000000000000001e-330'"},
+      {"0e-400,1", true, 0.0, 1, ""},
+      {"-0.0,1", true, -0.0, 1, ""},
+      {"0.000,1", true, 0.0, 1, ""},
       {"1e400,1", false, 0, 0, kNumeric + "1e400'"},
       {"inf,1", false, 0, 0, kNumeric + "inf'"},
       {"nan,1", false, 0, 0, kNumeric + "nan'"},
@@ -584,7 +591,7 @@ TEST(CsvParseCorpusTest, FastNumericPathIsStrtodBitForBit) {
   const double kMin = std::numeric_limits<double>::min();
   const double kMax = std::numeric_limits<double>::max();
   uint64_t fast_accepted = 0;
-  uint64_t by_tier[3] = {0, 0, 0};
+  uint64_t by_tier[2] = {0, 0};
   int reported = 0;
   for (const std::string& cell : corpus) {
     double reference = 0;
@@ -604,15 +611,18 @@ TEST(CsvParseCorpusTest, FastNumericPathIsStrtodBitForBit) {
     bool ok = fast_accepts
                   ? strtod_accepts && Bits(fast) == Bits(reference)
                   : !must_take;
-    // The exact tiers take no exponent, no 20th significant digit and no
-    // quotient on a double midpoint.
+    // The exact tier takes no exponent, no 20th significant digit and no
+    // 28th fraction digit.
     const size_t significant = cell.find_first_not_of("-0.");
     const bool plain = cell.find_first_of("eE") == std::string::npos;
+    const size_t point = cell.find('.');
     if (tier != internal_csv::NumericTier::kFromChars &&
-        (!plain || (significant != std::string::npos &&
-                    cell.size() - significant -
-                            (cell.find('.', significant) != std::string::npos) >
-                        19))) {
+        (!plain ||
+         (significant != std::string::npos &&
+          cell.size() - significant -
+                  (cell.find('.', significant) != std::string::npos) >
+              19) ||
+         (point != std::string::npos && cell.size() - point - 1 > 27))) {
       ok = false;
     }
     if (!ok && reported++ < 10) {
@@ -625,20 +635,15 @@ TEST(CsvParseCorpusTest, FastNumericPathIsStrtodBitForBit) {
   }
   EXPECT_EQ(reported, 0);
   EXPECT_GT(fast_accepted, corpus.size() / 2);
-  EXPECT_GT(by_tier[static_cast<int>(internal_csv::NumericTier::kExactDouble)],
-            0u);
-  if (std::numeric_limits<long double>::digits == 64) {
-    EXPECT_GT(
-        by_tier[static_cast<int>(internal_csv::NumericTier::kExactLongDouble)],
-        0u);
-  }
+  EXPECT_GT(by_tier[static_cast<int>(internal_csv::NumericTier::kExact)], 0u);
   EXPECT_GT(by_tier[static_cast<int>(internal_csv::NumericTier::kFromChars)],
             0u);
 }
 
-TEST(CsvParseCorpusTest, ExactMidpointsTakeTheFromCharsTier) {
+TEST(CsvParseCorpusTest, ExactMidpointsRoundToEvenInTheExactTier) {
   // 2^53 + 1 and its generated kin sit exactly between two doubles: the
-  // long double quotient cannot say which way to round, so from_chars does.
+  // product cannot tell them from their neighbours, so the exact tier checks
+  // the midpoint in integers and rounds it to even.
   std::mt19937_64 rng(9);
   std::vector<std::string> midpoints = {"9007199254740993",
                                         "-9007199254740995",
@@ -656,11 +661,91 @@ TEST(CsvParseCorpusTest, ExactMidpointsTakeTheFromCharsTier) {
     double reference = 0;
     ASSERT_TRUE(StrtodVerdict(cell, &reference)) << cell;
     double value = 0;
-    auto tier = internal_csv::NumericTier::kExactDouble;
+    auto tier = internal_csv::NumericTier::kFromChars;
     ASSERT_TRUE(ReaderTakesNumeric(cell, &value, &tier)) << cell;
-    EXPECT_EQ(tier, internal_csv::NumericTier::kFromChars) << cell;
+    EXPECT_EQ(tier, internal_csv::NumericTier::kExact) << cell;
     EXPECT_EQ(Bits(value), Bits(reference)) << cell;
   }
+}
+
+// w / 10^f spelled as a plain decimal: "0.005" for (5, 3), "123.45" for
+// (12345, 2).
+std::string Decimal(uint64_t mantissa, int fraction) {
+  std::string digits = std::to_string(mantissa);
+  if (static_cast<int>(digits.size()) <= fraction) {
+    digits.insert(0, fraction + 1 - digits.size(), '0');
+  }
+  if (fraction > 0) digits.insert(digits.size() - fraction, ".");
+  return digits;
+}
+
+TEST(CsvParseCorpusTest, ExactTierFamiliesAreStrtodBitForBit) {
+  // Each family as (mantissa, fraction digits), signed at random. Every cell
+  // parses to strtod's bits, in the exact tier when its mantissa has at most
+  // 19 digits and at most 27 fraction digits, else in the from_chars tier.
+  std::mt19937_64 rng(30);
+  std::vector<std::pair<uint64_t, int>> cells;
+  // 17-19-digit mantissas at every fraction length the table covers.
+  for (int fraction = 1; fraction <= 27; ++fraction) {
+    for (const uint64_t low : {uint64_t{10000000000000000},
+                               uint64_t{100000000000000000},
+                               uint64_t{1000000000000000000}}) {
+      for (int i = 0; i < 1000; ++i) {
+        cells.emplace_back(low + rng() % (9 * low), fraction);
+      }
+    }
+  }
+  // Mantissas at 2^53 +- k (integers on both sides of 2^53 at f = 0), just
+  // under 10^19 (the longest exact mantissas) and at 2^64 - k (20 digits).
+  for (int fraction = 0; fraction <= 28; ++fraction) {
+    for (uint64_t k = 0; k <= 64; ++k) {
+      cells.emplace_back((uint64_t{1} << 53) + k, fraction);
+      cells.emplace_back((uint64_t{1} << 53) - k, fraction);
+      cells.emplace_back(uint64_t{9999999999999999999u} - k, fraction);
+      cells.emplace_back(~uint64_t{0} - k, fraction);
+    }
+  }
+  // Integers of every length up to 19 digits.
+  for (int i = 0; i < 20000; ++i) {
+    cells.emplace_back(rng() >> (rng() % 64), 0);
+  }
+  // Exact double midpoints m * 2^j / 2^s for an odd m in (2^53, 2^54),
+  // spelled as w / 10^s with w = m * 2^j * 5^s, and the decimals 1 in the
+  // last digit either side of each.
+  for (int i = 0; i < 20000; ++i) {
+    const uint64_t odd =
+        (uint64_t{1} << 53) + 1 + 2 * (rng() % (uint64_t{1} << 52));
+    const int fraction = static_cast<int>(rng() % 5);
+    unsigned __int128 midpoint = static_cast<unsigned __int128>(odd)
+                                 << (rng() % 4);
+    for (int f = 0; f < fraction; ++f) midpoint *= 5;
+    if (midpoint >= ~uint64_t{0}) continue;
+    for (const uint64_t w : {static_cast<uint64_t>(midpoint) - 1,
+                             static_cast<uint64_t>(midpoint),
+                             static_cast<uint64_t>(midpoint) + 1}) {
+      cells.emplace_back(w, fraction);
+    }
+  }
+  int reported = 0;
+  for (const auto& [mantissa, fraction] : cells) {
+    const std::string cell = (rng() % 2 ? "-" : "") + Decimal(mantissa, fraction);
+    double reference = 0;
+    ASSERT_TRUE(StrtodVerdict(cell, &reference)) << cell;
+    double value = 0;
+    auto tier = internal_csv::NumericTier::kFromChars;
+    const bool taken = ReaderTakesNumeric(cell, &value, &tier);
+    const bool exact =
+        std::to_string(mantissa).size() <= 19 && fraction <= 27;
+    if ((!taken || Bits(value) != Bits(reference) ||
+         tier != (exact ? internal_csv::NumericTier::kExact
+                        : internal_csv::NumericTier::kFromChars)) &&
+        reported++ < 10) {
+      ADD_FAILURE() << "cell '" << cell << "': strtod " << reference
+                    << ", reader " << (taken ? "takes " : "declines ")
+                    << value << " (tier " << static_cast<int>(tier) << ")";
+    }
+  }
+  EXPECT_EQ(reported, 0);
 }
 
 TEST(CsvParseCorpusTest, TwentyDigitMantissasDeclineTheExactTiers) {
@@ -672,7 +757,7 @@ TEST(CsvParseCorpusTest, TwentyDigitMantissasDeclineTheExactTiers) {
     double reference = 0;
     ASSERT_TRUE(StrtodVerdict(cell, &reference)) << cell;
     double value = 0;
-    auto tier = internal_csv::NumericTier::kExactDouble;
+    auto tier = internal_csv::NumericTier::kExact;
     ASSERT_TRUE(ReaderTakesNumeric(cell, &value, &tier)) << cell;
     EXPECT_EQ(tier, internal_csv::NumericTier::kFromChars) << cell;
     EXPECT_EQ(Bits(value), Bits(reference)) << cell;

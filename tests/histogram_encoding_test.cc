@@ -50,6 +50,30 @@ TEST(HeOracleTest, FixedPointRoundTripIsTight) {
   }
 }
 
+TEST(HeOracleTest, PackComponentClampsIntoTheWordRange) {
+  // The range's top packs as UINT32_MAX, never wrapping to word 0 (which
+  // unpacks as -2048); values inside the range pack as they are.
+  constexpr uint32_t kMaxWord = 0xFFFFFFFF;
+  EXPECT_EQ(HeOracle::PackComponent(2048.0), kMaxWord);
+  EXPECT_EQ(HeOracle::PackComponent(1e300), kMaxWord);
+  EXPECT_EQ(HeOracle::PackComponent(2048.0 - std::ldexp(1.0, -22)), kMaxWord);
+  EXPECT_EQ(HeOracle::PackComponent(2048.0 - std::ldexp(1.0, -20)), kMaxWord);
+  EXPECT_EQ(HeOracle::PackComponent(2047.5), 4095u << 20 | 1u << 19);
+  EXPECT_EQ(HeOracle::PackComponent(0.0), 2048u << 20);
+  EXPECT_EQ(HeOracle::PackComponent(-2048.0), 0u);
+  EXPECT_EQ(HeOracle::PackComponent(-1e300), 0u);
+
+  // A clamped-high component unpacks as the top of the range.
+  const HeOracle oracle(1.0, 2);
+  const std::vector<uint32_t> report = {HeOracle::PackComponent(2048.0),
+                                        HeOracle::PackComponent(-2048.0)};
+  std::vector<uint64_t> support(oracle.SupportSize(), 0);
+  oracle.Accumulate(report, &support);
+  const std::vector<double> unpacked = oracle.Estimate(support, 1);
+  EXPECT_EQ(unpacked[0], 2048.0 - std::ldexp(1.0, -20));
+  EXPECT_EQ(unpacked[1], -2048.0);
+}
+
 TEST(HeOracleTest, EndToEndEstimatesAreUnbiased) {
   const HeOracle oracle(1.0, 4);
   Rng rng(3);
