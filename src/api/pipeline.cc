@@ -8,6 +8,7 @@
 #include "api/server_session.h"
 #include "baselines/duchi_multi_dim.h"
 #include "core/wire.h"
+#include "data/encode.h"
 #include "util/check.h"
 
 namespace ldp::api {
@@ -86,8 +87,11 @@ Result<CollectionOutput> RunProposed(const MixedTupleCollector& collector,
   const uint32_t d = schema.num_columns();
   MixedAggregator total(&collector);
   std::mutex total_mutex;
+  // A refused row stops its chunk; the lowest chunk's refusal is the
+  // first in row order, whatever the schedule.
+  std::vector<Status> refusals(ParallelForChunkCount(pool, dataset.num_rows()));
   ParallelFor(pool, dataset.num_rows(),
-              [&](unsigned /*chunk*/, uint64_t begin, uint64_t end) {
+              [&](unsigned chunk, uint64_t begin, uint64_t end) {
                 MixedAggregator local(&collector);
                 MixedFrameDecoder decoder(&collector);
                 std::string report;
@@ -102,7 +106,15 @@ Result<CollectionOutput> RunProposed(const MixedTupleCollector& collector,
                   }
                   Rng rng = UserRng(seed, row);
                   report.clear();
-                  collector.AppendReport(tuple, &rng, &report);
+                  const Status appended =
+                      collector.AppendReport(tuple, &rng, &report);
+                  if (!appended.ok()) {
+                    refusals[chunk] = Status(
+                        appended.code(),
+                        "row " + std::to_string(row) + ", " +
+                            appended.message());
+                    return;
+                  }
                   const char* rejected =
                       decoder.DecodeInto(report.data(), report.size(), &local);
                   LDP_CHECK_MSG(rejected == nullptr, rejected);
@@ -110,6 +122,7 @@ Result<CollectionOutput> RunProposed(const MixedTupleCollector& collector,
                 std::lock_guard<std::mutex> lock(total_mutex);
                 LDP_CHECK(total.Merge(local).ok());
               });
+  for (const Status& refusal : refusals) LDP_RETURN_IF_ERROR(refusal);
 
   for (const uint32_t col : out.numeric_columns) {
     double mean = 0.0;
@@ -279,9 +292,8 @@ void RowToTuple(const data::Schema& schema,
   for (size_t col = 0; col < columns.size(); ++col) {
     const data::ColumnSpec& spec = columns[col];
     if (spec.type == data::ColumnType::kNumeric) {
-      const double mid = (spec.hi + spec.lo) / 2.0;
-      const double half_width = (spec.hi - spec.lo) / 2.0;
-      (*tuple)[col].numeric = (numeric_row[col] - mid) / half_width;
+      (*tuple)[col].numeric =
+          data::NormalizeToUnit(numeric_row[col], spec.lo, spec.hi);
     } else {
       (*tuple)[col].category = category_row[col];
     }
@@ -388,7 +400,7 @@ Result<std::string> ClientSession::EncodeReport(const MixedTuple& row,
   LDP_RETURN_IF_ERROR(CheckRowWidth(row, *state_->collector));
   // Straight into the result: most k = 1 reports fit its small-string room.
   std::string report;
-  state_->collector->AppendReport(row, rng, &report);
+  LDP_RETURN_IF_ERROR(state_->collector->AppendReport(row, rng, &report));
   if (report.size() > stream::kMaxFrameBytes) {
     return Status::InvalidArgument("frame payload exceeds kMaxFrameBytes");
   }

@@ -85,11 +85,11 @@ Result<std::vector<MixedAttribute>> AttributesFromSchema(
 
 /// Normalises one streamed CSV row (the data::CsvRowReader output vectors)
 /// into a canonical tuple: each numeric cell is mapped from its schema
-/// [lo, hi] to the mechanisms' [-1, 1] with the same arithmetic as
-/// data::NormalizeNumeric — the bit-exact reproduction contract between the
-/// streaming tools and the materializing pipeline depends on this being the
-/// one shared implementation. `tuple` must be sized to the schema's column
-/// count.
+/// [lo, hi] to the mechanisms' [-1, 1] by data::NormalizeToUnit, exactly as
+/// data::NormalizeNumeric maps it — the bit-exact reproduction contract
+/// between the streaming tools and the materializing pipeline. An in-range
+/// cell whose quotient rounds an ulp past ±1 lands on ±1. `tuple` must be
+/// sized to the schema's column count.
 void RowToTuple(const data::Schema& schema,
                 const std::vector<double>& numeric_row,
                 const std::vector<uint32_t>& category_row, MixedTuple* tuple);
@@ -155,7 +155,8 @@ class ClientSession {
   /// one length-prefixed frame, in place at its end. Into a buffer the
   /// caller reuses, a steady-state report allocates nothing. Numeric
   /// coordinates must be in [-1, 1], categorical ones within their domains.
-  /// Fails on a row of the wrong width, or a report over
+  /// Fails on a row of the wrong width, a sampled numeric coordinate outside
+  /// [-1, 1] (refused before it is perturbed), or a report over
   /// stream::kMaxFrameBytes, leaving `frames` as it was.
   Status AppendFrame(const MixedTuple& row, Rng* rng,
                      std::string* frames) const;
@@ -197,7 +198,9 @@ class Pipeline {
   /// across threads without changing the results (except a baseline's
   /// numeric means, which are double sums). The proposed collection folds
   /// the frames a client would send, so it refuses what NewClient refuses:
-  /// an oracle whose payloads a mixed frame cannot count (InvalidArgument).
+  /// an oracle whose payloads a mixed frame cannot count (InvalidArgument),
+  /// and a sampled numeric value outside [-1, 1], refused before it is
+  /// perturbed (InvalidArgument naming the first such row).
   Result<CollectionOutput> Collect(const data::Dataset& dataset, uint64_t seed,
                                    ThreadPool* pool = nullptr) const;
 

@@ -441,102 +441,103 @@ Status ServerSession::FeedLocked(size_t shard, const char* data, size_t size) {
   return state.ingester->Feed(data, size);
 }
 
-Status ServerSession::CloseShard(size_t shard) {
+Status ServerSession::CloseShardAsync(size_t shard, CloseStart start,
+                                      CloseDone done) {
   // Close latency covers the queued-chunk drain plus the merge — the
   // interval a caller awaiting the verdict actually waits on.
-  const uint64_t close_started_ns =
-      metrics_.enabled() ? obs::SteadyNowNs() : 0;
-  std::unique_lock<std::mutex> lock(*mutex_);
-  if (shard >= shards_.size()) {
-    return Status::OutOfRange("unknown shard id");
+  const uint64_t queued_ns = metrics_.enabled() ? obs::SteadyNowNs() : 0;
+  std::shared_ptr<stream::ShardIngester> ingester;
+  {
+    std::lock_guard<std::mutex> lock(*mutex_);
+    if (shard >= shards_.size()) {
+      return Status::OutOfRange("unknown shard id");
+    }
+    // Detach the ingester: later Feed calls on this shard get "already
+    // closed" instead of queueing behind the close, so when the close task
+    // runs the ingester is quiescent and owned by it. The shard still
+    // counts as open (AdvanceEpoch keeps refusing) until the task commits.
+    ingester = std::move(shards_[shard].ingester);
+    if (ingester == nullptr) {
+      return Status::FailedPrecondition("shard is already closed");
+    }
   }
-  // Detach the ingester first: racing Feed calls on this shard now get
-  // "already closed" instead of enqueueing behind the drain, so after
-  // DrainShard the ingester is quiescent and owned by this thread. The
-  // shard still counts as open (AdvanceEpoch keeps refusing) until the
-  // merge below commits.
-  std::unique_ptr<stream::ShardIngester> ingester =
-      std::move(shards_[shard].ingester);
-  if (ingester == nullptr) {
-    return Status::FailedPrecondition("shard is already closed");
+  // The strand's last task. It never waits on its own strand: every chunk
+  // fed before the detach is already queued ahead of it.
+  auto close = [this, shard, queued_ns, ingester = std::move(ingester),
+                start = std::move(start), done = std::move(done)] {
+    const Status begun = start ? start() : Status::OK();
+    // Finish() reports any framing error a worker hit (the ingester's
+    // status is sticky); an abandoned shard skips it.
+    const Status finished = begun.ok() ? ingester->Finish() : begun;
+    const stream::ShardIngester::Stats stats = ingester->stats();
+    Status verdict = finished;
+    {
+      std::lock_guard<std::mutex> lock(*mutex_);
+      // A failed shard contributes nothing: its aggregate is discarded so
+      // one poisoned stream cannot corrupt the epoch.
+      if (finished.ok()) verdict = epochs_.back().Merge(ingester->aggregator());
+      shards_[shard].final_stats = stats;
+      --open_shards_;
+      if (metrics_.enabled()) {
+        if (begun.ok()) {
+          metrics_.shards_closed->Increment();
+          metrics_.close_wait_us->Observe((obs::SteadyNowNs() - queued_ns) /
+                                          1000);
+        } else {
+          metrics_.shards_abandoned->Increment();
+        }
+      }
+      if (options_.journal != nullptr) {
+        options_.journal->Record(begun.ok() ? obs::EventKind::kShardClose
+                                            : obs::EventKind::kShardAbandon,
+                                 shard, epochs_.size() - 1);
+      }
+    }
+    if (done) done(verdict, stats);
+  };
+  if (pool_ == nullptr) {
+    close();
+  } else {
+    pool_->SubmitSerial(shard, std::move(close));
   }
-  if (pool_ != nullptr) {
-    // Drain without the session lock: other shards' producers keep
-    // enqueueing while this shard's backlog decodes.
-    lock.unlock();
-    DrainShard(shard);
-    lock.lock();
-  }
-  // Finish() reports any framing error a worker hit (the ingester's status
-  // is sticky).
-  const Status finished = ingester->Finish();
-  shards_[shard].final_stats = ingester->stats();
-  // A failed shard contributes nothing: its aggregate is discarded so one
-  // poisoned stream cannot corrupt the epoch.
-  Status merged = Status::OK();
-  if (finished.ok()) {
-    merged = epochs_.back().Merge(ingester->aggregator());
-  }
-  --open_shards_;
-  if (metrics_.enabled()) {
-    metrics_.shards_closed->Increment();
-    metrics_.close_wait_us->Observe(
-        (obs::SteadyNowNs() - close_started_ns) / 1000);
-  }
-  if (options_.journal != nullptr) {
-    options_.journal->Record(obs::EventKind::kShardClose, shard,
-                             epochs_.size() - 1);
-  }
-  if (!finished.ok()) return finished;
-  return merged;
+  return Status::OK();
+}
+
+Status ServerSession::CloseShard(size_t shard) {
+  Status verdict = Status::OK();
+  LDP_RETURN_IF_ERROR(CloseShardAsync(
+      shard, nullptr,
+      [&verdict](const Status& closed, const stream::ShardIngester::Stats&) {
+        verdict = closed;
+      }));
+  DrainShard(shard);
+  return verdict;
 }
 
 Result<stream::ShardIngester::Stats> ServerSession::AbandonShard(
     size_t shard) {
-  std::unique_lock<std::mutex> lock(*mutex_);
-  if (shard >= shards_.size()) {
-    return Status::OutOfRange("unknown shard id");
-  }
-  // Detach-then-drain, exactly like CloseShard: racing Feed calls get
-  // "already closed", and after the drain the ingester is quiescent.
-  std::unique_ptr<stream::ShardIngester> ingester =
-      std::move(shards_[shard].ingester);
-  if (ingester == nullptr) {
-    return Status::FailedPrecondition("shard is already closed");
-  }
-  if (pool_ != nullptr) {
-    lock.unlock();
-    DrainShard(shard);
-    lock.lock();
-  }
-  shards_[shard].final_stats = ingester->stats();
-  --open_shards_;
-  if (metrics_.enabled()) metrics_.shards_abandoned->Increment();
-  if (options_.journal != nullptr) {
-    options_.journal->Record(obs::EventKind::kShardAbandon, shard,
-                             epochs_.size() - 1);
-  }
-  return shards_[shard].final_stats;
+  stream::ShardIngester::Stats final_stats;
+  LDP_RETURN_IF_ERROR(CloseShardAsync(
+      shard, [] { return Status::FailedPrecondition("shard abandoned"); },
+      [&final_stats](const Status&, const stream::ShardIngester::Stats& stats) {
+        final_stats = stats;
+      }));
+  DrainShard(shard);
+  return final_stats;
 }
 
 Result<stream::ShardIngester::Stats> ServerSession::ShardStats(
     size_t shard) const {
-  std::unique_lock<std::mutex> lock(*mutex_);
+  // Drain first, without the lock (a close task takes it): the stats then
+  // cover every chunk fed before the call, and a close already queued has
+  // committed its final statistics.
+  DrainShard(shard);
+  std::lock_guard<std::mutex> lock(*mutex_);
   if (shard >= shards_.size()) {
     return Status::OutOfRange("unknown shard id");
   }
   if (shards_[shard].ingester == nullptr) {
     return shards_[shard].final_stats;
-  }
-  if (pool_ != nullptr) {
-    // Drain without the session lock (other shards keep flowing), then
-    // re-check: the shard may have been closed while unlocked.
-    lock.unlock();
-    DrainShard(shard);
-    lock.lock();
-    if (shards_[shard].ingester == nullptr) {
-      return shards_[shard].final_stats;
-    }
   }
   return shards_[shard].ingester->stats();
 }
@@ -551,7 +552,9 @@ Status ServerSession::IngestInputs(const std::vector<std::string>& paths,
   // never touch session state, and the merges below must see a stable
   // epoch table.
   std::lock_guard<std::mutex> lock(*mutex_);
-  if (pool == nullptr) pool = pool_.get();
+  // A close task on the session's own pool takes this lock, so the pool
+  // serves only while no shard is open (none can open or close meanwhile).
+  if (pool == nullptr && open_shards_ == 0) pool = pool_.get();
   // Phase 1, concurrent: each worker opens its inputs and loads them.
   const size_t n = paths.size();
   std::vector<LoadedInput> loaded(n);

@@ -18,8 +18,9 @@
 // owns a util::ThreadPool and Feed becomes asynchronous — each open shard is
 // a serial queue keyed by its shard id, so chunks of one shard decode in
 // Feed-call order (the stream stays intact) while different shards decode
-// concurrently. CloseShard and ShardStats are the drain points: they block
-// until the shard's queued chunks are consumed. Per-shard byte order is
+// concurrently. A close is the last task on its shard's strand
+// (CloseShardAsync); CloseShard, AbandonShard and ShardStats block until
+// the shard's queued chunks are consumed. Per-shard byte order is
 // preserved, so a concurrent session is bit-identical to the serial one at
 // every thread count — snapshots and estimates included. The whole public
 // surface is additionally thread-safe (one internal mutex), so multiple
@@ -44,6 +45,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -181,30 +183,50 @@ class ServerSession {
     return Feed(shard, bytes.data(), bytes.size());
   }
 
-  /// Declares end-of-stream on shard `shard` and folds its aggregate into
-  /// the current epoch. On a concurrent session this is a drain point: it
-  /// blocks until the shard's queued chunks are decoded (without stalling
-  /// other shards' Feed calls), then merges on the calling thread.
+  /// Decides, as a strand close starts, what becomes of the shard: OK
+  /// merges it, any other status abandons it and is the verdict.
+  using CloseStart = std::function<Status()>;
+  /// Receives a strand close's verdict and the shard's final statistics.
+  using CloseDone = std::function<void(
+      const Status& verdict, const stream::ShardIngester::Stats& stats)>;
+
+  /// Declares end-of-stream on shard `shard` without waiting. The close is
+  /// the last task on the shard's strand, behind every chunk fed before the
+  /// call: on a pool worker, or inline before this returns on a session
+  /// without ingest threads. The task calls `start` (null merges), folds
+  /// the shard into the current epoch under the session lock — or abandons
+  /// it when `start` refused — and hands `done` (may be null) the verdict,
+  /// still on the strand. Feed calls after this one get "already closed".
+  /// Fails, queueing nothing, for an unknown or already closed shard. The
+  /// session must not be moved while a close is in flight.
+  Status CloseShardAsync(size_t shard, CloseStart start, CloseDone done);
+
+  /// CloseShardAsync, then a wait for the verdict: declares end-of-stream
+  /// on shard `shard` and folds its aggregate into the current epoch. Other
+  /// shards' Feed calls are not stalled meanwhile.
   Status CloseShard(size_t shard);
 
-  /// Discards shard `shard` without merging anything: drains its queued
-  /// chunks, records final stats, and frees the ingester. The transport
-  /// edge calls this when a reporter's connection dies mid-stream — an
-  /// aborted upload must contribute nothing, even if it happened to stop on
-  /// a frame boundary. Returns the shard's final statistics.
+  /// Discards shard `shard` without merging anything, through the same
+  /// strand close as CloseShard (its queued chunks drain first), and
+  /// returns its final statistics. The transport edge calls this when a
+  /// reporter's connection dies mid-stream — an aborted upload must
+  /// contribute nothing, even if it happened to stop on a frame boundary.
   Result<stream::ShardIngester::Stats> AbandonShard(size_t shard);
 
   /// Per-shard framing/decoding statistics (valid for open or closed
   /// shards, any epoch). A drain point on concurrent sessions, like
-  /// CloseShard, so the stats cover every chunk fed before the call.
+  /// CloseShard, so the stats cover every chunk fed before the call — and,
+  /// for a shard whose close is queued, are its final statistics.
   Result<stream::ShardIngester::Stats> ShardStats(size_t shard) const;
 
   /// Bulk-loads input files; the session's only batch loader. Each path is
-  /// opened once, on a worker of `pool` (falling back to the session's own
-  /// ingest pool, then to inline, when null), and recognised by its magic: a
-  /// report stream ('LDPS') decodes through a ShardIngester with the
-  /// session's ingest options, a session snapshot ('LDPE') is read whole.
-  /// Anything else is refused with InvalidArgument. The loaded inputs then
+  /// opened once, on a worker of `pool` (when null: the session's own
+  /// ingest pool while no shard is open — an open shard's close task would
+  /// wait on this call's lock there — else inline), and recognised by its
+  /// magic: a report stream ('LDPS') decodes through a ShardIngester with
+  /// the session's ingest options, a session snapshot ('LDPE') is read
+  /// whole. Anything else is refused with InvalidArgument. The loaded
+  /// inputs then
   /// merge — report streams into the epoch current at the call, session
   /// snapshots epoch-aligned (see Merge); the result does not depend on the
   /// arguments' order. If any input fails to load, nothing merges and the
@@ -287,10 +309,8 @@ class ServerSession {
   };
   ReporterMetricHandles ReporterMetrics(const std::string& reporter_id);
 
-  /// Blocks until shard `shard`'s queued chunks are decoded (no-op on
-  /// synchronous sessions). Callers drop mutex_ for the wait so other
-  /// shards keep flowing, though holding it would not deadlock — worker
-  /// tasks never take it.
+  /// Blocks until shard `shard`'s strand is empty (no-op on synchronous
+  /// sessions). Callers must not hold mutex_: a close task takes it.
   void DrainShard(size_t shard) const;
 
   std::shared_ptr<const internal_api::PipelineState> state_;
@@ -300,11 +320,12 @@ class ServerSession {
   /// Reporter ids granted their own labeled metric series (bounded; see
   /// ReporterMetrics).
   std::set<std::string> labeled_reporters_;
-  /// Guards everything below plus accountant_. Worker tasks touch only
-  /// their shard's ingester and AsyncShardError, never this mutex, so drain
-  /// points may hold it while waiting. Heap-allocated to keep the session
-  /// movable (Result<ServerSession> moves it); moving a session with feeds
-  /// in flight is safe — tasks reference only heap state.
+  /// Guards everything below plus accountant_. Decode tasks touch only
+  /// their shard's ingester and AsyncShardState; a close task takes this
+  /// mutex to merge, so no drain point may hold it while waiting.
+  /// Heap-allocated to keep the session movable (Result<ServerSession>
+  /// moves it); moving a session with feeds in flight is safe — decode
+  /// tasks reference only heap state.
   std::unique_ptr<std::mutex> mutex_;
   std::vector<MixedAggregator> epochs_;
   std::vector<ShardState> shards_;  // every shard ever opened (ids stable)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <map>
 
@@ -93,8 +94,8 @@ char* ReportScratch(size_t bytes) {
 
 }  // namespace
 
-void MixedTupleCollector::AppendReport(const MixedTuple& tuple, Rng* rng,
-                                       std::string* out) const {
+Status MixedTupleCollector::AppendReport(const MixedTuple& tuple, Rng* rng,
+                                         std::string* out) const {
   using internal_wire::StoreLittleEndian;
   LDP_CHECK(tuple.size() == schema_.size());
   // On the stack up to kScanMaxPicks, past which the sampler allocates too.
@@ -118,7 +119,14 @@ void MixedTupleCollector::AppendReport(const MixedTuple& tuple, Rng* rng,
     StoreLittleEndian(entry, attribute);
     if (slot.oracle == nullptr) {
       const double t = tuple[attribute].numeric;
-      LDP_DCHECK(t >= -1.0 && t <= 1.0);
+      if (__builtin_expect(!(t >= -1.0 && t <= 1.0), 0)) {
+        char value[32];
+        std::snprintf(value, sizeof(value), "%.17g", t);
+        return Status::InvalidArgument("attribute " +
+                                       std::to_string(attribute) +
+                                       ": numeric value " + value +
+                                       " is outside [-1, 1]");
+      }
       const double value = numeric_scale_ * scalar_->Perturb(t, rng);
       uint64_t bits = 0;
       std::memcpy(&bits, &value, sizeof(bits));
@@ -138,6 +146,7 @@ void MixedTupleCollector::AppendReport(const MixedTuple& tuple, Rng* rng,
     entry += 7 + 4 * count;
   }
   out->append(report, static_cast<size_t>(entry - report));
+  return Status::OK();
 }
 
 MixedAggregator::MixedAggregator(const MixedTupleCollector* collector)

@@ -105,9 +105,13 @@ class MixedTupleCollector {
   /// appending its wire bytes (core/wire.h) to `out`. Draws the sample
   /// (SampleWithoutReplacement), then each entry's perturbation in sample
   /// order, into a per-thread scratch, then appends the report in one go.
-  /// Allocates nothing once `out` (and the scratch) have room. Aborts on an
-  /// oracle CheckWireEncodable refuses.
-  void AppendReport(const MixedTuple& tuple, Rng* rng, std::string* out) const;
+  /// Allocates nothing once `out` (and the scratch) have room. A sampled
+  /// numeric coordinate outside [-1, 1] (NaN included) is refused with
+  /// InvalidArgument before it is perturbed — the mechanisms are ε-LDP only
+  /// on that domain — leaving `out` as it was. Aborts on an oracle
+  /// CheckWireEncodable refuses.
+  Status AppendReport(const MixedTuple& tuple, Rng* rng,
+                      std::string* out) const;
 
   double epsilon() const { return epsilon_; }
   uint32_t dimension() const { return static_cast<uint32_t>(schema_.size()); }
@@ -151,6 +155,18 @@ class MixedTupleCollector {
     return oracles_[attribute].get();
   }
 
+  /// Per attribute: its oracle (null when numeric) and the longest payload
+  /// that oracle can emit, so the encoder and the wire decoder read an
+  /// attribute's wire limit and byte bound without a virtual call.
+  struct AttributeSlot {
+    const FrequencyOracle* oracle = nullptr;
+    size_t max_payload = 0;
+  };
+
+  /// The per-attribute table, one slot per attribute (built once, at
+  /// construction).
+  const std::vector<AttributeSlot>& attribute_slots() const { return slots_; }
+
  private:
   MixedTupleCollector(
       std::vector<MixedAttribute> schema, double epsilon, uint32_t k,
@@ -173,14 +189,6 @@ class MixedTupleCollector {
                                            oracle->MaxReportSize()});
     }
   }
-
-  // Per attribute: its oracle (null when numeric) and the longest payload
-  // that oracle can emit, so a report reads its wire limit and its byte
-  // bound without a virtual call.
-  struct AttributeSlot {
-    const FrequencyOracle* oracle = nullptr;
-    size_t max_payload = 0;
-  };
 
   std::vector<MixedAttribute> schema_;
   double epsilon_;

@@ -28,14 +28,10 @@ Status CheckWireEncodable(const MixedTupleCollector& collector) {
 }
 
 MixedFrameDecoder::MixedFrameDecoder(const MixedTupleCollector* collector)
-    : slots_(collector->dimension()),
+    : slots_(collector->attribute_slots().data()),
+      num_slots_(collector->dimension()),
       max_abs_value_(collector->numeric_bound()),
-      entries_(collector->k()) {
-  for (uint32_t j = 0; j < collector->dimension(); ++j) {
-    const FrequencyOracle* oracle = collector->oracle_for(j);
-    if (oracle != nullptr) slots_[j] = {oracle, oracle->MaxReportSize()};
-  }
-}
+      entries_(collector->k()) {}
 
 const char* MixedFrameDecoder::Validate(const char* data, size_t size) {
   // Every check runs before anything is folded, in the order that fixes
@@ -48,10 +44,10 @@ const char* MixedFrameDecoder::Validate(const char* data, size_t size) {
   for (uint16_t i = 0; i < count; ++i) {
     MixedEntryView& entry = entries_[i];
     if (!reader.TryU32(&entry.attribute)) return kTruncated;
-    if (entry.attribute >= slots_.size()) {
+    if (entry.attribute >= num_slots_) {
       return "attribute index out of range";
     }
-    const AttributeSlot& slot = slots_[entry.attribute];
+    const MixedTupleCollector::AttributeSlot& slot = slots_[entry.attribute];
     entry.oracle = slot.oracle;
     uint8_t kind = 0;
     if (!reader.TryU8(&kind)) return kTruncated;

@@ -215,13 +215,9 @@ class MixedFrameDecoder {
   const std::vector<MixedEntryView>& entries() const { return entries_; }
 
  private:
-  // Per attribute: its oracle (null when numeric) and the longest payload
-  // that oracle can emit.
-  struct AttributeSlot {
-    const FrequencyOracle* oracle = nullptr;
-    size_t max_payload = 0;
-  };
-  std::vector<AttributeSlot> slots_;
+  // The collector's per-attribute table (attribute_slots()).
+  const MixedTupleCollector::AttributeSlot* slots_;
+  uint32_t num_slots_;
   double max_abs_value_;  // MixedTupleCollector::numeric_bound()
   std::vector<MixedEntryView> entries_;  // k views into the current frame
 };

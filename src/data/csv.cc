@@ -8,6 +8,7 @@
 #include <cfloat>
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
@@ -487,8 +488,9 @@ CsvRowReader::CsvRowReader(const Schema* schema,
                            internal_csv::LineScanner lines)
     : schema_(schema), lines_(std::move(lines)) {
   for (const ColumnSpec& spec : schema->columns()) {
-    domains_.push_back(spec.type == ColumnType::kNumeric ? 0
-                                                         : spec.domain_size);
+    const bool numeric = spec.type == ColumnType::kNumeric;
+    domains_.push_back(numeric ? 0 : spec.domain_size);
+    ranges_.push_back({numeric ? spec.lo : 0.0, numeric ? spec.hi : 0.0});
   }
 }
 
@@ -509,6 +511,7 @@ Result<bool> CsvRowReader::NextRow(std::vector<double>* numeric,
   // starts, and the parse must stop exactly at the cell's ',' (or the line's
   // end, for the last).
   const uint32_t* const domains = domains_.data();
+  const NumericRange* const ranges = ranges_.data();
   const size_t width = domains_.size();
   numeric->resize(width);
   category->resize(width);
@@ -547,6 +550,13 @@ Result<bool> CsvRowReader::NextRow(std::vector<double>* numeric,
         stop = taken.value();
       }
     }
+    // The mechanisms are ε-LDP only on the schema's domain: a numeric cell
+    // outside [lo, hi] is refused before anything is drawn for it.
+    if (domain == 0 && __builtin_expect(!(values[col] >= ranges[col].lo &&
+                                          values[col] <= ranges[col].hi),
+                                        0)) {
+      return RangeError(col, std::string_view(cell, stop - cell));
+    }
     if (last) break;
     cell = stop + 1;
   }
@@ -578,6 +588,16 @@ Result<const char*> CsvRowReader::FallbackCell(std::string_view line,
         (domain == 0 ? "numeric" : "categorical") + " cell '" + text + "'");
   }
   return stop;
+}
+
+Status CsvRowReader::RangeError(size_t col, std::string_view text) const {
+  const ColumnSpec& spec = schema_->columns()[col];
+  char range[64];
+  std::snprintf(range, sizeof(range), "[%.17g, %.17g]", spec.lo, spec.hi);
+  return Status::InvalidArgument(
+      "row " + std::to_string(rows_read_) + ", column '" + spec.name +
+      "': numeric cell '" + std::string(text) +
+      "' is outside the schema's range " + range);
 }
 
 Status CsvRowReader::CellCountError(std::string_view line) const {

@@ -59,8 +59,8 @@ Status WriteCsv(const Dataset& dataset, const std::string& path);
 
 /// Reads a CSV written in the format above. The file's header must match
 /// `schema`'s column names exactly (order included); cells are validated
-/// against the schema (numeric parseable and finite, categorical codes in
-/// range).
+/// against the schema (numeric parseable, finite and within the column's
+/// [lo, hi], categorical codes in range).
 Result<Dataset> ReadCsv(const Schema& schema, const std::string& path);
 
 /// Counts data rows (non-empty lines after the header row) without
@@ -136,8 +136,8 @@ class CsvRowReader {
   /// per schema column: a numeric column fills its `numeric` slot, a
   /// categorical column its `category` slot (the sibling slot is zeroed).
   /// Returns true when a row was read, false on clean end of file, and an
-  /// error on a malformed row (reported with its data-row index, matching
-  /// ReadCsv).
+  /// error on a malformed row or a numeric cell outside its column's
+  /// [lo, hi] (reported with its data-row index, matching ReadCsv).
   Result<bool> NextRow(std::vector<double>* numeric,
                        std::vector<uint32_t>* category);
 
@@ -157,10 +157,20 @@ class CsvRowReader {
   // The refusal for a data line whose cell count is not the schema's.
   Status CellCountError(std::string_view line) const;
 
+  // The refusal for numeric column `col`'s cell `text`, outside [lo, hi].
+  Status RangeError(size_t col, std::string_view text) const;
+
+  struct NumericRange {
+    double lo;
+    double hi;
+  };
+
   const Schema* schema_;
   // The column plan: per column, 0 when numeric, else the categorical
-  // domain size (which Schema::Create keeps at 2 or more).
+  // domain size (which Schema::Create keeps at 2 or more), and a numeric
+  // column's [lo, hi].
   std::vector<uint32_t> domains_;
+  std::vector<NumericRange> ranges_;
   internal_csv::LineScanner lines_;
   uint64_t rows_read_ = 0;
 };

@@ -19,11 +19,9 @@ Dataset NormalizeNumeric(const Dataset& dataset) {
   for (uint32_t col = 0; col < dataset.schema().num_columns(); ++col) {
     const ColumnSpec& spec = dataset.schema().column(col);
     if (spec.type == ColumnType::kNumeric) {
-      const double mid = (spec.hi + spec.lo) / 2.0;
-      const double half_width = (spec.hi - spec.lo) / 2.0;
       const std::vector<double>& src = dataset.numeric_column(col);
       for (uint64_t row = 0; row < dataset.num_rows(); ++row) {
-        out.set_numeric(row, col, (src[row] - mid) / half_width);
+        out.set_numeric(row, col, NormalizeToUnit(src[row], spec.lo, spec.hi));
       }
     } else {
       const std::vector<uint32_t>& src = dataset.categorical_column(col);

@@ -58,9 +58,20 @@ class DesignMatrix {
   std::vector<double> values_;
 };
 
+/// Maps `x` affinely from [lo, hi] to [-1, 1]: (x − mid) / half_width. An x
+/// inside [lo, hi] whose quotient rounds an ulp past ±1 lands on ±1; an x
+/// outside maps outside, for the collector to refuse. The one normalisation
+/// shared by NormalizeNumeric and api::RowToTuple, which must agree bit for
+/// bit.
+inline double NormalizeToUnit(double x, double lo, double hi) {
+  const double t = (x - (hi + lo) / 2.0) / ((hi - lo) / 2.0);
+  if (!(x >= lo && x <= hi)) return t;
+  return t > 1.0 ? 1.0 : (t < -1.0 ? -1.0 : t);
+}
+
 /// Returns a copy of `dataset` with every numeric column affinely mapped
-/// from its schema [lo, hi] to [-1, 1] (schema bounds updated accordingly).
-/// Categorical columns are untouched.
+/// from its schema [lo, hi] to [-1, 1] (schema bounds updated accordingly)
+/// by NormalizeToUnit. Categorical columns are untouched.
 Dataset NormalizeNumeric(const Dataset& dataset);
 
 /// Encodes every column except `label_col` into the ERM design matrix

@@ -7,6 +7,24 @@
 
 namespace ldp::net {
 
+namespace {
+
+// Appends DATA {channel, bytes} to `out` without staging the payload first.
+Status AppendData(uint32_t channel, const std::string& bytes,
+                  std::string* out) {
+  const size_t payload = kDataChannelPrefixBytes + bytes.size();
+  if (payload > kMaxMessagePayload) {
+    return Status::InvalidArgument("message payload exceeds bound");
+  }
+  internal_wire::PutU8(out, static_cast<uint8_t>(MessageType::kData));
+  internal_wire::PutU32(out, static_cast<uint32_t>(payload));
+  internal_wire::PutU32(out, channel);
+  out->append(bytes);
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<CollectorClient> CollectorClient::Connect(
     const Endpoint& endpoint, const stream::StreamHeader& header,
     uint64_t ordinal, CollectorClientOptions options) {
@@ -20,15 +38,25 @@ Result<CollectorClient> CollectorClient::Connect(
     LDP_RETURN_IF_ERROR(client.socket_.SetIdleTimeout(options.idle_timeout_ms));
   }
   client.epoch_ = options.epoch;
-  LDP_RETURN_IF_ERROR(client.OpenShard(header, ordinal).status());
+  // The first shard keeps the round trip: its HELLO_OK may carry a WAL
+  // resume offset the reporter must honour before its first DATA byte.
+  const uint32_t channel = client.next_channel_++;
+  LDP_RETURN_IF_ERROR(
+      client.StageHello(header, ordinal, channel, /*fresh=*/false));
+  LDP_RETURN_IF_ERROR(client.Transmit());
+  while (!client.channels_[channel].admitted) {
+    LDP_RETURN_IF_ERROR(client.ReadReply());
+  }
   return client;
 }
 
-Status CollectorClient::Negotiate(const stream::StreamHeader& header,
-                                  uint64_t ordinal, uint32_t channel) {
+Status CollectorClient::StageHello(const stream::StreamHeader& header,
+                                   uint64_t ordinal, uint32_t channel,
+                                   bool fresh) {
   HelloMessage hello;
   hello.channel = channel;
   hello.ordinal = ordinal;
+  hello.fresh = fresh;
   hello.header_bytes = stream::EncodeStreamHeader(header);
   if (!options_.campaign_key.empty()) {
     if (options_.reporter_id.empty()) {
@@ -41,28 +69,18 @@ Status CollectorClient::Negotiate(const stream::StreamHeader& header,
     hello.reporter_id = options_.reporter_id;
     hello.auth_tag =
         ComputeHelloTag(options_.campaign_key, options_.reporter_id, channel,
-                        epoch_, hello.header_bytes);
+                        epoch_, hello.header_bytes, fresh);
   }
   LDP_RETURN_IF_ERROR(
-      SendMessage(&socket_, MessageType::kHello, EncodeHello(hello)));
-  std::string payload;
-  LDP_ASSIGN_OR_RETURN(payload, AwaitReply(MessageType::kHelloOk, channel));
-  HelloOkMessage ok;
-  LDP_ASSIGN_OR_RETURN(ok, DecodeHelloOk(payload));
-  if (ok.channel != channel) {
-    return Status::Internal("collector acknowledged the wrong channel");
-  }
-  ShardChannel state;
-  state.resume_offset = ok.resume_offset;
-  channels_[channel] = std::move(state);
-  epoch_ = ok.epoch;
+      AppendMessage(MessageType::kHello, EncodeHello(hello), &outbox_));
+  channels_[channel] = ShardChannel();
   return Status::OK();
 }
 
 Result<uint32_t> CollectorClient::OpenShard(const stream::StreamHeader& header,
                                             uint64_t ordinal) {
   const uint32_t channel = next_channel_++;
-  LDP_RETURN_IF_ERROR(Negotiate(header, ordinal, channel));
+  LDP_RETURN_IF_ERROR(StageHello(header, ordinal, channel, /*fresh=*/true));
   return channel;
 }
 
@@ -71,53 +89,124 @@ uint64_t CollectorClient::resume_offset(uint32_t channel) const {
   return found == channels_.end() ? 0 : found->second.resume_offset;
 }
 
-Result<std::string> CollectorClient::AwaitReply(MessageType expected,
-                                                uint32_t want_channel) {
-  while (true) {
-    MessageType type = MessageType::kError;
-    std::string payload;
-    Result<bool> got = RecvMessage(&socket_, &type, &payload);
-    if (!got.ok()) return got.status();
-    if (!got.value()) return Status::IoError("collector closed the connection");
-    if (type == MessageType::kError) {
-      ErrorMessage error;
-      LDP_ASSIGN_OR_RETURN(error, DecodeErrorMessage(payload));
-      return StatusFromWire(error.code, error.message);
-    }
-    if (type == MessageType::kShardClosed) {
-      // Closes complete out of order: another channel's verdict may land
-      // first.
-      // Stash it for AwaitShardClosed.
-      ShardClosedMessage closed;
-      LDP_ASSIGN_OR_RETURN(closed, DecodeShardClosed(payload));
-      if (expected == MessageType::kShardClosed &&
-          closed.channel == want_channel) {
-        return payload;
-      }
-      closed_payloads_[closed.channel] = std::move(payload);
-      continue;
-    }
-    if (type != expected) {
-      return Status::InvalidArgument("unexpected reply type from collector");
-    }
-    return payload;
+bool CollectorClient::AwaitingHello() const {
+  for (const auto& [channel, state] : channels_) {
+    if (!state.admitted) return true;
   }
+  return false;
 }
 
-Status CollectorClient::Flush(uint32_t channel, ShardChannel& state) {
-  if (state.staged.empty()) return Status::OK();
+uint32_t CollectorClient::epoch() {
+  if (Transmit().ok()) {
+    while (AwaitingHello() && ReadReply().ok()) {
+    }
+  }
+  return epoch_;
+}
+
+Result<bool> CollectorClient::RecvBuffered(size_t want) {
+  while (inbox_.size() - inbox_read_ < want) {
+    if (inbox_read_ > 0) {
+      inbox_.erase(0, inbox_read_);
+      inbox_read_ = 0;
+    }
+    const size_t have = inbox_.size();
+    inbox_.resize(std::max(have + kRecvChunkBytes, want));
+    bool eof = false;
+    Result<size_t> got =
+        socket_.RecvSome(inbox_.data() + have, inbox_.size() - have, &eof);
+    inbox_.resize(have + (got.ok() ? got.value() : 0));
+    if (!got.ok()) return got.status();
+    if (eof) {
+      if (have == 0) return false;  // clean close on a message boundary
+      return Status::IoError("peer closed the connection mid-message");
+    }
+    // A blocking socket returns nothing only when SO_RCVTIMEO expired.
+    if (got.value() == 0) return Status::DeadlineExceeded("recv timed out");
+  }
+  return true;
+}
+
+Result<bool> CollectorClient::RecvReply(MessageType* type,
+                                        std::string* payload) {
+  bool got = false;
+  LDP_ASSIGN_OR_RETURN(got, RecvBuffered(kMessageHeaderBytes));
+  if (!got) return false;
+  MessageHeader header;
+  LDP_ASSIGN_OR_RETURN(header, DecodeMessageHeader(inbox_.data() + inbox_read_,
+                                                   kMessageHeaderBytes));
+  const size_t size = kMessageHeaderBytes + header.payload_length;
+  LDP_RETURN_IF_ERROR(RecvBuffered(size).status());
+  *type = header.type;
+  payload->assign(inbox_, inbox_read_ + kMessageHeaderBytes,
+                  header.payload_length);
+  inbox_read_ += size;
+  return true;
+}
+
+Status CollectorClient::ReadReply() {
+  if (!broken_.ok()) return broken_;
+  MessageType type = MessageType::kError;
   std::string payload;
-  internal_wire::PutU32(&payload, channel);
-  payload.append(state.staged);
-  state.staged.clear();
-  const Status sent = SendMessage(&socket_, MessageType::kData, payload);
+  Result<bool> got = RecvReply(&type, &payload);
+  if (!got.ok()) {
+    broken_ = got.status();
+  } else if (!got.value()) {
+    broken_ = Status::IoError("collector closed the connection");
+  } else if (type == MessageType::kError) {
+    Result<ErrorMessage> error = DecodeErrorMessage(payload);
+    broken_ = error.ok()
+                  ? StatusFromWire(error.value().code, error.value().message)
+                  : error.status();
+  } else if (type == MessageType::kHelloOk) {
+    Result<HelloOkMessage> ok = DecodeHelloOk(payload);
+    if (!ok.ok()) return ok.status();
+    auto found = channels_.find(ok.value().channel);
+    if (found == channels_.end() || found->second.admitted) {
+      return Status::Internal("collector acknowledged the wrong channel");
+    }
+    found->second.admitted = true;
+    found->second.resume_offset = ok.value().resume_offset;
+    epoch_ = ok.value().epoch;
+  } else if (type == MessageType::kShardClosed) {
+    // Closes complete out of order: this may be any channel's verdict.
+    Result<ShardClosedMessage> closed = DecodeShardClosed(payload);
+    if (!closed.ok()) return closed.status();
+    closed_payloads_[closed.value().channel] = std::move(payload);
+  } else {
+    return Status::InvalidArgument("unexpected reply type from collector");
+  }
+  return broken_;
+}
+
+Status CollectorClient::Transmit() {
+  if (!broken_.ok()) return broken_;
+  if (outbox_.empty()) return Status::OK();
+  const Status sent = socket_.SendAll(outbox_);
+  outbox_.clear();
   if (sent.ok()) return sent;
-  // A send failure usually means the server poisoned the shard and closed
-  // the connection; its pending ERROR, which AwaitReply returns as a
-  // failure, names the real cause. When the read side is dead too, the
-  // send failure is the best verdict.
-  const Status verdict = AwaitReply(MessageType::kError, channel).status();
+  // A send failure usually means the server refused a HELLO or poisoned a
+  // shard and closed the connection; its pending ERROR names the real
+  // cause. When the read side is dead too, the send failure is the best
+  // verdict.
+  Status verdict = Status::OK();
+  while (verdict.ok()) verdict = ReadReply();
   return verdict.code() == StatusCode::kIoError ? sent : verdict;
+}
+
+Status CollectorClient::Flush(uint32_t channel, ShardChannel& state,
+                              bool close) {
+  if (!state.staged.empty()) {
+    LDP_RETURN_IF_ERROR(AppendData(channel, state.staged, &outbox_));
+    state.staged.clear();
+  }
+  if (close) {
+    CloseShardMessage message;
+    message.channel = channel;
+    LDP_RETURN_IF_ERROR(AppendMessage(MessageType::kCloseShard,
+                                      EncodeCloseShard(message), &outbox_));
+  }
+  return Transmit();
 }
 
 Status CollectorClient::Send(uint32_t channel, const char* data, size_t size) {
@@ -129,7 +218,7 @@ Status CollectorClient::Send(uint32_t channel, const char* data, size_t size) {
   size_t offset = 0;
   while (offset < size) {
     if (state.staged.size() >= options_.flush_bytes) {
-      LDP_RETURN_IF_ERROR(Flush(channel, state));
+      LDP_RETURN_IF_ERROR(Flush(channel, state, /*close=*/false));
     }
     const size_t take =
         std::min(size - offset, options_.flush_bytes - state.staged.size());
@@ -137,7 +226,7 @@ Status CollectorClient::Send(uint32_t channel, const char* data, size_t size) {
     offset += take;
   }
   if (state.staged.size() >= options_.flush_bytes) {
-    LDP_RETURN_IF_ERROR(Flush(channel, state));
+    LDP_RETURN_IF_ERROR(Flush(channel, state, /*close=*/false));
   }
   return Status::OK();
 }
@@ -150,11 +239,7 @@ Status CollectorClient::CloseShardBegin(uint32_t channel) {
   if (found->second.closing) {
     return Status::FailedPrecondition("shard close already in flight");
   }
-  LDP_RETURN_IF_ERROR(Flush(channel, found->second));
-  CloseShardMessage close;
-  close.channel = channel;
-  LDP_RETURN_IF_ERROR(
-      SendMessage(&socket_, MessageType::kCloseShard, EncodeCloseShard(close)));
+  LDP_RETURN_IF_ERROR(Flush(channel, found->second, /*close=*/true));
   found->second.closing = true;
   return Status::OK();
 }
@@ -167,28 +252,27 @@ Result<ShardCloseSummary> CollectorClient::AwaitShardClosed(uint32_t channel) {
   if (!found->second.closing) {
     return Status::FailedPrecondition("CloseShardBegin this channel first");
   }
-  std::string payload;
-  auto stashed = closed_payloads_.find(channel);
-  if (stashed != closed_payloads_.end()) {
-    payload = std::move(stashed->second);
-    closed_payloads_.erase(stashed);
-  } else {
+  if (closed_payloads_.count(channel) == 0) {
     // The verdict waits for the collector to drain the shard's queued
-    // chunks and reach it in its close queue — legitimately longer than
-    // the idle timeout under load — so lift the timeout for this one
-    // reply (the collector exempts the wait from its own idle reap too).
+    // chunks and merge it — legitimately longer than the idle timeout
+    // under load — so lift the timeout for this wait (the collector
+    // exempts it from its own idle reap too).
     if (options_.idle_timeout_ms > 0) {
       LDP_RETURN_IF_ERROR(socket_.SetIdleTimeout(0));
     }
-    Result<std::string> reply = AwaitReply(MessageType::kShardClosed, channel);
+    Status read = Status::OK();
+    while (read.ok() && closed_payloads_.count(channel) == 0) {
+      read = ReadReply();
+    }
     if (options_.idle_timeout_ms > 0) {
       LDP_RETURN_IF_ERROR(socket_.SetIdleTimeout(options_.idle_timeout_ms));
     }
-    if (!reply.ok()) return reply.status();
-    payload = std::move(reply).value();
+    LDP_RETURN_IF_ERROR(read);
   }
+  auto stashed = closed_payloads_.find(channel);
   ShardClosedMessage closed;
-  LDP_ASSIGN_OR_RETURN(closed, DecodeShardClosed(payload));
+  LDP_ASSIGN_OR_RETURN(closed, DecodeShardClosed(stashed->second));
+  closed_payloads_.erase(stashed);
   channels_.erase(channel);
   ShardCloseSummary summary;
   summary.status = StatusFromWire(closed.code, closed.message);

@@ -1,18 +1,21 @@
 // CollectorClient: the reporter's side of the collector protocol
-// (net/protocol.h). One connection now multiplexes many logical shards:
-// OpenShard performs the HELLO/schema negotiation for one channel, Send
-// ships raw report-stream frame bytes in bounded DATA messages, and
-// CloseShard declares end-of-stream and returns the server's merge verdict
-// with exact ingest statistics. Because the server merges in ordinal
-// order, SHARD_CLOSED replies can arrive out of order relative to traffic
-// on other channels — the client matches replies by channel and stashes
-// early arrivals, so callers never see the reordering.
+// (net/protocol.h). One connection multiplexes many logical shards:
+// Connect negotiates the first one with a round trip, OpenShard stages a
+// fresh HELLO for each further one and returns at once, Send ships raw
+// report-stream frame bytes in bounded DATA messages, and CloseShard
+// declares end-of-stream and returns the server's merge verdict with exact
+// ingest statistics. Staged control messages leave in the same write as
+// the next DATA: a small shard's HELLO, DATA and CLOSE_SHARD are one send.
+// Shards close independently, so SHARD_CLOSED replies can arrive out of
+// order relative to traffic on other channels — the client matches
+// replies by channel and stashes early arrivals, so callers never see the
+// reordering.
 //
 // Flow control is the socket's: Send blocks once the kernel send buffer is
 // full, and the collector drains it no faster than ServerSession::Feed
 // accepts bytes — a reporter on a fast link cannot buffer the collector
 // into the ground. DATA gets no reply; every reply is read through one
-// loop (AwaitReply).
+// function (ReadReply).
 //
 // Blocking I/O with an optional idle timeout; thread-compatible (one
 // client per thread, like ClientSession's Rng discipline).
@@ -76,15 +79,23 @@ class CollectorClient {
                                          uint64_t ordinal,
                                          CollectorClientOptions options = {});
 
-  /// Negotiates one more shard over this connection and returns its
-  /// channel id. Any number of shards may be open concurrently.
+  /// Opens one more shard over this connection and returns its channel id
+  /// at once: the HELLO is fresh (no durable bytes to resume) and is staged
+  /// to leave with the connection's next write, without waiting for the
+  /// collector's answer. Any number of shards may be open concurrently.
+  /// Fails here only on a bad reporter identity; a refusal (schema
+  /// mismatch, a spent budget, an ordinal with durable bytes) surfaces at
+  /// a later Send or CloseShardBegin that fails, or at AwaitShardClosed,
+  /// and the collector closes the connection, abandoning its other
+  /// channels. Resumable opens go through Connect.
   Result<uint32_t> OpenShard(const stream::StreamHeader& header,
                              uint64_t ordinal);
 
   /// Stages raw frame bytes (stream::AppendFrame output) for `channel`'s
   /// shard, flushing full DATA messages as its buffer fills. On failure
   /// the returned status carries the server's ERROR verdict when one is
-  /// pending (e.g. this client's stream poisoned its shard).
+  /// pending (e.g. this client's stream poisoned its shard, or a pipelined
+  /// HELLO was refused).
   Status Send(uint32_t channel, const char* data, size_t size);
 
   /// Flushes `channel` and declares end-of-stream, without waiting for the
@@ -92,52 +103,82 @@ class CollectorClient {
   Status CloseShardBegin(uint32_t channel);
 
   /// Waits for `channel`'s merge verdict (CloseShardBegin first). The
-  /// channel id is free for reuse afterwards.
+  /// channel id is free for reuse afterwards. Once the collector has sent
+  /// an ERROR (or the connection failed), every later wait returns it.
   Result<ShardCloseSummary> AwaitShardClosed(uint32_t channel);
 
   /// CloseShardBegin + AwaitShardClosed.
   Result<ShardCloseSummary> CloseShard(uint32_t channel);
 
   /// Post-header bytes already durable server-side for `channel`'s shard
-  /// (WAL resume handshake); 0 for a fresh shard.
+  /// (WAL resume handshake, Connect's shard only); 0 for a fresh shard,
+  /// which every OpenShard channel is.
   uint64_t resume_offset(uint32_t channel) const;
 
   /// Channels currently open (closing ones included until awaited).
   size_t open_shards() const { return channels_.size(); }
 
-  /// The epoch the most recently opened shard folds into.
-  uint32_t epoch() const { return epoch_; }
+  /// The epoch the most recently opened shard folds into. A pipelined
+  /// open learns it from its HELLO_OK, so this sends what is staged and
+  /// reads replies until every HELLO is answered; on a failed connection
+  /// it returns the last epoch known.
+  uint32_t epoch();
 
  private:
   /// One open (or closing) shard multiplexed over the connection.
   struct ShardChannel {
     uint64_t resume_offset = 0;
     std::string staged;
-    bool closing = false;  ///< CLOSE_SHARD sent, verdict not yet read.
+    bool admitted = false;  ///< HELLO_OK read.
+    bool closing = false;   ///< CLOSE_SHARD sent, verdict not yet read.
   };
 
   explicit CollectorClient(Socket socket, CollectorClientOptions options)
       : socket_(std::move(socket)), options_(options) {}
 
-  /// Sends HELLO for (`channel`, `ordinal`) and consumes the HELLO_OK /
-  /// ERROR reply, registering the channel on success.
-  Status Negotiate(const stream::StreamHeader& header, uint64_t ordinal,
-                   uint32_t channel);
+  /// Stages a HELLO for (`channel`, `ordinal`) in the outbox and registers
+  /// the channel as awaiting its HELLO_OK.
+  Status StageHello(const stream::StreamHeader& header, uint64_t ordinal,
+                    uint32_t channel, bool fresh);
 
-  /// Ships `channel`'s staged buffer as one DATA message.
-  Status Flush(uint32_t channel, ShardChannel& state);
+  /// Stages `channel`'s buffered bytes as one DATA message (and, with
+  /// `close`, its CLOSE_SHARD), then sends the whole outbox.
+  Status Flush(uint32_t channel, ShardChannel& state, bool close);
 
-  /// The one reply loop: reads until a message of `expected` type arrives
-  /// (for kShardClosed, one whose channel is `want_channel`) and returns
-  /// its payload. Other channels' SHARD_CLOSEDs are stashed; ERROR becomes
-  /// the returned status.
-  Result<std::string> AwaitReply(MessageType expected, uint32_t want_channel);
+  /// Sends the outbox in one write. On failure, returns the collector's
+  /// pending ERROR when there is one.
+  Status Transmit();
+
+  /// Reads one reply: a HELLO_OK admits its channel, a SHARD_CLOSED is
+  /// stashed for AwaitShardClosed, an ERROR (or a transport failure)
+  /// breaks the connection and is returned, now and by every later call.
+  Status ReadReply();
+
+  /// RecvMessage through the inbox: one recv often carries several replies
+  /// (a fresh HELLO's HELLO_OK and its shard's verdict leave together).
+  Result<bool> RecvReply(MessageType* type, std::string* payload);
+
+  /// Receives until `want` unread bytes are buffered in the inbox. False
+  /// on a clean close with nothing buffered, as Socket::RecvAll.
+  Result<bool> RecvBuffered(size_t want);
+
+  /// True while some channel's HELLO is unanswered.
+  bool AwaitingHello() const;
 
   Socket socket_;
   CollectorClientOptions options_;
   std::map<uint32_t, ShardChannel> channels_;
-  /// SHARD_CLOSED payloads that arrived while awaiting something else.
+  /// SHARD_CLOSED payloads read but not yet claimed by AwaitShardClosed.
   std::map<uint32_t, std::string> closed_payloads_;
+  /// Wire bytes staged for the next write.
+  std::string outbox_;
+  /// Received bytes; those before inbox_read_ are consumed.
+  std::string inbox_;
+  size_t inbox_read_ = 0;
+  static constexpr size_t kRecvChunkBytes = 512;
+  /// The collector's ERROR, or the transport failure, that ended the
+  /// connection; OK while it is usable.
+  Status broken_;
   uint32_t next_channel_ = 0;
   uint32_t epoch_ = 0;
 };

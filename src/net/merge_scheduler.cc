@@ -1,28 +1,18 @@
 #include "net/merge_scheduler.h"
 
 #include <string>
-#include <utility>
 
 #include "net/report_server.h"
-#include "obs/journal.h"
 
 namespace ldp::net {
 
 MergeScheduler::MergeScheduler(api::ServerSession* session,
-                               const ReportServerOptions& options,
-                               obs::Histogram* close_wait_us,
-                               VerdictFn on_verdict)
-    : session_(session),
-      options_(options),
-      close_wait_us_(close_wait_us),
-      on_verdict_(std::move(on_verdict)) {
+                               const ReportServerOptions& options)
+    : session_(session), options_(options) {
   // Ordinals a WAL replay already merged start done, so a re-HELLO is
-  // refused. No thread runs yet: no lock.
+  // refused. Nothing else can see the scheduler yet: no lock.
   for (uint64_t ordinal : options.completed_ordinals) FinishLocked(ordinal);
-  thread_ = std::thread([this] { Main(); });
 }
-
-MergeScheduler::~MergeScheduler() { Shutdown(); }
 
 Status MergeScheduler::Register(uint64_t ordinal, uint32_t epoch) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -62,20 +52,6 @@ void MergeScheduler::FinishLocked(uint64_t ordinal) {
   if (options_.expected_shards > 0) done_ordinals_.insert(ordinal);
 }
 
-void MergeScheduler::Submit(Close close) {
-  if (options_.journal != nullptr) {
-    options_.journal->Record(obs::EventKind::kMergeEnter, close.ordinal);
-  }
-  PendingClose pending;
-  pending.enqueued_ns = close_wait_us_ != nullptr ? obs::SteadyNowNs() : 0;
-  pending.close = std::move(close);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(std::move(pending));
-  }
-  queue_cv_.notify_all();
-}
-
 Status MergeScheduler::AdvanceEpoch(const std::function<Status()>& advance) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!active_ordinals_.empty()) {
@@ -86,61 +62,6 @@ Status MergeScheduler::AdvanceEpoch(const std::function<Status()>& advance) {
   LDP_RETURN_IF_ERROR(advance());
   done_ordinals_.clear();
   return Status::OK();
-}
-
-void MergeScheduler::Abort() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    hard_stop_ = true;
-  }
-  queue_cv_.notify_all();
-}
-
-void MergeScheduler::Shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    exit_ = true;
-  }
-  queue_cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-void MergeScheduler::Main() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (true) {
-    queue_cv_.wait(lock, [&] { return !queue_.empty() || exit_; });
-    if (queue_.empty()) return;  // exit_ with nothing queued
-    // Tearing down, every queued close is abandoned.
-    const bool stopping = hard_stop_ || exit_;
-    PendingClose pending = std::move(queue_.front());
-    queue_.pop_front();
-    lock.unlock();
-    Complete(std::move(pending), stopping);
-    lock.lock();
-  }
-}
-
-void MergeScheduler::Complete(PendingClose pending, bool stopping) {
-  const Close& close = pending.close;
-  if (close_wait_us_ != nullptr && pending.enqueued_ns != 0) {
-    // The queue wait alone, not the close/merge work that follows.
-    close_wait_us_->Observe((obs::SteadyNowNs() - pending.enqueued_ns) / 1000);
-  }
-  Status closed = Status::OK();
-  if (!stopping) {
-    if (options_.wal != nullptr) options_.wal->OnShardClose(close.shard);
-    closed = session_->CloseShard(close.shard);
-  } else {
-    if (options_.wal != nullptr) options_.wal->OnShardAbandon(close.shard);
-    (void)session_->AbandonShard(close.shard);
-    closed = Status::FailedPrecondition("collector is shutting down");
-  }
-  Finish(close.ordinal);
-  if (options_.journal != nullptr) {
-    options_.journal->Record(obs::EventKind::kMergeExit, close.ordinal,
-                             closed.ok() ? 0 : 1);
-  }
-  on_verdict_(close, closed);
 }
 
 }  // namespace ldp::net

@@ -100,7 +100,7 @@ std::string EncodeHello(const HelloMessage& hello) {
   std::string out;
   PutU16(&out, kProtocolVersion);
   PutU32(&out, hello.channel);
-  PutU32(&out, 0);  // flags
+  PutU32(&out, hello.fresh ? kHelloFlagFresh : 0);
   PutU64(&out, hello.ordinal);
   PutU16(&out, static_cast<uint16_t>(hello.reporter_id.size()));
   out.append(hello.reporter_id);
@@ -120,10 +120,11 @@ Result<HelloMessage> DecodeHello(const std::string& payload) {
   LDP_ASSIGN_OR_RETURN(hello.channel, reader.U32());
   uint32_t flags = 0;
   LDP_ASSIGN_OR_RETURN(flags, reader.U32());
-  if (flags != 0) {
+  if ((flags & ~kHelloFlagFresh) != 0) {
     return Status::InvalidArgument("unsupported HELLO flags " +
                                    std::to_string(flags));
   }
+  hello.fresh = (flags & kHelloFlagFresh) != 0;
   LDP_ASSIGN_OR_RETURN(hello.ordinal, reader.U64());
   uint16_t id_length = 0;
   LDP_ASSIGN_OR_RETURN(id_length, reader.U16());
@@ -152,11 +153,14 @@ Result<HelloMessage> DecodeHello(const std::string& payload) {
 
 std::string ComputeHelloTag(const std::string& campaign_key,
                             const std::string& reporter_id, uint32_t channel,
-                            uint32_t epoch, const std::string& header_bytes) {
+                            uint32_t epoch, const std::string& header_bytes,
+                            bool fresh) {
   // Canonical tag input: a domain-separation label, then every field
   // length-delimited so no two distinct (id, channel, epoch, header) tuples
-  // share an encoding.
-  std::string canonical("ldp-hello-v3\0", 13);
+  // share an encoding. A fresh HELLO signs under its own label, so the
+  // flag cannot be flipped in flight and flags-0 tags are unchanged.
+  std::string canonical = fresh ? std::string("ldp-hello-v3-fresh\0", 19)
+                                : std::string("ldp-hello-v3\0", 13);
   PutU16(&canonical, static_cast<uint16_t>(reporter_id.size()));
   canonical.append(reporter_id);
   PutU32(&canonical, channel);

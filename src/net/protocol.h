@@ -11,7 +11,8 @@
 //   client                              server
 //   ------                              ------
 //   HELLO {version, channel, flags,  -> validate header, open shard
-//          ordinal, header}          <- HELLO_OK {channel, shard, epoch}
+//          ordinal, header}          <- HELLO_OK {channel, shard, epoch,
+//                                                 resume_offset}
 //                                       | ERROR
 //   DATA {channel, raw frame bytes}  (any chunking; fed straight into
 //                            ServerSession::Feed — the report-stream
@@ -23,19 +24,28 @@
 //
 // A `channel` is the client-chosen id multiplexing several concurrently
 // open shards over one connection; ids are free for reuse once their
-// SHARD_CLOSED arrives. Because closes complete on the collector's close
-// queue, a SHARD_CLOSED may arrive *after* replies to later requests on the
-// same connection — clients must match replies by channel, not by order.
+// SHARD_CLOSED arrives. Each shard closes on its own strand, so a
+// SHARD_CLOSED may arrive *after* replies to later requests on the same
+// connection — clients must match replies by channel, not by order.
+//
+// The HELLO's flags word has one defined bit, kHelloFlagFresh; any other
+// set bit is refused. A HELLO without it is *resumable*: the reporter waits
+// for HELLO_OK, whose resume_offset may tell it to skip bytes a WAL replay
+// already holds. A *fresh* HELLO declares a shard with no durable bytes:
+// the reporter sends it without waiting — its DATA and CLOSE_SHARD may
+// share one write with it — and reads the HELLO_OK (resume_offset 0) or
+// the ERROR later, among the replies to whatever it sent since. The
+// collector refuses a fresh HELLO for an ordinal that has durable bytes,
+// and that refusal, like any HELLO refusal, closes the connection.
 //
 // No peer can advance the collection epoch: that is the operator's call
 // (ReportServer::AdvanceEpoch), and the retired ADVANCE_EPOCH (0x04) and
 // EPOCH_ADVANCED (0x12) types are unknown types like any other.
 //
-// The HELLO's flags word is always 0. DATA gets no reply: flow control is
-// the socket's own. A reporter's send blocks once the kernel buffer fills,
-// and the collector reads a connection's next message only after
-// ServerSession::Feed returns, which blocks at the per-shard pending-byte
-// bound.
+// DATA gets no reply: flow control is the socket's own. A reporter's send
+// blocks once the kernel buffer fills, and the collector reads a
+// connection's next message only after ServerSession::Feed returns, which
+// blocks at the per-shard pending-byte bound.
 //
 // The HELLO payload carries the exact report-stream header
 // (stream/report_stream.h) the subsequent DATA bytes would have started
@@ -75,6 +85,11 @@ inline constexpr size_t kMaxReporterIdBytes = 128;
 
 /// Size of the raw HMAC-SHA256 tag in a v3 HELLO.
 inline constexpr size_t kHelloAuthTagBytes = 32;
+
+/// HELLO flag: the shard is fresh, with no durable bytes to resume, so the
+/// reporter does not wait for HELLO_OK (see the file comment). Bit 0 once
+/// asked for DATA_ACK replies and stays refused.
+inline constexpr uint32_t kHelloFlagFresh = 1u << 1;
 
 /// Every DATA payload starts with the u32 channel id of the shard the
 /// frame bytes belong to.
@@ -133,12 +148,14 @@ Result<bool> RecvMessage(Socket* socket, MessageType* type,
 
 /// HELLO: the client introduces one shard-to-be on a fresh channel.
 ///
-/// Layout: u16 version, u32 channel, u32 flags (always 0; a nonzero word
-/// is refused), u64 ordinal, then u16 id length, the id bytes, the raw
-/// 32-byte tag, then the stream header. An anonymous HELLO (for a keyless
-/// collector) carries id length 0 and no tag.
+/// Layout: u16 version, u32 channel, u32 flags (kHelloFlagFresh or 0; any
+/// other bit is refused), u64 ordinal, then u16 id length, the id bytes,
+/// the raw 32-byte tag, then the stream header. An anonymous HELLO (for a
+/// keyless collector) carries id length 0 and no tag.
 struct HelloMessage {
   uint16_t version = kProtocolVersion;
+  /// kHelloFlagFresh: a pipelined open of a shard with no durable bytes.
+  bool fresh = false;
   /// Client-chosen id multiplexing this shard over the connection; must not
   /// collide with a channel still open on the same connection. Single-shard
   /// clients use 0.
@@ -165,10 +182,12 @@ Result<HelloMessage> DecodeHello(const std::string& payload);
 /// Binding the channel and the server's current epoch means a captured tag
 /// cannot be replayed onto another channel or into a later epoch; binding
 /// the header means the tag vouches for the exact schema/ε the reporter
-/// streams under.
+/// streams under. A fresh HELLO's tag uses a domain-separation label of its
+/// own, which binds the flag.
 std::string ComputeHelloTag(const std::string& campaign_key,
                             const std::string& reporter_id, uint32_t channel,
-                            uint32_t epoch, const std::string& header_bytes);
+                            uint32_t epoch, const std::string& header_bytes,
+                            bool fresh = false);
 
 /// HELLO_OK: the server accepted the shard.
 struct HelloOkMessage {

@@ -61,10 +61,7 @@ ReportServer::ReportServer(api::ServerSession* session,
       expected_(expected),
       options_(options),
       metrics_(obs::NetServerMetrics::ForRegistry(options.metrics)),
-      scheduler_(session, options_, metrics_.merge_barrier_wait_us,
-                 [this](const auto& close, const auto& closed) {
-                   DeliverVerdict(close, closed);
-                 }) {}
+      scheduler_(session, options_) {}
 
 Result<std::unique_ptr<ReportServer>> ReportServer::Start(
     api::ServerSession* session, const stream::StreamHeader& expected,
@@ -126,6 +123,7 @@ void ReportServer::Stop(bool drain) {
     }
     stop_accepting_ = true;
     if (!drain) {
+      hard_stop_ = true;
       // Kick every connection out of the kernel: reads return EOF, sends
       // fail, and the loops tear everything down and abandon open shards.
       for (const auto& [fd, conn] : conns_) ::shutdown(fd, SHUT_RDWR);
@@ -143,17 +141,15 @@ void ReportServer::Stop(bool drain) {
       }
     }
   }
-  // Outside mutex_: the scheduler's lock is taken first everywhere else.
-  if (!drain) scheduler_.Abort();
   for (size_t i = 0; i < loops_.size(); ++i) WakeLoop(i);
   for (auto& loop : loops_) {
     if (loop->thread.joinable()) loop->thread.join();
   }
-  // The loops are gone, so no new close can be submitted: the scheduler
-  // abandons whatever is left and exits.
-  scheduler_.Shutdown();
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    // The loops are gone, so no close can be queued any more; wait out the
+    // ones in flight (after a hard stop, those not yet started abandon).
+    std::unique_lock<std::mutex> lock(mutex_);
+    closes_cv_.wait(lock, [&] { return closes_in_flight_ == 0; });
     stopped_ = true;
     stopped_cv_.notify_all();
   }
@@ -230,7 +226,7 @@ void ReportServer::LoopMain(size_t index) {
     for (const auto& conn : adopts) AdoptConn(loop, conn);
     adopts.clear();
     for (const auto& conn : flushes) {
-      // A scheduler reply just landed (merge verdict or drain goodbye):
+      // A strand reply just landed (merge verdict or drain goodbye):
       // re-arm so a deadline that expired while the close waited cannot
       // reap the connection before the reply flushes, and so a drain
       // goodbye gets its bounded grace even with the idle timer off.
@@ -306,7 +302,10 @@ void ReportServer::LoopMain(size_t index) {
         }
         continue;
       }
-      if (event.readable || event.error) HandleReadable(loop, conn);
+      if (event.readable || event.error) {
+        HandleReadable(loop, conn);
+        if (!conn->dead) FlushUnlessAVerdictWill(loop, conn);
+      }
       if (event.writable && !conn->dead) FlushConn(loop, conn);
     }
 
@@ -334,8 +333,11 @@ void ReportServer::LoopMain(size_t index) {
               break;
             }
           }
-          // Delivered mid-sweep: flushes at the next iteration's top.
-          awaiting_verdicts = awaiting_verdicts || conn->verdict_queued;
+          // Delivered mid-sweep: flushes at the next iteration's top. Sent
+          // by a strand: the peer's idle budget restarts once.
+          awaiting_verdicts = awaiting_verdicts || conn->verdict_queued ||
+                              conn->verdict_sent;
+          conn->verdict_sent = false;
         }
         if (goodbye_stuck) {
           // A drain goodbye the peer never read: give up on delivery.
@@ -345,10 +347,10 @@ void ReportServer::LoopMain(size_t index) {
         if (awaiting_verdicts) {
           // Every channel is awaiting its SHARD_CLOSED verdict: the wait
           // is the server's own (the shard's queued chunks draining, and
-          // the close queue, which a long drain or a session held by
-          // another caller can stall past the idle budget), and the client
-          // has stopped sending on purpose — not a slow loris. Re-arm
-          // rather than reap, or the verdicts would be lost.
+          // the merge, which a session held by another caller can stall
+          // past the idle budget), and the client has stopped sending on
+          // purpose — not a slow loris. Re-arm rather than reap, or the
+          // verdicts would be lost.
           ArmDeadline(conn);
           continue;
         }
@@ -540,7 +542,7 @@ bool ReportServer::DispatchMessage(Loop& loop,
         options_.wal->OnShardData(shard, data, size);
       }
       // Feed without conn->mutex: it may block on ingest backpressure, and
-      // the scheduler must stay able to queue replies meanwhile. Only the
+      // strand closes must stay able to queue replies meanwhile. Only the
       // owning loop erases a non-closing channel, so `shard` stays valid.
       const Status fed = session_->Feed(shard, data, size);
       if (conn->data_started_ns != 0) {
@@ -577,19 +579,9 @@ bool ReportServer::DispatchMessage(Loop& loop,
                    /*count_always=*/false);
         return false;
       }
-      MergeScheduler::Close pending;
-      pending.shard = state.shard;
-      pending.ordinal = state.ordinal;
-      pending.channel = close.value().channel;
-      pending.reply_to = conn;
-      scheduler_.Submit(std::move(pending));
-      // Flush only after the close is scheduler-owned: a send failure here
-      // destroys the connection, and AbandonConnChannels skips closing
-      // channels — an unsubmitted close would leave the ordinal (and its
-      // session shard) open forever, refusing every epoch advance. With
-      // the close submitted, a dead connection merely drops the reply; the
-      // scheduler still finishes the ordinal.
-      FlushConn(loop, conn);
+      // What is queued now (a fresh HELLO's HELLO_OK) leaves with this
+      // close's verdict.
+      CloseOnStrand(conn, close.value().channel, state);
       return !conn->dead;
     }
     case MessageType::kSnapshot:
@@ -671,7 +663,8 @@ bool ReportServer::HandleHello(Loop& loop,
   } else {
     const std::string expected_tag = ComputeHelloTag(
         options_.campaign_key, hello.value().reporter_id,
-        hello.value().channel, epoch, hello.value().header_bytes);
+        hello.value().channel, epoch, hello.value().header_bytes,
+        hello.value().fresh);
     if (!util::ConstantTimeEqual(expected_tag, hello.value().auth_tag)) {
       // Naming the epoch lets a reporter that signed for an old one
       // re-sign once.
@@ -689,6 +682,17 @@ bool ReportServer::HandleHello(Loop& loop,
   Status refusal = peer.ok()
                        ? stream::CheckHeadersCompatible(expected_, peer.value())
                        : peer.status();
+  if (refusal.ok() && hello.value().fresh) {
+    // A fresh HELLO skips the resume handshake, so it must not claim an
+    // ordinal whose bytes a WAL replay holds; the entry stays for a
+    // resumable HELLO.
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (resume_shards_.count(ordinal) != 0) {
+      refusal = Status::FailedPrecondition(
+          "shard ordinal " + std::to_string(ordinal) +
+          " has durable bytes to resume; a fresh HELLO cannot open it");
+    }
+  }
   if (refusal.ok()) refusal = scheduler_.Register(ordinal, epoch);
   if (!refusal.ok()) {
     return RefuseHello(loop, conn, ordinal, refusal,
@@ -756,7 +760,10 @@ bool ReportServer::HandleHello(Loop& loop,
   ok.epoch = epoch;
   ok.resume_offset = is_resume ? resumed.durable_bytes : 0;
   QueueMessage(conn, MessageType::kHelloOk, EncodeHelloOk(ok));
-  FlushConn(loop, conn);
+  // A resumable HELLO's reporter waits for this reply. A fresh one reads it
+  // later, so it leaves with the next flush: the end of this read batch, or
+  // a strand's verdict (FlushUnlessAVerdictWill).
+  if (!hello.value().fresh) FlushConn(loop, conn);
   return !conn->dead;
 }
 
@@ -873,8 +880,8 @@ size_t ReportServer::AbandonConnChannels(const std::shared_ptr<Conn>& conn) {
     std::lock_guard<std::mutex> conn_lock(conn->mutex);
     total = conn->channels.size();
     for (auto it = conn->channels.begin(); it != conn->channels.end();) {
-      // A close in flight belongs to the merge scheduler and completes
-      // there; only channels still streaming are abandoned.
+      // A close in flight belongs to its strand and completes there; only
+      // channels still streaming are abandoned.
       if (it->second.closing) {
         ++it;
         continue;
@@ -954,6 +961,18 @@ void ReportServer::FlushConn(Loop& loop, const std::shared_ptr<Conn>& conn) {
   }
 }
 
+void ReportServer::FlushUnlessAVerdictWill(Loop& loop,
+                                           const std::shared_ptr<Conn>& conn) {
+  {
+    std::lock_guard<std::mutex> conn_lock(conn->mutex);
+    if (conn->outbuf.empty()) return;
+    for (const auto& [channel, state] : conn->channels) {
+      if (state.closing) return;  // its strand sends the outbuf too
+    }
+  }
+  FlushConn(loop, conn);
+}
+
 void ReportServer::CloseAfterFlush(Loop& loop,
                                    const std::shared_ptr<Conn>& conn) {
   conn->reads_closed = true;
@@ -982,16 +1001,59 @@ void ReportServer::QueueMessage(const std::shared_ptr<Conn>& conn,
 
 // --- merge verdicts and epochs ---------------------------------------------
 
-void ReportServer::DeliverVerdict(const MergeScheduler::Close& close,
-                                  const Status& closed) {
-  const auto conn = std::static_pointer_cast<Conn>(close.reply_to);
+void ReportServer::CloseOnStrand(const std::shared_ptr<Conn>& conn,
+                                 uint32_t channel, const ChannelState& state) {
+  if (options_.journal != nullptr) {
+    options_.journal->Record(obs::EventKind::kMergeEnter, state.ordinal);
+  }
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++closes_in_flight_;
+  }
+  obs::Histogram* const wait_us = metrics_.merge_barrier_wait_us;
+  const uint64_t received_ns = wait_us != nullptr ? obs::SteadyNowNs() : 0;
+  const size_t shard = state.shard;
+  const uint64_t ordinal = state.ordinal;
+  auto start = [this, shard, wait_us, received_ns] {
+    if (wait_us != nullptr) {
+      wait_us->Observe((obs::SteadyNowNs() - received_ns) / 1000);
+    }
+    if (hard_stop_) {
+      if (options_.wal != nullptr) options_.wal->OnShardAbandon(shard);
+      return Status::FailedPrecondition("collector is shutting down");
+    }
+    if (options_.wal != nullptr) options_.wal->OnShardClose(shard);
+    return Status::OK();
+  };
+  auto done = [this, conn, channel, ordinal](
+                  const Status& closed,
+                  const stream::ShardIngester::Stats& stats) {
+    // The ordinal is free before the reporter can learn of its verdict.
+    scheduler_.Finish(ordinal);
+    if (options_.journal != nullptr) {
+      options_.journal->Record(obs::EventKind::kMergeExit, ordinal,
+                               closed.ok() ? 0 : 1);
+    }
+    DeliverVerdict(conn, channel, closed, stats);
+    // Last: once the count drops, Stop may return and the server go away.
+    std::lock_guard<std::mutex> lock(mutex_);
+    --closes_in_flight_;
+    closes_cv_.notify_all();
+  };
+  const Status queued = session_->CloseShardAsync(shard, start, done);
+  // Unreachable while only the owning loop closes its channels' shards;
+  // answered anyway so the ordinal and the reporter are not left waiting.
+  if (!queued.ok()) done(queued, stream::ShardIngester::Stats());
+}
+
+void ReportServer::DeliverVerdict(const std::shared_ptr<Conn>& conn,
+                                  uint32_t channel, const Status& closed,
+                                  const stream::ShardIngester::Stats& stats) {
   ShardClosedMessage reply;
-  reply.channel = close.channel;
+  reply.channel = channel;
   reply.code = static_cast<uint8_t>(closed.code());
   reply.message = closed.message();
-  Result<stream::ShardIngester::Stats> shard_stats =
-      session_->ShardStats(close.shard);
-  if (shard_stats.ok()) reply.stats = shard_stats.value();
+  reply.stats = stats;
   bool draining;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -1010,23 +1072,42 @@ void ReportServer::DeliverVerdict(const MergeScheduler::Close& close,
   const bool encoded = AppendMessage(MessageType::kShardClosed,
                                      EncodeShardClosed(reply), &wire)
                            .ok();
-  bool deliver = false;
+  bool hand_to_loop;
   {
     std::lock_guard<std::mutex> conn_lock(conn->mutex);
-    conn->channels.erase(close.channel);
-    if (!conn->dead && encoded) {
-      conn->outbuf.append(wire);
-      // During a drain, a connection whose last shard just closed has
-      // nothing left to say once the reply flushes.
-      if (draining && conn->channels.empty()) {
-        conn->close_after_flush = true;
+    conn->channels.erase(channel);
+    if (conn->dead || !encoded) return;
+    // During a drain, a connection whose last shard just closed has
+    // nothing left to say once the reply flushes: the loop tears it down.
+    hand_to_loop = draining && conn->channels.empty();
+    if (hand_to_loop) conn->close_after_flush = true;
+    // Unless the loop is waiting for the socket to drain, the verdict —
+    // behind whatever the loop queued (a fresh HELLO's HELLO_OK) — goes
+    // straight onto the socket from this strand. A full socket buffer or a
+    // dead peer leaves the rest to the loop's flush, which handles both.
+    conn->outbuf.append(wire);
+    if (!conn->want_write) {
+      while (conn->outbuf_sent < conn->outbuf.size()) {
+        Result<size_t> wrote =
+            conn->socket.SendSome(conn->outbuf.data() + conn->outbuf_sent,
+                                  conn->outbuf.size() - conn->outbuf_sent);
+        if (!wrote.ok() || wrote.value() == 0) break;
+        conn->outbuf_sent += wrote.value();
       }
+      if (conn->outbuf_sent == conn->outbuf.size()) {
+        conn->outbuf.clear();
+        conn->outbuf_sent = 0;
+      }
+    }
+    if (!conn->outbuf.empty()) hand_to_loop = true;
+    if (hand_to_loop) {
       conn->verdict_queued = true;
-      deliver = true;
+    } else {
+      conn->verdict_sent = true;
     }
   }
-  if (deliver) {
-    // Only the owning loop touches the socket: hand it the flush.
+  if (hand_to_loop) {
+    // Only the owning loop manages write interest and teardown.
     Loop& loop = *loops_[conn->loop];
     {
       std::lock_guard<std::mutex> loop_lock(loop.mutex);

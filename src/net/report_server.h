@@ -28,17 +28,21 @@
 //
 // Determinism and threading: aggregates are exact integer sums, so closed
 // shards merge in whatever order they close and the session still equals
-// the file-based run. A CLOSE_SHARD is handed to the MergeScheduler
-// (net/merge_scheduler.h), whose thread drains and merges it; the server
-// queues each verdict's SHARD_CLOSED reply on the owning loop, and replies
-// to other channels keep flowing meanwhile. The ServerSession surface is
-// thread-safe, so loops feed disjoint shards without further coordination.
-// A shard held at Feed's backpressure bound stalls its whole loop (bounded
-// by the ingest pool's drain rate), not just its own connection.
+// the file-based run. A CLOSE_SHARD becomes the last task on its shard's
+// strand (api::ServerSession::CloseShardAsync), behind the shard's DATA:
+// that task writes the WAL close record, merges, and sends SHARD_CLOSED
+// itself when the connection has nothing else queued, else hands the reply
+// to the owning loop. Replies to other channels keep flowing meanwhile. On
+// a session without ingest threads the task runs inline on the loop. The
+// ServerSession surface is thread-safe, so loops feed disjoint shards
+// without further coordination. A shard held at Feed's backpressure bound
+// stalls its whole loop (bounded by the ingest pool's drain rate), not just
+// its own connection. net::MergeScheduler keeps the ordinal bookkeeping.
 
 #ifndef LDP_NET_REPORT_SERVER_H_
 #define LDP_NET_REPORT_SERVER_H_
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -72,8 +76,8 @@ namespace ldp::net {
 /// this; net/ sees only the interface, keeping the dependency pointed
 /// relay -> net. OnShardOpen/OnShardData run on loop threads (one shard is
 /// only ever touched by its owning loop); OnShardClose/OnShardAbandon may
-/// run on the merge scheduler — implementations serialize per shard
-/// themselves (distinct shards never share a callback).
+/// run on the shard's strand (a session pool worker) — implementations
+/// serialize per shard themselves (distinct shards never share a callback).
 class ShardDurabilityHook {
  public:
   virtual ~ShardDurabilityHook() = default;
@@ -87,7 +91,7 @@ class ShardDurabilityHook {
                            const std::string& header_bytes) = 0;
   /// An accepted DATA payload, about to be fed to the session.
   virtual void OnShardData(size_t shard, const char* data, size_t size) = 0;
-  /// Called on the merge scheduler immediately before the session close,
+  /// Called on the shard's strand immediately before the session merge,
   /// so the log records which shards merged. The merge order it records
   /// does not matter: the sums are exact.
   virtual void OnShardClose(size_t shard) = 0;
@@ -113,7 +117,7 @@ struct ReportServerOptions {
   /// reset it — which is what bounds slow-loris reporters trickling bytes.
   /// A connection whose channels are all awaiting their SHARD_CLOSED
   /// verdict is exempt: that wait belongs to the server — the shard's
-  /// queued chunks draining and the close queue — not to the peer.
+  /// queued chunks draining and the merge — not to the peer.
   /// Even at 0, a teardown's goodbye flush stays bounded by a fixed grace
   /// so Stop(drain) cannot hang on a peer that never reads its verdict.
   int idle_timeout_ms = 30000;
@@ -127,10 +131,10 @@ struct ReportServerOptions {
   /// the benchmark stops.
   int merge_turn_timeout_ms = 120000;
   /// Optional telemetry (obs/metrics.h): connection/HELLO/shard counters,
-  /// DATA read and close-queue wait histograms. Typically the same
+  /// DATA read and close-start wait histograms. Typically the same
   /// registry the session reports through. Must outlive the server.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Optional campaign event journal: HELLO accept/refuse and close-queue
+  /// Optional campaign event journal: HELLO accept/refuse and close
   /// enter/exit events (the session journals shard lifecycle itself).
   obs::EventJournal* journal = nullptr;
   /// Accept SNAPSHOT messages from downstream relay nodes (a root or
@@ -147,11 +151,12 @@ struct ReportServerOptions {
   /// Optional write-ahead durability hook (relay::FrameWal). Must outlive
   /// the server.
   ShardDurabilityHook* wal = nullptr;
-  /// Shards a WAL replay left open, keyed by ordinal: a HELLO for one of
-  /// these re-attaches instead of opening a new shard, and HELLO_OK carries
-  /// its durable byte count. Entries are claimed by the first matching
-  /// HELLO; ReportServer::AdvanceEpoch abandons the unclaimed ones (a new
-  /// epoch has no pre-crash shards).
+  /// Shards a WAL replay left open, keyed by ordinal: a resumable HELLO for
+  /// one of these re-attaches instead of opening a new shard, and HELLO_OK
+  /// carries its durable byte count; a fresh HELLO for one is refused.
+  /// Entries are claimed by the first matching HELLO;
+  /// ReportServer::AdvanceEpoch abandons the unclaimed ones (a new epoch
+  /// has no pre-crash shards).
   std::unordered_map<uint64_t, ResumedShard> resume_shards;
   /// Ordinals a WAL replay already closed into the current epoch: they
   /// start completed, so a re-HELLO for one is refused as a duplicate.
@@ -162,7 +167,9 @@ struct ReportServerOptions {
 struct ReportServerStats {
   uint64_t connections = 0;       ///< Accepted connections.
   uint64_t shards_merged = 0;     ///< Shards closed cleanly and folded in.
-  uint64_t shards_discarded = 0;  ///< Shards closed poisoned (contributed 0).
+  uint64_t shards_discarded = 0;
+  ///< Shards closed poisoned, or abandoned by a hard stop before their
+  ///< close task started (contributed 0).
   uint64_t shards_abandoned = 0;
   ///< Shards dropped by disconnect/timeouts, or unclaimed WAL resume shards
   ///< an epoch advance gave up on.
@@ -192,12 +199,14 @@ class ReportServer {
   ReportServer(const ReportServer&) = delete;
   ReportServer& operator=(const ReportServer&) = delete;
 
-  /// Stops accepting new connections and joins the loops. With `drain`,
-  /// in-flight shards finish naturally — bounded by the idle timeout, and
-  /// even with idle_timeout_ms == 0 a final reply a peer never reads is
-  /// given up on after a fixed grace, so a drain always terminates.
-  /// Without `drain`, connections are shut down immediately and their open
-  /// shards abandoned. Idempotent; the first call wins.
+  /// Stops accepting new connections, joins the loops, and waits for the
+  /// closes in flight. With `drain`, in-flight shards finish naturally —
+  /// bounded by the idle timeout, and even with idle_timeout_ms == 0 a
+  /// final reply a peer never reads is given up on after a fixed grace, so
+  /// a drain always terminates. Without `drain`, connections are shut down
+  /// immediately and their open shards abandoned, closes whose task has
+  /// not started included ("collector is shutting down"). Idempotent; the
+  /// first call wins.
   void Stop(bool drain);
 
   /// The bound endpoint with any ephemeral TCP port resolved — what
@@ -230,18 +239,18 @@ class ReportServer {
   struct ChannelState {
     size_t shard = 0;
     uint64_t ordinal = 0;
-    /// CLOSE_SHARD received: the channel now belongs to the merge
-    /// scheduler. A dying connection abandons only its non-closing
-    /// channels — a close in flight completes (the reply just goes
-    /// nowhere), exactly as a blocking close used to survive its peer.
+    /// CLOSE_SHARD received: the channel now belongs to its strand close.
+    /// A dying connection abandons only its non-closing channels — a close
+    /// in flight completes (the reply just goes nowhere), exactly as a
+    /// blocking close used to survive its peer.
     bool closing = false;
   };
 
   enum class ReadPhase : uint8_t { kPrefix, kPayload };
 
   /// One connection. Read-path fields are touched only by the owning loop
-  /// thread; `mutex` guards the fields shared with the merge scheduler and
-  /// Stop (channels, outbuf, flags).
+  /// thread; `mutex` guards the fields shared with strand closes and Stop
+  /// (channels, outbuf, flags) and serializes every send on the socket.
   struct Conn {
     Socket socket;
     size_t loop = 0;
@@ -261,19 +270,25 @@ class ReportServer {
     /// grace, so Stop(drain) cannot hang on a peer that never reads).
     SteadyTime deadline = SteadyTime::max();
     bool reads_closed = false;  ///< Poisoned: flush the outbuf, then die.
-    bool want_write = false;  ///< Poller currently watching writability.
 
-    // --- shared with scheduler / Stop (guarded by mutex) ----------------
+    // --- shared with strand closes / Stop (guarded by mutex) ------------
     std::mutex mutex;
     std::unordered_map<uint32_t, ChannelState> channels;
     std::string outbuf;
     size_t outbuf_sent = 0;
+    /// The poller watches writability: the loop flushes the outbuf as the
+    /// socket drains, and strands leave the sending to it.
+    bool want_write = false;
     bool close_after_flush = false;
     /// A verdict sits in the outbuf that the loop has not taken from its
     /// flush inbox yet: the idle sweep must not reap the connection, or
     /// the verdict is lost.
     bool verdict_queued = false;
-    bool dead = false;  ///< Torn down; late scheduler replies are dropped.
+    /// A strand sent a verdict straight to the socket since the idle sweep
+    /// last looked: the peer's idle budget starts over from the verdict,
+    /// not from its CLOSE_SHARD.
+    bool verdict_sent = false;
+    bool dead = false;  ///< Torn down; late strand replies are dropped.
   };
 
   /// One event-loop thread's state. `conns` is owned by the loop thread;
@@ -286,7 +301,7 @@ class ReportServer {
     std::unordered_map<int, std::shared_ptr<Conn>> conns;
     std::mutex mutex;
     std::vector<std::shared_ptr<Conn>> adopt_inbox;  ///< Newly accepted.
-    std::vector<std::shared_ptr<Conn>> flush_inbox;  ///< Scheduler replies.
+    std::vector<std::shared_ptr<Conn>> flush_inbox;  ///< Strand replies.
     bool woken = false;  // coalesces wake-pipe writes
   };
 
@@ -325,11 +340,14 @@ class ReportServer {
   /// kind) were present before.
   size_t AbandonConnChannels(const std::shared_ptr<Conn>& conn);
   /// Unregisters and closes the connection. Channels must already be
-  /// abandoned or scheduler-owned.
+  /// abandoned or closing.
   void DestroyConn(Loop& loop, const std::shared_ptr<Conn>& conn);
   /// Sends as much of the outbuf as the socket takes; manages write
   /// interest and close-after-flush teardown.
   void FlushConn(Loop& loop, const std::shared_ptr<Conn>& conn);
+  /// FlushConn at the end of a read batch, unless a close is in flight:
+  /// its verdict's delivery sends the outbuf, in the same write.
+  void FlushUnlessAVerdictWill(Loop& loop, const std::shared_ptr<Conn>& conn);
   /// Stops reading, flushes what is queued, then tears the connection
   /// down (the polite goodbye after an ERROR or a drain).
   void CloseAfterFlush(Loop& loop, const std::shared_ptr<Conn>& conn);
@@ -337,10 +355,17 @@ class ReportServer {
                     const std::string& payload);
   void ArmDeadline(const std::shared_ptr<Conn>& conn);
 
-  /// The scheduler's verdict callback: counts the merge or discard and
-  /// queues SHARD_CLOSED on the owning loop (runs on the scheduler thread).
-  void DeliverVerdict(const MergeScheduler::Close& close,
-                      const Status& closed);
+  /// Queues `state`'s close as the last task on its shard's strand; the
+  /// task finishes the ordinal and delivers the verdict.
+  void CloseOnStrand(const std::shared_ptr<Conn>& conn, uint32_t channel,
+                     const ChannelState& state);
+  /// Counts the merge or discard and sends SHARD_CLOSED, behind whatever
+  /// the connection has queued, from the calling strand; when the socket
+  /// cannot take it all (or the loop already waits on it), hands the rest
+  /// to the owning loop.
+  void DeliverVerdict(const std::shared_ptr<Conn>& conn, uint32_t channel,
+                      const Status& closed,
+                      const stream::ShardIngester::Stats& stats);
   /// Stop has begun (stop_accepting_, read under mutex_).
   bool Stopping() const;
   void CountProtocolError();
@@ -370,9 +395,13 @@ class ReportServer {
   std::unordered_map<int, std::shared_ptr<Conn>> conns_;
   ReportServerStats stats_;
   std::condition_variable stopped_cv_;  // signalled when a Stop completes
+  /// Signalled as closes_in_flight_ drops; Stop waits for it to reach 0.
+  std::condition_variable closes_cv_;
+  size_t closes_in_flight_ = 0;
   bool stop_accepting_ = false;
   bool stopped_ = false;  // Stop already ran (threads joined)
-  /// Last: its thread calls DeliverVerdict, which uses the members above.
+  /// Stop(drain = false): a close task that starts now abandons its shard.
+  std::atomic<bool> hard_stop_{false};
   MergeScheduler scheduler_;
 };
 

@@ -278,8 +278,9 @@ struct NetServerMetrics {
   ///< ldp_net_snapshots_refused_total
   Histogram* data_read_us = nullptr;   ///< ldp_net_data_read_us
   Histogram* merge_barrier_wait_us = nullptr;
-  ///< ldp_net_merge_barrier_wait_us: a CLOSE_SHARD's wait in the close
-  ///< queue, from Submit to the start of its close
+  ///< ldp_net_merge_barrier_wait_us: a CLOSE_SHARD's wait on its shard's
+  ///< strand, from the message's receipt to the start of its close task —
+  ///< the DATA still queued ahead of it decoding
   bool enabled() const { return connections != nullptr; }
   static NetServerMetrics ForRegistry(MetricsRegistry* registry);
 };

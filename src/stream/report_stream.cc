@@ -207,7 +207,11 @@ Status AppendReportFrame(const MixedTupleCollector& collector,
                          const MixedTuple& tuple, Rng* rng, std::string* out) {
   const size_t start = out->size();
   out->resize(start + 4);
-  collector.AppendReport(tuple, rng, out);
+  const Status appended = collector.AppendReport(tuple, rng, out);
+  if (!appended.ok()) {
+    out->resize(start);
+    return appended;
+  }
   const size_t length = out->size() - start - 4;
   if (length > kMaxFrameBytes) {
     out->resize(start);

@@ -91,7 +91,8 @@ Status AppendFrame(const std::string& payload, std::string* out);
 /// Perturbs `tuple` and appends its report to `out` as one length-prefixed
 /// frame: the report is appended in place (MixedTupleCollector::
 /// AppendReport) and the length is patched in before it. Fails, with
-/// `out` restored, when the report exceeds kMaxFrameBytes.
+/// `out` restored, when AppendReport refuses the tuple or the report
+/// exceeds kMaxFrameBytes.
 Status AppendReportFrame(const MixedTupleCollector& collector,
                          const MixedTuple& tuple, Rng* rng, std::string* out);
 

@@ -283,25 +283,41 @@ TEST_F(CsvTest, AcceptSetMatchesStrtodReader) {
       {"-0.10000000000000000555,1", true, -0.1, 1, ""},
       {"0.5,00000000000002", true, 0.5, 2, ""},
   };
-  const Schema schema = TestSchema();
-  for (const AcceptCase& entry : cases) {
-    SCOPED_TRACE("row '" + entry.row + "'");
-    WriteFile("x,c\n" + entry.row + "\n");
-    if (entry.accepted) {
-      ExpectRows(schema, path_, {{entry.x, entry.c}});
-      continue;
+  // The table is the syntax verdict, read under a schema whose x takes
+  // every finite double. Under TestSchema's x in [-1, 1], the reader also
+  // refuses a syntactically valid cell outside the range, before any draw:
+  // the accept set shrinks by exactly those rows.
+  auto wide = Schema::Create({ColumnSpec::Numeric("x", -kMax, kMax),
+                              ColumnSpec::Categorical("c", 3)});
+  ASSERT_TRUE(wide.ok());
+  for (const bool ranged : {false, true}) {
+    const Schema schema = ranged ? TestSchema() : wide.value();
+    for (const AcceptCase& syntax : cases) {
+      SCOPED_TRACE("row '" + syntax.row + "'" + (ranged ? " in [-1, 1]" : ""));
+      AcceptCase entry = syntax;
+      if (ranged && entry.accepted && !(entry.x >= -1.0 && entry.x <= 1.0)) {
+        const std::string cell = entry.row.substr(0, entry.row.find(','));
+        entry.accepted = false;
+        entry.error = "row 0, column 'x': numeric cell '" + cell +
+                      "' is outside the schema's range [-1, 1]";
+      }
+      WriteFile("x,c\n" + entry.row + "\n");
+      if (entry.accepted) {
+        ExpectRows(schema, path_, {{entry.x, entry.c}});
+        continue;
+      }
+      auto table = ReadCsv(schema, path_);
+      ASSERT_FALSE(table.ok());
+      EXPECT_EQ(table.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(table.status().message(), entry.error);
+      auto reader = CsvRowReader::Open(schema, path_);
+      ASSERT_TRUE(reader.ok());
+      std::vector<double> numeric;
+      std::vector<uint32_t> category;
+      auto row = reader.value().NextRow(&numeric, &category);
+      ASSERT_FALSE(row.ok());
+      EXPECT_EQ(row.status().message(), entry.error);
     }
-    auto table = ReadCsv(schema, path_);
-    ASSERT_FALSE(table.ok());
-    EXPECT_EQ(table.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_EQ(table.status().message(), entry.error);
-    auto reader = CsvRowReader::Open(schema, path_);
-    ASSERT_TRUE(reader.ok());
-    std::vector<double> numeric;
-    std::vector<uint32_t> category;
-    auto row = reader.value().NextRow(&numeric, &category);
-    ASSERT_FALSE(row.ok());
-    EXPECT_EQ(row.status().message(), entry.error);
   }
 }
 

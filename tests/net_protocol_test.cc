@@ -10,6 +10,7 @@
 #include "net/protocol.h"
 #include "net/socket.h"
 #include "stream/report_stream.h"
+#include "util/hmac.h"
 #include "util/status.h"
 
 namespace ldp {
@@ -334,19 +335,71 @@ TEST(NetProtocolTest, MultiplexingFieldsRoundTrip) {
       net::DecodeCloseShard(net::EncodeCloseShard(close) + "x").ok());
 }
 
-TEST(NetProtocolTest, HelloRefusesEveryNonzeroFlagsWord) {
+TEST(NetProtocolTest, HelloFlagsAcceptOnlyTheFreshBit) {
   net::HelloMessage hello;
   hello.header_bytes = "hdr";
   const std::string wire = net::EncodeHello(hello);
   constexpr size_t kFlags = 2 + 4;  // after u16 version, u32 channel
   EXPECT_EQ(wire.substr(kFlags, 4), std::string(4, '\0'));
-  for (size_t bit = 0; bit < 32; ++bit) {
-    std::string flagged = wire;
-    flagged[kFlags + bit / 8] = static_cast<char>(1u << (bit % 8));
-    auto decoded = net::DecodeHello(flagged);
-    ASSERT_FALSE(decoded.ok()) << "bit " << bit;
-    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  auto plain = net::DecodeHello(wire);
+  ASSERT_TRUE(plain.ok());
+  EXPECT_FALSE(plain.value().fresh);
+
+  // The fresh bit encodes as kHelloFlagFresh and decodes back.
+  net::HelloMessage fresh = hello;
+  fresh.fresh = true;
+  const std::string fresh_wire = net::EncodeHello(fresh);
+  std::string expected_flags;
+  for (int i = 0; i < 4; ++i) {
+    expected_flags.push_back(
+        static_cast<char>((net::kHelloFlagFresh >> (8 * i)) & 0xFF));
   }
+  EXPECT_EQ(fresh_wire.substr(kFlags, 4), expected_flags);
+  auto fresh_decoded = net::DecodeHello(fresh_wire);
+  ASSERT_TRUE(fresh_decoded.ok());
+  EXPECT_TRUE(fresh_decoded.value().fresh);
+  EXPECT_EQ(fresh_decoded.value().header_bytes, "hdr");
+
+  // Every other bit is refused, alone or next to the fresh bit.
+  for (size_t bit = 0; bit < 32; ++bit) {
+    if ((1u << bit) == net::kHelloFlagFresh) continue;
+    for (const std::string* base : {&wire, &fresh_wire}) {
+      std::string flagged = *base;
+      flagged[kFlags + bit / 8] = static_cast<char>(
+          flagged[kFlags + bit / 8] | static_cast<char>(1u << (bit % 8)));
+      auto decoded = net::DecodeHello(flagged);
+      ASSERT_FALSE(decoded.ok()) << "bit " << bit;
+      EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
+TEST(NetProtocolTest, HelloTagBindsTheFreshFlag) {
+  // A fresh HELLO signs under its own label: flipping the flag in flight
+  // breaks the tag, and the flags-0 tag is the one it always was.
+  const std::string plain =
+      net::ComputeHelloTag("key", "user-1", /*channel=*/0, /*epoch=*/0, "hdr");
+  EXPECT_EQ(plain, net::ComputeHelloTag("key", "user-1", 0, 0, "hdr",
+                                        /*fresh=*/false));
+  const std::string fresh =
+      net::ComputeHelloTag("key", "user-1", 0, 0, "hdr", /*fresh=*/true);
+  EXPECT_EQ(fresh.size(), net::kHelloAuthTagBytes);
+  EXPECT_NE(fresh, plain);
+  // Both tags, rebuilt from the canonical encoding by hand: the label,
+  // then u16 id length, id, u32 channel, u32 epoch, u32 header length,
+  // header (little-endian).
+  auto canonical = [](const std::string& label) {
+    std::string out = label;
+    out.append("\x06\x00user-1", 8);
+    out.append(std::string(8, '\0'));  // channel 0, epoch 0
+    out.append("\x03\x00\x00\x00hdr", 7);
+    return out;
+  };
+  EXPECT_EQ(plain, util::HmacSha256(
+                       "key", canonical(std::string("ldp-hello-v3\0", 13))));
+  EXPECT_EQ(fresh,
+            util::HmacSha256("key", canonical(std::string(
+                                        "ldp-hello-v3-fresh\0", 19))));
 }
 
 TEST(NetProtocolTest, SnapshotRoundTripsAndRefusesHostileForms) {

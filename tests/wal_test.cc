@@ -745,6 +745,83 @@ TEST(WalTest, ServerResumeHandshakeContinuesACrashedCampaign) {
   EXPECT_EQ(session.value().Snapshot(), direct.value().Snapshot());
 }
 
+TEST(WalTest, FreshHelloForADurableOrdinalIsRefusedAndConnectResumesIt) {
+  // A pipelined open declares its shard fresh and never reads a resume
+  // offset, so the restarted collector refuses it for the ordinal the WAL
+  // holds bytes of — leaving the entry for a resumable HELLO, which still
+  // completes the campaign exactly.
+  const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
+  const std::string done_stream = MakeHonestStream(pipeline, 974);
+  const std::string cut_stream = MakeHonestStream(pipeline, 975);
+  const ScopedTempDir wal_dir("ldp_wal_test_fresh_refused_");
+  const std::string& dir = wal_dir.path();
+  const char* data = cut_stream.data() + stream::kStreamHeaderBytes;
+  const size_t total = cut_stream.size() - stream::kStreamHeaderBytes;
+  const size_t partial = total / 3;
+  CrashWithOrdinalOneOpen(pipeline, dir, done_stream, cut_stream, partial);
+
+  auto session = pipeline.NewServer();
+  ASSERT_TRUE(session.ok());
+  relay::WalReplaySummary summary;
+  auto wal = relay::FrameWal::Open(dir, &session.value(),
+                                   relay::FrameWal::Options(), &summary);
+  ASSERT_TRUE(wal.ok());
+  ASSERT_EQ(summary.shards_resumed, 1u);
+  net::ReportServerOptions options;
+  options.expected_shards = 3;
+  options.wal = wal.value().get();
+  options.resume_shards = summary.resume_shards;
+  options.completed_ordinals = summary.completed_ordinals;
+  net::Endpoint endpoint;
+  endpoint.kind = net::Endpoint::Kind::kUnix;
+  endpoint.path = dir + ".sock";
+  auto server = net::ReportServer::Start(&session.value(), pipeline.header(),
+                                         endpoint, options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  // Ordinal 2 connects; ordinal 1 rides the same connection pipelined.
+  auto first = net::CollectorClient::Connect(server.value()->endpoint(),
+                                             pipeline.header(),
+                                             /*ordinal=*/2);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  auto fresh = first.value().OpenShard(pipeline.header(), /*ordinal=*/1);
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_TRUE(first.value().Send(fresh.value(), data, total).ok());
+  ASSERT_TRUE(first.value().CloseShardBegin(fresh.value()).ok());
+  auto refused = first.value().AwaitShardClosed(fresh.value());
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(refused.status().message().find("durable bytes"),
+            std::string::npos)
+      << refused.status().ToString();
+
+  auto client = net::CollectorClient::Connect(server.value()->endpoint(),
+                                              pipeline.header(),
+                                              /*ordinal=*/1);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  EXPECT_EQ(client.value().resume_offset(/*channel=*/0), partial);
+  ASSERT_TRUE(
+      client.value().Send(/*channel=*/0, data + partial, total - partial).ok());
+  auto closed = client.value().CloseShard(/*channel=*/0);
+  ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+  EXPECT_TRUE(closed.value().status.ok());
+  server.value()->Stop(/*drain=*/true);
+
+  const net::ReportServerStats stats = server.value()->stats();
+  EXPECT_EQ(stats.hello_rejected, 1u);
+  EXPECT_EQ(stats.shards_merged, 1u);
+  // Ordinal 2's shard went down with the refused connection.
+  EXPECT_EQ(stats.shards_abandoned, 1u);
+  auto direct = pipeline.NewServer();
+  ASSERT_TRUE(direct.ok());
+  for (const std::string& stream : {done_stream, cut_stream}) {
+    const size_t shard = direct.value().OpenShard();
+    ASSERT_TRUE(direct.value().Feed(shard, stream).ok());
+    ASSERT_TRUE(direct.value().CloseShard(shard).ok());
+  }
+  EXPECT_EQ(session.value().Snapshot(), direct.value().Snapshot());
+}
+
 TEST(WalTest, EpochAdvanceAbandonsAnUnclaimedResumeShard) {
   // Regression: replay leaves a crashed shard open for its reporter, and
   // the session refuses to advance while any shard is open. A reporter
