@@ -89,21 +89,6 @@ uint64_t CollectorClient::resume_offset(uint32_t channel) const {
   return found == channels_.end() ? 0 : found->second.resume_offset;
 }
 
-bool CollectorClient::AwaitingHello() const {
-  for (const auto& [channel, state] : channels_) {
-    if (!state.admitted) return true;
-  }
-  return false;
-}
-
-uint32_t CollectorClient::epoch() {
-  if (Transmit().ok()) {
-    while (AwaitingHello() && ReadReply().ok()) {
-    }
-  }
-  return epoch_;
-}
-
 Result<bool> CollectorClient::RecvBuffered(size_t want) {
   while (inbox_.size() - inbox_read_ < want) {
     if (inbox_read_ > 0) {
@@ -183,7 +168,9 @@ Status CollectorClient::Transmit() {
   if (!broken_.ok()) return broken_;
   if (outbox_.empty()) return Status::OK();
   const Status sent = socket_.SendAll(outbox_);
-  outbox_.clear();
+  // Released, not cleared: an idle client would otherwise keep a whole
+  // shard's bytes resident between writes.
+  std::string().swap(outbox_);
   if (sent.ok()) return sent;
   // A send failure usually means the server refused a HELLO or poisoned a
   // shard and closed the connection; its pending ERROR names the real

@@ -118,11 +118,9 @@ class CollectorClient {
   /// Channels currently open (closing ones included until awaited).
   size_t open_shards() const { return channels_.size(); }
 
-  /// The epoch the most recently opened shard folds into. A pipelined
-  /// open learns it from its HELLO_OK, so this sends what is staged and
-  /// reads replies until every HELLO is answered; on a failed connection
-  /// it returns the last epoch known.
-  uint32_t epoch();
+  /// The epoch named by the last HELLO_OK read: Connect's, or a pipelined
+  /// open's once a later Send, close or await has read its reply.
+  uint32_t epoch() const { return epoch_; }
 
  private:
   /// One open (or closing) shard multiplexed over the connection.
@@ -161,9 +159,6 @@ class CollectorClient {
   /// Receives until `want` unread bytes are buffered in the inbox. False
   /// on a clean close with nothing buffered, as Socket::RecvAll.
   Result<bool> RecvBuffered(size_t want);
-
-  /// True while some channel's HELLO is unanswered.
-  bool AwaitingHello() const;
 
   Socket socket_;
   CollectorClientOptions options_;

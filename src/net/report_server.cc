@@ -920,30 +920,33 @@ void ReportServer::DestroyConn(Loop& loop,
   conn->socket.Close();
 }
 
+bool ReportServer::SendQueued(Conn& conn) {
+  while (conn.outbuf_sent < conn.outbuf.size()) {
+    Result<size_t> sent =
+        conn.socket.SendSome(conn.outbuf.data() + conn.outbuf_sent,
+                             conn.outbuf.size() - conn.outbuf_sent);
+    if (!sent.ok()) return false;
+    if (sent.value() == 0) break;  // kernel buffer full
+    conn.outbuf_sent += sent.value();
+  }
+  if (conn.outbuf_sent == conn.outbuf.size()) {
+    conn.outbuf.clear();
+    conn.outbuf_sent = 0;
+  } else if (conn.outbuf_sent > kOutbufCompactBytes) {
+    conn.outbuf.erase(0, conn.outbuf_sent);
+    conn.outbuf_sent = 0;
+  }
+  return true;
+}
+
 void ReportServer::FlushConn(Loop& loop, const std::shared_ptr<Conn>& conn) {
   bool destroy = false;
   {
     std::lock_guard<std::mutex> conn_lock(conn->mutex);
     if (conn->dead) return;
-    while (conn->outbuf_sent < conn->outbuf.size()) {
-      Result<size_t> sent =
-          conn->socket.SendSome(conn->outbuf.data() + conn->outbuf_sent,
-                                conn->outbuf.size() - conn->outbuf_sent);
-      if (!sent.ok()) {  // peer is gone; nothing further to say
-        destroy = true;
-        break;
-      }
-      if (sent.value() == 0) break;  // kernel buffer full
-      conn->outbuf_sent += sent.value();
-    }
+    // A send error means the peer is gone: nothing further to say.
+    destroy = !SendQueued(*conn);
     if (!destroy) {
-      if (conn->outbuf_sent == conn->outbuf.size()) {
-        conn->outbuf.clear();
-        conn->outbuf_sent = 0;
-      } else if (conn->outbuf_sent > kOutbufCompactBytes) {
-        conn->outbuf.erase(0, conn->outbuf_sent);
-        conn->outbuf_sent = 0;
-      }
       const bool pending = conn->outbuf_sent < conn->outbuf.size();
       if (pending != conn->want_write) {
         conn->want_write = pending;
@@ -1086,19 +1089,7 @@ void ReportServer::DeliverVerdict(const std::shared_ptr<Conn>& conn,
     // straight onto the socket from this strand. A full socket buffer or a
     // dead peer leaves the rest to the loop's flush, which handles both.
     conn->outbuf.append(wire);
-    if (!conn->want_write) {
-      while (conn->outbuf_sent < conn->outbuf.size()) {
-        Result<size_t> wrote =
-            conn->socket.SendSome(conn->outbuf.data() + conn->outbuf_sent,
-                                  conn->outbuf.size() - conn->outbuf_sent);
-        if (!wrote.ok() || wrote.value() == 0) break;
-        conn->outbuf_sent += wrote.value();
-      }
-      if (conn->outbuf_sent == conn->outbuf.size()) {
-        conn->outbuf.clear();
-        conn->outbuf_sent = 0;
-      }
-    }
+    if (!conn->want_write) (void)SendQueued(*conn);
     if (!conn->outbuf.empty()) hand_to_loop = true;
     if (hand_to_loop) {
       conn->verdict_queued = true;
@@ -1121,15 +1112,18 @@ Status ReportServer::AdvanceEpoch() {
   return scheduler_.AdvanceEpoch([this] {
     // A new epoch has no pre-crash shards. A replayed shard whose reporter
     // never came back is abandoned, or its open session shard would refuse
-    // every advance.
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [ordinal, resumed] : resume_shards_) {
+    // every advance. An abandon waits on an ingest strand, so it runs
+    // without mutex_: a close finishing on a pool worker takes that lock.
+    std::unordered_map<uint64_t, ResumedShard> unclaimed;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      unclaimed.swap(resume_shards_);
+    }
+    for (const auto& [ordinal, resumed] : unclaimed) {
       if (options_.wal != nullptr) options_.wal->OnShardAbandon(resumed.shard);
       (void)session_->AbandonShard(resumed.shard);
-      ++stats_.shards_abandoned;
-      if (metrics_.enabled()) metrics_.shards_abandoned->Increment();
+      CountAbandoned();
     }
-    resume_shards_.clear();
     return session_->AdvanceEpoch();
   });
 }

@@ -342,8 +342,11 @@ class ReportServer {
   /// Unregisters and closes the connection. Channels must already be
   /// abandoned or closing.
   void DestroyConn(Loop& loop, const std::shared_ptr<Conn>& conn);
-  /// Sends as much of the outbuf as the socket takes; manages write
-  /// interest and close-after-flush teardown.
+  /// Sends as much of the outbuf as the socket takes, with `conn.mutex`
+  /// held, and compacts what was sent. False when the peer is gone.
+  static bool SendQueued(Conn& conn);
+  /// SendQueued from the owning loop; manages write interest and
+  /// close-after-flush teardown.
   void FlushConn(Loop& loop, const std::shared_ptr<Conn>& conn);
   /// FlushConn at the end of a read batch, unless a close is in flight:
   /// its verdict's delivery sends the outbuf, in the same write.

@@ -14,8 +14,10 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -882,6 +884,89 @@ TEST(WalTest, EpochAdvanceAbandonsAnUnclaimedResumeShard) {
   EXPECT_TRUE(second.resume_shards.empty());
   EXPECT_EQ(second.shards_replayed, 1u);
   auto reports = again.value().num_reports(0);
+  ASSERT_TRUE(reports.ok());
+  EXPECT_EQ(reports.value(), kCorpusReports);
+}
+
+// A durability hook that, inside each OnShardAbandon, reads the server's
+// stats from another thread. stats() takes the server mutex, the same lock
+// a strand close takes to deliver its verdict.
+class MutexProbeHook : public net::ShardDurabilityHook {
+ public:
+  void OnShardOpen(size_t, uint64_t, uint32_t, const std::string&,
+                   const std::string&) override {}
+  void OnShardData(size_t, const char*, size_t) override {}
+  void OnShardClose(size_t) override {}
+  void OnShardAbandon(size_t) override {
+    // Kept, not destroyed here: a probe stuck on a lock this thread holds
+    // finishes once the lock is released.
+    probes.push_back(std::async(std::launch::async,
+                                [this] { (void)server->stats(); }));
+    if (probes.back().wait_for(std::chrono::seconds(10)) !=
+        std::future_status::ready) {
+      ++blocked;
+    }
+  }
+
+  net::ReportServer* server = nullptr;
+  std::vector<std::future<void>> probes;
+  int blocked = 0;
+};
+
+TEST(WalTest, EpochAdvanceAbandonsResumeShardsWithoutTheServerLock) {
+  // Regression: AdvanceEpoch abandoned unclaimed resume shards while
+  // holding the server mutex, and each abandon waits on an ingest strand.
+  // A close finishing on a pool worker takes that mutex to deliver its
+  // verdict, so with every worker inside such a close the advance waited
+  // for the pool while the pool waited for the advance.
+  const api::Pipeline pipeline =
+      MakeCorpusPipeline(/*numeric=*/false, /*epochs=*/2);
+  const std::string stream = MakeHonestStream(pipeline, 974);
+  api::ServerSessionOptions session_options;
+  session_options.ingest_threads = 2;
+  auto session = pipeline.NewServer(session_options);
+  ASSERT_TRUE(session.ok());
+  // The shard a replay would have left open for ordinal 7.
+  const size_t stranded = session.value().OpenShard();
+  ASSERT_TRUE(session.value()
+                  .Feed(stranded, stream.data(), stream::kStreamHeaderBytes)
+                  .ok());
+
+  MutexProbeHook hook;
+  net::ReportServerOptions options;
+  options.wal = &hook;
+  options.resume_shards[7] = net::ResumedShard{stranded, 0};
+  const ScopedTempDir dir("ldp_wal_test_advance_lock_");
+  net::Endpoint endpoint;
+  endpoint.kind = net::Endpoint::Kind::kUnix;
+  endpoint.path = dir.path() + "/collector.sock";
+  auto server = net::ReportServer::Start(&session.value(), pipeline.header(),
+                                         endpoint, options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  hook.server = server.value().get();
+
+  // A close merged on a pool strand, its verdict delivered from there.
+  auto client = net::CollectorClient::Connect(
+      server.value()->endpoint(), pipeline.header(), /*ordinal=*/0);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE(client.value()
+                  .Send(0, stream.data() + stream::kStreamHeaderBytes,
+                        stream.size() - stream::kStreamHeaderBytes)
+                  .ok());
+  auto closed = client.value().CloseShard(0);
+  ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+  EXPECT_TRUE(closed.value().status.ok());
+
+  const Status advanced = server.value()->AdvanceEpoch();
+  ASSERT_TRUE(advanced.ok()) << advanced.ToString();
+  ASSERT_EQ(hook.probes.size(), 1u);
+  EXPECT_EQ(hook.blocked, 0)
+      << "the abandon ran while the server mutex was held";
+  EXPECT_EQ(session.value().current_epoch(), 1u);
+  server.value()->Stop(/*drain=*/true);
+  EXPECT_EQ(server.value()->stats().shards_abandoned, 1u);
+  EXPECT_EQ(server.value()->stats().shards_merged, 1u);
+  auto reports = session.value().num_reports(0);
   ASSERT_TRUE(reports.ok());
   EXPECT_EQ(reports.value(), kCorpusReports);
 }
